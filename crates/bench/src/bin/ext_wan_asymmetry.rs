@@ -68,7 +68,11 @@ fn main() {
             }
             sim.run();
             let observer = sim.observer();
-            let stats = sim.stack(observer).ab_stats(0).expect("session");
+            let stats = sim
+                .stack(observer)
+                .ab(0)
+                .map(|ab| ab.stats())
+                .expect("session");
             assert_eq!(stats.delivered, 20, "deliveries lost");
             total_instances += 1;
             if stats.bc_rounds_max <= 1 {

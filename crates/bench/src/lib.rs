@@ -223,8 +223,8 @@ pub fn write_span_dump(path: &str, seed: u64, faultload: Faultload) {
     let snap = sim.metrics_snapshot(observer);
     let delivered = sim
         .stack(observer)
-        .ab_stats(0)
-        .map(|s| s.delivered)
+        .ab(0)
+        .map(|ab| ab.stats().delivered)
         .unwrap_or(0);
     assert_eq!(
         delivered,
@@ -266,8 +266,8 @@ pub fn write_cluster_span_dumps(prefix: &str, seed: u64, faultload: Faultload) {
     let observer = sim.observer();
     let delivered = sim
         .stack(observer)
-        .ab_stats(0)
-        .map(|s| s.delivered)
+        .ab(0)
+        .map(|ab| ab.stats().delivered)
         .unwrap_or(0);
     assert_eq!(
         delivered,

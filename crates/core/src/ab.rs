@@ -426,37 +426,17 @@ const MAX_ROUND_AHEAD: u32 = 64;
 const RETAIN_BATCHES: usize = 4096;
 
 /// Configuration for an [`AtomicBroadcast`] instance.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct AbConfig {
     /// Transports for the agreement (multi-valued consensus) layer.
     pub mvc: MvcConfig,
     /// Run the paper's §4.2 Byzantine faultload: propose ⊥ in the
     /// agreement's INIT/VECT and 0 at the binary consensus layer.
     pub byzantine_bottom: bool,
-    /// When `true` (default), a new agreement round starts as soon as
-    /// there is an undelivered message. When `false`, rounds start only
-    /// when the driver calls [`AtomicBroadcast::poll`] — which the
-    /// single-threaded drivers do once their inbound queue is drained.
-    /// This mirrors the paper's implementation (one protocol thread that
-    /// exhausts pending input before continuing the agreement task) and
-    /// is what lets an entire burst be ordered by a couple of agreements
-    /// (§4.2, Figure 7).
-    pub eager_rounds: bool,
     /// Broadcast-side batching and pipelining policy (see module docs).
     /// [`BatchPolicy::immediate`] recovers the paper's per-message
     /// protocol.
     pub batch: BatchPolicy,
-}
-
-impl Default for AbConfig {
-    fn default() -> Self {
-        AbConfig {
-            mvc: MvcConfig::default(),
-            byzantine_bottom: false,
-            eager_rounds: true,
-            batch: BatchPolicy::default(),
-        }
-    }
 }
 
 /// Counters exposed for the evaluation harness (paper Figures 4–7).
@@ -515,6 +495,11 @@ pub struct AtomicBroadcast {
     vect_sent: bool,
     /// Whether we proposed to the current round's MVC.
     proposed: bool,
+    /// The ids of the last AB_VECT we broadcast.
+    last_vect: BTreeSet<MsgId>,
+    /// Whether the last concluded round decided a set with nothing new
+    /// to deliver (see [`AtomicBroadcast::retry_is_futile`]).
+    last_round_empty: bool,
     /// AB_VECT RBC instances keyed by (round, origin).
     vect_rbc: BTreeMap<(u32, ProcessId), ReliableBroadcast>,
     /// Decoded AB_VECT contents per round and origin.
@@ -535,8 +520,6 @@ pub struct AtomicBroadcast {
     /// FIFO eviction order of `retained` (bounded by
     /// [`RETAIN_BATCHES`]).
     retained_order: VecDeque<BatchId>,
-    /// True while a `poll` call is in progress (deferred-round mode).
-    polling: bool,
     stats: AbStats,
     metrics: Metrics,
     /// Span path of this session; set by the owner at creation. Command
@@ -603,6 +586,8 @@ impl AtomicBroadcast {
             round: 0,
             vect_sent: false,
             proposed: false,
+            last_vect: BTreeSet::new(),
+            last_round_empty: false,
             vect_rbc: BTreeMap::new(),
             vects: BTreeMap::new(),
             agreements: BTreeMap::new(),
@@ -610,7 +595,6 @@ impl AtomicBroadcast {
             recovering: false,
             retained: BTreeMap::new(),
             retained_order: VecDeque::new(),
-            polling: false,
             stats: AbStats::default(),
             metrics: Metrics::default(),
             span_path: None,
@@ -661,15 +645,15 @@ impl AtomicBroadcast {
         self.metrics = metrics;
     }
 
-    /// Drives the agreement task in deferred-round mode (see
-    /// [`AbConfig::eager_rounds`]): starts a new round if there are
-    /// undelivered messages. Drivers call this once their inbound queue
-    /// is drained. A no-op in eager mode or when a round is in progress.
+    /// Drives the agreement task: starts a new round if there are
+    /// undelivered messages. This is the only place a round starts —
+    /// drivers call it once their inbound queue is drained, mirroring the
+    /// paper's implementation (one protocol thread that exhausts pending
+    /// input before continuing the agreement task), which is what lets an
+    /// entire burst be ordered by a couple of agreements (§4.2, Figure 7).
+    /// A no-op while a round is in progress.
     pub fn poll(&mut self) -> AbStep {
-        self.polling = true;
-        let out = self.settle();
-        self.polling = false;
-        out
+        self.settle(true)
     }
 
     /// Injects the driver clock (wall or virtual nanoseconds). Only the
@@ -680,11 +664,11 @@ impl AtomicBroadcast {
     }
 
     /// Runs deferred transitions — notably age-based batch flushes after
-    /// [`AtomicBroadcast::set_now`] advanced the clock — without touching
-    /// the deferred-round polling flag. Drivers call this when the
+    /// [`AtomicBroadcast::set_now`] advanced the clock — without starting
+    /// an agreement round. Drivers call this when the
     /// [`AtomicBroadcast::next_flush_deadline`] passes.
     pub fn tick(&mut self) -> AbStep {
-        self.settle()
+        self.settle(false)
     }
 
     /// The driver-clock instant at which the oldest queued command must
@@ -869,7 +853,7 @@ impl AtomicBroadcast {
                     self.round,
                 );
                 self.received.insert(id, batch);
-                self.settle()
+                self.settle(false)
             }
             Err(_) => Step::none(),
         }
@@ -904,7 +888,7 @@ impl AtomicBroadcast {
             enqueued_ns: self.now_ns,
         });
         self.metrics.ab_queue_depth.set(self.queue.len() as u64);
-        let out = self.settle();
+        let out = self.settle(false);
         (id, out)
     }
 
@@ -922,7 +906,7 @@ impl AtomicBroadcast {
             } => self.on_vect(from, origin, round, inner),
             AbMessage::Agree { round, inner } => self.on_agree(from, round, inner),
         };
-        out.extend(self.settle());
+        out.extend(self.settle(false));
         out
     }
 
@@ -1075,10 +1059,10 @@ impl AtomicBroadcast {
         })
     }
 
-    /// Runs all deferred transitions to a fixpoint. Batch flushes are
-    /// never gated on the deferred-round polling flag: dissemination is
-    /// eager, only the agreement task is deferred.
-    fn settle(&mut self) -> AbStep {
+    /// Runs all deferred transitions to a fixpoint. Only the agreement
+    /// task waits for `start_rounds` (set by [`AtomicBroadcast::poll`]
+    /// alone); batch flushes never do: dissemination is eager.
+    fn settle(&mut self, start_rounds: bool) -> AbStep {
         let mut out = Step::none();
         loop {
             let mut progressed = false;
@@ -1086,7 +1070,7 @@ impl AtomicBroadcast {
             progressed |= self.maybe_deliver(&mut out);
             if self.awaiting_payloads.is_none() {
                 progressed |= self.maybe_fast_forward();
-                progressed |= self.maybe_send_vect(&mut out);
+                progressed |= start_rounds && self.maybe_send_vect(&mut out);
                 progressed |= self.maybe_propose(&mut out);
                 progressed |= self.maybe_conclude_round(&mut out);
             }
@@ -1198,15 +1182,13 @@ impl AtomicBroadcast {
     /// Starts the agreement task for the current round once there is
     /// something to order.
     fn maybe_send_vect(&mut self, out: &mut AbStep) -> bool {
-        if self.vect_sent || self.received.is_empty() {
-            return false;
-        }
-        if !self.config.eager_rounds && !self.polling {
+        if self.vect_sent || self.received.is_empty() || self.retry_is_futile() {
             return false;
         }
         self.vect_sent = true;
         let ids: BTreeSet<MsgId> = self.received.keys().copied().collect();
         let payload = encode_ids(&ids);
+        self.last_vect = ids;
         let round = self.round;
         let me = self.me;
         let group = self.group;
@@ -1227,6 +1209,26 @@ impl AtomicBroadcast {
         let sub = rbc.broadcast(payload).expect("one vect per round");
         out.extend(wrap_vect(me, round, sub));
         true
+    }
+
+    /// True when opening the next round could only repeat the last one:
+    /// that round ordered nothing, our undelivered ids are still exactly
+    /// the ones we offered in it, and no peer has opened the next round.
+    /// Ids that never gather `f+1` supporting vectors exist — a rejoiner
+    /// keeps the batches its peers a-delivered while it was away — and
+    /// retrying over them is an empty agreement per poll, forever. A
+    /// pending id that *can* be ordered was missing from some correct
+    /// process's vector (else every correct `W_i`, hence the decision,
+    /// would have contained it); that process's ids change when the
+    /// batch reaches it, it opens the round, and everyone else joins.
+    fn retry_is_futile(&self) -> bool {
+        self.last_round_empty
+            && self.received.keys().eq(self.last_vect.iter())
+            && !self.vects.get(&self.round).is_some_and(|slot| {
+                slot.iter()
+                    .enumerate()
+                    .any(|(origin, v)| origin != self.me && v.is_some())
+            })
     }
 
     /// Proposes `W_i` to the round's MVC after `n − f` vectors arrived.
@@ -1290,6 +1292,7 @@ impl AtomicBroadcast {
             .get(&round)
             .and_then(|m| m.decision().cloned());
         if decision.is_some() {
+            self.last_round_empty = false;
             if let Some(r) = self.agreements.get(&round).and_then(|m| m.bc_rounds()) {
                 self.stats.bc_rounds_max = self.stats.bc_rounds_max.max(r);
             }
@@ -1306,6 +1309,7 @@ impl AtomicBroadcast {
                             .into_iter()
                             .filter(|id| !self.a_delivered.contains(id))
                             .collect();
+                        self.last_round_empty = fresh.is_empty();
                         self.awaiting_payloads = Some(fresh);
                     }
                     Err(_) => {
@@ -1479,6 +1483,10 @@ mod tests {
         delivered: Vec<Vec<AbDelivery>>,
         rng_state: u64,
         crashed: Vec<ProcessId>,
+        /// Poll the receiver after every delivered frame (the default):
+        /// a round may then start at any point of the schedule, so the
+        /// seeds explore every interleaving a real driver could produce.
+        poll_each_frame: bool,
     }
 
     impl Net {
@@ -1505,6 +1513,7 @@ mod tests {
                 delivered: vec![Vec::new(); n],
                 rng_state: seed.wrapping_mul(0x9E3779B97F4A7C15) | 1,
                 crashed: Vec::new(),
+                poll_each_frame: true,
             }
         }
 
@@ -1553,7 +1562,10 @@ mod tests {
                 if self.crashed.contains(&to) {
                     continue;
                 }
-                let step = self.insts[to].handle_message(from, msg);
+                let mut step = self.insts[to].handle_message(from, msg);
+                if self.poll_each_frame {
+                    step.extend(self.insts[to].poll());
+                }
                 self.absorb(to, step);
             }
         }
@@ -1704,14 +1716,9 @@ mod tests {
     }
 
     #[test]
-    fn deferred_rounds_wait_for_poll() {
-        let g = Group::new(4).unwrap();
-        let table = KeyTable::dealer(4, 0);
-        let config = AbConfig {
-            eager_rounds: false,
-            ..AbConfig::default()
-        };
-        let mut net = Net::with_configs(4, 55, |_| config);
+    fn rounds_wait_for_poll() {
+        let mut net = Net::new(4, 55);
+        net.poll_each_frame = false;
         for p in 0..4 {
             net.broadcast(p, format!("d{p}").as_bytes());
         }
@@ -1751,7 +1758,42 @@ mod tests {
         for p in 0..4 {
             assert_eq!(net.insts[p].stats().agreements, 1, "process {p}");
         }
-        let _ = (g, table);
+    }
+
+    #[test]
+    fn unorderable_ids_do_not_spin_rounds() {
+        // What a rejoin leaves behind: each of three processes holds a
+        // batch the others a-delivered while it was away, so no id ever
+        // gathers f+1 supporting vectors. One round over them decides the
+        // empty set; re-running it over the same ids would order nothing
+        // again, forever, at full speed (ROADMAP item 0's livelock).
+        let mut net = Net::new(4, 91);
+        for p in 0..3usize {
+            let stale = MsgId {
+                sender: 3,
+                rbid: 1000 + p as u64,
+            };
+            let raw = encode_batch(5000 + p as u64, &[Bytes::from_static(b"stale")]);
+            let step = net.insts[p].inject_batch(stale, raw);
+            net.absorb(p, step);
+        }
+        for p in 0..3 {
+            let step = net.insts[p].poll();
+            net.absorb(p, step);
+        }
+        net.run();
+        for p in 0..3 {
+            assert_eq!(net.insts[p].round(), 1, "process {p} kept opening rounds");
+            assert!(net.delivered[p].is_empty());
+        }
+        // Fresh content still gets ordered, by everyone, and then the
+        // group goes quiet again.
+        let id = net.broadcast(3, b"fresh");
+        net.run();
+        for p in 0..4 {
+            let got: Vec<MsgId> = net.delivered[p].iter().map(|d| d.id).collect();
+            assert_eq!(got, vec![id], "process {p}");
+        }
     }
 
     #[test]

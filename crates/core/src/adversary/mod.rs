@@ -380,13 +380,13 @@ impl std::str::FromStr for StrategyKind {
 
 /// A seeded byte-level frame corrupter, usable on *any* framed byte
 /// string — protocol frames here, and the service tier's client replies
-/// in the conformance tests. The arms mirror the cluster's wire-level
-/// `corrupt()`: drop, duplicate, bit-flip, truncate, or replace with
-/// garbage, all replayable from the seed.
+/// in the conformance tests: drop, duplicate, bit-flip, truncate, or
+/// replace with garbage, all replayable from the seed.
 ///
-/// [`RandomMutation`] is this mutator applied to protocol frames; the
-/// service tests apply it to REPLY frames to model a replica that lies to
-/// its clients rather than to its peers.
+/// The test cluster's wire-level `corrupt()` applies it to whole sends,
+/// [`RandomMutation`] to protocol frames after per-destination
+/// expansion; the service tests apply it to REPLY frames to model a
+/// replica that lies to its clients rather than to its peers.
 #[derive(Debug, Clone)]
 pub struct FrameMutator {
     rng: StrategyRng,
@@ -440,8 +440,8 @@ impl FrameMutator {
     }
 }
 
-/// Small seeded xorshift used by strategies (same generator family as the
-/// test cluster's scheduler; strategies must be replayable).
+/// Small seeded xorshift used by strategies and the test cluster's
+/// scheduler (both must be replayable).
 #[derive(Debug, Clone)]
 pub(crate) struct StrategyRng(u64);
 

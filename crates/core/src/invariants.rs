@@ -137,11 +137,6 @@ impl InvariantChecker {
         self.corrupt[p] = true;
     }
 
-    /// Whether any process is marked corrupt.
-    pub fn has_corrupt(&self) -> bool {
-        self.corrupt.iter().any(|c| *c)
-    }
-
     /// Registers the payload a *correct* process broadcast on `key`
     /// (RB or EB), arming the integrity check for that instance.
     pub fn expect_broadcast(&mut self, key: InstanceKey, payload: Bytes) {

@@ -18,11 +18,10 @@
 //! | `ritas_vc` | [`Node::vector_consensus`] |
 //! | `ritas_destroy` | [`Node::shutdown`] |
 
-use crate::ab::{AbCursor, AbDelivery, MsgId};
+use crate::ab::AbDelivery;
 use crate::config::{ConfigError, Group};
 use crate::error::ProtocolError;
 use crate::mvc::MvcValue;
-use crate::recovery::PeerHints;
 use crate::stack::{InstanceKey, Output, Stack, StackConfig, StackStep};
 use crate::step::{Fault, Target};
 use crate::vc::DecisionVector;
@@ -109,15 +108,6 @@ impl SessionConfig {
     ///
     /// Returns [`ConfigError`] if `n < 4`.
     pub fn new(n: usize) -> Result<Self, ConfigError> {
-        // The node's worker thread drains its inbound queue and then
-        // polls the stack (the paper's one-protocol-thread driver), so
-        // agreement rounds run in deferred mode: a round starts only
-        // once pending input is exhausted and orders every batch that
-        // arrived in the meantime, instead of racing one round per
-        // batch. Sans-io harnesses that never poll keep the eager
-        // default via `StackConfig::default()`.
-        let mut stack = StackConfig::default();
-        stack.ab.eager_rounds = false;
         Ok(SessionConfig {
             group: Group::new(n)?,
             master_seed: 0x5249_5441_5321, // "RITAS!"
@@ -125,7 +115,7 @@ impl SessionConfig {
             metrics_endpoint: false,
             stall_budget: None,
             epoch_grace: Duration::from_secs(5),
-            stack,
+            stack: StackConfig::default(),
         })
     }
 
@@ -181,6 +171,11 @@ impl SessionConfig {
     }
 }
 
+/// A closure shipped to the protocol thread: it answers its caller
+/// itself; what it pushes on the step is dispatched like any other stack
+/// output.
+type StackFn = Box<dyn FnOnce(&mut Stack, &mut StackStep) + Send>;
+
 enum Command {
     RbBroadcast(Bytes),
     EbBroadcast(Bytes),
@@ -200,22 +195,11 @@ enum Command {
         value: Bytes,
         reply: Sender<Result<DecisionVector, ProtocolError>>,
     },
-    AbDebug {
-        reply: Sender<Option<(crate::ab::AbStats, u32, usize)>>,
-    },
-    AbDebugVerbose {
-        reply: Sender<Option<String>>,
-    },
     /// Point-to-point state-transfer frame to one peer (no agreement
     /// instance involved).
     SendXfer(ProcessId, Bytes),
-    /// Create/seed the AB session at a recovery cursor and replay held
-    /// frames; acks when the stack has switched over.
-    AbResume(Box<AbCursor>, Sender<()>),
-    AbHints(Sender<PeerHints>),
-    AbMissing(Sender<Vec<MsgId>>),
-    AbRetained(MsgId, Sender<Option<Bytes>>),
-    AbInject(MsgId, Bytes),
+    /// The port into the protocol thread (see [`Node::with_stack`]).
+    WithStack(StackFn),
     Shutdown,
 }
 
@@ -339,8 +323,9 @@ impl Node {
     /// the dealt master seed, the hub re-admits it with a fresh inbound
     /// queue, and the stack comes up with its AB session *held*: inbound
     /// AB frames park in the out-of-context buffer until a recovery driver
-    /// installs a snapshot and calls [`Node::ab_resume`] with the cursor
-    /// it agreed on. Only state-transfer frames flow before that.
+    /// installs a snapshot and calls [`Stack::ab_resume`] (through
+    /// [`Node::with_stack`]) with the cursor it agreed on. Only
+    /// state-transfer frames flow before that.
     ///
     /// # Errors
     ///
@@ -872,30 +857,27 @@ impl Node {
         self.group_size
     }
 
-    /// Atomic broadcast session introspection: `(stats, current agreement
-    /// round, messages pending ordering)`. `None` if the session has not
-    /// been touched yet.
+    /// The one port into the protocol thread: runs `f` there with
+    /// exclusive access to the [`Stack`] and returns its result. Frames
+    /// and outputs `f` pushes on the step it is handed are sent and
+    /// delivered like any other stack output. Introspection and the
+    /// recovery driver go through here ([`Stack::ab`], [`Stack::with_ab`],
+    /// [`Stack::ab_resume`]); the broadcast and consensus requests keep
+    /// their dedicated methods.
     ///
     /// # Errors
     ///
     /// [`NodeError::Disconnected`] if the stack thread has stopped.
-    pub fn ab_debug(&self) -> Result<Option<(crate::ab::AbStats, u32, usize)>, NodeError> {
+    pub fn with_stack<R: Send + 'static>(
+        &self,
+        f: impl FnOnce(&mut Stack, &mut StackStep) -> R + Send + 'static,
+    ) -> Result<R, NodeError> {
         let (reply, rx) = bounded(1);
+        let run = move |stack: &mut Stack, out: &mut StackStep| {
+            let _ = reply.send(f(stack, out));
+        };
         self.cmd_tx
-            .send(Event::Cmd(Command::AbDebug { reply }))
-            .map_err(|_| NodeError::Disconnected)?;
-        rx.recv().map_err(|_| NodeError::Disconnected)
-    }
-
-    /// Verbose atomic broadcast snapshot (debugging stuck rounds).
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError::Disconnected`] if the stack thread has stopped.
-    pub fn ab_debug_verbose(&self) -> Result<Option<String>, NodeError> {
-        let (reply, rx) = bounded(1);
-        self.cmd_tx
-            .send(Event::Cmd(Command::AbDebugVerbose { reply }))
+            .send(Event::Cmd(Command::WithStack(Box::new(run))))
             .map_err(|_| NodeError::Disconnected)?;
         rx.recv().map_err(|_| NodeError::Disconnected)
     }
@@ -1045,76 +1027,6 @@ impl Node {
     /// [`NodeError::Timeout`] when nothing arrived in time.
     pub fn xfer_recv_timeout(&self, t: Duration) -> Result<(ProcessId, Bytes), NodeError> {
         map_timeout(self.xfer_rx.recv_timeout(t))
-    }
-
-    /// Resumes the (held) AB session at `cursor` and replays every parked
-    /// frame; returns once the stack has switched over. Only meaningful on
-    /// a node built by [`Node::rejoin`].
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError::Disconnected`] if the stack thread has stopped.
-    pub fn ab_resume(&self, cursor: AbCursor) -> Result<(), NodeError> {
-        let (reply, rx) = bounded(1);
-        self.cmd_tx
-            .send(Event::Cmd(Command::AbResume(Box::new(cursor), reply)))
-            .map_err(|_| NodeError::Disconnected)?;
-        rx.recv().map_err(|_| NodeError::Disconnected)
-    }
-
-    /// This node's AB recovery hints (cursor-selection inputs served to
-    /// rejoining peers alongside the snapshot manifest).
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError::Disconnected`] if the stack thread has stopped.
-    pub fn ab_hints(&self) -> Result<PeerHints, NodeError> {
-        let (reply, rx) = bounded(1);
-        self.cmd_tx
-            .send(Event::Cmd(Command::AbHints(reply)))
-            .map_err(|_| NodeError::Disconnected)?;
-        rx.recv().map_err(|_| NodeError::Disconnected)
-    }
-
-    /// Batch ids the AB session has ordered but holds no payload for —
-    /// after a rejoin these can only be satisfied out-of-band (see
-    /// [`Node::ab_inject_batch`]).
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError::Disconnected`] if the stack thread has stopped.
-    pub fn ab_missing_payloads(&self) -> Result<Vec<MsgId>, NodeError> {
-        let (reply, rx) = bounded(1);
-        self.cmd_tx
-            .send(Event::Cmd(Command::AbMissing(reply)))
-            .map_err(|_| NodeError::Disconnected)?;
-        rx.recv().map_err(|_| NodeError::Disconnected)
-    }
-
-    /// The retained raw payload of a recently delivered batch, if still
-    /// cached (served to rejoining peers).
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError::Disconnected`] if the stack thread has stopped.
-    pub fn ab_retained_batch(&self, id: MsgId) -> Result<Option<Bytes>, NodeError> {
-        let (reply, rx) = bounded(1);
-        self.cmd_tx
-            .send(Event::Cmd(Command::AbRetained(id, reply)))
-            .map_err(|_| NodeError::Disconnected)?;
-        rx.recv().map_err(|_| NodeError::Disconnected)
-    }
-
-    /// Feeds an out-of-band-fetched batch payload into the AB session
-    /// (the caller must have verified it against f+1 identical copies).
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError::Disconnected`] if the stack thread has stopped.
-    pub fn ab_inject_batch(&self, id: MsgId, raw: Bytes) -> Result<(), NodeError> {
-        self.cmd_tx
-            .send(Event::Cmd(Command::AbInject(id, raw)))
-            .map_err(|_| NodeError::Disconnected)
     }
 
     /// Proposes a bit on binary consensus instance `tag` and blocks until
@@ -1414,34 +1326,15 @@ impl<T: Transport> Worker<T> {
                     }
                 }
             }
-            Command::AbDebug { reply } => {
-                let _ = reply.send(self.stack.ab_debug(0));
-            }
-            Command::AbDebugVerbose { reply } => {
-                let _ = reply.send(self.stack.ab_debug_verbose(0));
-            }
             Command::SendXfer(to, payload) => {
                 let frame = crate::stack::encode_xfer(&payload);
                 self.metrics.transport_frames_sent.inc();
                 self.metrics.transport_bytes_sent.add(frame.len() as u64);
                 let _ = self.transport.send(to, frame);
             }
-            Command::AbResume(cursor, reply) => {
-                let step = self.stack.ab_resume(0, &cursor);
-                self.dispatch(step);
-                let _ = reply.send(());
-            }
-            Command::AbHints(reply) => {
-                let _ = reply.send(self.stack.ab_hints(0));
-            }
-            Command::AbMissing(reply) => {
-                let _ = reply.send(self.stack.ab_missing_payloads(0));
-            }
-            Command::AbRetained(id, reply) => {
-                let _ = reply.send(self.stack.ab_retained_batch(0, &id));
-            }
-            Command::AbInject(id, raw) => {
-                let step = self.stack.ab_inject_batch(0, id, raw);
+            Command::WithStack(f) => {
+                let mut step = StackStep::none();
+                f(&mut self.stack, &mut step);
                 self.dispatch(step);
             }
             Command::Shutdown => unreachable!("handled by the event loop"),
@@ -1471,7 +1364,11 @@ impl<T: Transport> Worker<T> {
             links.push_str(&format!("{{\"peer\":{p},\"state\":\"{s}\"}}"));
         }
         links.push(']');
-        let ab = match self.stack.ab_debug(0) {
+        let ab = match self
+            .stack
+            .ab(0)
+            .map(|ab| (ab.stats(), ab.round(), ab.pending()))
+        {
             Some((stats, round, pending)) => format!(
                 "{{\"round\":{round},\"pending_msgs\":{pending},\
                  \"broadcast\":{},\"delivered\":{},\"agreements\":{},\

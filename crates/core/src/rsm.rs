@@ -305,15 +305,6 @@ impl<S: Send + 'static> Replica<S> {
         f(&self.shared.state.lock())
     }
 
-    /// Underlying atomic broadcast introspection (monitoring/debugging).
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError::Disconnected`] if the node has shut down.
-    pub fn ab_debug(&self) -> Result<Option<(crate::ab::AbStats, u32, usize)>, NodeError> {
-        self.node.ab_debug()
-    }
-
     /// Shuts the underlying node down.
     pub fn shutdown(&self) {
         self.node.shutdown();
@@ -683,7 +674,12 @@ fn serve_xfer(node: &Node, core: &RecoveryCore, msg: XferMessage) -> Option<Xfer
         XferMessage::ManifestReq => {
             // Hints come from the protocol thread; fetched before taking
             // the core lock (no lock is held across the round-trip).
-            let hints = node.ab_hints().ok()?;
+            // A session that has seen no traffic serves empty hints (every
+            // position reads as zero).
+            let hints = node
+                .with_stack(|stack, _| stack.ab(0).map(|ab| ab.hints()))
+                .ok()?
+                .unwrap_or_default();
             let manifest = core.inner.lock().snaps.last().map(|b| b.manifest);
             Some(XferMessage::ManifestResp { manifest, hints })
         }
@@ -755,16 +751,22 @@ fn serve_xfer(node: &Node, core: &RecoveryCore, msg: XferMessage) -> Option<Xfer
             Some(XferMessage::FillResp { entries })
         }
         XferMessage::BatchReq { ids } => {
-            let mut batches = Vec::new();
-            for (sender, seq) in ids {
-                let id = MsgId {
-                    sender: sender as ProcessId,
-                    rbid: seq,
-                };
-                if let Ok(Some(raw)) = node.ab_retained_batch(id) {
-                    batches.push((sender, seq, raw));
-                }
-            }
+            let batches = node
+                .with_stack(move |stack, _| {
+                    let Some(ab) = stack.ab(0) else {
+                        return Vec::new();
+                    };
+                    ids.into_iter()
+                        .filter_map(|(sender, seq)| {
+                            let id = MsgId {
+                                sender: sender as ProcessId,
+                                rbid: seq,
+                            };
+                            Some((sender, seq, ab.retained_batch(&id)?))
+                        })
+                        .collect()
+                })
+                .ok()?;
             Some(XferMessage::BatchResp { batches })
         }
         // Responses only mean something to a rejoin driver; a server
@@ -1068,7 +1070,8 @@ where
         m.rsm_applied_watermark.set(applied.watermark);
         shared.applied_cv.notify_all();
     }
-    if node.ab_resume(cursor).is_err() {
+    let resumed = node.with_stack(move |stack, out| out.extend(stack.ab_resume(0, &cursor)));
+    if resumed.is_err() {
         abort_rejoin(node, shared);
         return None;
     }
@@ -1192,8 +1195,9 @@ where
         // Rounds can conclude on batch ids whose payload dissemination
         // finished before the wipe: fetch the raw batches from peers and
         // inject any copy f+1 of them agree on.
-        let missing = match node.ab_missing_payloads() {
-            Ok(v) => v,
+        let missing = node.with_stack(|stack, _| stack.ab(0).map(|ab| ab.missing_payloads()));
+        let missing = match missing {
+            Ok(v) => v.unwrap_or_default(),
             Err(_) => {
                 abort_rejoin(node, shared);
                 return None;
@@ -1242,7 +1246,11 @@ where
                         sender: sender as ProcessId,
                         rbid: seq,
                     };
-                    if node.ab_inject_batch(id, raw.clone()).is_err() {
+                    let raw = raw.clone();
+                    let injected = node.with_stack(move |stack, out| {
+                        out.extend(stack.with_ab(0, |ab| ab.inject_batch(id, raw)));
+                    });
+                    if injected.is_err() {
                         abort_rejoin(node, shared);
                         return None;
                     }

@@ -780,16 +780,11 @@ impl<S: Send + 'static> ServiceReplica<S> {
         self.replica.barrier()
     }
 
-    /// Atomic-broadcast introspection of the underlying node: protocol
-    /// stats (delivered commands, flushed batches), agreement round, and
-    /// pending count. Lets service-level tests and the loadgen audit the
-    /// batched ordering path without reaching around the service layer.
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError::Disconnected`] if the node has shut down.
-    pub fn ab_debug(&self) -> Result<Option<(crate::ab::AbStats, u32, usize)>, NodeError> {
-        self.replica.ab_debug()
+    /// The underlying node: its [`Node::with_stack`] port lets
+    /// service-level tests audit the batched ordering path (protocol
+    /// stats, agreement round) without a pass-through per question.
+    pub fn node(&self) -> &Node {
+        self.replica.node()
     }
 
     /// Shuts the underlying node down.

@@ -273,7 +273,7 @@ pub enum CoinPolicy {
 }
 
 /// Stack-wide configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StackConfig {
     /// Configuration for atomic broadcast sessions (and their agreement
     /// sub-protocols).
@@ -281,23 +281,8 @@ pub struct StackConfig {
     /// Transports used by standalone consensus instances (`Bc`, `Mvc`,
     /// `Vc`).
     pub consensus: MvcConfig,
-    /// When `false`, vector consensus rounds are driven by
-    /// [`Stack::poll_all`] instead of starting eagerly (single-threaded
-    /// batching; see [`crate::vc::VectorConsensus::poll`]).
-    pub eager_vc_rounds: bool,
     /// Coin scheme for standalone binary consensus instances.
     pub coin: CoinPolicy,
-}
-
-impl Default for StackConfig {
-    fn default() -> Self {
-        StackConfig {
-            ab: AbConfig::default(),
-            consensus: MvcConfig::default(),
-            eager_vc_rounds: true,
-            coin: CoinPolicy::Local,
-        }
-    }
 }
 
 /// The per-process protocol stack (the `ritas_t` context of §3.1).
@@ -612,9 +597,6 @@ impl Stack {
             self.sub_seed(&key),
             self.config.consensus,
         );
-        if !self.config.eager_vc_rounds {
-            inst = inst.deferred_rounds();
-        }
         inst.set_metrics(self.metrics.clone());
         inst.set_span_path(span_path_for(&key));
         let sub = inst.propose(value)?;
@@ -625,7 +607,8 @@ impl Stack {
         Ok(out)
     }
 
-    /// A-broadcasts `payload` on atomic broadcast session `session`.
+    /// A-broadcasts `payload` on atomic broadcast session `session`
+    /// (created on first use).
     pub fn ab_broadcast(&mut self, session: u32, payload: Bytes) -> (MsgId, StackStep) {
         let key = InstanceKey::Ab { session };
         self.ensure_ab(key);
@@ -636,20 +619,11 @@ impl Stack {
         (id, encode_ab_step(key, sub))
     }
 
-    /// Drives deferred agreement rounds for an atomic broadcast session
-    /// (see [`crate::ab::AbConfig::eager_rounds`]). Call when the inbound
-    /// queue has been drained. No-op if the session does not exist.
-    pub fn ab_poll(&mut self, session: u32) -> StackStep {
-        let key = InstanceKey::Ab { session };
-        match self.instances.get_mut(&key) {
-            Some(Instance::Ab(ab)) => encode_ab_step(key, ab.poll()),
-            _ => Step::none(),
-        }
-    }
-
-    /// Drives all deferred round machinery (atomic broadcast sessions and
-    /// vector consensus instances). Single-threaded drivers call this
-    /// when their inbound queue has been drained.
+    /// Starts agreement rounds (atomic broadcast sessions and vector
+    /// consensus instances) — the only place a round starts; no
+    /// [`Stack::handle_frame`] does. Drivers call this when their inbound
+    /// queue has been drained, as the paper's one protocol thread does
+    /// (§3), so one round orders everything that arrived in the meantime.
     pub fn poll_all(&mut self) -> StackStep {
         let keys: Vec<InstanceKey> = self
             .instances
@@ -694,8 +668,7 @@ impl Stack {
 
     /// Runs deferred batch flushes on every atomic broadcast session
     /// after [`Stack::set_now`] advanced the clock past
-    /// [`Stack::ab_next_deadline`]. Does not touch the deferred-round
-    /// polling machinery.
+    /// [`Stack::ab_next_deadline`]. Starts no agreement round.
     pub fn tick(&mut self) -> StackStep {
         let keys: Vec<InstanceKey> = self
             .instances
@@ -732,27 +705,30 @@ impl Stack {
         }
     }
 
-    /// Atomic broadcast session statistics (Figures 4–7 harness).
-    pub fn ab_stats(&self, session: u32) -> Option<crate::ab::AbStats> {
+    // ----- the atomic-broadcast port -----
+
+    /// Atomic broadcast session `session`, if it exists: the read side of
+    /// the port (statistics, round, recovery hints, retained and missing
+    /// batches; see [`AtomicBroadcast`]).
+    pub fn ab(&self, session: u32) -> Option<&AtomicBroadcast> {
         match self.instances.get(&InstanceKey::Ab { session }) {
-            Some(Instance::Ab(ab)) => Some(ab.stats()),
+            Some(Instance::Ab(ab)) => Some(ab),
             _ => None,
         }
     }
 
-    /// Atomic broadcast introspection: `(stats, current round, pending)`.
-    pub fn ab_debug(&self, session: u32) -> Option<(crate::ab::AbStats, u32, usize)> {
-        match self.instances.get(&InstanceKey::Ab { session }) {
-            Some(Instance::Ab(ab)) => Some((ab.stats(), ab.round(), ab.pending())),
-            _ => None,
-        }
-    }
-
-    /// Verbose atomic broadcast snapshot (debugging stuck rounds).
-    pub fn ab_debug_verbose(&self, session: u32) -> Option<String> {
-        match self.instances.get(&InstanceKey::Ab { session }) {
-            Some(Instance::Ab(ab)) => Some(ab.debug_snapshot()),
-            _ => None,
+    /// The write side of the port: runs `f` on session `session` and
+    /// wraps the step it returns into wire frames. No-op if the session
+    /// does not exist.
+    pub fn with_ab(
+        &mut self,
+        session: u32,
+        f: impl FnOnce(&mut AtomicBroadcast) -> Step<AbMessage, AbDelivery>,
+    ) -> StackStep {
+        let key = InstanceKey::Ab { session };
+        match self.instances.get_mut(&key) {
+            Some(Instance::Ab(ab)) => encode_ab_step(key, f(ab)),
+            _ => Step::none(),
         }
     }
 
@@ -777,57 +753,6 @@ impl Stack {
             ab.resume(cursor);
         }
         self.replay_ooc(key)
-    }
-
-    /// The atomic-broadcast session's stream position as served to a
-    /// rejoiner; a session that has seen no traffic reports the default
-    /// (all-zero) hints.
-    pub fn ab_hints(&self, session: u32) -> crate::recovery::PeerHints {
-        match self.instances.get(&InstanceKey::Ab { session }) {
-            Some(Instance::Ab(ab)) => ab.hints(),
-            _ => crate::recovery::PeerHints {
-                round: 0,
-                batch_w: vec![0; self.group.n()],
-                max_batch: vec![0; self.group.n()],
-                max_rbid: vec![0; self.group.n()],
-            },
-        }
-    }
-
-    /// Decided-but-payloadless batch ids of the session (see
-    /// [`crate::ab::AtomicBroadcast::missing_payloads`]).
-    pub fn ab_missing_payloads(&self, session: u32) -> Vec<MsgId> {
-        match self.instances.get(&InstanceKey::Ab { session }) {
-            Some(Instance::Ab(ab)) => ab.missing_payloads(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// A retained batch payload for re-serving to a rejoiner.
-    pub fn ab_retained_batch(&self, session: u32, id: &MsgId) -> Option<Bytes> {
-        match self.instances.get(&InstanceKey::Ab { session }) {
-            Some(Instance::Ab(ab)) => ab.retained_batch(id),
-            _ => None,
-        }
-    }
-
-    /// Injects an out-of-band batch payload obtained from `f+1`
-    /// identically-serving peers.
-    pub fn ab_inject_batch(&mut self, session: u32, id: MsgId, raw: Bytes) -> StackStep {
-        let key = InstanceKey::Ab { session };
-        match self.instances.get_mut(&key) {
-            Some(Instance::Ab(ab)) => encode_ab_step(key, ab.inject_batch(id, raw)),
-            _ => Step::none(),
-        }
-    }
-
-    /// True while the session is between a resume and its first normally
-    /// concluded round.
-    pub fn ab_recovering(&self, session: u32) -> bool {
-        match self.instances.get(&InstanceKey::Ab { session }) {
-            Some(Instance::Ab(ab)) => ab.recovering(),
-            _ => false,
-        }
     }
 
     fn ensure_ab(&mut self, key: InstanceKey) {
@@ -1147,7 +1072,7 @@ mod tests {
         let s = cluster.stack_mut(0).ab_resume(0, &cursor);
         assert!(!s.messages.is_empty(), "replayed frame produced traffic");
         assert_eq!(cluster.stack_mut(0).ooc_len(), 0);
-        assert!(cluster.stack_mut(0).ab_recovering(0));
+        assert!(cluster.stack_mut(0).ab(0).expect("resumed").recovering());
     }
 
     #[test]
@@ -1286,6 +1211,63 @@ mod tests {
                 })
                 .collect();
             assert_eq!(order, order0, "total order diverged at {p}");
+        }
+    }
+
+    /// Queues `step`'s frames from `from`; returns how many are AB_VECT.
+    fn fan_out(
+        from: ProcessId,
+        step: StackStep,
+        queue: &mut Vec<(ProcessId, ProcessId, Bytes)>,
+    ) -> usize {
+        let mut vects = 0;
+        for out in step.messages {
+            let decoded = crate::adversary::decode_frame(&out.message);
+            if let Some((_, crate::adversary::ProtocolMsg::Ab(AbMessage::Vect { .. }))) = decoded {
+                vects += 1;
+            }
+            match out.target {
+                crate::step::Target::All => {
+                    queue.extend((0..4).map(|to| (from, to, out.message.clone())));
+                }
+                crate::step::Target::One(to) => queue.push((from, to, out.message)),
+            }
+        }
+        vects
+    }
+
+    #[test]
+    fn rounds_start_in_poll_all_never_in_handle_frame() {
+        let group = crate::Group::new(4).unwrap();
+        let table = ritas_crypto::KeyTable::dealer(4, 23);
+        let mut stacks: Vec<Stack> = (0..4)
+            .map(|me| Stack::new(group, me, table.view_of(me), 23 ^ me as u64))
+            .collect();
+        let mut queue = Vec::new();
+        for (p, stack) in stacks.iter_mut().enumerate() {
+            let (_, step) = stack.ab_broadcast(0, Bytes::from_static(b"ab"));
+            assert_eq!(fan_out(p, step, &mut queue), 0);
+            let step = stack.vc_propose(1, Bytes::from_static(b"vc")).unwrap();
+            fan_out(p, step, &mut queue);
+        }
+        // Dissemination runs to quiescence on handle_frame alone, but no
+        // agreement round opens: no AB_VECT, no VC round, no delivery.
+        while let Some((from, to, frame)) = queue.pop() {
+            let step = stacks[to].handle_frame(from, frame);
+            assert_eq!(fan_out(to, step, &mut queue), 0, "AB_VECT without poll");
+        }
+        for stack in &stacks {
+            assert!(stack.ab(0).unwrap().pending() > 0, "batches received");
+            assert_eq!(stack.ab(0).unwrap().stats().delivered, 0);
+            assert_eq!(stack.metrics().mvc_started.get(), 0, "a round opened");
+        }
+        // poll_all opens both: every stack emits its AB_VECT and proposes
+        // the VC round's W_i to a fresh MVC.
+        let mut queue = Vec::new();
+        for (p, stack) in stacks.iter_mut().enumerate() {
+            let step = stack.poll_all();
+            assert_eq!(fan_out(p, step, &mut queue), 1, "one AB_VECT broadcast");
+            assert_eq!(stack.metrics().mvc_started.get(), 1, "the VC round");
         }
     }
 

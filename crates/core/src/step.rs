@@ -208,11 +208,6 @@ impl<M, O> Step<M, O> {
             faults: self.faults,
         }
     }
-
-    /// Splits the outputs off, leaving messages and faults.
-    pub fn take_outputs(&mut self) -> Vec<O> {
-        std::mem::take(&mut self.outputs)
-    }
 }
 
 #[cfg(test)]

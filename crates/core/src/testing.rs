@@ -8,6 +8,7 @@
 //! Timing-aware execution lives in the `ritas-sim` crate; this harness is
 //! for functional tests of the protocol logic.
 
+use crate::adversary::{FrameMutator, StrategyRng};
 use crate::config::Group;
 use crate::stack::{Output, Stack, StackStep};
 use crate::step::Target;
@@ -84,12 +85,13 @@ pub struct Cluster {
     queue: Vec<(ProcessId, ProcessId, Bytes)>,
     outputs: Vec<Vec<Output>>,
     schedule: Schedule,
-    rng_state: u64,
+    seed: u64,
+    rng: StrategyRng,
     crashed: Vec<bool>,
     /// Processes whose outgoing frames are randomly mutated (dropped,
-    /// duplicated, bit-flipped or replaced with garbage) — a wire-level
-    /// Byzantine adversary.
-    corrupted: Vec<bool>,
+    /// duplicated, bit-flipped, truncated or replaced with garbage) — a
+    /// wire-level Byzantine adversary, one seeded mutator each.
+    corrupted: Vec<Option<FrameMutator>>,
     /// Protocol-aware Byzantine strategies (see [`crate::adversary`]):
     /// when set for a process, every outbound frame is decoded and run
     /// through the strategy once per destination before it travels.
@@ -142,9 +144,10 @@ impl Cluster {
             queue: Vec::new(),
             outputs: vec![Vec::new(); n],
             schedule: Schedule::Random,
-            rng_state: seed.wrapping_mul(0x9E3779B97F4A7C15) | 1,
+            seed,
+            rng: StrategyRng::new(seed),
             crashed: vec![false; n],
-            corrupted: vec![false; n],
+            corrupted: vec![None; n],
             strategies: (0..n).map(|_| None).collect(),
             held_inbound: vec![false; n],
             stash: Vec::new(),
@@ -207,13 +210,14 @@ impl Cluster {
     }
 
     /// Marks process `p` as a wire-level Byzantine adversary: every frame
-    /// it sends is randomly dropped, duplicated, bit-flipped or replaced
-    /// with garbage (seeded). The remaining correct processes must still
-    /// satisfy their protocols' agreement/validity/order properties —
-    /// this models a corrupt process that emits arbitrary bytes rather
-    /// than one that merely follows a clever high-level strategy.
+    /// it sends is randomly dropped, duplicated, bit-flipped, truncated or
+    /// replaced with garbage by a seeded [`FrameMutator`]. The remaining
+    /// correct processes must still satisfy their protocols'
+    /// agreement/validity/order properties — this models a corrupt process
+    /// that emits arbitrary bytes rather than one that merely follows a
+    /// clever high-level strategy.
     pub fn corrupt(&mut self, p: ProcessId) {
-        self.corrupted[p] = true;
+        self.corrupted[p] = Some(FrameMutator::new(self.seed ^ p as u64));
     }
 
     /// Installs a protocol-aware Byzantine [`crate::adversary::Strategy`]
@@ -229,35 +233,6 @@ impl Cluster {
     /// Group size.
     pub fn n(&self) -> usize {
         self.stacks.len()
-    }
-
-    /// Applies the wire-level mutation to a frame from a corrupted
-    /// process; returns the (0, 1 or 2) frames that actually travel.
-    fn mutate(&mut self, frame: Bytes) -> Vec<Bytes> {
-        match self.next_rand() % 5 {
-            // Dropped entirely.
-            0 => vec![],
-            // Duplicated verbatim.
-            1 => vec![frame.clone(), frame],
-            // One random bit flipped.
-            2 => {
-                let mut v = frame.to_vec();
-                if !v.is_empty() {
-                    let i = (self.next_rand() as usize) % v.len();
-                    let bit = (self.next_rand() % 8) as u32;
-                    v[i] ^= 1 << bit;
-                }
-                vec![Bytes::from(v)]
-            }
-            // Replaced by random garbage of random length.
-            3 => {
-                let len = (self.next_rand() as usize) % 64;
-                let v: Vec<u8> = (0..len).map(|_| (self.next_rand() & 0xff) as u8).collect();
-                vec![Bytes::from(v)]
-            }
-            // Passed through unchanged (intermittent honesty).
-            _ => vec![frame],
-        }
     }
 
     /// Access to a process's stack, e.g. to issue service requests.
@@ -314,10 +289,9 @@ impl Cluster {
                 }
                 continue;
             }
-            let frames = if self.corrupted[p] {
-                self.mutate(out.message)
-            } else {
-                vec![out.message]
+            let frames = match &mut self.corrupted[p] {
+                Some(mutator) => mutator.mutate(out.message),
+                None => vec![out.message],
             };
             for frame in frames {
                 match out.target {
@@ -333,17 +307,11 @@ impl Cluster {
         self.outputs[p].extend(step.outputs);
     }
 
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    /// Delivers exactly one in-flight frame. Returns `false` when the
-    /// queue is empty.
+    /// Delivers exactly one in-flight frame, then polls the receiving
+    /// stack: a round may start after any frame, so seeds and schedules
+    /// explore every interleaving a real driver (which polls whenever its
+    /// queue drains) could produce. Returns `false` when the queue is
+    /// empty.
     pub fn step(&mut self) -> bool {
         if self.queue.is_empty() {
             return false;
@@ -351,7 +319,7 @@ impl Cluster {
         let idx = match self.schedule {
             Schedule::Fifo => 0,
             Schedule::Lifo => self.queue.len() - 1,
-            Schedule::Random => (self.next_rand() as usize) % self.queue.len(),
+            Schedule::Random => (self.rng.next() as usize) % self.queue.len(),
         };
         let (from, to, frame) = self.queue.remove(idx);
         if self.crashed[to] {
@@ -366,7 +334,8 @@ impl Cluster {
             return true;
         }
         self.delivered_frames += 1;
-        let step = self.stacks[to].handle_frame(from, frame);
+        let mut step = self.stacks[to].handle_frame(from, frame);
+        step.extend(self.stacks[to].poll_all());
         self.absorb(to, step);
         true
     }

@@ -158,13 +158,6 @@ pub struct VectorConsensus {
     round: u32,
     /// Whether the current round's MVC proposal has been made.
     round_proposed: bool,
-    /// When `false`, rounds start only inside [`VectorConsensus::poll`]
-    /// (single-threaded batching, as in the paper's implementation —
-    /// lets `W_i` include everything already received, which is what
-    /// makes symmetric-LAN runs decide in the first round).
-    eager_rounds: bool,
-    /// True while a `poll` call is in progress.
-    polling: bool,
     /// MVC instances per round.
     rounds: BTreeMap<u32, MultiValuedConsensus>,
     decided: bool,
@@ -226,8 +219,6 @@ impl VectorConsensus {
             proposals: vec![None; n],
             round: 0,
             round_proposed: false,
-            eager_rounds: true,
-            polling: false,
             rounds: BTreeMap::new(),
             decided: false,
             metrics: Metrics::default(),
@@ -263,20 +254,14 @@ impl VectorConsensus {
         self.metrics = metrics;
     }
 
-    /// Switches to deferred rounds: a round's `W_i` snapshot is taken
-    /// only when the driver calls [`VectorConsensus::poll`] after
-    /// draining its inbound queue.
-    pub fn deferred_rounds(mut self) -> Self {
-        self.eager_rounds = false;
-        self
-    }
-
-    /// Drives deferred rounds (no-op in eager mode).
+    /// Starts the current round's agreement once enough proposals
+    /// arrived. This is the only place a round starts: drivers call it
+    /// after draining their inbound queue (single-threaded batching, as in
+    /// the paper's implementation), so the round's `W_i` snapshot includes
+    /// everything already received — which is what makes symmetric-LAN
+    /// runs decide in the first round.
     pub fn poll(&mut self) -> VcStep {
-        self.polling = true;
-        let out = self.settle();
-        self.polling = false;
-        out
+        self.settle(true)
     }
 
     /// Whether this instance has decided.
@@ -305,7 +290,7 @@ impl VectorConsensus {
         let me = self.me;
         let sub = self.prop_rbc[me].broadcast(value)?;
         let mut out = wrap_prop(me, sub);
-        out.extend(self.settle());
+        out.extend(self.settle(false));
         Ok(out)
     }
 
@@ -338,7 +323,7 @@ impl VectorConsensus {
                 wrap_round(round, sub)
             }
         };
-        out.extend(self.settle());
+        out.extend(self.settle(false));
         out
     }
 
@@ -378,15 +363,15 @@ impl VectorConsensus {
         (self.group.quorum() + round as usize).min(self.group.n())
     }
 
-    fn settle(&mut self) -> VcStep {
+    fn settle(&mut self, start_rounds: bool) -> VcStep {
         let mut out = Step::none();
         loop {
             let mut progressed = false;
             // Start the current round's MVC when enough proposals arrived.
-            if self.started
+            if start_rounds
+                && self.started
                 && !self.decided
                 && !self.round_proposed
-                && (self.eager_rounds || self.polling)
                 && self.delivered_count() >= self.threshold(self.round)
             {
                 self.round_proposed = true;
@@ -540,7 +525,10 @@ mod tests {
                 if self.crashed.contains(&to) {
                     continue;
                 }
-                let step = self.insts[to].handle_message(from, msg);
+                let mut step = self.insts[to].handle_message(from, msg);
+                // Poll after every frame: a round may start at any point
+                // of the schedule, as under a real driver.
+                step.extend(self.insts[to].poll());
                 self.absorb(to, step);
             }
         }

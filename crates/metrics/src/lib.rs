@@ -1018,360 +1018,312 @@ impl SuspicionSnapshot {
     }
 }
 
-/// The metric registry: every instrument the stack exposes, as public
-/// named fields grouped by layer.
-#[derive(Debug)]
-pub struct MetricsInner {
+/// Declares the metric registry from one list of `name: Kind` lines
+/// (doc comment included): the `MetricsInner` fields, their `Default`,
+/// the name → kind table behind `MetricsSnapshot::to_prometheus`'s gauge
+/// typing, and the per-kind freeze into a `MetricsSnapshot`.
+/// Adding a metric is adding one line to the invocation below.
+macro_rules! instruments {
+    ($($(#[$doc:meta])* $name:ident: $kind:ident,)*) => {
+        /// The metric registry: every instrument the stack exposes, as public
+        /// named fields grouped by layer.
+        #[derive(Debug)]
+        pub struct MetricsInner {
+            $($(#[$doc])* pub $name: $kind,)*
+            suspicions: Mutex<BTreeMap<u32, [u64; SUSPICION_KINDS]>>,
+            flight: flight::FlightRecorder,
+            spans: SpanRegistry,
+            trace: TraceRing,
+            clock: AtomicU64,
+            seq: AtomicU64,
+            tracing_enabled: AtomicBool,
+        }
+
+        impl Default for MetricsInner {
+            fn default() -> Self {
+                MetricsInner {
+                    $($name: $kind::default(),)*
+                    suspicions: Mutex::new(BTreeMap::new()),
+                    flight: flight::FlightRecorder::new(flight::FLIGHT_CAPACITY),
+                    spans: SpanRegistry::new(SPAN_CAPACITY),
+                    trace: TraceRing::new(TRACE_CAPACITY),
+                    clock: AtomicU64::new(0),
+                    seq: AtomicU64::new(0),
+                    tracing_enabled: AtomicBool::new(true),
+                }
+            }
+        }
+
+        /// Every declared instrument, in declaration order.
+        const INSTRUMENTS: &[(&str, InstrumentKind)] =
+            &[$((stringify!($name), InstrumentKind::$kind),)*];
+
+        impl MetricsInner {
+            /// Freezes every instrument under its field name: counters and
+            /// gauges (point-in-time values) share one map, histograms get
+            /// the other.
+            fn freeze(&self) -> (BTreeMap<&'static str, u64>, BTreeMap<&'static str, HistogramSnapshot>) {
+                let (mut counters, mut histograms) = (BTreeMap::new(), BTreeMap::new());
+                $(freeze!($kind, self.$name, stringify!($name), counters, histograms);)*
+                (counters, histograms)
+            }
+        }
+    };
+}
+
+macro_rules! freeze {
+    (Histogram, $inst:expr, $name:expr, $counters:ident, $histograms:ident) => {
+        $histograms.insert($name, $inst.snapshot());
+    };
+    // Counter or Gauge.
+    ($kind:ident, $inst:expr, $name:expr, $counters:ident, $histograms:ident) => {
+        $counters.insert($name, $inst.get());
+    };
+}
+
+/// What an instrument is, as declared in the `instruments!` list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum InstrumentKind {
+    Counter,
+    Gauge,
+    Histogram,
+}
+
+instruments! {
     // ---- transport (§2.1) ----
     /// Frames handed to the network.
-    pub transport_frames_sent: Counter,
+    transport_frames_sent: Counter,
     /// Frames received from the network (before authentication).
-    pub transport_frames_recv: Counter,
+    transport_frames_recv: Counter,
     /// Payload bytes handed to the network.
-    pub transport_bytes_sent: Counter,
+    transport_bytes_sent: Counter,
     /// Payload bytes received from the network.
-    pub transport_bytes_recv: Counter,
+    transport_bytes_recv: Counter,
     /// Inbound frames dropped by MAC/ICV or anti-replay checks.
-    pub transport_mac_rejected: Counter,
+    transport_mac_rejected: Counter,
     /// Session-resume handshakes completed after a link outage (epoch
     /// advances past the initial establishment).
-    pub transport_reconnects_total: Counter,
+    transport_reconnects_total: Counter,
     /// Unacked frames retransmitted after a session resume.
-    pub transport_retransmits_total: Counter,
+    transport_retransmits_total: Counter,
     /// Inbound frames discarded by receive-side dedup (sequence already
     /// delivered — the retransmission overlap after a resume).
-    pub transport_dup_dropped_total: Counter,
+    transport_dup_dropped_total: Counter,
     /// Link transitions from `Up` into `Reconnecting`/`Down`.
-    pub transport_link_down_total: Counter,
+    transport_link_down_total: Counter,
     /// Sends that hit the bounded retransmission buffer and gave up with
     /// `LinkDown` after the bounded wait (backpressure surfaced).
-    pub transport_send_backpressure_total: Counter,
+    transport_send_backpressure_total: Counter,
     /// Inbound frames rejected for carrying a stale key epoch (older than
     /// the grace window after a proactive key refresh).
-    pub transport_epoch_rejected: Counter,
+    transport_epoch_rejected: Counter,
     /// Key-epoch fast-forwards adopted from authenticated peer traffic
     /// (a rejoining replica learning the cluster's current epoch).
-    pub transport_epoch_adopted: Counter,
+    transport_epoch_adopted: Counter,
     /// Point-to-point links currently in the `Up` state.
-    pub transport_links_up: Gauge,
+    transport_links_up: Gauge,
 
     // ---- reliable broadcast (§2.3) ----
     /// INIT messages received.
-    pub rb_init_recv: Counter,
+    rb_init_recv: Counter,
     /// ECHO messages received.
-    pub rb_echo_recv: Counter,
+    rb_echo_recv: Counter,
     /// READY messages received.
-    pub rb_ready_recv: Counter,
+    rb_ready_recv: Counter,
     /// Payloads delivered by reliable broadcast instances.
-    pub rb_delivered: Counter,
+    rb_delivered: Counter,
 
     // ---- echo broadcast (§2.3) ----
     /// INITIAL messages received.
-    pub eb_init_recv: Counter,
+    eb_init_recv: Counter,
     /// Echo-vector messages received.
-    pub eb_vect_recv: Counter,
+    eb_vect_recv: Counter,
     /// Echo-matrix messages received.
-    pub eb_mat_recv: Counter,
+    eb_mat_recv: Counter,
     /// Payloads delivered by echo broadcast instances.
-    pub eb_delivered: Counter,
+    eb_delivered: Counter,
     /// Vector/matrix MAC entries that failed verification.
-    pub eb_mac_rejected: Counter,
+    eb_mac_rejected: Counter,
 
     // ---- binary consensus (§2.4) ----
     /// Instances that proposed.
-    pub bc_started: Counter,
+    bc_started: Counter,
     /// Instances that decided.
-    pub bc_decided: Counter,
+    bc_decided: Counter,
     /// Local/shared coin flips performed.
-    pub bc_coin_flips: Counter,
+    bc_coin_flips: Counter,
     /// Messages rejected by Bracha's validation rule.
-    pub bc_rejected: Counter,
+    bc_rejected: Counter,
     /// Rounds needed per decided instance.
-    pub bc_rounds: Histogram,
+    bc_rounds: Histogram,
 
     // ---- multi-valued consensus (§2.5) ----
     /// Instances that proposed.
-    pub mvc_started: Counter,
+    mvc_started: Counter,
     /// Instances that decided a proposed value.
-    pub mvc_decided_value: Counter,
+    mvc_decided_value: Counter,
     /// Instances that decided ⊥.
-    pub mvc_decided_bottom: Counter,
+    mvc_decided_bottom: Counter,
     /// Size in bytes of VECT payloads broadcast (value + justification).
-    pub mvc_vect_bytes: Histogram,
+    mvc_vect_bytes: Histogram,
 
     // ---- vector consensus (§2.6) ----
     /// Instances that proposed.
-    pub vc_started: Counter,
+    vc_started: Counter,
     /// Instances that decided.
-    pub vc_decided: Counter,
+    vc_decided: Counter,
     /// ⊥ entries across decided vectors.
-    pub vc_bottom_entries: Counter,
+    vc_bottom_entries: Counter,
     /// Agreement rounds needed per decided instance.
-    pub vc_rounds: Histogram,
+    vc_rounds: Histogram,
 
     // ---- atomic broadcast (§2.7) ----
     /// Messages a-broadcast locally.
-    pub ab_broadcast: Counter,
+    ab_broadcast: Counter,
     /// Messages a-delivered locally.
-    pub ab_delivered: Counter,
+    ab_delivered: Counter,
     /// Agreement instances run (MVC decisions consumed).
-    pub ab_agreements: Counter,
+    ab_agreements: Counter,
     /// Messages ordered per non-⊥ agreement (the paper's batching lever).
-    pub ab_batch: Histogram,
+    ab_batch: Histogram,
     /// Commands packed per flushed dissemination batch.
-    pub ab_batch_commands: Histogram,
+    ab_batch_commands: Histogram,
     /// Commands waiting in the broadcast-side batch queue.
-    pub ab_queue_depth: Gauge,
+    ab_queue_depth: Gauge,
     /// Batches flushed because the queue reached the size bound.
-    pub ab_flush_size: Counter,
+    ab_flush_size: Counter,
     /// Batches flushed because the oldest queued command aged out.
-    pub ab_flush_age: Counter,
+    ab_flush_age: Counter,
     /// Batches flushed immediately because no own batch was in flight.
-    pub ab_flush_idle: Counter,
+    ab_flush_idle: Counter,
     /// a-broadcast → a-deliver latency in driver nanoseconds (own
     /// messages only).
-    pub ab_latency_ns: Histogram,
+    ab_latency_ns: Histogram,
 
     // ---- service tier (client front-end) ----
     /// Client requests accepted by the server front-end (post-auth).
-    pub service_requests_total: Counter,
+    service_requests_total: Counter,
     /// Replies sent back to clients.
-    pub service_replies_total: Counter,
+    service_replies_total: Counter,
     /// Requests answered from the session table or an in-flight merge
     /// without a fresh a-broadcast (retry dedup at the serving replica).
-    pub service_dedup_hits: Counter,
+    service_dedup_hits: Counter,
     /// Ordered duplicates skipped at apply time (another replica already
     /// got the same `(client, seq)` command ordered first).
-    pub service_dup_apply_skipped: Counter,
+    service_dup_apply_skipped: Counter,
     /// Client commands actually applied to the replicated state.
-    pub service_commands_applied: Counter,
+    service_commands_applied: Counter,
     /// Optimistic (unordered, locally served) reads.
-    pub service_reads_optimistic: Counter,
+    service_reads_optimistic: Counter,
     /// Reads that went through the ordered (atomic-broadcast) path.
-    pub service_reads_ordered: Counter,
+    service_reads_ordered: Counter,
     /// Inbound client frames dropped for failing MAC authentication.
-    pub service_auth_rejected: Counter,
+    service_auth_rejected: Counter,
     /// Requests refused because the session table was full of live
     /// in-flight sessions (admission control).
-    pub service_busy_rejected: Counter,
+    service_busy_rejected: Counter,
     /// Client sessions currently tracked by the session table.
-    pub service_sessions_live: Gauge,
+    service_sessions_live: Gauge,
     /// Client requests currently in flight (submitted, not yet applied).
-    pub service_inflight: Gauge,
+    service_inflight: Gauge,
     /// Client-side: requests issued.
-    pub service_client_requests: Counter,
+    service_client_requests: Counter,
     /// Client-side: retransmissions after timeout/failover.
-    pub service_client_retries: Counter,
+    service_client_retries: Counter,
     /// Client-side: reply sets that never reached `f+1` matching votes
     /// within a round (Byzantine or divergent replies observed).
-    pub service_client_vote_failures: Counter,
+    service_client_vote_failures: Counter,
     /// Client-side: individual replies discarded by the vote rule
     /// (mismatching the winning value, bad MAC, or wrong status).
-    pub service_client_replies_rejected: Counter,
+    service_client_replies_rejected: Counter,
     /// Client-side: optimistic reads that fell back to the ordered path.
-    pub service_client_read_fallbacks: Counter,
+    service_client_read_fallbacks: Counter,
     /// Client-side: end-to-end request latency in nanoseconds (send of
     /// first copy → `f+1`-th matching reply).
-    pub service_e2e_latency_ns: Histogram,
+    service_e2e_latency_ns: Histogram,
 
     // ---- spans ----
     /// Spans opened.
-    pub span_opened: Counter,
+    span_opened: Counter,
     /// Spans closed.
-    pub span_closed: Counter,
+    span_closed: Counter,
     /// Span opens dropped by the capacity or depth caps.
-    pub span_dropped: Counter,
+    span_dropped: Counter,
     /// Closes with no matching open span (counted, then ignored).
-    pub span_orphan_closed: Counter,
+    span_orphan_closed: Counter,
     /// Currently live (open) spans.
-    pub span_open_live: Gauge,
+    span_open_live: Gauge,
 
     // ---- stack / node (§3) ----
     /// Local a-broadcasts still awaiting their a-deliver (the node
     /// runtime's latency-correlation map; bounded).
-    pub ab_sent_pending: Gauge,
+    ab_sent_pending: Gauge,
     /// Frames dispatched through the stack router.
-    pub stack_frames_in: Counter,
+    stack_frames_in: Counter,
     /// Messages parked in the out-of-context buffer (§3.4).
-    pub stack_ooc_parked: Counter,
+    stack_ooc_parked: Counter,
     /// Out-of-context messages dropped by the buffer caps.
-    pub stack_ooc_dropped: Counter,
+    stack_ooc_dropped: Counter,
     /// Faults attributed to peers (equivocation, bad MACs, garbage…).
-    pub faults_detected: Counter,
+    faults_detected: Counter,
     /// Live protocol instances in the stack.
-    pub stack_instances: Gauge,
+    stack_instances: Gauge,
     /// Messages currently parked out-of-context.
-    pub stack_ooc_buffered: Gauge,
+    stack_ooc_buffered: Gauge,
     /// High-water mark of the out-of-context buffer.
-    pub stack_ooc_high_water: Gauge,
+    stack_ooc_high_water: Gauge,
 
     // ---- health / forensics ----
     /// Watchdog stall detections: outstanding work made no protocol
     /// progress within the configured budget.
-    pub node_stalls_total: Counter,
+    node_stalls_total: Counter,
     /// Deliveries applied by the replicated state machine (all senders,
     /// markers included).
-    pub rsm_applied_total: Counter,
+    rsm_applied_total: Counter,
     /// RSM apply watermark: own sequential rbids applied contiguously.
-    pub rsm_applied_watermark: Gauge,
+    rsm_applied_watermark: Gauge,
     /// Byzantine-suspicion events across all peers (the per-peer,
     /// per-kind breakdown is [`Metrics::suspicions`]).
-    pub suspicions_total: Counter,
+    suspicions_total: Counter,
 
     // ---- recovery (snapshots, state transfer, rejoin) ----
     /// Snapshots taken at apply-watermark boundaries.
-    pub recovery_snapshots_total: Counter,
+    recovery_snapshots_total: Counter,
     /// Snapshot/Merkle-node/chunk/fill requests served to peers.
-    pub recovery_chunks_served: Counter,
+    recovery_chunks_served: Counter,
     /// Snapshot chunks fetched (and proof-verified) during a rejoin.
-    pub recovery_chunks_fetched: Counter,
+    recovery_chunks_fetched: Counter,
     /// Chunks reused from a stale local snapshot by Merkle anti-entropy
     /// (not downloaded).
-    pub recovery_chunks_reused: Counter,
+    recovery_chunks_reused: Counter,
     /// Fetched chunks whose Merkle proof failed verification (corrupt
     /// chunk server; also feeds the suspicion table).
-    pub recovery_chunk_proof_rejected: Counter,
+    recovery_chunk_proof_rejected: Counter,
     /// Log entries applied from the peer fill protocol while catching up.
-    pub recovery_fills_applied: Counter,
+    recovery_fills_applied: Counter,
     /// Rejoins that reached the `Live` phase.
-    pub recovery_completed_total: Counter,
+    recovery_completed_total: Counter,
     /// Current recovery phase (0 live, 1 syncing, 2 catching up).
-    pub recovery_phase: Gauge,
+    recovery_phase: Gauge,
     /// Encoded size in bytes of the latest local snapshot.
-    pub recovery_snapshot_bytes: Gauge,
+    recovery_snapshot_bytes: Gauge,
 
     // ---- proactive rotation (scheduler) ----
     /// Rotation slots scheduled through atomic broadcast (`ScheduleWipe`
     /// commands applied from the replicated log).
-    pub rotation_scheduled_total: Counter,
+    rotation_scheduled_total: Counter,
     /// Wipe-and-rejoin rounds completed (`WipeComplete` applied).
-    pub rotation_rounds_total: Counter,
+    rotation_rounds_total: Counter,
     /// Rotation slots deferred because the group was already degraded
     /// (stall watchdog, suspicion pressure, or a stuck slot aborted).
-    pub rotation_deferrals_total: Counter,
+    rotation_deferrals_total: Counter,
     /// Current key epoch agreed through the replicated log.
-    pub rotation_epoch: Gauge,
+    rotation_epoch: Gauge,
     /// Victim of the in-flight rotation slot, stored as `id + 1`
     /// (0 = no slot active).
-    pub rotation_active_victim: Gauge,
+    rotation_active_victim: Gauge,
     /// Replica scheduled to recover on the next rotation slot.
-    pub rotation_next_victim: Gauge,
-
-    suspicions: Mutex<BTreeMap<u32, [u64; SUSPICION_KINDS]>>,
-    flight: flight::FlightRecorder,
-    spans: SpanRegistry,
-    trace: TraceRing,
-    clock: AtomicU64,
-    seq: AtomicU64,
-    tracing_enabled: AtomicBool,
-}
-
-impl Default for MetricsInner {
-    fn default() -> Self {
-        MetricsInner {
-            transport_frames_sent: Counter::default(),
-            transport_frames_recv: Counter::default(),
-            transport_bytes_sent: Counter::default(),
-            transport_bytes_recv: Counter::default(),
-            transport_mac_rejected: Counter::default(),
-            transport_reconnects_total: Counter::default(),
-            transport_retransmits_total: Counter::default(),
-            transport_dup_dropped_total: Counter::default(),
-            transport_link_down_total: Counter::default(),
-            transport_send_backpressure_total: Counter::default(),
-            transport_epoch_rejected: Counter::default(),
-            transport_epoch_adopted: Counter::default(),
-            transport_links_up: Gauge::default(),
-            rb_init_recv: Counter::default(),
-            rb_echo_recv: Counter::default(),
-            rb_ready_recv: Counter::default(),
-            rb_delivered: Counter::default(),
-            eb_init_recv: Counter::default(),
-            eb_vect_recv: Counter::default(),
-            eb_mat_recv: Counter::default(),
-            eb_delivered: Counter::default(),
-            eb_mac_rejected: Counter::default(),
-            bc_started: Counter::default(),
-            bc_decided: Counter::default(),
-            bc_coin_flips: Counter::default(),
-            bc_rejected: Counter::default(),
-            bc_rounds: Histogram::default(),
-            mvc_started: Counter::default(),
-            mvc_decided_value: Counter::default(),
-            mvc_decided_bottom: Counter::default(),
-            mvc_vect_bytes: Histogram::default(),
-            vc_started: Counter::default(),
-            vc_decided: Counter::default(),
-            vc_bottom_entries: Counter::default(),
-            vc_rounds: Histogram::default(),
-            ab_broadcast: Counter::default(),
-            ab_delivered: Counter::default(),
-            ab_agreements: Counter::default(),
-            ab_batch: Histogram::default(),
-            ab_batch_commands: Histogram::default(),
-            ab_queue_depth: Gauge::default(),
-            ab_flush_size: Counter::default(),
-            ab_flush_age: Counter::default(),
-            ab_flush_idle: Counter::default(),
-            ab_latency_ns: Histogram::default(),
-            service_requests_total: Counter::default(),
-            service_replies_total: Counter::default(),
-            service_dedup_hits: Counter::default(),
-            service_dup_apply_skipped: Counter::default(),
-            service_commands_applied: Counter::default(),
-            service_reads_optimistic: Counter::default(),
-            service_reads_ordered: Counter::default(),
-            service_auth_rejected: Counter::default(),
-            service_busy_rejected: Counter::default(),
-            service_sessions_live: Gauge::default(),
-            service_inflight: Gauge::default(),
-            service_client_requests: Counter::default(),
-            service_client_retries: Counter::default(),
-            service_client_vote_failures: Counter::default(),
-            service_client_replies_rejected: Counter::default(),
-            service_client_read_fallbacks: Counter::default(),
-            service_e2e_latency_ns: Histogram::default(),
-            span_opened: Counter::default(),
-            span_closed: Counter::default(),
-            span_dropped: Counter::default(),
-            span_orphan_closed: Counter::default(),
-            span_open_live: Gauge::default(),
-            ab_sent_pending: Gauge::default(),
-            stack_frames_in: Counter::default(),
-            stack_ooc_parked: Counter::default(),
-            stack_ooc_dropped: Counter::default(),
-            faults_detected: Counter::default(),
-            stack_instances: Gauge::default(),
-            stack_ooc_buffered: Gauge::default(),
-            stack_ooc_high_water: Gauge::default(),
-            node_stalls_total: Counter::default(),
-            rsm_applied_total: Counter::default(),
-            rsm_applied_watermark: Gauge::default(),
-            suspicions_total: Counter::default(),
-            recovery_snapshots_total: Counter::default(),
-            recovery_chunks_served: Counter::default(),
-            recovery_chunks_fetched: Counter::default(),
-            recovery_chunks_reused: Counter::default(),
-            recovery_chunk_proof_rejected: Counter::default(),
-            recovery_fills_applied: Counter::default(),
-            recovery_completed_total: Counter::default(),
-            recovery_phase: Gauge::default(),
-            recovery_snapshot_bytes: Gauge::default(),
-            rotation_scheduled_total: Counter::default(),
-            rotation_rounds_total: Counter::default(),
-            rotation_deferrals_total: Counter::default(),
-            rotation_epoch: Gauge::default(),
-            rotation_active_victim: Gauge::default(),
-            rotation_next_victim: Gauge::default(),
-            suspicions: Mutex::new(BTreeMap::new()),
-            flight: flight::FlightRecorder::new(flight::FLIGHT_CAPACITY),
-            spans: SpanRegistry::new(SPAN_CAPACITY),
-            trace: TraceRing::new(TRACE_CAPACITY),
-            clock: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
-            tracing_enabled: AtomicBool::new(true),
-        }
-    }
+    rotation_next_victim: Gauge,
 }
 
 /// A cheaply cloneable handle to one process's metric registry.
@@ -1601,117 +1553,7 @@ impl Metrics {
     /// Freezes every instrument into a [`MetricsSnapshot`].
     pub fn snapshot(&self) -> MetricsSnapshot {
         let m = &*self.inner;
-        let mut counters = BTreeMap::new();
-        let mut histograms = BTreeMap::new();
-        macro_rules! counter {
-            ($($name:ident),* $(,)?) => {
-                $(counters.insert(stringify!($name), m.$name.get());)*
-            };
-        }
-        macro_rules! histogram {
-            ($($name:ident),* $(,)?) => {
-                $(histograms.insert(stringify!($name), m.$name.snapshot());)*
-            };
-        }
-        counter!(
-            transport_frames_sent,
-            transport_frames_recv,
-            transport_bytes_sent,
-            transport_bytes_recv,
-            transport_mac_rejected,
-            transport_reconnects_total,
-            transport_retransmits_total,
-            transport_dup_dropped_total,
-            transport_link_down_total,
-            transport_send_backpressure_total,
-            transport_epoch_rejected,
-            transport_epoch_adopted,
-            rb_init_recv,
-            rb_echo_recv,
-            rb_ready_recv,
-            rb_delivered,
-            eb_init_recv,
-            eb_vect_recv,
-            eb_mat_recv,
-            eb_delivered,
-            eb_mac_rejected,
-            bc_started,
-            bc_decided,
-            bc_coin_flips,
-            bc_rejected,
-            mvc_started,
-            mvc_decided_value,
-            mvc_decided_bottom,
-            vc_started,
-            vc_decided,
-            vc_bottom_entries,
-            ab_broadcast,
-            ab_delivered,
-            ab_agreements,
-            ab_flush_size,
-            ab_flush_age,
-            ab_flush_idle,
-            service_requests_total,
-            service_replies_total,
-            service_dedup_hits,
-            service_dup_apply_skipped,
-            service_commands_applied,
-            service_reads_optimistic,
-            service_reads_ordered,
-            service_auth_rejected,
-            service_busy_rejected,
-            service_client_requests,
-            service_client_retries,
-            service_client_vote_failures,
-            service_client_replies_rejected,
-            service_client_read_fallbacks,
-            span_opened,
-            span_closed,
-            span_dropped,
-            span_orphan_closed,
-            stack_frames_in,
-            stack_ooc_parked,
-            stack_ooc_dropped,
-            faults_detected,
-            node_stalls_total,
-            rsm_applied_total,
-            suspicions_total,
-            recovery_snapshots_total,
-            recovery_chunks_served,
-            recovery_chunks_fetched,
-            recovery_chunks_reused,
-            recovery_chunk_proof_rejected,
-            recovery_fills_applied,
-            recovery_completed_total,
-            rotation_scheduled_total,
-            rotation_rounds_total,
-            rotation_deferrals_total,
-        );
-        // Gauges join the counter map (point-in-time values).
-        counters.insert("stack_instances", m.stack_instances.get());
-        counters.insert("stack_ooc_buffered", m.stack_ooc_buffered.get());
-        counters.insert("stack_ooc_high_water", m.stack_ooc_high_water.get());
-        counters.insert("span_open_live", m.span_open_live.get());
-        counters.insert("ab_sent_pending", m.ab_sent_pending.get());
-        counters.insert("ab_queue_depth", m.ab_queue_depth.get());
-        counters.insert("transport_links_up", m.transport_links_up.get());
-        counters.insert("service_sessions_live", m.service_sessions_live.get());
-        counters.insert("service_inflight", m.service_inflight.get());
-        counters.insert("rsm_applied_watermark", m.rsm_applied_watermark.get());
-        counters.insert("recovery_phase", m.recovery_phase.get());
-        counters.insert("recovery_snapshot_bytes", m.recovery_snapshot_bytes.get());
-        counters.insert("rotation_epoch", m.rotation_epoch.get());
-        counters.insert("rotation_active_victim", m.rotation_active_victim.get());
-        counters.insert("rotation_next_victim", m.rotation_next_victim.get());
-        histogram!(
-            bc_rounds,
-            mvc_vect_bytes,
-            vc_rounds,
-            ab_batch,
-            ab_batch_commands,
-            ab_latency_ns,
-            service_e2e_latency_ns
-        );
+        let (counters, histograms) = m.freeze();
         MetricsSnapshot {
             counters,
             histograms,
@@ -1825,27 +1667,9 @@ impl MetricsSnapshot {
     /// Renders the snapshot in the Prometheus text exposition format
     /// (metric prefix `ritas_`, histograms with cumulative `le` buckets).
     pub fn to_prometheus(&self) -> String {
-        // Point-in-time instruments that live in the counter map.
-        const GAUGES: [&str; 15] = [
-            "stack_instances",
-            "stack_ooc_buffered",
-            "stack_ooc_high_water",
-            "span_open_live",
-            "ab_sent_pending",
-            "ab_queue_depth",
-            "transport_links_up",
-            "service_sessions_live",
-            "service_inflight",
-            "rsm_applied_watermark",
-            "recovery_phase",
-            "recovery_snapshot_bytes",
-            "rotation_epoch",
-            "rotation_active_victim",
-            "rotation_next_victim",
-        ];
         let mut out = String::new();
         for (name, value) in &self.counters {
-            let kind = if GAUGES.contains(name) {
+            let kind = if INSTRUMENTS.contains(&(*name, InstrumentKind::Gauge)) {
                 "gauge"
             } else {
                 "counter"
@@ -2479,6 +2303,34 @@ mod tests {
         // New health instruments ride the same audit.
         assert!(text.contains("# TYPE ritas_node_stalls_total counter"));
         assert!(text.contains("# TYPE ritas_rsm_applied_watermark gauge"));
+    }
+
+    #[test]
+    fn every_declared_instrument_is_exported_under_its_field_name() {
+        assert_eq!(INSTRUMENTS.len(), 94);
+        let snap = Metrics::new().snapshot();
+        let prom = snap.to_prometheus();
+        for &(name, kind) in INSTRUMENTS {
+            let typed = match kind {
+                InstrumentKind::Counter => "counter",
+                InstrumentKind::Gauge => "gauge",
+                InstrumentKind::Histogram => "histogram",
+            };
+            let in_snapshot = match kind {
+                InstrumentKind::Histogram => snap.histograms.contains_key(name),
+                _ => snap.counters.contains_key(name),
+            };
+            assert!(in_snapshot, "{name} missing from snapshot()");
+            assert!(
+                prom.contains(&format!("# TYPE ritas_{name} {typed}\n")),
+                "{name} not typed {typed} in to_prometheus()"
+            );
+        }
+        // Nothing reaches the snapshot except through the declared list.
+        assert_eq!(
+            snap.counters.len() + snap.histograms.len(),
+            INSTRUMENTS.len()
+        );
     }
 
     #[test]

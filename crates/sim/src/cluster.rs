@@ -6,9 +6,8 @@
 //! [`LanModel`] (transmit serialization → propagation → receive
 //! serialization) and handed back to the destination stack at their
 //! virtual delivery time. The single-threaded nature of the paper's
-//! implementation is modeled faithfully: the deferred agreement rounds of
-//! atomic broadcast are driven whenever a host's receive queue drains
-//! (see `ritas::ab::AbConfig::eager_rounds`).
+//! implementation is modeled faithfully: agreement rounds are started
+//! (`Stack::poll_all`) whenever a host's receive queue drains.
 
 use crate::calibration::Calibration;
 use crate::faults::Faultload;
@@ -276,14 +275,12 @@ fn fresh_stack(config: &SimConfig, group: Group, table: &KeyTable, me: ProcessId
         ab: ritas::ab::AbConfig {
             mvc: config.mvc,
             byzantine_bottom: config.faultload.is_byzantine(me),
-            eager_rounds: false,
             // Paper-faithful per-message dissemination: the
             // simulator reproduces Figures 4–7
             // instance-for-instance, so batching stays off.
             batch: ritas::ab::BatchPolicy::immediate(),
         },
         consensus: config.mvc,
-        eager_vc_rounds: false,
         coin: config.coin,
     };
     Stack::with_config(

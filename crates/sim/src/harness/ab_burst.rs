@@ -66,8 +66,8 @@ pub fn run_burst_once(
     let latency = *times.last().expect("k >= 1");
     let agreements = sim
         .stack(observer)
-        .ab_stats(0)
-        .map(|s| s.agreements)
+        .ab(0)
+        .map(|ab| ab.stats().agreements)
         .unwrap_or(0);
     (k_actual, latency, agreements)
 }

@@ -5,7 +5,7 @@
 //! routines those mbufs carry. All integers are big-endian ("network
 //! order"), variable-length fields are length-prefixed with a `u32`.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 /// Maximum accepted length for a length-prefixed field (16 MiB). A decoder
 /// limit, not a protocol limit: it bounds allocation when decoding hostile
@@ -231,26 +231,6 @@ impl Writer {
     /// Finishes encoding and returns the immutable buffer.
     pub fn freeze(self) -> Bytes {
         self.buf.freeze()
-    }
-}
-
-/// Encodes `value` as a `u32` checked at encode time.
-///
-/// # Errors
-///
-/// Never fails for values below `u32::MAX`; provided for symmetry with
-/// hostile decoding where range checks matter.
-pub fn checked_u32(value: usize, what: &'static str) -> Result<u32, WireError> {
-    u32::try_from(value).map_err(|_| WireError::FieldTooLong { what, len: value })
-}
-
-/// Consumes `buf` ensuring it still has at least `len` bytes (decode guard
-/// used by the AH layer before splitting header/payload).
-pub fn require_len(buf: &Bytes, len: usize, what: &'static str) -> Result<(), WireError> {
-    if buf.remaining() < len {
-        Err(WireError::Truncated { what })
-    } else {
-        Ok(())
     }
 }
 

@@ -48,8 +48,8 @@ fn run(faultload: Faultload, seed: u64) -> (Vec<Vec<(usize, u64)>>, f64, u32) {
         .unwrap_or(0.0);
     let bc_rounds = sim
         .stack(observer)
-        .ab_stats(0)
-        .map(|s| s.bc_rounds_max)
+        .ab(0)
+        .map(|ab| ab.stats().bc_rounds_max)
         .unwrap_or(0);
     (orders, last_ms, bc_rounds)
 }

@@ -305,9 +305,10 @@ fn retry_across_batch_boundary_applies_once() {
 
     // The batched path was actually exercised: batches were formed and
     // every replica agrees on the batch count it delivered locally.
-    let (stats, _, _) = servers[0]
+    let stats = servers[0]
         .replica()
-        .ab_debug()
+        .node()
+        .with_stack(|stack, _| stack.ab(0).map(|ab| ab.stats()))
         .expect("node alive")
         .expect("ab session exists");
     assert!(stats.batches >= 1, "no batch was ever flushed");

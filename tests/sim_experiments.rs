@@ -154,7 +154,11 @@ fn consensus_decides_in_one_round_under_all_faultloads() {
         }
         sim.run();
         let observer = sim.observer();
-        let stats = sim.stack(observer).ab_stats(0).expect("ab session");
+        let stats = sim
+            .stack(observer)
+            .ab(0)
+            .map(|ab| ab.stats())
+            .expect("ab session");
         assert!(stats.delivered > 0, "{faultload:?}: nothing delivered");
         assert_eq!(
             stats.bc_rounds_max, 1,
