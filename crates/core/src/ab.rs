@@ -1474,101 +1474,50 @@ fn wrap_agree(round: u32, sub: Step<MvcMessage, MvcValue>) -> AbStep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::step::Target;
+    use crate::testing::{Net, Process, Schedule};
     use ritas_crypto::KeyTable;
 
-    struct Net {
-        insts: Vec<AtomicBroadcast>,
-        queue: Vec<(ProcessId, ProcessId, AbMessage)>,
-        delivered: Vec<Vec<AbDelivery>>,
-        rng_state: u64,
-        crashed: Vec<ProcessId>,
-        /// Poll the receiver after every delivered frame (the default):
-        /// a round may then start at any point of the schedule, so the
-        /// seeds explore every interleaving a real driver could produce.
-        poll_each_frame: bool,
+    type AbNet = Net<AtomicBroadcast>;
+
+    fn ab_net(n: usize, seed: u64) -> AbNet {
+        ab_net_with(n, seed, |_| AbConfig::default())
     }
 
-    impl Net {
-        fn new(n: usize, seed: u64) -> Self {
-            Self::with_configs(n, seed, |_| AbConfig::default())
-        }
+    fn ab_insts(
+        n: usize,
+        seed: u64,
+        config: impl Fn(ProcessId) -> AbConfig,
+    ) -> Vec<AtomicBroadcast> {
+        let g = Group::new(n).unwrap();
+        let table = KeyTable::dealer(n, seed);
+        (0..n)
+            .map(|me| {
+                AtomicBroadcast::with_config(
+                    g,
+                    me,
+                    table.view_of(me),
+                    seed ^ (me as u64) << 16,
+                    config(me),
+                )
+            })
+            .collect()
+    }
 
-        fn with_configs(n: usize, seed: u64, config: impl Fn(ProcessId) -> AbConfig) -> Self {
-            let g = Group::new(n).unwrap();
-            let table = KeyTable::dealer(n, seed);
-            Net {
-                insts: (0..n)
-                    .map(|me| {
-                        AtomicBroadcast::with_config(
-                            g,
-                            me,
-                            table.view_of(me),
-                            seed ^ (me as u64) << 16,
-                            config(me),
-                        )
-                    })
-                    .collect(),
-                queue: Vec::new(),
-                delivered: vec![Vec::new(); n],
-                rng_state: seed.wrapping_mul(0x9E3779B97F4A7C15) | 1,
-                crashed: Vec::new(),
-                poll_each_frame: true,
-            }
-        }
+    fn ab_net_with(n: usize, seed: u64, config: impl Fn(ProcessId) -> AbConfig) -> AbNet {
+        Net::connect(ab_insts(n, seed, config), seed)
+    }
 
-        fn next_rand(&mut self) -> u64 {
-            let mut x = self.rng_state;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.rng_state = x;
-            x.wrapping_mul(0x2545F4914F6CDD1D)
-        }
+    fn broadcast(net: &mut AbNet, p: ProcessId, payload: &[u8]) -> MsgId {
+        let (id, step) = net
+            .process_mut(p)
+            .broadcast(Bytes::copy_from_slice(payload));
+        net.absorb(p, step);
+        id
+    }
 
-        fn absorb(&mut self, from: ProcessId, step: AbStep) {
-            if self.crashed.contains(&from) {
-                return;
-            }
-            let n = self.insts.len();
-            for out in step.messages {
-                match out.target {
-                    Target::All => {
-                        for to in 0..n {
-                            self.queue.push((from, to, out.message.clone()));
-                        }
-                    }
-                    Target::One(to) => self.queue.push((from, to, out.message.clone())),
-                }
-            }
-            for d in step.outputs {
-                self.delivered[from].push(d);
-            }
-        }
-
-        fn broadcast(&mut self, p: ProcessId, payload: &[u8]) -> MsgId {
-            let (id, step) = self.insts[p].broadcast(Bytes::copy_from_slice(payload));
-            self.absorb(p, step);
-            id
-        }
-
-        fn run(&mut self) {
-            let mut iterations = 0usize;
-            while !self.queue.is_empty() {
-                iterations += 1;
-                assert!(iterations < 20_000_000, "runaway execution");
-                let idx = (self.next_rand() as usize) % self.queue.len();
-                let (from, to, msg) = self.queue.swap_remove(idx);
-                if self.crashed.contains(&to) {
-                    continue;
-                }
-                let mut step = self.insts[to].handle_message(from, msg);
-                if self.poll_each_frame {
-                    step.extend(self.insts[to].poll());
-                }
-                self.absorb(to, step);
-            }
-        }
+    /// The ids process `p` a-delivered, in order.
+    fn delivered_ids<P: Process<Out = AbDelivery>>(net: &Net<P>, p: ProcessId) -> Vec<MsgId> {
+        net.outputs(p).iter().map(|d| d.id).collect()
     }
 
     #[test]
@@ -1600,44 +1549,48 @@ mod tests {
 
     #[test]
     fn single_message_delivered_everywhere() {
-        let mut net = Net::new(4, 1);
-        let id = net.broadcast(0, b"hello");
+        let mut net = ab_net(4, 1);
+        let id = broadcast(&mut net, 0, b"hello");
         net.run();
         for p in 0..4 {
-            assert_eq!(net.delivered[p].len(), 1, "process {p}");
-            assert_eq!(net.delivered[p][0].id, id);
-            assert_eq!(net.delivered[p][0].payload.as_ref(), b"hello");
+            assert_eq!(net.outputs(p).len(), 1, "process {p}");
+            assert_eq!(net.outputs(p)[0].id, id);
+            assert_eq!(net.outputs(p)[0].payload.as_ref(), b"hello");
         }
     }
 
     #[test]
     fn total_order_across_processes() {
-        for seed in 0..5 {
-            let mut net = Net::new(4, 100 + seed);
+        for (seed, schedule) in Schedule::sweep(0..5) {
+            let mut net = ab_net(4, 100 + seed);
+            net.set_schedule(schedule);
             for p in 0..4 {
                 for k in 0..3 {
-                    net.broadcast(p, format!("m{p}:{k}").as_bytes());
+                    broadcast(&mut net, p, format!("m{p}:{k}").as_bytes());
                 }
             }
             net.run();
-            let order0: Vec<MsgId> = net.delivered[0].iter().map(|d| d.id).collect();
+            let order0 = delivered_ids(&net, 0);
             assert_eq!(order0.len(), 12, "all 12 messages delivered");
             for p in 1..4 {
-                let order: Vec<MsgId> = net.delivered[p].iter().map(|d| d.id).collect();
-                assert_eq!(order, order0, "seed {seed}: order diverged at {p}");
+                assert_eq!(
+                    delivered_ids(&net, p),
+                    order0,
+                    "seed {seed} {schedule}: order diverged at {p}"
+                );
             }
         }
     }
 
     #[test]
     fn no_duplicate_deliveries() {
-        let mut net = Net::new(4, 9);
+        let mut net = ab_net(4, 9);
         for p in 0..4 {
-            net.broadcast(p, b"x");
+            broadcast(&mut net, p, b"x");
         }
         net.run();
         for p in 0..4 {
-            let mut ids: Vec<MsgId> = net.delivered[p].iter().map(|d| d.id).collect();
+            let mut ids = delivered_ids(&net, p);
             let before = ids.len();
             ids.sort();
             ids.dedup();
@@ -1650,50 +1603,56 @@ mod tests {
         // FIFO per sender is not guaranteed by atomic broadcast in
         // general, but identifiers from one sender are ordered within a
         // batch; at minimum every message must appear exactly once.
-        let mut net = Net::new(4, 33);
+        let mut net = ab_net(4, 33);
         let ids: Vec<MsgId> = (0..5)
-            .map(|k| net.broadcast(2, format!("m{k}").as_bytes()))
+            .map(|k| broadcast(&mut net, 2, format!("m{k}").as_bytes()))
             .collect();
         net.run();
         for p in 0..4 {
-            let got: BTreeSet<MsgId> = net.delivered[p].iter().map(|d| d.id).collect();
+            let got: BTreeSet<MsgId> = net.outputs(p).iter().map(|d| d.id).collect();
             assert_eq!(got, ids.iter().copied().collect());
         }
     }
 
     #[test]
     fn crash_faultload_delivers_for_survivors() {
-        let mut net = Net::new(4, 5);
-        net.crashed.push(3);
-        for p in 0..3 {
-            net.broadcast(p, format!("c{p}").as_bytes());
-        }
-        net.run();
-        let order0: Vec<MsgId> = net.delivered[0].iter().map(|d| d.id).collect();
-        assert_eq!(order0.len(), 3);
-        for p in 1..3 {
-            let order: Vec<MsgId> = net.delivered[p].iter().map(|d| d.id).collect();
-            assert_eq!(order, order0);
+        for schedule in Schedule::ALL {
+            let mut net = ab_net(4, 5);
+            net.set_schedule(schedule);
+            net.crash(3);
+            for p in 0..3 {
+                broadcast(&mut net, p, format!("c{p}").as_bytes());
+            }
+            net.run();
+            let order0 = delivered_ids(&net, 0);
+            assert_eq!(order0.len(), 3, "{schedule}");
+            for p in 1..3 {
+                assert_eq!(delivered_ids(&net, p), order0, "{schedule}");
+            }
         }
     }
 
     #[test]
     fn byzantine_bottom_attacker_cannot_block_delivery() {
         // Process 3 runs the paper's §4.2 attack at the MVC layer.
-        for seed in 0..3 {
-            let mut net = Net::with_configs(4, 700 + seed, |p| AbConfig {
+        for (seed, schedule) in Schedule::sweep(0..3) {
+            let mut net = ab_net_with(4, 700 + seed, |p| AbConfig {
                 byzantine_bottom: p == 3,
                 ..AbConfig::default()
             });
+            net.set_schedule(schedule);
             for p in 0..3 {
-                net.broadcast(p, format!("b{p}").as_bytes());
+                broadcast(&mut net, p, format!("b{p}").as_bytes());
             }
             net.run();
-            let order0: Vec<MsgId> = net.delivered[0].iter().map(|d| d.id).collect();
-            assert_eq!(order0.len(), 3, "seed {seed}: deliveries missing");
+            let order0 = delivered_ids(&net, 0);
+            assert_eq!(
+                order0.len(),
+                3,
+                "seed {seed} {schedule}: deliveries missing"
+            );
             for p in 1..3 {
-                let order: Vec<MsgId> = net.delivered[p].iter().map(|d| d.id).collect();
-                assert_eq!(order, order0, "seed {seed}");
+                assert_eq!(delivered_ids(&net, p), order0, "seed {seed} {schedule}");
             }
         }
     }
@@ -1701,37 +1660,51 @@ mod tests {
     #[test]
     fn burst_is_ordered_with_few_agreements() {
         // The paper's key observation: a burst needs very few agreements.
-        let mut net = Net::new(4, 77);
+        let mut net = ab_net(4, 77);
         for p in 0..4 {
             for k in 0..10 {
-                net.broadcast(p, format!("burst{p}:{k}").as_bytes());
+                broadcast(&mut net, p, format!("burst{p}:{k}").as_bytes());
             }
         }
         net.run();
         for p in 0..4 {
-            assert_eq!(net.delivered[p].len(), 40);
-            let ag = net.insts[p].stats().agreements;
+            assert_eq!(net.outputs(p).len(), 40);
+            let ag = net.process(p).stats().agreements;
             assert!(ag <= 10, "too many agreements: {ag}");
+        }
+    }
+
+    /// An AB the net never polls (the trait's default `poll` is empty):
+    /// whatever round starts, the test started it.
+    struct Unpolled(AtomicBroadcast);
+
+    impl Process for Unpolled {
+        type Msg = AbMessage;
+        type Out = AbDelivery;
+
+        fn handle_message(&mut self, from: ProcessId, msg: AbMessage) -> AbStep {
+            self.0.handle_message(from, msg)
         }
     }
 
     #[test]
     fn rounds_wait_for_poll() {
-        let mut net = Net::new(4, 55);
-        net.poll_each_frame = false;
+        let insts = ab_insts(4, 55, |_| AbConfig::default());
+        let mut net = Net::connect(insts.into_iter().map(Unpolled).collect(), 55);
         for p in 0..4 {
-            net.broadcast(p, format!("d{p}").as_bytes());
+            let (_, step) = net.process_mut(p).0.broadcast(Bytes::from(format!("d{p}")));
+            net.absorb(p, step);
         }
         // Drain all AB_MSG traffic: no agreement must have started.
         net.run();
         for p in 0..4 {
-            assert!(net.delivered[p].is_empty(), "round started without poll");
-            assert!(net.insts[p].pending() > 0);
+            assert!(net.outputs(p).is_empty(), "round started without poll");
+            assert!(net.process(p).0.pending() > 0);
         }
         // Poll everyone: the agreement task kicks off and orders the lot
         // in a single agreement per process.
         for p in 0..4 {
-            let step = net.insts[p].poll();
+            let step = net.process_mut(p).0.poll();
             net.absorb(p, step);
         }
         // Subsequent rounds start via further polls; emulate the drivers
@@ -1740,23 +1713,23 @@ mod tests {
             net.run();
             let mut more = false;
             for p in 0..4 {
-                let step = net.insts[p].poll();
+                let step = net.process_mut(p).0.poll();
                 more |= !step.is_empty();
                 net.absorb(p, step);
             }
-            if !more && net.queue.is_empty() {
+            if !more {
                 break;
             }
         }
-        let order0: Vec<MsgId> = net.delivered[0].iter().map(|d| d.id).collect();
+        let order0 = delivered_ids(&net, 0);
         assert_eq!(order0.len(), 4);
         for p in 1..4 {
-            let order: Vec<MsgId> = net.delivered[p].iter().map(|d| d.id).collect();
+            let order = delivered_ids(&net, p);
             assert_eq!(order, order0);
         }
         // One agreement ordered the entire batch.
         for p in 0..4 {
-            assert_eq!(net.insts[p].stats().agreements, 1, "process {p}");
+            assert_eq!(net.process(p).0.stats().agreements, 1, "process {p}");
         }
     }
 
@@ -1767,43 +1740,43 @@ mod tests {
         // gathers f+1 supporting vectors. One round over them decides the
         // empty set; re-running it over the same ids would order nothing
         // again, forever, at full speed (ROADMAP item 0's livelock).
-        let mut net = Net::new(4, 91);
+        let mut net = ab_net(4, 91);
         for p in 0..3usize {
             let stale = MsgId {
                 sender: 3,
                 rbid: 1000 + p as u64,
             };
             let raw = encode_batch(5000 + p as u64, &[Bytes::from_static(b"stale")]);
-            let step = net.insts[p].inject_batch(stale, raw);
+            let step = net.process_mut(p).inject_batch(stale, raw);
             net.absorb(p, step);
         }
         for p in 0..3 {
-            let step = net.insts[p].poll();
+            let step = net.process_mut(p).poll();
             net.absorb(p, step);
         }
         net.run();
         for p in 0..3 {
-            assert_eq!(net.insts[p].round(), 1, "process {p} kept opening rounds");
-            assert!(net.delivered[p].is_empty());
+            assert_eq!(net.process(p).round(), 1, "process {p} kept opening rounds");
+            assert!(net.outputs(p).is_empty());
         }
         // Fresh content still gets ordered, by everyone, and then the
         // group goes quiet again.
-        let id = net.broadcast(3, b"fresh");
+        let id = broadcast(&mut net, 3, b"fresh");
         net.run();
         for p in 0..4 {
-            let got: Vec<MsgId> = net.delivered[p].iter().map(|d| d.id).collect();
+            let got = delivered_ids(&net, p);
             assert_eq!(got, vec![id], "process {p}");
         }
     }
 
     #[test]
     fn stats_track_broadcast_and_delivered() {
-        let mut net = Net::new(4, 2);
-        net.broadcast(1, b"s");
+        let mut net = ab_net(4, 2);
+        broadcast(&mut net, 1, b"s");
         net.run();
-        assert_eq!(net.insts[1].stats().broadcast, 1);
+        assert_eq!(net.process(1).stats().broadcast, 1);
         for p in 0..4 {
-            assert_eq!(net.insts[p].stats().delivered, 1);
+            assert_eq!(net.process(p).stats().delivered, 1);
         }
     }
 
@@ -1831,21 +1804,21 @@ mod tests {
 
     #[test]
     fn long_session_memory_stays_flat() {
-        let mut net = Net::new(4, 123);
+        let mut net = ab_net(4, 123);
         // Several sequential bursts through the same session.
         for burst in 0..4 {
             for p in 0..4 {
                 for k in 0..5 {
-                    net.broadcast(p, format!("b{burst}p{p}k{k}").as_bytes());
+                    broadcast(&mut net, p, format!("b{burst}p{p}k{k}").as_bytes());
                 }
             }
             net.run();
         }
         for p in 0..4 {
-            assert_eq!(net.delivered[p].len(), 80);
-            assert_eq!(net.insts[p].live_msg_instances(), 0);
+            assert_eq!(net.outputs(p).len(), 80);
+            assert_eq!(net.process(p).live_msg_instances(), 0);
             assert_eq!(
-                net.insts[p].delivered_set_sparse_len(),
+                net.process(p).delivered_set_sparse_len(),
                 0,
                 "sequential rbids must fully compact at {p}"
             );
@@ -1854,31 +1827,31 @@ mod tests {
 
     #[test]
     fn delivered_msg_instances_are_pruned() {
-        let mut net = Net::new(4, 91);
+        let mut net = ab_net(4, 91);
         for p in 0..4 {
             for k in 0..5 {
-                net.broadcast(p, format!("p{p}k{k}").as_bytes());
+                broadcast(&mut net, p, format!("p{p}k{k}").as_bytes());
             }
         }
         net.run();
         for p in 0..4 {
-            assert_eq!(net.delivered[p].len(), 20);
+            assert_eq!(net.outputs(p).len(), 20);
             assert_eq!(
-                net.insts[p].live_msg_instances(),
+                net.process(p).live_msg_instances(),
                 0,
                 "process {p} leaked AB_MSG broadcast instances"
             );
-            assert_eq!(net.insts[p].pending(), 0);
+            assert_eq!(net.process(p).pending(), 0);
         }
     }
 
     #[test]
     fn late_traffic_for_delivered_message_is_ignored() {
-        let mut net = Net::new(4, 4);
-        let id = net.broadcast(0, b"m");
+        let mut net = ab_net(4, 4);
+        let id = broadcast(&mut net, 0, b"m");
         net.run();
         // Re-inject a READY for the long-finished broadcast.
-        let step = net.insts[1].handle_message(
+        let step = net.process_mut(1).handle_message(
             2,
             AbMessage::Msg {
                 id,
@@ -1906,16 +1879,18 @@ mod tests {
 
     #[test]
     fn larger_group_total_order() {
-        let mut net = Net::new(7, 13);
-        for p in 0..7 {
-            net.broadcast(p, format!("g{p}").as_bytes());
-        }
-        net.run();
-        let order0: Vec<MsgId> = net.delivered[0].iter().map(|d| d.id).collect();
-        assert_eq!(order0.len(), 7);
-        for p in 1..7 {
-            let order: Vec<MsgId> = net.delivered[p].iter().map(|d| d.id).collect();
-            assert_eq!(order, order0);
+        for schedule in Schedule::ALL {
+            let mut net = ab_net(7, 13);
+            net.set_schedule(schedule);
+            for p in 0..7 {
+                broadcast(&mut net, p, format!("g{p}").as_bytes());
+            }
+            net.run();
+            let order0 = delivered_ids(&net, 0);
+            assert_eq!(order0.len(), 7, "{schedule}");
+            for p in 1..7 {
+                assert_eq!(delivered_ids(&net, p), order0, "{schedule}");
+            }
         }
     }
 
@@ -1971,31 +1946,31 @@ mod tests {
             max_delay_ns: u64::MAX,
             window: 2,
         };
-        let mut net = Net::with_configs(4, 321, |_| AbConfig {
+        let mut net = ab_net_with(4, 321, |_| AbConfig {
             batch: policy,
             ..AbConfig::default()
         });
         let ids: Vec<MsgId> = (0..12)
-            .map(|k| net.broadcast(0, format!("c{k}").as_bytes()))
+            .map(|k| broadcast(&mut net, 0, format!("c{k}").as_bytes()))
             .collect();
         net.run();
-        let order0: Vec<MsgId> = net.delivered[0].iter().map(|d| d.id).collect();
+        let order0 = delivered_ids(&net, 0);
         assert_eq!(
             order0.iter().copied().collect::<BTreeSet<_>>(),
             ids.iter().copied().collect::<BTreeSet<_>>()
         );
         for p in 1..4 {
-            let order: Vec<MsgId> = net.delivered[p].iter().map(|d| d.id).collect();
+            let order = delivered_ids(&net, p);
             assert_eq!(order, order0, "total order diverged at {p}");
         }
-        let batches = net.insts[0].stats().batches;
+        let batches = net.process(0).stats().batches;
         assert!(
             batches < 12,
             "batching never packed more than one command ({batches} batches)"
         );
         // Dissemination state fully drained.
-        assert_eq!(net.insts[0].queued(), 0);
-        assert_eq!(net.insts[0].in_flight_batches(), 0);
+        assert_eq!(net.process(0).queued(), 0);
+        assert_eq!(net.process(0).in_flight_batches(), 0);
     }
 
     #[test]
@@ -2005,23 +1980,23 @@ mod tests {
             max_delay_ns: u64::MAX,
             window: 2,
         };
-        let mut net = Net::with_configs(4, 11, |_| AbConfig {
+        let mut net = ab_net_with(4, 11, |_| AbConfig {
             batch: policy,
             ..AbConfig::default()
         });
         for k in 0..5 {
-            net.broadcast(1, format!("w{k}").as_bytes());
+            broadcast(&mut net, 1, format!("w{k}").as_bytes());
         }
         // Nothing delivered yet: exactly `window` batches disseminated,
         // the rest held in the queue.
-        assert_eq!(net.insts[1].in_flight_batches(), 2);
-        assert_eq!(net.insts[1].queued(), 3);
+        assert_eq!(net.process(1).in_flight_batches(), 2);
+        assert_eq!(net.process(1).queued(), 3);
         // A-deliveries free window slots; the queue drains to empty.
         net.run();
-        assert_eq!(net.insts[1].in_flight_batches(), 0);
-        assert_eq!(net.insts[1].queued(), 0);
+        assert_eq!(net.process(1).in_flight_batches(), 0);
+        assert_eq!(net.process(1).queued(), 0);
         for p in 0..4 {
-            assert_eq!(net.delivered[p].len(), 5, "process {p}");
+            assert_eq!(net.outputs(p).len(), 5, "process {p}");
         }
     }
 
@@ -2069,26 +2044,26 @@ mod tests {
 
     #[test]
     fn immediate_policy_disseminates_per_command() {
-        let mut net = Net::with_configs(4, 64, |_| AbConfig {
+        let mut net = ab_net_with(4, 64, |_| AbConfig {
             batch: BatchPolicy::immediate(),
             ..AbConfig::default()
         });
         for k in 0..5 {
-            net.broadcast(2, format!("i{k}").as_bytes());
+            broadcast(&mut net, 2, format!("i{k}").as_bytes());
         }
         // Every command became its own dissemination batch on the spot.
-        assert_eq!(net.insts[2].stats().batches, 5);
-        assert_eq!(net.insts[2].queued(), 0);
+        assert_eq!(net.process(2).stats().batches, 5);
+        assert_eq!(net.process(2).queued(), 0);
         net.run();
         for p in 0..4 {
-            assert_eq!(net.delivered[p].len(), 5);
+            assert_eq!(net.outputs(p).len(), 5);
         }
     }
 
     #[test]
     fn overlapping_byzantine_batches_deliver_once() {
-        let mut net = Net::new(4, 42);
-        net.crashed.push(3);
+        let mut net = ab_net(4, 42);
+        net.crash(3);
         // The attacker announces two batches that both claim rbid 0 with
         // different payloads. Both batch ids get ordered; the rbid must
         // deliver exactly once, identically everywhere.
@@ -2101,18 +2076,20 @@ mod tests {
                 inner: RbMessage::Init(encode_batch(0, &[Bytes::copy_from_slice(tag)])),
             };
             for to in 0..3 {
-                net.queue.push((3, to, msg.clone()));
+                net.inject(3, to, msg.clone());
             }
         }
         net.run();
-        let p0: Vec<(MsgId, Bytes)> = net.delivered[0]
+        let p0: Vec<(MsgId, Bytes)> = net
+            .outputs(0)
             .iter()
             .map(|d| (d.id, d.payload.clone()))
             .collect();
         assert_eq!(p0.len(), 1, "rbid 0 must deliver exactly once");
         assert_eq!(p0[0].0, MsgId { sender: 3, rbid: 0 });
         for p in 1..3 {
-            let pp: Vec<(MsgId, Bytes)> = net.delivered[p]
+            let pp: Vec<(MsgId, Bytes)> = net
+                .outputs(p)
                 .iter()
                 .map(|d| (d.id, d.payload.clone()))
                 .collect();
@@ -2122,8 +2099,8 @@ mod tests {
 
     #[test]
     fn malformed_batch_is_attributed_and_orders_nothing() {
-        let mut net = Net::new(4, 21);
-        net.crashed.push(3);
+        let mut net = ab_net(4, 21);
+        net.crash(3);
         // An undecodable batch payload from the attacker: the batch id is
         // still agreed on, zero commands come out, and the sender is
         // blamed with a Malformed fault at RBC delivery.
@@ -2132,21 +2109,21 @@ mod tests {
             inner: RbMessage::Init(Bytes::from_static(b"\xFF\xFF\xFF")),
         };
         for to in 0..3 {
-            net.queue.push((3, to, msg.clone()));
+            net.inject(3, to, msg.clone());
         }
         net.run();
         for p in 0..3 {
             assert!(
-                net.delivered[p].is_empty(),
+                net.outputs(p).is_empty(),
                 "garbage batch delivered commands at {p}"
             );
         }
         // The session keeps making progress afterwards.
-        net.broadcast(0, b"after");
+        broadcast(&mut net, 0, b"after");
         net.run();
         for p in 0..3 {
-            assert_eq!(net.delivered[p].len(), 1, "process {p}");
-            assert_eq!(net.delivered[p][0].payload.as_ref(), b"after");
+            assert_eq!(net.outputs(p).len(), 1, "process {p}");
+            assert_eq!(net.outputs(p)[0].payload.as_ref(), b"after");
         }
     }
 

@@ -700,89 +700,30 @@ impl BinaryConsensus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::step::Target;
+    use crate::testing::{Net, Schedule};
     use ritas_crypto::{DeterministicCoin, FixedCoin};
 
     fn coin(seed: u64) -> Box<dyn Coin + Send> {
         Box::new(DeterministicCoin::new(seed))
     }
 
-    /// A tiny synchronous network: delivers all messages (in seeded
-    /// pseudo-random order) until quiescence. Returns decisions.
-    struct Net {
-        insts: Vec<BinaryConsensus>,
-        queue: Vec<(ProcessId, ProcessId, BcMessage)>,
-        decisions: Vec<Option<bool>>,
-        rng_state: u64,
-        /// Processes whose outgoing messages are dropped (crashed).
-        crashed: Vec<ProcessId>,
+    type BcNet = Net<BinaryConsensus>;
+
+    fn bc_net(n: usize, transport: StepTransport, seed: u64) -> BcNet {
+        let g = Group::new(n).unwrap();
+        let insts = (0..n)
+            .map(|me| BinaryConsensus::with_transport(g, me, coin(seed ^ me as u64), transport))
+            .collect();
+        Net::connect(insts, seed)
     }
 
-    impl Net {
-        fn new(n: usize, transport: StepTransport, seed: u64) -> Self {
-            let g = Group::new(n).unwrap();
-            Net {
-                insts: (0..n)
-                    .map(|me| {
-                        BinaryConsensus::with_transport(g, me, coin(seed ^ me as u64), transport)
-                    })
-                    .collect(),
-                queue: Vec::new(),
-                decisions: vec![None; n],
-                rng_state: seed.wrapping_mul(0x9E3779B97F4A7C15) | 1,
-                crashed: Vec::new(),
-            }
-        }
+    fn propose(net: &mut BcNet, p: ProcessId, v: bool) {
+        let step = net.process_mut(p).propose(v).unwrap();
+        net.absorb(p, step);
+    }
 
-        fn next_rand(&mut self) -> u64 {
-            let mut x = self.rng_state;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.rng_state = x;
-            x.wrapping_mul(0x2545F4914F6CDD1D)
-        }
-
-        fn absorb(&mut self, from: ProcessId, step: BcStep) {
-            if self.crashed.contains(&from) {
-                return;
-            }
-            let n = self.insts.len();
-            for out in step.messages {
-                match out.target {
-                    Target::All => {
-                        for to in 0..n {
-                            self.queue.push((from, to, out.message.clone()));
-                        }
-                    }
-                    Target::One(to) => self.queue.push((from, to, out.message.clone())),
-                }
-            }
-            for d in step.outputs {
-                assert!(self.decisions[from].is_none(), "double decision at {from}");
-                self.decisions[from] = Some(d);
-            }
-        }
-
-        fn propose(&mut self, p: ProcessId, v: bool) {
-            let step = self.insts[p].propose(v).unwrap();
-            self.absorb(p, step);
-        }
-
-        fn run(&mut self) {
-            let mut iterations = 0usize;
-            while !self.queue.is_empty() {
-                iterations += 1;
-                assert!(iterations < 2_000_000, "runaway execution");
-                let idx = (self.next_rand() as usize) % self.queue.len();
-                let (from, to, msg) = self.queue.swap_remove(idx);
-                if self.crashed.contains(&to) {
-                    continue;
-                }
-                let step = self.insts[to].handle_message(from, msg);
-                self.absorb(to, step);
-            }
-        }
+    fn decision(net: &BcNet, p: ProcessId) -> Option<bool> {
+        net.output(p).copied()
     }
 
     #[test]
@@ -815,44 +756,45 @@ mod tests {
 
     #[test]
     fn unanimous_one_decides_one_in_one_round() {
-        let mut net = Net::new(4, StepTransport::ReliableBroadcast, 7);
+        let mut net = bc_net(4, StepTransport::ReliableBroadcast, 7);
         for p in 0..4 {
-            net.propose(p, true);
+            propose(&mut net, p, true);
         }
         net.run();
         for p in 0..4 {
-            assert_eq!(net.decisions[p], Some(true), "process {p}");
-            assert_eq!(net.insts[p].decided_round(), Some(1));
+            assert_eq!(decision(&net, p), Some(true), "process {p}");
+            assert_eq!(net.process(p).decided_round(), Some(1));
         }
     }
 
     #[test]
     fn unanimous_zero_decides_zero() {
-        let mut net = Net::new(4, StepTransport::ReliableBroadcast, 8);
+        let mut net = bc_net(4, StepTransport::ReliableBroadcast, 8);
         for p in 0..4 {
-            net.propose(p, false);
+            propose(&mut net, p, false);
         }
         net.run();
         for p in 0..4 {
-            assert_eq!(net.decisions[p], Some(false));
+            assert_eq!(decision(&net, p), Some(false));
         }
     }
 
     #[test]
     fn mixed_proposals_agree() {
-        for seed in 0..10 {
-            let mut net = Net::new(4, StepTransport::ReliableBroadcast, 100 + seed);
-            net.propose(0, true);
-            net.propose(1, false);
-            net.propose(2, true);
-            net.propose(3, false);
+        for (seed, schedule) in Schedule::sweep(0..10) {
+            let mut net = bc_net(4, StepTransport::ReliableBroadcast, 100 + seed);
+            net.set_schedule(schedule);
+            propose(&mut net, 0, true);
+            propose(&mut net, 1, false);
+            propose(&mut net, 2, true);
+            propose(&mut net, 3, false);
             net.run();
-            let d0 = net.decisions[0].expect("p0 decided");
+            let d0 = decision(&net, 0).expect("p0 decided");
             for p in 1..4 {
                 assert_eq!(
-                    net.decisions[p],
+                    decision(&net, p),
                     Some(d0),
-                    "agreement violated, seed {seed}"
+                    "agreement violated, seed {seed} {schedule}"
                 );
             }
         }
@@ -862,29 +804,30 @@ mod tests {
     fn majority_proposal_wins_with_unanimity() {
         // 3 of 4 propose 1: decision must be 1 when the fourth is silent
         // (validity w.r.t. correct processes).
-        let mut net = Net::new(4, StepTransport::ReliableBroadcast, 21);
-        net.crashed.push(3);
-        net.propose(0, true);
-        net.propose(1, true);
-        net.propose(2, true);
+        let mut net = bc_net(4, StepTransport::ReliableBroadcast, 21);
+        net.crash(3);
+        propose(&mut net, 0, true);
+        propose(&mut net, 1, true);
+        propose(&mut net, 2, true);
         net.run();
         for p in 0..3 {
-            assert_eq!(net.decisions[p], Some(true), "process {p}");
+            assert_eq!(decision(&net, p), Some(true), "process {p}");
         }
     }
 
     #[test]
     fn crash_fault_still_terminates() {
-        for seed in 0..5 {
-            let mut net = Net::new(4, StepTransport::ReliableBroadcast, 200 + seed);
-            net.crashed.push(2);
-            net.propose(0, true);
-            net.propose(1, false);
-            net.propose(3, true);
+        for (seed, schedule) in Schedule::sweep(0..5) {
+            let mut net = bc_net(4, StepTransport::ReliableBroadcast, 200 + seed);
+            net.set_schedule(schedule);
+            net.crash(2);
+            propose(&mut net, 0, true);
+            propose(&mut net, 1, false);
+            propose(&mut net, 3, true);
             net.run();
-            let d = net.decisions[0].expect("decided despite crash");
-            assert_eq!(net.decisions[1], Some(d));
-            assert_eq!(net.decisions[3], Some(d));
+            let d = decision(&net, 0).expect("decided despite crash");
+            assert_eq!(decision(&net, 1), Some(d));
+            assert_eq!(decision(&net, 3), Some(d));
         }
     }
 
@@ -892,41 +835,46 @@ mod tests {
     fn byzantine_always_zero_cannot_block_unanimous_one() {
         // The paper's Byzantine faultload: one process always proposes 0
         // (a legal value) while the correct ones propose 1. Decision: 1.
-        for seed in 0..5 {
-            let mut net = Net::new(4, StepTransport::ReliableBroadcast, 300 + seed);
-            net.propose(0, true);
-            net.propose(1, true);
-            net.propose(2, true);
-            net.propose(3, false); // the attacker
+        for (seed, schedule) in Schedule::sweep(0..5) {
+            let mut net = bc_net(4, StepTransport::ReliableBroadcast, 300 + seed);
+            net.set_schedule(schedule);
+            propose(&mut net, 0, true);
+            propose(&mut net, 1, true);
+            propose(&mut net, 2, true);
+            propose(&mut net, 3, false); // the attacker
             net.run();
             for p in 0..3 {
-                assert_eq!(net.decisions[p], Some(true), "seed {seed} process {p}");
+                assert_eq!(
+                    decision(&net, p),
+                    Some(true),
+                    "seed {seed} {schedule} process {p}"
+                );
             }
         }
     }
 
     #[test]
     fn plain_fanout_terminates_under_crash() {
-        let mut net = Net::new(4, StepTransport::PlainFanout, 17);
-        net.crashed.push(1);
-        net.propose(0, true);
-        net.propose(2, true);
-        net.propose(3, true);
+        let mut net = bc_net(4, StepTransport::PlainFanout, 17);
+        net.crash(1);
+        propose(&mut net, 0, true);
+        propose(&mut net, 2, true);
+        propose(&mut net, 3, true);
         net.run();
-        assert_eq!(net.decisions[0], Some(true));
-        assert_eq!(net.decisions[2], Some(true));
-        assert_eq!(net.decisions[3], Some(true));
+        assert_eq!(decision(&net, 0), Some(true));
+        assert_eq!(decision(&net, 2), Some(true));
+        assert_eq!(decision(&net, 3), Some(true));
     }
 
     #[test]
     fn larger_group_unanimous() {
-        let mut net = Net::new(7, StepTransport::ReliableBroadcast, 5);
+        let mut net = bc_net(7, StepTransport::ReliableBroadcast, 5);
         for p in 0..7 {
-            net.propose(p, true);
+            propose(&mut net, p, true);
         }
         net.run();
         for p in 0..7 {
-            assert_eq!(net.decisions[p], Some(true));
+            assert_eq!(decision(&net, p), Some(true));
         }
     }
 
@@ -943,35 +891,37 @@ mod tests {
         // Worst-case coins (all heads vs all tails across processes) must
         // never break agreement, only possibly delay termination.
         let g = Group::new(4).unwrap();
-        let mut net = Net::new(4, StepTransport::ReliableBroadcast, 1);
-        net.insts = (0..4)
-            .map(|me| {
-                BinaryConsensus::new(
-                    g,
-                    me,
-                    Box::new(FixedCoin(me % 2 == 0)) as Box<dyn Coin + Send>,
-                )
-            })
-            .collect();
-        net.propose(0, true);
-        net.propose(1, false);
-        net.propose(2, false);
-        net.propose(3, true);
-        net.run();
-        let d = net.decisions[0].expect("decided");
-        for p in 1..4 {
-            assert_eq!(net.decisions[p], Some(d));
+        for schedule in Schedule::ALL {
+            let insts = (0..4)
+                .map(|me| {
+                    BinaryConsensus::new(
+                        g,
+                        me,
+                        Box::new(FixedCoin(me % 2 == 0)) as Box<dyn Coin + Send>,
+                    )
+                })
+                .collect();
+            let mut net = Net::connect(insts, 1);
+            net.set_schedule(schedule);
+            propose(&mut net, 0, true);
+            propose(&mut net, 1, false);
+            propose(&mut net, 2, false);
+            propose(&mut net, 3, true);
+            net.run();
+            let d = decision(&net, 0).expect("decided");
+            for p in 1..4 {
+                assert_eq!(decision(&net, p), Some(d), "{schedule}");
+            }
         }
     }
 
     #[test]
     fn shared_coin_instances_agree() {
         use ritas_crypto::SharedCoinDealer;
-        for seed in 0..5 {
+        for (seed, schedule) in Schedule::sweep(0..5) {
             let g = Group::new(4).unwrap();
             let dealer = SharedCoinDealer::new(99);
-            let mut net = Net::new(4, StepTransport::ReliableBroadcast, 400 + seed);
-            net.insts = (0..4)
+            let insts = (0..4)
                 .map(|me| {
                     BinaryConsensus::with_round_coin(
                         g,
@@ -981,14 +931,16 @@ mod tests {
                     )
                 })
                 .collect();
-            net.propose(0, true);
-            net.propose(1, false);
-            net.propose(2, false);
-            net.propose(3, true);
+            let mut net = Net::connect(insts, 400 + seed);
+            net.set_schedule(schedule);
+            propose(&mut net, 0, true);
+            propose(&mut net, 1, false);
+            propose(&mut net, 2, false);
+            propose(&mut net, 3, true);
             net.run();
-            let d = net.decisions[0].expect("decided");
+            let d = decision(&net, 0).expect("decided");
             for p in 1..4 {
-                assert_eq!(net.decisions[p], Some(d), "seed {seed}");
+                assert_eq!(decision(&net, p), Some(d), "seed {seed} {schedule}");
             }
         }
     }
@@ -1002,8 +954,7 @@ mod tests {
         use ritas_crypto::SharedCoinDealer;
         let g = Group::new(4).unwrap();
         let dealer = SharedCoinDealer::new(5);
-        let mut net = Net::new(4, StepTransport::ReliableBroadcast, 31);
-        net.insts = (0..4)
+        let insts = (0..4)
             .map(|me| {
                 BinaryConsensus::with_round_coin(
                     g,
@@ -1013,18 +964,19 @@ mod tests {
                 )
             })
             .collect();
-        net.propose(0, true);
-        net.propose(1, false);
-        net.propose(2, true);
-        net.propose(3, false);
+        let mut net = Net::connect(insts, 31);
+        propose(&mut net, 0, true);
+        propose(&mut net, 1, false);
+        propose(&mut net, 2, true);
+        propose(&mut net, 3, false);
         net.run();
-        let d = net.decisions[0].expect("decided");
+        let d = decision(&net, 0).expect("decided");
         let max_round = (0..4)
-            .filter_map(|p| net.insts[p].decided_round())
+            .filter_map(|p| net.process(p).decided_round())
             .max()
             .unwrap();
         for p in 1..4 {
-            assert_eq!(net.decisions[p], Some(d));
+            assert_eq!(decision(&net, p), Some(d));
         }
         assert!(max_round <= 3, "shared coin needed {max_round} rounds");
     }
@@ -1034,34 +986,22 @@ mod tests {
         // Deliver nothing to process 3 until processes 0-2 have decided
         // and halted; then release its backlog. The one-extra-round
         // participation of decided instances must let the laggard finish.
-        let mut net = Net::new(4, StepTransport::ReliableBroadcast, 77);
-        let mut held: Vec<(ProcessId, BcMessage)> = Vec::new();
+        let mut net = bc_net(4, StepTransport::ReliableBroadcast, 77);
         for p in 0..4 {
-            net.propose(p, true);
+            propose(&mut net, p, true);
         }
-        // Run while diverting everything addressed to process 3.
-        while !net.queue.is_empty() {
-            let idx = (net.next_rand() as usize) % net.queue.len();
-            let (from, to, msg) = net.queue.swap_remove(idx);
-            if to == 3 {
-                held.push((from, msg));
-                continue;
-            }
-            let step = net.insts[to].handle_message(from, msg);
-            net.absorb(to, step);
-        }
+        // Run while withholding everything addressed to process 3.
+        net.hold(3);
+        net.run();
         for p in 0..3 {
-            assert_eq!(net.decisions[p], Some(true), "fast process {p}");
+            assert_eq!(decision(&net, p), Some(true), "fast process {p}");
         }
-        assert!(net.decisions[3].is_none());
+        assert!(decision(&net, 3).is_none());
         // Release the backlog; the laggard's own new messages flow
         // normally (the fast processes still respond to sub-broadcasts).
-        for (from, msg) in held {
-            let step = net.insts[3].handle_message(from, msg);
-            net.absorb(3, step);
-        }
+        net.release(3);
         net.run();
-        assert_eq!(net.decisions[3], Some(true), "laggard never decided");
+        assert_eq!(decision(&net, 3), Some(true), "laggard never decided");
     }
 
     #[test]

@@ -394,10 +394,9 @@ impl EchoBroadcast {
 }
 
 #[cfg(test)]
-#[allow(clippy::needless_range_loop)] // indexing by process id is idiomatic here
 mod tests {
     use super::*;
-    use crate::step::Target;
+    use crate::testing::broadcast_runs;
     use ritas_crypto::KeyTable;
 
     fn setup(n: usize, sender: ProcessId) -> Vec<EchoBroadcast> {
@@ -412,43 +411,20 @@ mod tests {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
-    /// Runs messages to quiescence; returns per-process deliveries.
-    fn run(
-        insts: &mut [EchoBroadcast],
-        from: ProcessId,
-        initial: EbStep,
-        skip: &[ProcessId],
-    ) -> Vec<Option<Bytes>> {
-        let n = insts.len();
-        let mut delivered = vec![None; n];
-        let mut queue: Vec<(ProcessId, ProcessId, EbMessage)> = Vec::new();
-        let enqueue = |queue: &mut Vec<_>,
-                       from: ProcessId,
-                       step: EbStep,
-                       delivered: &mut Vec<Option<Bytes>>| {
-            for out in step.messages {
-                match out.target {
-                    Target::All => {
-                        for to in 0..n {
-                            queue.push((from, to, out.message.clone()));
-                        }
-                    }
-                    Target::One(to) => queue.push((from, to, out.message.clone())),
-                }
-            }
-            for o in step.outputs {
-                delivered[from] = Some(o);
-            }
-        };
-        enqueue(&mut queue, from, initial, &mut delivered);
-        while let Some((src, dst, msg)) = queue.pop() {
-            if skip.contains(&dst) {
-                continue;
-            }
-            let step = insts[dst].handle_message(src, msg);
-            enqueue(&mut queue, dst, step, &mut delivered);
-        }
-        delivered
+    /// `sender` broadcasts `m` in a group of `n` (minus the `crashed`),
+    /// under every schedule; returns each run's per-process delivery.
+    fn broadcast_and_run(
+        n: usize,
+        sender: ProcessId,
+        crashed: &[ProcessId],
+        m: &str,
+    ) -> Vec<Vec<Option<Bytes>>> {
+        broadcast_runs(
+            || setup(n, sender),
+            crashed,
+            sender,
+            |eb| eb.broadcast(payload(m)).unwrap(),
+        )
     }
 
     #[test]
@@ -485,32 +461,25 @@ mod tests {
 
     #[test]
     fn all_processes_deliver_with_correct_sender() {
-        let mut insts = setup(4, 0);
-        let init = insts[0].broadcast(payload("m")).unwrap();
-        let delivered = run(&mut insts, 0, init, &[]);
-        for (i, d) in delivered.iter().enumerate() {
-            assert_eq!(d.as_ref(), Some(&payload("m")), "process {i}");
+        for delivered in broadcast_and_run(4, 0, &[], "m") {
+            assert_eq!(delivered, vec![Some(payload("m")); 4]);
         }
     }
 
     #[test]
     fn sender_delivers_its_own_message() {
-        let mut insts = setup(4, 2);
-        let init = insts[2].broadcast(payload("own")).unwrap();
-        let delivered = run(&mut insts, 2, init, &[]);
-        assert_eq!(delivered[2].as_ref(), Some(&payload("own")));
+        for delivered in broadcast_and_run(4, 2, &[], "own") {
+            assert_eq!(delivered[2], Some(payload("own")));
+        }
     }
 
     #[test]
     fn delivery_with_one_unresponsive_receiver() {
         // Process 3 never answers: the sender still gathers n-f = 3 rows.
-        let mut insts = setup(4, 0);
-        let init = insts[0].broadcast(payload("m")).unwrap();
-        let delivered = run(&mut insts, 0, init, &[3]);
-        for i in 0..3 {
-            assert_eq!(delivered[i].as_ref(), Some(&payload("m")), "process {i}");
+        for delivered in broadcast_and_run(4, 0, &[3], "m") {
+            assert_eq!(delivered[..3], vec![Some(payload("m")); 3]);
+            assert_eq!(delivered[3], None);
         }
-        assert!(delivered[3].is_none());
     }
 
     #[test]
@@ -763,11 +732,8 @@ mod tests {
 
     #[test]
     fn larger_group_delivers() {
-        let mut insts = setup(7, 4);
-        let init = insts[4].broadcast(payload("seven")).unwrap();
-        let delivered = run(&mut insts, 4, init, &[]);
-        for (i, d) in delivered.iter().enumerate() {
-            assert_eq!(d.as_ref(), Some(&payload("seven")), "process {i}");
+        for delivered in broadcast_and_run(7, 4, &[], "seven") {
+            assert_eq!(delivered, vec![Some(payload("seven")); 7]);
         }
     }
 }

@@ -834,98 +834,47 @@ fn wrap_bin(sub: Step<BcMessage, bool>) -> MvcStep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::step::Target;
+    use crate::testing::{Net, Schedule};
     use ritas_crypto::{DeterministicCoin, KeyTable};
 
     fn coin(seed: u64) -> Box<dyn Coin + Send> {
         Box::new(DeterministicCoin::new(seed))
     }
 
-    struct Net {
-        insts: Vec<MultiValuedConsensus>,
-        queue: Vec<(ProcessId, ProcessId, MvcMessage)>,
-        decisions: Vec<Option<MvcValue>>,
-        rng_state: u64,
-        crashed: Vec<ProcessId>,
+    type MvcNet = Net<MultiValuedConsensus>;
+
+    fn mvc_net(n: usize, seed: u64, config: MvcConfig) -> MvcNet {
+        let g = Group::new(n).unwrap();
+        let table = KeyTable::dealer(n, seed);
+        let insts = (0..n)
+            .map(|me| {
+                MultiValuedConsensus::with_config(
+                    g,
+                    me,
+                    table.view_of(me),
+                    coin(seed ^ (me as u64) << 8),
+                    config,
+                )
+            })
+            .collect();
+        Net::connect(insts, seed)
     }
 
-    impl Net {
-        fn new(n: usize, seed: u64, config: MvcConfig) -> Self {
-            let g = Group::new(n).unwrap();
-            let table = KeyTable::dealer(n, seed);
-            Net {
-                insts: (0..n)
-                    .map(|me| {
-                        MultiValuedConsensus::with_config(
-                            g,
-                            me,
-                            table.view_of(me),
-                            coin(seed ^ (me as u64) << 8),
-                            config,
-                        )
-                    })
-                    .collect(),
-                queue: Vec::new(),
-                decisions: vec![None; n],
-                rng_state: seed.wrapping_mul(0x9E3779B97F4A7C15) | 1,
-                crashed: Vec::new(),
-            }
-        }
+    fn propose(net: &mut MvcNet, p: ProcessId, v: &[u8]) {
+        let step = net
+            .process_mut(p)
+            .propose(Bytes::copy_from_slice(v))
+            .unwrap();
+        net.absorb(p, step);
+    }
 
-        fn next_rand(&mut self) -> u64 {
-            let mut x = self.rng_state;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.rng_state = x;
-            x.wrapping_mul(0x2545F4914F6CDD1D)
-        }
+    fn propose_byzantine(net: &mut MvcNet, p: ProcessId) {
+        let step = net.process_mut(p).propose_byzantine_bottom().unwrap();
+        net.absorb(p, step);
+    }
 
-        fn absorb(&mut self, from: ProcessId, step: MvcStep) {
-            if self.crashed.contains(&from) {
-                return;
-            }
-            let n = self.insts.len();
-            for out in step.messages {
-                match out.target {
-                    Target::All => {
-                        for to in 0..n {
-                            self.queue.push((from, to, out.message.clone()));
-                        }
-                    }
-                    Target::One(to) => self.queue.push((from, to, out.message.clone())),
-                }
-            }
-            for d in step.outputs {
-                assert!(self.decisions[from].is_none(), "double decision at {from}");
-                self.decisions[from] = Some(d);
-            }
-        }
-
-        fn propose(&mut self, p: ProcessId, v: &[u8]) {
-            let step = self.insts[p].propose(Bytes::copy_from_slice(v)).unwrap();
-            self.absorb(p, step);
-        }
-
-        fn propose_byzantine(&mut self, p: ProcessId) {
-            let step = self.insts[p].propose_byzantine_bottom().unwrap();
-            self.absorb(p, step);
-        }
-
-        fn run(&mut self) {
-            let mut iterations = 0usize;
-            while !self.queue.is_empty() {
-                iterations += 1;
-                assert!(iterations < 5_000_000, "runaway execution");
-                let idx = (self.next_rand() as usize) % self.queue.len();
-                let (from, to, msg) = self.queue.swap_remove(idx);
-                if self.crashed.contains(&to) {
-                    continue;
-                }
-                let step = self.insts[to].handle_message(from, msg);
-                self.absorb(to, step);
-            }
-        }
+    fn decision(net: &MvcNet, p: ProcessId) -> Option<MvcValue> {
+        net.output(p).cloned()
     }
 
     #[test]
@@ -972,25 +921,25 @@ mod tests {
     #[test]
     fn identical_proposals_decide_that_value() {
         for seed in [1, 2, 3] {
-            let mut net = Net::new(4, seed, MvcConfig::default());
+            let mut net = mvc_net(4, seed, MvcConfig::default());
             for p in 0..4 {
-                net.propose(p, b"agreed");
+                propose(&mut net, p, b"agreed");
             }
             net.run();
             for p in 0..4 {
                 assert_eq!(
-                    net.decisions[p],
+                    decision(&net, p),
                     Some(Some(Bytes::from_static(b"agreed"))),
                     "seed {seed} process {p}"
                 );
-                assert_eq!(net.insts[p].bc_rounds(), Some(1), "one-round BC expected");
+                assert_eq!(net.process(p).bc_rounds(), Some(1), "one-round BC expected");
             }
         }
     }
 
     #[test]
     fn identical_proposals_with_reliable_vect_transport() {
-        let mut net = Net::new(
+        let mut net = mvc_net(
             4,
             9,
             MvcConfig {
@@ -999,11 +948,11 @@ mod tests {
             },
         );
         for p in 0..4 {
-            net.propose(p, b"agreed");
+            propose(&mut net, p, b"agreed");
         }
         net.run();
         for p in 0..4 {
-            assert_eq!(net.decisions[p], Some(Some(Bytes::from_static(b"agreed"))));
+            assert_eq!(decision(&net, p), Some(Some(Bytes::from_static(b"agreed"))));
         }
     }
 
@@ -1012,29 +961,34 @@ mod tests {
         // With four different proposals no value reaches n-2f = 2 INIT
         // occurrences, so every correct process echoes ⊥, proposes 0, and
         // the decision is ⊥.
-        let mut net = Net::new(4, 5, MvcConfig::default());
-        net.propose(0, b"a");
-        net.propose(1, b"b");
-        net.propose(2, b"c");
-        net.propose(3, b"d");
+        let mut net = mvc_net(4, 5, MvcConfig::default());
+        propose(&mut net, 0, b"a");
+        propose(&mut net, 1, b"b");
+        propose(&mut net, 2, b"c");
+        propose(&mut net, 3, b"d");
         net.run();
         for p in 0..4 {
-            assert_eq!(net.decisions[p], Some(None), "process {p}");
+            assert_eq!(decision(&net, p), Some(None), "process {p}");
         }
     }
 
     #[test]
     fn agreement_under_mixed_proposals() {
-        for seed in 0..5 {
-            let mut net = Net::new(4, 40 + seed, MvcConfig::default());
-            net.propose(0, b"x");
-            net.propose(1, b"x");
-            net.propose(2, b"y");
-            net.propose(3, b"x");
+        for (seed, schedule) in Schedule::sweep(0..5) {
+            let mut net = mvc_net(4, 40 + seed, MvcConfig::default());
+            net.set_schedule(schedule);
+            propose(&mut net, 0, b"x");
+            propose(&mut net, 1, b"x");
+            propose(&mut net, 2, b"y");
+            propose(&mut net, 3, b"x");
             net.run();
-            let d0 = net.decisions[0].clone().expect("decided");
+            let d0 = decision(&net, 0).expect("decided");
             for p in 1..4 {
-                assert_eq!(net.decisions[p], Some(d0.clone()), "seed {seed}");
+                assert_eq!(
+                    decision(&net, p),
+                    Some(d0.clone()),
+                    "seed {seed} {schedule}"
+                );
             }
             // Validity: the decision is a proposed value or ⊥, never "y"
             // alone... it must be x or ⊥ (y cannot gather n-2f support
@@ -1047,14 +1001,14 @@ mod tests {
 
     #[test]
     fn crash_fault_terminates() {
-        let mut net = Net::new(4, 77, MvcConfig::default());
-        net.crashed.push(3);
-        net.propose(0, b"v");
-        net.propose(1, b"v");
-        net.propose(2, b"v");
+        let mut net = mvc_net(4, 77, MvcConfig::default());
+        net.crash(3);
+        propose(&mut net, 0, b"v");
+        propose(&mut net, 1, b"v");
+        propose(&mut net, 2, b"v");
         net.run();
         for p in 0..3 {
-            assert_eq!(net.decisions[p], Some(Some(Bytes::from_static(b"v"))));
+            assert_eq!(decision(&net, p), Some(Some(Bytes::from_static(b"v"))));
         }
     }
 
@@ -1063,18 +1017,19 @@ mod tests {
         // The paper's §4.2 Byzantine faultload: the attacker proposes ⊥ in
         // INIT and VECT and 0 at the BC layer; correct processes all
         // propose the same value and still decide it.
-        for seed in 0..5 {
-            let mut net = Net::new(4, 500 + seed, MvcConfig::default());
-            net.propose(0, b"good");
-            net.propose(1, b"good");
-            net.propose(2, b"good");
-            net.propose_byzantine(3);
+        for (seed, schedule) in Schedule::sweep(0..5) {
+            let mut net = mvc_net(4, 500 + seed, MvcConfig::default());
+            net.set_schedule(schedule);
+            propose(&mut net, 0, b"good");
+            propose(&mut net, 1, b"good");
+            propose(&mut net, 2, b"good");
+            propose_byzantine(&mut net, 3);
             net.run();
             for p in 0..3 {
                 assert_eq!(
-                    net.decisions[p],
+                    decision(&net, p),
                     Some(Some(Bytes::from_static(b"good"))),
-                    "seed {seed} process {p}"
+                    "seed {seed} {schedule} process {p}"
                 );
             }
         }
@@ -1094,13 +1049,13 @@ mod tests {
 
     #[test]
     fn larger_group_identical_proposals() {
-        let mut net = Net::new(7, 3, MvcConfig::default());
+        let mut net = mvc_net(7, 3, MvcConfig::default());
         for p in 0..7 {
-            net.propose(p, b"seven");
+            propose(&mut net, p, b"seven");
         }
         net.run();
         for p in 0..7 {
-            assert_eq!(net.decisions[p], Some(Some(Bytes::from_static(b"seven"))));
+            assert_eq!(decision(&net, p), Some(Some(Bytes::from_static(b"seven"))));
         }
     }
 }

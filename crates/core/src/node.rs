@@ -27,7 +27,7 @@ use crate::step::{Fault, Target};
 use crate::vc::DecisionVector;
 use crate::ProcessId;
 use bytes::Bytes;
-use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use parking_lot::Mutex;
 use ritas_crypto::KeyTable;
 use ritas_metrics::{Metrics, MetricsSnapshot};
 use ritas_transport::{
@@ -38,6 +38,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{
+    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
+};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -179,21 +182,21 @@ type StackFn = Box<dyn FnOnce(&mut Stack, &mut StackStep) + Send>;
 enum Command {
     RbBroadcast(Bytes),
     EbBroadcast(Bytes),
-    AbBroadcast(Bytes, Sender<crate::ab::MsgId>),
+    AbBroadcast(Bytes, SyncSender<crate::ab::MsgId>),
     BcPropose {
         tag: u64,
         value: bool,
-        reply: Sender<Result<bool, ProtocolError>>,
+        reply: SyncSender<Result<bool, ProtocolError>>,
     },
     MvcPropose {
         tag: u64,
         value: Bytes,
-        reply: Sender<Result<MvcValue, ProtocolError>>,
+        reply: SyncSender<Result<MvcValue, ProtocolError>>,
     },
     VcPropose {
         tag: u64,
         value: Bytes,
-        reply: Sender<Result<DecisionVector, ProtocolError>>,
+        reply: SyncSender<Result<DecisionVector, ProtocolError>>,
     },
     /// Point-to-point state-transfer frame to one peer (no agreement
     /// instance involved).
@@ -211,9 +214,9 @@ enum Event {
 }
 
 enum PendingReply {
-    Bc(Sender<Result<bool, ProtocolError>>),
-    Mvc(Sender<Result<MvcValue, ProtocolError>>),
-    Vc(Sender<Result<DecisionVector, ProtocolError>>),
+    Bc(SyncSender<Result<bool, ProtocolError>>),
+    Mvc(SyncSender<Result<MvcValue, ProtocolError>>),
+    Vc(SyncSender<Result<DecisionVector, ProtocolError>>),
 }
 
 /// Liveness state shared between the worker loop, the stall watchdog and
@@ -233,7 +236,7 @@ struct HealthShared {
     /// Watchdog no-progress budget in nanoseconds (0 = disarmed).
     budget_ns: AtomicU64,
     /// Worker-refreshed `/state` introspection JSON.
-    state_json: parking_lot::Mutex<String>,
+    state_json: Mutex<String>,
 }
 
 impl HealthShared {
@@ -244,7 +247,7 @@ impl HealthShared {
             pending_since_ns: AtomicU64::new(0),
             stalled: AtomicBool::new(false),
             budget_ns: AtomicU64::new(0),
-            state_json: parking_lot::Mutex::new(String::from("null")),
+            state_json: Mutex::new(String::from("null")),
         }
     }
 }
@@ -258,15 +261,15 @@ pub struct Node {
     id: ProcessId,
     group_size: usize,
     cmd_tx: Sender<Event>,
-    rb_rx: Receiver<(ProcessId, Bytes)>,
-    eb_rx: Receiver<(ProcessId, Bytes)>,
-    ab_rx: Receiver<AbDelivery>,
-    xfer_rx: Receiver<(ProcessId, Bytes)>,
-    fault_rx: Receiver<Fault>,
-    link_rx: Receiver<LinkEvent>,
-    link_state_fn: Arc<dyn Fn(ProcessId) -> LinkState + Send + Sync>,
-    set_key_epoch_fn: Arc<dyn Fn(u64) + Send + Sync>,
-    key_epoch_fn: Arc<dyn Fn() -> u64 + Send + Sync>,
+    // The outboxes sit behind a mutex only so `Node` stays `Sync` (it is
+    // shared through `Arc<Node>`); each has one consumer at a time.
+    rb_rx: Mutex<Receiver<(ProcessId, Bytes)>>,
+    eb_rx: Mutex<Receiver<(ProcessId, Bytes)>>,
+    ab_rx: Mutex<Receiver<AbDelivery>>,
+    xfer_rx: Mutex<Receiver<(ProcessId, Bytes)>>,
+    fault_rx: Mutex<Receiver<Fault>>,
+    link_rx: Mutex<Receiver<LinkEvent>>,
+    transport: Arc<dyn Transport + Sync>,
     metrics: Metrics,
     health: Arc<HealthShared>,
     epoch: Instant,
@@ -309,12 +312,14 @@ impl Node {
     /// As [`Node::cluster`].
     pub fn cluster_with_hub(config: &SessionConfig) -> Result<(Vec<Node>, Hub), NodeError> {
         let n = config.group.n();
+        let table = KeyTable::dealer(n, config.master_seed);
         let mut hub = Hub::new(n);
-        let endpoints = hub.take_endpoints();
-        let mut nodes = Vec::with_capacity(n);
-        for (me, ep) in endpoints.into_iter().enumerate() {
-            nodes.push(Node::over_memory_endpoint(config, me, ep, false)?);
-        }
+        let nodes = hub
+            .take_endpoints()
+            .into_iter()
+            .enumerate()
+            .map(|(me, ep)| Node::assemble(config, &table, me, ep, Metrics::new(), false))
+            .collect::<Result<_, _>>()?;
         Ok((nodes, hub))
     }
 
@@ -335,22 +340,22 @@ impl Node {
     ///
     /// Panics if `me` is out of range for the hub.
     pub fn rejoin(config: &SessionConfig, hub: &Hub, me: ProcessId) -> Result<Node, NodeError> {
-        let ep = hub.reattach(me);
-        Node::over_memory_endpoint(config, me, ep, true)
+        let table = KeyTable::dealer(config.group.n(), config.master_seed);
+        Node::assemble(config, &table, me, hub.reattach(me), Metrics::new(), true)
     }
 
-    /// Shared construction path for memory-hub sessions: builds the stack
-    /// (optionally with the AB session held for rejoin), wraps the
-    /// endpoint in the auth layer when configured, and arms the optional
-    /// endpoints/watchdog.
-    fn over_memory_endpoint(
+    /// The one construction path of a session node: builds the stack
+    /// (with the AB session held when `hold_ab`, for rejoin), wraps
+    /// `transport` in the auth layer when configured, spawns the runtime
+    /// and arms the optional endpoints/watchdog.
+    fn assemble<T: Transport + Sync + 'static>(
         config: &SessionConfig,
+        table: &KeyTable,
         me: ProcessId,
-        ep: ritas_transport::MemoryEndpoint,
+        transport: T,
+        metrics: Metrics,
         hold_ab: bool,
     ) -> Result<Node, NodeError> {
-        let n = config.group.n();
-        let table = KeyTable::dealer(n, config.master_seed);
         let mut stack = Stack::with_config(
             config.group,
             me,
@@ -365,11 +370,10 @@ impl Node {
             stack.set_ab_hold(true);
         }
         let mut node = if config.authenticate {
-            let metrics = Metrics::new();
-            // Epoch 0 is wire-compatible with the legacy format; the
-            // rekey machinery only changes behavior once a rotation
-            // advances the epoch (Node::set_key_epoch).
-            let mut auth = AuthConfig::from_key_table(&table, me).with_epoch_rekey(
+            // Epoch 0 is the dealt table itself; the rekey machinery only
+            // changes behavior once a rotation advances the epoch
+            // (Node::set_key_epoch).
+            let mut auth = AuthConfig::from_key_table(table, me).with_epoch_rekey(
                 config.master_seed,
                 0,
                 config.epoch_grace,
@@ -385,11 +389,11 @@ impl Node {
                     .unwrap_or(u32::MAX as u64);
                 auth = auth.with_initial_seq(now);
             }
-            let mut transport = AuthenticatedTransport::new(ep, auth);
+            let mut transport = AuthenticatedTransport::new(transport, auth);
             transport.set_metrics(metrics.clone());
             Node::spawn_with_metrics(transport, stack, metrics)
         } else {
-            Node::spawn(ep, stack)
+            Node::spawn_with_metrics(transport, stack, metrics)
         };
         if config.metrics_endpoint {
             node.serve_metrics().map_err(|_| NodeError::Disconnected)?;
@@ -444,38 +448,10 @@ impl Node {
         let mut nodes = Vec::with_capacity(n);
         let mut chaos = Vec::with_capacity(n);
         for (me, ep) in endpoints.into_iter().enumerate() {
-            let stack = Stack::with_config(
-                config.group,
-                me,
-                table.view_of(me),
-                config
-                    .master_seed
-                    .wrapping_mul(0xA076_1D64_78BD_642F)
-                    .wrapping_add(me as u64),
-                config.stack,
-            );
             let metrics = Metrics::new();
             ep.set_metrics(metrics.clone());
             chaos.push(ep.chaos_handle());
-            let mut node = if config.authenticate {
-                let auth = AuthConfig::from_key_table(&table, me).with_epoch_rekey(
-                    config.master_seed,
-                    0,
-                    config.epoch_grace,
-                );
-                let mut transport = AuthenticatedTransport::new(ep, auth);
-                transport.set_metrics(metrics.clone());
-                Node::spawn_with_metrics(transport, stack, metrics)
-            } else {
-                Node::spawn_with_metrics(ep, stack, metrics)
-            };
-            if config.metrics_endpoint {
-                node.serve_metrics().map_err(|_| NodeError::Disconnected)?;
-            }
-            if let Some(budget) = config.stall_budget {
-                node.start_watchdog(budget);
-            }
-            nodes.push(node);
+            nodes.push(Node::assemble(&config, &table, me, ep, metrics, false)?);
         }
         Ok((nodes, chaos))
     }
@@ -499,19 +475,19 @@ impl Node {
         stack.set_metrics(metrics.clone());
         let transport = Arc::new(transport);
         let stop = Arc::new(AtomicBool::new(false));
-        let (cmd_tx, cmd_rx) = unbounded::<Event>();
-        let (rb_tx, rb_rx) = unbounded();
-        let (eb_tx, eb_rx) = unbounded();
-        let (ab_tx, ab_rx) = unbounded();
-        let (xfer_tx, xfer_rx) = unbounded();
-        let (fault_tx, fault_rx) = unbounded();
+        let (cmd_tx, cmd_rx) = channel::<Event>();
+        let (rb_tx, rb_rx) = channel();
+        let (eb_tx, eb_rx) = channel();
+        let (ab_tx, ab_rx) = channel();
+        let (xfer_tx, xfer_rx) = channel();
+        let (fault_tx, fault_rx) = channel();
         let epoch = Instant::now();
         let health = Arc::new(HealthShared::new());
 
         // Reader thread: pulls frames off the transport into the shared
         // event channel so the stack thread sees commands and network
         // input interleaved through a single blocking `recv`.
-        let (link_tx, link_rx) = unbounded::<LinkEvent>();
+        let (link_tx, link_rx) = channel::<LinkEvent>();
         let reader = {
             let transport = Arc::clone(&transport);
             let stop = Arc::clone(&stop);
@@ -658,31 +634,17 @@ impl Node {
             })
         };
 
-        let link_state_fn: Arc<dyn Fn(ProcessId) -> LinkState + Send + Sync> = {
-            let transport = Arc::clone(&transport);
-            Arc::new(move |peer| transport.link_state(peer))
-        };
-        let set_key_epoch_fn: Arc<dyn Fn(u64) + Send + Sync> = {
-            let transport = Arc::clone(&transport);
-            Arc::new(move |epoch| transport.set_key_epoch(epoch))
-        };
-        let key_epoch_fn: Arc<dyn Fn() -> u64 + Send + Sync> = {
-            let transport = Arc::clone(&transport);
-            Arc::new(move || transport.key_epoch())
-        };
         Node {
             id,
             group_size,
             cmd_tx,
-            rb_rx,
-            eb_rx,
-            ab_rx,
-            xfer_rx,
-            fault_rx,
-            link_rx,
-            link_state_fn,
-            set_key_epoch_fn,
-            key_epoch_fn,
+            rb_rx: Mutex::new(rb_rx),
+            eb_rx: Mutex::new(eb_rx),
+            ab_rx: Mutex::new(ab_rx),
+            xfer_rx: Mutex::new(xfer_rx),
+            fault_rx: Mutex::new(fault_rx),
+            link_rx: Mutex::new(link_rx),
+            transport,
             metrics,
             health,
             epoch,
@@ -697,13 +659,13 @@ impl Node {
     /// (outages, reconnects, terminal downs). Empty for transports whose
     /// links cannot fail.
     pub fn take_link_events(&self) -> Vec<LinkEvent> {
-        self.link_rx.try_iter().collect()
+        self.link_rx.lock().try_iter().collect()
     }
 
     /// The current state of this node's link to `peer` (always
     /// [`LinkState::Up`] for failure-free transports).
     pub fn link_state(&self, peer: ProcessId) -> LinkState {
-        (self.link_state_fn)(peer)
+        self.transport.link_state(peer)
     }
 
     /// Switches the underlying transport to the pairwise key table of
@@ -712,13 +674,13 @@ impl Node {
     /// stay acceptable for [`SessionConfig::epoch_grace`]. Forward-only;
     /// a no-op on unkeyed transports.
     pub fn set_key_epoch(&self, epoch: u64) {
-        (self.set_key_epoch_fn)(epoch);
+        self.transport.set_key_epoch(epoch);
     }
 
     /// The key epoch outbound frames are currently sealed under (0 on
     /// unkeyed transports and before any rotation).
     pub fn key_epoch(&self) -> u64 {
-        (self.key_epoch_fn)()
+        self.transport.key_epoch()
     }
 
     /// Starts serving this node's observability endpoints over HTTP on an
@@ -872,7 +834,7 @@ impl Node {
         &self,
         f: impl FnOnce(&mut Stack, &mut StackStep) -> R + Send + 'static,
     ) -> Result<R, NodeError> {
-        let (reply, rx) = bounded(1);
+        let (reply, rx) = sync_channel(1);
         let run = move |stack: &mut Stack, out: &mut StackStep| {
             let _ = reply.send(f(stack, out));
         };
@@ -888,7 +850,7 @@ impl Node {
     /// input — but useful for monitoring and intrusion *detection* on top
     /// of intrusion tolerance.
     pub fn take_faults(&self) -> Vec<Fault> {
-        self.fault_rx.try_iter().collect()
+        self.fault_rx.lock().try_iter().collect()
     }
 
     /// This process's identifier.
@@ -913,7 +875,10 @@ impl Node {
     ///
     /// [`NodeError::Disconnected`] if the stack thread has stopped.
     pub fn rb_recv(&self) -> Result<(ProcessId, Bytes), NodeError> {
-        self.rb_rx.recv().map_err(|_| NodeError::Disconnected)
+        self.rb_rx
+            .lock()
+            .recv()
+            .map_err(|_| NodeError::Disconnected)
     }
 
     /// Like [`Node::rb_recv`] with a timeout.
@@ -922,7 +887,7 @@ impl Node {
     ///
     /// [`NodeError::Timeout`] when nothing arrived in time.
     pub fn rb_recv_timeout(&self, t: Duration) -> Result<(ProcessId, Bytes), NodeError> {
-        map_timeout(self.rb_rx.recv_timeout(t))
+        map_timeout(self.rb_rx.lock().recv_timeout(t))
     }
 
     /// Echo-broadcasts `payload` (`ritas_eb_bcast`).
@@ -942,7 +907,10 @@ impl Node {
     ///
     /// [`NodeError::Disconnected`] if the stack thread has stopped.
     pub fn eb_recv(&self) -> Result<(ProcessId, Bytes), NodeError> {
-        self.eb_rx.recv().map_err(|_| NodeError::Disconnected)
+        self.eb_rx
+            .lock()
+            .recv()
+            .map_err(|_| NodeError::Disconnected)
     }
 
     /// Like [`Node::eb_recv`] with a timeout.
@@ -951,7 +919,7 @@ impl Node {
     ///
     /// [`NodeError::Timeout`] when nothing arrived in time.
     pub fn eb_recv_timeout(&self, t: Duration) -> Result<(ProcessId, Bytes), NodeError> {
-        map_timeout(self.eb_rx.recv_timeout(t))
+        map_timeout(self.eb_rx.lock().recv_timeout(t))
     }
 
     /// Atomically broadcasts `payload` (`ritas_ab_bcast`); returns the
@@ -962,7 +930,7 @@ impl Node {
     ///
     /// [`NodeError::Disconnected`] if the stack thread has stopped.
     pub fn atomic_broadcast(&self, payload: Bytes) -> Result<crate::ab::MsgId, NodeError> {
-        let (reply, rx) = bounded(1);
+        let (reply, rx) = sync_channel(1);
         self.cmd_tx
             .send(Event::Cmd(Command::AbBroadcast(payload, reply)))
             .map_err(|_| NodeError::Disconnected)?;
@@ -975,7 +943,10 @@ impl Node {
     ///
     /// [`NodeError::Disconnected`] if the stack thread has stopped.
     pub fn atomic_recv(&self) -> Result<AbDelivery, NodeError> {
-        self.ab_rx.recv().map_err(|_| NodeError::Disconnected)
+        self.ab_rx
+            .lock()
+            .recv()
+            .map_err(|_| NodeError::Disconnected)
     }
 
     /// Like [`Node::atomic_recv`] with a timeout.
@@ -984,7 +955,7 @@ impl Node {
     ///
     /// [`NodeError::Timeout`] when nothing arrived in time.
     pub fn atomic_recv_timeout(&self, t: Duration) -> Result<AbDelivery, NodeError> {
-        map_timeout(self.ab_rx.recv_timeout(t))
+        map_timeout(self.ab_rx.lock().recv_timeout(t))
     }
 
     /// Like [`Node::atomic_recv`] but never blocks: `Ok(None)` when no
@@ -995,10 +966,10 @@ impl Node {
     ///
     /// [`NodeError::Disconnected`] if the stack thread has stopped.
     pub fn atomic_try_recv(&self) -> Result<Option<AbDelivery>, NodeError> {
-        match self.ab_rx.try_recv() {
+        match self.ab_rx.lock().try_recv() {
             Ok(d) => Ok(Some(d)),
-            Err(crossbeam_channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam_channel::TryRecvError::Disconnected) => Err(NodeError::Disconnected),
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(NodeError::Disconnected),
         }
     }
 
@@ -1026,7 +997,7 @@ impl Node {
     ///
     /// [`NodeError::Timeout`] when nothing arrived in time.
     pub fn xfer_recv_timeout(&self, t: Duration) -> Result<(ProcessId, Bytes), NodeError> {
-        map_timeout(self.xfer_rx.recv_timeout(t))
+        map_timeout(self.xfer_rx.lock().recv_timeout(t))
     }
 
     /// Proposes a bit on binary consensus instance `tag` and blocks until
@@ -1038,7 +1009,7 @@ impl Node {
     /// [`NodeError::Protocol`] on duplicate tags,
     /// [`NodeError::Disconnected`] if the stack thread stopped.
     pub fn binary_consensus(&self, tag: u64, value: bool) -> Result<bool, NodeError> {
-        let (reply, rx) = bounded(1);
+        let (reply, rx) = sync_channel(1);
         self.cmd_tx
             .send(Event::Cmd(Command::BcPropose { tag, value, reply }))
             .map_err(|_| NodeError::Disconnected)?;
@@ -1054,7 +1025,7 @@ impl Node {
     ///
     /// As [`Node::binary_consensus`].
     pub fn multi_valued_consensus(&self, tag: u64, value: Bytes) -> Result<MvcValue, NodeError> {
-        let (reply, rx) = bounded(1);
+        let (reply, rx) = sync_channel(1);
         self.cmd_tx
             .send(Event::Cmd(Command::MvcPropose { tag, value, reply }))
             .map_err(|_| NodeError::Disconnected)?;
@@ -1070,7 +1041,7 @@ impl Node {
     ///
     /// As [`Node::binary_consensus`].
     pub fn vector_consensus(&self, tag: u64, value: Bytes) -> Result<DecisionVector, NodeError> {
-        let (reply, rx) = bounded(1);
+        let (reply, rx) = sync_channel(1);
         self.cmd_tx
             .send(Event::Cmd(Command::VcPropose { tag, value, reply }))
             .map_err(|_| NodeError::Disconnected)?;
@@ -1663,6 +1634,44 @@ mod tests {
         for n in &nodes {
             n.shutdown();
         }
+    }
+
+    /// What shutdown relies on from the channels underneath: a command
+    /// still queued behind `Shutdown` when the protocol thread exits is
+    /// destroyed with the queue, so the caller blocked on its reply wakes
+    /// with `Disconnected` instead of waiting forever.
+    #[test]
+    fn command_queued_behind_shutdown_does_not_hold_its_reply() {
+        let nodes = Node::cluster(SessionConfig::new(4).unwrap()).unwrap();
+        let node = &nodes[0];
+        let (entered_tx, entered_rx) = channel();
+        let (gate_tx, gate_rx) = channel::<()>();
+        std::thread::scope(|scope| {
+            // Park the protocol thread inside a port call.
+            scope.spawn(move || {
+                let _ = node.with_stack(move |_, _| {
+                    entered_tx.send(()).unwrap();
+                    let _ = gate_rx.recv();
+                });
+            });
+            entered_rx.recv().unwrap();
+            // Queue Shutdown, then an a-broadcast behind it — exactly
+            // what `atomic_broadcast` sends, and the receive it blocks on.
+            node.shutdown();
+            let (reply, rx) = sync_channel(1);
+            let queued = Command::AbBroadcast(Bytes::from_static(b"late"), reply);
+            node.cmd_tx.send(Event::Cmd(queued)).unwrap();
+            gate_tx.send(()).unwrap();
+            assert_eq!(
+                rx.recv_timeout(Duration::from_secs(30)),
+                Err(RecvTimeoutError::Disconnected)
+            );
+        });
+        // And once the thread is gone the call fails at the send.
+        assert_eq!(
+            node.atomic_broadcast(Bytes::from_static(b"later")),
+            Err(NodeError::Disconnected)
+        );
     }
 
     fn http_get(addr: SocketAddr, path: &str) -> String {

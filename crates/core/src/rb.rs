@@ -377,7 +377,7 @@ impl ReliableBroadcast {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::step::Target;
+    use crate::testing::broadcast_runs;
 
     fn group4() -> Group {
         Group::new(4).unwrap()
@@ -387,43 +387,23 @@ mod tests {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
-    /// Delivers every `Outgoing` of `step` from process `from` to all
-    /// instances, returning delivered payloads per process.
-    fn run_to_quiescence(
-        instances: &mut [ReliableBroadcast],
-        initial: RbStep,
-    ) -> Vec<Option<Bytes>> {
-        let n = instances.len();
-        let mut delivered: Vec<Option<Bytes>> = vec![None; n];
-        // Queue of (from, to, message).
-        let mut queue: Vec<(ProcessId, ProcessId, RbMessage)> = Vec::new();
-        let push = |queue: &mut Vec<_>,
-                    from: ProcessId,
-                    step: RbStep,
-                    delivered: &mut Vec<Option<Bytes>>| {
-            for out in step.messages {
-                match out.target {
-                    Target::All => {
-                        for to in 0..n {
-                            queue.push((from, to, out.message.clone()));
-                        }
-                    }
-                    Target::One(to) => queue.push((from, to, out.message.clone())),
-                }
-            }
-            for o in step.outputs {
-                assert!(delivered[from].is_none(), "double delivery at {from}");
-                delivered[from] = Some(o);
-            }
+    /// `sender` broadcasts `m` in a group of `n` (minus the `crashed`),
+    /// under every schedule; returns each run's per-process delivery.
+    fn broadcast_and_run(
+        n: usize,
+        sender: ProcessId,
+        crashed: &[ProcessId],
+        m: &str,
+    ) -> Vec<Vec<Option<Bytes>>> {
+        let g = Group::new(n).unwrap();
+        let group = || {
+            (0..n)
+                .map(|me| ReliableBroadcast::new(g, me, sender))
+                .collect()
         };
-        push(&mut queue, instances[0].me, initial, &mut delivered);
-        // Fix: the initial step came from the instance that generated it.
-        while let Some((from, to, msg)) = queue.pop() {
-            let step = instances[to].handle_message(from, msg);
-            let me = instances[to].me;
-            push(&mut queue, me, step, &mut delivered);
-        }
-        delivered
+        broadcast_runs(group, crashed, sender, |rb| {
+            rb.broadcast(payload(m)).unwrap()
+        })
     }
 
     #[test]
@@ -449,12 +429,8 @@ mod tests {
 
     #[test]
     fn all_correct_deliver_senders_payload() {
-        let g = group4();
-        let mut insts: Vec<_> = (0..4).map(|me| ReliableBroadcast::new(g, me, 0)).collect();
-        let init = insts[0].broadcast(payload("m")).unwrap();
-        let delivered = run_to_quiescence(&mut insts, init);
-        for d in &delivered {
-            assert_eq!(d.as_ref(), Some(&payload("m")));
+        for delivered in broadcast_and_run(4, 0, &[], "m") {
+            assert_eq!(delivered, vec![Some(payload("m")); 4]);
         }
     }
 
@@ -462,12 +438,9 @@ mod tests {
     fn delivery_with_one_silent_process() {
         // Process 3 never participates (crash): the other three still
         // deliver (n=4, f=1: echo threshold 3, ready threshold 3).
-        let g = group4();
-        let mut insts: Vec<_> = (0..3).map(|me| ReliableBroadcast::new(g, me, 0)).collect();
-        let init = insts[0].broadcast(payload("m")).unwrap();
-        let delivered = run_to_quiescence(&mut insts, init);
-        for d in &delivered {
-            assert_eq!(d.as_ref(), Some(&payload("m")));
+        for delivered in broadcast_and_run(4, 0, &[3], "m") {
+            assert_eq!(delivered[..3], vec![Some(payload("m")); 3]);
+            assert_eq!(delivered[3], None);
         }
     }
 
@@ -631,37 +604,8 @@ mod tests {
 
     #[test]
     fn larger_group_delivers() {
-        let g = Group::new(7).unwrap();
-        let mut insts: Vec<_> = (0..7).map(|me| ReliableBroadcast::new(g, me, 3)).collect();
-        let init = insts[3].broadcast(payload("wide")).unwrap();
-        // Patch: initial step originates from process 3.
-        let mut delivered: Vec<Option<Bytes>> = vec![None; 7];
-        let mut queue: Vec<(ProcessId, ProcessId, RbMessage)> = Vec::new();
-        for out in init.messages {
-            if let Target::All = out.target {
-                for to in 0..7 {
-                    queue.push((3, to, out.message.clone()));
-                }
-            }
-        }
-        while let Some((from, to, msg)) = queue.pop() {
-            let step = insts[to].handle_message(from, msg);
-            for out in step.messages {
-                match out.target {
-                    Target::All => {
-                        for t in 0..7 {
-                            queue.push((to, t, out.message.clone()));
-                        }
-                    }
-                    Target::One(t) => queue.push((to, t, out.message.clone())),
-                }
-            }
-            for o in step.outputs {
-                delivered[to] = Some(o);
-            }
-        }
-        for d in &delivered {
-            assert_eq!(d.as_ref(), Some(&payload("wide")));
+        for delivered in broadcast_and_run(7, 3, &[], "wide") {
+            assert_eq!(delivered, vec![Some(payload("wide")); 7]);
         }
     }
 }

@@ -19,7 +19,7 @@
 //!   reflects everything ordered before the barrier.
 
 use crate::ab::{AbDelivery, MsgId};
-use crate::codec::{Reader, WireMessage, Writer};
+use crate::codec::{Reader, WireError, WireMessage, Writer};
 use crate::fifo::FifoOrder;
 use crate::node::{Node, NodeError};
 use crate::recovery::scheduler::{
@@ -120,7 +120,17 @@ struct Shared<S> {
     applied_cv: Condvar,
     /// Set when the applier thread exits (node shut down): no further
     /// deliveries will ever be applied.
-    stopped: std::sync::atomic::AtomicBool,
+    stopped: AtomicBool,
+}
+
+/// The applier's recovery bookkeeping — absent on a [`Replica::new`]
+/// replica. The snapshot codec is captured as plain function pointers
+/// where the [`SnapshotState`] bound is in scope, so the applier itself
+/// needs no more than `S: Send`.
+struct Recovery<S> {
+    core: Arc<RecoveryCore>,
+    encode: fn(&S, &mut Writer),
+    decode: fn(&mut Reader<'_>) -> Result<S, WireError>,
 }
 
 /// One replica of a deterministic state machine.
@@ -181,6 +191,21 @@ impl<S: Send + 'static> Replica<S> {
     pub fn new(
         node: Node,
         initial: S,
+        apply: impl FnMut(&mut S, ProcessId, &[u8]) + Send + 'static,
+    ) -> Self {
+        Self::spawn(node, initial, None, None, false, apply)
+    }
+
+    /// The one construction path: builds the shared state and starts the
+    /// applier thread — after the rejoin driver when `rejoining` (only
+    /// with `recovery`), which hands over its FIFO state on reaching
+    /// Live.
+    fn spawn(
+        node: Node,
+        initial: S,
+        recovery: Option<Recovery<S>>,
+        stale: Option<Bytes>,
+        rejoining: bool,
         mut apply: impl FnMut(&mut S, ProcessId, &[u8]) + Send + 'static,
     ) -> Self {
         let node = Arc::new(node);
@@ -188,72 +213,49 @@ impl<S: Send + 'static> Replica<S> {
             state: Mutex::new(initial),
             applied: Mutex::new(OwnApplied::default()),
             applied_cv: Condvar::new(),
-            stopped: std::sync::atomic::AtomicBool::new(false),
+            stopped: AtomicBool::new(false),
         });
-        let me = node.id();
+        let core = recovery.as_ref().map(|r| Arc::clone(&r.core));
+        let server = Arc::new(Mutex::new(None));
+        if let (Some(core), false) = (&core, rejoining) {
+            *server.lock() = Some(spawn_xfer_server(Arc::clone(&node), Arc::clone(core)));
+        }
         let applier = {
             let node = Arc::clone(&node);
             let shared = Arc::clone(&shared);
-            let n = node.group_size();
+            let server = Arc::clone(&server);
             std::thread::spawn(move || {
-                let mut fifo = crate::fifo::FifoOrder::new(n);
-                loop {
-                    let delivery = match node.atomic_recv() {
-                        Ok(d) => d,
-                        Err(_) => {
-                            shared
-                                .stopped
-                                .store(true, std::sync::atomic::Ordering::SeqCst);
-                            shared.applied_cv.notify_all();
-                            return;
-                        }
-                    };
-                    // The AB layer delivers whole batches at once; drain
-                    // everything that is already ready so the batch applies
-                    // under a single state-lock acquisition instead of one
-                    // lock round-trip per command.
-                    let mut ready: Vec<_> = push_with_reset(&mut fifo, delivery);
+                let mut fifo = FifoOrder::new(node.group_size());
+                if let (Some(rec), true) = (&recovery, rejoining) {
+                    match run_rejoin(&node, &shared, rec, stale, &mut apply) {
+                        Ok(resumed) => fifo = resumed,
+                        Err(Aborted) => return abort_rejoin(&node, &shared),
+                    }
+                    // Live: start answering transfer requests (the
+                    // driver owned the channel until now).
+                    *server.lock() =
+                        Some(spawn_xfer_server(Arc::clone(&node), Arc::clone(&rec.core)));
+                }
+                // The AB layer delivers whole batches at once; drain
+                // everything that is already ready so the batch applies
+                // under a single state-lock acquisition instead of one
+                // lock round-trip per command.
+                while let Ok(delivery) = node.atomic_recv() {
+                    let mut ready = push_with_reset(&mut fifo, delivery);
                     while let Ok(Some(d)) = node.atomic_try_recv() {
                         ready.extend(push_with_reset(&mut fifo, d));
                     }
-                    if ready.is_empty() {
-                        continue;
-                    }
-                    {
-                        let mut state = shared.state.lock();
-                        for d in &ready {
-                            let mut frame = d.payload.as_ref();
-                            let tag = frame.first().copied().unwrap_or(0);
-                            frame = frame.get(1..).unwrap_or(&[]);
-                            if tag == TAG_USER {
-                                apply(&mut state, d.id.sender, frame);
-                            }
-                        }
-                    }
-                    // Both user commands and markers count as applied.
-                    // Hold the applied lock across the notify so a waiter
-                    // can never check-then-sleep between our insert and the
-                    // wakeup, and notify per drained batch — sync-submit
-                    // latency must come from the protocol, not from a poll
-                    // interval.
-                    node.metrics().rsm_applied_total.add(ready.len() as u64);
-                    let mut applied = shared.applied.lock();
-                    for d in &ready {
-                        if d.id.sender == me {
-                            applied.insert(d.id.rbid);
-                        }
-                    }
-                    node.metrics().rsm_applied_watermark.set(applied.watermark);
-                    shared.applied_cv.notify_all();
+                    apply_ready(&node, &shared, recovery.as_ref(), &mut apply, &ready);
                 }
+                mark_stopped(&shared);
             })
         };
         Replica {
             node,
             shared,
             applier: Some(applier),
-            recovery: None,
-            server: Arc::new(Mutex::new(None)),
+            recovery: core,
+            server,
             driver: Mutex::new(None),
         }
     }
@@ -341,11 +343,7 @@ impl<S: Send + 'static> Replica<S> {
             // never be observed as applied — that is a failure, not a
             // silent success. Never touch the node's delivery queue from
             // here — that would steal deliveries from the applier thread.
-            if self
-                .shared
-                .stopped
-                .load(std::sync::atomic::Ordering::SeqCst)
-            {
+            if self.shared.stopped.load(Ordering::SeqCst) {
                 return Err(NodeError::Disconnected);
             }
             // The applier notifies on every apply; the timeout only
@@ -385,8 +383,8 @@ impl<S: Send + 'static> Drop for Replica<S> {
 /// peers cross the next boundary.
 const RETAINED_SNAPSHOTS: usize = 2;
 
-/// Poll granularity on the transfer channel.
-const XFER_POLL: Duration = Duration::from_millis(25);
+/// How often an idle transfer server re-checks for shutdown.
+const XFER_SERVER_IDLE: Duration = Duration::from_millis(100);
 /// How long one manifest-collection round waits for peer responses.
 const MANIFEST_ROUND: Duration = Duration::from_millis(300);
 /// Per-server timeout for one anti-entropy node/chunk fetch.
@@ -456,99 +454,125 @@ fn push_with_reset(fifo: &mut FifoOrder, d: AbDelivery) -> Vec<AbDelivery> {
 }
 
 fn mark_stopped<S>(shared: &Shared<S>) {
-    shared
-        .stopped
-        .store(true, std::sync::atomic::Ordering::SeqCst);
+    shared.stopped.store(true, Ordering::SeqCst);
     shared.applied_cv.notify_all();
 }
 
-/// Applies a batch of FIFO-released deliveries and advances the recovery
-/// bookkeeping: log append, watermark update, and — at every
-/// `snapshot_every` stream boundary — a deterministic snapshot of the
-/// state, taken under the same state-lock acquisition so no delivery can
-/// interleave between the boundary apply and its digest.
+impl<S> Recovery<S> {
+    /// Advances the recovery bookkeeping over one applied delivery: the
+    /// replicated rotation coordinator, the fill log, the per-sender
+    /// watermark, and — at every `snapshot_every` stream boundary — a
+    /// deterministic snapshot of `state`. Runs under the state lock, so
+    /// no delivery can interleave between the boundary apply and its
+    /// digest.
+    fn record(
+        &self,
+        node: &Node,
+        c: &mut CoreInner,
+        state: &S,
+        d: &AbDelivery,
+    ) -> Option<RotationEffect> {
+        let cfg = &self.core.cfg;
+        // Rotation commands mutate the replicated coordinator state
+        // inside the lock (they are part of the state the snapshot
+        // digests); their side effects (key switch, gauges, suspicion
+        // clearing) run after it. The AB origin is passed through so
+        // `apply` can enforce the sender discipline (victim-only
+        // schedule/complete).
+        let effect = match d.payload.split_first() {
+            Some((&TAG_RECOVERY, body)) => RecoveryCommand::from_bytes(body).ok().map(|cmd| {
+                c.rotation
+                    .apply(&cmd, d.id.sender as u32, node.group_size())
+            }),
+            _ => None,
+        };
+        c.applied_seq += 1;
+        let seq = c.applied_seq;
+        if let Some(next) = c.applied_next.get_mut(d.id.sender) {
+            *next = d.id.rbid + 1;
+        }
+        c.log.insert(
+            seq,
+            LogEntry {
+                sender: d.id.sender,
+                rbid: d.id.rbid,
+                payload: d.payload.clone(),
+            },
+        );
+        if seq.is_multiple_of(cfg.snapshot_every) {
+            let mut w = Writer::new();
+            (self.encode)(state, &mut w);
+            // The rotation coordinator is replicated state too: a
+            // rejoiner must resume the rotation protocol (current epoch,
+            // open slot, cursor) exactly where the group is.
+            c.rotation.encode(&mut w);
+            let snap = Snapshot {
+                seq,
+                next: c.applied_next.clone(),
+                state: w.freeze(),
+            };
+            let bundle = SnapshotBundle::build(&snap, cfg.chunk_size);
+            let m = node.metrics();
+            m.recovery_snapshots_total.inc();
+            m.recovery_snapshot_bytes.set(bundle.bytes.len() as u64);
+            m.flight_record(
+                FlightKind::Recovery,
+                node.id() as u32,
+                milestones::SNAPSHOT,
+                seq,
+            );
+            c.snaps.push(bundle);
+            if c.snaps.len() > RETAINED_SNAPSHOTS {
+                c.snaps.remove(0);
+            }
+            // Truncate the fill log below the oldest snapshot still
+            // served: a rejoiner always restores at least that boundary,
+            // so earlier entries can never be requested.
+            let floor = c.snaps[0].manifest.seq;
+            c.log = c.log.split_off(&(floor + 1));
+        }
+        effect
+    }
+}
+
+/// Applies a batch of FIFO-released deliveries under one state-lock
+/// acquisition — with `recovery`, advancing its bookkeeping in the same
+/// critical section — then releases the waiters of our own commands.
 fn apply_ready<S, F>(
     node: &Node,
     shared: &Shared<S>,
-    core: &RecoveryCore,
-    me: ProcessId,
+    recovery: Option<&Recovery<S>>,
     apply: &mut F,
     ready: &[AbDelivery],
 ) where
-    S: SnapshotState + Send + 'static,
     F: FnMut(&mut S, ProcessId, &[u8]),
 {
     if ready.is_empty() {
         return;
     }
-    let n = node.group_size();
+    let me = node.id();
     let mut effects: Vec<RotationEffect> = Vec::new();
-    let rotation_after;
-    {
+    let rotation_after = {
         let mut state = shared.state.lock();
-        let mut c = core.inner.lock();
+        let mut core = recovery.map(|r| (r, r.core.inner.lock()));
         for d in ready {
-            let body = d.payload.as_ref();
-            let tag = body.first().copied().unwrap_or(0);
-            if tag == TAG_USER {
-                apply(&mut state, d.id.sender, body.get(1..).unwrap_or(&[]));
-            } else if tag == TAG_RECOVERY {
-                // Rotation commands mutate the replicated coordinator
-                // state inside the lock (they are part of the state the
-                // snapshot digests); their side effects (key switch,
-                // gauges, suspicion clearing) run after it. The AB
-                // origin is passed through so `apply` can enforce the
-                // sender discipline (victim-only schedule/complete).
-                if let Ok(cmd) = RecoveryCommand::from_bytes(body.get(1..).unwrap_or(&[])) {
-                    effects.push(c.rotation.apply(&cmd, d.id.sender as u32, n));
-                }
+            if let Some((&TAG_USER, body)) = d.payload.split_first() {
+                apply(&mut state, d.id.sender, body);
             }
-            c.applied_seq += 1;
-            let seq = c.applied_seq;
-            if let Some(next) = c.applied_next.get_mut(d.id.sender) {
-                *next = d.id.rbid + 1;
-            }
-            c.log.insert(
-                seq,
-                LogEntry {
-                    sender: d.id.sender,
-                    rbid: d.id.rbid,
-                    payload: d.payload.clone(),
-                },
-            );
-            if seq.is_multiple_of(core.cfg.snapshot_every) {
-                let mut w = Writer::new();
-                state.encode_snapshot(&mut w);
-                // The rotation coordinator is replicated state too: a
-                // rejoiner must resume the rotation protocol (current
-                // epoch, open slot, cursor) exactly where the group is.
-                c.rotation.encode(&mut w);
-                let snap = Snapshot {
-                    seq,
-                    next: c.applied_next.clone(),
-                    state: w.freeze(),
-                };
-                let bundle = SnapshotBundle::build(&snap, core.cfg.chunk_size);
-                let m = node.metrics();
-                m.recovery_snapshots_total.inc();
-                m.recovery_snapshot_bytes.set(bundle.bytes.len() as u64);
-                m.flight_record(FlightKind::Recovery, me as u32, milestones::SNAPSHOT, seq);
-                c.snaps.push(bundle);
-                if c.snaps.len() > RETAINED_SNAPSHOTS {
-                    c.snaps.remove(0);
-                }
-                // Truncate the fill log below the oldest snapshot still
-                // served: a rejoiner always restores at least that
-                // boundary, so earlier entries can never be requested.
-                let floor = c.snaps[0].manifest.seq;
-                c.log = c.log.split_off(&(floor + 1));
+            if let Some((rec, c)) = &mut core {
+                effects.extend(rec.record(node, c, &state, d));
             }
         }
-        rotation_after = c.rotation;
+        core.map(|(_, c)| c.rotation)
+    };
+    if let (Some(after), false) = (rotation_after, effects.is_empty()) {
+        rotation_side_effects(node, me, &effects, after, node.group_size());
     }
-    if !effects.is_empty() {
-        rotation_side_effects(node, me, &effects, rotation_after, n);
-    }
+    // Both user commands and markers count as applied. Hold the applied
+    // lock across the notify so a waiter can never check-then-sleep
+    // between our insert and the wakeup, and notify per drained batch —
+    // sync-submit latency must come from the protocol, not from a poll
+    // interval.
     node.metrics().rsm_applied_total.add(ready.len() as u64);
     let mut applied = shared.applied.lock();
     for d in ready {
@@ -620,39 +644,11 @@ fn rotation_side_effects(
         .set(u64::from(after.expected_victim(n)));
 }
 
-/// The live applier loop for recovery-enabled replicas.
-fn run_live<S, F>(
-    node: &Node,
-    shared: &Shared<S>,
-    core: &RecoveryCore,
-    me: ProcessId,
-    apply: &mut F,
-    mut fifo: FifoOrder,
-) where
-    S: SnapshotState + Send + 'static,
-    F: FnMut(&mut S, ProcessId, &[u8]),
-{
-    loop {
-        let delivery = match node.atomic_recv() {
-            Ok(d) => d,
-            Err(_) => {
-                mark_stopped(shared);
-                return;
-            }
-        };
-        let mut ready = push_with_reset(&mut fifo, delivery);
-        while let Ok(Some(d)) = node.atomic_try_recv() {
-            ready.extend(push_with_reset(&mut fifo, d));
-        }
-        apply_ready(node, shared, core, me, apply, &ready);
-    }
-}
-
 /// The state-transfer server: answers manifest, Merkle-node, chunk, fill
 /// and batch requests from rejoining peers until the node shuts down.
 fn spawn_xfer_server(node: Arc<Node>, core: Arc<RecoveryCore>) -> JoinHandle<()> {
     std::thread::spawn(move || loop {
-        let (from, payload) = match node.xfer_recv_timeout(XFER_POLL * 4) {
+        let (from, payload) = match node.xfer_recv_timeout(XFER_SERVER_IDLE) {
             Ok(x) => x,
             Err(NodeError::Timeout) => continue,
             Err(_) => return,
@@ -775,9 +771,19 @@ fn serve_xfer(node: &Node, core: &RecoveryCore, msg: XferMessage) -> Option<Xfer
     }
 }
 
-/// Marks the rejoin as aborted (node shut down mid-transfer): closes the
-/// recovery spans, records the `ABORTED` milestone and releases every
-/// waiter. The applier thread returns right after this.
+/// Why a rejoin gave up: the node shut down mid-transfer, or no holder
+/// could serve a verifiable snapshot. Either way the replica stops.
+struct Aborted;
+
+impl From<NodeError> for Aborted {
+    fn from(_: NodeError) -> Self {
+        Aborted
+    }
+}
+
+/// Marks the rejoin as aborted: closes the recovery spans, records the
+/// `ABORTED` milestone and releases every waiter. The applier thread
+/// returns right after this.
 fn abort_rejoin<S>(node: &Node, shared: &Shared<S>) {
     let m = node.metrics();
     m.span_close("recover:sync");
@@ -792,69 +798,70 @@ fn abort_rejoin<S>(node: &Node, shared: &Shared<S>) {
     mark_stopped(shared);
 }
 
-fn collect_hints(responses: &HashMap<ProcessId, (Option<Manifest>, PeerHints)>) -> Vec<PeerHints> {
-    responses.values().map(|(_, h)| h.clone()).collect()
+/// The one request/collect primitive of state transfer: sends `request`
+/// to every peer in `targets`, then hands each decodable reply to
+/// `on_reply` until it reports the round satisfied (`true`) or `window`
+/// has elapsed. Undecodable payloads are dropped here; replies of the
+/// wrong kind are the handler's to ignore. What the round achieved is
+/// read from what the handler captured.
+///
+/// # Errors
+///
+/// [`NodeError::Disconnected`] when the node shut down mid-round.
+fn xfer_round(
+    node: &Node,
+    targets: &[ProcessId],
+    request: &XferMessage,
+    window: Duration,
+    mut on_reply: impl FnMut(ProcessId, XferMessage) -> bool,
+) -> Result<(), NodeError> {
+    let request = request.to_bytes();
+    for &p in targets {
+        node.send_xfer(p, request.clone())?;
+    }
+    let deadline = Instant::now() + window;
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        match node.xfer_recv_timeout(left) {
+            Ok((from, payload)) => {
+                if XferMessage::from_bytes(&payload).is_ok_and(|msg| on_reply(from, msg)) {
+                    return Ok(());
+                }
+            }
+            Err(NodeError::Timeout) => return Ok(()),
+            Err(e) => return Err(e),
+        }
+    }
 }
 
-/// The rejoin driver: Syncing → CatchingUp → Live.
-///
-/// Returns the FIFO state to continue as the live applier, or `None`
-/// when the node shut down mid-transfer (the abort path has already
-/// stopped the replica).
-#[allow(clippy::too_many_lines)]
-fn run_rejoin<S, F>(
-    node: &Node,
-    shared: &Shared<S>,
-    core: &RecoveryCore,
-    me: ProcessId,
-    stale: Option<Bytes>,
-    apply: &mut F,
-) -> Option<FifoOrder>
-where
-    S: SnapshotState + Send + 'static,
-    F: FnMut(&mut S, ProcessId, &[u8]),
-{
-    let n = node.group_size();
-    let f = (n - 1) / 3;
-    let m = node.metrics();
-    m.recovery_phase.set(1);
-    m.flight_record(FlightKind::Recovery, me as u32, milestones::SYNCING, 0);
-    m.span_open("recover:sync", Layer::Node);
-    let peers: Vec<ProcessId> = (0..n).filter(|&p| p != me).collect();
+/// What Syncing learned from `2f+1` peers.
+struct Synced {
+    /// The manifest `f+1` peers agree on, with its holders (`None`:
+    /// rejoin from genesis).
+    snapshot: Option<(Manifest, Vec<ProcessId>)>,
+    /// Every answering peer's atomic-broadcast position.
+    hints: Vec<PeerHints>,
+}
 
-    // --- Syncing: collect manifests + stream hints from 2f+1 peers ---
+/// Syncing, part one: collects manifests + stream hints from `2f+1`
+/// peers until `f+1` of them agree on what to restore.
+fn sync_manifests(node: &Node, peers: &[ProcessId], f: usize) -> Result<Synced, NodeError> {
     let mut responses: HashMap<ProcessId, (Option<Manifest>, PeerHints)> = HashMap::new();
-    let (accepted, hints) = loop {
-        for &p in &peers {
-            if node
-                .send_xfer(p, XferMessage::ManifestReq.to_bytes())
-                .is_err()
-            {
-                abort_rejoin(node, shared);
-                return None;
-            }
-        }
-        let deadline = Instant::now() + MANIFEST_ROUND;
-        while Instant::now() < deadline {
-            match node.xfer_recv_timeout(XFER_POLL) {
-                Ok((from, payload)) => {
-                    if let Ok(XferMessage::ManifestResp { manifest, hints }) =
-                        XferMessage::from_bytes(&payload)
-                    {
-                        responses.insert(from, (manifest, hints));
-                    }
+    loop {
+        let mut answered = HashSet::new();
+        xfer_round(
+            node,
+            peers,
+            &XferMessage::ManifestReq,
+            MANIFEST_ROUND,
+            |from, msg| {
+                if let XferMessage::ManifestResp { manifest, hints } = msg {
+                    responses.insert(from, (manifest, hints));
+                    answered.insert(from);
                 }
-                Err(NodeError::Timeout) => {
-                    if responses.len() == peers.len() {
-                        break;
-                    }
-                }
-                Err(_) => {
-                    abort_rejoin(node, shared);
-                    return None;
-                }
-            }
-        }
+                answered.len() == peers.len()
+            },
+        )?;
         if responses.len() < 2 * f + 1 {
             continue;
         }
@@ -862,190 +869,329 @@ where
             .iter()
             .filter_map(|(&p, (om, _))| om.map(|man| (p, man)))
             .collect();
-        if let Some(a) = accept_manifest(&with_manifest, f + 1) {
-            break (Some(a), collect_hints(&responses));
+        let snapshot = accept_manifest(&with_manifest, f + 1);
+        // Without an f+1-matching manifest: if f+1 peers (≥ one correct)
+        // have no snapshot yet the cluster is young — rejoin from genesis
+        // and let the fill protocol replay the whole log; otherwise peers
+        // are mid-boundary — re-poll until they converge.
+        let young = responses.values().filter(|(om, _)| om.is_none()).count() > f;
+        if snapshot.is_some() || young {
+            let hints = responses.into_values().map(|(_, h)| h).collect();
+            return Ok(Synced { snapshot, hints });
         }
-        // No f+1-matching manifest. If f+1 peers (≥ one correct) have no
-        // snapshot yet the cluster is young: rejoin from genesis and let
-        // the fill protocol replay the whole log. Otherwise peers are
-        // mid-boundary — re-poll until they converge.
-        if responses.values().filter(|(om, _)| om.is_none()).count() > f {
-            break (None, collect_hints(&responses));
+    }
+}
+
+/// Syncing, part two: downloads the snapshot `manifest` describes from
+/// `servers` via Merkle anti-entropy — only the chunks that differ from
+/// `stale`, each verified against the `f+1`-agreed root — and returns
+/// its encoded bytes.
+fn fetch_snapshot(
+    node: &Node,
+    chunk_size: usize,
+    manifest: &Manifest,
+    servers: &[ProcessId],
+    stale: Option<&Bytes>,
+) -> Result<Vec<u8>, Aborted> {
+    let m = node.metrics();
+    let stale_tree = stale.map(|b| MerkleTree::build(b, chunk_size));
+    // Resolve the fetch plan against one server per attempt: the hash
+    // chain from the f+1-agreed root exposes a lying server (BadNodes),
+    // after which we rotate to the next holder.
+    let mut attempt = 0usize;
+    let plan = loop {
+        let srv = servers[attempt % servers.len()];
+        attempt += 1;
+        let mut dead = false;
+        let fetch = |level: u8, indices: &[u32]| {
+            let req = XferMessage::NodesReq {
+                seq: manifest.seq,
+                level,
+                indices: indices.to_vec(),
+            };
+            let mut got = None;
+            let round = xfer_round(node, &[srv], &req, FETCH_TIMEOUT, |_, msg| {
+                if let XferMessage::NodesResp {
+                    seq,
+                    level: l,
+                    indices: idx,
+                    hashes,
+                } = msg
+                {
+                    if seq == manifest.seq
+                        && l == level
+                        && idx == indices
+                        && hashes.len() == indices.len()
+                    {
+                        got = Some(hashes);
+                    }
+                }
+                got.is_some()
+            });
+            dead |= round.is_err();
+            got.ok_or(AntiEntropyError::FetchFailed)
+        };
+        match plan_fetch(manifest, stale_tree.as_ref(), fetch) {
+            Ok(p) => break p,
+            Err(_) if dead => return Err(Aborted),
+            Err(AntiEntropyError::BadNodes) => {
+                m.suspect(srv as u32, SuspicionKind::BadChunk);
+                m.recovery_chunk_proof_rejected.inc();
+            }
+            Err(AntiEntropyError::FetchFailed) => {}
         }
     };
+    m.recovery_chunks_reused.add(plan.reuse.len() as u64);
+    let total = manifest.len as usize;
+    let mut buf = vec![0u8; total];
+    let chunk_span = |idx: u32| {
+        let start = (idx as usize).saturating_mul(chunk_size.max(1));
+        (start, (start + chunk_size.max(1)).min(total))
+    };
+    for &idx in &plan.reuse {
+        let (start, end) = chunk_span(idx);
+        if let Some(src) = stale.and_then(|b| b.get(start..end)) {
+            buf[start..end].copy_from_slice(src);
+        }
+    }
+    for &idx in &plan.need {
+        let (start, end) = chunk_span(idx);
+        let req = XferMessage::ChunkReq {
+            seq: manifest.seq,
+            idx,
+        };
+        let mut fetched = false;
+        // Rotate the starting server by chunk index so one corrupt holder
+        // cannot serialize the whole download behind retries.
+        for k in 0..servers.len() * 2 {
+            let srv = servers[(idx as usize + k) % servers.len()];
+            xfer_round(node, &[srv], &req, FETCH_TIMEOUT, |from, msg| {
+                let XferMessage::ChunkResp {
+                    seq,
+                    idx: i,
+                    data,
+                    proof,
+                } = msg
+                else {
+                    return false;
+                };
+                if seq != manifest.seq || i != idx {
+                    return false;
+                }
+                if MerkleTree::verify_chunk(&manifest.root, idx, &data, &proof)
+                    && data.len() == end - start
+                {
+                    buf[start..end].copy_from_slice(&data);
+                    m.recovery_chunks_fetched.inc();
+                    fetched = true;
+                } else {
+                    // A chunk that fails its Merkle proof is hard
+                    // evidence against the server; ask the next holder.
+                    m.suspect(from as u32, SuspicionKind::BadChunk);
+                    m.recovery_chunk_proof_rejected.inc();
+                }
+                true
+            })?;
+            if fetched {
+                break;
+            }
+        }
+        if !fetched {
+            // Every holder failed (all Byzantine would contradict the
+            // f+1 manifest quorum): abort rather than install a torn
+            // snapshot.
+            return Err(Aborted);
+        }
+    }
+    Ok(buf)
+}
 
-    // --- Fetch the snapshot via Merkle anti-entropy ---
-    let snap_next: Vec<u64>;
-    let fifo;
-    if let Some((manifest, servers)) = accepted {
-        let stale_tree = stale
-            .as_ref()
-            .map(|b| MerkleTree::build(b, core.cfg.chunk_size));
-        // Resolve the fetch plan against one server per attempt: the
-        // hash chain from the f+1-agreed root exposes a lying server
-        // (BadNodes), after which we rotate to the next holder.
-        let dead = std::cell::Cell::new(false);
-        let mut attempt = 0usize;
-        let plan = loop {
-            let srv = servers[attempt % servers.len()];
-            attempt += 1;
-            let fetch = |level: u8, indices: &[u32]| -> Result<Vec<Hash>, AntiEntropyError> {
-                let req = XferMessage::NodesReq {
-                    seq: manifest.seq,
-                    level,
-                    indices: indices.to_vec(),
-                };
-                if node.send_xfer(srv, req.to_bytes()).is_err() {
-                    dead.set(true);
-                    return Err(AntiEntropyError::FetchFailed);
-                }
-                let deadline = Instant::now() + FETCH_TIMEOUT;
-                while Instant::now() < deadline {
-                    match node.xfer_recv_timeout(XFER_POLL) {
-                        Ok((_, payload)) => {
-                            if let Ok(XferMessage::NodesResp {
-                                seq,
-                                level: l,
-                                indices: idx,
-                                hashes,
-                            }) = XferMessage::from_bytes(&payload)
-                            {
-                                if seq == manifest.seq
-                                    && l == level
-                                    && idx == indices
-                                    && hashes.len() == indices.len()
-                                {
-                                    return Ok(hashes);
-                                }
-                            }
-                        }
-                        Err(NodeError::Timeout) => {}
-                        Err(_) => {
-                            dead.set(true);
-                            return Err(AntiEntropyError::FetchFailed);
-                        }
-                    }
-                }
-                Err(AntiEntropyError::FetchFailed)
+/// The value `f+1` of `copies` (one per peer) agree on — one of those
+/// peers is correct, so it is the true value.
+fn agreed<'a, T: PartialEq>(copies: &[&'a T], f: usize) -> Option<&'a T> {
+    copies
+        .iter()
+        .copied()
+        .find(|c| copies.iter().filter(|other| *other == c).count() > f)
+}
+
+/// Rounds can conclude on batch ids whose payload dissemination finished
+/// before the wipe: fetches the raw batches from peers and injects any
+/// copy `f+1` of them agree on.
+fn fetch_missing_batches(node: &Node, peers: &[ProcessId], f: usize) -> Result<(), NodeError> {
+    let missing = node
+        .with_stack(|stack, _| stack.ab(0).map(|ab| ab.missing_payloads()))?
+        .unwrap_or_default();
+    if missing.is_empty() {
+        return Ok(());
+    }
+    let req = XferMessage::BatchReq {
+        ids: missing
+            .iter()
+            .map(|id| (id.sender as u32, id.rbid))
+            .collect(),
+    };
+    let mut copies: HashMap<(u32, u64), Vec<Bytes>> = HashMap::new();
+    xfer_round(node, peers, &req, FILL_ROUND, |_, msg| {
+        if let XferMessage::BatchResp { batches } = msg {
+            for (sender, seq, raw) in batches {
+                copies.entry((sender, seq)).or_default().push(raw);
+            }
+        }
+        false
+    })?;
+    for ((sender, seq), raws) in copies {
+        if let Some(raw) = agreed(&raws.iter().collect::<Vec<_>>(), f).cloned() {
+            let id = MsgId {
+                sender: sender as ProcessId,
+                rbid: seq,
             };
-            match plan_fetch(&manifest, stale_tree.as_ref(), fetch) {
-                Ok(p) => break p,
-                Err(e) => {
-                    if dead.get() {
-                        abort_rejoin(node, shared);
-                        return None;
-                    }
-                    if e == AntiEntropyError::BadNodes {
-                        m.suspect(srv as u32, SuspicionKind::BadChunk);
-                        m.recovery_chunk_proof_rejected.inc();
-                    }
-                }
+            node.with_stack(move |stack, out| {
+                out.extend(stack.with_ab(0, |ab| ab.inject_batch(id, raw)));
+            })?;
+        }
+    }
+    Ok(())
+}
+
+/// CatchingUp: replays the peers' applied log from our snapshot position
+/// until the fill stream reaches a delivery the resumed atomic broadcast
+/// already handed us live, and returns those buffered live deliveries.
+fn catch_up<S, F>(
+    node: &Node,
+    shared: &Shared<S>,
+    rec: &Recovery<S>,
+    apply: &mut F,
+    fifo: &mut FifoOrder,
+) -> Result<Vec<AbDelivery>, NodeError>
+where
+    F: FnMut(&mut S, ProcessId, &[u8]),
+{
+    let n = node.group_size();
+    let f = (n - 1) / 3;
+    let peers: Vec<ProcessId> = (0..n).filter(|&p| p != node.id()).collect();
+    let applied_seq = || rec.core.inner.lock().applied_seq;
+    let mut buffer: Vec<AbDelivery> = Vec::new();
+    let mut buffered: HashSet<(ProcessId, u64)> = HashSet::new();
+    let mut idle = 0u32;
+    loop {
+        // Buffer live deliveries; they are applied only after the fill
+        // stream reaches one of them (never double-applied: the bridge
+        // entry itself switches streams *instead of* applying via fill).
+        while let Some(d) = node.atomic_try_recv()? {
+            buffered.insert((d.id.sender, d.id.rbid));
+            buffer.push(d);
+        }
+        // Poll every peer for the next stretch of the applied log.
+        let req = XferMessage::FillReq {
+            from_seq: applied_seq() + 1,
+            max: rec.core.cfg.fill_batch,
+        };
+        let mut fills: HashMap<ProcessId, Vec<FillEntry>> = HashMap::new();
+        xfer_round(node, &peers, &req, FILL_ROUND, |from, msg| {
+            if let XferMessage::FillResp { entries } = msg {
+                fills.insert(from, entries);
             }
+            fills.len() == peers.len()
+        })?;
+        // Apply f+1-agreed entries strictly in sequence order: an entry
+        // served byte-identically by f+1 peers is the true delivery at
+        // that position of the total order.
+        let mut progressed = false;
+        let next_fill = |want: u64| {
+            let served: Vec<&FillEntry> = fills
+                .values()
+                .filter_map(|entries| entries.iter().find(|e| e.seq == want))
+                .collect();
+            agreed(&served, f)
         };
-        m.recovery_chunks_reused.add(plan.reuse.len() as u64);
-        let total = manifest.len as usize;
-        let mut buf = vec![0u8; total];
-        let chunk_span = move |idx: u32| {
-            let start = (idx as usize).saturating_mul(core.cfg.chunk_size.max(1));
-            let end = (start + core.cfg.chunk_size.max(1)).min(total);
-            (start, end)
-        };
-        for &idx in &plan.reuse {
-            let (start, end) = chunk_span(idx);
-            if let Some(src) = stale.as_ref().and_then(|b| b.get(start..end)) {
-                buf[start..end].copy_from_slice(src);
+        while let Some(entry) = next_fill(applied_seq() + 1) {
+            let id = MsgId {
+                sender: entry.sender as ProcessId,
+                rbid: entry.rbid,
+            };
+            // The bridge: the next fill entry is already sitting in the
+            // live buffer. From here on the buffer is the complete
+            // total-order suffix (live deliveries only start once the
+            // resumed AB concludes rounds normally, after which no round
+            // is skipped), so switch to it and stop filling.
+            if buffered.contains(&(id.sender, id.rbid)) {
+                return Ok(buffer);
+            }
+            let d = AbDelivery {
+                id,
+                payload: entry.payload.clone(),
+            };
+            apply_ready(node, shared, Some(rec), apply, &[d]);
+            // Keep the FIFO's view of the sender aligned with what the
+            // fill stream applied (fills bypass the FIFO).
+            fifo.reset_sender(id.sender, id.rbid + 1);
+            node.metrics().recovery_fills_applied.inc();
+            progressed = true;
+        }
+        fetch_missing_batches(node, &peers, f)?;
+        if progressed {
+            idle = 0;
+        } else {
+            idle += 1;
+            if idle >= IDLE_PROBE_ROUNDS {
+                idle = 0;
+                // Force the stream forward so a delivery we hold live
+                // also lands in peers' fill logs.
+                node.atomic_broadcast(frame(TAG_MARKER, &[]))?;
             }
         }
-        for &idx in &plan.need {
-            let mut fetched = false;
-            // Rotate the starting server by chunk index so one corrupt
-            // holder cannot serialize the whole download behind retries.
-            'servers: for k in 0..servers.len() * 2 {
-                let srv = servers[(idx as usize + k) % servers.len()];
-                let req = XferMessage::ChunkReq {
-                    seq: manifest.seq,
-                    idx,
-                };
-                if node.send_xfer(srv, req.to_bytes()).is_err() {
-                    abort_rejoin(node, shared);
-                    return None;
-                }
-                let deadline = Instant::now() + FETCH_TIMEOUT;
-                while Instant::now() < deadline {
-                    match node.xfer_recv_timeout(XFER_POLL) {
-                        Ok((from, payload)) => {
-                            if let Ok(XferMessage::ChunkResp {
-                                seq,
-                                idx: i,
-                                data,
-                                proof,
-                            }) = XferMessage::from_bytes(&payload)
-                            {
-                                if seq != manifest.seq || i != idx {
-                                    continue;
-                                }
-                                if MerkleTree::verify_chunk(&manifest.root, idx, &data, &proof) {
-                                    let (start, end) = chunk_span(idx);
-                                    if data.len() == end - start {
-                                        buf[start..end].copy_from_slice(&data);
-                                        m.recovery_chunks_fetched.inc();
-                                        fetched = true;
-                                        continue 'servers;
-                                    }
-                                }
-                                // A chunk that fails its Merkle proof is
-                                // hard evidence against the server.
-                                m.suspect(from as u32, SuspicionKind::BadChunk);
-                                m.recovery_chunk_proof_rejected.inc();
-                                continue 'servers;
-                            }
-                        }
-                        Err(NodeError::Timeout) => {}
-                        Err(_) => {
-                            abort_rejoin(node, shared);
-                            return None;
-                        }
-                    }
-                }
-                if fetched {
-                    break;
-                }
-            }
-            if !fetched {
-                // Every holder failed (all Byzantine would contradict
-                // the f+1 manifest quorum): abort rather than install a
-                // torn snapshot.
-                abort_rejoin(node, shared);
-                return None;
-            }
-        }
+    }
+}
+
+/// The rejoin driver: Syncing → CatchingUp → Live.
+///
+/// Returns the FIFO state to continue as the live applier; on `Err` the
+/// caller runs the one abort path.
+fn run_rejoin<S, F>(
+    node: &Node,
+    shared: &Shared<S>,
+    rec: &Recovery<S>,
+    stale: Option<Bytes>,
+    apply: &mut F,
+) -> Result<FifoOrder, Aborted>
+where
+    F: FnMut(&mut S, ProcessId, &[u8]),
+{
+    let me = node.id();
+    let n = node.group_size();
+    let f = (n - 1) / 3;
+    let m = node.metrics();
+    let core = &rec.core;
+    m.recovery_phase.set(1);
+    m.flight_record(FlightKind::Recovery, me as u32, milestones::SYNCING, 0);
+    m.span_open("recover:sync", Layer::Node);
+    let peers: Vec<ProcessId> = (0..n).filter(|&p| p != me).collect();
+
+    let Synced { snapshot, hints } = sync_manifests(node, &peers, f)?;
+    // Genesis rejoin (no peer has snapshotted yet) starts from zero.
+    let mut snap_next = vec![0; n];
+    if let Some((manifest, servers)) = snapshot {
+        let chunk_size = core.cfg.chunk_size;
+        let buf = fetch_snapshot(node, chunk_size, &manifest, &servers, stale.as_ref())?;
         // f+1 byte-identical manifests include one from a correct
         // replica, and every chunk verified against that root, so the
         // assembled bytes are a correct replica's snapshot encoding.
-        let Ok(snap) = Snapshot::from_bytes(&buf) else {
-            abort_rejoin(node, shared);
-            return None;
-        };
+        let snap = Snapshot::from_bytes(&buf).map_err(|_| Aborted)?;
         let mut reader = Reader::new(&snap.state);
-        let Ok(decoded) = S::decode_snapshot(&mut reader) else {
-            abort_rejoin(node, shared);
-            return None;
-        };
+        let decoded = (rec.decode)(&mut reader).map_err(|_| Aborted)?;
         // The rotation coordinator rides after the application state in
         // the same snapshot encoding.
-        let Ok(rotation) = RotationState::decode(&mut reader) else {
-            abort_rejoin(node, shared);
-            return None;
-        };
+        let rotation = RotationState::decode(&mut reader).map_err(|_| Aborted)?;
         *shared.state.lock() = decoded;
-        let mut next = snap.next.clone();
-        next.resize(n, 0);
+        snap_next.clone_from(&snap.next);
+        snap_next.resize(n, 0);
         {
             let mut c = core.inner.lock();
             c.applied_seq = snap.seq;
-            c.applied_next = next.clone();
+            c.applied_next.clone_from(&snap_next);
             c.log.clear();
-            c.snaps = vec![SnapshotBundle::build(&snap, core.cfg.chunk_size)];
+            c.snaps = vec![SnapshotBundle::build(&snap, chunk_size)];
             c.rotation = rotation;
         }
         // Seal outbound frames under the epoch the group had at the
@@ -1054,13 +1200,8 @@ where
         // this is a shortcut, not a correctness requirement.
         node.set_key_epoch(rotation.epoch);
         m.recovery_snapshot_bytes.set(manifest.len);
-        fifo = FifoOrder::from_watermarks(n, &next);
-        snap_next = next;
-    } else {
-        // Genesis rejoin: no peer has snapshotted yet.
-        snap_next = vec![0; n];
-        fifo = FifoOrder::new(n);
     }
+    let mut fifo = FifoOrder::from_watermarks(n, &snap_next);
 
     // --- Resume the atomic-broadcast cursor and catch up ---
     let cursor = select_cursor(me, n, f, &hints, &snap_next);
@@ -1070,217 +1211,31 @@ where
         m.rsm_applied_watermark.set(applied.watermark);
         shared.applied_cv.notify_all();
     }
-    let resumed = node.with_stack(move |stack, out| out.extend(stack.ab_resume(0, &cursor)));
-    if resumed.is_err() {
-        abort_rejoin(node, shared);
-        return None;
-    }
-    let resumed_seq = core.inner.lock().applied_seq;
+    node.with_stack(move |stack, out| out.extend(stack.ab_resume(0, &cursor)))?;
     m.span_close("recover:sync");
     m.recovery_phase.set(2);
     m.flight_record(
         FlightKind::Recovery,
         me as u32,
         milestones::CATCHING_UP,
-        resumed_seq,
+        core.inner.lock().applied_seq,
     );
     m.span_open("recover:catchup", Layer::Node);
     // Announce the resume: every replica's FIFO restarts our rbid
     // sequence at this marker, and — once it lands in a peer's fill log
     // while also sitting in our live buffer — it gives the catch-up loop
     // a guaranteed bridge point even on an otherwise idle stream.
-    if node.atomic_broadcast(frame(TAG_REJOIN, &[])).is_err() {
-        abort_rejoin(node, shared);
-        return None;
-    }
-
-    let mut fifo = fifo;
-    let mut buffer: Vec<AbDelivery> = Vec::new();
-    let mut buffered: HashSet<(ProcessId, u64)> = HashSet::new();
-    let mut idle = 0u32;
-    'catchup: loop {
-        // Buffer live deliveries; they are applied only after the fill
-        // stream reaches one of them (never double-applied: the bridge
-        // entry itself switches streams *instead of* applying via fill).
-        loop {
-            match node.atomic_try_recv() {
-                Ok(Some(d)) => {
-                    buffered.insert((d.id.sender, d.id.rbid));
-                    buffer.push(d);
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    abort_rejoin(node, shared);
-                    return None;
-                }
-            }
-        }
-        // Poll every peer for the next stretch of the applied log.
-        let from_seq = core.inner.lock().applied_seq + 1;
-        let req = XferMessage::FillReq {
-            from_seq,
-            max: core.cfg.fill_batch,
-        }
-        .to_bytes();
-        for &p in &peers {
-            if node.send_xfer(p, req.clone()).is_err() {
-                abort_rejoin(node, shared);
-                return None;
-            }
-        }
-        let mut fills: HashMap<ProcessId, Vec<FillEntry>> = HashMap::new();
-        let deadline = Instant::now() + FILL_ROUND;
-        while Instant::now() < deadline {
-            match node.xfer_recv_timeout(XFER_POLL) {
-                Ok((from, payload)) => {
-                    if let Ok(XferMessage::FillResp { entries }) = XferMessage::from_bytes(&payload)
-                    {
-                        fills.insert(from, entries);
-                        if fills.len() == peers.len() {
-                            break;
-                        }
-                    }
-                }
-                Err(NodeError::Timeout) => {}
-                Err(_) => {
-                    abort_rejoin(node, shared);
-                    return None;
-                }
-            }
-        }
-        // Apply f+1-agreed entries strictly in sequence order. An entry
-        // counts only when f+1 peers served byte-identical copies — one
-        // of them is correct, so the entry is the true delivery at that
-        // position of the total order.
-        let mut progressed = false;
-        loop {
-            let want = core.inner.lock().applied_seq + 1;
-            let mut groups: Vec<(&FillEntry, usize)> = Vec::new();
-            for entries in fills.values() {
-                if let Some(e) = entries.iter().find(|e| e.seq == want) {
-                    match groups.iter_mut().find(|(g, _)| {
-                        g.sender == e.sender && g.rbid == e.rbid && g.payload == e.payload
-                    }) {
-                        Some(g) => g.1 += 1,
-                        None => groups.push((e, 1)),
-                    }
-                }
-            }
-            let Some((entry, _)) = groups.into_iter().find(|&(_, count)| count > f) else {
-                break;
-            };
-            let entry = entry.clone();
-            // The bridge: the next fill entry is already sitting in the
-            // live buffer. From here on the buffer is the complete
-            // total-order suffix (live deliveries only start once the
-            // resumed AB concludes rounds normally, after which no round
-            // is skipped), so switch to it and stop filling.
-            if buffered.contains(&(entry.sender as ProcessId, entry.rbid)) {
-                break 'catchup;
-            }
-            let d = AbDelivery {
-                id: MsgId {
-                    sender: entry.sender as ProcessId,
-                    rbid: entry.rbid,
-                },
-                payload: entry.payload,
-            };
-            apply_ready(node, shared, core, me, apply, &[d]);
-            // Keep the FIFO's view of the sender aligned with what the
-            // fill stream applied (fills bypass the FIFO).
-            fifo.reset_sender(entry.sender as ProcessId, entry.rbid + 1);
-            m.recovery_fills_applied.inc();
-            progressed = true;
-        }
-        // Rounds can conclude on batch ids whose payload dissemination
-        // finished before the wipe: fetch the raw batches from peers and
-        // inject any copy f+1 of them agree on.
-        let missing = node.with_stack(|stack, _| stack.ab(0).map(|ab| ab.missing_payloads()));
-        let missing = match missing {
-            Ok(v) => v.unwrap_or_default(),
-            Err(_) => {
-                abort_rejoin(node, shared);
-                return None;
-            }
-        };
-        if !missing.is_empty() {
-            let req = XferMessage::BatchReq {
-                ids: missing
-                    .iter()
-                    .map(|id| (id.sender as u32, id.rbid))
-                    .collect(),
-            }
-            .to_bytes();
-            for &p in &peers {
-                if node.send_xfer(p, req.clone()).is_err() {
-                    abort_rejoin(node, shared);
-                    return None;
-                }
-            }
-            let mut copies: HashMap<(u32, u64), Vec<Bytes>> = HashMap::new();
-            let deadline = Instant::now() + FILL_ROUND;
-            while Instant::now() < deadline {
-                match node.xfer_recv_timeout(XFER_POLL) {
-                    Ok((_, payload)) => {
-                        if let Ok(XferMessage::BatchResp { batches }) =
-                            XferMessage::from_bytes(&payload)
-                        {
-                            for (sender, seq, raw) in batches {
-                                copies.entry((sender, seq)).or_default().push(raw);
-                            }
-                        }
-                    }
-                    Err(NodeError::Timeout) => {}
-                    Err(_) => {
-                        abort_rejoin(node, shared);
-                        return None;
-                    }
-                }
-            }
-            for ((sender, seq), raws) in copies {
-                let agreed = raws
-                    .iter()
-                    .find(|raw| raws.iter().filter(|r| r == raw).count() > f);
-                if let Some(raw) = agreed {
-                    let id = MsgId {
-                        sender: sender as ProcessId,
-                        rbid: seq,
-                    };
-                    let raw = raw.clone();
-                    let injected = node.with_stack(move |stack, out| {
-                        out.extend(stack.with_ab(0, |ab| ab.inject_batch(id, raw)));
-                    });
-                    if injected.is_err() {
-                        abort_rejoin(node, shared);
-                        return None;
-                    }
-                }
-            }
-        }
-        if progressed {
-            idle = 0;
-        } else {
-            idle += 1;
-            if idle >= IDLE_PROBE_ROUNDS {
-                idle = 0;
-                // Force the stream forward so a delivery we hold live
-                // also lands in peers' fill logs.
-                if node.atomic_broadcast(frame(TAG_MARKER, &[])).is_err() {
-                    abort_rejoin(node, shared);
-                    return None;
-                }
-            }
-        }
-    }
+    node.atomic_broadcast(frame(TAG_REJOIN, &[]))?;
+    let buffer = catch_up(node, shared, rec, apply, &mut fifo)?;
 
     // --- Switch to the live buffer ---
-    let mut ready = Vec::new();
-    for d in buffer {
-        // Entries up to the bridge point are duplicates of what the fill
-        // stream applied; the FIFO's per-sender watermark drops them.
-        ready.extend(push_with_reset(&mut fifo, d));
-    }
-    apply_ready(node, shared, core, me, apply, &ready);
+    // Entries up to the bridge point are duplicates of what the fill
+    // stream applied; the FIFO's per-sender watermark drops them.
+    let ready: Vec<AbDelivery> = buffer
+        .into_iter()
+        .flat_map(|d| push_with_reset(&mut fifo, d))
+        .collect();
+    apply_ready(node, shared, Some(rec), apply, &ready);
     let (live_seq, rotation) = {
         let c = core.inner.lock();
         (c.applied_seq, c.rotation)
@@ -1299,7 +1254,7 @@ where
             let _ = node.atomic_broadcast(frame(TAG_RECOVERY, &cmd.to_bytes()));
         }
     }
-    Some(fifo)
+    Ok(fifo)
 }
 
 impl<S: SnapshotState + Send + 'static> Replica<S> {
@@ -1322,10 +1277,7 @@ impl<S: SnapshotState + Send + 'static> Replica<S> {
         cfg: RecoveryConfig,
         apply: impl FnMut(&mut S, ProcessId, &[u8]) + Send + 'static,
     ) -> Result<Self, RecoveryConfigError> {
-        cfg.validate()?;
-        Ok(Self::build_recovering(
-            node, initial, cfg, None, false, apply,
-        ))
+        Self::spawn_recovering(node, initial, cfg, None, false, apply)
     }
 
     /// Rebuilds a wiped replica from its peers: fetches snapshot
@@ -1349,65 +1301,31 @@ impl<S: SnapshotState + Send + 'static> Replica<S> {
         stale: Option<Bytes>,
         apply: impl FnMut(&mut S, ProcessId, &[u8]) + Send + 'static,
     ) -> Result<Self, RecoveryConfigError> {
-        cfg.validate()?;
-        Ok(Self::build_recovering(
-            node, initial, cfg, stale, true, apply,
-        ))
+        Self::spawn_recovering(node, initial, cfg, stale, true, apply)
     }
 
-    fn build_recovering(
+    fn spawn_recovering(
         node: Node,
         initial: S,
         cfg: RecoveryConfig,
         stale: Option<Bytes>,
         rejoining: bool,
-        mut apply: impl FnMut(&mut S, ProcessId, &[u8]) + Send + 'static,
-    ) -> Self {
-        let node = Arc::new(node);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(initial),
-            applied: Mutex::new(OwnApplied::default()),
-            applied_cv: Condvar::new(),
-            stopped: std::sync::atomic::AtomicBool::new(false),
-        });
-        let n = node.group_size();
-        let me = node.id();
-        let core = RecoveryCore::new(cfg, n);
-        let server = Arc::new(Mutex::new(None));
-        if !rejoining {
-            *server.lock() = Some(spawn_xfer_server(Arc::clone(&node), Arc::clone(&core)));
-        }
-        let applier = {
-            let node = Arc::clone(&node);
-            let shared = Arc::clone(&shared);
-            let core = Arc::clone(&core);
-            let server = Arc::clone(&server);
-            std::thread::spawn(move || {
-                let fifo = if rejoining {
-                    match run_rejoin(&node, &shared, &core, me, stale, &mut apply) {
-                        Some(fifo) => {
-                            // Live: start answering transfer requests
-                            // (the driver owned the channel until now).
-                            *server.lock() =
-                                Some(spawn_xfer_server(Arc::clone(&node), Arc::clone(&core)));
-                            fifo
-                        }
-                        None => return,
-                    }
-                } else {
-                    FifoOrder::new(n)
-                };
-                run_live(&node, &shared, &core, me, &mut apply, fifo);
-            })
+        apply: impl FnMut(&mut S, ProcessId, &[u8]) + Send + 'static,
+    ) -> Result<Self, RecoveryConfigError> {
+        cfg.validate()?;
+        let recovery = Recovery {
+            core: RecoveryCore::new(cfg, node.group_size()),
+            encode: S::encode_snapshot,
+            decode: S::decode_snapshot,
         };
-        Replica {
+        Ok(Self::spawn(
             node,
-            shared,
-            applier: Some(applier),
-            recovery: Some(core),
-            server,
-            driver: Mutex::new(None),
-        }
+            initial,
+            Some(recovery),
+            stale,
+            rejoining,
+            apply,
+        ))
     }
 
     /// The latest local snapshot digest as `(seq, merkle_root)` — equal
@@ -1802,6 +1720,166 @@ mod tests {
         if cmd == b"incr" {
             *s += 1;
         }
+    }
+
+    /// One applier loop serves both kinds of replica: fed the same command
+    /// sequence, a plain group and a recovering group end in the same
+    /// state having applied the same number of deliveries — and a plain
+    /// replica steps over `TAG_RECOVERY` payloads (well-formed or not)
+    /// without acting on them.
+    #[test]
+    fn plain_and_recovering_groups_apply_the_same_sequence() {
+        let schedule = RecoveryCommand::ScheduleWipe {
+            victim: 0,
+            epoch: 1,
+        };
+        for recovering in [false, true] {
+            let nodes = Node::cluster(SessionConfig::new(4).unwrap()).unwrap();
+            let replicas: Vec<Replica<u64>> = nodes
+                .into_iter()
+                .map(|n| match recovering {
+                    true => {
+                        Replica::with_recovery(n, 0, small_recovery_cfg(), incr_counter).unwrap()
+                    }
+                    false => Replica::new(n, 0, incr_counter),
+                })
+                .collect();
+            let r0 = &replicas[0];
+            let ordered = |payload: Bytes| {
+                let id = r0.node().atomic_broadcast(payload).unwrap();
+                r0.wait_applied(id.rbid).unwrap();
+            };
+            for _ in 0..10 {
+                r0.submit_sync(Bytes::from_static(b"incr")).unwrap();
+            }
+            ordered(frame(TAG_RECOVERY, &schedule.to_bytes()));
+            ordered(frame(TAG_RECOVERY, b"\xffgarbage"));
+            for _ in 0..5 {
+                r0.submit_sync(Bytes::from_static(b"incr")).unwrap();
+            }
+            for r in &replicas {
+                r.barrier().unwrap();
+            }
+            // 15 commands + 2 rotation frames + one marker per replica.
+            let deadline = Instant::now() + Duration::from_secs(30);
+            for r in &replicas {
+                let applied = &r.node().metrics().rsm_applied_total;
+                while applied.get() < 21 {
+                    assert!(Instant::now() < deadline, "replica {} stuck", r.id());
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                assert_eq!(applied.get(), 21, "recovering={recovering}");
+                assert_eq!(r.read(|s| *s), 15, "recovering={recovering}");
+                // Only the recovering group runs the rotation coordinator
+                // (and switched its transport keys with the open slot).
+                let rotation = r.rotation_state().map(|rot| (rot.active, rot.epoch));
+                let expected = recovering.then_some((Some((0, 1)), 1));
+                assert_eq!(rotation, expected);
+                assert_eq!(r.node().key_epoch(), u64::from(recovering));
+            }
+            for r in &replicas {
+                r.shutdown();
+            }
+        }
+    }
+
+    /// A 4-node session with no replicas on it: node 0 runs transfer
+    /// rounds, `script(p, request)` is what peer `p` answers each request
+    /// with (raw payloads, so it can also send garbage).
+    fn scripted_round<R: Send>(
+        script: impl Fn(ProcessId, &Node, XferMessage) -> Vec<Bytes> + Sync,
+        round: impl FnOnce(&Node) -> R + Send,
+    ) -> R {
+        let nodes = Node::cluster(SessionConfig::new(4).unwrap()).unwrap();
+        let result = std::thread::scope(|scope| {
+            for peer in &nodes[1..] {
+                let (nodes, script) = (&nodes, &script);
+                scope.spawn(move || {
+                    while let Ok((from, payload)) = peer.xfer_recv_timeout(Duration::from_secs(30))
+                    {
+                        let request = XferMessage::from_bytes(&payload).unwrap();
+                        for reply in script(peer.id(), &nodes[0], request) {
+                            peer.send_xfer(from, reply).unwrap();
+                        }
+                    }
+                });
+            }
+            let result = round(&nodes[0]);
+            // Ends the responders: their receive fails once shut down.
+            for n in &nodes {
+                n.shutdown();
+            }
+            result
+        });
+        result
+    }
+
+    fn manifest_resp() -> Bytes {
+        XferMessage::ManifestResp {
+            manifest: None,
+            hints: PeerHints::default(),
+        }
+        .to_bytes()
+    }
+
+    /// Far longer than any test should take: a round that runs it out
+    /// did not stop when it should have.
+    const LONG_WINDOW: Duration = Duration::from_secs(20);
+
+    #[test]
+    fn xfer_round_stops_at_quorum_and_skips_garbage() {
+        // Peer 3 never answers; peers 1 and 2 lead with an undecodable
+        // payload and a reply of the wrong kind.
+        let script = |p: ProcessId, _: &Node, _| match p {
+            3 => vec![],
+            _ => vec![
+                Bytes::from_static(b"\xde\xad\xbe\xef"),
+                XferMessage::FillResp { entries: vec![] }.to_bytes(),
+                manifest_resp(),
+            ],
+        };
+        let started = Instant::now();
+        let seen = scripted_round(script, |node| {
+            let mut seen = Vec::new();
+            let request = XferMessage::ManifestReq;
+            xfer_round(node, &[1, 2, 3], &request, LONG_WINDOW, |from, msg| {
+                assert!(from == 1 || from == 2);
+                seen.push(matches!(msg, XferMessage::ManifestResp { .. }));
+                seen.iter().filter(|&&wanted| wanted).count() == 2
+            })
+            .unwrap();
+            seen
+        });
+        // The garbage never reached the handler; the wrong-kind replies
+        // did, without ending the round; the second wanted reply did.
+        assert_eq!(
+            seen.iter().filter(|&&wanted| !wanted).count(),
+            2,
+            "{seen:?}"
+        );
+        assert_eq!(seen.last(), Some(&true));
+        assert_eq!(seen.len(), 4);
+        assert!(started.elapsed() < LONG_WINDOW / 2, "ran out the window");
+    }
+
+    #[test]
+    fn xfer_round_reports_shutdown_mid_round() {
+        // The responder shuts the requester down once the request has
+        // provably arrived, i.e. while the round is collecting.
+        let script = |_: ProcessId, requester: &Node, _| {
+            requester.shutdown();
+            vec![]
+        };
+        let outcome = scripted_round(script, |node| {
+            xfer_round(
+                node,
+                &[1],
+                &XferMessage::ManifestReq,
+                LONG_WINDOW,
+                |_, _| false,
+            )
+        });
+        assert_eq!(outcome, Err(NodeError::Disconnected));
     }
 
     /// Correct replicas must cut byte-identical snapshots at identical

@@ -36,10 +36,11 @@ use crate::recovery::scheduler::{RotationConfig, RotationState};
 use crate::recovery::{Hash, RecoveryConfig, RecoveryConfigError, SnapshotState};
 use crate::rsm::Replica;
 use bytes::Bytes;
-use crossbeam_channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use ritas_metrics::{Layer, Metrics};
 use std::collections::{BTreeSet, HashMap};
+use std::convert::Infallible;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -440,7 +441,23 @@ impl<S: SnapshotState> SnapshotState for ServiceState<S> {
     }
 }
 
-type Waiters = Mutex<HashMap<(ClientId, u64), Vec<Sender<Bytes>>>>;
+/// One request blocked on a reply: the ticket its caller withdraws it by
+/// on timeout, and where the reply goes.
+struct Waiter {
+    ticket: u64,
+    tx: SyncSender<Bytes>,
+}
+
+/// The requests waiting on each `(client, seq)`.
+#[derive(Default)]
+struct Waiters {
+    next_ticket: u64,
+    by_request: HashMap<(ClientId, u64), Vec<Waiter>>,
+}
+
+/// The per-delivery apply closure a [`ServiceReplica`] hands its
+/// [`Replica`].
+type Applier<S> = Box<dyn FnMut(&mut ServiceState<S>, crate::ProcessId, &[u8]) + Send>;
 
 /// A replica of a deterministic request/reply service.
 ///
@@ -494,7 +511,7 @@ pub struct ServiceReplica<S: Send + 'static> {
     /// in-flight pins are local knowledge that must never influence the
     /// replicated dedup decision.
     table: Arc<Mutex<SessionTable>>,
-    waiters: Arc<Waiters>,
+    waiters: Arc<Mutex<Waiters>>,
     query: Arc<QueryFn<S>>,
     metrics: Metrics,
 }
@@ -526,11 +543,35 @@ impl<S: Send + 'static> ServiceReplica<S> {
         apply: impl FnMut(&mut S, ClientId, &[u8]) -> Bytes + Send + 'static,
         query: impl Fn(&S, &[u8]) -> Bytes + Send + Sync + 'static,
     ) -> Self {
+        let built = Self::assemble(
+            node,
+            initial,
+            &config,
+            apply,
+            query,
+            |node, state, applier| Ok::<_, Infallible>(Replica::new(node, state, applier)),
+        );
+        match built {
+            Ok(replica) => replica,
+            Err(never) => match never {},
+        }
+    }
+
+    /// The one construction path: builds the serving table, the waiter
+    /// map, the replicated state and the apply closure, and leaves to
+    /// `build` only how the [`Replica`] underneath is started.
+    fn assemble<E>(
+        node: Node,
+        initial: S,
+        config: &ServiceConfig,
+        apply: impl FnMut(&mut S, ClientId, &[u8]) -> Bytes + Send + 'static,
+        query: impl Fn(&S, &[u8]) -> Bytes + Send + Sync + 'static,
+        build: impl FnOnce(Node, ServiceState<S>, Applier<S>) -> Result<Replica<ServiceState<S>>, E>,
+    ) -> Result<Self, E> {
         let metrics = node.metrics().clone();
         let table = Arc::new(Mutex::new(SessionTable::new(config.session_capacity)));
-        let waiters: Arc<Waiters> = Arc::new(Mutex::new(HashMap::new()));
+        let waiters = Arc::new(Mutex::new(Waiters::default()));
         let query: Arc<QueryFn<S>> = Arc::new(query);
-
         let state = ServiceState {
             app: initial,
             sessions: SessionTable::new(config.session_capacity),
@@ -542,14 +583,13 @@ impl<S: Send + 'static> ServiceReplica<S> {
             Arc::clone(&query),
             apply,
         );
-        let replica = Replica::new(node, state, applier);
-        ServiceReplica {
-            replica,
+        Ok(ServiceReplica {
+            replica: build(node, state, Box::new(applier))?,
             table,
             waiters,
             query,
             metrics,
-        }
+        })
     }
 
     /// The shared per-delivery apply closure: decode, replicated dedup,
@@ -557,7 +597,7 @@ impl<S: Send + 'static> ServiceReplica<S> {
     fn make_apply(
         m: Metrics,
         t: Arc<Mutex<SessionTable>>,
-        w: Arc<Waiters>,
+        w: Arc<Mutex<Waiters>>,
         q: Arc<QueryFn<S>>,
         mut apply: impl FnMut(&mut S, ClientId, &[u8]) -> Bytes + Send + 'static,
     ) -> impl FnMut(&mut ServiceState<S>, crate::ProcessId, &[u8]) + Send + 'static {
@@ -597,10 +637,9 @@ impl<S: Send + 'static> ServiceReplica<S> {
                     m.service_sessions_live.set(t.len() as u64);
                     m.service_inflight.set(t.in_flight() as u64);
                 }
-                if let Some(txs) = w.lock().remove(&(c.client, c.seq)) {
-                    for tx in txs {
-                        let _ = tx.send(reply.clone());
-                    }
+                let woken = w.lock().by_request.remove(&(c.client, c.seq));
+                for waiter in woken.into_iter().flatten() {
+                    let _ = waiter.tx.send(reply.clone());
                 }
             }
         }
@@ -647,7 +686,7 @@ impl<S: Send + 'static> ServiceReplica<S> {
     ) -> Result<Bytes, ServiceError> {
         self.metrics.service_requests_total.inc();
         let span = format!("svc:{client}:{seq}");
-        let (needs_submit, rx) = {
+        let (needs_submit, waiter) = {
             let mut table = self.table.lock();
             match table.check(client, seq) {
                 SessionCheck::Cached(reply) => {
@@ -680,7 +719,7 @@ impl<S: Send + 'static> ServiceReplica<S> {
                 payload,
             };
             if let Err(e) = self.replica.submit(cmd.to_bytes()) {
-                self.waiters.lock().remove(&(client, seq));
+                self.withdraw_waiter(client, seq, waiter.0);
                 // Unwind the in-flight pin set by `begin` above: the
                 // command never entered the ordered stream, so nothing
                 // will ever complete it. Leaving it would make the
@@ -696,15 +735,10 @@ impl<S: Send + 'static> ServiceReplica<S> {
                 return Err(ServiceError::Node(e));
             }
         }
-        match rx.recv_timeout(timeout) {
-            Ok(reply) => {
-                self.metrics.span_close(&format!("{span}/ab"));
-                self.metrics.span_close(&span);
-                self.metrics.service_replies_total.inc();
-                Ok(reply)
-            }
-            Err(_) => Err(ServiceError::Timeout),
-        }
+        let reply = self.wait_reply(client, seq, waiter, timeout)?;
+        self.metrics.span_close(&format!("{span}/ab"));
+        self.metrics.span_close(&span);
+        Ok(reply)
     }
 
     /// Waits for `(client, seq)` to apply locally **without submitting
@@ -726,7 +760,7 @@ impl<S: Send + 'static> ServiceReplica<S> {
         timeout: Duration,
     ) -> Result<Bytes, ServiceError> {
         self.metrics.service_requests_total.inc();
-        let rx = {
+        let waiter = {
             let table = self.table.lock();
             match table.check(client, seq) {
                 SessionCheck::Cached(reply) => {
@@ -737,23 +771,56 @@ impl<S: Send + 'static> ServiceReplica<S> {
                 SessionCheck::InFlight | SessionCheck::New => self.register_waiter(client, seq),
             }
         };
+        self.wait_reply(client, seq, waiter, timeout)
+    }
+
+    /// Registers a reply channel for `(client, seq)`; returns its ticket
+    /// and receiving end.
+    fn register_waiter(&self, client: ClientId, seq: u64) -> (u64, Receiver<Bytes>) {
+        let (tx, rx) = sync_channel(1);
+        let mut w = self.waiters.lock();
+        w.next_ticket += 1;
+        let ticket = w.next_ticket;
+        w.by_request
+            .entry((client, seq))
+            .or_default()
+            .push(Waiter { ticket, tx });
+        (ticket, rx)
+    }
+
+    /// Removes the caller's own waiter — and the map entry once it is the
+    /// last one — leaving any other request merged on the same
+    /// `(client, seq)` waiting.
+    fn withdraw_waiter(&self, client: ClientId, seq: u64, ticket: u64) {
+        let mut w = self.waiters.lock();
+        if let Some(txs) = w.by_request.get_mut(&(client, seq)) {
+            txs.retain(|w| w.ticket != ticket);
+            if txs.is_empty() {
+                w.by_request.remove(&(client, seq));
+            }
+        }
+    }
+
+    /// Blocks on a registered waiter. A waiter whose command does not
+    /// apply in time is withdrawn: nothing else would ever remove it if
+    /// the command is never submitted anywhere.
+    fn wait_reply(
+        &self,
+        client: ClientId,
+        seq: u64,
+        (ticket, rx): (u64, Receiver<Bytes>),
+        timeout: Duration,
+    ) -> Result<Bytes, ServiceError> {
         match rx.recv_timeout(timeout) {
             Ok(reply) => {
                 self.metrics.service_replies_total.inc();
                 Ok(reply)
             }
-            Err(_) => Err(ServiceError::Timeout),
+            Err(_) => {
+                self.withdraw_waiter(client, seq, ticket);
+                Err(ServiceError::Timeout)
+            }
         }
-    }
-
-    fn register_waiter(&self, client: ClientId, seq: u64) -> Receiver<Bytes> {
-        let (tx, rx) = bounded(1);
-        self.waiters
-            .lock()
-            .entry((client, seq))
-            .or_default()
-            .push(tx);
-        rx
     }
 
     /// Evaluates `query` against the current local state **without
@@ -812,29 +879,14 @@ impl<S: SnapshotState + Send + 'static> ServiceReplica<S> {
         apply: impl FnMut(&mut S, ClientId, &[u8]) -> Bytes + Send + 'static,
         query: impl Fn(&S, &[u8]) -> Bytes + Send + Sync + 'static,
     ) -> Result<Self, RecoveryConfigError> {
-        let metrics = node.metrics().clone();
-        let table = Arc::new(Mutex::new(SessionTable::new(config.session_capacity)));
-        let waiters: Arc<Waiters> = Arc::new(Mutex::new(HashMap::new()));
-        let query: Arc<QueryFn<S>> = Arc::new(query);
-        let state = ServiceState {
-            app: initial,
-            sessions: SessionTable::new(config.session_capacity),
-        };
-        let applier = Self::make_apply(
-            metrics.clone(),
-            Arc::clone(&table),
-            Arc::clone(&waiters),
-            Arc::clone(&query),
+        Self::assemble(
+            node,
+            initial,
+            &config,
             apply,
-        );
-        let replica = Replica::with_recovery(node, state, recovery, applier)?;
-        Ok(ServiceReplica {
-            replica,
-            table,
-            waiters,
             query,
-            metrics,
-        })
+            |node, state, applier| Replica::with_recovery(node, state, recovery, applier),
+        )
     }
 
     /// Rebuilds a wiped service replica from its peers via snapshot
@@ -856,29 +908,14 @@ impl<S: SnapshotState + Send + 'static> ServiceReplica<S> {
         apply: impl FnMut(&mut S, ClientId, &[u8]) -> Bytes + Send + 'static,
         query: impl Fn(&S, &[u8]) -> Bytes + Send + Sync + 'static,
     ) -> Result<Self, RecoveryConfigError> {
-        let metrics = node.metrics().clone();
-        let table = Arc::new(Mutex::new(SessionTable::new(config.session_capacity)));
-        let waiters: Arc<Waiters> = Arc::new(Mutex::new(HashMap::new()));
-        let query: Arc<QueryFn<S>> = Arc::new(query);
-        let state = ServiceState {
-            app: initial,
-            sessions: SessionTable::new(config.session_capacity),
-        };
-        let applier = Self::make_apply(
-            metrics.clone(),
-            Arc::clone(&table),
-            Arc::clone(&waiters),
-            Arc::clone(&query),
+        Self::assemble(
+            node,
+            initial,
+            &config,
             apply,
-        );
-        let replica = Replica::rejoin(node, state, recovery, stale, applier)?;
-        Ok(ServiceReplica {
-            replica,
-            table,
-            waiters,
             query,
-            metrics,
-        })
+            |node, state, applier| Replica::rejoin(node, state, recovery, stale, applier),
+        )
     }
 
     /// The latest local snapshot digest as `(seq, merkle_root)` — equal
@@ -1130,6 +1167,39 @@ mod tests {
             matches!(e, ServiceError::Node(_)),
             "retry saw a stale in-flight pin: {e:?}"
         );
+    }
+
+    /// An observer that times out takes its waiter with it: requests for
+    /// sequence numbers nobody ever submits must not grow the map.
+    #[test]
+    fn timed_out_observers_leave_no_waiter() {
+        let replicas = counters(4);
+        let r0 = &replicas[0];
+        for seq in 1..=1000 {
+            let e = r0.await_reply(7, seq, Duration::ZERO).unwrap_err();
+            assert_eq!(e, ServiceError::Timeout);
+        }
+        assert!(r0.waiters.lock().by_request.is_empty());
+        // Withdrawing is per caller: of two observers merged on one key,
+        // the one that times out leaves the other registered — and a
+        // later real submit of that command still answers it.
+        std::thread::scope(|scope| {
+            let patient = scope.spawn(|| r0.await_reply(7, 1, T));
+            while r0.waiters.lock().by_request.is_empty() {
+                std::thread::yield_now();
+            }
+            let e = r0.await_reply(7, 1, Duration::ZERO).unwrap_err();
+            assert_eq!(e, ServiceError::Timeout);
+            assert_eq!(r0.waiters.lock().by_request[&(7, 1)].len(), 1);
+            let reply = replicas[1]
+                .submit(7, 1, CommandKind::Apply, Bytes::from_static(b"incr"), T)
+                .unwrap();
+            assert_eq!(patient.join().unwrap().unwrap(), reply);
+        });
+        assert!(r0.waiters.lock().by_request.is_empty());
+        for r in &replicas {
+            r.shutdown();
+        }
     }
 
     /// Satellite: snapshotting the replicated session table mid-retry and

@@ -1214,59 +1214,71 @@ mod tests {
         }
     }
 
-    /// Queues `step`'s frames from `from`; returns how many are AB_VECT.
-    fn fan_out(
-        from: ProcessId,
-        step: StackStep,
-        queue: &mut Vec<(ProcessId, ProcessId, Bytes)>,
-    ) -> usize {
-        let mut vects = 0;
-        for out in step.messages {
-            let decoded = crate::adversary::decode_frame(&out.message);
-            if let Some((_, crate::adversary::ProtocolMsg::Ab(AbMessage::Vect { .. }))) = decoded {
-                vects += 1;
-            }
-            match out.target {
-                crate::step::Target::All => {
-                    queue.extend((0..4).map(|to| (from, to, out.message.clone())));
-                }
-                crate::step::Target::One(to) => queue.push((from, to, out.message)),
-            }
+    /// How many of `step`'s frames are AB_VECT (a round opening).
+    fn vects(step: &StackStep) -> usize {
+        step.messages
+            .iter()
+            .filter(|out| {
+                matches!(
+                    crate::adversary::decode_frame(&out.message),
+                    Some((_, crate::adversary::ProtocolMsg::Ab(AbMessage::Vect { .. })))
+                )
+            })
+            .count()
+    }
+
+    /// A stack the net never polls (the trait's default `poll` is empty),
+    /// counting the AB_VECTs its frame handling emits.
+    struct Unpolled {
+        stack: Stack,
+        vects: usize,
+    }
+
+    impl crate::testing::Process for Unpolled {
+        type Msg = Bytes;
+        type Out = Output;
+
+        fn handle_message(&mut self, from: ProcessId, frame: Bytes) -> StackStep {
+            let step = self.stack.handle_frame(from, frame);
+            self.vects += vects(&step);
+            step
         }
-        vects
     }
 
     #[test]
     fn rounds_start_in_poll_all_never_in_handle_frame() {
         let group = crate::Group::new(4).unwrap();
         let table = ritas_crypto::KeyTable::dealer(4, 23);
-        let mut stacks: Vec<Stack> = (0..4)
-            .map(|me| Stack::new(group, me, table.view_of(me), 23 ^ me as u64))
+        let stacks = (0..4)
+            .map(|me| Unpolled {
+                stack: Stack::new(group, me, table.view_of(me), 23 ^ me as u64),
+                vects: 0,
+            })
             .collect();
-        let mut queue = Vec::new();
-        for (p, stack) in stacks.iter_mut().enumerate() {
-            let (_, step) = stack.ab_broadcast(0, Bytes::from_static(b"ab"));
-            assert_eq!(fan_out(p, step, &mut queue), 0);
-            let step = stack.vc_propose(1, Bytes::from_static(b"vc")).unwrap();
-            fan_out(p, step, &mut queue);
+        let mut net = crate::testing::Net::connect(stacks, 23);
+        net.set_schedule(crate::testing::Schedule::Lifo);
+        for p in 0..4 {
+            let stack = &mut net.process_mut(p).stack;
+            let (_, mut step) = stack.ab_broadcast(0, Bytes::from_static(b"ab"));
+            step.extend(stack.vc_propose(1, Bytes::from_static(b"vc")).unwrap());
+            assert_eq!(vects(&step), 0);
+            net.absorb(p, step);
         }
         // Dissemination runs to quiescence on handle_frame alone, but no
         // agreement round opens: no AB_VECT, no VC round, no delivery.
-        while let Some((from, to, frame)) = queue.pop() {
-            let step = stacks[to].handle_frame(from, frame);
-            assert_eq!(fan_out(to, step, &mut queue), 0, "AB_VECT without poll");
-        }
-        for stack in &stacks {
+        net.run();
+        for p in 0..4 {
+            let Unpolled { stack, vects } = net.process(p);
+            assert_eq!(*vects, 0, "AB_VECT without poll");
             assert!(stack.ab(0).unwrap().pending() > 0, "batches received");
             assert_eq!(stack.ab(0).unwrap().stats().delivered, 0);
             assert_eq!(stack.metrics().mvc_started.get(), 0, "a round opened");
         }
         // poll_all opens both: every stack emits its AB_VECT and proposes
         // the VC round's W_i to a fresh MVC.
-        let mut queue = Vec::new();
-        for (p, stack) in stacks.iter_mut().enumerate() {
-            let step = stack.poll_all();
-            assert_eq!(fan_out(p, step, &mut queue), 1, "one AB_VECT broadcast");
+        for p in 0..4 {
+            let stack = &mut net.process_mut(p).stack;
+            assert_eq!(vects(&stack.poll_all()), 1, "one AB_VECT broadcast");
             assert_eq!(stack.metrics().mvc_started.get(), 1, "the VC round");
         }
     }

@@ -1,20 +1,31 @@
-//! Deterministic in-memory cluster for driving [`crate::stack::Stack`]s.
+//! The deterministic in-memory message pump: [`Net`] drives any sans-io
+//! protocol state machine (a [`Process`]: each of the six layers, or a
+//! whole [`Stack`]); [`Cluster`] is the `Net` of stacks with a Byzantine
+//! wire underneath.
 //!
-//! The cluster is a zero-time message-passing harness: it holds one stack
-//! per process and a queue of in-flight frames, and drains the queue in a
-//! seeded pseudo-random order (every interleaving is a legal asynchronous
-//! schedule, so randomizing it is a cheap schedule-exploration tool for
-//! tests — rerun with different seeds to explore different schedules).
-//! Timing-aware execution lives in the `ritas-sim` crate; this harness is
-//! for functional tests of the protocol logic.
+//! A net is a zero-time message-passing harness: it holds one process
+//! per group member and a queue of in-flight messages, and drains the
+//! queue in a seeded pseudo-random order (every interleaving is a legal
+//! asynchronous schedule, so randomizing it is a cheap
+//! schedule-exploration tool for tests — rerun with different seeds to
+//! explore different schedules). Timing-aware execution lives in the
+//! `ritas-sim` crate; this harness is for functional tests of the
+//! protocol logic.
 
-use crate::adversary::{FrameMutator, StrategyRng};
+use crate::ab::{AbDelivery, AbMessage, AtomicBroadcast};
+use crate::adversary::{FrameMutator, SendCtx, Strategy, StrategyRng};
+use crate::bc::{BcMessage, BinaryConsensus};
 use crate::config::Group;
-use crate::stack::{Output, Stack, StackStep};
-use crate::step::Target;
+use crate::eb::{EbMessage, EchoBroadcast};
+use crate::mvc::{MultiValuedConsensus, MvcMessage, MvcValue};
+use crate::rb::{RbMessage, ReliableBroadcast};
+use crate::stack::{Output, Stack};
+use crate::step::{Outgoing, Step, Target};
+use crate::vc::{DecisionVector, VcMessage, VectorConsensus};
 use crate::ProcessId;
 use bytes::Bytes;
 use ritas_crypto::KeyTable;
+use std::collections::HashSet;
 
 /// How in-flight frames are picked for delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,6 +45,12 @@ impl Schedule {
     /// Every schedule, in matrix order (the `schedule` axis of the
     /// adversarial conformance matrix).
     pub const ALL: [Schedule; 3] = [Schedule::Random, Schedule::Fifo, Schedule::Lifo];
+
+    /// Every `(seed, schedule)` pair over `seeds` — the loop header of a
+    /// test that must hold under all three schedules.
+    pub fn sweep(seeds: std::ops::Range<u64>) -> impl Iterator<Item = (u64, Schedule)> {
+        seeds.flat_map(|seed| Schedule::ALL.map(|schedule| (seed, schedule)))
+    }
 }
 
 impl core::fmt::Display for Schedule {
@@ -61,7 +78,404 @@ impl std::str::FromStr for Schedule {
     }
 }
 
-/// A deterministic cluster of `n` stacks connected by reliable links.
+/// A sans-io protocol state machine a [`Net`] can drive.
+pub trait Process {
+    /// What it exchanges with its peers.
+    type Msg: Clone;
+    /// What it hands the layer above.
+    type Out;
+
+    /// Handles one message from `from`.
+    fn handle_message(&mut self, from: ProcessId, msg: Self::Msg) -> Step<Self::Msg, Self::Out>;
+
+    /// Work that starts outside message handling (agreement rounds); the
+    /// net polls the receiver after every delivered message, so a round
+    /// may start at any point of the schedule, as under a real driver.
+    fn poll(&mut self) -> Step<Self::Msg, Self::Out> {
+        Step::none()
+    }
+}
+
+macro_rules! process {
+    ($ty:ty, $msg:ty, $out:ty $(, $poll:ident)?) => {
+        impl Process for $ty {
+            type Msg = $msg;
+            type Out = $out;
+
+            fn handle_message(&mut self, from: ProcessId, msg: $msg) -> Step<$msg, $out> {
+                <$ty>::handle_message(self, from, msg)
+            }
+            $(
+            fn poll(&mut self) -> Step<$msg, $out> {
+                <$ty>::$poll(self)
+            }
+            )?
+        }
+    };
+}
+
+process!(ReliableBroadcast, RbMessage, Bytes);
+process!(EchoBroadcast, EbMessage, Bytes);
+process!(BinaryConsensus, BcMessage, bool);
+process!(MultiValuedConsensus, MvcMessage, MvcValue);
+process!(VectorConsensus, VcMessage, DecisionVector, poll);
+process!(AtomicBroadcast, AbMessage, AbDelivery, poll);
+
+impl Process for Stack {
+    type Msg = Bytes;
+    type Out = Output;
+
+    fn handle_message(&mut self, from: ProcessId, frame: Bytes) -> Step<Bytes, Output> {
+        self.handle_frame(from, frame)
+    }
+
+    fn poll(&mut self) -> Step<Bytes, Output> {
+        self.poll_all()
+    }
+}
+
+/// What a process's outbound traffic turns into before it enters the
+/// network: `(destination, message)` pairs, in travel order.
+pub trait Wire<M> {
+    /// Carries one outgoing message of `from` in a group of `n`.
+    fn carry(&mut self, from: ProcessId, n: usize, out: Outgoing<M>) -> Vec<(ProcessId, M)>;
+}
+
+fn destinations(n: usize, target: Target) -> std::ops::Range<ProcessId> {
+    match target {
+        Target::All => 0..n,
+        Target::One(to) => to..to + 1,
+    }
+}
+
+/// The honest wire: every message reaches exactly its target(s).
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Faithful;
+
+impl<M: Clone> Wire<M> for Faithful {
+    fn carry(&mut self, _from: ProcessId, n: usize, out: Outgoing<M>) -> Vec<(ProcessId, M)> {
+        destinations(n, out.target)
+            .map(|to| (to, out.message.clone()))
+            .collect()
+    }
+}
+
+/// A deterministic network of `n` processes connected by reliable links.
+///
+/// # Example
+///
+/// Driving one protocol layer directly:
+///
+/// ```
+/// use ritas::rb::ReliableBroadcast;
+/// use ritas::testing::Net;
+/// use ritas::Group;
+/// use bytes::Bytes;
+///
+/// let g = Group::new(4)?;
+/// let mut net = Net::connect((0..4).map(|me| ReliableBroadcast::new(g, me, 0)).collect(), 7);
+/// let step = net.process_mut(0).broadcast(Bytes::from_static(b"hi"))?;
+/// net.absorb(0, step);
+/// net.run();
+/// assert_eq!(net.outputs(3), [Bytes::from_static(b"hi")]);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub struct Net<P: Process, W = Faithful> {
+    procs: Vec<P>,
+    wire: W,
+    queue: Vec<(ProcessId, ProcessId, P::Msg)>,
+    outputs: Vec<Vec<P::Out>>,
+    schedule: Schedule,
+    rng: StrategyRng,
+    crashed: Vec<bool>,
+    /// Processes whose inbound messages are currently withheld (extreme
+    /// asynchrony: the messages are buffered, not lost, and re-enter the
+    /// queue on release — delay, never loss, per the reliable-channel
+    /// model).
+    held_inbound: Vec<bool>,
+    stash: Vec<(ProcessId, ProcessId, P::Msg)>,
+    /// Links (as normalized unordered pairs) currently severed: messages
+    /// on them are buffered in `link_stash`, not lost, and re-enter the
+    /// queue on heal — the harness twin of a TCP socket kill the session
+    /// layer recovers from by reconnect + retransmit.
+    severed: HashSet<(ProcessId, ProcessId)>,
+    link_stash: Vec<(ProcessId, ProcessId, P::Msg)>,
+    delivered_frames: u64,
+}
+
+impl<P: Process, W> core::fmt::Debug for Net<P, W> {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("Net")
+            .field("n", &self.procs.len())
+            .field("in_flight", &self.queue.len())
+            .field("schedule", &self.schedule)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<P: Process> Net<P> {
+    /// Connects `procs` (index = process id) over the honest wire; `seed`
+    /// determines the [`Schedule::Random`] interleaving.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `procs` is empty.
+    pub fn connect(procs: Vec<P>, seed: u64) -> Self {
+        Net::over(procs, Faithful, seed)
+    }
+}
+
+impl<P: Process, W: Wire<P::Msg>> Net<P, W> {
+    fn over(procs: Vec<P>, wire: W, seed: u64) -> Self {
+        assert!(!procs.is_empty(), "a net needs processes");
+        let n = procs.len();
+        Net {
+            procs,
+            wire,
+            queue: Vec::new(),
+            outputs: (0..n).map(|_| Vec::new()).collect(),
+            schedule: Schedule::Random,
+            rng: StrategyRng::new(seed),
+            crashed: vec![false; n],
+            held_inbound: vec![false; n],
+            stash: Vec::new(),
+            severed: HashSet::new(),
+            link_stash: Vec::new(),
+            delivered_frames: 0,
+        }
+    }
+
+    /// Sets the delivery schedule.
+    pub fn set_schedule(&mut self, schedule: Schedule) {
+        self.schedule = schedule;
+    }
+
+    /// Crashes process `p`: its outgoing messages are dropped and inbound
+    /// messages are discarded from now on.
+    pub fn crash(&mut self, p: ProcessId) {
+        self.crashed[p] = true;
+    }
+
+    /// Starts withholding all inbound messages for `p` — extreme (but
+    /// model-faithful) asynchrony: they are buffered and re-enter the
+    /// network when [`Net::release`] is called; nothing is lost.
+    pub fn hold(&mut self, p: ProcessId) {
+        self.held_inbound[p] = true;
+    }
+
+    /// Stops withholding and re-queues everything buffered for `p`.
+    pub fn release(&mut self, p: ProcessId) {
+        self.held_inbound[p] = false;
+        let (for_p, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.stash)
+            .into_iter()
+            .partition(|(_, to, _)| *to == p);
+        self.stash = rest;
+        self.queue.extend(for_p);
+    }
+
+    fn norm_pair(a: ProcessId, b: ProcessId) -> (ProcessId, ProcessId) {
+        (a.min(b), a.max(b))
+    }
+
+    /// Severs the point-to-point link between `a` and `b`, both
+    /// directions: messages on it are buffered (delay, never loss — the
+    /// reliable-channel model the real mesh's session layer restores by
+    /// reconnecting and retransmitting) until [`Net::heal_link`].
+    pub fn sever_link(&mut self, a: ProcessId, b: ProcessId) {
+        self.severed.insert(Self::norm_pair(a, b));
+    }
+
+    /// Restores the link between `a` and `b` and re-queues every message
+    /// buffered on it while severed.
+    pub fn heal_link(&mut self, a: ProcessId, b: ProcessId) {
+        let pair = Self::norm_pair(a, b);
+        self.severed.remove(&pair);
+        let (for_link, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.link_stash)
+            .into_iter()
+            .partition(|(f, t, _)| Self::norm_pair(*f, *t) == pair);
+        self.link_stash = rest;
+        self.queue.extend(for_link);
+    }
+
+    /// Group size.
+    pub fn n(&self) -> usize {
+        self.procs.len()
+    }
+
+    /// Process `p`.
+    pub fn process(&self, p: ProcessId) -> &P {
+        &self.procs[p]
+    }
+
+    /// Access to process `p`, e.g. to issue service requests.
+    pub fn process_mut(&mut self, p: ProcessId) -> &mut P {
+        &mut self.procs[p]
+    }
+
+    /// The outputs process `p` has produced so far, in order.
+    pub fn outputs(&self, p: ProcessId) -> &[P::Out] {
+        &self.outputs[p]
+    }
+
+    /// The one output of a single-shot process (a decision, a delivery),
+    /// if it has produced it yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` produced more than one.
+    pub fn output(&self, p: ProcessId) -> Option<&P::Out> {
+        assert!(self.outputs[p].len() <= 1, "double output at {p}");
+        self.outputs[p].first()
+    }
+
+    /// Messages delivered since creation (a rough message-complexity
+    /// meter).
+    pub fn delivered_frames(&self) -> u64 {
+        self.delivered_frames
+    }
+
+    /// Puts `msg` in flight from `from` to `to` as is — bypassing the wire
+    /// and `from`'s crash flag, which is how a test plays a Byzantine
+    /// sender by hand.
+    pub fn inject(&mut self, from: ProcessId, to: ProcessId, msg: P::Msg) {
+        self.queue.push((from, to, msg));
+    }
+
+    /// Queues the messages of `step` as in flight from `p` and records
+    /// its outputs.
+    pub fn absorb(&mut self, p: ProcessId, step: Step<P::Msg, P::Out>) {
+        if self.crashed[p] {
+            return;
+        }
+        let n = self.procs.len();
+        for out in step.messages {
+            let carried = self.wire.carry(p, n, out);
+            self.queue
+                .extend(carried.into_iter().map(|(to, msg)| (p, to, msg)));
+        }
+        self.outputs[p].extend(step.outputs);
+    }
+
+    /// Delivers exactly one in-flight message, then polls the receiving
+    /// process: a round may start after any message, so seeds and
+    /// schedules explore every interleaving a real driver (which polls
+    /// whenever its queue drains) could produce. Returns `false` when the
+    /// queue is empty.
+    pub fn step(&mut self) -> bool {
+        if self.queue.is_empty() {
+            return false;
+        }
+        let idx = match self.schedule {
+            Schedule::Fifo => 0,
+            Schedule::Lifo => self.queue.len() - 1,
+            Schedule::Random => (self.rng.next() as usize) % self.queue.len(),
+        };
+        let (from, to, msg) = self.queue.remove(idx);
+        if self.crashed[to] {
+            return true;
+        }
+        if self.severed.contains(&Self::norm_pair(from, to)) {
+            self.link_stash.push((from, to, msg));
+            return true;
+        }
+        if self.held_inbound[to] {
+            self.stash.push((from, to, msg));
+            return true;
+        }
+        self.delivered_frames += 1;
+        let mut step = self.procs[to].handle_message(from, msg);
+        step.extend(self.procs[to].poll());
+        self.absorb(to, step);
+        true
+    }
+
+    /// Runs until no messages are in flight.
+    ///
+    /// # Panics
+    ///
+    /// Panics after 50 million deliveries (runaway-execution guard).
+    pub fn run(&mut self) {
+        let mut iterations: u64 = 0;
+        while self.step() {
+            iterations += 1;
+            assert!(iterations < 50_000_000, "runaway execution");
+        }
+    }
+}
+
+/// For the tests of the single-shot broadcast layers: under every
+/// schedule, connects a fresh `group()` (minus the `crashed`), lets
+/// `sender` open with `broadcast`, runs to quiescence, and returns each
+/// run's per-process delivery.
+#[cfg(test)]
+pub(crate) fn broadcast_runs<P: Process>(
+    group: impl Fn() -> Vec<P>,
+    crashed: &[ProcessId],
+    sender: ProcessId,
+    broadcast: impl Fn(&mut P) -> Step<P::Msg, P::Out>,
+) -> Vec<Vec<Option<P::Out>>>
+where
+    P::Out: Clone,
+{
+    Schedule::ALL
+        .map(|schedule| {
+            let mut net = Net::connect(group(), 1);
+            net.set_schedule(schedule);
+            for &p in crashed {
+                net.crash(p);
+            }
+            let step = broadcast(net.process_mut(sender));
+            net.absorb(sender, step);
+            net.run();
+            (0..net.n()).map(|p| net.output(p).cloned()).collect()
+        })
+        .into()
+}
+
+/// The [`Cluster`]'s wire: per process, an optional Byzantine rewrite of
+/// everything its stack sends.
+pub struct Byzantine {
+    seed: u64,
+    /// Processes whose outgoing frames are randomly mutated (dropped,
+    /// duplicated, bit-flipped, truncated or replaced with garbage) — a
+    /// wire-level Byzantine adversary, one seeded mutator each.
+    corrupted: Vec<Option<FrameMutator>>,
+    /// Protocol-aware Byzantine strategies (see [`crate::adversary`]):
+    /// when set for a process, every outbound frame is decoded and run
+    /// through the strategy once per destination before it travels.
+    strategies: Vec<Option<Box<dyn Strategy>>>,
+}
+
+impl Wire<Bytes> for Byzantine {
+    fn carry(&mut self, p: ProcessId, n: usize, out: Outgoing<Bytes>) -> Vec<(ProcessId, Bytes)> {
+        let dests = destinations(n, out.target);
+        if let Some(strategy) = &mut self.strategies[p] {
+            return match crate::adversary::decode_frame(&out.message) {
+                Some((key, msg)) => dests
+                    .flat_map(|to| {
+                        let ctx = SendCtx { me: p, to, n };
+                        let frames = strategy.rewrite(&ctx, key, msg.clone());
+                        frames.into_iter().map(move |frame| (to, frame))
+                    })
+                    .collect(),
+                // An honest stack never emits an undecodable frame; if
+                // one appears (strategy-injected), pass it through.
+                None => dests.map(|to| (to, out.message.clone())).collect(),
+            };
+        }
+        let frames = match &mut self.corrupted[p] {
+            Some(mutator) => mutator.mutate(out.message),
+            None => vec![out.message],
+        };
+        frames
+            .into_iter()
+            .flat_map(|frame| dests.clone().map(move |to| (to, frame.clone())))
+            .collect()
+    }
+}
+
+/// A deterministic cluster of `n` stacks connected by reliable links,
+/// any of which may be turned Byzantine.
 ///
 /// # Example
 ///
@@ -79,37 +493,7 @@ impl std::str::FromStr for Schedule {
 ///     Output::RbDelivered { payload, .. } if payload.as_ref() == b"hi"
 /// )));
 /// ```
-#[derive(Debug)]
-pub struct Cluster {
-    stacks: Vec<Stack>,
-    queue: Vec<(ProcessId, ProcessId, Bytes)>,
-    outputs: Vec<Vec<Output>>,
-    schedule: Schedule,
-    seed: u64,
-    rng: StrategyRng,
-    crashed: Vec<bool>,
-    /// Processes whose outgoing frames are randomly mutated (dropped,
-    /// duplicated, bit-flipped, truncated or replaced with garbage) — a
-    /// wire-level Byzantine adversary, one seeded mutator each.
-    corrupted: Vec<Option<FrameMutator>>,
-    /// Protocol-aware Byzantine strategies (see [`crate::adversary`]):
-    /// when set for a process, every outbound frame is decoded and run
-    /// through the strategy once per destination before it travels.
-    strategies: Vec<Option<Box<dyn crate::adversary::Strategy>>>,
-    /// Processes whose inbound frames are currently withheld (extreme
-    /// asynchrony: the frames are buffered, not lost, and re-enter the
-    /// queue on release — delay, never loss, per the reliable-channel
-    /// model).
-    held_inbound: Vec<bool>,
-    stash: Vec<(ProcessId, ProcessId, Bytes)>,
-    /// Links (as normalized unordered pairs) currently severed: frames on
-    /// them are buffered in `link_stash`, not lost, and re-enter the
-    /// queue on heal — the harness twin of a TCP socket kill the session
-    /// layer recovers from by reconnect + retransmit.
-    severed: std::collections::HashSet<(ProcessId, ProcessId)>,
-    link_stash: Vec<(ProcessId, ProcessId, Bytes)>,
-    delivered_frames: u64,
-}
+pub type Cluster = Net<Stack, Byzantine>;
 
 impl Cluster {
     /// Creates a cluster of `n` correct processes with dealt keys.
@@ -137,76 +521,13 @@ impl Cluster {
     ///
     /// Panics if `stacks` is empty.
     pub fn with_stacks(stacks: Vec<Stack>, seed: u64) -> Self {
-        assert!(!stacks.is_empty(), "cluster needs stacks");
         let n = stacks.len();
-        Cluster {
-            stacks,
-            queue: Vec::new(),
-            outputs: vec![Vec::new(); n],
-            schedule: Schedule::Random,
+        let wire = Byzantine {
             seed,
-            rng: StrategyRng::new(seed),
-            crashed: vec![false; n],
             corrupted: vec![None; n],
             strategies: (0..n).map(|_| None).collect(),
-            held_inbound: vec![false; n],
-            stash: Vec::new(),
-            severed: std::collections::HashSet::new(),
-            link_stash: Vec::new(),
-            delivered_frames: 0,
-        }
-    }
-
-    /// Sets the delivery schedule.
-    pub fn set_schedule(&mut self, schedule: Schedule) {
-        self.schedule = schedule;
-    }
-
-    /// Crashes process `p`: its outgoing frames are dropped and inbound
-    /// frames are discarded from now on.
-    pub fn crash(&mut self, p: ProcessId) {
-        self.crashed[p] = true;
-    }
-
-    /// Starts withholding all inbound frames for `p` — extreme (but
-    /// model-faithful) asynchrony: the frames are buffered and re-enter
-    /// the network when [`Cluster::release`] is called; nothing is lost.
-    pub fn hold(&mut self, p: ProcessId) {
-        self.held_inbound[p] = true;
-    }
-
-    /// Stops withholding and re-queues everything buffered for `p`.
-    pub fn release(&mut self, p: ProcessId) {
-        self.held_inbound[p] = false;
-        let (for_p, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.stash)
-            .into_iter()
-            .partition(|(_, to, _)| *to == p);
-        self.stash = rest;
-        self.queue.extend(for_p);
-    }
-
-    fn norm_pair(a: ProcessId, b: ProcessId) -> (ProcessId, ProcessId) {
-        (a.min(b), a.max(b))
-    }
-
-    /// Severs the point-to-point link between `a` and `b`, both
-    /// directions: frames on it are buffered (delay, never loss — the
-    /// reliable-channel model the real mesh's session layer restores by
-    /// reconnecting and retransmitting) until [`Cluster::heal_link`].
-    pub fn sever_link(&mut self, a: ProcessId, b: ProcessId) {
-        self.severed.insert(Self::norm_pair(a, b));
-    }
-
-    /// Restores the link between `a` and `b` and re-queues every frame
-    /// buffered on it while severed.
-    pub fn heal_link(&mut self, a: ProcessId, b: ProcessId) {
-        let pair = Self::norm_pair(a, b);
-        self.severed.remove(&pair);
-        let (for_link, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.link_stash)
-            .into_iter()
-            .partition(|(f, t, _)| Self::norm_pair(*f, *t) == pair);
-        self.link_stash = rest;
-        self.queue.extend(for_link);
+        };
+        Net::over(stacks, wire, seed)
     }
 
     /// Marks process `p` as a wire-level Byzantine adversary: every frame
@@ -217,7 +538,7 @@ impl Cluster {
     /// that emits arbitrary bytes rather than one that merely follows a
     /// clever high-level strategy.
     pub fn corrupt(&mut self, p: ProcessId) {
-        self.corrupted[p] = Some(FrameMutator::new(self.seed ^ p as u64));
+        self.wire.corrupted[p] = Some(FrameMutator::new(self.wire.seed ^ p as u64));
     }
 
     /// Installs a protocol-aware Byzantine [`crate::adversary::Strategy`]
@@ -226,131 +547,19 @@ impl Cluster {
     /// of equivocation), and replaced by whatever frames the strategy
     /// returns. Takes precedence over [`Cluster::corrupt`]'s wire-level
     /// mutation for the same process.
-    pub fn set_strategy(&mut self, p: ProcessId, strategy: Box<dyn crate::adversary::Strategy>) {
-        self.strategies[p] = Some(strategy);
-    }
-
-    /// Group size.
-    pub fn n(&self) -> usize {
-        self.stacks.len()
+    pub fn set_strategy(&mut self, p: ProcessId, strategy: Box<dyn Strategy>) {
+        self.wire.strategies[p] = Some(strategy);
     }
 
     /// Access to a process's stack, e.g. to issue service requests.
     pub fn stack_mut(&mut self, p: ProcessId) -> &mut Stack {
-        &mut self.stacks[p]
+        self.process_mut(p)
     }
 
     /// Process `p`'s observability registry (each stack in the cluster
     /// owns a private one).
     pub fn metrics(&self, p: ProcessId) -> &ritas_metrics::Metrics {
-        self.stacks[p].metrics()
-    }
-
-    /// The outputs process `p` has produced so far, in order.
-    pub fn outputs(&self, p: ProcessId) -> &[Output] {
-        &self.outputs[p]
-    }
-
-    /// Frames delivered since creation (a rough message-complexity meter).
-    pub fn delivered_frames(&self) -> u64 {
-        self.delivered_frames
-    }
-
-    /// Queues the messages of `step` as in-flight frames from `p` and
-    /// records its outputs.
-    pub fn absorb(&mut self, p: ProcessId, step: StackStep) {
-        if self.crashed[p] {
-            return;
-        }
-        let n = self.stacks.len();
-        for out in step.messages {
-            if self.strategies[p].is_some() {
-                let dests: Vec<ProcessId> = match out.target {
-                    Target::All => (0..n).collect(),
-                    Target::One(to) => vec![to],
-                };
-                match crate::adversary::decode_frame(&out.message) {
-                    Some((key, msg)) => {
-                        let strategy = self.strategies[p].as_mut().expect("checked above");
-                        for to in dests {
-                            let ctx = crate::adversary::SendCtx { me: p, to, n };
-                            for frame in strategy.rewrite(&ctx, key, msg.clone()) {
-                                self.queue.push((p, to, frame));
-                            }
-                        }
-                    }
-                    // An honest stack never emits an undecodable frame;
-                    // if one appears (strategy-injected), pass it through.
-                    None => {
-                        for to in dests {
-                            self.queue.push((p, to, out.message.clone()));
-                        }
-                    }
-                }
-                continue;
-            }
-            let frames = match &mut self.corrupted[p] {
-                Some(mutator) => mutator.mutate(out.message),
-                None => vec![out.message],
-            };
-            for frame in frames {
-                match out.target {
-                    Target::All => {
-                        for to in 0..n {
-                            self.queue.push((p, to, frame.clone()));
-                        }
-                    }
-                    Target::One(to) => self.queue.push((p, to, frame.clone())),
-                }
-            }
-        }
-        self.outputs[p].extend(step.outputs);
-    }
-
-    /// Delivers exactly one in-flight frame, then polls the receiving
-    /// stack: a round may start after any frame, so seeds and schedules
-    /// explore every interleaving a real driver (which polls whenever its
-    /// queue drains) could produce. Returns `false` when the queue is
-    /// empty.
-    pub fn step(&mut self) -> bool {
-        if self.queue.is_empty() {
-            return false;
-        }
-        let idx = match self.schedule {
-            Schedule::Fifo => 0,
-            Schedule::Lifo => self.queue.len() - 1,
-            Schedule::Random => (self.rng.next() as usize) % self.queue.len(),
-        };
-        let (from, to, frame) = self.queue.remove(idx);
-        if self.crashed[to] {
-            return true;
-        }
-        if self.severed.contains(&Self::norm_pair(from, to)) {
-            self.link_stash.push((from, to, frame));
-            return true;
-        }
-        if self.held_inbound[to] {
-            self.stash.push((from, to, frame));
-            return true;
-        }
-        self.delivered_frames += 1;
-        let mut step = self.stacks[to].handle_frame(from, frame);
-        step.extend(self.stacks[to].poll_all());
-        self.absorb(to, step);
-        true
-    }
-
-    /// Runs until no frames are in flight.
-    ///
-    /// # Panics
-    ///
-    /// Panics after 50 million deliveries (runaway-execution guard).
-    pub fn run(&mut self) {
-        let mut iterations: u64 = 0;
-        while self.step() {
-            iterations += 1;
-            assert!(iterations < 50_000_000, "runaway execution");
-        }
+        self.process(p).metrics()
     }
 }
 

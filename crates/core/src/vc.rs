@@ -454,84 +454,26 @@ fn wrap_round(round: u32, sub: Step<MvcMessage, MvcValue>) -> VcStep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::step::Target;
+    use crate::testing::{Net, Schedule};
     use ritas_crypto::KeyTable;
 
-    struct Net {
-        insts: Vec<VectorConsensus>,
-        queue: Vec<(ProcessId, ProcessId, VcMessage)>,
-        decisions: Vec<Option<DecisionVector>>,
-        rng_state: u64,
-        crashed: Vec<ProcessId>,
+    type VcNet = Net<VectorConsensus>;
+
+    fn vc_net(n: usize, seed: u64) -> VcNet {
+        let g = Group::new(n).unwrap();
+        let table = KeyTable::dealer(n, seed);
+        let insts = (0..n)
+            .map(|me| VectorConsensus::new(g, me, table.view_of(me), seed ^ me as u64))
+            .collect();
+        Net::connect(insts, seed)
     }
 
-    impl Net {
-        fn new(n: usize, seed: u64) -> Self {
-            let g = Group::new(n).unwrap();
-            let table = KeyTable::dealer(n, seed);
-            Net {
-                insts: (0..n)
-                    .map(|me| VectorConsensus::new(g, me, table.view_of(me), seed ^ me as u64))
-                    .collect(),
-                queue: Vec::new(),
-                decisions: vec![None; n],
-                rng_state: seed.wrapping_mul(0x9E3779B97F4A7C15) | 1,
-                crashed: Vec::new(),
-            }
-        }
-
-        fn next_rand(&mut self) -> u64 {
-            let mut x = self.rng_state;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.rng_state = x;
-            x.wrapping_mul(0x2545F4914F6CDD1D)
-        }
-
-        fn absorb(&mut self, from: ProcessId, step: VcStep) {
-            if self.crashed.contains(&from) {
-                return;
-            }
-            let n = self.insts.len();
-            for out in step.messages {
-                match out.target {
-                    Target::All => {
-                        for to in 0..n {
-                            self.queue.push((from, to, out.message.clone()));
-                        }
-                    }
-                    Target::One(to) => self.queue.push((from, to, out.message.clone())),
-                }
-            }
-            for d in step.outputs {
-                assert!(self.decisions[from].is_none(), "double decision at {from}");
-                self.decisions[from] = Some(d);
-            }
-        }
-
-        fn propose(&mut self, p: ProcessId, v: &[u8]) {
-            let step = self.insts[p].propose(Bytes::copy_from_slice(v)).unwrap();
-            self.absorb(p, step);
-        }
-
-        fn run(&mut self) {
-            let mut iterations = 0usize;
-            while !self.queue.is_empty() {
-                iterations += 1;
-                assert!(iterations < 10_000_000, "runaway execution");
-                let idx = (self.next_rand() as usize) % self.queue.len();
-                let (from, to, msg) = self.queue.swap_remove(idx);
-                if self.crashed.contains(&to) {
-                    continue;
-                }
-                let mut step = self.insts[to].handle_message(from, msg);
-                // Poll after every frame: a round may start at any point
-                // of the schedule, as under a real driver.
-                step.extend(self.insts[to].poll());
-                self.absorb(to, step);
-            }
-        }
+    fn propose(net: &mut VcNet, p: ProcessId, v: &[u8]) {
+        let step = net
+            .process_mut(p)
+            .propose(Bytes::copy_from_slice(v))
+            .unwrap();
+        net.absorb(p, step);
     }
 
     #[test]
@@ -564,19 +506,20 @@ mod tests {
 
     #[test]
     fn all_processes_decide_same_vector() {
-        for seed in [1, 7] {
-            let mut net = Net::new(4, seed);
-            net.propose(0, b"p0");
-            net.propose(1, b"p1");
-            net.propose(2, b"p2");
-            net.propose(3, b"p3");
+        for (seed, schedule) in Schedule::sweep(1..8) {
+            let mut net = vc_net(4, seed);
+            net.set_schedule(schedule);
+            propose(&mut net, 0, b"p0");
+            propose(&mut net, 1, b"p1");
+            propose(&mut net, 2, b"p2");
+            propose(&mut net, 3, b"p3");
             net.run();
-            let d0 = net.decisions[0].clone().expect("p0 decided");
+            let d0 = net.output(0).cloned().expect("p0 decided");
             for p in 1..4 {
                 assert_eq!(
-                    net.decisions[p].as_ref(),
+                    net.output(p),
                     Some(&d0),
-                    "seed {seed} process {p}"
+                    "seed {seed} {schedule} process {p}"
                 );
             }
             // Vector validity: each entry is the real proposal or ⊥, and
@@ -593,19 +536,22 @@ mod tests {
 
     #[test]
     fn decides_with_one_crashed_process() {
-        let mut net = Net::new(4, 3);
-        net.crashed.push(2);
-        net.propose(0, b"p0");
-        net.propose(1, b"p1");
-        net.propose(3, b"p3");
-        net.run();
-        let d0 = net.decisions[0].clone().expect("decided");
-        for p in [1, 3] {
-            assert_eq!(net.decisions[p].as_ref(), Some(&d0));
+        for schedule in Schedule::ALL {
+            let mut net = vc_net(4, 3);
+            net.set_schedule(schedule);
+            net.crash(2);
+            propose(&mut net, 0, b"p0");
+            propose(&mut net, 1, b"p1");
+            propose(&mut net, 3, b"p3");
+            net.run();
+            let d0 = net.output(0).cloned().expect("decided");
+            for p in [1, 3] {
+                assert_eq!(net.output(p), Some(&d0), "{schedule}");
+            }
+            // The crashed process's entry must be ⊥ (it never proposed).
+            assert!(d0[2].is_none());
+            assert!(d0.iter().flatten().count() >= 2);
         }
-        // The crashed process's entry must be ⊥ (it never proposed).
-        assert!(d0[2].is_none());
-        assert!(d0.iter().flatten().count() >= 2);
     }
 
     #[test]
@@ -640,14 +586,14 @@ mod tests {
 
     #[test]
     fn larger_group_decides() {
-        let mut net = Net::new(7, 11);
+        let mut net = vc_net(7, 11);
         for p in 0..7 {
-            net.propose(p, format!("val{p}").as_bytes());
+            propose(&mut net, p, format!("val{p}").as_bytes());
         }
         net.run();
-        let d0 = net.decisions[0].clone().expect("decided");
+        let d0 = net.output(0).cloned().expect("decided");
         for p in 1..7 {
-            assert_eq!(net.decisions[p].as_ref(), Some(&d0));
+            assert_eq!(net.output(p), Some(&d0));
         }
         assert!(d0.iter().flatten().count() >= 3); // f+1 = 3 for n = 7
     }

@@ -22,12 +22,12 @@ use crate::wire::{
     Reply, Request, RequestKind, RequestMode, Status,
 };
 use bytes::Bytes;
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use ritas_crypto::{ClientKeyDealer, SecretKey};
 use ritas_metrics::Metrics;
 use std::collections::{HashMap, HashSet};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -119,7 +119,7 @@ impl ServiceClient {
     /// (index in `addrs` = replica id). Connections are established
     /// lazily; the constructor itself cannot fail.
     pub fn new(id: u64, addrs: Vec<SocketAddr>, config: ClientConfig) -> Self {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let conns = addrs
             .into_iter()
             .map(|addr| Conn {

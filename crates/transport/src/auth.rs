@@ -19,8 +19,11 @@
 //!
 //! # Epoch key refresh (proactive recovery)
 //!
-//! When built with [`AuthConfig::with_epoch_rekey`], the transport
-//! additionally supports the rotation scheduler's **key rejuvenation**:
+//! Every transport seals under a *key epoch*; built with
+//! [`AuthConfig::with_epoch_rekey`] it also holds the master seed the
+//! other epochs' keys derive from and so supports the rotation
+//! scheduler's **key rejuvenation** (without it the transport stays at
+//! epoch 0, the dealt table, for good):
 //! the otherwise-zero *reserved* field of the AH header carries the key
 //! epoch (its low 16 bits; the header stays 24 bytes, so Table 1's
 //! overhead claim is untouched — the receiver reconstructs the full
@@ -202,9 +205,8 @@ pub struct AuthenticatedTransport<T: Transport> {
     rx_replay: Mutex<Vec<ReplayState>>,
     /// Count of inbound frames dropped by authentication.
     rejected: AtomicU64,
-    /// Live epoch-rekey state, when enabled via
-    /// [`AuthConfig::with_epoch_rekey`].
-    rekey: Option<RekeyRuntime>,
+    /// The key epoch frames are sealed and opened under.
+    rekey: RekeyRuntime,
     /// Observability registry (a private one until [`set_metrics`] is called).
     ///
     /// [`set_metrics`]: AuthenticatedTransport::set_metrics
@@ -234,9 +236,32 @@ struct EpochState {
     future: Option<(u64, Vec<SecretKey>)>,
 }
 
+impl EpochState {
+    /// Switches to `epoch` under the key row `keys`; the outgoing epoch
+    /// stays behind as the grace-window remnant.
+    fn advance(&mut self, epoch: u64, keys: Vec<SecretKey>) {
+        let old = std::mem::replace(&mut self.keys, keys);
+        self.prev = Some(PrevEpoch {
+            epoch: self.epoch,
+            keys: old,
+            rotated_at: Instant::now(),
+        });
+        self.epoch = epoch;
+        // A cached future-candidate row at or below the new epoch can
+        // never be consulted again.
+        if self.future.as_ref().is_some_and(|(e, _)| *e <= epoch) {
+            self.future = None;
+        }
+    }
+}
+
 #[derive(Debug)]
 struct RekeyRuntime {
-    master_seed: u64,
+    /// What the key rows of other epochs derive from. `None` (built
+    /// without [`AuthConfig::with_epoch_rekey`]) pins the transport at
+    /// epoch 0: it cannot switch epochs, and a frame claiming another
+    /// epoch can only fail its ICV.
+    master_seed: Option<u64>,
     grace: Duration,
     state: Mutex<EpochState>,
     /// How many future-epoch candidate rows have been derived (cache
@@ -297,26 +322,24 @@ impl<T: Transport> AuthenticatedTransport<T> {
         );
         let n = inner.group_size();
         let base = config.initial_seq;
-        let rekey = config.rekey.map(|rc| {
-            // The dealt row in `config.keys` is the epoch-0 table; when
-            // starting at a later epoch, re-derive the row for it.
-            let keys = if rc.epoch == 0 {
-                config.keys.clone()
-            } else {
-                derive_row(n, rc.master_seed, rc.epoch, inner.local_id())
-            };
-            RekeyRuntime {
-                master_seed: rc.master_seed,
-                grace: rc.grace,
-                state: Mutex::new(EpochState {
-                    epoch: rc.epoch,
-                    keys,
-                    prev: None,
-                    future: None,
-                }),
-                future_derives: AtomicU64::new(0),
-            }
-        });
+        let rc = config.rekey;
+        // The dealt row in `config.keys` is the epoch-0 table; when
+        // starting at a later epoch, re-derive the row for it.
+        let keys = match rc {
+            Some(rc) if rc.epoch != 0 => derive_row(n, rc.master_seed, rc.epoch, inner.local_id()),
+            _ => config.keys.clone(),
+        };
+        let rekey = RekeyRuntime {
+            master_seed: rc.map(|rc| rc.master_seed),
+            grace: rc.map_or(Duration::ZERO, |rc| rc.grace),
+            state: Mutex::new(EpochState {
+                epoch: rc.map_or(0, |rc| rc.epoch),
+                keys,
+                prev: None,
+                future: None,
+            }),
+            future_derives: AtomicU64::new(0),
+        };
         AuthenticatedTransport {
             inner,
             config,
@@ -353,12 +376,9 @@ impl<T: Transport> AuthenticatedTransport<T> {
     fn seal(&self, to: ProcessId, payload: &[u8]) -> Bytes {
         let seq = self.tx_seq[to].fetch_add(1, Ordering::Relaxed) + 1; // AH starts at 1
         let me = self.inner.local_id();
-        let (epoch, key) = match &self.rekey {
-            Some(rt) => {
-                let g = rt.state.lock();
-                (g.epoch, g.keys[to])
-            }
-            None => (0, self.config.keys[to]),
+        let (epoch, key) = {
+            let g = self.rekey.state.lock();
+            (g.epoch, g.keys[to])
         };
         let mut w = Writer::with_capacity(AH_OVERHEAD + payload.len());
         w.u8(0) // next header (opaque payload)
@@ -408,96 +428,81 @@ impl<T: Transport> AuthenticatedTransport<T> {
         zeroed[12..12 + ICV_LEN].fill(0);
         let checks = |key: &SecretKey| ritas_crypto::digest::ct_eq(&Self::icv(key, &zeroed), &icv);
 
-        match &self.rekey {
-            // Legacy mode: single static key table, reserved field ignored
-            // (always 0 on the sealing side).
-            None => {
-                if !checks(&self.config.keys[from]) {
+        enum Candidate {
+            Key(SecretKey),
+            Future(u64),
+            Stale,
+        }
+        let rt = &self.rekey;
+        let cand = {
+            let g = rt.state.lock();
+            // The wire carries only the epoch's low 16 bits: recover the
+            // full epoch windowed around our own, so the tag keeps
+            // working after the counter wraps.
+            let claimed = reconstruct_epoch(g.epoch, resv);
+            if claimed == g.epoch {
+                Candidate::Key(g.keys[from])
+            } else if claimed > g.epoch {
+                Candidate::Future(claimed)
+            } else {
+                match &g.prev {
+                    Some(p) if p.epoch == claimed && p.rotated_at.elapsed() <= rt.grace => {
+                        Candidate::Key(p.keys[from])
+                    }
+                    _ => Candidate::Stale,
+                }
+            }
+        };
+        match cand {
+            Candidate::Key(key) => {
+                if !checks(&key) {
                     return Err(Rejection::BadMac);
                 }
             }
-            Some(rt) => {
-                enum Candidate {
-                    Key(SecretKey),
-                    Future(u64),
-                    Stale,
-                }
-                let cand = {
+            Candidate::Stale => return Err(Rejection::StaleEpoch),
+            Candidate::Future(claimed) => {
+                // A peer is ahead of us (we may be a freshly wiped
+                // rejoiner still at epoch 0). Verify against the derived
+                // keys for the claimed epoch; a valid ICV is proof of the
+                // master secret, so adopt it. Without the master seed no
+                // other epoch's keys exist here: the claim cannot verify.
+                let Some(master_seed) = rt.master_seed else {
+                    return Err(Rejection::BadMac);
+                };
+                // Deriving a row is an n×n HKDF sweep and this path runs
+                // *before* the ICV verifies, so a one-entry candidate
+                // cache keeps an off-path attacker from forcing that work
+                // per forged frame: repeat claims of the same epoch (also
+                // the legitimate pattern — every frame from a
+                // rotated-ahead peer) cost one cheap ICV check.
+                let cached = {
                     let g = rt.state.lock();
-                    // The wire carries only the epoch's low 16 bits:
-                    // recover the full epoch windowed around our own, so
-                    // the tag keeps working after the counter wraps.
-                    let claimed = reconstruct_epoch(g.epoch, resv);
-                    if claimed == g.epoch {
-                        Candidate::Key(g.keys[from])
-                    } else if claimed > g.epoch {
-                        Candidate::Future(claimed)
-                    } else {
-                        match &g.prev {
-                            Some(p) if p.epoch == claimed && p.rotated_at.elapsed() <= rt.grace => {
-                                Candidate::Key(p.keys[from])
-                            }
-                            _ => Candidate::Stale,
-                        }
+                    match &g.future {
+                        Some((e, row)) if *e == claimed => Some(row.clone()),
+                        _ => None,
                     }
                 };
-                match cand {
-                    Candidate::Key(key) => {
-                        if !checks(&key) {
-                            return Err(Rejection::BadMac);
-                        }
+                let row = match cached {
+                    Some(row) => row,
+                    None => {
+                        let row = derive_row(
+                            self.inner.group_size(),
+                            master_seed,
+                            claimed,
+                            self.inner.local_id(),
+                        );
+                        rt.future_derives.fetch_add(1, Ordering::Relaxed);
+                        rt.state.lock().future = Some((claimed, row.clone()));
+                        row
                     }
-                    Candidate::Stale => return Err(Rejection::StaleEpoch),
-                    Candidate::Future(claimed) => {
-                        // A peer is ahead of us (we may be a freshly wiped
-                        // rejoiner still at epoch 0). Verify against the
-                        // derived keys for the claimed epoch; a valid ICV
-                        // is proof of the master secret, so adopt it.
-                        //
-                        // Deriving a row is an n×n HKDF sweep and this
-                        // path runs *before* the ICV verifies, so a
-                        // one-entry candidate cache keeps an off-path
-                        // attacker from forcing that work per forged
-                        // frame: repeat claims of the same epoch (also
-                        // the legitimate pattern — every frame from a
-                        // rotated-ahead peer) cost one cheap ICV check.
-                        let cached = {
-                            let g = rt.state.lock();
-                            match &g.future {
-                                Some((e, row)) if *e == claimed => Some(row.clone()),
-                                _ => None,
-                            }
-                        };
-                        let row = match cached {
-                            Some(row) => row,
-                            None => {
-                                let row = derive_row(
-                                    self.inner.group_size(),
-                                    rt.master_seed,
-                                    claimed,
-                                    self.inner.local_id(),
-                                );
-                                rt.future_derives.fetch_add(1, Ordering::Relaxed);
-                                rt.state.lock().future = Some((claimed, row.clone()));
-                                row
-                            }
-                        };
-                        if !checks(&row[from]) {
-                            return Err(Rejection::BadMac);
-                        }
-                        let mut g = rt.state.lock();
-                        if claimed > g.epoch {
-                            let old = std::mem::replace(&mut g.keys, row);
-                            g.prev = Some(PrevEpoch {
-                                epoch: g.epoch,
-                                keys: old,
-                                rotated_at: Instant::now(),
-                            });
-                            g.epoch = claimed;
-                            g.future = None; // no longer a future epoch
-                            self.metrics.transport_epoch_adopted.inc();
-                        }
-                    }
+                };
+                if !checks(&row[from]) {
+                    return Err(Rejection::BadMac);
+                }
+                let mut g = rt.state.lock();
+                if claimed > g.epoch {
+                    g.advance(claimed, row);
+                    self.metrics.transport_epoch_adopted.inc();
                 }
             }
         }
@@ -580,33 +585,25 @@ impl<T: Transport> Transport for AuthenticatedTransport<T> {
     }
 
     fn set_key_epoch(&self, epoch: u64) {
-        let Some(rt) = &self.rekey else { return };
+        let rt = &self.rekey;
+        let Some(master_seed) = rt.master_seed else {
+            return;
+        };
         let mut g = rt.state.lock();
         if epoch <= g.epoch {
             return; // epochs only move forward
         }
         let row = derive_row(
             self.inner.group_size(),
-            rt.master_seed,
+            master_seed,
             epoch,
             self.inner.local_id(),
         );
-        let old = std::mem::replace(&mut g.keys, row);
-        g.prev = Some(PrevEpoch {
-            epoch: g.epoch,
-            keys: old,
-            rotated_at: Instant::now(),
-        });
-        g.epoch = epoch;
-        // A cached future-candidate row at or below the new epoch can
-        // never be consulted again.
-        if g.future.as_ref().is_some_and(|(e, _)| *e <= epoch) {
-            g.future = None;
-        }
+        g.advance(epoch, row);
     }
 
     fn key_epoch(&self) -> u64 {
-        self.rekey.as_ref().map_or(0, |rt| rt.state.lock().epoch)
+        self.rekey.state.lock().epoch
     }
 }
 
@@ -811,6 +808,31 @@ mod tests {
     }
 
     #[test]
+    fn transport_without_master_seed_is_pinned_at_epoch_zero() {
+        let table = KeyTable::dealer(2, 7);
+        let mut hub = Hub::new(2);
+        let mut eps = hub.take_endpoints().into_iter();
+        let pinned =
+            AuthenticatedTransport::new(eps.next().unwrap(), AuthConfig::from_key_table(&table, 0));
+        let rekeyed = AuthenticatedTransport::new(
+            eps.next().unwrap(),
+            AuthConfig::from_key_table(&table, 1).with_epoch_rekey(7, 0, Duration::from_secs(1)),
+        );
+        // No seed to derive another epoch's keys from: the switch is a
+        // no-op and a peer's future-epoch frame fails like a bad ICV.
+        pinned.set_key_epoch(3);
+        assert_eq!(pinned.key_epoch(), 0);
+        rekeyed.set_key_epoch(2);
+        rekeyed.send(0, Bytes::from_static(b"ahead")).unwrap();
+        assert_eq!(
+            pinned.recv_timeout(Duration::from_millis(5)).unwrap_err(),
+            TransportError::Timeout
+        );
+        assert_eq!(pinned.rejected_frames(), 1);
+        assert_eq!(pinned.key_epoch(), 0);
+    }
+
+    #[test]
     fn rotated_peers_exchange_frames_under_the_new_epoch() {
         let (a, b) = rekey_pair(Duration::from_secs(60));
         a.set_key_epoch(3);
@@ -939,8 +961,7 @@ mod tests {
         a.send(1, Bytes::from_static(b"real")).unwrap();
         assert_eq!(b.recv().unwrap(), (0, Bytes::from_static(b"real")));
         assert_eq!(b.rejected_frames(), 32);
-        let rt = b.rekey.as_ref().unwrap();
-        assert_eq!(rt.future_derives.load(Ordering::Relaxed), 1);
+        assert_eq!(b.rekey.future_derives.load(Ordering::Relaxed), 1);
         assert_eq!(b.key_epoch(), 0);
         // The poisoned cache does not block a genuine adoption of a
         // *different* future epoch.

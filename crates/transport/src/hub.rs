@@ -13,14 +13,60 @@
 
 use crate::{ProcessId, Transport, TransportError};
 use bytes::Bytes;
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use parking_lot::RwLock;
+use parking_lot::{Condvar, Mutex, RwLock};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Shared hub state: link matrix, crash flags and the inbound sender of
-/// every process (shared so a reattached endpoint's fresh channel is
+/// One process's inbound queue: a locked deque and a condition variable
+/// rather than a `std::sync::mpsc` channel, because this is the one hop
+/// every frame crosses towards a receiver that is usually blocked. A std
+/// sender wakes a blocked receiver while holding the channel's waiter
+/// lock; with the group on one CPU the woken reader preempts it and runs
+/// straight into that lock — twice the context switches per frame, 17 %
+/// fewer a-deliveries per second on `node-small` (DESIGN.md §2). Here the
+/// wake-up happens after the unlock.
+#[derive(Debug, Default)]
+struct Inbox {
+    queue: Mutex<VecDeque<(ProcessId, Bytes)>>,
+    ready: Condvar,
+    /// Set when the owning endpoint is dropped: nobody will ever read.
+    abandoned: AtomicBool,
+}
+
+impl Inbox {
+    fn push(&self, frame: (ProcessId, Bytes)) {
+        if self.abandoned.load(Ordering::Relaxed) {
+            return;
+        }
+        self.queue.lock().push_back(frame);
+        self.ready.notify_one();
+    }
+
+    /// Pops the next frame, waiting until `deadline` (forever if `None`).
+    fn pop(&self, deadline: Option<Instant>) -> Option<(ProcessId, Bytes)> {
+        let mut queue = self.queue.lock();
+        loop {
+            if let Some(frame) = queue.pop_front() {
+                return Some(frame);
+            }
+            match deadline {
+                None => self.ready.wait(&mut queue),
+                Some(d) => {
+                    let left = d.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return None;
+                    }
+                    self.ready.wait_for(&mut queue, left);
+                }
+            }
+        }
+    }
+}
+
+/// Shared hub state: link matrix, crash flags and the inbound queue of
+/// every process (shared so a reattached endpoint's fresh queue is
 /// visible to all peers).
 #[derive(Debug)]
 struct HubState {
@@ -28,8 +74,8 @@ struct HubState {
     links: Vec<Vec<bool>>,
     /// `crashed[i]` marks a fail-stopped process.
     crashed: Vec<bool>,
-    /// `txs[j]` feeds process `j`'s inbound queue.
-    txs: Vec<Sender<(ProcessId, Bytes)>>,
+    /// `inboxes[j]` is process `j`'s inbound queue.
+    inboxes: Vec<Arc<Inbox>>,
 }
 
 /// An in-memory network connecting `n` processes with reliable FIFO links.
@@ -61,27 +107,21 @@ impl Hub {
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "hub needs at least one process");
-        let mut txs: Vec<Sender<(ProcessId, Bytes)>> = Vec::with_capacity(n);
-        let mut rxs: Vec<Receiver<(ProcessId, Bytes)>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            txs.push(tx);
-            rxs.push(rx);
-        }
+        let inboxes: Vec<Arc<Inbox>> = (0..n).map(|_| Arc::default()).collect();
         let state = Arc::new(RwLock::new(HubState {
             links: vec![vec![true; n]; n],
             crashed: vec![false; n],
-            txs,
+            inboxes: inboxes.clone(),
         }));
 
-        let endpoints = rxs
+        let endpoints = inboxes
             .into_iter()
             .enumerate()
-            .map(|(me, rx)| MemoryEndpoint {
+            .map(|(me, inbox)| MemoryEndpoint {
                 me,
                 n,
                 state: Arc::clone(&state),
-                rx,
+                inbox,
                 closed: Arc::new(AtomicBool::new(false)),
             })
             .collect();
@@ -144,7 +184,7 @@ impl Hub {
     }
 
     /// Re-admits process `p` with a **fresh** inbound queue: clears its
-    /// crash flag, restores all of its links, and installs a new channel
+    /// crash flag, restores all of its links, and installs a new queue
     /// that all peers route to from now on — the network face of a
     /// wipe-and-rejoin. Frames queued on (or sent to) the old endpoint
     /// are lost, exactly like a process that lost its disk and memory.
@@ -154,19 +194,19 @@ impl Hub {
     /// Panics if `p` is out of range.
     pub fn reattach(&self, p: ProcessId) -> MemoryEndpoint {
         assert!(p < self.n, "reattach of unknown process {p}");
-        let (tx, rx) = unbounded();
+        let inbox = Arc::<Inbox>::default();
         let mut s = self.state.write();
         s.crashed[p] = false;
         for j in 0..self.n {
             s.links[p][j] = true;
             s.links[j][p] = true;
         }
-        s.txs[p] = tx;
+        s.inboxes[p] = Arc::clone(&inbox);
         MemoryEndpoint {
             me: p,
             n: self.n,
             state: Arc::clone(&self.state),
-            rx,
+            inbox,
             closed: Arc::new(AtomicBool::new(false)),
         }
     }
@@ -178,7 +218,7 @@ pub struct MemoryEndpoint {
     me: ProcessId,
     n: usize,
     state: Arc<RwLock<HubState>>,
-    rx: Receiver<(ProcessId, Bytes)>,
+    inbox: Arc<Inbox>,
     closed: Arc<AtomicBool>,
 }
 
@@ -202,10 +242,14 @@ impl MemoryEndpoint {
         if self.closed.load(Ordering::SeqCst) {
             return None;
         }
-        match self.rx.try_recv() {
-            Ok(v) => Some(v),
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
-        }
+        self.inbox.queue.lock().pop_front()
+    }
+}
+
+impl Drop for MemoryEndpoint {
+    fn drop(&mut self) {
+        self.inbox.abandoned.store(true, Ordering::Relaxed);
+        self.inbox.queue.lock().clear();
     }
 }
 
@@ -233,21 +277,20 @@ impl Transport for MemoryEndpoint {
         // A peer whose endpoint has been dropped (its process exited) is
         // indistinguishable from a crashed one: the frame vanishes
         // silently, exactly like the crash/partition cases above.
-        let _ = s.txs[to].send((self.me, payload));
+        s.inboxes[to].push((self.me, payload));
         Ok(())
     }
 
     fn recv(&self) -> Result<(ProcessId, Bytes), TransportError> {
         self.check_open()?;
-        self.rx.recv().map_err(|_| TransportError::Disconnected)
+        self.inbox.pop(None).ok_or(TransportError::Disconnected)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<(ProcessId, Bytes), TransportError> {
         self.check_open()?;
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => TransportError::Timeout,
-            RecvTimeoutError::Disconnected => TransportError::Disconnected,
-        })
+        self.inbox
+            .pop(Some(Instant::now() + timeout))
+            .ok_or(TransportError::Timeout)
     }
 }
 

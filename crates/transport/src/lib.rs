@@ -11,8 +11,8 @@
 //! This crate substitutes the paper's TCP+IPSec deployment with an
 //! in-process equivalent that preserves exactly those two properties:
 //!
-//! * [`hub`] — an in-memory full-mesh of reliable FIFO links built on
-//!   crossbeam channels (per-link ordering and guaranteed delivery, like
+//! * [`hub`] — an in-memory full-mesh of reliable FIFO links, one inbound
+//!   queue per process (per-link ordering and guaranteed delivery, like
 //!   TCP), with crash and partition injection for tests;
 //! * [`auth`] — an AH-style authentication layer reproducing the IPSec AH
 //!   wire format (24-byte header: SPI, sequence number, 96-bit ICV) with

@@ -34,7 +34,6 @@ use crate::session::{encode_frame, Backoff, Hello, RetransmitBuffer, HELLO_LEN, 
 use crate::wire::MAX_FRAME;
 use crate::{LinkDownReason, LinkEvent, LinkState, ProcessId, Transport, TransportError};
 use bytes::Bytes;
-use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Condvar, Mutex};
 use ritas_crypto::{KeyTable, SecretKey};
 use ritas_metrics::{Layer, Metrics, SpanAnnotation};
@@ -42,6 +41,7 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -135,7 +135,7 @@ struct Shared {
     /// Resolved handshake keys, one per peer (self index unused).
     keys: Vec<SecretKey>,
     links: Vec<Option<LinkShared>>,
-    inbound_tx: Sender<(ProcessId, Bytes)>,
+    inbound_tx: SyncSender<(ProcessId, Bytes)>,
     events: Mutex<VecDeque<LinkEvent>>,
     metrics: Mutex<Metrics>,
     up_count: AtomicUsize,
@@ -549,7 +549,9 @@ fn acceptor_loop(shared: Arc<Shared>, listener: TcpListener) {
 /// ```
 pub struct TcpEndpoint {
     shared: Arc<Shared>,
-    inbound: Receiver<(ProcessId, Bytes)>,
+    /// Behind a mutex only so the endpoint stays `Sync`; one thread
+    /// receives.
+    inbound: Mutex<Receiver<(ProcessId, Bytes)>>,
 }
 
 impl core::fmt::Debug for TcpEndpoint {
@@ -608,7 +610,7 @@ impl TcpEndpoint {
                 (0..n).map(|j| view.key_for(j)).collect()
             }
         };
-        let (inbound_tx, inbound_rx) = bounded::<(ProcessId, Bytes)>(64 * 1024);
+        let (inbound_tx, inbound_rx) = sync_channel::<(ProcessId, Bytes)>(64 * 1024);
         let links = (0..n)
             .map(|peer| {
                 (peer != me).then(|| LinkShared {
@@ -652,7 +654,7 @@ impl TcpEndpoint {
 
         let endpoint = TcpEndpoint {
             shared,
-            inbound: inbound_rx,
+            inbound: Mutex::new(inbound_rx),
         };
         // Initial establishment is just "every link reached Up once"
         // (epoch 0 means a link never completed its first handshake).
@@ -883,6 +885,7 @@ impl Transport for TcpEndpoint {
             return Err(TransportError::Disconnected);
         }
         self.inbound
+            .lock()
             .recv()
             .map_err(|_| TransportError::Disconnected)
     }
@@ -891,10 +894,13 @@ impl Transport for TcpEndpoint {
         if self.shared.is_closed() {
             return Err(TransportError::Disconnected);
         }
-        self.inbound.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => TransportError::Timeout,
-            RecvTimeoutError::Disconnected => TransportError::Disconnected,
-        })
+        self.inbound
+            .lock()
+            .recv_timeout(timeout)
+            .map_err(|e| match e {
+                RecvTimeoutError::Timeout => TransportError::Timeout,
+                RecvTimeoutError::Disconnected => TransportError::Disconnected,
+            })
     }
 
     fn link_state(&self, peer: ProcessId) -> LinkState {
