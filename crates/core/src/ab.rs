@@ -418,6 +418,10 @@ impl DeliveredSet {
 }
 
 /// How far ahead of the current agreement round messages are accepted.
+/// It is also how far *behind* round state is worth keeping: a process
+/// further behind than this has already had the group's current-round
+/// frames rejected as unjustified, so no round it is still in helps it
+/// (see [`AtomicBroadcast::free_finished_rounds`]).
 const MAX_ROUND_AHEAD: u32 = 64;
 
 /// How many recently a-delivered batches keep their encoded payload
@@ -504,7 +508,8 @@ pub struct AtomicBroadcast {
     vect_rbc: BTreeMap<(u32, ProcessId), ReliableBroadcast>,
     /// Decoded AB_VECT contents per round and origin.
     vects: BTreeMap<u32, Vec<Option<Vec<MsgId>>>>,
-    /// MVC instances per round (kept alive for laggards; see module docs).
+    /// MVC instances per round, kept alive after the decision for
+    /// laggards up to [`MAX_ROUND_AHEAD`] rounds behind.
     agreements: BTreeMap<u32, MultiValuedConsensus>,
     /// A decided W' whose payloads have not all arrived yet.
     awaiting_payloads: Option<Vec<MsgId>>,
@@ -772,6 +777,7 @@ impl AtomicBroadcast {
         self.proposed = false;
         self.awaiting_payloads = None;
         self.recovering = true;
+        self.free_finished_rounds();
         self.metrics.trace(
             Layer::Ab,
             "resume",
@@ -994,6 +1000,9 @@ impl AtomicBroadcast {
         if round > self.round.saturating_add(MAX_ROUND_AHEAD) {
             return Step::fault(from, FaultKind::Unjustified);
         }
+        if self.round_is_freed(round) {
+            return Step::none();
+        }
         let group = self.group;
         let me = self.me;
         let metrics = self.metrics.clone();
@@ -1030,9 +1039,47 @@ impl AtomicBroadcast {
         if round > self.round.saturating_add(MAX_ROUND_AHEAD) {
             return Step::fault(from, FaultKind::Unjustified);
         }
+        if self.round_is_freed(round) {
+            return Step::none();
+        }
         let mvc = self.agreement_instance(round);
         let sub = mvc.handle_message(from, inner);
         wrap_agree(round, sub)
+    }
+
+    /// The oldest round whose state is kept.
+    fn round_floor(&self) -> u32 {
+        self.round.saturating_sub(MAX_ROUND_AHEAD + 1)
+    }
+
+    /// Whether a frame for `round` comes too late, counting it if so:
+    /// its instances are gone and must not be created afresh (late or
+    /// replayed traffic would otherwise grow the maps back, one instance
+    /// per frame). Not a fault — an honest laggard's last messages look
+    /// the same.
+    fn round_is_freed(&self, round: u32) -> bool {
+        let freed = round < self.round_floor();
+        if freed {
+            self.metrics.ab_stale_round_dropped.inc();
+        }
+        freed
+    }
+
+    /// Drops the state of rounds more than [`MAX_ROUND_AHEAD`] behind the
+    /// current one; called wherever `round` moves. A process still in
+    /// such a round rejects every frame of the group's current round as
+    /// unjustified (the bound in [`AtomicBroadcast::on_vect`] and
+    /// [`AtomicBroadcast::on_agree`]), and those frames are not sent
+    /// again: finishing old rounds cannot bring it back, only a rejoin
+    /// can. Without this the three maps grow by one round's instances
+    /// per agreement, for the life of the session.
+    fn free_finished_rounds(&mut self) {
+        let floor = self.round_floor();
+        if floor > 0 {
+            self.agreements = self.agreements.split_off(&floor);
+            self.vects = self.vects.split_off(&floor);
+            self.vect_rbc = self.vect_rbc.split_off(&(floor, 0));
+        }
     }
 
     fn agreement_instance(&mut self, round: u32) -> &mut MultiValuedConsensus {
@@ -1373,6 +1420,7 @@ impl AtomicBroadcast {
         self.round = round;
         self.vect_sent = false;
         self.proposed = false;
+        self.free_finished_rounds();
         true
     }
 
@@ -1386,6 +1434,7 @@ impl AtomicBroadcast {
         // A normally concluded round means the session is aligned with
         // the group again: disarm the rejoin fast-forward.
         self.recovering = false;
+        self.free_finished_rounds();
     }
 
     /// Delivers a decided set of batches once all their payloads have
@@ -1875,6 +1924,99 @@ mod tests {
             },
         );
         assert_eq!(step.faults[0].kind, FaultKind::Unjustified);
+    }
+
+    /// One a-broadcast per turn, each run to quiescence, until process 0
+    /// has concluded `rounds` agreement rounds.
+    fn run_rounds(net: &mut AbNet, senders: usize, rounds: u32) {
+        let mut k = 0;
+        while net.process(0).round() < rounds {
+            broadcast(net, k % senders, format!("r{k}").as_bytes());
+            net.run();
+            k += 1;
+        }
+    }
+
+    /// Rounds with state in each of the three per-round maps.
+    fn rounds_held(ab: &AtomicBroadcast) -> [usize; 3] {
+        let vect_rounds: BTreeSet<u32> = ab.vect_rbc.keys().map(|(round, _)| *round).collect();
+        [ab.agreements.len(), ab.vects.len(), vect_rounds.len()]
+    }
+
+    #[test]
+    fn finished_rounds_are_freed() {
+        let mut net = ab_net(4, 21);
+        run_rounds(&mut net, 4, 200);
+        let order0 = delivered_ids(&net, 0);
+        assert!(order0.len() >= 100, "{} delivered", order0.len());
+        for p in 0..4 {
+            assert_eq!(delivered_ids(&net, p), order0, "process {p}");
+            let ab = net.process(p);
+            assert!(ab.round() >= 200);
+            for held in rounds_held(ab) {
+                assert!(
+                    held <= MAX_ROUND_AHEAD as usize + 2,
+                    "process {p} holds {held} rounds at round {}",
+                    ab.round()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn frame_for_a_freed_round_creates_no_instance() {
+        let mut net = ab_net(4, 22);
+        run_rounds(&mut net, 4, 200);
+        let metrics = Metrics::new();
+        net.process_mut(0).set_metrics(metrics.clone());
+        let before = rounds_held(net.process(0));
+        let replays = [
+            AbMessage::Vect {
+                origin: 1,
+                round: 3,
+                inner: RbMessage::Init(Bytes::from_static(b"v")),
+            },
+            AbMessage::Agree {
+                round: 3,
+                inner: MvcMessage::Init {
+                    origin: 1,
+                    inner: RbMessage::Init(Bytes::from_static(b"w")),
+                },
+            },
+        ];
+        for msg in replays {
+            let step = net.process_mut(0).handle_message(1, msg);
+            assert!(step.messages.is_empty() && step.faults.is_empty());
+        }
+        let ab = net.process(0);
+        assert_eq!(rounds_held(ab), before);
+        assert!(!ab.agreements.contains_key(&3) && !ab.vects.contains_key(&3));
+        assert!(!ab.vect_rbc.contains_key(&(3, 1)));
+        assert_eq!(metrics.ab_stale_round_dropped.get(), 2);
+    }
+
+    #[test]
+    fn laggard_inside_the_horizon_catches_up() {
+        let mut net = ab_net(4, 23);
+        // Process 3 hears nothing while the other three run 60 rounds…
+        net.hold(3);
+        run_rounds(&mut net, 3, 60);
+        let ahead = net.process(0).round();
+        assert!(
+            (60..=MAX_ROUND_AHEAD).contains(&ahead),
+            "{ahead} rounds ahead"
+        );
+        assert_eq!(net.process(3).round(), 0);
+        // …then gets everything at once, oldest rounds included: their
+        // state is still there for it at every peer.
+        net.release(3);
+        net.run();
+        let order0 = delivered_ids(&net, 0);
+        assert!(order0.len() >= 30, "{} delivered", order0.len());
+        for p in 1..4 {
+            assert_eq!(delivered_ids(&net, p), order0, "process {p}");
+        }
+        assert!(net.process(3).round() >= ahead);
     }
 
     #[test]

@@ -29,12 +29,12 @@ use crate::ProcessId;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use ritas_crypto::KeyTable;
-use ritas_metrics::{Metrics, MetricsSnapshot};
+use ritas_metrics::{FlightKind, Metrics, MetricsSnapshot};
 use ritas_transport::{
     AuthConfig, AuthenticatedTransport, Hub, LinkEvent, LinkState, TcpChaosHandle, TcpConfig,
-    TcpEndpoint, Transport,
+    TcpEndpoint, Transport, TransportError,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,6 +47,12 @@ use std::time::{Duration, Instant};
 
 /// How often the worker refreshes the `/state` introspection snapshot.
 const STATE_REFRESH_NS: u64 = 200_000_000;
+
+/// The longest the protocol thread waits for a frame with nothing due:
+/// how stale the heartbeat, the link events and `/state` may get on an
+/// idle node, and how long a command waits on a transport whose
+/// [`Transport::wake`] does nothing.
+const IDLE_TICK: Duration = Duration::from_millis(50);
 
 /// Errors surfaced by the blocking node API.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -203,14 +209,14 @@ enum Command {
     SendXfer(ProcessId, Bytes),
     /// The port into the protocol thread (see [`Node::with_stack`]).
     WithStack(StackFn),
-    Shutdown,
 }
 
-/// Everything the stack thread reacts to, merged into one channel so the
-/// single protocol thread needs only a blocking `recv` (no `select`).
+/// What travels on the command queue. The protocol thread blocks in the
+/// transport, not here: whoever queues an event calls [`Transport::wake`]
+/// afterwards, and the thread drains the queue before every frame.
 enum Event {
     Cmd(Command),
-    Net(ProcessId, Bytes),
+    Shutdown,
 }
 
 enum PendingReply {
@@ -481,57 +487,14 @@ impl Node {
         let (ab_tx, ab_rx) = channel();
         let (xfer_tx, xfer_rx) = channel();
         let (fault_tx, fault_rx) = channel();
+        let (link_tx, link_rx) = channel();
         let epoch = Instant::now();
         let health = Arc::new(HealthShared::new());
 
-        // Reader thread: pulls frames off the transport into the shared
-        // event channel so the stack thread sees commands and network
-        // input interleaved through a single blocking `recv`.
-        let (link_tx, link_rx) = channel::<LinkEvent>();
-        let reader = {
-            let transport = Arc::clone(&transport);
-            let stop = Arc::clone(&stop);
-            let net_tx = cmd_tx.clone();
-            let metrics = metrics.clone();
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    // Surface link transitions (a self-healing transport
-                    // reports outages and resumes here) instead of
-                    // silently absorbing them into the poll loop.
-                    while let Some(ev) = transport.poll_link_event() {
-                        let kind = match ev.state {
-                            LinkState::Up => ritas_metrics::FlightKind::LinkUp,
-                            _ => ritas_metrics::FlightKind::LinkDown,
-                        };
-                        metrics.flight_record(kind, ev.peer as u32, ev.epoch, 0);
-                        let _ = link_tx.send(ev);
-                    }
-                    match transport.recv_timeout(Duration::from_millis(50)) {
-                        Ok((from, frame)) => {
-                            metrics.transport_frames_recv.inc();
-                            metrics.transport_bytes_recv.add(frame.len() as u64);
-                            metrics.flight_record(
-                                ritas_metrics::FlightKind::FrameIn,
-                                from as u32,
-                                ritas_metrics::flight::digest(&frame),
-                                frame.len() as u64,
-                            );
-                            if net_tx.send(Event::Net(from, frame)).is_err() {
-                                break;
-                            }
-                        }
-                        Err(ritas_transport::TransportError::Timeout) => continue,
-                        Err(ritas_transport::TransportError::Disconnected) => break,
-                        // Per-link failures (LinkDown, auth rejects…) must
-                        // not stop the runtime: the other links keep
-                        // delivering while the session layer reconnects.
-                        Err(_) => continue,
-                    }
-                }
-            })
-        };
-
-        // Stack thread: the single protocol thread of §3.
+        // The single protocol thread of §3: it blocks in the transport
+        // for the next frame, verifies it there (through the AH layer,
+        // when configured) and drains the command queue whenever a wait
+        // ends.
         let worker = {
             let transport = Arc::clone(&transport);
             let stop = Arc::clone(&stop);
@@ -541,6 +504,7 @@ impl Node {
                 let mut state = Worker {
                     stack,
                     transport,
+                    loopback: VecDeque::new(),
                     replies: HashMap::new(),
                     ab_sent: BTreeMap::new(),
                     metrics: metrics.clone(),
@@ -550,6 +514,7 @@ impl Node {
                     ab_tx,
                     xfer_tx,
                     fault_tx,
+                    link_tx,
                 };
                 let mut last_state_refresh: u64 = 0;
                 'worker: loop {
@@ -560,42 +525,39 @@ impl Node {
                     metrics.set_time(now);
                     state.stack.set_now(now);
                     // Queued commands must flush by their age deadline even
-                    // when no traffic arrives, so the blocking recv turns
-                    // into a timed wait whenever a batch is pending. A
-                    // timeout is not an error: it falls through to the
-                    // tick/poll below with no event handled.
-                    let event = match state.stack.ab_next_deadline() {
-                        Some(deadline) => {
-                            let wait = deadline.saturating_sub(now);
-                            match cmd_rx.recv_timeout(Duration::from_nanos(wait)) {
-                                Ok(event) => Some(event),
-                                Err(RecvTimeoutError::Timeout) => None,
-                                Err(RecvTimeoutError::Disconnected) => break,
-                            }
-                        }
-                        None => match cmd_rx.recv() {
-                            Ok(event) => Some(event),
-                            Err(_) => break,
-                        },
-                    };
-                    if let Some(event) = event {
-                        match event {
-                            Event::Cmd(Command::Shutdown) => break,
-                            Event::Cmd(cmd) => state.on_command(cmd),
-                            Event::Net(from, frame) => state.on_frame(from, frame),
-                        }
-                    }
+                    // when no traffic arrives, so the wait for a frame ends
+                    // there at the latest. A wake (a command was queued)
+                    // ends it like a timeout: neither is an error, both
+                    // fall through to the command queue and the tick/poll
+                    // below.
+                    let mut wait = state
+                        .stack
+                        .ab_next_deadline()
+                        .map_or(IDLE_TICK, |deadline| {
+                            Duration::from_nanos(deadline.saturating_sub(now)).min(IDLE_TICK)
+                        });
                     // Exhaust everything already queued before advancing
                     // the agreement task: rounds run in deferred mode (see
                     // SessionConfig::new), so one round orders every batch
-                    // that arrived while the queue drained.
+                    // that arrived while the queues drained.
                     loop {
-                        match cmd_rx.try_recv() {
-                            Ok(Event::Cmd(Command::Shutdown)) => break 'worker,
-                            Ok(Event::Cmd(cmd)) => state.on_command(cmd),
-                            Ok(Event::Net(from, frame)) => state.on_frame(from, frame),
+                        match state.transport.recv_timeout(wait) {
+                            Ok((from, frame)) => state.on_frame(from, frame),
+                            Err(TransportError::Disconnected) => break 'worker,
+                            // A timeout (the deadline, a wake, or nothing
+                            // left queued) — or a per-link failure, which
+                            // must not stop the runtime: the other links
+                            // keep delivering while the session layer
+                            // reconnects.
                             Err(_) => break,
                         }
+                        if !state.drain_commands(&cmd_rx) {
+                            break 'worker;
+                        }
+                        wait = Duration::ZERO;
+                    }
+                    if !state.drain_commands(&cmd_rx) {
+                        break;
                     }
                     // Input exhausted: flush any batch past its age
                     // deadline, then start the next agreement round over
@@ -607,6 +569,7 @@ impl Node {
                     state.dispatch(step);
                     let step = state.stack.poll_all();
                     state.dispatch(step);
+                    state.surface_link_events();
                     // Liveness bookkeeping for `/health` and the stall
                     // watchdog: the heartbeat proves this loop is turning;
                     // `pending_since` marks how long work has been
@@ -649,10 +612,19 @@ impl Node {
             health,
             epoch,
             stop,
-            threads: vec![reader, worker],
+            threads: vec![worker],
             metrics_addr: None,
             watchdog_running: false,
         }
+    }
+
+    /// Queues `cmd` for the protocol thread and ends its wait for a frame.
+    fn submit(&self, cmd: Command) -> Result<(), NodeError> {
+        self.cmd_tx
+            .send(Event::Cmd(cmd))
+            .map_err(|_| NodeError::Disconnected)?;
+        self.transport.wake();
+        Ok(())
     }
 
     /// Drains the link-state transitions observed since the last call
@@ -730,7 +702,7 @@ impl Node {
     /// in flight or commands queued) and nothing a-delivers within
     /// `budget`, the node marks itself stalled — `/health` reports it,
     /// `node_stalls_total` increments, a `stall` trace event is recorded
-    /// and a [`ritas_metrics::FlightKind::Stall`] event enters the flight
+    /// and a [`FlightKind::Stall`] event enters the flight
     /// recorder. The flag clears as soon as progress resumes. Calling
     /// again re-tunes the budget.
     pub fn start_watchdog(&mut self, budget: Duration) {
@@ -768,7 +740,7 @@ impl Node {
                         metrics.node_stalls_total.inc();
                         metrics.trace(ritas_metrics::Layer::Node, "stall", format!("node:{id}"), 0);
                         metrics.flight_record(
-                            ritas_metrics::FlightKind::Stall,
+                            FlightKind::Stall,
                             id as u32,
                             now.saturating_sub(anchor),
                             budget,
@@ -838,9 +810,7 @@ impl Node {
         let run = move |stack: &mut Stack, out: &mut StackStep| {
             let _ = reply.send(f(stack, out));
         };
-        self.cmd_tx
-            .send(Event::Cmd(Command::WithStack(Box::new(run))))
-            .map_err(|_| NodeError::Disconnected)?;
+        self.submit(Command::WithStack(Box::new(run)))?;
         rx.recv().map_err(|_| NodeError::Disconnected)
     }
 
@@ -864,9 +834,7 @@ impl Node {
     ///
     /// [`NodeError::Disconnected`] if the stack thread has stopped.
     pub fn reliable_broadcast(&self, payload: Bytes) -> Result<(), NodeError> {
-        self.cmd_tx
-            .send(Event::Cmd(Command::RbBroadcast(payload)))
-            .map_err(|_| NodeError::Disconnected)
+        self.submit(Command::RbBroadcast(payload))
     }
 
     /// Blocks until a reliable broadcast is delivered (`ritas_rb_recv`).
@@ -896,9 +864,7 @@ impl Node {
     ///
     /// [`NodeError::Disconnected`] if the stack thread has stopped.
     pub fn echo_broadcast(&self, payload: Bytes) -> Result<(), NodeError> {
-        self.cmd_tx
-            .send(Event::Cmd(Command::EbBroadcast(payload)))
-            .map_err(|_| NodeError::Disconnected)
+        self.submit(Command::EbBroadcast(payload))
     }
 
     /// Blocks until an echo broadcast is delivered (`ritas_eb_recv`).
@@ -931,9 +897,7 @@ impl Node {
     /// [`NodeError::Disconnected`] if the stack thread has stopped.
     pub fn atomic_broadcast(&self, payload: Bytes) -> Result<crate::ab::MsgId, NodeError> {
         let (reply, rx) = sync_channel(1);
-        self.cmd_tx
-            .send(Event::Cmd(Command::AbBroadcast(payload, reply)))
-            .map_err(|_| NodeError::Disconnected)?;
+        self.submit(Command::AbBroadcast(payload, reply))?;
         rx.recv().map_err(|_| NodeError::Disconnected)
     }
 
@@ -986,9 +950,7 @@ impl Node {
     ///
     /// [`NodeError::Disconnected`] if the stack thread has stopped.
     pub fn send_xfer(&self, to: ProcessId, payload: Bytes) -> Result<(), NodeError> {
-        self.cmd_tx
-            .send(Event::Cmd(Command::SendXfer(to, payload)))
-            .map_err(|_| NodeError::Disconnected)
+        self.submit(Command::SendXfer(to, payload))
     }
 
     /// Blocks until an inbound state-transfer payload arrives, up to `t`.
@@ -1010,9 +972,7 @@ impl Node {
     /// [`NodeError::Disconnected`] if the stack thread stopped.
     pub fn binary_consensus(&self, tag: u64, value: bool) -> Result<bool, NodeError> {
         let (reply, rx) = sync_channel(1);
-        self.cmd_tx
-            .send(Event::Cmd(Command::BcPropose { tag, value, reply }))
-            .map_err(|_| NodeError::Disconnected)?;
+        self.submit(Command::BcPropose { tag, value, reply })?;
         rx.recv()
             .map_err(|_| NodeError::Disconnected)?
             .map_err(NodeError::Protocol)
@@ -1026,9 +986,7 @@ impl Node {
     /// As [`Node::binary_consensus`].
     pub fn multi_valued_consensus(&self, tag: u64, value: Bytes) -> Result<MvcValue, NodeError> {
         let (reply, rx) = sync_channel(1);
-        self.cmd_tx
-            .send(Event::Cmd(Command::MvcPropose { tag, value, reply }))
-            .map_err(|_| NodeError::Disconnected)?;
+        self.submit(Command::MvcPropose { tag, value, reply })?;
         rx.recv()
             .map_err(|_| NodeError::Disconnected)?
             .map_err(NodeError::Protocol)
@@ -1042,9 +1000,7 @@ impl Node {
     /// As [`Node::binary_consensus`].
     pub fn vector_consensus(&self, tag: u64, value: Bytes) -> Result<DecisionVector, NodeError> {
         let (reply, rx) = sync_channel(1);
-        self.cmd_tx
-            .send(Event::Cmd(Command::VcPropose { tag, value, reply }))
-            .map_err(|_| NodeError::Disconnected)?;
+        self.submit(Command::VcPropose { tag, value, reply })?;
         rx.recv()
             .map_err(|_| NodeError::Disconnected)?
             .map_err(NodeError::Protocol)
@@ -1052,8 +1008,9 @@ impl Node {
 
     /// Stops the stack thread (`ritas_destroy`). Idempotent.
     pub fn shutdown(&self) {
-        let _ = self.cmd_tx.send(Event::Cmd(Command::Shutdown));
+        let _ = self.cmd_tx.send(Event::Shutdown);
         self.stop.store(true, Ordering::Relaxed);
+        self.transport.wake();
     }
 }
 
@@ -1226,6 +1183,9 @@ fn map_timeout<T>(r: Result<T, RecvTimeoutError>) -> Result<T, NodeError> {
 struct Worker<T: Transport> {
     stack: Stack,
     transport: Arc<T>,
+    /// This process's own copies of what it sent, oldest first: they go
+    /// straight back into the stack, never through the transport.
+    loopback: VecDeque<Bytes>,
     replies: HashMap<InstanceKey, PendingReply>,
     /// Local a-broadcast times, for the a-deliver latency histogram.
     /// Bounded by [`AB_SENT_CAPACITY`]; ordered by id, so the first entry
@@ -1238,9 +1198,21 @@ struct Worker<T: Transport> {
     ab_tx: Sender<AbDelivery>,
     xfer_tx: Sender<(ProcessId, Bytes)>,
     fault_tx: Sender<Fault>,
+    link_tx: Sender<LinkEvent>,
 }
 
 impl<T: Transport> Worker<T> {
+    /// Handles every queued command; `false` once the node is to stop.
+    fn drain_commands(&mut self, cmd_rx: &Receiver<Event>) -> bool {
+        loop {
+            match cmd_rx.try_recv() {
+                Ok(Event::Cmd(cmd)) => self.on_command(cmd),
+                Ok(Event::Shutdown) | Err(TryRecvError::Disconnected) => return false,
+                Err(TryRecvError::Empty) => return true,
+            }
+        }
+    }
+
     fn on_command(&mut self, cmd: Command) {
         match cmd {
             Command::RbBroadcast(payload) => {
@@ -1308,13 +1280,42 @@ impl<T: Transport> Worker<T> {
                 f(&mut self.stack, &mut step);
                 self.dispatch(step);
             }
-            Command::Shutdown => unreachable!("handled by the event loop"),
         }
     }
 
+    /// A frame off the transport (already authenticated, when the AH
+    /// layer is configured).
     fn on_frame(&mut self, from: ProcessId, frame: Bytes) {
+        self.metrics.transport_frames_recv.inc();
+        self.metrics.transport_bytes_recv.add(frame.len() as u64);
+        self.flight_frame(FlightKind::FrameIn, from as u32, &frame);
         let step = self.stack.handle_frame(from, frame);
         self.dispatch(step);
+    }
+
+    /// Records a frame crossing the transport, by digest and length (the
+    /// sender digests what it hands to the transport, the receiver what
+    /// the transport hands it: the same bytes).
+    fn flight_frame(&self, kind: FlightKind, peer: u32, frame: &Bytes) {
+        if self.metrics.flight().enabled() {
+            let digest = ritas_metrics::flight::digest(frame);
+            self.metrics
+                .flight_record(kind, peer, digest, frame.len() as u64);
+        }
+    }
+
+    /// Surfaces link transitions (a self-healing transport reports
+    /// outages and resumes here) instead of silently absorbing them.
+    fn surface_link_events(&self) {
+        while let Some(ev) = self.transport.poll_link_event() {
+            let kind = match ev.state {
+                LinkState::Up => FlightKind::LinkUp,
+                _ => FlightKind::LinkDown,
+            };
+            self.metrics
+                .flight_record(kind, ev.peer as u32, ev.epoch, 0);
+            let _ = self.link_tx.send(ev);
+        }
     }
 
     /// Builds the `/state` introspection document. Runs on the protocol
@@ -1381,43 +1382,46 @@ impl<T: Transport> Worker<T> {
         )
     }
 
+    /// Sends, delivers and reports what `step` carries, then feeds the
+    /// stack its own copies of what it sent, in the order sent, until
+    /// they have produced nothing more.
     fn dispatch(&mut self, step: StackStep) {
+        self.emit(step);
+        while let Some(frame) = self.loopback.pop_front() {
+            let step = self.stack.handle_frame(self.stack.id(), frame);
+            self.emit(step);
+        }
+    }
+
+    fn emit(&mut self, step: StackStep) {
         for fault in step.faults {
             let _ = self.fault_tx.send(fault);
         }
+        let (me, n) = (self.stack.id(), self.transport.group_size());
         for out in step.messages {
-            let result = match out.target {
+            // A send failure means the transport is gone; the loop will
+            // notice at its next receive. Nothing sensible to do here.
+            let len = out.message.len() as u64;
+            match out.target {
                 Target::All => {
-                    let n = self.transport.group_size() as u64;
-                    self.metrics.transport_frames_sent.add(n);
-                    self.metrics
-                        .transport_bytes_sent
-                        .add(n * out.message.len() as u64);
-                    self.metrics.flight_record(
-                        ritas_metrics::FlightKind::FrameOut,
-                        u32::MAX, // broadcast
-                        ritas_metrics::flight::digest(&out.message),
-                        out.message.len() as u64,
-                    );
-                    self.transport.send_all(out.message)
+                    let peers = n as u64 - 1;
+                    self.metrics.transport_frames_sent.add(peers);
+                    self.metrics.transport_bytes_sent.add(peers * len);
+                    self.flight_frame(FlightKind::FrameOut, u32::MAX, &out.message);
+                    // Best effort per link, like `Transport::send_all`.
+                    for to in (0..n).filter(|&to| to != me) {
+                        let _ = self.transport.send(to, out.message.clone());
+                    }
+                    self.loopback.push_back(out.message);
                 }
+                Target::One(to) if to == me => self.loopback.push_back(out.message),
                 Target::One(to) => {
                     self.metrics.transport_frames_sent.inc();
-                    self.metrics
-                        .transport_bytes_sent
-                        .add(out.message.len() as u64);
-                    self.metrics.flight_record(
-                        ritas_metrics::FlightKind::FrameOut,
-                        to as u32,
-                        ritas_metrics::flight::digest(&out.message),
-                        out.message.len() as u64,
-                    );
-                    self.transport.send(to, out.message)
+                    self.metrics.transport_bytes_sent.add(len);
+                    self.flight_frame(FlightKind::FrameOut, to as u32, &out.message);
+                    let _ = self.transport.send(to, out.message);
                 }
-            };
-            // A send failure means the transport is gone; the loop will
-            // notice via the reader thread. Nothing sensible to do here.
-            let _ = result;
+            }
         }
         for output in step.outputs {
             match output {
@@ -1439,7 +1443,7 @@ impl<T: Transport> Worker<T> {
                         self.metrics.ab_sent_pending.set(self.ab_sent.len() as u64);
                     }
                     self.metrics.flight_record(
-                        ritas_metrics::FlightKind::Deliver,
+                        FlightKind::Deliver,
                         delivery.id.sender as u32,
                         delivery.id.rbid,
                         0,
@@ -1674,6 +1678,73 @@ mod tests {
         );
     }
 
+    /// With one peer crashed every quorum of n − f = 3 needs the node's
+    /// own vote. The vote never touches the node's link to itself, so
+    /// cutting that link costs nothing.
+    #[test]
+    fn own_copies_never_cross_the_self_link() {
+        let (nodes, hub) = Node::cluster_with_hub(&SessionConfig::new(4).unwrap()).unwrap();
+        hub.crash(3);
+        for p in 0..4 {
+            hub.set_link(p, p, false);
+        }
+        let id = nodes[0]
+            .atomic_broadcast(Bytes::from_static(b"quorum of three"))
+            .unwrap();
+        for node in &nodes[..3] {
+            let delivery = node.atomic_recv_timeout(Duration::from_secs(30)).unwrap();
+            assert_eq!(delivery.id, id);
+        }
+    }
+
+    /// A command reaches the protocol thread through the wake, not
+    /// through a frame or the idle tick: on a group with nothing to say,
+    /// twenty port calls and twenty a-broadcasts come back in far less
+    /// than the ≥ 50 ms *each* they would take waiting out the tick.
+    #[test]
+    fn commands_do_not_wait_for_a_frame_or_the_idle_tick() {
+        let (nodes, hub) = Node::cluster_with_hub(&SessionConfig::new(4).unwrap()).unwrap();
+        // Nobody else will ever send node 0 a frame.
+        for p in 1..4 {
+            hub.crash(p);
+        }
+        let node = &nodes[0];
+        let t0 = Instant::now();
+        for _ in 0..20 {
+            assert_eq!(node.with_stack(|stack, _| stack.id()), Ok(0));
+            node.atomic_broadcast(Bytes::from_static(b"idle")).unwrap();
+        }
+        let took = t0.elapsed();
+        assert!(took < 20 * IDLE_TICK / 2, "40 commands took {took:?}");
+        assert_eq!(node.metrics().transport_frames_recv.get(), 0);
+    }
+
+    /// What a broadcast costs the transport: n − 1 frames, the sender's
+    /// own copy going straight back into its stack.
+    #[test]
+    fn broadcast_puts_n_minus_one_frames_on_the_transport() {
+        let table = KeyTable::dealer(4, 9);
+        let mut hub = Hub::new(4);
+        let mut eps = hub.take_endpoints().into_iter();
+        let stack = Stack::new(Group::new(4).unwrap(), 0, table.view_of(0), 1);
+        let node = Node::spawn(eps.next().unwrap(), stack);
+        let peers: Vec<_> = eps.collect();
+        node.reliable_broadcast(Bytes::from_static(b"rb")).unwrap();
+        // Commands are served in order: when this one returns, the
+        // broadcast and everything it set off locally are done.
+        node.with_stack(|_, _| ()).unwrap();
+        // The INIT, and the ECHO the node's own copy of the INIT set
+        // off: two broadcasts, three frames each, both handled at home.
+        let m = node.metrics();
+        assert_eq!(m.transport_frames_sent.get(), 2 * 3);
+        assert_eq!(m.stack_frames_in.get(), 2);
+        assert_eq!(m.transport_frames_recv.get(), 0);
+        for peer in &peers {
+            assert!(peer.try_recv().is_some() && peer.try_recv().is_some());
+            assert!(peer.try_recv().is_none());
+        }
+    }
+
     fn http_get(addr: SocketAddr, path: &str) -> String {
         let mut conn = std::net::TcpStream::connect(addr).unwrap();
         conn.write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
@@ -1759,7 +1830,7 @@ mod tests {
                 .flight()
                 .events()
                 .iter()
-                .any(|e| e.kind == ritas_metrics::FlightKind::Stall),
+                .any(|e| e.kind == FlightKind::Stall),
             "no stall flight event"
         );
         for n in &nodes {
@@ -1788,15 +1859,11 @@ mod tests {
         assert!(written.contains(&path), "{written:?}");
         let events = ritas_metrics::flight::parse(&std::fs::read(&path).unwrap()).unwrap();
         assert!(
-            events
-                .iter()
-                .any(|e| e.kind == ritas_metrics::FlightKind::FrameIn),
+            events.iter().any(|e| e.kind == FlightKind::FrameIn),
             "no inbound frames recorded"
         );
         assert!(
-            events
-                .iter()
-                .any(|e| e.kind == ritas_metrics::FlightKind::Deliver),
+            events.iter().any(|e| e.kind == FlightKind::Deliver),
             "no delivery recorded"
         );
         let _ = std::fs::remove_dir_all(&dir);

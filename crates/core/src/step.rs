@@ -163,6 +163,7 @@ impl<M, O> Step<M, O> {
     }
 
     /// Adds a broadcast to this step.
+    #[inline]
     pub fn push_broadcast(&mut self, message: M) {
         self.messages.push(Outgoing {
             target: Target::All,
@@ -171,6 +172,7 @@ impl<M, O> Step<M, O> {
     }
 
     /// Adds a unicast to this step.
+    #[inline]
     pub fn push_unicast(&mut self, to: ProcessId, message: M) {
         self.messages.push(Outgoing {
             target: Target::One(to),
@@ -179,11 +181,13 @@ impl<M, O> Step<M, O> {
     }
 
     /// Adds an output to this step.
+    #[inline]
     pub fn push_output(&mut self, output: O) {
         self.outputs.push(output);
     }
 
     /// Adds a fault to this step.
+    #[inline]
     pub fn push_fault(&mut self, from: ProcessId, kind: FaultKind) {
         self.faults.push(Fault { from, kind });
     }

@@ -66,6 +66,7 @@ pub trait Digest: Default + Clone {
 /// Returns `false` if lengths differ. Used by MAC verification to avoid
 /// leaking the position of the first mismatching byte through timing.
 #[must_use]
+#[inline]
 pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     if a.len() != b.len() {
         return false;

@@ -6,6 +6,9 @@
 
 use crate::digest::{ct_eq, Digest};
 
+/// Largest digest block the pad derivation has room for.
+const MAX_BLOCK_LEN: usize = 128;
+
 /// An HMAC instance keyed with `K`, computing `H((K' ^ opad) ‖ H((K' ^ ipad) ‖ m))`.
 ///
 /// # Example
@@ -17,11 +20,12 @@ use crate::digest::{ct_eq, Digest};
 /// assert!(Hmac::<Sha256>::verify(b"key", b"message", tag.as_ref()));
 /// assert!(!Hmac::<Sha256>::verify(b"key", b"tampered", tag.as_ref()));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct Hmac<D: Digest> {
+    /// The inner hash, past the `K' ^ ipad` block and the message so far.
     inner: D,
-    /// Outer pad-key block, kept to finish the outer hash on finalize.
-    okey: Vec<u8>,
+    /// The outer hash, past the `K' ^ opad` block.
+    outer: D,
 }
 
 impl<D: Digest> Hmac<D> {
@@ -29,18 +33,22 @@ impl<D: Digest> Hmac<D> {
     ///
     /// Keys longer than the block size are first hashed, per RFC 2104.
     pub fn new(key: &[u8]) -> Self {
-        let mut kblock = vec![0u8; D::BLOCK_LEN];
+        assert!(D::BLOCK_LEN <= MAX_BLOCK_LEN && D::OUTPUT_LEN <= D::BLOCK_LEN);
+        let mut kblock = [0u8; MAX_BLOCK_LEN];
         if key.len() > D::BLOCK_LEN {
-            let kh = D::digest(key);
-            kblock[..kh.as_ref().len()].copy_from_slice(kh.as_ref());
+            kblock[..D::OUTPUT_LEN].copy_from_slice(D::digest(key).as_ref());
         } else {
             kblock[..key.len()].copy_from_slice(key);
         }
-        let ikey: Vec<u8> = kblock.iter().map(|b| b ^ 0x36).collect();
-        let okey: Vec<u8> = kblock.iter().map(|b| b ^ 0x5c).collect();
-        let mut inner = D::new();
-        inner.update(&ikey);
-        Hmac { inner, okey }
+        let past_pad = |pad: u8| {
+            let mut hash = D::new();
+            hash.update(&kblock.map(|b| b ^ pad)[..D::BLOCK_LEN]);
+            hash
+        };
+        Hmac {
+            inner: past_pad(0x36),
+            outer: past_pad(0x5c),
+        }
     }
 
     /// Absorbs message data.
@@ -49,19 +57,14 @@ impl<D: Digest> Hmac<D> {
     }
 
     /// Finishes and returns the full-length tag.
-    pub fn finalize(self) -> D::Output {
-        let inner_hash = self.inner.finalize();
-        let mut outer = D::new();
-        outer.update(&self.okey);
-        outer.update(inner_hash.as_ref());
-        outer.finalize()
+    pub fn finalize(mut self) -> D::Output {
+        self.outer.update(self.inner.finalize().as_ref());
+        self.outer.finalize()
     }
 
     /// One-shot MAC of `msg` under `key`.
     pub fn mac(key: &[u8], msg: &[u8]) -> D::Output {
-        let mut h = Self::new(key);
-        h.update(msg);
-        h.finalize()
+        HmacKey::<D>::new(key).mac(&[msg])
     }
 
     /// Verifies `tag` (possibly truncated) against the MAC of `msg` under
@@ -71,11 +74,57 @@ impl<D: Digest> Hmac<D> {
     /// HMAC-SHA-1-96-style truncation. Empty tags never verify.
     #[must_use]
     pub fn verify(key: &[u8], msg: &[u8], tag: &[u8]) -> bool {
+        HmacKey::<D>::new(key).verify(&[msg], tag)
+    }
+}
+
+impl<D: Digest> core::fmt::Debug for Hmac<D> {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        // The digest states are as good as the key: never print them.
+        write!(f, "Hmac(..)")
+    }
+}
+
+/// A key with its HMAC key schedule done: the inner and outer digest
+/// states after the pad blocks, so each MAC under a long-lived key costs
+/// only the message's own compressions plus the outer one.
+///
+/// # Example
+///
+/// ```
+/// use ritas_crypto::{Hmac, HmacKey, Sha1};
+///
+/// let key = HmacKey::<Sha1>::new(b"link key");
+/// let tag = key.mac(&[b"header", b"payload"]);
+/// assert_eq!(tag, Hmac::<Sha1>::mac(b"link key", b"headerpayload"));
+/// assert!(key.verify(&[b"header", b"payload"], &tag[..12]));
+/// ```
+#[derive(Clone, Debug)]
+pub struct HmacKey<D: Digest>(Hmac<D>);
+
+impl<D: Digest> HmacKey<D> {
+    /// Runs the key schedule for `key`.
+    pub fn new(key: &[u8]) -> Self {
+        HmacKey(Hmac::new(key))
+    }
+
+    /// MAC of the concatenation of `parts`.
+    pub fn mac(&self, parts: &[&[u8]]) -> D::Output {
+        let mut h = self.0.clone();
+        for part in parts {
+            h.update(part);
+        }
+        h.finalize()
+    }
+
+    /// Verifies `tag` (possibly truncated, never empty) against the MAC
+    /// of the concatenation of `parts`, in constant time.
+    #[must_use]
+    pub fn verify(&self, parts: &[&[u8]], tag: &[u8]) -> bool {
         if tag.is_empty() || tag.len() > D::OUTPUT_LEN {
             return false;
         }
-        let full = Self::mac(key, msg);
-        ct_eq(&full.as_ref()[..tag.len()], tag)
+        ct_eq(&self.mac(parts).as_ref()[..tag.len()], tag)
     }
 }
 
@@ -142,6 +191,48 @@ mod tests {
             hex(tag.as_ref()),
             "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79"
         );
+    }
+
+    // RFC 2202 test cases 1, 2, 3 and 6 through the keyed state, the
+    // message handed over in pieces; case 6's key is longer than a block.
+    #[test]
+    fn rfc2202_sha1_keyed_state() {
+        for (key, parts, expected) in [
+            (
+                vec![0x0b; 20],
+                vec![&b"Hi "[..], b"There"],
+                "b617318655057264e28bc0b6fb378c8ef146be00",
+            ),
+            (
+                b"Jefe".to_vec(),
+                vec![&b"what do ya want"[..], b"", b" for nothing?"],
+                "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79",
+            ),
+            (
+                vec![0xaa; 20],
+                vec![&[0xdd; 25][..], &[0xdd; 25]],
+                "125d7342b9ac11cd91a39af48aa17b4f63f175d3",
+            ),
+            (
+                vec![0xaa; 80],
+                vec![
+                    &b"Test Using Larger Than Block-Size Key"[..],
+                    b" - Hash Key First",
+                ],
+                "aa4ae5e15272d00e95705637ce8a3b55ed402112",
+            ),
+        ] {
+            let keyed = HmacKey::<Sha1>::new(&key);
+            assert_eq!(hex(&keyed.mac(&parts)), expected);
+            // The key outlives the MAC: a second one is the same.
+            assert_eq!(hex(&keyed.mac(&parts)), expected);
+        }
+    }
+
+    #[test]
+    fn debug_output_hides_the_keyed_state() {
+        let shown = format!("{:?}", HmacKey::<Sha1>::new(b"secret"));
+        assert_eq!(shown, "HmacKey(Hmac(..))");
     }
 
     #[test]

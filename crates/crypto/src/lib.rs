@@ -49,7 +49,7 @@ pub use coin::{
     SharedCoinDealer,
 };
 pub use digest::Digest;
-pub use hmac::Hmac;
+pub use hmac::{Hmac, HmacKey};
 pub use keys::{ClientKeyDealer, KeyTable, ProcessKeys, SecretKey};
 pub use mac::MacTag;
 pub use sha1::Sha1;

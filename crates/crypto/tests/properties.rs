@@ -5,9 +5,55 @@
 
 use proptest::prelude::*;
 use ritas_crypto::digest::ct_eq;
-use ritas_crypto::{mac, Coin, DeterministicCoin, Digest, Hmac, KeyTable, Sha1, Sha256};
+use ritas_crypto::{mac, Coin, DeterministicCoin, Digest, Hmac, HmacKey, KeyTable, Sha1, Sha256};
+
+/// RFC 2104 written out: `H((K' ^ opad) ‖ H((K' ^ ipad) ‖ m))` over
+/// contiguous buffers, sharing nothing with `hmac.rs` but the digest.
+fn reference_hmac<D: Digest>(key: &[u8], msg: &[u8]) -> D::Output {
+    let mut kblock = vec![0u8; D::BLOCK_LEN];
+    if key.len() > D::BLOCK_LEN {
+        kblock[..D::OUTPUT_LEN].copy_from_slice(D::digest(key).as_ref());
+    } else {
+        kblock[..key.len()].copy_from_slice(key);
+    }
+    let ipad: Vec<u8> = kblock.iter().map(|b| b ^ 0x36).collect();
+    let opad: Vec<u8> = kblock.iter().map(|b| b ^ 0x5c).collect();
+    let inner = D::digest_concat(&[&ipad, msg]);
+    D::digest_concat(&[&opad, inner.as_ref()])
+}
+
+/// The keyed state, fed `msg` cut at `cuts`, against the reference and
+/// the one-shot wrapper.
+fn keyed_hmac_matches<D: Digest>(key: &[u8], msg: &[u8], cuts: &[u16]) -> bool {
+    let mut parts = Vec::new();
+    let mut rest = msg;
+    for &c in cuts {
+        let (head, tail) = rest.split_at(c as usize % (rest.len() + 1));
+        parts.push(head);
+        rest = tail;
+    }
+    parts.push(rest);
+    let keyed = HmacKey::<D>::new(key);
+    let tag = keyed.mac(&parts);
+    tag == reference_hmac::<D>(key, msg)
+        && tag == Hmac::<D>::mac(key, msg)
+        && keyed.verify(&parts, &tag.as_ref()[..12])
+}
 
 proptest! {
+    /// A key schedule done once gives the RFC 2104 tag however the
+    /// message is cut into slices, for keys on both sides of the block
+    /// size, under both digests.
+    #[test]
+    fn keyed_hmac_equals_reference_for_any_split(
+        key in proptest::collection::vec(any::<u8>(), 0..200),
+        msg in proptest::collection::vec(any::<u8>(), 0..300),
+        cuts in proptest::collection::vec(any::<u16>(), 0..5),
+    ) {
+        prop_assert!(keyed_hmac_matches::<Sha1>(&key, &msg, &cuts));
+        prop_assert!(keyed_hmac_matches::<Sha256>(&key, &msg, &cuts));
+    }
+
     /// Feeding data in arbitrary chunkings must produce the one-shot
     /// digest (the classic incremental-hashing law).
     #[test]

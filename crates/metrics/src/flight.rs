@@ -12,6 +12,10 @@
 //! header:  magic "RFR1" | u16 version | u16 record size | u32 count
 //! record:  u64 t | u8 kind | u32 peer | u64 a | u64 b   (29 bytes)
 //! ```
+//!
+//! In a frame record `a` is [`digest`] of the frame — FNV-1a over its
+//! first [`DIGEST_PREFIX`] bytes xor its length, not over every byte —
+//! and `b` its length.
 
 use std::collections::VecDeque;
 use std::io::Write as _;
@@ -34,8 +38,8 @@ pub const FLIGHT_RECORD_BYTES: usize = 29;
 /// What happened. The payload words `a`/`b` are kind-specific.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightKind {
-    /// A wire frame left for `peer` (`u32::MAX` = all); `a` = FNV-1a
-    /// digest of the frame, `b` = length.
+    /// A wire frame left for `peer` (`u32::MAX` = all); `a` = [`digest`]
+    /// of the frame, `b` = length.
     FrameOut,
     /// A wire frame arrived from `peer`; `a` = digest, `b` = length.
     FrameIn,
@@ -280,16 +284,23 @@ pub fn to_text(events: &[FlightEvent]) -> String {
     out
 }
 
-/// FNV-1a over `bytes` — the cheap frame digest recorded with
-/// [`FlightKind::FrameIn`]/[`FlightKind::FrameOut`] events, good enough
-/// to match a frame across two replicas' dumps.
+/// How many leading bytes of a frame [`digest`] reads.
+pub const DIGEST_PREFIX: usize = 64;
+
+/// The cheap frame digest recorded with [`FlightKind::FrameIn`] and
+/// [`FlightKind::FrameOut`] events: FNV-1a over the first
+/// [`DIGEST_PREFIX`] bytes, xor the frame's length. The prefix holds
+/// the instance key and the protocol header, which is what tells two
+/// frames apart, and a bounded walk keeps the recorder's cost per frame
+/// independent of payload size. Good enough to match a frame across two
+/// replicas' dumps.
 pub fn digest(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    for &b in &bytes[..bytes.len().min(DIGEST_PREFIX)] {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    h
+    h ^ bytes.len() as u64
 }
 
 // ---------------------------------------------------------------------------
@@ -431,6 +442,19 @@ mod tests {
     fn digest_differs_on_content() {
         assert_ne!(digest(b"frame-a"), digest(b"frame-b"));
         assert_eq!(digest(b""), 0xcbf2_9ce4_8422_2325);
+    }
+
+    #[test]
+    fn digest_reads_a_bounded_prefix_and_the_length() {
+        let mut frame = vec![7u8; 4096];
+        let whole = digest(&frame);
+        // Bytes past the prefix are not read…
+        frame[DIGEST_PREFIX] ^= 0xff;
+        assert_eq!(digest(&frame), whole);
+        // …bytes inside it and the length are.
+        frame[DIGEST_PREFIX - 1] ^= 0xff;
+        assert_ne!(digest(&frame), whole);
+        assert_ne!(digest(&[7u8; 4095]), whole);
     }
 
     #[test]

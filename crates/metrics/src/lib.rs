@@ -44,11 +44,13 @@ pub struct Counter(AtomicU64);
 
 impl Counter {
     /// Adds one.
+    #[inline]
     pub fn inc(&self) {
         self.add(1);
     }
 
     /// Adds `n`.
+    #[inline]
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
@@ -1196,6 +1198,9 @@ instruments! {
     ab_flush_age: Counter,
     /// Batches flushed immediately because no own batch was in flight.
     ab_flush_idle: Counter,
+    /// `AB_VECT`/`AB_AGREE` frames ignored because their round's state
+    /// has been freed (further behind than any process can still be).
+    ab_stale_round_dropped: Counter,
     /// a-broadcast → a-deliver latency in driver nanoseconds (own
     /// messages only).
     ab_latency_ns: Histogram,
@@ -1572,6 +1577,7 @@ impl Metrics {
 impl std::ops::Deref for Metrics {
     type Target = MetricsInner;
 
+    #[inline]
     fn deref(&self) -> &MetricsInner {
         &self.inner
     }
@@ -2307,7 +2313,7 @@ mod tests {
 
     #[test]
     fn every_declared_instrument_is_exported_under_its_field_name() {
-        assert_eq!(INSTRUMENTS.len(), 94);
+        assert_eq!(INSTRUMENTS.len(), 95);
         let snap = Metrics::new().snapshot();
         let prom = snap.to_prometheus();
         for &(name, kind) in INSTRUMENTS {

@@ -22,7 +22,7 @@ use crate::wire::{
     Reply, Request, RequestKind, RequestMode, Status,
 };
 use bytes::Bytes;
-use ritas_crypto::{ClientKeyDealer, SecretKey};
+use ritas_crypto::{ClientKeyDealer, HmacKey, Sha1};
 use ritas_metrics::Metrics;
 use std::collections::{HashMap, HashSet};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -98,7 +98,7 @@ impl std::error::Error for ClientError {}
 struct Conn {
     addr: SocketAddr,
     stream: Option<TcpStream>,
-    key: Option<SecretKey>,
+    key: Option<HmacKey<Sha1>>,
     reader: Option<JoinHandle<()>>,
 }
 
@@ -318,8 +318,8 @@ impl ServiceClient {
             if self.conns[i].stream.is_none() && !self.connect(i) {
                 return false;
             }
-            let key = self.conns[i].key.expect("connected above");
-            let frame = request.seal(&key);
+            let key = self.conns[i].key.as_ref().expect("connected above");
+            let frame = request.seal(key);
             let stream = self.conns[i].stream.as_mut().expect("connected above");
             match write_frame(stream, &frame) {
                 Ok(()) => return true,
@@ -383,7 +383,7 @@ impl ServiceClient {
         self.conns[i].reader = Some(spawn_reader(
             read_half,
             i as u16,
-            conn_key,
+            conn_key.clone(),
             self.tx.clone(),
             Arc::clone(&self.stop),
             self.config.metrics.clone(),
@@ -466,7 +466,7 @@ impl core::fmt::Debug for ServiceClient {
 fn spawn_reader(
     mut stream: TcpStream,
     replica: u16,
-    key: ritas_crypto::SecretKey,
+    key: HmacKey<Sha1>,
     tx: Sender<Reply>,
     stop: Arc<AtomicBool>,
     metrics: Metrics,

@@ -18,7 +18,6 @@ use parking_lot::Mutex;
 use ritas::service::{CommandKind, ServiceError, ServiceReplica};
 use ritas_crypto::ClientKeyDealer;
 use ritas_metrics::Layer;
-use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -73,7 +72,6 @@ impl<S: Send + 'static> ServiceServer<S> {
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let tamper: Arc<Mutex<Option<Arc<ReplyTamper>>>> = Arc::new(Mutex::new(None));
         let accept_thread = {
@@ -82,22 +80,20 @@ impl<S: Send + 'static> ServiceServer<S> {
             let tamper = Arc::clone(&tamper);
             std::thread::spawn(move || {
                 let mut conn_threads = Vec::new();
-                while !stop.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            let replica = Arc::clone(&replica);
-                            let stop = Arc::clone(&stop);
-                            let tamper = Arc::clone(&tamper);
-                            let config = config.clone();
-                            conn_threads.push(std::thread::spawn(move || {
-                                serve_connection(stream, replica, dealer, config, stop, tamper);
-                            }));
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(20));
-                        }
-                        Err(_) => break,
+                // Blocks in `accept`, so a client is served the moment it
+                // connects; `shutdown` sets `stop` and connects once to
+                // have it looked at.
+                while let Ok((stream, _peer)) = listener.accept() {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
                     }
+                    let replica = Arc::clone(&replica);
+                    let stop = Arc::clone(&stop);
+                    let tamper = Arc::clone(&tamper);
+                    let config = config.clone();
+                    conn_threads.push(std::thread::spawn(move || {
+                        serve_connection(stream, replica, dealer, config, stop, tamper);
+                    }));
                 }
                 for t in conn_threads {
                     let _ = t.join();
@@ -135,7 +131,12 @@ impl<S: Send + 'static> ServiceServer<S> {
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            // The accept thread sees `stop` at its next connection: make
+            // one. If that fails and the thread has not already ended,
+            // it is left to end by itself rather than joined forever.
+            if TcpStream::connect(self.addr).is_ok() || t.is_finished() {
+                let _ = t.join();
+            }
         }
     }
 }

@@ -10,7 +10,8 @@
 //! replica)` edge the frame travels on; all subsequent [`Request`] and
 //! [`Reply`] frames are keyed by the per-connection key
 //! ([`connection_key`]) derived from that link key **and both handshake
-//! nonces**. Pairwise keys matter: with one key per client shared by the
+//! nonces**, with its HMAC key schedule run once per connection, not once
+//! per frame. Pairwise keys matter: with one key per client shared by the
 //! whole group, a single Byzantine replica could sign replies in its
 //! peers' names and fabricate an `f+1` quorum by itself. The nonce-bound
 //! connection key matters too: a network adversary replaying a recorded
@@ -28,7 +29,7 @@
 
 use bytes::Bytes;
 use ritas::codec::{Reader, WireError, Writer};
-use ritas_crypto::{digest::ct_eq, Digest, Hmac, SecretKey, Sha1, Sha256};
+use ritas_crypto::{digest::ct_eq, Digest, HmacKey, SecretKey, Sha1, Sha256};
 use std::io::{Read as IoRead, Write as IoWrite};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -161,9 +162,31 @@ pub fn fresh_nonce() -> u64 {
         .rotate_left(17)
 }
 
+/// A key frames are sealed and opened under.
+pub trait FrameKey {
+    /// HMAC-SHA-1 of `body` under this key.
+    fn mac(&self, body: &[u8]) -> [u8; 20];
+}
+
+/// The raw key: every frame pays its HMAC key schedule, which is fine
+/// for the two handshake frames a link key seals per connection.
+impl FrameKey for SecretKey {
+    fn mac(&self, body: &[u8]) -> [u8; 20] {
+        HmacKey::<Sha1>::new(self.as_ref()).mac(&[body])
+    }
+}
+
+/// A key with its schedule done: what a connection's frames ride on.
+impl FrameKey for HmacKey<Sha1> {
+    fn mac(&self, body: &[u8]) -> [u8; 20] {
+        HmacKey::mac(self, &[body])
+    }
+}
+
 /// Derives the per-connection frame key from the pairwise link key and
 /// both handshake nonces (`SHA-256("ritas-conn-key" ‖ link ‖ client
-/// nonce ‖ server nonce)`).
+/// nonce ‖ server nonce)`), keyed once for every frame the connection
+/// will carry.
 ///
 /// [`Request`] and [`Reply`] frames are sealed under this key rather
 /// than the long-lived link key, which binds them to the live
@@ -172,14 +195,14 @@ pub fn fresh_nonce() -> u64 {
 /// transcript from being replayed verbatim on a fresh connection —
 /// without the link key, the adversary cannot re-seal the requests
 /// under the new connection key.
-pub fn connection_key(link: &SecretKey, client_nonce: u64, server_nonce: u64) -> SecretKey {
+pub fn connection_key(link: &SecretKey, client_nonce: u64, server_nonce: u64) -> HmacKey<Sha1> {
     let digest = Sha256::digest_concat(&[
         b"ritas-conn-key",
         link.as_ref(),
         &client_nonce.to_be_bytes(),
         &server_nonce.to_be_bytes(),
     ]);
-    SecretKey::from_bytes(digest)
+    HmacKey::new(&digest)
 }
 
 const TAG_HELLO: u8 = 1;
@@ -248,23 +271,20 @@ pub struct Reply {
     pub payload: Bytes,
 }
 
-fn seal(w: Writer, key: &SecretKey) -> Bytes {
-    let body = w.freeze();
-    let mac = Hmac::<Sha1>::mac(key.as_ref(), &body);
-    let mut out = body.to_vec();
-    out.extend_from_slice(&mac[..MAC_LEN]);
-    Bytes::from(out)
+fn seal(mut w: Writer, key: &impl FrameKey) -> Bytes {
+    let mac = key.mac(w.as_bytes());
+    w.raw(&mac[..MAC_LEN]);
+    w.freeze()
 }
 
 /// Splits `frame` into body and MAC and verifies the MAC (constant
 /// time). Returns the body.
-fn verify<'a>(frame: &'a [u8], key: &SecretKey) -> Result<&'a [u8], FrameError> {
+fn verify<'a>(frame: &'a [u8], key: &impl FrameKey) -> Result<&'a [u8], FrameError> {
     if frame.len() < MAC_LEN + 1 {
         return Err(WireError::Truncated { what: "frame" }.into());
     }
     let (body, mac) = frame.split_at(frame.len() - MAC_LEN);
-    let expected = Hmac::<Sha1>::mac(key.as_ref(), body);
-    if !ct_eq(&expected[..MAC_LEN], mac) {
+    if !ct_eq(&key.mac(body)[..MAC_LEN], mac) {
         return Err(FrameError::BadMac);
     }
     Ok(body)
@@ -272,7 +292,7 @@ fn verify<'a>(frame: &'a [u8], key: &SecretKey) -> Result<&'a [u8], FrameError> 
 
 impl Hello {
     /// Encodes and MACs the frame under `key`.
-    pub fn seal(&self, key: &SecretKey) -> Bytes {
+    pub fn seal(&self, key: &impl FrameKey) -> Bytes {
         let mut w = Writer::new();
         w.u8(TAG_HELLO).u64(self.client).u64(self.nonce);
         seal(w, key)
@@ -300,7 +320,7 @@ impl Hello {
     ///
     /// [`FrameError::BadMac`] on authentication failure, [`FrameError::Wire`]
     /// on structural corruption.
-    pub fn open(frame: &[u8], key: &SecretKey) -> Result<Self, FrameError> {
+    pub fn open(frame: &[u8], key: &impl FrameKey) -> Result<Self, FrameError> {
         let body = verify(frame, key)?;
         let mut r = Reader::new(body);
         let tag = r.u8("hello.tag")?;
@@ -322,7 +342,7 @@ impl Hello {
 
 impl HelloAck {
     /// Encodes and MACs the frame under `key`.
-    pub fn seal(&self, key: &SecretKey) -> Bytes {
+    pub fn seal(&self, key: &impl FrameKey) -> Bytes {
         let mut w = Writer::new();
         w.u8(TAG_HELLO_ACK)
             .u16(self.replica)
@@ -339,7 +359,7 @@ impl HelloAck {
     ///
     /// [`FrameError::BadMac`] on authentication failure, [`FrameError::Wire`]
     /// on structural corruption.
-    pub fn open(frame: &[u8], key: &SecretKey) -> Result<Self, FrameError> {
+    pub fn open(frame: &[u8], key: &impl FrameKey) -> Result<Self, FrameError> {
         let body = verify(frame, key)?;
         let mut r = Reader::new(body);
         let tag = r.u8("ack.tag")?;
@@ -364,7 +384,7 @@ impl HelloAck {
 
 impl Request {
     /// Encodes and MACs the frame under `key`.
-    pub fn seal(&self, key: &SecretKey) -> Bytes {
+    pub fn seal(&self, key: &impl FrameKey) -> Bytes {
         let mut w = Writer::new();
         w.u8(TAG_REQUEST)
             .u64(self.client)
@@ -381,7 +401,7 @@ impl Request {
     ///
     /// [`FrameError::BadMac`] on authentication failure, [`FrameError::Wire`]
     /// on structural corruption.
-    pub fn open(frame: &[u8], key: &SecretKey) -> Result<Self, FrameError> {
+    pub fn open(frame: &[u8], key: &impl FrameKey) -> Result<Self, FrameError> {
         let body = verify(frame, key)?;
         let mut r = Reader::new(body);
         let tag = r.u8("req.tag")?;
@@ -406,7 +426,7 @@ impl Request {
 
 impl Reply {
     /// Encodes and MACs the frame under `key`.
-    pub fn seal(&self, key: &SecretKey) -> Bytes {
+    pub fn seal(&self, key: &impl FrameKey) -> Bytes {
         let mut w = Writer::new();
         w.u8(TAG_REPLY)
             .u16(self.replica)
@@ -423,7 +443,7 @@ impl Reply {
     ///
     /// [`FrameError::BadMac`] on authentication failure, [`FrameError::Wire`]
     /// on structural corruption.
-    pub fn open(frame: &[u8], key: &SecretKey) -> Result<Self, FrameError> {
+    pub fn open(frame: &[u8], key: &impl FrameKey) -> Result<Self, FrameError> {
         let body = verify(frame, key)?;
         let mut r = Reader::new(body);
         let tag = r.u8("reply.tag")?;
@@ -564,13 +584,15 @@ mod tests {
 
     #[test]
     fn connection_key_binds_both_nonces() {
+        // Keyed states do not compare; the tags they give one body do.
+        let tag = |k: &HmacKey<Sha1>| FrameKey::mac(k, b"probe");
         let k = connection_key(&key(), 1, 2);
-        assert_eq!(k, connection_key(&key(), 1, 2));
+        assert_eq!(tag(&k), tag(&connection_key(&key(), 1, 2)));
         // Either side refreshing its nonce yields a different key, so a
         // frame recorded on one connection never verifies on another.
-        assert_ne!(k, connection_key(&key(), 1, 3));
-        assert_ne!(k, connection_key(&key(), 3, 2));
-        assert_ne!(k, key());
+        assert_ne!(tag(&k), tag(&connection_key(&key(), 1, 3)));
+        assert_ne!(tag(&k), tag(&connection_key(&key(), 3, 2)));
+        assert_ne!(tag(&k), FrameKey::mac(&key(), b"probe"));
         let rq = Request {
             client: 3,
             seq: 1,
@@ -583,6 +605,20 @@ mod tests {
             Request::open(&rq.seal(&k), &connection_key(&key(), 1, 3)).unwrap_err(),
             FrameError::BadMac
         );
+    }
+
+    #[test]
+    fn raw_and_keyed_forms_of_a_key_seal_alike() {
+        let rq = Request {
+            client: 3,
+            seq: 1,
+            kind: RequestKind::Apply,
+            mode: RequestMode::Submit,
+            payload: Bytes::from_static(b"cmd"),
+        };
+        let keyed = HmacKey::<Sha1>::new(key().as_ref());
+        assert_eq!(rq.seal(&key()), rq.seal(&keyed));
+        assert_eq!(Request::open(&rq.seal(&key()), &keyed).unwrap(), rq);
     }
 
     #[test]

@@ -9,7 +9,11 @@
 //!   SPI, sequence number, and a 96-bit integrity check value (ICV) —
 //!   matching the +24-byte overhead the paper measures in Table 1;
 //! * ICV = HMAC-SHA-1-96 over the header (ICV zeroed) and payload, keyed
-//!   by the pairwise link key;
+//!   by the pairwise link key — the HMAC key schedule run once per peer
+//!   and epoch, the frame MACed where it lies (sealing) or as three
+//!   slices around the received ICV (opening), so a frame costs its own
+//!   SHA-1 compressions plus the outer one and is not copied to be
+//!   checked;
 //! * anti-replay via a 64-entry sliding window per source, as RFC 2402
 //!   prescribes.
 //!
@@ -40,13 +44,13 @@
 //! dropped and counted in `transport_epoch_rejected`: keys an intruder
 //! exfiltrated before its host was wiped die with the grace window.
 
-use crate::wire::{Reader, Writer};
 use crate::{ProcessId, Transport, TransportError};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use ritas_crypto::{Hmac, KeyTable, SecretKey, Sha1};
+use ritas_crypto::{HmacKey, KeyTable, SecretKey, Sha1};
 use ritas_metrics::Metrics;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Bytes added to every frame by the AH-style header (matches the paper's
@@ -55,6 +59,21 @@ pub const AH_OVERHEAD: usize = 24;
 
 /// Length of the truncated HMAC-SHA-1-96 integrity check value.
 const ICV_LEN: usize = 12;
+
+/// Where the ICV sits in the header: after next-header, payload-length,
+/// reserved, SPI and sequence number.
+const ICV_AT: usize = AH_OVERHEAD - ICV_LEN;
+
+/// One epoch's pairwise keys of this process, each with its HMAC key
+/// schedule done (the per-frame cost is then the frame's own
+/// compressions). Shared, so a frame is MACed outside the epoch lock.
+type KeyRow = Arc<[HmacKey<Sha1>]>;
+
+fn keyed_row(keys: impl IntoIterator<Item = SecretKey>) -> KeyRow {
+    keys.into_iter()
+        .map(|key| HmacKey::new(key.as_ref()))
+        .collect()
+}
 
 /// AH anti-replay window size (RFC 2402 recommends at least 32; we use 64).
 const REPLAY_WINDOW: u64 = 64;
@@ -217,7 +236,7 @@ pub struct AuthenticatedTransport<T: Transport> {
 #[derive(Debug)]
 struct PrevEpoch {
     epoch: u64,
-    keys: Vec<SecretKey>,
+    keys: KeyRow,
     rotated_at: Instant,
 }
 
@@ -226,20 +245,20 @@ struct PrevEpoch {
 #[derive(Debug)]
 struct EpochState {
     epoch: u64,
-    keys: Vec<SecretKey>,
+    keys: KeyRow,
     prev: Option<PrevEpoch>,
     /// One-entry cache of the most recently derived *future*-epoch
     /// candidate row, so inbound frames claiming an epoch ahead of ours
     /// cost one full n×n derivation per distinct claim instead of one
     /// per frame (the derivation runs before the ICV verifies, so it
     /// would otherwise be attacker-forceable work).
-    future: Option<(u64, Vec<SecretKey>)>,
+    future: Option<(u64, KeyRow)>,
 }
 
 impl EpochState {
     /// Switches to `epoch` under the key row `keys`; the outgoing epoch
     /// stays behind as the grace-window remnant.
-    fn advance(&mut self, epoch: u64, keys: Vec<SecretKey>) {
+    fn advance(&mut self, epoch: u64, keys: KeyRow) {
         let old = std::mem::replace(&mut self.keys, keys);
         self.prev = Some(PrevEpoch {
             epoch: self.epoch,
@@ -278,9 +297,9 @@ enum Rejection {
 }
 
 /// This process's key row for `(master_seed, epoch)`.
-fn derive_row(n: usize, master_seed: u64, epoch: u64, me: ProcessId) -> Vec<SecretKey> {
+fn derive_row(n: usize, master_seed: u64, epoch: u64, me: ProcessId) -> KeyRow {
     let view = KeyTable::dealer_for_epoch(n, master_seed, epoch).view_of(me);
-    (0..n).map(|j| view.key_for(j)).collect()
+    keyed_row((0..n).map(|j| view.key_for(j)))
 }
 
 /// Recovers the full u64 epoch from its on-wire low 16 bits: the value
@@ -327,7 +346,7 @@ impl<T: Transport> AuthenticatedTransport<T> {
         // starting at a later epoch, re-derive the row for it.
         let keys = match rc {
             Some(rc) if rc.epoch != 0 => derive_row(n, rc.master_seed, rc.epoch, inner.local_id()),
-            _ => config.keys.clone(),
+            _ => keyed_row(config.keys.iter().copied()),
         };
         let rekey = RekeyRuntime {
             master_seed: rc.map(|rc| rc.master_seed),
@@ -373,63 +392,55 @@ impl<T: Transport> AuthenticatedTransport<T> {
         ((src as u32) << 16) | (dst as u32 & 0xffff)
     }
 
+    /// Header ‖ zero ICV ‖ payload in one buffer, MACed where it lies,
+    /// the ICV patched in.
     fn seal(&self, to: ProcessId, payload: &[u8]) -> Bytes {
         let seq = self.tx_seq[to].fetch_add(1, Ordering::Relaxed) + 1; // AH starts at 1
         let me = self.inner.local_id();
-        let (epoch, key) = {
+        let (epoch, keys) = {
             let g = self.rekey.state.lock();
-            (g.epoch, g.keys[to])
+            (g.epoch, Arc::clone(&g.keys))
         };
-        let mut w = Writer::with_capacity(AH_OVERHEAD + payload.len());
-        w.u8(0) // next header (opaque payload)
-            .u8(((AH_OVERHEAD / 4) - 2) as u8) // AH "payload len" in 32-bit words minus 2
-            .u16(epoch as u16) // reserved field carries the key epoch
-            .u32(Self::spi(me, to))
-            .u32(seq as u32)
-            .raw(&[0u8; ICV_LEN]) // ICV placeholder
-            .raw(payload);
-        let mut frame = w.freeze().to_vec();
-        let icv = Self::icv(&key, &frame);
-        frame[12..12 + ICV_LEN].copy_from_slice(&icv);
+        let mut frame = Vec::with_capacity(AH_OVERHEAD + payload.len());
+        // Next header (opaque payload), then AH "payload len" in 32-bit
+        // words minus 2.
+        frame.extend_from_slice(&[0, ((AH_OVERHEAD / 4) - 2) as u8]);
+        frame.extend_from_slice(&(epoch as u16).to_be_bytes()); // reserved field carries the key epoch
+        frame.extend_from_slice(&Self::spi(me, to).to_be_bytes());
+        frame.extend_from_slice(&(seq as u32).to_be_bytes());
+        frame.extend_from_slice(&[0; ICV_LEN]);
+        frame.extend_from_slice(payload);
+        let icv = keys[to].mac(&[&frame]);
+        frame[ICV_AT..AH_OVERHEAD].copy_from_slice(&icv[..ICV_LEN]);
         Bytes::from(frame)
-    }
-
-    /// Computes HMAC-SHA-1-96 over the frame with the ICV field zeroed
-    /// (the frame passed in must already have zeros there).
-    fn icv(key: &SecretKey, frame_with_zero_icv: &[u8]) -> [u8; ICV_LEN] {
-        let full = Hmac::<Sha1>::mac(key.as_ref(), frame_with_zero_icv);
-        let mut out = [0u8; ICV_LEN];
-        out.copy_from_slice(&full[..ICV_LEN]);
-        out
     }
 
     /// Validates a sealed frame from `from`; returns the payload on success.
     fn open(&self, from: ProcessId, frame: &Bytes) -> Result<Bytes, Rejection> {
-        let mut r = Reader::new(frame);
-        let parse = (|| {
-            let _next = r.u8("ah.next").ok()?;
-            let _plen = r.u8("ah.len").ok()?;
-            let resv = r.u16("ah.reserved").ok()?;
-            let spi = r.u32("ah.spi").ok()?;
-            let seq = r.u32("ah.seq").ok()? as u64;
-            let icv: [u8; ICV_LEN] = r.array("ah.icv").ok()?;
-            Some((resv, spi, seq, icv))
-        })();
-        let Some((resv, spi, seq, icv)) = parse else {
+        if frame.len() < AH_OVERHEAD {
             return Err(Rejection::BadMac);
+        }
+        let field = |at: usize| {
+            u32::from_be_bytes([frame[at], frame[at + 1], frame[at + 2], frame[at + 3]])
         };
+        let resv = field(0) as u16;
+        let spi = field(4);
+        let seq = u64::from(field(8));
 
         if spi != Self::spi(from, self.inner.local_id()) {
             return Err(Rejection::BadMac);
         }
 
-        // Recompute the ICV over the frame with the ICV field zeroed.
-        let mut zeroed = frame.to_vec();
-        zeroed[12..12 + ICV_LEN].fill(0);
-        let checks = |key: &SecretKey| ritas_crypto::digest::ct_eq(&Self::icv(key, &zeroed), &icv);
+        // The ICV covers the frame with the ICV field zeroed.
+        let checks = |key: &HmacKey<Sha1>| {
+            key.verify(
+                &[&frame[..ICV_AT], &[0; ICV_LEN], &frame[AH_OVERHEAD..]],
+                &frame[ICV_AT..AH_OVERHEAD],
+            )
+        };
 
         enum Candidate {
-            Key(SecretKey),
+            Keys(KeyRow),
             Future(u64),
             Stale,
         }
@@ -441,21 +452,21 @@ impl<T: Transport> AuthenticatedTransport<T> {
             // working after the counter wraps.
             let claimed = reconstruct_epoch(g.epoch, resv);
             if claimed == g.epoch {
-                Candidate::Key(g.keys[from])
+                Candidate::Keys(Arc::clone(&g.keys))
             } else if claimed > g.epoch {
                 Candidate::Future(claimed)
             } else {
                 match &g.prev {
                     Some(p) if p.epoch == claimed && p.rotated_at.elapsed() <= rt.grace => {
-                        Candidate::Key(p.keys[from])
+                        Candidate::Keys(Arc::clone(&p.keys))
                     }
                     _ => Candidate::Stale,
                 }
             }
         };
         match cand {
-            Candidate::Key(key) => {
-                if !checks(&key) {
+            Candidate::Keys(keys) => {
+                if !checks(&keys[from]) {
                     return Err(Rejection::BadMac);
                 }
             }
@@ -478,7 +489,7 @@ impl<T: Transport> AuthenticatedTransport<T> {
                 let cached = {
                     let g = rt.state.lock();
                     match &g.future {
-                        Some((e, row)) if *e == claimed => Some(row.clone()),
+                        Some((e, row)) if *e == claimed => Some(Arc::clone(row)),
                         _ => None,
                     }
                 };
@@ -492,7 +503,7 @@ impl<T: Transport> AuthenticatedTransport<T> {
                             self.inner.local_id(),
                         );
                         rt.future_derives.fetch_add(1, Ordering::Relaxed);
-                        rt.state.lock().future = Some((claimed, row.clone()));
+                        rt.state.lock().future = Some((claimed, Arc::clone(&row)));
                         row
                     }
                 };
@@ -563,17 +574,24 @@ impl<T: Transport> Transport for AuthenticatedTransport<T> {
 
     fn recv_timeout(&self, timeout: Duration) -> Result<(ProcessId, Bytes), TransportError> {
         let deadline = Instant::now() + timeout;
+        let mut remaining = timeout;
         loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(TransportError::Timeout);
-            }
+            // Also with nothing left (a zero `timeout` is a poll): the
+            // inner transport hands over what is already queued.
             let (from, frame) = self.inner.recv_timeout(remaining)?;
             match self.open(from, &frame) {
                 Ok(payload) => return Ok((from, payload)),
                 Err(why) => self.note_rejection(from, &why),
             }
+            remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return Err(TransportError::Timeout);
+            }
         }
+    }
+
+    fn wake(&self) {
+        self.inner.wake();
     }
 
     fn link_state(&self, peer: ProcessId) -> crate::LinkState {
@@ -983,6 +1001,152 @@ mod tests {
         assert_eq!(b.recv().unwrap(), (0, Bytes::from_static(b"real")));
         assert_eq!(b.rejected_frames(), 1);
         assert_eq!(b.key_epoch(), 0);
+    }
+
+    /// The wire format, byte for byte: the frame the parent commit's
+    /// `seal` (contiguous copy, one-shot HMAC) produced for this key,
+    /// epoch, sequence number and payload.
+    #[test]
+    fn golden_frame_pins_the_wire_format() {
+        let table = KeyTable::dealer(2, 7);
+        let mut hub = Hub::new(2);
+        let mut eps = hub.take_endpoints().into_iter();
+        let _ep0 = eps.next().unwrap();
+        let a = AuthenticatedTransport::new(
+            eps.next().unwrap(),
+            AuthConfig::from_key_table(&table, 1)
+                .with_epoch_rekey(7, 0x1_0203, Duration::from_secs(60))
+                .with_initial_seq(0xA0B0_C0D0),
+        );
+        let hex: String = a
+            .seal(0, b"golden payload")
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "00040203\
+             00010000\
+             a0b0c0d1\
+             7227046baf76b3656f0f1fc9\
+             676f6c64656e207061796c6f6164"
+        );
+    }
+
+    /// The construction `seal` and `open` replaced, kept as the
+    /// reference: the whole frame in one buffer with the ICV zeroed,
+    /// HMAC written out from RFC 2104 over contiguous bytes.
+    fn reference_icv(key: &SecretKey, frame_with_zero_icv: &[u8]) -> [u8; ICV_LEN] {
+        use ritas_crypto::{Digest, Sha1};
+        let mut kblock = [0u8; 64];
+        kblock[..key.as_ref().len()].copy_from_slice(key.as_ref());
+        let inner = Sha1::digest_concat(&[&kblock.map(|b| b ^ 0x36), frame_with_zero_icv]);
+        let full = Sha1::digest_concat(&[&kblock.map(|b| b ^ 0x5c), &inner]);
+        full[..ICV_LEN].try_into().unwrap()
+    }
+
+    fn reference_seal(key: &SecretKey, epoch: u64, spi: u32, seq: u32, payload: &[u8]) -> Bytes {
+        let mut frame = vec![0, 4];
+        frame.extend_from_slice(&(epoch as u16).to_be_bytes());
+        frame.extend_from_slice(&spi.to_be_bytes());
+        frame.extend_from_slice(&seq.to_be_bytes());
+        frame.extend_from_slice(&[0; ICV_LEN]);
+        frame.extend_from_slice(payload);
+        let icv = reference_icv(key, &frame);
+        frame[12..24].copy_from_slice(&icv);
+        Bytes::from(frame)
+    }
+
+    fn reference_open(key: &SecretKey, frame: &[u8]) -> Option<Vec<u8>> {
+        let mut zeroed = frame.to_vec();
+        zeroed[12..24].fill(0);
+        (reference_icv(key, &zeroed)[..] == frame[12..24]).then(|| frame[24..].to_vec())
+    }
+
+    #[test]
+    fn interoperates_with_the_contiguous_one_shot_construction() {
+        let key_at = |epoch| {
+            KeyTable::dealer_for_epoch(2, 7, epoch)
+                .shared_key(0, 1)
+                .unwrap()
+        };
+        let spi = AuthenticatedTransport::<crate::MemoryEndpoint>::spi(0, 1);
+        let small = b"vote".to_vec();
+        let large: Vec<u8> = (0..4096u32).map(|i| (i * 31) as u8).collect();
+        let (a, b) = rekey_pair(Duration::from_secs(60));
+        let mut seq = 1000;
+        // `b` opens what the reference sealed under `epoch`, and the
+        // reference opens what `a` seals once it is at `epoch` too.
+        let mut both_ways = |epoch: u64| {
+            for payload in [&small, &large] {
+                seq += 1;
+                let sealed = reference_seal(&key_at(epoch), epoch, spi, seq, payload);
+                a.inner.send(1, sealed).unwrap();
+                assert_eq!(b.recv().unwrap(), (0, Bytes::from(payload.clone())));
+                a.set_key_epoch(epoch);
+                let sealed = a.seal(1, payload);
+                assert_eq!(
+                    reference_open(&key_at(epoch), &sealed).as_ref(),
+                    Some(payload)
+                );
+            }
+        };
+        // Current key row.
+        both_ways(0);
+        // Grace window: `b` moved on, epoch-0 frames verify under `prev`.
+        b.set_key_epoch(1);
+        both_ways(0);
+        // Fast-forward: a frame from epoch 5 verifies under the derived
+        // candidate row and moves `b` there.
+        both_ways(5);
+        assert_eq!(b.key_epoch(), 5);
+        assert_eq!(b.rejected_frames(), 0);
+    }
+
+    #[test]
+    fn short_frame_is_rejected_not_sliced() {
+        let (a, b) = pair();
+        for len in [0, 1, AH_OVERHEAD - 1] {
+            a.inner.send(1, Bytes::from(vec![0u8; len])).unwrap();
+        }
+        a.send(1, Bytes::from_static(b"whole")).unwrap();
+        assert_eq!(b.recv().unwrap(), (0, Bytes::from_static(b"whole")));
+        assert_eq!(b.rejected_frames(), 3);
+    }
+
+    /// A wake passes through the authentication layer as a wake: the
+    /// wait ends with `Timeout`, nothing is delivered, nothing rejected.
+    #[test]
+    fn wake_is_forwarded_and_is_not_a_frame() {
+        let (_a, b) = pair();
+        let m = Metrics::new();
+        let mut b = b;
+        b.set_metrics(m.clone());
+        b.wake();
+        let t0 = Instant::now();
+        assert_eq!(
+            b.recv_timeout(Duration::from_secs(30)).unwrap_err(),
+            TransportError::Timeout
+        );
+        assert!(t0.elapsed() < Duration::from_secs(10));
+        assert_eq!(b.rejected_frames(), 0);
+        assert_eq!(m.transport_mac_rejected.get(), 0);
+    }
+
+    /// A zero timeout is a poll: what is queued comes out, an empty
+    /// queue is `Timeout`.
+    #[test]
+    fn zero_timeout_polls() {
+        let (a, b) = pair();
+        assert_eq!(
+            b.recv_timeout(Duration::ZERO).unwrap_err(),
+            TransportError::Timeout
+        );
+        a.send(1, Bytes::from_static(b"queued")).unwrap();
+        assert_eq!(
+            b.recv_timeout(Duration::ZERO).unwrap(),
+            (0, Bytes::from_static(b"queued"))
+        );
     }
 
     use ritas_crypto::KeyTable;

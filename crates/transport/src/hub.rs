@@ -21,18 +21,28 @@ use std::time::{Duration, Instant};
 
 /// One process's inbound queue: a locked deque and a condition variable
 /// rather than a `std::sync::mpsc` channel, because this is the one hop
-/// every frame crosses towards a receiver that is usually blocked. A std
+/// every frame crosses towards a receiver that is often blocked. A std
 /// sender wakes a blocked receiver while holding the channel's waiter
-/// lock; with the group on one CPU the woken reader preempts it and runs
-/// straight into that lock — twice the context switches per frame, 17 %
-/// fewer a-deliveries per second on `node-small` (DESIGN.md §2). Here the
-/// wake-up happens after the unlock.
+/// lock; with the group on one CPU the woken receiver preempts it and
+/// runs straight into that lock — twice the context switches per frame,
+/// 17 % fewer a-deliveries per second on `node-small` (DESIGN.md §2).
+/// Here the wake-up happens after the unlock. The lock also covers the
+/// [`Transport::wake`] flag.
 #[derive(Debug, Default)]
 struct Inbox {
-    queue: Mutex<VecDeque<(ProcessId, Bytes)>>,
+    queue: Mutex<Queued>,
     ready: Condvar,
     /// Set when the owning endpoint is dropped: nobody will ever read.
     abandoned: AtomicBool,
+}
+
+#[derive(Debug, Default)]
+struct Queued {
+    frames: VecDeque<(ProcessId, Bytes)>,
+    /// A [`Transport::wake`] no timed wait has consumed yet. Under the
+    /// queue's lock, so it cannot slip between a waiter's check and its
+    /// going to sleep.
+    woken: bool,
 }
 
 impl Inbox {
@@ -40,15 +50,26 @@ impl Inbox {
         if self.abandoned.load(Ordering::Relaxed) {
             return;
         }
-        self.queue.lock().push_back(frame);
+        self.queue.lock().frames.push_back(frame);
         self.ready.notify_one();
     }
 
+    fn wake(&self) {
+        self.queue.lock().woken = true;
+        // All: a thread parked in an untimed `pop` would swallow a
+        // single notification and go back to sleep.
+        self.ready.notify_all();
+    }
+
     /// Pops the next frame, waiting until `deadline` (forever if `None`).
+    /// Only a timed wait is ended by a wake, and gives `None` for it.
     fn pop(&self, deadline: Option<Instant>) -> Option<(ProcessId, Bytes)> {
         let mut queue = self.queue.lock();
         loop {
-            if let Some(frame) = queue.pop_front() {
+            if deadline.is_some() && std::mem::take(&mut queue.woken) {
+                return None;
+            }
+            if let Some(frame) = queue.frames.pop_front() {
                 return Some(frame);
             }
             match deadline {
@@ -242,14 +263,14 @@ impl MemoryEndpoint {
         if self.closed.load(Ordering::SeqCst) {
             return None;
         }
-        self.inbox.queue.lock().pop_front()
+        self.inbox.queue.lock().frames.pop_front()
     }
 }
 
 impl Drop for MemoryEndpoint {
     fn drop(&mut self) {
         self.inbox.abandoned.store(true, Ordering::Relaxed);
-        self.inbox.queue.lock().clear();
+        self.inbox.queue.lock().frames.clear();
     }
 }
 
@@ -291,6 +312,10 @@ impl Transport for MemoryEndpoint {
         self.inbox
             .pop(Some(Instant::now() + timeout))
             .ok_or(TransportError::Timeout)
+    }
+
+    fn wake(&self) {
+        self.inbox.wake();
     }
 }
 
@@ -396,6 +421,61 @@ mod tests {
             eps[0].recv_timeout(Duration::from_millis(10)).unwrap_err(),
             TransportError::Timeout
         );
+    }
+
+    #[test]
+    fn wake_before_a_timed_wait_ends_it_at_once() {
+        let mut hub = Hub::new(2);
+        let eps = hub.take_endpoints();
+        eps[0].wake();
+        eps[0].wake(); // several before a wait count as one
+        let t0 = Instant::now();
+        assert_eq!(
+            eps[0].recv_timeout(Duration::from_secs(30)).unwrap_err(),
+            TransportError::Timeout
+        );
+        assert!(t0.elapsed() < Duration::from_secs(10));
+        // Consumed: the next wait is an ordinary one and sees the frame.
+        eps[1].send(0, bytes("after")).unwrap();
+        assert_eq!(
+            eps[0].recv_timeout(Duration::from_secs(30)).unwrap(),
+            (1, bytes("after"))
+        );
+    }
+
+    #[test]
+    fn wake_during_a_timed_wait_ends_it() {
+        let mut hub = Hub::new(1);
+        let eps = hub.take_endpoints();
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let t0 = Instant::now();
+                let r = eps[0].recv_timeout(Duration::from_secs(30));
+                (r, t0.elapsed())
+            });
+            // Whether this lands before the waiter parks or after, the
+            // wake must reach it.
+            eps[0].wake();
+            let (r, waited) = waiter.join().unwrap();
+            assert_eq!(r.unwrap_err(), TransportError::Timeout);
+            assert!(waited < Duration::from_secs(10));
+        });
+    }
+
+    #[test]
+    fn wake_is_never_returned_by_recv() {
+        let mut hub = Hub::new(2);
+        let eps = hub.take_endpoints();
+        eps[0].wake();
+        eps[1].send(0, bytes("frame")).unwrap();
+        // The untimed receive hands over the frame and leaves the wake…
+        assert_eq!(eps[0].recv().unwrap(), (1, bytes("frame")));
+        // …for the next timed one.
+        assert_eq!(
+            eps[0].recv_timeout(Duration::from_secs(30)).unwrap_err(),
+            TransportError::Timeout
+        );
+        assert!(eps[0].try_recv().is_none());
     }
 
     #[test]

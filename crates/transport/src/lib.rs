@@ -20,6 +20,21 @@
 //!   Table 1 is real in this reproduction too;
 //! * [`wire`] — the byte-level codec helpers shared by every layer.
 //!
+//! # One thread, two queues: [`Transport::wake`]
+//!
+//! The `ritas` node runtime is the paper's single protocol thread: it
+//! owns the endpoint, and it also serves the application's commands. It
+//! blocks in one place, [`Transport::recv_timeout`]; a thread that
+//! queues a command calls [`Transport::wake`] afterwards, the wait ends
+//! with [`TransportError::Timeout`], and the protocol thread looks at
+//! its command queue whenever a wait ends. A wake raised while nobody
+//! waits ends the next wait at once, so it cannot be lost to the thread
+//! going to sleep; it is never delivered as a frame, never counted as a
+//! rejected one, and [`Transport::recv`] does not return for it. The
+//! hub's inbox keeps it as a flag under the queue's lock, the TCP
+//! endpoint as a flag plus a marker in its inbound channel, and
+//! [`AuthenticatedTransport`] forwards it to the transport it wraps.
+//!
 //! The protocol core (`ritas` crate) is sans-io and only consumes the
 //! [`Transport`] trait, so the same protocol logic also runs over the
 //! deterministic simulator in `ritas-sim`.
@@ -152,6 +167,23 @@ pub trait Transport: Send {
     /// [`TransportError::Timeout`] if nothing arrived in time, otherwise as
     /// [`Transport::recv`].
     fn recv_timeout(&self, timeout: Duration) -> Result<(ProcessId, Bytes), TransportError>;
+
+    /// Ends a wait early: a `recv_timeout` blocked on another thread
+    /// returns [`TransportError::Timeout`] now; with none blocked, the
+    /// next one does, at once. Callable from any thread; one wake ends
+    /// one wait, and several before a wait count as one. This is how a
+    /// thread that owns the endpoint *and* serves a second queue (the
+    /// `ritas` node runtime: frames and application commands) blocks in
+    /// one place: whoever fills the other queue calls `wake` afterwards,
+    /// and the owner looks at that queue whenever a wait times out. A
+    /// wake is not traffic: it never shows as a frame, [`Transport::recv`]
+    /// never returns because of it, and it is never lost to a race with
+    /// the owner going to sleep.
+    ///
+    /// The default does nothing, which suits an endpoint nobody waits on
+    /// for anything but frames; the owner then sees the other queue when
+    /// its timeout expires.
+    fn wake(&self) {}
 
     /// Broadcast convenience: sends `payload` to every process including
     /// self. The stack's broadcasts are built from point-to-point sends,

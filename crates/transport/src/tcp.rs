@@ -135,7 +135,11 @@ struct Shared {
     /// Resolved handshake keys, one per peer (self index unused).
     keys: Vec<SecretKey>,
     links: Vec<Option<LinkShared>>,
-    inbound_tx: SyncSender<(ProcessId, Bytes)>,
+    /// Frames towards the receiving thread; `None` is the marker a
+    /// [`Transport::wake`] queues to end a blocked wait.
+    inbound_tx: SyncSender<Option<(ProcessId, Bytes)>>,
+    /// A wake no timed receive has consumed yet.
+    woken: AtomicBool,
     events: Mutex<VecDeque<LinkEvent>>,
     metrics: Mutex<Metrics>,
     up_count: AtomicUsize,
@@ -360,7 +364,7 @@ fn reader_loop(shared: Arc<Shared>, peer: ProcessId, mut stream: TcpStream, gene
             // here would lose it. The lock also stops a newer-generation
             // reader from slipping a retransmitted successor into the
             // channel between our `rx_cum` advance and our delivery.
-            if shared.inbound_tx.send((peer, payload)).is_err() {
+            if shared.inbound_tx.send(Some((peer, payload))).is_err() {
                 return;
             }
             if core.rx_cum - core.last_ack_sent >= ACK_EVERY {
@@ -551,7 +555,7 @@ pub struct TcpEndpoint {
     shared: Arc<Shared>,
     /// Behind a mutex only so the endpoint stays `Sync`; one thread
     /// receives.
-    inbound: Mutex<Receiver<(ProcessId, Bytes)>>,
+    inbound: Mutex<Receiver<Option<(ProcessId, Bytes)>>>,
 }
 
 impl core::fmt::Debug for TcpEndpoint {
@@ -610,7 +614,7 @@ impl TcpEndpoint {
                 (0..n).map(|j| view.key_for(j)).collect()
             }
         };
-        let (inbound_tx, inbound_rx) = sync_channel::<(ProcessId, Bytes)>(64 * 1024);
+        let (inbound_tx, inbound_rx) = sync_channel(64 * 1024);
         let links = (0..n)
             .map(|peer| {
                 (peer != me).then(|| LinkShared {
@@ -637,6 +641,7 @@ impl TcpEndpoint {
             keys,
             links,
             inbound_tx,
+            woken: AtomicBool::new(false),
             events: Mutex::new(VecDeque::new()),
             metrics: Mutex::new(Metrics::default()),
             up_count: AtomicUsize::new(0),
@@ -837,7 +842,7 @@ impl Transport for TcpEndpoint {
         if to == shared.me {
             return shared
                 .inbound_tx
-                .send((shared.me, payload))
+                .send(Some((shared.me, payload)))
                 .map_err(|_| TransportError::Disconnected);
         }
         let metrics = shared.metrics();
@@ -884,23 +889,43 @@ impl Transport for TcpEndpoint {
         if self.shared.is_closed() {
             return Err(TransportError::Disconnected);
         }
-        self.inbound
-            .lock()
-            .recv()
-            .map_err(|_| TransportError::Disconnected)
+        let inbound = self.inbound.lock();
+        loop {
+            match inbound.recv() {
+                Ok(Some(frame)) => return Ok(frame),
+                Ok(None) => {} // a wake's marker: not for an untimed receive
+                Err(_) => return Err(TransportError::Disconnected),
+            }
+        }
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<(ProcessId, Bytes), TransportError> {
         if self.shared.is_closed() {
             return Err(TransportError::Disconnected);
         }
-        self.inbound
-            .lock()
-            .recv_timeout(timeout)
-            .map_err(|e| match e {
-                RecvTimeoutError::Timeout => TransportError::Timeout,
-                RecvTimeoutError::Disconnected => TransportError::Disconnected,
-            })
+        let inbound = self.inbound.lock();
+        let deadline = Instant::now() + timeout;
+        loop {
+            if self.shared.woken.swap(false, Ordering::SeqCst) {
+                return Err(TransportError::Timeout);
+            }
+            match inbound.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok(Some(frame)) => return Ok(frame),
+                // The marker of a wake: one this call has yet to see, or
+                // one an earlier call already took by the flag alone.
+                Ok(None) => {}
+                Err(RecvTimeoutError::Timeout) => return Err(TransportError::Timeout),
+                Err(RecvTimeoutError::Disconnected) => return Err(TransportError::Disconnected),
+            }
+        }
+    }
+
+    fn wake(&self) {
+        // The flag is the wake; the marker only unparks a receiver blocked
+        // on an empty queue. A full queue has nobody parked on it, so the
+        // marker may be refused.
+        self.shared.woken.store(true, Ordering::SeqCst);
+        let _ = self.shared.inbound_tx.try_send(None);
     }
 
     fn link_state(&self, peer: ProcessId) -> LinkState {
@@ -978,6 +1003,69 @@ mod tests {
             eps[0].recv_timeout(Duration::from_millis(20)).unwrap_err(),
             TransportError::Timeout
         );
+    }
+
+    #[test]
+    fn wake_before_a_timed_wait_ends_it_at_once() {
+        let eps = mesh(2);
+        eps[0].wake();
+        eps[0].wake();
+        let t0 = Instant::now();
+        assert_eq!(
+            eps[0].recv_timeout(Duration::from_secs(30)).unwrap_err(),
+            TransportError::Timeout
+        );
+        assert!(t0.elapsed() < Duration::from_secs(10));
+        // Consumed: the markers left in the queue end no later wait.
+        eps[1].send(0, Bytes::from_static(b"after")).unwrap();
+        assert_eq!(
+            eps[0].recv_timeout(Duration::from_secs(30)).unwrap(),
+            (1, Bytes::from_static(b"after"))
+        );
+        assert_eq!(
+            eps[0].recv_timeout(Duration::from_millis(20)).unwrap_err(),
+            TransportError::Timeout
+        );
+    }
+
+    #[test]
+    fn wake_during_a_timed_wait_ends_it() {
+        let eps = mesh(2);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let t0 = Instant::now();
+                let r = eps[0].recv_timeout(Duration::from_secs(30));
+                (r, t0.elapsed())
+            });
+            eps[0].wake();
+            let (r, waited) = waiter.join().unwrap();
+            assert_eq!(r.unwrap_err(), TransportError::Timeout);
+            assert!(waited < Duration::from_secs(10));
+        });
+    }
+
+    #[test]
+    fn wake_is_never_returned_by_recv_nor_counted_as_a_bad_frame() {
+        use crate::{AuthConfig, AuthenticatedTransport};
+        let table = KeyTable::dealer(2, 8);
+        let metrics = Metrics::new();
+        let mut eps = mesh(2).into_iter();
+        let mut a =
+            AuthenticatedTransport::new(eps.next().unwrap(), AuthConfig::from_key_table(&table, 0));
+        a.set_metrics(metrics.clone());
+        let b =
+            AuthenticatedTransport::new(eps.next().unwrap(), AuthConfig::from_key_table(&table, 1));
+        a.wake();
+        b.send(0, Bytes::from_static(b"frame")).unwrap();
+        // The untimed receive skips the wake's marker and leaves the
+        // wake for the next timed one.
+        assert_eq!(a.recv().unwrap(), (1, Bytes::from_static(b"frame")));
+        assert_eq!(
+            a.recv_timeout(Duration::from_secs(30)).unwrap_err(),
+            TransportError::Timeout
+        );
+        assert_eq!(a.rejected_frames(), 0);
+        assert_eq!(metrics.transport_mac_rejected.get(), 0);
     }
 
     #[test]

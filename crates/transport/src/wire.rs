@@ -79,11 +79,13 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// Wraps `buf` for decoding.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         Reader { buf }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len()
     }
@@ -100,6 +102,7 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn take(&mut self, len: usize, what: &'static str) -> Result<&'a [u8], WireError> {
         if self.buf.len() < len {
             return Err(WireError::Truncated { what });
@@ -110,23 +113,27 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
         Ok(self.take(1, what)?[0])
     }
 
     /// Reads a big-endian `u16`.
+    #[inline]
     pub fn u16(&mut self, what: &'static str) -> Result<u16, WireError> {
         let b = self.take(2, what)?;
         Ok(u16::from_be_bytes([b[0], b[1]]))
     }
 
     /// Reads a big-endian `u32`.
+    #[inline]
     pub fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
         let b = self.take(4, what)?;
         Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Reads a big-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, what: &'static str) -> Result<u64, WireError> {
         let b = self.take(8, what)?;
         let mut a = [0u8; 8];
@@ -177,24 +184,28 @@ impl Writer {
     }
 
     /// Appends one byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) -> &mut Self {
         self.buf.put_u8(v);
         self
     }
 
     /// Appends a big-endian `u16`.
+    #[inline]
     pub fn u16(&mut self, v: u16) -> &mut Self {
         self.buf.put_u16(v);
         self
     }
 
     /// Appends a big-endian `u32`.
+    #[inline]
     pub fn u32(&mut self, v: u32) -> &mut Self {
         self.buf.put_u32(v);
         self
     }
 
     /// Appends a big-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, v: u64) -> &mut Self {
         self.buf.put_u64(v);
         self
@@ -216,6 +227,12 @@ impl Writer {
     pub fn raw(&mut self, v: &[u8]) -> &mut Self {
         self.buf.put_slice(v);
         self
+    }
+
+    /// What has been encoded so far (for a MAC over it that is then
+    /// appended).
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
     }
 
     /// Current encoded length.
