@@ -184,7 +184,11 @@ fn encode_ids(ids: &BTreeSet<MsgId>) -> Bytes {
 }
 
 fn decode_ids(bytes: &Bytes) -> Result<Vec<MsgId>, WireError> {
-    let mut r = Reader::new(bytes);
+    read_ids(Reader::shared(bytes))
+}
+
+/// [`decode_ids`] over either kind of reader.
+pub(crate) fn read_ids(mut r: Reader<'_>) -> Result<Vec<MsgId>, WireError> {
     let len = r.u32("ab.ids.len")? as usize;
     if len > MAX_IDS {
         return Err(WireError::FieldTooLong {
@@ -206,7 +210,7 @@ const MAX_BATCH_CMDS: usize = 1 << 16;
 /// A decoded dissemination batch: command payloads covering the
 /// contiguous rbid range `start_rbid .. start_rbid + payloads.len()`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct BatchPayload {
+pub(crate) struct BatchPayload {
     /// rbid of the first command in the batch.
     start_rbid: u64,
     /// The command payloads, in rbid order.
@@ -227,8 +231,16 @@ fn encode_batch(start_rbid: u64, payloads: &[Bytes]) -> Bytes {
     w.freeze()
 }
 
+/// Decodes a batch; its command payloads are views of `bytes` (which
+/// the batch retains as `raw` anyway), not copies.
 fn decode_batch(bytes: &Bytes) -> Result<BatchPayload, WireError> {
-    let mut r = Reader::new(bytes);
+    read_batch(Reader::shared(bytes))
+}
+
+/// [`decode_batch`] over either kind of reader, which must be at the
+/// start of its input.
+pub(crate) fn read_batch(mut r: Reader<'_>) -> Result<BatchPayload, WireError> {
+    let raw = r.clone().rest();
     let start_rbid = r.u64("ab.batch.start")?;
     let len = r.u32("ab.batch.len")? as usize;
     if len > MAX_BATCH_CMDS {
@@ -251,7 +263,7 @@ fn decode_batch(bytes: &Bytes) -> Result<BatchPayload, WireError> {
     Ok(BatchPayload {
         start_rbid,
         payloads,
-        raw: bytes.clone(),
+        raw,
     })
 }
 
@@ -616,22 +628,27 @@ impl AtomicBroadcast {
         self.span_path = Some(path);
     }
 
-    fn msg_span_path(&self, id: MsgId) -> Option<String> {
+    /// The session's span path while tracing is on: every span path below
+    /// is built from it, so with tracing off none of them is — no frame
+    /// pays for a `String` nobody records.
+    fn span_base(&self) -> Option<&String> {
         self.span_path
             .as_ref()
+            .filter(|_| self.metrics.tracing_enabled())
+    }
+
+    fn msg_span_path(&self, id: MsgId) -> Option<String> {
+        self.span_base()
             .map(|base| format!("{base}/m:{}:{}", id.sender, id.rbid))
     }
 
     fn batch_span_path(&self, id: BatchId) -> Option<String> {
-        self.span_path
-            .as_ref()
+        self.span_base()
             .map(|base| format!("{base}/b:{}:{}", id.sender, id.rbid))
     }
 
     fn round_span_path(&self, round: u32) -> Option<String> {
-        self.span_path
-            .as_ref()
-            .map(|base| format!("{base}/r:{round}"))
+        self.span_base().map(|base| format!("{base}/r:{round}"))
     }
 
     /// Attaches the process-wide metric registry and propagates it to
@@ -781,7 +798,7 @@ impl AtomicBroadcast {
         self.metrics.trace(
             Layer::Ab,
             "resume",
-            format!("ab-round:{}", cursor.round),
+            || format!("ab-round:{}", cursor.round),
             cursor.round,
         );
     }
@@ -855,7 +872,7 @@ impl AtomicBroadcast {
                 self.metrics.trace(
                     Layer::Ab,
                     "inject",
-                    format!("ab-batch:{}:{}", id.sender, id.rbid),
+                    || format!("ab-batch:{}:{}", id.sender, id.rbid),
                     self.round,
                 );
                 self.received.insert(id, batch);
@@ -881,7 +898,7 @@ impl AtomicBroadcast {
         self.metrics.trace(
             Layer::Ab,
             "broadcast",
-            format!("ab:{}:{}", id.sender, id.rbid),
+            || format!("ab:{}:{}", id.sender, id.rbid),
             self.round,
         );
         if let Some(path) = self.msg_span_path(id) {
@@ -925,25 +942,8 @@ impl AtomicBroadcast {
             // instance has been pruned, nothing left to do.
             return Step::none();
         }
-        let group = self.group;
-        let me = self.me;
-        let metrics = self.metrics.clone();
-        let span = self.batch_span_path(id);
-        if !self.msg_rbc.contains_key(&id) {
-            if let Some(path) = &span {
-                self.metrics.span_open(path.clone(), Layer::Ab);
-            }
-        }
-        let rbc = self.msg_rbc.entry(id).or_insert_with(|| {
-            let mut rb = ReliableBroadcast::new(group, me, id.sender);
-            rb.set_metrics(metrics);
-            if let Some(path) = &span {
-                rb.set_span_path(format!("{path}/rb"));
-            }
-            rb
-        });
-        let sub = rbc.handle_message(from, inner);
-        let delivered: Vec<Bytes> = sub.outputs.clone();
+        let mut sub = self.batch_rbc(id).handle_message(from, inner);
+        let delivered = std::mem::take(&mut sub.outputs);
         let mut out = wrap_msg(id, sub);
         for payload in delivered {
             let batch = match decode_batch(&payload) {
@@ -958,7 +958,7 @@ impl AtomicBroadcast {
                     BatchPayload {
                         start_rbid: 0,
                         payloads: Vec::new(),
-                        raw: payload.clone(),
+                        raw: payload,
                     }
                 }
             };
@@ -1003,22 +1003,10 @@ impl AtomicBroadcast {
         if self.round_is_freed(round) {
             return Step::none();
         }
-        let group = self.group;
-        let me = self.me;
-        let metrics = self.metrics.clone();
-        let span = self
-            .round_span_path(round)
-            .map(|p| format!("{p}/vect:{origin}"));
-        let rbc = self.vect_rbc.entry((round, origin)).or_insert_with(|| {
-            let mut rb = ReliableBroadcast::new(group, me, origin);
-            rb.set_metrics(metrics);
-            if let Some(path) = span {
-                rb.set_span_path(path);
-            }
-            rb
-        });
-        let sub = rbc.handle_message(from, inner);
-        let delivered: Vec<Bytes> = sub.outputs.clone();
+        let mut sub = self
+            .vect_instance(round, origin)
+            .handle_message(from, inner);
+        let delivered = std::mem::take(&mut sub.outputs);
         let mut out = wrap_vect(origin, round, sub);
         for payload in delivered {
             match decode_ids(&payload) {
@@ -1082,25 +1070,53 @@ impl AtomicBroadcast {
         }
     }
 
+    /// The RBC instance disseminating batch `id`, created (and its spans
+    /// opened) on first use.
+    fn batch_rbc(&mut self, id: BatchId) -> &mut ReliableBroadcast {
+        let span = self.batch_span_path(id);
+        self.msg_rbc.entry(id).or_insert_with(|| {
+            let mut rb = ReliableBroadcast::new(self.group, self.me, id.sender);
+            rb.set_metrics(self.metrics.clone());
+            if let Some(path) = span {
+                self.metrics.span_open(path.clone(), Layer::Ab);
+                rb.set_span_path(format!("{path}/rb"));
+            }
+            rb
+        })
+    }
+
+    /// The RBC instance of `origin`'s `AB_VECT` for `round`, created on
+    /// first use.
+    fn vect_instance(&mut self, round: u32, origin: ProcessId) -> &mut ReliableBroadcast {
+        let span = self.round_span_path(round);
+        self.vect_rbc.entry((round, origin)).or_insert_with(|| {
+            let mut rb = ReliableBroadcast::new(self.group, self.me, origin);
+            rb.set_metrics(self.metrics.clone());
+            if let Some(path) = span {
+                rb.set_span_path(format!("{path}/vect:{origin}"));
+            }
+            rb
+        })
+    }
+
+    /// The MVC instance of `round`, created on first use.
     fn agreement_instance(&mut self, round: u32) -> &mut MultiValuedConsensus {
-        let (group, me, keys, config) = (self.group, self.me, self.keys.clone(), self.config.mvc);
-        let seed = self
-            .coin_seed
-            .wrapping_mul(0x9E3779B97F4A7C15)
-            .wrapping_add(round as u64);
-        let metrics = self.metrics.clone();
-        let mvc_path = self.round_span_path(round).map(|p| format!("{p}/mvc"));
+        let span = self.round_span_path(round);
         self.agreements.entry(round).or_insert_with(|| {
+            let seed = self
+                .coin_seed
+                .wrapping_mul(0x9E3779B97F4A7C15)
+                .wrapping_add(round as u64);
             let mut mvc = MultiValuedConsensus::with_config(
-                group,
-                me,
-                keys,
+                self.group,
+                self.me,
+                self.keys.clone(),
                 Box::new(DeterministicCoin::new(seed)) as Box<dyn Coin + Send>,
-                config,
+                self.config.mvc,
             );
-            mvc.set_metrics(metrics);
-            if let Some(p) = mvc_path {
-                mvc.set_span_path(p);
+            mvc.set_metrics(self.metrics.clone());
+            if let Some(path) = span {
+                mvc.set_span_path(format!("{path}/mvc"));
             }
             mvc
         })
@@ -1186,7 +1202,7 @@ impl AtomicBroadcast {
         self.metrics.trace(
             Layer::Ab,
             "flush",
-            format!("ab-batch:{}:{}", batch.sender, batch.rbid),
+            || format!("ab-batch:{}:{}", batch.sender, batch.rbid),
             take as u32,
         );
         // Per-command milestones: the queue segment ends, dissemination
@@ -1205,22 +1221,8 @@ impl AtomicBroadcast {
             cmds[0].rbid,
             &cmds.iter().map(|c| c.payload.clone()).collect::<Vec<_>>(),
         );
-        let group = self.group;
-        let me = self.me;
-        let metrics = self.metrics.clone();
-        let span = self.batch_span_path(batch);
-        if let Some(path) = &span {
-            self.metrics.span_open(path.clone(), Layer::Ab);
-        }
-        let rbc = self.msg_rbc.entry(batch).or_insert_with(|| {
-            let mut rb = ReliableBroadcast::new(group, me, me);
-            rb.set_metrics(metrics);
-            if let Some(path) = span {
-                rb.set_span_path(format!("{path}/rb"));
-            }
-            rb
-        });
-        let sub = rbc
+        let sub = self
+            .batch_rbc(batch)
             .broadcast(payload)
             .expect("fresh batch seq implies fresh instance");
         out.extend(wrap_msg(batch, sub));
@@ -1236,24 +1238,14 @@ impl AtomicBroadcast {
         let ids: BTreeSet<MsgId> = self.received.keys().copied().collect();
         let payload = encode_ids(&ids);
         self.last_vect = ids;
-        let round = self.round;
-        let me = self.me;
-        let group = self.group;
-        let metrics = self.metrics.clone();
-        let round_span = self.round_span_path(round);
-        if let Some(path) = &round_span {
-            self.metrics.span_open(path.clone(), Layer::Ab);
+        let (round, me) = (self.round, self.me);
+        if let Some(path) = self.round_span_path(round) {
+            self.metrics.span_open(path, Layer::Ab);
         }
-        let span = round_span.map(|p| format!("{p}/vect:{me}"));
-        let rbc = self.vect_rbc.entry((round, me)).or_insert_with(|| {
-            let mut rb = ReliableBroadcast::new(group, me, me);
-            rb.set_metrics(metrics);
-            if let Some(path) = span {
-                rb.set_span_path(path);
-            }
-            rb
-        });
-        let sub = rbc.broadcast(payload).expect("one vect per round");
+        let sub = self
+            .vect_instance(round, me)
+            .broadcast(payload)
+            .expect("one vect per round");
         out.extend(wrap_vect(me, round, sub));
         true
     }
@@ -1349,7 +1341,7 @@ impl AtomicBroadcast {
                 self.stats.agreements += 1;
                 self.metrics.ab_agreements.inc();
                 self.metrics
-                    .trace(Layer::Ab, "agree", format!("ab-round:{round}"), round);
+                    .trace(Layer::Ab, "agree", || format!("ab-round:{round}"), round);
                 match decode_ids(&bytes) {
                     Ok(ids) => {
                         let fresh: Vec<MsgId> = ids
@@ -1375,7 +1367,7 @@ impl AtomicBroadcast {
                 self.metrics.trace(
                     Layer::Ab,
                     "agree-bottom",
-                    format!("ab-round:{round}"),
+                    || format!("ab-round:{round}"),
                     round,
                 );
                 self.next_round();
@@ -1409,7 +1401,7 @@ impl AtomicBroadcast {
         self.metrics.trace(
             Layer::Ab,
             "fast-forward",
-            format!("ab-round:{round}"),
+            || format!("ab-round:{round}"),
             round,
         );
         if self.vect_sent {
@@ -1491,7 +1483,7 @@ impl AtomicBroadcast {
                 self.metrics.trace(
                     Layer::Ab,
                     "deliver",
-                    format!("ab:{}:{}", cmd.sender, cmd.rbid),
+                    || format!("ab:{}:{}", cmd.sender, cmd.rbid),
                     self.round,
                 );
                 out.push_output(AbDelivery { id: cmd, payload });

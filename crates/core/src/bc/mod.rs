@@ -374,8 +374,12 @@ impl BinaryConsensus {
         self.started = true;
         self.current = Some(value);
         self.metrics.bc_started.inc();
-        self.metrics
-            .trace(Layer::Bc, "propose", format!("bc:{}", self.me), self.round);
+        self.metrics.trace(
+            Layer::Bc,
+            "propose",
+            || format!("bc:{}", self.me),
+            self.round,
+        );
         self.span_annotate(
             ritas_metrics::SpanAnnotation::RoundEntered,
             u64::from(self.round),
@@ -407,15 +411,9 @@ impl BinaryConsensus {
         let mut out = Step::none();
         match (message.body, self.transport) {
             (BcBody::Rbc(inner), StepTransport::ReliableBroadcast) => {
-                let group = self.group;
-                let me = self.me;
-                let metrics = self.metrics.clone();
-                let rbc = self.rbc.entry((round, step, origin)).or_insert_with(|| {
-                    let mut rb = ReliableBroadcast::new(group, me, origin);
-                    rb.set_metrics(metrics);
-                    rb
-                });
-                let mut sub = rbc.handle_message(from, inner);
+                let mut sub = self
+                    .step_rbc(round, step, origin)
+                    .handle_message(from, inner);
                 out.faults.append(&mut sub.faults);
                 for m in sub.messages {
                     out.messages.push(m.map(|inner| BcMessage {
@@ -472,6 +470,16 @@ impl BinaryConsensus {
         Ok(v)
     }
 
+    /// The RBC instance carrying `origin`'s value for (`round`, `step`),
+    /// created on first use.
+    fn step_rbc(&mut self, round: u32, step: u8, origin: ProcessId) -> &mut ReliableBroadcast {
+        self.rbc.entry((round, step, origin)).or_insert_with(|| {
+            let mut rb = ReliableBroadcast::new(self.group, self.me, origin);
+            rb.set_metrics(self.metrics.clone());
+            rb
+        })
+    }
+
     fn round_mut(&mut self, round: u32) -> &mut RoundState {
         let n = self.group.n();
         self.rounds
@@ -500,50 +508,42 @@ impl BinaryConsensus {
         out
     }
 
-    /// One pass moving justifiable pending values to accepted.
-    /// Returns whether anything moved.
+    /// One pass moving justifiable pending values to accepted, rounds and
+    /// steps in order, each step judged against the tally its predecessor
+    /// has once the pass reaches it. Returns whether anything moved.
     fn revalidate(&mut self) -> bool {
         let q = self.group.quorum();
         let f = self.group.f();
         let mut moved = false;
-        let round_nums: Vec<u32> = self.rounds.keys().copied().collect();
-        for r in round_nums {
-            for s in 1..=3u8 {
-                // Collect candidate (origin, value) pairs to avoid holding
-                // two mutable borrows of the rounds map.
-                let candidates: Vec<(ProcessId, Val)> = {
-                    let st = &self.rounds[&r].steps[(s - 1) as usize];
-                    st.pending
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(p, v)| v.map(|v| (p, v)))
-                        .collect()
-                };
-                if candidates.is_empty() {
+        // The round before the one being walked, for its step-3 tally.
+        let mut prev: Option<(u32, &RoundState)> = None;
+        for (&r, round) in &mut self.rounds {
+            for s in 0..3 {
+                if round.steps[s].pending.iter().all(Option::is_none) {
                     continue;
                 }
                 let prev_tally: Option<Tally> = match (r, s) {
-                    (1, 1) => None, // always valid
-                    (r, 1) => self.rounds.get(&(r - 1)).map(|rs| rs.steps[2].tally()),
-                    (r, s) => self
-                        .rounds
-                        .get(&r)
-                        .map(|rs| rs.steps[(s - 2) as usize].tally()),
+                    (1, 0) => None, // always valid
+                    (_, 0) => prev
+                        .filter(|(before, _)| before + 1 == r)
+                        .map(|(_, rs)| rs.steps[2].tally()),
+                    _ => Some(round.steps[s - 1].tally()),
                 };
-                for (origin, v) in candidates {
+                let st = &mut round.steps[s];
+                for origin in 0..st.pending.len() {
+                    let Some(v) = st.pending[origin] else {
+                        continue;
+                    };
                     let valid = match (r, s) {
-                        (1, 1) => true,
-                        (_, 1) => prev_tally
-                            .map(|t| v.map(|b| next_round_valid(&t, b, q, f)).unwrap_or(false))
-                            .unwrap_or(false),
-                        (_, 2) => prev_tally
-                            .map(|t| v.map(|b| step2_valid(&t, b, q)).unwrap_or(false))
-                            .unwrap_or(false),
-                        (_, 3) => prev_tally.map(|t| step3_valid(&t, v, q)).unwrap_or(false),
-                        _ => unreachable!(),
+                        (1, 0) => true,
+                        (_, 0) => prev_tally
+                            .is_some_and(|t| v.is_some_and(|b| next_round_valid(&t, b, q, f))),
+                        (_, 1) => {
+                            prev_tally.is_some_and(|t| v.is_some_and(|b| step2_valid(&t, b, q)))
+                        }
+                        _ => prev_tally.is_some_and(|t| step3_valid(&t, v, q)),
                     };
                     if valid {
-                        let st = &mut self.rounds.get_mut(&r).unwrap().steps[(s - 1) as usize];
                         st.pending[origin] = None;
                         st.accepted[origin] = Some(v);
                         // Batched acceptances may overshoot the quorum; the
@@ -555,6 +555,7 @@ impl BinaryConsensus {
                     }
                 }
             }
+            prev = Some((r, round));
         }
         moved
     }
@@ -617,8 +618,12 @@ impl BinaryConsensus {
                 self.decided_round = Some(self.round);
                 self.metrics.bc_decided.inc();
                 self.metrics.bc_rounds.record(u64::from(self.round));
-                self.metrics
-                    .trace(Layer::Bc, "decide", format!("bc:{}", self.me), self.round);
+                self.metrics.trace(
+                    Layer::Bc,
+                    "decide",
+                    || format!("bc:{}", self.me),
+                    self.round,
+                );
                 if let Some(path) = &self.span_path {
                     self.metrics.span_close(path);
                 }
@@ -632,7 +637,7 @@ impl BinaryConsensus {
             self.metrics.trace(
                 Layer::Bc,
                 "coin-flip",
-                format!("bc:{}", self.me),
+                || format!("bc:{}", self.me),
                 self.round,
             );
             let bit = self.coin.flip_round(self.round);
@@ -665,15 +670,8 @@ impl BinaryConsensus {
         match self.transport {
             StepTransport::ReliableBroadcast => {
                 let payload = Bytes::copy_from_slice(&[encode_val(self.current)]);
-                let group = self.group;
-                let me = self.me;
-                let metrics = self.metrics.clone();
-                let rbc = self.rbc.entry((round, step, origin)).or_insert_with(|| {
-                    let mut rb = ReliableBroadcast::new(group, me, origin);
-                    rb.set_metrics(metrics);
-                    rb
-                });
-                let sub = rbc
+                let sub = self
+                    .step_rbc(round, step, origin)
                     .broadcast(payload)
                     .expect("own step broadcast is unique per (round, step)");
                 for m in sub.messages {

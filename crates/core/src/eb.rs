@@ -41,7 +41,7 @@ use crate::step::{FaultKind, Step};
 use crate::ProcessId;
 use bytes::Bytes;
 use ritas_crypto::mac::{self, MacTag, TAG_LEN};
-use ritas_crypto::{Digest, ProcessKeys, Sha256};
+use ritas_crypto::ProcessKeys;
 use ritas_metrics::{Layer, Metrics, SpanAnnotation};
 
 /// Upper bound on vector entries accepted by the decoder (defense against
@@ -161,10 +161,10 @@ pub struct EchoBroadcast {
     sender: ProcessId,
     keys: ProcessKeys,
     sent_init: bool,
+    /// Whether the sender's `INIT` was accepted, and answered with our
+    /// `VECT`; any later `INIT` is compared with the payload it left.
     sent_vect: bool,
     delivered: bool,
-    /// Digest of the `INIT` payload seen so far (equivocation detection).
-    init_digest: Option<[u8; 32]>,
     /// The payload, once known.
     payload: Option<Bytes>,
     /// Sender role: collected rows of the matrix.
@@ -198,7 +198,6 @@ impl EchoBroadcast {
             sent_init: false,
             sent_vect: false,
             delivered: false,
-            init_digest: None,
             payload: None,
             rows: vec![None; group.n()],
             pending_column: None,
@@ -279,19 +278,20 @@ impl EchoBroadcast {
         if from != self.sender {
             return Step::fault(from, FaultKind::NotEntitled);
         }
-        let d = Sha256::digest(&m);
-        match self.init_digest {
-            Some(prev) if prev != d => return Step::fault(from, FaultKind::Equivocation),
-            Some(_) => return Step::none(),
-            None => self.init_digest = Some(d),
+        if self.sent_vect {
+            // A second INIT: silent if it repeats the first, equivocation
+            // if it differs. (The sender's own first INIT, looped back
+            // after `broadcast()` stored the payload, is not a second.)
+            return if self.payload.as_ref() == Some(&m) {
+                Step::none()
+            } else {
+                Step::fault(from, FaultKind::Equivocation)
+            };
         }
-        self.payload = Some(m.clone());
-        let mut step = Step::none();
-        if !self.sent_vect {
-            self.sent_vect = true;
-            let v = mac::hash_vector(&m, &self.keys);
-            step.push_unicast(self.sender, EbMessage::Vect(v));
-        }
+        self.sent_vect = true;
+        let v = mac::hash_vector(&m, &self.keys);
+        let mut step = Step::unicast(self.sender, EbMessage::Vect(v));
+        self.payload = Some(m);
         // A column may have been waiting for the payload.
         if let Some(col) = self.pending_column.take() {
             step.extend(self.try_deliver(&col));
@@ -381,7 +381,7 @@ impl EchoBroadcast {
             self.delivered = true;
             self.metrics.eb_delivered.inc();
             self.metrics
-                .trace(Layer::Eb, "deliver", format!("eb:{}", self.sender), 0);
+                .trace(Layer::Eb, "deliver", || format!("eb:{}", self.sender), 0);
             if let Some(path) = &self.span_path {
                 self.metrics.span_close(path);
             }
@@ -557,6 +557,42 @@ mod tests {
         let _ = rx.handle_message(0, EbMessage::Init(payload("a")));
         let step = rx.handle_message(0, EbMessage::Init(payload("b")));
         assert_eq!(step.faults[0].kind, FaultKind::Equivocation);
+    }
+
+    #[test]
+    fn duplicate_init_ignored_silently() {
+        let g = Group::new(4).unwrap();
+        let table = KeyTable::dealer(4, 1);
+        let mut rx = EchoBroadcast::new(g, 1, 0, table.view_of(1));
+        let first = rx.handle_message(0, EbMessage::Init(payload("a")));
+        assert!(matches!(first.messages[0].message, EbMessage::Vect(_)));
+        let again = rx.handle_message(0, EbMessage::Init(payload("a")));
+        assert!(
+            again.is_empty(),
+            "a repeated INIT sends and reports nothing"
+        );
+    }
+
+    #[test]
+    fn senders_looped_back_init_is_not_an_equivocation() {
+        // `broadcast()` stores the payload before the sender's own INIT
+        // comes back: that INIT is its first, answered with the sender's
+        // own row; a repeat is silent, and only a *different* one is an
+        // equivocation.
+        let g = Group::new(4).unwrap();
+        let table = KeyTable::dealer(4, 1);
+        let mut sender = EchoBroadcast::new(g, 0, 0, table.view_of(0));
+        let _ = sender.broadcast(payload("m")).unwrap();
+        let looped = sender.handle_message(0, EbMessage::Init(payload("m")));
+        assert!(looped.faults.is_empty());
+        assert_eq!(
+            looped.messages[0].message,
+            EbMessage::Vect(mac::hash_vector(b"m", &table.view_of(0)))
+        );
+        let again = sender.handle_message(0, EbMessage::Init(payload("m")));
+        assert!(again.is_empty());
+        let other = sender.handle_message(0, EbMessage::Init(payload("x")));
+        assert_eq!(other, Step::fault(0, FaultKind::Equivocation));
     }
 
     #[test]

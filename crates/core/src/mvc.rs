@@ -403,7 +403,7 @@ impl MultiValuedConsensus {
         self.started = true;
         self.metrics.mvc_started.inc();
         self.metrics
-            .trace(Layer::Mvc, "propose", format!("mvc:{}", self.me), 0);
+            .trace(Layer::Mvc, "propose", || format!("mvc:{}", self.me), 0);
         let me = self.me;
         let mut payload = Writer::new();
         encode_value(&mut payload, &value);
@@ -423,13 +423,9 @@ impl MultiValuedConsensus {
                 if !self.group.contains(origin) {
                     return Step::fault(from, FaultKind::NotEntitled);
                 }
-                let sub = self.init_rbc[origin].handle_message(from, inner);
-                let mut out = Step::none();
-                let mut delivered = Vec::new();
-                for o in sub.outputs.iter() {
-                    delivered.push(o.clone());
-                }
-                out.extend(wrap_init(origin, sub.map_outputs(|_| None)));
+                let mut sub = self.init_rbc[origin].handle_message(from, inner);
+                let delivered = std::mem::take(&mut sub.outputs);
+                let mut out = wrap_init(origin, sub);
                 for payload in delivered {
                     match VectOrInit::decode_init(&payload) {
                         Ok(v) => self.on_init_delivered(origin, v),
@@ -440,13 +436,9 @@ impl MultiValuedConsensus {
             }
             MvcMessage::Vect { origin, inner } => self.on_vect_message(from, origin, inner),
             MvcMessage::Bin(m) => {
-                let sub = self.bc.handle_message(from, m);
-                let mut out = Step::none();
-                let mut decisions = Vec::new();
-                for d in sub.outputs.iter() {
-                    decisions.push(*d);
-                }
-                out.extend(wrap_bin(sub.map_outputs(|_| None)));
+                let mut sub = self.bc.handle_message(from, m);
+                let decisions = std::mem::take(&mut sub.outputs);
+                let out = wrap_bin(sub);
                 for d in decisions {
                     self.on_bc_decision(d);
                 }
@@ -527,7 +519,7 @@ impl MultiValuedConsensus {
             _ => return Step::fault(from, FaultKind::Malformed),
         }
         for payload in delivered {
-            match VectPayload::from_bytes(&payload) {
+            match VectPayload::from_shared(&payload) {
                 Ok(p) => self.on_vect_delivered(origin, p),
                 Err(_) => out.push_fault(origin, FaultKind::Malformed),
             }
@@ -722,12 +714,9 @@ impl MultiValuedConsensus {
             });
             !conflict && supported
         };
-        let sub = self.bc.propose(proposal).expect("bc proposed once");
-        let mut decisions = Vec::new();
-        for d in sub.outputs.iter() {
-            decisions.push(*d);
-        }
-        let out = wrap_bin(sub.map_outputs(|_| None));
+        let mut sub = self.bc.propose(proposal).expect("bc proposed once");
+        let decisions = std::mem::take(&mut sub.outputs);
+        let out = wrap_bin(sub);
         for d in decisions {
             self.on_bc_decision(d);
         }
@@ -744,8 +733,12 @@ impl MultiValuedConsensus {
                 self.decided = true;
                 self.decision = Some(None);
                 self.metrics.mvc_decided_bottom.inc();
-                self.metrics
-                    .trace(Layer::Mvc, "decide-bottom", format!("mvc:{}", self.me), 0);
+                self.metrics.trace(
+                    Layer::Mvc,
+                    "decide-bottom",
+                    || format!("mvc:{}", self.me),
+                    0,
+                );
                 if let Some(path) = &self.span_path {
                     self.metrics.span_close(path);
                 }
@@ -777,7 +770,7 @@ impl MultiValuedConsensus {
                         self.metrics.trace(
                             Layer::Mvc,
                             "decide-value",
-                            format!("mvc:{}", self.me),
+                            || format!("mvc:{}", self.me),
                             0,
                         );
                         if let Some(path) = &self.span_path {
@@ -799,7 +792,7 @@ struct VectOrInit;
 
 impl VectOrInit {
     fn decode_init(payload: &Bytes) -> Result<MvcValue, WireError> {
-        let mut r = Reader::new(payload);
+        let mut r = Reader::shared(payload);
         let v = decode_value(&mut r)?;
         r.finish()?;
         Ok(v)

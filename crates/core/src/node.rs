@@ -738,7 +738,12 @@ impl Node {
                 if stalled {
                     if !health.stalled.swap(true, Ordering::Relaxed) {
                         metrics.node_stalls_total.inc();
-                        metrics.trace(ritas_metrics::Layer::Node, "stall", format!("node:{id}"), 0);
+                        metrics.trace(
+                            ritas_metrics::Layer::Node,
+                            "stall",
+                            || format!("node:{id}"),
+                            0,
+                        );
                         metrics.flight_record(
                             FlightKind::Stall,
                             id as u32,

@@ -10,6 +10,14 @@
 //!    process broadcasts `(READY, m)` (once);
 //! 4. on `2f+1` `READY`s for the same `m`, it delivers `m`.
 //!
+//! "The same `m`" is byte equality, as in Bracha's protocol: an instance
+//! keeps the distinct payloads it has accepted in one small table (at
+//! most one per `INIT`, `ECHO` and `READY` slot, so ≤ 2n + 1) and every
+//! slot holds an index into it. Comparing lengths and then bytes costs
+//! less than one hash compression for any payload, and nothing here is
+//! secret — payloads are what the protocol publishes — so the comparison
+//! need not be constant-time.
+//!
 //! One [`ReliableBroadcast`] value is the state of a single instance —
 //! one broadcast by one designated sender. Higher protocols create one
 //! instance per message they reliably broadcast (control block chaining,
@@ -21,12 +29,7 @@ use crate::error::ProtocolError;
 use crate::step::{FaultKind, Step};
 use crate::ProcessId;
 use bytes::Bytes;
-use ritas_crypto::{Digest, Sha256};
 use ritas_metrics::{Layer, Metrics, SpanAnnotation};
-use std::collections::HashMap;
-
-/// Digest used to compare payload equality without storing duplicates.
-pub type PayloadDigest = [u8; 32];
 
 /// Messages of the reliable broadcast protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,21 +124,21 @@ pub struct ReliableBroadcast {
     sent_echo: bool,
     sent_ready: bool,
     delivered: bool,
-    /// Digest echoed by each process (one `ECHO` counted per process).
-    echoes: Vec<Option<PayloadDigest>>,
-    /// Digest `READY`ed by each process.
-    readies: Vec<Option<PayloadDigest>>,
-    /// Digest of the sender's `INIT`, to flag equivocation.
-    init_digest: Option<PayloadDigest>,
-    /// Whether a value split (two distinct digests among the INIT and
+    /// The distinct payloads accepted so far, each with the first
+    /// process whose accepted `INIT`/`ECHO` carried it (the endpoint
+    /// named when a split is reported; `None` while only `READY`s did).
+    /// One entry per slot below at most: ≤ 2n + 1.
+    payloads: Vec<(Bytes, Option<ProcessId>)>,
+    /// Index into `payloads` of what each process echoed (one `ECHO`
+    /// counted per process).
+    echoes: Vec<Option<usize>>,
+    /// Index of what each process `READY`ed.
+    readies: Vec<Option<usize>>,
+    /// Index of the sender's `INIT`, to flag equivocation.
+    init: Option<usize>,
+    /// Whether a value split (two distinct payloads among the INIT and
     /// the echoes) was already reported for this instance.
     split_reported: bool,
-    /// First process whose accepted INIT/ECHO established each digest —
-    /// the endpoints named when a split is reported.
-    first_holder: HashMap<PayloadDigest, ProcessId>,
-    /// Payload bytes per digest (kept so `READY`/delivery can be produced
-    /// from whichever message first carried the winning payload).
-    payloads: HashMap<PayloadDigest, Bytes>,
     metrics: Metrics,
     /// Span path of this instance along the control-block chain; set by
     /// the owner (stack or parent protocol), `None` on free-standing
@@ -160,12 +163,11 @@ impl ReliableBroadcast {
             sent_echo: false,
             sent_ready: false,
             delivered: false,
+            payloads: Vec::new(),
             echoes: vec![None; group.n()],
             readies: vec![None; group.n()],
-            init_digest: None,
+            init: None,
             split_reported: false,
-            first_holder: HashMap::new(),
-            payloads: HashMap::new(),
             metrics: Metrics::default(),
             span_path: None,
         }
@@ -214,53 +216,67 @@ impl ReliableBroadcast {
         Ok(Step::broadcast(RbMessage::Init(payload)))
     }
 
-    fn digest(payload: &Bytes) -> PayloadDigest {
-        Sha256::digest(payload)
+    /// The table index of `payload`, entered on first sight. `holder` is
+    /// the process whose accepted `INIT`/`ECHO` carries it (`None` for a
+    /// `READY`); the first one sticks.
+    fn intern(&mut self, payload: &Bytes, holder: Option<ProcessId>) -> usize {
+        match self.payloads.iter().position(|(p, _)| p == payload) {
+            Some(i) => {
+                let first = &mut self.payloads[i].1;
+                *first = first.or(holder);
+                i
+            }
+            None => {
+                self.payloads.push((payload.clone(), holder));
+                self.payloads.len() - 1
+            }
+        }
     }
 
-    fn remember(&mut self, payload: &Bytes) -> PayloadDigest {
-        let d = Self::digest(payload);
-        self.payloads.entry(d).or_insert_with(|| payload.clone());
-        d
+    /// What a second message from `from` makes of a slot already holding
+    /// `prev`: nothing if it repeats the first, equivocation if it differs
+    /// — and a differing message is *not* stored.
+    fn repeated(&self, prev: usize, from: ProcessId, m: &Bytes) -> RbStep {
+        if self.payloads[prev].0 == *m {
+            Step::none()
+        } else {
+            Step::fault(from, FaultKind::Equivocation)
+        }
     }
 
-    fn count(slots: &[Option<PayloadDigest>], d: &PayloadDigest) -> usize {
-        slots.iter().filter(|s| s.as_ref() == Some(d)).count()
+    fn count(slots: &[Option<usize>], i: usize) -> usize {
+        slots.iter().filter(|s| **s == Some(i)).count()
     }
 
-    /// Reports a value split — two distinct digests among the `INIT` and
+    /// Reports a value split — two distinct payloads among the `INIT` and
     /// the accepted echoes — once per instance. A correct sender induces
-    /// a single digest at every correct process, so a split is hard
+    /// a single payload at every correct process, so a split is hard
     /// evidence of misbehaviour even when every individual message is
     /// well-formed (the per-slot checks only catch a process
     /// contradicting *itself*). A receiver cannot tell a two-faced sender
     /// from a lying relay, so the fault names the smallest set certain to
     /// contain the culprit: the sender plus the first holder of each
-    /// conflicting digest. Attribution is evidence of conflict, not proof
+    /// conflicting payload. Attribution is evidence of conflict, not proof
     /// of guilt — but in failure-free runs no split ever occurs.
     fn report_split(&mut self, step: &mut RbStep) {
         if self.split_reported {
             return;
         }
-        let mut seen: Vec<PayloadDigest> = Vec::new();
-        for d in self.init_digest.iter().chain(self.echoes.iter().flatten()) {
-            if !seen.contains(d) {
-                seen.push(*d);
-            }
-            if seen.len() == 2 {
-                break;
-            }
-        }
-        let &[a, b] = seen.as_slice() else {
+        let mut held = self
+            .init
+            .into_iter()
+            .chain(self.echoes.iter().flatten().copied());
+        let Some(a) = held.next() else {
+            return;
+        };
+        let Some(b) = held.find(|i| *i != a) else {
             return;
         };
         self.split_reported = true;
         let mut suspects = vec![self.sender];
-        for d in [a, b] {
-            if let Some(&h) = self.first_holder.get(&d) {
-                if !suspects.contains(&h) {
-                    suspects.push(h);
-                }
+        for h in [a, b].into_iter().filter_map(|i| self.payloads[i].1) {
+            if !suspects.contains(&h) {
+                suspects.push(h);
             }
         }
         for s in suspects {
@@ -296,16 +312,10 @@ impl ReliableBroadcast {
         if from != self.sender {
             return Step::fault(from, FaultKind::NotEntitled);
         }
-        let d = Self::digest(&m);
-        match self.init_digest {
-            Some(prev) if prev != d => return Step::fault(from, FaultKind::Equivocation),
-            Some(_) => return Step::none(), // duplicate
-            None => {
-                self.init_digest = Some(d);
-                self.first_holder.entry(d).or_insert(from);
-                self.remember(&m);
-            }
+        if let Some(prev) = self.init {
+            return self.repeated(prev, from, &m);
         }
+        self.init = Some(self.intern(&m, Some(from)));
         let mut step = Step::none();
         self.report_split(&mut step);
         if !self.sent_echo {
@@ -316,19 +326,14 @@ impl ReliableBroadcast {
     }
 
     fn on_echo(&mut self, from: ProcessId, m: Bytes) -> RbStep {
-        let d = Self::digest(&m);
-        match self.echoes[from] {
-            Some(prev) if prev != d => return Step::fault(from, FaultKind::Equivocation),
-            Some(_) => return Step::none(),
-            None => {
-                self.echoes[from] = Some(d);
-                self.first_holder.entry(d).or_insert(from);
-                self.remember(&m);
-            }
+        if let Some(prev) = self.echoes[from] {
+            return self.repeated(prev, from, &m);
         }
+        let i = self.intern(&m, Some(from));
+        self.echoes[from] = Some(i);
         let mut step = Step::none();
         self.report_split(&mut step);
-        if !self.sent_ready && Self::count(&self.echoes, &d) >= self.group.echo_threshold() {
+        if !self.sent_ready && Self::count(&self.echoes, i) >= self.group.echo_threshold() {
             self.sent_ready = true;
             // `from` closed the echo quorum — the last-arriving process
             // on this step of the critical path (cluster forensics).
@@ -342,17 +347,13 @@ impl ReliableBroadcast {
     }
 
     fn on_ready(&mut self, from: ProcessId, m: Bytes) -> RbStep {
-        let d = Self::digest(&m);
-        match self.readies[from] {
-            Some(prev) if prev != d => return Step::fault(from, FaultKind::Equivocation),
-            Some(_) => return Step::none(),
-            None => {
-                self.readies[from] = Some(d);
-                self.remember(&m);
-            }
+        if let Some(prev) = self.readies[from] {
+            return self.repeated(prev, from, &m);
         }
+        let i = self.intern(&m, None);
+        self.readies[from] = Some(i);
         let mut step = Step::none();
-        let count = Self::count(&self.readies, &d);
+        let count = Self::count(&self.readies, i);
         if !self.sent_ready && count >= self.group.one_correct() {
             self.sent_ready = true;
             step.push_broadcast(RbMessage::Ready(m.clone()));
@@ -361,7 +362,7 @@ impl ReliableBroadcast {
             self.delivered = true;
             self.metrics.rb_delivered.inc();
             self.metrics
-                .trace(Layer::Rb, "deliver", format!("rb:{}", self.sender), 0);
+                .trace(Layer::Rb, "deliver", || format!("rb:{}", self.sender), 0);
             if let Some(path) = &self.span_path {
                 // `from` closed the 2f+1 READY quorum that gates delivery.
                 self.metrics
@@ -606,6 +607,197 @@ mod tests {
     fn larger_group_delivers() {
         for delivered in broadcast_and_run(7, 3, &[], "wide") {
             assert_eq!(delivered, vec![Some(payload("wide")); 7]);
+        }
+    }
+
+    /// The bookkeeping this module had before payload identity became
+    /// byte equality — payloads known by their SHA-256 digest, slots and
+    /// first holders keyed by it — kept as the oracle the table-based
+    /// instance is compared with.
+    struct DigestKeyed {
+        group: Group,
+        sender: ProcessId,
+        sent_echo: bool,
+        sent_ready: bool,
+        delivered: bool,
+        echoes: Vec<Option<[u8; 32]>>,
+        readies: Vec<Option<[u8; 32]>>,
+        init_digest: Option<[u8; 32]>,
+        split_reported: bool,
+        first_holder: std::collections::HashMap<[u8; 32], ProcessId>,
+    }
+
+    impl DigestKeyed {
+        fn new(group: Group, sender: ProcessId) -> Self {
+            DigestKeyed {
+                group,
+                sender,
+                sent_echo: false,
+                sent_ready: false,
+                delivered: false,
+                echoes: vec![None; group.n()],
+                readies: vec![None; group.n()],
+                init_digest: None,
+                split_reported: false,
+                first_holder: std::collections::HashMap::new(),
+            }
+        }
+
+        fn digest(m: &Bytes) -> [u8; 32] {
+            use ritas_crypto::Digest;
+            ritas_crypto::Sha256::digest(m)
+        }
+
+        fn count(slots: &[Option<[u8; 32]>], d: &[u8; 32]) -> usize {
+            slots.iter().filter(|s| s.as_ref() == Some(d)).count()
+        }
+
+        fn report_split(&mut self, step: &mut RbStep) {
+            if self.split_reported {
+                return;
+            }
+            let mut seen: Vec<[u8; 32]> = Vec::new();
+            for d in self.init_digest.iter().chain(self.echoes.iter().flatten()) {
+                if !seen.contains(d) {
+                    seen.push(*d);
+                }
+                if seen.len() == 2 {
+                    break;
+                }
+            }
+            let &[a, b] = seen.as_slice() else {
+                return;
+            };
+            self.split_reported = true;
+            let mut suspects = vec![self.sender];
+            for d in [a, b] {
+                if let Some(&h) = self.first_holder.get(&d) {
+                    if !suspects.contains(&h) {
+                        suspects.push(h);
+                    }
+                }
+            }
+            for s in suspects {
+                step.push_fault(s, FaultKind::Equivocation);
+            }
+        }
+
+        fn handle_message(&mut self, from: ProcessId, message: RbMessage) -> RbStep {
+            if !self.group.contains(from) {
+                return Step::fault(from, FaultKind::NotEntitled);
+            }
+            let d = Self::digest(message.payload());
+            let slot = match &message {
+                RbMessage::Init(_) if from != self.sender => {
+                    return Step::fault(from, FaultKind::NotEntitled)
+                }
+                RbMessage::Init(_) => &mut self.init_digest,
+                RbMessage::Echo(_) => &mut self.echoes[from],
+                RbMessage::Ready(_) => &mut self.readies[from],
+            };
+            match *slot {
+                Some(prev) if prev != d => return Step::fault(from, FaultKind::Equivocation),
+                Some(_) => return Step::none(),
+                None => *slot = Some(d),
+            }
+            let mut step = Step::none();
+            match message {
+                RbMessage::Init(m) => {
+                    self.first_holder.entry(d).or_insert(from);
+                    self.report_split(&mut step);
+                    if !self.sent_echo {
+                        self.sent_echo = true;
+                        step.push_broadcast(RbMessage::Echo(m));
+                    }
+                }
+                RbMessage::Echo(m) => {
+                    self.first_holder.entry(d).or_insert(from);
+                    self.report_split(&mut step);
+                    if !self.sent_ready
+                        && Self::count(&self.echoes, &d) >= self.group.echo_threshold()
+                    {
+                        self.sent_ready = true;
+                        step.push_broadcast(RbMessage::Ready(m));
+                    }
+                }
+                RbMessage::Ready(m) => {
+                    let count = Self::count(&self.readies, &d);
+                    if !self.sent_ready && count >= self.group.one_correct() {
+                        self.sent_ready = true;
+                        step.push_broadcast(RbMessage::Ready(m.clone()));
+                    }
+                    if !self.delivered && count >= self.group.byzantine_majority() {
+                        self.delivered = true;
+                        step.push_output(m);
+                    }
+                }
+            }
+            step
+        }
+    }
+
+    proptest::proptest! {
+        /// Any message sequence — strangers, non-sender INITs, repeats,
+        /// equivocations, splits, four payloads one of them empty — draws
+        /// the same step, in the same order, from the payload table as
+        /// from the digest-keyed bookkeeping it replaced.
+        #[test]
+        fn steps_equal_the_digest_keyed_reference(
+            seven in proptest::prelude::any::<bool>(),
+            me in 0usize..4,
+            sender in 0usize..4,
+            script in proptest::collection::vec((0usize..8, 0u8..3, 0usize..4), 0..160),
+        ) {
+            let n = if seven { 7 } else { 4 };
+            let g = Group::new(n).unwrap();
+            let mut rb = ReliableBroadcast::new(g, me, sender);
+            let mut reference = DigestKeyed::new(g, sender);
+            for (i, (from, kind, which)) in script.into_iter().enumerate() {
+                let from = from % (n + 1); // n itself: a stranger
+                let m = payload(["a", "b", "c", ""][which]);
+                let message = match kind {
+                    0 => RbMessage::Init(m),
+                    1 => RbMessage::Echo(m),
+                    _ => RbMessage::Ready(m),
+                };
+                let got = rb.handle_message(from, message.clone());
+                let want = reference.handle_message(from, message.clone());
+                proptest::prop_assert_eq!(got, want, "message {} = {:?} from {}", i, message, from);
+                proptest::prop_assert!(rb.payloads.len() <= 2 * n + 1);
+            }
+            proptest::prop_assert_eq!(rb.is_delivered(), reference.delivered);
+        }
+    }
+
+    #[test]
+    fn payload_table_is_bounded_by_the_slots() {
+        // Every process echoes a payload of its own, readies another, then
+        // contradicts both: one table entry per filled slot, none for the
+        // contradictions, and no two slots ever agree.
+        for n in [4, 7] {
+            let g = Group::new(n).unwrap();
+            let mut rb = ReliableBroadcast::new(g, 1, 0);
+            let _ = rb.handle_message(0, RbMessage::Init(payload("init")));
+            for p in 0..n {
+                let echo = rb.handle_message(p, RbMessage::Echo(payload(&format!("e{p}"))));
+                assert!(echo.outputs.is_empty());
+                let ready = rb.handle_message(p, RbMessage::Ready(payload(&format!("r{p}"))));
+                assert!(ready.messages.is_empty() && ready.outputs.is_empty());
+            }
+            assert_eq!(rb.payloads.len(), 2 * n + 1);
+            for p in 0..n {
+                for second in [
+                    RbMessage::Echo(payload(&format!("e{p}'"))),
+                    RbMessage::Ready(payload(&format!("r{p}'"))),
+                ] {
+                    let step = rb.handle_message(p, second);
+                    assert_eq!(step, Step::fault(p, FaultKind::Equivocation));
+                }
+            }
+            let step = rb.handle_message(0, RbMessage::Init(payload("init'")));
+            assert_eq!(step, Step::fault(0, FaultKind::Equivocation));
+            assert_eq!(rb.payloads.len(), 2 * n + 1, "a contradiction was stored");
+            assert!(!rb.is_delivered());
         }
     }
 }

@@ -248,7 +248,7 @@ enum Instance {
     Rb(ReliableBroadcast),
     Eb(EchoBroadcast),
     Bc(BinaryConsensus),
-    Mvc(MultiValuedConsensus),
+    Mvc(Box<MultiValuedConsensus>),
     Vc(VectorConsensus),
     Ab(Box<AtomicBroadcast>),
 }
@@ -544,7 +544,7 @@ impl Stack {
         inst.set_metrics(self.metrics.clone());
         inst.set_span_path(span_path_for(&key));
         let sub = inst.propose(value)?;
-        self.instances.insert(key, Instance::Mvc(inst));
+        self.instances.insert(key, Instance::Mvc(Box::new(inst)));
         self.note_instances();
         let mut out = encode_mvc_step(key, sub);
         out.extend(self.replay_ooc(key));
@@ -573,7 +573,7 @@ impl Stack {
         inst.set_metrics(self.metrics.clone());
         inst.set_span_path(span_path_for(&key));
         let sub = inst.propose_byzantine_bottom()?;
-        self.instances.insert(key, Instance::Mvc(inst));
+        self.instances.insert(key, Instance::Mvc(Box::new(inst)));
         self.note_instances();
         let mut out = encode_mvc_step(key, sub);
         out.extend(self.replay_ooc(key));
@@ -625,17 +625,11 @@ impl Stack {
     /// queue has been drained, as the paper's one protocol thread does
     /// (§3), so one round orders everything that arrived in the meantime.
     pub fn poll_all(&mut self) -> StackStep {
-        let keys: Vec<InstanceKey> = self
-            .instances
-            .iter()
-            .filter(|(k, _)| matches!(k, InstanceKey::Ab { .. } | InstanceKey::Vc { .. }))
-            .map(|(k, _)| *k)
-            .collect();
         let mut out = Step::none();
-        for key in keys {
-            match self.instances.get_mut(&key) {
-                Some(Instance::Ab(ab)) => out.extend(encode_ab_step(key, ab.poll())),
-                Some(Instance::Vc(vc)) => out.extend(encode_vc_step(key, vc.poll())),
+        for (key, inst) in &mut self.instances {
+            match inst {
+                Instance::Ab(ab) => out.extend(encode_ab_step(*key, ab.poll())),
+                Instance::Vc(vc) => out.extend(encode_vc_step(*key, vc.poll())),
                 _ => {}
             }
         }
@@ -670,16 +664,10 @@ impl Stack {
     /// after [`Stack::set_now`] advanced the clock past
     /// [`Stack::ab_next_deadline`]. Starts no agreement round.
     pub fn tick(&mut self) -> StackStep {
-        let keys: Vec<InstanceKey> = self
-            .instances
-            .iter()
-            .filter(|(k, _)| matches!(k, InstanceKey::Ab { .. }))
-            .map(|(k, _)| *k)
-            .collect();
         let mut out = Step::none();
-        for key in keys {
-            if let Some(Instance::Ab(ab)) = self.instances.get_mut(&key) {
-                out.extend(encode_ab_step(key, ab.tick()));
+        for (key, inst) in &mut self.instances {
+            if let Instance::Ab(ab) = inst {
+                out.extend(encode_ab_step(*key, ab.tick()));
             }
         }
         out
@@ -815,12 +803,12 @@ impl Stack {
         if !self.group.contains(from) {
             return Step::fault(from, FaultKind::NotEntitled);
         }
-        let mut r = Reader::new(&frame);
+        let mut r = Reader::shared(&frame);
         let key = match InstanceKey::decode(&mut r) {
             Ok(k) => k,
             Err(_) => return Step::fault(from, FaultKind::Malformed),
         };
-        let inner = Bytes::copy_from_slice(r.raw(r.remaining(), "frame.body").expect("len ok"));
+        let inner = r.rest();
         self.dispatch(from, key, inner)
     }
 
@@ -877,33 +865,33 @@ impl Stack {
             return Step::none();
         };
         match instance {
-            Instance::Rb(rb) => match RbMessage::from_bytes(&inner) {
+            Instance::Rb(rb) => match RbMessage::from_shared(&inner) {
                 Ok(m) => {
                     let sender = rb.sender();
                     encode_rb_step(key, sender, rb.handle_message(from, m))
                 }
                 Err(_) => Step::fault(from, FaultKind::Malformed),
             },
-            Instance::Eb(eb) => match EbMessage::from_bytes(&inner) {
+            Instance::Eb(eb) => match EbMessage::from_shared(&inner) {
                 Ok(m) => {
                     let sender = eb.sender();
                     encode_eb_step(key, sender, eb.handle_message(from, m))
                 }
                 Err(_) => Step::fault(from, FaultKind::Malformed),
             },
-            Instance::Bc(bc) => match BcMessage::from_bytes(&inner) {
+            Instance::Bc(bc) => match BcMessage::from_shared(&inner) {
                 Ok(m) => encode_bc_step(key, bc.handle_message(from, m)),
                 Err(_) => Step::fault(from, FaultKind::Malformed),
             },
-            Instance::Mvc(mvc) => match MvcMessage::from_bytes(&inner) {
+            Instance::Mvc(mvc) => match MvcMessage::from_shared(&inner) {
                 Ok(m) => encode_mvc_step(key, mvc.handle_message(from, m)),
                 Err(_) => Step::fault(from, FaultKind::Malformed),
             },
-            Instance::Vc(vc) => match VcMessage::from_bytes(&inner) {
+            Instance::Vc(vc) => match VcMessage::from_shared(&inner) {
                 Ok(m) => encode_vc_step(key, vc.handle_message(from, m)),
                 Err(_) => Step::fault(from, FaultKind::Malformed),
             },
-            Instance::Ab(ab) => match AbMessage::from_bytes(&inner) {
+            Instance::Ab(ab) => match AbMessage::from_shared(&inner) {
                 Ok(m) => encode_ab_step(key, ab.handle_message(from, m)),
                 Err(_) => Step::fault(from, FaultKind::Malformed),
             },
@@ -1387,5 +1375,109 @@ mod tests {
             .stack_mut(0)
             .handle_frame(9, Bytes::from_static(&[1]));
         assert_eq!(step.faults[0].kind, FaultKind::NotEntitled);
+    }
+
+    #[test]
+    fn tracing_off_leaves_no_span_and_no_trace_event() {
+        let mut cluster = Cluster::new(4, 30);
+        for p in 0..4 {
+            cluster.metrics(p).set_tracing(false);
+        }
+        for k in 0..200u32 {
+            let p = k as usize % 4;
+            let payload = Bytes::copy_from_slice(&k.to_be_bytes());
+            let (_, step) = cluster.stack_mut(p).ab_broadcast(0, payload);
+            cluster.absorb(p, step);
+            if k % 8 == 7 {
+                cluster.run();
+            }
+        }
+        for p in 0..4 {
+            let delivered = cluster
+                .outputs(p)
+                .iter()
+                .filter(|o| matches!(o, Output::AbDelivered { .. }))
+                .count();
+            assert_eq!(delivered, 200, "process {p}");
+            assert!(cluster.metrics(p).spans().is_empty(), "a span at {p}");
+            let snap = cluster.metrics(p).snapshot();
+            assert!(snap.trace.is_empty(), "a trace event at {p}");
+            assert_eq!(snap.counters["span_orphan_closed"], 0);
+        }
+    }
+
+    #[test]
+    fn tracing_on_records_the_spans_and_critical_path_it_always_did() {
+        // One command a-broadcast by process 0 under the FIFO schedule,
+        // the registries' clocks stepping 1 µs per delivered frame. The
+        // expectation is what the code recorded before span paths were
+        // built only while tracing is on.
+        let mut cluster = Cluster::new(4, 31);
+        cluster.set_schedule(crate::testing::Schedule::Fifo);
+        let (_, step) = cluster
+            .stack_mut(0)
+            .ab_broadcast(0, Bytes::from_static(b"traced"));
+        cluster.absorb(0, step);
+        loop {
+            let now = cluster.delivered_frames() * 1_000;
+            for p in 0..4 {
+                cluster.metrics(p).set_time(now);
+            }
+            if !cluster.step() {
+                break;
+            }
+        }
+        let spans = cluster.metrics(0).spans();
+        let mut rows: Vec<(&str, u64, Option<u64>)> = spans
+            .iter()
+            .map(|s| (s.path.as_str(), s.open, s.close))
+            .collect();
+        rows.sort();
+        let us = |t: u64| Some(t * 1_000);
+        assert_eq!(
+            rows,
+            [
+                ("ab:0", 0, None),
+                ("ab:0/b:0:0", 0, us(796)),
+                ("ab:0/b:0:0/rb", 0, us(28)),
+                ("ab:0/m:0:0", 0, us(796)),
+                ("ab:0/m:0:0/queue", 0, us(0)),
+                ("ab:0/m:0:0/rb", 0, us(28)),
+                ("ab:0/r:0", 28_000, us(796)),
+                ("ab:0/r:0/mvc", 156_000, us(796)),
+                ("ab:0/r:0/mvc/bc", 156_000, us(796)),
+                ("ab:0/r:0/mvc/init:0", 156_000, us(268)),
+                ("ab:0/r:0/mvc/init:1", 156_000, us(284)),
+                ("ab:0/r:0/mvc/init:2", 156_000, us(300)),
+                ("ab:0/r:0/mvc/init:3", 156_000, us(316)),
+                ("ab:0/r:0/mvc/vect:0", 300_000, us(356)),
+                ("ab:0/r:0/mvc/vect:1", 328_000, us(364)),
+                ("ab:0/r:0/mvc/vect:2", 332_000, us(372)),
+                ("ab:0/r:0/mvc/vect:3", 336_000, us(380)),
+                ("ab:0/r:0/vect:0", 28_000, us(124)),
+                ("ab:0/r:0/vect:1", 40_000, us(140)),
+                ("ab:0/r:0/vect:2", 44_000, us(156)),
+                ("ab:0/r:0/vect:3", 48_000, us(172)),
+            ]
+        );
+        assert_eq!(
+            ritas_metrics::critical_paths(&spans),
+            [ritas_metrics::CriticalPath {
+                path: "ab:0/m:0:0".to_string(),
+                total_ns: 796_000,
+                segments: vec![
+                    ("queue", 0),
+                    ("rb", 28_000),
+                    ("wait", 0),
+                    ("vect", 128_000),
+                    ("mvc", 0),
+                    ("bc", 640_000),
+                    ("mvc-decide", 0),
+                    ("conclude", 0),
+                    ("deliver", 0),
+                ],
+            }]
+        );
+        assert_eq!(cluster.metrics(0).span_orphan_closed.get(), 0);
     }
 }

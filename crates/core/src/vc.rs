@@ -110,7 +110,7 @@ fn encode_vector(v: &[Option<Bytes>]) -> Bytes {
 
 /// Decodes a decided vector back from its MVC representation.
 fn decode_vector(bytes: &Bytes, n: usize) -> Result<DecisionVector, WireError> {
-    let mut r = Reader::new(bytes);
+    let mut r = Reader::shared(bytes);
     let len = r.u32("vc.vector.len")? as usize;
     if len != n {
         return Err(WireError::FieldTooLong {
@@ -285,8 +285,12 @@ impl VectorConsensus {
         }
         self.started = true;
         self.metrics.vc_started.inc();
-        self.metrics
-            .trace(Layer::Vc, "propose", format!("vc:{}", self.me), self.round);
+        self.metrics.trace(
+            Layer::Vc,
+            "propose",
+            || format!("vc:{}", self.me),
+            self.round,
+        );
         let me = self.me;
         let sub = self.prop_rbc[me].broadcast(value)?;
         let mut out = wrap_prop(me, sub);
@@ -304,8 +308,8 @@ impl VectorConsensus {
                 if !self.group.contains(origin) {
                     return Step::fault(from, FaultKind::NotEntitled);
                 }
-                let sub = self.prop_rbc[origin].handle_message(from, inner);
-                let delivered: Vec<Bytes> = sub.outputs.clone();
+                let mut sub = self.prop_rbc[origin].handle_message(from, inner);
+                let delivered = std::mem::take(&mut sub.outputs);
                 let out = wrap_prop(origin, sub);
                 for payload in delivered {
                     if self.proposals[origin].is_none() {
@@ -327,28 +331,23 @@ impl VectorConsensus {
         out
     }
 
+    /// The MVC instance of `round`, created on first use.
     fn round_instance(&mut self, round: u32) -> &mut MultiValuedConsensus {
-        let (group, me, keys, config) = (self.group, self.me, self.keys.clone(), self.mvc_config);
-        let seed = self
-            .coin_seed
-            .wrapping_mul(0x9E3779B97F4A7C15)
-            .wrapping_add(round as u64);
-        let metrics = self.metrics.clone();
-        let mvc_path = self
-            .span_path
-            .as_ref()
-            .map(|base| format!("{base}/mvc:{round}"));
         self.rounds.entry(round).or_insert_with(|| {
+            let seed = self
+                .coin_seed
+                .wrapping_mul(0x9E3779B97F4A7C15)
+                .wrapping_add(round as u64);
             let mut mvc = MultiValuedConsensus::with_config(
-                group,
-                me,
-                keys,
+                self.group,
+                self.me,
+                self.keys.clone(),
                 Box::new(DeterministicCoin::new(seed)) as Box<dyn Coin + Send>,
-                config,
+                self.mvc_config,
             );
-            mvc.set_metrics(metrics);
-            if let Some(p) = mvc_path {
-                mvc.set_span_path(p);
+            mvc.set_metrics(self.metrics.clone());
+            if let Some(base) = &self.span_path {
+                mvc.set_span_path(format!("{base}/mvc:{round}"));
             }
             mvc
         })
@@ -406,7 +405,7 @@ impl VectorConsensus {
                             self.metrics.trace(
                                 Layer::Vc,
                                 "decide",
-                                format!("vc:{}", self.me),
+                                || format!("vc:{}", self.me),
                                 round,
                             );
                             if let Some(path) = &self.span_path {

@@ -46,23 +46,47 @@ impl core::fmt::Debug for MacTag {
     }
 }
 
+/// `H(m ‖ ·)` with `m` absorbed: the key comes last, so one message
+/// under many keys shares the hash state of the prefix and each tag
+/// costs only the compressions from the key on.
+struct Prefix(Sha256);
+
+impl Prefix {
+    fn of(msg: &[u8]) -> Self {
+        let mut h = Sha256::new();
+        h.update(msg);
+        Prefix(h)
+    }
+
+    fn tag(&self, key: &SecretKey) -> MacTag {
+        let mut h = self.0.clone();
+        h.update(key.as_ref());
+        MacTag(h.finalize())
+    }
+
+    /// Whether `tag` is this message's tag under `key`, in constant time.
+    fn verifies(&self, key: &SecretKey, tag: &MacTag) -> bool {
+        ct_eq(self.tag(key).as_ref(), tag.as_ref())
+    }
+}
+
 /// Computes the paper's MAC: `H(m ‖ s)`.
 pub fn authenticate(msg: &[u8], key: &SecretKey) -> MacTag {
-    MacTag(Sha256::digest_concat(&[msg, key.as_ref()]))
+    Prefix::of(msg).tag(key)
 }
 
 /// Verifies `tag == H(m ‖ s)` in constant time.
 #[must_use]
 pub fn verify(msg: &[u8], key: &SecretKey, tag: &MacTag) -> bool {
-    let expected = authenticate(msg, key);
-    ct_eq(expected.as_ref(), tag.as_ref())
+    Prefix::of(msg).verifies(key, tag)
 }
 
 /// Builds the echo-broadcast hash vector `V_i` for message `m`:
 /// `V_i[j] = H(m ‖ s_ij)` for every peer `j` (§2.3).
 pub fn hash_vector(msg: &[u8], keys: &ProcessKeys) -> Vec<MacTag> {
+    let prefix = Prefix::of(msg);
     (0..keys.len())
-        .map(|j| authenticate(msg, &keys.key_for(j)))
+        .map(|j| prefix.tag(&keys.key_for(j)))
         .collect()
 }
 
@@ -79,11 +103,12 @@ pub fn count_valid_column_entries(
     keys: &ProcessKeys,
     column: &[Option<MacTag>],
 ) -> usize {
+    let prefix = Prefix::of(msg);
     column
         .iter()
         .enumerate()
         .filter(|(i, entry)| match (entry, keys.get(*i)) {
-            (Some(tag), Some(key)) => verify(msg, &key, tag),
+            (Some(tag), Some(key)) => prefix.verifies(&key, tag),
             _ => false,
         })
         .count()
@@ -160,6 +185,59 @@ mod tests {
             Some(MacTag([1u8; TAG_LEN])),
         ];
         assert_eq!(count_valid_column_entries(b"m", &recv, &col), 1);
+    }
+
+    /// Message lengths around the SHA-256 block and padding boundaries
+    /// (the shared prefix state ends mid-block, at a block edge, or leaves
+    /// no room for the length), and a long one.
+    const EDGE_LENGTHS: [usize; 8] = [0, 1, 55, 56, 63, 64, 65, 4096];
+
+    /// `hash_vector` and `count_valid_column_entries` over `len` bytes
+    /// against per-entry `authenticate` and `verify`, with entry
+    /// `corrupt` of the column damaged.
+    fn shared_prefix_agrees_with_per_entry(len: usize, n: usize, corrupt: usize, seed: u64) {
+        let msg: Vec<u8> = (0..len).map(|i| (i as u64 ^ seed) as u8).collect();
+        let table = KeyTable::dealer(n, seed);
+        let me = table.view_of(seed as usize % n);
+        let v = hash_vector(&msg, &me);
+        for j in 0..n {
+            assert_eq!(
+                v[j],
+                authenticate(&msg, &me.key_for(j)),
+                "len {len} entry {j}"
+            );
+        }
+        let mut column: Vec<Option<MacTag>> = (0..n)
+            .map(|i| Some(authenticate(&msg, &table.view_of(i).key_for(me.me()))))
+            .collect();
+        column[corrupt % n].as_mut().expect("filled").0[len % TAG_LEN] ^= 0x40;
+        column.push(None);
+        let per_entry = column
+            .iter()
+            .enumerate()
+            .filter(|(i, e)| matches!((e, me.get(*i)), (Some(t), Some(k)) if verify(&msg, &k, t)))
+            .count();
+        assert_eq!(per_entry, n - 1);
+        assert_eq!(count_valid_column_entries(&msg, &me, &column), per_entry);
+    }
+
+    #[test]
+    fn shared_prefix_agrees_at_the_block_edges() {
+        for len in EDGE_LENGTHS {
+            shared_prefix_agrees_with_per_entry(len, 4, len, 7);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn shared_prefix_agrees_at_any_length(
+            len in 0usize..300,
+            n in 4usize..8,
+            corrupt in 0usize..8,
+            seed in 0u64..1000,
+        ) {
+            shared_prefix_agrees_with_per_entry(len, n, corrupt, seed);
+        }
     }
 
     #[test]

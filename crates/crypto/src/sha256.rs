@@ -1,8 +1,9 @@
 //! From-scratch SHA-256 (FIPS 180-4).
 //!
 //! This is the default hash `H` for the stack's MACs. The implementation is
-//! a straightforward, dependency-free rendition of the standard, pinned by
-//! the NIST example vectors in the test module below.
+//! a dependency-free, safe-code rendition of the standard — the 64 rounds
+//! written out over a 16-word rolling schedule, as in `sha1.rs` — pinned
+//! by the NIST example vectors in the test module below.
 
 use crate::digest::Digest;
 
@@ -55,51 +56,70 @@ impl Default for Sha256 {
     }
 }
 
-impl Sha256 {
-    fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+/// Round `$i`. The schedule is 16 words, rolling: from round 16 on,
+/// word `$i` is computed from four earlier ones and written over the
+/// word it retires. The eight working variables do not move; the caller
+/// rotates their *names* from one round to the next.
+macro_rules! round {
+    ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $w:ident, $i:expr) => {{
+        if $i >= 16 {
+            let w15 = $w[($i + 1) & 15];
+            let w2 = $w[($i + 14) & 15];
+            $w[$i & 15] = $w[$i & 15]
+                .wrapping_add(w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3))
+                .wrapping_add($w[($i + 9) & 15])
+                .wrapping_add(w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10));
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+        let t1 = $h
+            .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
+            .wrapping_add(($e & $f) ^ (!$e & $g))
+            .wrapping_add(K[$i])
+            .wrapping_add($w[$i & 15]);
+        $d = $d.wrapping_add(t1);
+        $h = t1
+            .wrapping_add($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+            .wrapping_add(($a & $b) ^ ($a & $c) ^ ($b & $c));
+    }};
+}
+
+/// Eight rounds from round `$i` on, written out, after which the names
+/// are back where they started. With every schedule index a constant the
+/// sixteen words live in registers whatever the optimiser makes of the
+/// caller (see `sha1.rs`).
+macro_rules! rounds8 {
+    ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $w:ident, $i:expr) => {{
+        round!($a, $b, $c, $d, $e, $f, $g, $h, $w, $i);
+        round!($h, $a, $b, $c, $d, $e, $f, $g, $w, $i + 1);
+        round!($g, $h, $a, $b, $c, $d, $e, $f, $w, $i + 2);
+        round!($f, $g, $h, $a, $b, $c, $d, $e, $w, $i + 3);
+        round!($e, $f, $g, $h, $a, $b, $c, $d, $w, $i + 4);
+        round!($d, $e, $f, $g, $h, $a, $b, $c, $w, $i + 5);
+        round!($c, $d, $e, $f, $g, $h, $a, $b, $w, $i + 6);
+        round!($b, $c, $d, $e, $f, $g, $h, $a, $w, $i + 7);
+    }};
+}
+
+impl Sha256 {
+    /// The compression function over one 64-byte block.
+    fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        let mut w = [0u32; 16];
+        for (word, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
 
         let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
+        rounds8!(a, b, c, d, e, f, g, h, w, 0);
+        rounds8!(a, b, c, d, e, f, g, h, w, 8);
+        rounds8!(a, b, c, d, e, f, g, h, w, 16);
+        rounds8!(a, b, c, d, e, f, g, h, w, 24);
+        rounds8!(a, b, c, d, e, f, g, h, w, 32);
+        rounds8!(a, b, c, d, e, f, g, h, w, 40);
+        rounds8!(a, b, c, d, e, f, g, h, w, 48);
+        rounds8!(a, b, c, d, e, f, g, h, w, 56);
 
-        state[0] = state[0].wrapping_add(a);
-        state[1] = state[1].wrapping_add(b);
-        state[2] = state[2].wrapping_add(c);
-        state[3] = state[3].wrapping_add(d);
-        state[4] = state[4].wrapping_add(e);
-        state[5] = state[5].wrapping_add(f);
-        state[6] = state[6].wrapping_add(g);
-        state[7] = state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
     }
 }
 
@@ -109,69 +129,49 @@ impl Digest for Sha256 {
     type Output = [u8; 32];
 
     fn update(&mut self, mut data: &[u8]) {
-        // Fill the pending block first.
         if self.buf_len > 0 {
             let take = (64 - self.buf_len).min(data.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                Self::compress(&mut self.state, &block);
-                self.len += 64;
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
-        }
-        // Whole blocks straight from the input.
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            Self::compress(&mut self.state, &block);
+            Self::compress(&mut self.state, &self.buf);
             self.len += 64;
-            data = &data[64..];
+            self.buf_len = 0;
         }
-        // Stash the tail.
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            Self::compress(&mut self.state, block.try_into().expect("64-byte chunk"));
+            self.len += 64;
         }
+        let tail = blocks.remainder();
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     fn finalize(mut self) -> [u8; 32] {
         let total_bits = (self.len + self.buf_len as u64) * 8;
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        let mut pad = [0u8; 72];
-        pad[0] = 0x80;
-        let pad_len = if self.buf_len < 56 {
-            56 - self.buf_len
-        } else {
-            120 - self.buf_len
-        };
-        pad[pad_len..pad_len + 8].copy_from_slice(&total_bits.to_be_bytes());
-        self.update_padding(&pad[..pad_len + 8]);
+        // Padding: 0x80, zeros to 56 mod 64, the bit length — in the
+        // block buffer itself, spilling into a second block when the
+        // tail leaves no room for the length.
+        self.buf[self.buf_len] = 0x80;
+        let mut used = self.buf_len + 1;
+        if used > 56 {
+            self.buf[used..].fill(0);
+            Self::compress(&mut self.state, &self.buf);
+            used = 0;
+        }
+        self.buf[used..56].fill(0);
+        self.buf[56..].copy_from_slice(&total_bits.to_be_bytes());
+        Self::compress(&mut self.state, &self.buf);
 
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
-    }
-}
-
-impl Sha256 {
-    /// `update` without the borrow conflict during finalization.
-    fn update_padding(&mut self, data: &[u8]) {
-        let mut tmp = Sha256 {
-            state: self.state,
-            len: self.len,
-            buf: self.buf,
-            buf_len: self.buf_len,
-        };
-        tmp.update(data);
-        debug_assert_eq!(tmp.buf_len, 0, "padding must complete the final block");
-        self.state = tmp.state;
-        self.len = tmp.len;
-        self.buf_len = tmp.buf_len;
     }
 }
 

@@ -1375,12 +1375,14 @@ impl Metrics {
         self.inner.clock.load(Ordering::Relaxed)
     }
 
-    /// Records a structured trace event.
+    /// Records a structured trace event. `instance_id` is called only
+    /// when the event is recorded, so a call site pays for formatting its
+    /// id only while tracing is on.
     pub fn trace(
         &self,
         layer: Layer,
         kind: &'static str,
-        instance_id: impl Into<String>,
+        instance_id: impl FnOnce() -> String,
         round: u32,
     ) {
         if !self.tracing_enabled() {
@@ -1390,7 +1392,7 @@ impl Metrics {
         self.inner.trace.push(TraceEvent {
             seq,
             timestamp: self.time(),
-            instance_id: instance_id.into(),
+            instance_id: instance_id(),
             layer,
             kind,
             round,
@@ -1918,7 +1920,7 @@ mod tests {
         let m = Metrics::new();
         m.set_time(99);
         for i in 0..(TRACE_CAPACITY as u32 + 10) {
-            m.trace(Layer::Bc, "round", format!("bc:{i}"), i);
+            m.trace(Layer::Bc, "round", || format!("bc:{i}"), i);
         }
         let snap = m.snapshot();
         assert_eq!(snap.trace.len(), TRACE_CAPACITY);
@@ -1936,7 +1938,7 @@ mod tests {
         let m = Metrics::new();
         m.rb_delivered.add(4);
         m.bc_rounds.record(1);
-        m.trace(Layer::Rb, "deliver", "rb:0:1", 0);
+        m.trace(Layer::Rb, "deliver", || "rb:0:1".into(), 0);
         let snap = m.snapshot();
         let text = snap.to_text();
         assert!(text.contains("rb_delivered 4"));
@@ -1955,7 +1957,7 @@ mod tests {
     #[test]
     fn json_escapes_hostile_instance_ids() {
         let m = Metrics::new();
-        m.trace(Layer::Stack, "park", "he said \"hi\"\\\n", 0);
+        m.trace(Layer::Stack, "park", || "he said \"hi\"\\\n".into(), 0);
         let json = m.snapshot().to_json();
         assert!(json.contains("he said \\\"hi\\\"\\\\\\u000a"));
     }
@@ -2214,7 +2216,7 @@ mod tests {
         let m = Metrics::new();
         m.set_tracing(false);
         assert!(!m.tracing_enabled());
-        m.trace(Layer::Ab, "gated", "x", 0);
+        m.trace(Layer::Ab, "gated", || "x".into(), 0);
         m.span_open("rb:0:gated", Layer::Rb);
         m.span_close("rb:0:gated");
         m.ab_delivered.inc();
@@ -2228,10 +2230,47 @@ mod tests {
         m.set_tracing(true);
         m.span_open("rb:0:live", Layer::Rb);
         m.span_close("rb:0:live");
-        m.trace(Layer::Ab, "live", "y", 1);
+        m.trace(Layer::Ab, "live", || "y".into(), 1);
         let snap = m.snapshot();
         assert_eq!(snap.spans.len(), 1);
         assert_eq!(snap.trace.len(), 1);
+    }
+
+    #[test]
+    fn trace_builds_its_id_only_when_recording() {
+        let m = Metrics::new();
+        m.set_time(5);
+        m.set_tracing(false);
+        m.trace(
+            Layer::Ab,
+            "deliver",
+            || unreachable!("id built with tracing off"),
+            3,
+        );
+        assert!(m.snapshot().trace.is_empty());
+        m.set_tracing(true);
+        let mut built = 0;
+        m.trace(
+            Layer::Ab,
+            "deliver",
+            || {
+                built += 1;
+                format!("ab:{}:{}", 2, 7)
+            },
+            3,
+        );
+        assert_eq!(built, 1);
+        assert_eq!(
+            m.snapshot().trace,
+            vec![TraceEvent {
+                seq: 0,
+                timestamp: 5,
+                instance_id: "ab:2:7".to_string(),
+                layer: Layer::Ab,
+                kind: "deliver",
+                round: 3,
+            }]
+        );
     }
 
     #[test]
@@ -2246,7 +2285,7 @@ mod tests {
                 let m = m.clone();
                 scope.spawn(move || {
                     for i in 0..2_000u32 {
-                        m.trace(Layer::Ab, "stress", format!("w{w}:{i}"), i);
+                        m.trace(Layer::Ab, "stress", || format!("w{w}:{i}"), i);
                         let path = format!("rb:{w}:{i}");
                         m.span_open(path.clone(), Layer::Rb);
                         m.span_close(&path);

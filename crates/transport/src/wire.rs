@@ -4,6 +4,31 @@
 //! layers (§3.2); this module is our equivalent of the header read/write
 //! routines those mbufs carry. All integers are big-endian ("network
 //! order"), variable-length fields are length-prefixed with a `u32`.
+//!
+//! # Shared readers
+//!
+//! A [`Reader`] comes in two kinds. [`Reader::new`] reads a borrowed
+//! slice and *copies* every length-prefixed field out of it — right for
+//! input whose buffer is about to be reused or that was never a
+//! [`Bytes`] (the service wire, recovery, tests). [`Reader::shared`]
+//! reads a [`Bytes`] and hands length-prefixed fields and the unread
+//! rest up as *views* of it, the way the paper's mbufs are handed up
+//! rather than copied (§3.2): the protocol stack decodes every inbound
+//! frame this way. Both kinds accept and reject exactly the same input
+//! with exactly the same errors, and every bound is checked before a
+//! view is taken.
+//!
+//! **Retention rule.** A view shares the allocation of the frame it was
+//! cut from, so it keeps the *whole* frame alive for as long as it
+//! lives. The places that hold views past the handling of a frame each
+//! pin at most one frame per entry, and the pinned frame is no larger
+//! than the payload it carries plus a few header words: the payload
+//! table of a reliable-broadcast instance (≤ 2n + 1 entries, freed with
+//! the instance), atomic broadcast's `received` and `retained` batches
+//! (the batch was going to be kept anyway; its command payloads are
+//! views of it, not copies), and the `AbDelivery::payload` handed to the
+//! application. Code that wants to keep a *small* field of a *large*
+//! frame for a long time should copy it (`Bytes::copy_from_slice`).
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -74,14 +99,29 @@ impl std::error::Error for WireError {}
 /// A decoding cursor over a byte slice.
 #[derive(Debug, Clone)]
 pub struct Reader<'a> {
+    /// The unread input.
     buf: &'a [u8],
+    /// The buffer `buf` is the tail of, when fields are handed out as
+    /// views of it (see the module docs).
+    src: Option<&'a Bytes>,
 }
 
 impl<'a> Reader<'a> {
-    /// Wraps `buf` for decoding.
+    /// Wraps `buf` for decoding; length-prefixed fields are copied out.
     #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf }
+        Reader { buf, src: None }
+    }
+
+    /// Wraps `src` for decoding; length-prefixed fields and
+    /// [`Reader::rest`] are views of `src`, not copies, and keep it
+    /// alive (see the module docs for the retention rule).
+    #[inline]
+    pub fn shared(src: &'a Bytes) -> Self {
+        Reader {
+            buf: src,
+            src: Some(src),
+        }
     }
 
     /// Bytes not yet consumed.
@@ -149,13 +189,35 @@ impl<'a> Reader<'a> {
         Ok(a)
     }
 
+    /// Takes the next `len` bytes as a `Bytes`: a view of the source
+    /// for a shared reader, a copy otherwise.
+    #[inline]
+    fn take_bytes(&mut self, len: usize, what: &'static str) -> Result<Bytes, WireError> {
+        let unread = self.buf.len();
+        let head = self.take(len, what)?;
+        Ok(match self.src {
+            Some(src) => {
+                let at = src.len() - unread;
+                src.slice(at..at + len)
+            }
+            None => Bytes::copy_from_slice(head),
+        })
+    }
+
     /// Reads a `u32`-length-prefixed byte field.
     pub fn bytes(&mut self, what: &'static str) -> Result<Bytes, WireError> {
         let len = self.u32(what)? as usize;
         if len > MAX_FIELD_LEN {
             return Err(WireError::FieldTooLong { what, len });
         }
-        Ok(Bytes::copy_from_slice(self.take(len, what)?))
+        self.take_bytes(len, what)
+    }
+
+    /// Consumes everything not yet read (a frame body behind its
+    /// header) as one field.
+    pub fn rest(&mut self) -> Bytes {
+        self.take_bytes(self.buf.len(), "rest")
+            .expect("the unread input is as long as itself")
     }
 
     /// Reads exactly `len` raw (non-prefixed) bytes.
@@ -304,6 +366,76 @@ mod tests {
         let buf = w.freeze();
         let mut r = Reader::new(&buf);
         assert!(matches!(r.bytes("f"), Err(WireError::FieldTooLong { .. })));
+    }
+
+    /// Whether `view` lies inside the memory `src` occupies.
+    fn inside(src: &Bytes, view: &Bytes) -> bool {
+        let (lo, hi) = (src.as_ptr() as usize, src.as_ptr() as usize + src.len());
+        let at = view.as_ptr() as usize;
+        lo <= at && at + view.len() <= hi
+    }
+
+    #[test]
+    fn shared_reader_hands_out_views_and_new_reader_copies() {
+        let mut w = Writer::new();
+        w.u8(9).bytes(b"hello").bytes(b"").raw(b"tail");
+        let src = w.freeze();
+
+        let mut r = Reader::shared(&src);
+        assert_eq!(r.u8("tag").unwrap(), 9);
+        let field = r.bytes("field").unwrap();
+        let empty = r.bytes("empty").unwrap();
+        let rest = r.rest();
+        r.finish().unwrap();
+        assert_eq!(
+            (&field[..], &empty[..], &rest[..]),
+            (&b"hello"[..], &b""[..], &b"tail"[..])
+        );
+        for view in [&field, &empty, &rest] {
+            assert!(inside(&src, view), "a shared reader's field is a view");
+        }
+        assert_eq!(field.as_ptr() as usize, src.as_ptr() as usize + 5);
+
+        let mut r = Reader::new(&src);
+        assert_eq!(r.u8("tag").unwrap(), 9);
+        let copy = r.bytes("field").unwrap();
+        assert_eq!(copy, field);
+        assert!(!inside(&src, &copy), "a borrowing reader's field is a copy");
+        let _ = r.bytes("empty").unwrap();
+        assert_eq!(r.rest(), rest);
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn shared_reader_checks_bounds_before_taking_a_view() {
+        let mut w = Writer::new();
+        w.u32((MAX_FIELD_LEN + 1) as u32);
+        let oversized = w.freeze();
+        let mut w = Writer::new();
+        w.u32(10).raw(b"abc"); // claims 10, provides 3
+        let short = w.freeze();
+        for (src, want) in [
+            (
+                &oversized,
+                WireError::FieldTooLong {
+                    what: "f",
+                    len: MAX_FIELD_LEN + 1,
+                },
+            ),
+            (&short, WireError::Truncated { what: "f" }),
+        ] {
+            assert_eq!(Reader::shared(src).bytes("f").unwrap_err(), want);
+            assert_eq!(Reader::new(src).bytes("f").unwrap_err(), want);
+        }
+        // A source that is itself a view: offsets are the reader's own.
+        let mut w = Writer::new();
+        w.raw(b"pad").bytes(b"hi").raw(b"!");
+        let src = w.freeze().slice(3..);
+        let mut r = Reader::shared(&src);
+        let field = r.bytes("f").unwrap();
+        assert_eq!(&field[..], b"hi");
+        assert_eq!(field.as_ptr() as usize, src.as_ptr() as usize + 4);
+        assert_eq!(&r.rest()[..], b"!");
     }
 
     #[test]
