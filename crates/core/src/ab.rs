@@ -46,16 +46,16 @@
 //! reproduce Figures 4–7).
 
 use crate::codec::{Reader, WireError, WireMessage, Writer};
-use crate::config::Group;
+use crate::ctx::Ctx;
 use crate::mvc::{MultiValuedConsensus, MvcConfig, MvcMessage, MvcValue};
 use crate::rb::{RbMessage, ReliableBroadcast};
 use crate::step::{FaultKind, Step};
 use crate::ProcessId;
 use bytes::Bytes;
-use ritas_crypto::ProcessKeys;
-use ritas_crypto::{Coin, DeterministicCoin};
-use ritas_metrics::{Layer, Metrics};
+use ritas_crypto::{DeterministicCoin, LocalRoundCoin};
+use ritas_metrics::{Layer, SpanAnnotation};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::fmt::{self, Write as _};
 
 /// Unique identifier of an atomically broadcast message: `(sender, rbid)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -479,9 +479,12 @@ pub struct AbStats {
 /// long-lived session: any process may a-broadcast any number of messages
 /// at any time, and deliveries come out in a single total order.
 pub struct AtomicBroadcast {
-    group: Group,
-    me: ProcessId,
-    keys: ProcessKeys,
+    /// The session's context. Below its span: command spans at
+    /// `m:{sender}:{rbid}` (own commands with `/queue` and `/rb` children
+    /// marking the batching milestones), batch spans at
+    /// `b:{sender}:{seq}` (with an `/rb` child), round spans at `r:{n}`
+    /// (with `/vect:{origin}` and `/mvc` children).
+    ctx: Ctx,
     config: AbConfig,
     coin_seed: u64,
     /// Next rbid for our own a-broadcast *commands*.
@@ -538,19 +541,18 @@ pub struct AtomicBroadcast {
     /// [`RETAIN_BATCHES`]).
     retained_order: VecDeque<BatchId>,
     stats: AbStats,
-    metrics: Metrics,
-    /// Span path of this session; set by the owner at creation. Command
-    /// spans get `{path}/m:{sender}:{rbid}` (own commands with `/queue`
-    /// and `/rb` children marking the batching milestones), batch spans
-    /// `{path}/b:{sender}:{seq}` (with an `/rb` child), round spans
-    /// `{path}/r:{n}` (with `/vect:{origin}` and `/mvc` children).
-    span_path: Option<String>,
+}
+
+/// The span segment of command or batch `id` (`kind` `'m'` or `'b'`),
+/// or of the milestone `tail` below it.
+fn id_seg(kind: char, id: MsgId, tail: &'static str) -> impl FnOnce(&mut String) -> fmt::Result {
+    move |f| write!(f, "{kind}:{}:{}{tail}", id.sender, id.rbid)
 }
 
 impl core::fmt::Debug for AtomicBroadcast {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("AtomicBroadcast")
-            .field("me", &self.me)
+            .field("me", &self.ctx.me)
             .field("round", &self.round)
             .field("pending", &self.received.len())
             .field("stats", &self.stats)
@@ -563,32 +565,10 @@ impl AtomicBroadcast {
     ///
     /// `coin_seed` seeds the per-round consensus coins deterministically;
     /// pass entropy in production, a fixed seed for reproducible runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is out of group or the key view mismatches.
-    pub fn new(group: Group, me: ProcessId, keys: ProcessKeys, coin_seed: u64) -> Self {
-        Self::with_config(group, me, keys, coin_seed, AbConfig::default())
-    }
-
-    /// Creates a session with explicit configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is out of group or the key view mismatches.
-    pub fn with_config(
-        group: Group,
-        me: ProcessId,
-        keys: ProcessKeys,
-        coin_seed: u64,
-        config: AbConfig,
-    ) -> Self {
-        assert!(group.contains(me), "me out of group");
-        assert_eq!(keys.me(), me, "key view mismatch");
+    pub fn new(ctx: Ctx, coin_seed: u64, config: AbConfig) -> Self {
+        let n = ctx.group.n();
         AtomicBroadcast {
-            group,
-            me,
-            keys,
+            ctx,
             config,
             coin_seed,
             next_rbid: 0,
@@ -598,8 +578,8 @@ impl AtomicBroadcast {
             now_ns: 0,
             msg_rbc: HashMap::new(),
             received: BTreeMap::new(),
-            a_delivered: DeliveredSet::new(group.n()),
-            cmd_delivered: DeliveredSet::new(group.n()),
+            a_delivered: DeliveredSet::new(n),
+            cmd_delivered: DeliveredSet::new(n),
             round: 0,
             vect_sent: false,
             proposed: false,
@@ -613,58 +593,7 @@ impl AtomicBroadcast {
             retained: BTreeMap::new(),
             retained_order: VecDeque::new(),
             stats: AbStats::default(),
-            metrics: Metrics::default(),
-            span_path: None,
         }
-    }
-
-    /// Assigns this session's span path and opens its (session-long)
-    /// span. All sub-instances are created lazily, so the path only needs
-    /// to be set once, right after [`AtomicBroadcast::set_metrics`] and
-    /// before any traffic: message spans, per-round spans and their
-    /// children inherit it at creation.
-    pub fn set_span_path(&mut self, path: String) {
-        self.metrics.span_open(path.clone(), Layer::Ab);
-        self.span_path = Some(path);
-    }
-
-    /// The session's span path while tracing is on: every span path below
-    /// is built from it, so with tracing off none of them is — no frame
-    /// pays for a `String` nobody records.
-    fn span_base(&self) -> Option<&String> {
-        self.span_path
-            .as_ref()
-            .filter(|_| self.metrics.tracing_enabled())
-    }
-
-    fn msg_span_path(&self, id: MsgId) -> Option<String> {
-        self.span_base()
-            .map(|base| format!("{base}/m:{}:{}", id.sender, id.rbid))
-    }
-
-    fn batch_span_path(&self, id: BatchId) -> Option<String> {
-        self.span_base()
-            .map(|base| format!("{base}/b:{}:{}", id.sender, id.rbid))
-    }
-
-    fn round_span_path(&self, round: u32) -> Option<String> {
-        self.span_base().map(|base| format!("{base}/r:{round}"))
-    }
-
-    /// Attaches the process-wide metric registry and propagates it to
-    /// every sub-protocol instance (message and vector broadcasts, and
-    /// per-round agreement consensus).
-    pub fn set_metrics(&mut self, metrics: Metrics) {
-        for rb in self.msg_rbc.values_mut() {
-            rb.set_metrics(metrics.clone());
-        }
-        for rb in self.vect_rbc.values_mut() {
-            rb.set_metrics(metrics.clone());
-        }
-        for mvc in self.agreements.values_mut() {
-            mvc.set_metrics(metrics.clone());
-        }
-        self.metrics = metrics;
     }
 
     /// Drives the agreement task: starts a new round if there are
@@ -784,7 +713,7 @@ impl AtomicBroadcast {
     /// normally concluded round. Must be called before any traffic is
     /// fed to the instance.
     pub fn resume(&mut self, cursor: &AbCursor) {
-        let n = self.group.n();
+        let n = self.ctx.group.n();
         self.round = cursor.round;
         self.a_delivered = DeliveredSet::from_watermarks(n, &cursor.a_delivered);
         self.cmd_delivered = DeliveredSet::from_watermarks(n, &cursor.cmd_delivered);
@@ -795,7 +724,7 @@ impl AtomicBroadcast {
         self.awaiting_payloads = None;
         self.recovering = true;
         self.free_finished_rounds();
-        self.metrics.trace(
+        self.ctx.metrics.trace(
             Layer::Ab,
             "resume",
             || format!("ab-round:{}", cursor.round),
@@ -814,7 +743,7 @@ impl AtomicBroadcast {
     /// watermarks, and exclusive upper bounds of every batch seq and
     /// command rbid ever seen (delivered, pending, or in dissemination).
     pub fn hints(&self) -> crate::recovery::PeerHints {
-        let n = self.group.n();
+        let n = self.ctx.group.n();
         let mut max_batch: Vec<u64> = (0..n).map(|o| self.a_delivered.max_seen(o)).collect();
         let mut max_rbid: Vec<u64> = (0..n).map(|o| self.cmd_delivered.max_seen(o)).collect();
         for (id, batch) in &self.received {
@@ -869,7 +798,7 @@ impl AtomicBroadcast {
         }
         match decode_batch(&raw) {
             Ok(batch) => {
-                self.metrics.trace(
+                self.ctx.metrics.trace(
                     Layer::Ab,
                     "inject",
                     || format!("ab-batch:{}:{}", id.sender, id.rbid),
@@ -889,35 +818,33 @@ impl AtomicBroadcast {
     /// [`AbDelivery`] carries.
     pub fn broadcast(&mut self, payload: Bytes) -> (MsgId, AbStep) {
         let id = MsgId {
-            sender: self.me,
+            sender: self.ctx.me,
             rbid: self.next_rbid,
         };
         self.next_rbid += 1;
         self.stats.broadcast += 1;
-        self.metrics.ab_broadcast.inc();
-        self.metrics.trace(
+        self.ctx.metrics.ab_broadcast.inc();
+        self.ctx.metrics.trace(
             Layer::Ab,
             "broadcast",
             || format!("ab:{}:{}", id.sender, id.rbid),
             self.round,
         );
-        if let Some(path) = self.msg_span_path(id) {
-            self.metrics.span_open(path.clone(), Layer::Ab);
-            self.metrics.span_open(format!("{path}/queue"), Layer::Ab);
-        }
+        self.ctx.open_at(Layer::Ab, id_seg('m', id, ""));
+        self.ctx.open_at(Layer::Ab, id_seg('m', id, "/queue"));
         self.queue.push_back(QueuedCmd {
             rbid: id.rbid,
             payload,
             enqueued_ns: self.now_ns,
         });
-        self.metrics.ab_queue_depth.set(self.queue.len() as u64);
+        self.ctx.metrics.ab_queue_depth.set(self.queue.len() as u64);
         let out = self.settle(false);
         (id, out)
     }
 
     /// Handles a protocol message from `from`.
     pub fn handle_message(&mut self, from: ProcessId, message: AbMessage) -> AbStep {
-        if !self.group.contains(from) {
+        if !self.ctx.group.contains(from) {
             return Step::fault(from, FaultKind::NotEntitled);
         }
         let mut out = match message {
@@ -934,7 +861,7 @@ impl AtomicBroadcast {
     }
 
     fn on_msg(&mut self, from: ProcessId, id: BatchId, inner: RbMessage) -> AbStep {
-        if !self.group.contains(id.sender) {
+        if !self.ctx.group.contains(id.sender) {
             return Step::fault(from, FaultKind::NotEntitled);
         }
         if self.a_delivered.contains(&id) {
@@ -967,20 +894,16 @@ impl AtomicBroadcast {
                     sender: id.sender,
                     rbid: batch.start_rbid + i as u64,
                 };
-                if let Some(path) = self.msg_span_path(cmd) {
-                    if cmd.sender == self.me {
-                        // Own command: dissemination milestone reached.
-                        self.metrics.span_close(&format!("{path}/rb"));
-                    } else {
-                        // Remote command: first sight is at batch decode.
-                        self.metrics.span_open(path.clone(), Layer::Ab);
-                    }
-                    self.metrics.span_annotate(
-                        &path,
-                        ritas_metrics::SpanAnnotation::Phase,
-                        p.len() as u64,
-                    );
+                if cmd.sender == self.ctx.me {
+                    // Own command: dissemination milestone reached.
+                    self.ctx.close_at(id_seg('m', cmd, "/rb"));
+                } else {
+                    // Remote command: first sight is at batch decode.
+                    self.ctx.open_at(Layer::Ab, id_seg('m', cmd, ""));
                 }
+                let size = p.len() as u64;
+                self.ctx
+                    .annotate_at(id_seg('m', cmd, ""), SpanAnnotation::Phase, size);
             }
             self.received.entry(id).or_insert(batch);
         }
@@ -994,7 +917,7 @@ impl AtomicBroadcast {
         round: u32,
         inner: RbMessage,
     ) -> AbStep {
-        if !self.group.contains(origin) {
+        if !self.ctx.group.contains(origin) {
             return Step::fault(from, FaultKind::NotEntitled);
         }
         if round > self.round.saturating_add(MAX_ROUND_AHEAD) {
@@ -1011,7 +934,7 @@ impl AtomicBroadcast {
         for payload in delivered {
             match decode_ids(&payload) {
                 Ok(ids) => {
-                    let n = self.group.n();
+                    let n = self.ctx.group.n();
                     let slot = self.vects.entry(round).or_insert_with(|| vec![None; n]);
                     if slot[origin].is_none() {
                         slot[origin] = Some(ids);
@@ -1048,7 +971,7 @@ impl AtomicBroadcast {
     fn round_is_freed(&self, round: u32) -> bool {
         let freed = round < self.round_floor();
         if freed {
-            self.metrics.ab_stale_round_dropped.inc();
+            self.ctx.metrics.ab_stale_round_dropped.inc();
         }
         freed
     }
@@ -1073,52 +996,34 @@ impl AtomicBroadcast {
     /// The RBC instance disseminating batch `id`, created (and its spans
     /// opened) on first use.
     fn batch_rbc(&mut self, id: BatchId) -> &mut ReliableBroadcast {
-        let span = self.batch_span_path(id);
         self.msg_rbc.entry(id).or_insert_with(|| {
-            let mut rb = ReliableBroadcast::new(self.group, self.me, id.sender);
-            rb.set_metrics(self.metrics.clone());
-            if let Some(path) = span {
-                self.metrics.span_open(path.clone(), Layer::Ab);
-                rb.set_span_path(format!("{path}/rb"));
-            }
-            rb
+            self.ctx.open_at(Layer::Ab, id_seg('b', id, ""));
+            let rb = self.ctx.child(Layer::Rb, id_seg('b', id, "/rb"));
+            ReliableBroadcast::new(rb, id.sender)
         })
     }
 
     /// The RBC instance of `origin`'s `AB_VECT` for `round`, created on
     /// first use.
     fn vect_instance(&mut self, round: u32, origin: ProcessId) -> &mut ReliableBroadcast {
-        let span = self.round_span_path(round);
         self.vect_rbc.entry((round, origin)).or_insert_with(|| {
-            let mut rb = ReliableBroadcast::new(self.group, self.me, origin);
-            rb.set_metrics(self.metrics.clone());
-            if let Some(path) = span {
-                rb.set_span_path(format!("{path}/vect:{origin}"));
-            }
-            rb
+            let rb = |f: &mut String| write!(f, "r:{round}/vect:{origin}");
+            ReliableBroadcast::new(self.ctx.child(Layer::Rb, rb), origin)
         })
     }
 
     /// The MVC instance of `round`, created on first use.
     fn agreement_instance(&mut self, round: u32) -> &mut MultiValuedConsensus {
-        let span = self.round_span_path(round);
         self.agreements.entry(round).or_insert_with(|| {
             let seed = self
                 .coin_seed
                 .wrapping_mul(0x9E3779B97F4A7C15)
                 .wrapping_add(round as u64);
-            let mut mvc = MultiValuedConsensus::with_config(
-                self.group,
-                self.me,
-                self.keys.clone(),
-                Box::new(DeterministicCoin::new(seed)) as Box<dyn Coin + Send>,
+            MultiValuedConsensus::new(
+                self.ctx.child(Layer::Mvc, |f| write!(f, "r:{round}/mvc")),
+                Box::new(LocalRoundCoin(DeterministicCoin::new(seed))),
                 self.config.mvc,
-            );
-            mvc.set_metrics(self.metrics.clone());
-            if let Some(path) = span {
-                mvc.set_span_path(format!("{path}/mvc"));
-            }
-            mvc
+            )
         })
     }
 
@@ -1180,26 +1085,26 @@ impl AtomicBroadcast {
         let take = self.queue.len().min(self.config.batch.max_batch);
         let cmds: Vec<QueuedCmd> = self.queue.drain(..take).collect();
         let batch = BatchId {
-            sender: self.me,
+            sender: self.ctx.me,
             rbid: self.next_batch,
         };
         self.next_batch += 1;
         self.own_in_flight += 1;
         self.stats.batches += 1;
         match reason {
-            FlushReason::Size => self.metrics.ab_flush_size.inc(),
-            FlushReason::Age => self.metrics.ab_flush_age.inc(),
-            FlushReason::Idle => self.metrics.ab_flush_idle.inc(),
+            FlushReason::Size => self.ctx.metrics.ab_flush_size.inc(),
+            FlushReason::Age => self.ctx.metrics.ab_flush_age.inc(),
+            FlushReason::Idle => self.ctx.metrics.ab_flush_idle.inc(),
         }
-        self.metrics.ab_batch_commands.record(take as u64);
-        self.metrics.ab_queue_depth.set(self.queue.len() as u64);
-        self.metrics.flight_record(
+        self.ctx.metrics.ab_batch_commands.record(take as u64);
+        self.ctx.metrics.ab_queue_depth.set(self.queue.len() as u64);
+        self.ctx.metrics.flight_record(
             ritas_metrics::FlightKind::Flush,
-            self.me as u32,
+            self.ctx.me as u32,
             take as u64,
             reason as u64,
         );
-        self.metrics.trace(
+        self.ctx.metrics.trace(
             Layer::Ab,
             "flush",
             || format!("ab-batch:{}:{}", batch.sender, batch.rbid),
@@ -1209,13 +1114,12 @@ impl AtomicBroadcast {
         // begins (the `/rb` child closes when the batch RBC delivers
         // locally in `on_msg`).
         for c in &cmds {
-            if let Some(path) = self.msg_span_path(MsgId {
-                sender: self.me,
+            let cmd = MsgId {
+                sender: self.ctx.me,
                 rbid: c.rbid,
-            }) {
-                self.metrics.span_close(&format!("{path}/queue"));
-                self.metrics.span_open(format!("{path}/rb"), Layer::Rb);
-            }
+            };
+            self.ctx.close_at(id_seg('m', cmd, "/queue"));
+            self.ctx.open_at(Layer::Rb, id_seg('m', cmd, "/rb"));
         }
         let payload = encode_batch(
             cmds[0].rbid,
@@ -1238,10 +1142,8 @@ impl AtomicBroadcast {
         let ids: BTreeSet<MsgId> = self.received.keys().copied().collect();
         let payload = encode_ids(&ids);
         self.last_vect = ids;
-        let (round, me) = (self.round, self.me);
-        if let Some(path) = self.round_span_path(round) {
-            self.metrics.span_open(path, Layer::Ab);
-        }
+        let (round, me) = (self.round, self.ctx.me);
+        self.ctx.open_at(Layer::Ab, |f| write!(f, "r:{round}"));
         let sub = self
             .vect_instance(round, me)
             .broadcast(payload)
@@ -1266,7 +1168,7 @@ impl AtomicBroadcast {
             && !self.vects.get(&self.round).is_some_and(|slot| {
                 slot.iter()
                     .enumerate()
-                    .any(|(origin, v)| origin != self.me && v.is_some())
+                    .any(|(origin, v)| origin != self.ctx.me && v.is_some())
             })
     }
 
@@ -1279,17 +1181,15 @@ impl AtomicBroadcast {
             return false;
         };
         let count = slot.iter().filter(|v| v.is_some()).count();
-        if count < self.group.quorum() {
+        if count < self.ctx.group.quorum() {
             return false;
         }
         self.proposed = true;
-        if let Some(path) = self.round_span_path(self.round) {
-            self.metrics.span_annotate(
-                &path,
-                ritas_metrics::SpanAnnotation::VectCollected,
-                count as u64,
-            );
-        }
+        self.ctx.annotate_at(
+            |f| write!(f, "r:{}", self.round),
+            SpanAnnotation::VectCollected,
+            count as u64,
+        );
 
         // W_i: identifiers supported by >= f+1 vectors.
         let mut support: BTreeMap<MsgId, usize> = BTreeMap::new();
@@ -1303,7 +1203,7 @@ impl AtomicBroadcast {
         }
         let w: BTreeSet<MsgId> = support
             .into_iter()
-            .filter(|(id, c)| *c >= self.group.one_correct() && !self.a_delivered.contains(id))
+            .filter(|(id, c)| *c >= self.ctx.group.one_correct() && !self.a_delivered.contains(id))
             .map(|(id, _)| id)
             .collect();
 
@@ -1339,8 +1239,9 @@ impl AtomicBroadcast {
         match decision {
             Some(Some(bytes)) => {
                 self.stats.agreements += 1;
-                self.metrics.ab_agreements.inc();
-                self.metrics
+                self.ctx.metrics.ab_agreements.inc();
+                self.ctx
+                    .metrics
                     .trace(Layer::Ab, "agree", || format!("ab-round:{round}"), round);
                 match decode_ids(&bytes) {
                     Ok(ids) => {
@@ -1363,8 +1264,8 @@ impl AtomicBroadcast {
             Some(None) => {
                 self.stats.agreements += 1;
                 self.stats.bottom_agreements += 1;
-                self.metrics.ab_agreements.inc();
-                self.metrics.trace(
+                self.ctx.metrics.ab_agreements.inc();
+                self.ctx.metrics.trace(
                     Layer::Ab,
                     "agree-bottom",
                     || format!("ab-round:{round}"),
@@ -1388,7 +1289,7 @@ impl AtomicBroadcast {
         if !self.recovering {
             return false;
         }
-        let one_correct = self.group.one_correct();
+        let one_correct = self.ctx.group.one_correct();
         let target = self
             .vects
             .range(self.round + 1..)
@@ -1398,16 +1299,14 @@ impl AtomicBroadcast {
         let Some(round) = target else {
             return false;
         };
-        self.metrics.trace(
+        self.ctx.metrics.trace(
             Layer::Ab,
             "fast-forward",
             || format!("ab-round:{round}"),
             round,
         );
         if self.vect_sent {
-            if let Some(path) = self.round_span_path(self.round) {
-                self.metrics.span_close(&path);
-            }
+            self.ctx.close_at(|f| write!(f, "r:{}", self.round));
         }
         self.round = round;
         self.vect_sent = false;
@@ -1417,9 +1316,7 @@ impl AtomicBroadcast {
     }
 
     fn next_round(&mut self) {
-        if let Some(path) = self.round_span_path(self.round) {
-            self.metrics.span_close(&path);
-        }
+        self.ctx.close_at(|f| write!(f, "r:{}", self.round));
         self.round += 1;
         self.vect_sent = false;
         self.proposed = false;
@@ -1442,7 +1339,7 @@ impl AtomicBroadcast {
         // Deterministic total order across the decided batches.
         ids.sort();
         ids.dedup();
-        self.metrics.ab_batch.record(ids.len() as u64);
+        self.ctx.metrics.ab_batch.record(ids.len() as u64);
         for id in ids {
             let batch = self.received.remove(&id).expect("payload present");
             self.a_delivered.insert(id);
@@ -1458,12 +1355,10 @@ impl AtomicBroadcast {
             // The completed RBC instance is pruned: every message we owed
             // the group for it has already been sent.
             self.msg_rbc.remove(&id);
-            if id.sender == self.me {
+            if id.sender == self.ctx.me {
                 self.own_in_flight = self.own_in_flight.saturating_sub(1);
             }
-            if let Some(path) = self.batch_span_path(id) {
-                self.metrics.span_close(&path);
-            }
+            self.ctx.close_at(id_seg('b', id, ""));
             for (i, payload) in batch.payloads.into_iter().enumerate() {
                 let cmd = MsgId {
                     sender: id.sender,
@@ -1475,12 +1370,10 @@ impl AtomicBroadcast {
                     continue;
                 }
                 self.cmd_delivered.insert(cmd);
-                if let Some(path) = self.msg_span_path(cmd) {
-                    self.metrics.span_close(&path);
-                }
+                self.ctx.close_at(id_seg('m', cmd, ""));
                 self.stats.delivered += 1;
-                self.metrics.ab_delivered.inc();
-                self.metrics.trace(
+                self.ctx.metrics.ab_delivered.inc();
+                self.ctx.metrics.trace(
                     Layer::Ab,
                     "deliver",
                     || format!("ab:{}:{}", cmd.sender, cmd.rbid),
@@ -1494,29 +1387,26 @@ impl AtomicBroadcast {
 }
 
 fn wrap_msg(id: MsgId, sub: Step<RbMessage, Bytes>) -> AbStep {
-    sub.map_outputs(|_| None)
-        .map_messages(|inner| AbMessage::Msg { id, inner })
+    sub.forward(|inner| AbMessage::Msg { id, inner })
 }
 
 fn wrap_vect(origin: ProcessId, round: u32, sub: Step<RbMessage, Bytes>) -> AbStep {
-    sub.map_outputs(|_| None)
-        .map_messages(|inner| AbMessage::Vect {
-            origin,
-            round,
-            inner,
-        })
+    sub.forward(|inner| AbMessage::Vect {
+        origin,
+        round,
+        inner,
+    })
 }
 
 fn wrap_agree(round: u32, sub: Step<MvcMessage, MvcValue>) -> AbStep {
-    sub.map_outputs(|_| None)
-        .map_messages(|inner| AbMessage::Agree { round, inner })
+    sub.forward(|inner| AbMessage::Agree { round, inner })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::{Net, Process, Schedule};
-    use ritas_crypto::KeyTable;
+    use crate::step::Process;
+    use crate::testing::{ctx, Net, Schedule};
 
     type AbNet = Net<AtomicBroadcast>;
 
@@ -1529,18 +1419,8 @@ mod tests {
         seed: u64,
         config: impl Fn(ProcessId) -> AbConfig,
     ) -> Vec<AtomicBroadcast> {
-        let g = Group::new(n).unwrap();
-        let table = KeyTable::dealer(n, seed);
         (0..n)
-            .map(|me| {
-                AtomicBroadcast::with_config(
-                    g,
-                    me,
-                    table.view_of(me),
-                    seed ^ (me as u64) << 16,
-                    config(me),
-                )
-            })
+            .map(|me| AtomicBroadcast::new(ctx(n, me, seed), seed ^ (me as u64) << 16, config(me)))
             .collect()
     }
 
@@ -1904,9 +1784,7 @@ mod tests {
 
     #[test]
     fn far_future_round_rejected() {
-        let g = Group::new(4).unwrap();
-        let table = KeyTable::dealer(4, 0);
-        let mut ab = AtomicBroadcast::new(g, 0, table.view_of(0), 1);
+        let mut ab = AtomicBroadcast::new(ctx(4, 0, 0), 1, AbConfig::default());
         let step = ab.handle_message(
             1,
             AbMessage::Vect {
@@ -1959,8 +1837,8 @@ mod tests {
     fn frame_for_a_freed_round_creates_no_instance() {
         let mut net = ab_net(4, 22);
         run_rounds(&mut net, 4, 200);
-        let metrics = Metrics::new();
-        net.process_mut(0).set_metrics(metrics.clone());
+        let metrics = net.process(0).ctx.metrics.clone();
+        assert_eq!(metrics.ab_stale_round_dropped.get(), 0);
         let before = rounds_held(net.process(0));
         let replays = [
             AbMessage::Vect {
@@ -2141,18 +2019,11 @@ mod tests {
             max_delay_ns: 1_000,
             window: 8,
         };
-        let g = Group::new(4).unwrap();
-        let table = KeyTable::dealer(4, 0);
-        let mut ab = AtomicBroadcast::with_config(
-            g,
-            0,
-            table.view_of(0),
-            1,
-            AbConfig {
-                batch: policy,
-                ..AbConfig::default()
-            },
-        );
+        let config = AbConfig {
+            batch: policy,
+            ..AbConfig::default()
+        };
+        let mut ab = AtomicBroadcast::new(ctx(4, 0, 0), 1, config);
         ab.set_now(10);
         // First command flushes immediately (idle window)…
         let (_, step) = ab.broadcast(Bytes::from_static(b"a"));

@@ -35,14 +35,14 @@
 pub mod validation;
 
 use crate::codec::{Reader, WireError, WireMessage, Writer};
-use crate::config::Group;
+use crate::ctx::Ctx;
 use crate::error::ProtocolError;
 use crate::rb::{RbMessage, ReliableBroadcast};
 use crate::step::{FaultKind, Step};
 use crate::ProcessId;
 use bytes::Bytes;
-use ritas_crypto::{Coin, LocalRoundCoin, RoundCoin};
-use ritas_metrics::{Layer, Metrics};
+use ritas_crypto::RoundCoin;
+use ritas_metrics::{Layer, SpanAnnotation};
 use std::collections::BTreeMap;
 use validation::{majority, next_round_valid, step2_valid, step3_valid, strict_majority, Tally};
 
@@ -210,8 +210,13 @@ impl RoundState {
 /// State of one binary consensus instance for process `me`.
 ///
 /// The instance is generic-free: the coin is injected as a boxed
-/// [`Coin`] so that production, simulation and adversarial tests can plug
-/// different sources (see `ritas_crypto::coin`).
+/// [`RoundCoin`] so that production, simulation and adversarial tests can
+/// plug different sources (see `ritas_crypto::coin`): a local coin
+/// (Ben-Or's scheme, the paper's) wrapped in
+/// [`ritas_crypto::LocalRoundCoin`], or a [`ritas_crypto::SharedCoin`] —
+/// Rabin's common coin, which keeps the expected round count constant
+/// even under an adversarial message scheduler (paper §5's discussion of
+/// the two approaches).
 ///
 /// # Example
 ///
@@ -221,19 +226,18 @@ impl RoundState {
 /// constructed per instance:
 ///
 /// ```
-/// use ritas::bc::BinaryConsensus;
-/// use ritas::config::Group;
-/// use ritas_crypto::DeterministicCoin;
+/// use ritas::bc::{BinaryConsensus, StepTransport};
+/// use ritas::testing::ctx;
+/// use ritas_crypto::{DeterministicCoin, LocalRoundCoin};
 ///
-/// let group = Group::new(4)?;
-/// let mut bc = BinaryConsensus::new(group, 0, Box::new(DeterministicCoin::new(1)));
+/// let coin = Box::new(LocalRoundCoin(DeterministicCoin::new(1)));
+/// let mut bc = BinaryConsensus::new(ctx(4, 0, 7), coin, StepTransport::default());
 /// let step = bc.propose(true)?;
 /// assert!(!step.messages.is_empty(), "round 1 step 1 broadcast");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct BinaryConsensus {
-    group: Group,
-    me: ProcessId,
+    ctx: Ctx,
     coin: Box<dyn RoundCoin + Send>,
     transport: StepTransport,
     started: bool,
@@ -251,15 +255,12 @@ pub struct BinaryConsensus {
     rbc: BTreeMap<(u32, u8, ProcessId), ReliableBroadcast>,
     /// Rounds each process has completed (for statistics only).
     rounds_executed: u32,
-    metrics: Metrics,
-    /// Span path of this instance; set by the owner at creation.
-    span_path: Option<String>,
 }
 
 impl core::fmt::Debug for BinaryConsensus {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("BinaryConsensus")
-            .field("me", &self.me)
+            .field("me", &self.ctx.me)
             .field("round", &self.round)
             .field("step", &self.step)
             .field("decided", &self.decided)
@@ -269,48 +270,12 @@ impl core::fmt::Debug for BinaryConsensus {
 }
 
 impl BinaryConsensus {
-    /// Creates an instance with the paper's configuration (reliable
-    /// broadcast per step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is outside the group.
-    pub fn new(group: Group, me: ProcessId, coin: Box<dyn Coin + Send>) -> Self {
-        Self::with_transport(group, me, coin, StepTransport::ReliableBroadcast)
-    }
-
-    /// Creates an instance with an explicit step transport (ablations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is outside the group.
-    pub fn with_transport(
-        group: Group,
-        me: ProcessId,
-        coin: Box<dyn Coin + Send>,
-        transport: StepTransport,
-    ) -> Self {
-        Self::with_round_coin(group, me, Box::new(LocalRoundCoin(coin)), transport)
-    }
-
-    /// Creates an instance with a round-indexed coin — use with
-    /// [`ritas_crypto::SharedCoin`] for a Rabin-style common coin, which
-    /// keeps the expected round count constant even under an adversarial
-    /// message scheduler (paper §5's discussion of the two approaches).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is outside the group.
-    pub fn with_round_coin(
-        group: Group,
-        me: ProcessId,
-        coin: Box<dyn RoundCoin + Send>,
-        transport: StepTransport,
-    ) -> Self {
-        assert!(group.contains(me), "me out of group");
+    /// Creates an instance flipping `coin`, its step values carried by
+    /// `transport` ([`StepTransport::ReliableBroadcast`] is the paper's
+    /// configuration).
+    pub fn new(ctx: Ctx, coin: Box<dyn RoundCoin + Send>, transport: StepTransport) -> Self {
         BinaryConsensus {
-            group,
-            me,
+            ctx,
             coin,
             transport,
             started: false,
@@ -323,27 +288,6 @@ impl BinaryConsensus {
             rounds: BTreeMap::new(),
             rbc: BTreeMap::new(),
             rounds_executed: 0,
-            metrics: Metrics::default(),
-            span_path: None,
-        }
-    }
-
-    /// Attaches the process-wide metric registry; per-step reliable
-    /// broadcast sub-instances created afterwards share it.
-    pub fn set_metrics(&mut self, metrics: Metrics) {
-        self.metrics = metrics;
-    }
-
-    /// Assigns this instance's span path and opens its span. Call after
-    /// [`BinaryConsensus::set_metrics`], at instance-creation time.
-    pub fn set_span_path(&mut self, path: String) {
-        self.metrics.span_open(path.clone(), Layer::Bc);
-        self.span_path = Some(path);
-    }
-
-    fn span_annotate(&self, kind: ritas_metrics::SpanAnnotation, value: u64) {
-        if let Some(path) = &self.span_path {
-            self.metrics.span_annotate(path, kind, value);
         }
     }
 
@@ -373,17 +317,15 @@ impl BinaryConsensus {
         }
         self.started = true;
         self.current = Some(value);
-        self.metrics.bc_started.inc();
-        self.metrics.trace(
+        self.ctx.metrics.bc_started.inc();
+        self.ctx.metrics.trace(
             Layer::Bc,
             "propose",
-            || format!("bc:{}", self.me),
+            || format!("bc:{}", self.ctx.me),
             self.round,
         );
-        self.span_annotate(
-            ritas_metrics::SpanAnnotation::RoundEntered,
-            u64::from(self.round),
-        );
+        self.ctx
+            .annotate(SpanAnnotation::RoundEntered, u64::from(self.round));
         let mut out = Step::none();
         self.broadcast_current(&mut out);
         // Messages from peers may already be buffered and could even
@@ -394,17 +336,17 @@ impl BinaryConsensus {
 
     /// Handles a protocol message from `from`.
     pub fn handle_message(&mut self, from: ProcessId, message: BcMessage) -> BcStep {
-        if !self.group.contains(from) || !self.group.contains(message.origin) {
-            self.metrics.bc_rejected.inc();
+        if !self.ctx.group.contains(from) || !self.ctx.group.contains(message.origin) {
+            self.ctx.metrics.bc_rejected.inc();
             return Step::fault(from, FaultKind::NotEntitled);
         }
         if message.round == 0 || !(1..=3).contains(&message.step) {
-            self.metrics.bc_rejected.inc();
+            self.ctx.metrics.bc_rejected.inc();
             return Step::fault(from, FaultKind::Malformed);
         }
         if message.round > self.round.saturating_add(MAX_ROUND_AHEAD) {
             // Memory-bounding: refuse to buffer absurdly distant rounds.
-            self.metrics.bc_rejected.inc();
+            self.ctx.metrics.bc_rejected.inc();
             return Step::fault(from, FaultKind::Unjustified);
         }
         let (round, step, origin) = (message.round, message.step, message.origin);
@@ -414,20 +356,13 @@ impl BinaryConsensus {
                 let mut sub = self
                     .step_rbc(round, step, origin)
                     .handle_message(from, inner);
-                out.faults.append(&mut sub.faults);
-                for m in sub.messages {
-                    out.messages.push(m.map(|inner| BcMessage {
-                        round,
-                        step,
-                        origin,
-                        body: BcBody::Rbc(inner),
-                    }));
-                }
-                for payload in sub.outputs {
+                let delivered = std::mem::take(&mut sub.outputs);
+                out = wrap_rbc(round, step, origin, sub);
+                for payload in delivered {
                     match Self::decode_step_value(&payload, step) {
                         Ok(v) => self.record_pending(round, step, origin, v),
                         Err(_) => {
-                            self.metrics.bc_rejected.inc();
+                            self.ctx.metrics.bc_rejected.inc();
                             out.push_fault(origin, FaultKind::Malformed);
                         }
                     }
@@ -435,18 +370,18 @@ impl BinaryConsensus {
             }
             (BcBody::Plain(v), StepTransport::PlainFanout) => {
                 if from != origin {
-                    self.metrics.bc_rejected.inc();
+                    self.ctx.metrics.bc_rejected.inc();
                     return Step::fault(from, FaultKind::NotEntitled);
                 }
                 if (step == 1 || step == 2) && v.is_none() {
-                    self.metrics.bc_rejected.inc();
+                    self.ctx.metrics.bc_rejected.inc();
                     return Step::fault(from, FaultKind::Malformed);
                 }
                 self.record_pending(round, step, origin, v);
             }
             // Body does not match the configured transport.
             _ => {
-                self.metrics.bc_rejected.inc();
+                self.ctx.metrics.bc_rejected.inc();
                 return Step::fault(from, FaultKind::Malformed);
             }
         }
@@ -473,15 +408,13 @@ impl BinaryConsensus {
     /// The RBC instance carrying `origin`'s value for (`round`, `step`),
     /// created on first use.
     fn step_rbc(&mut self, round: u32, step: u8, origin: ProcessId) -> &mut ReliableBroadcast {
-        self.rbc.entry((round, step, origin)).or_insert_with(|| {
-            let mut rb = ReliableBroadcast::new(self.group, self.me, origin);
-            rb.set_metrics(self.metrics.clone());
-            rb
-        })
+        self.rbc
+            .entry((round, step, origin))
+            .or_insert_with(|| ReliableBroadcast::new(self.ctx.spanless(), origin))
     }
 
     fn round_mut(&mut self, round: u32) -> &mut RoundState {
-        let n = self.group.n();
+        let n = self.ctx.group.n();
         self.rounds
             .entry(round)
             .or_insert_with(|| RoundState::new(n))
@@ -512,8 +445,8 @@ impl BinaryConsensus {
     /// steps in order, each step judged against the tally its predecessor
     /// has once the pass reaches it. Returns whether anything moved.
     fn revalidate(&mut self) -> bool {
-        let q = self.group.quorum();
-        let f = self.group.f();
+        let q = self.ctx.group.quorum();
+        let f = self.ctx.group.f();
         let mut moved = false;
         // The round before the one being walked, for its step-3 tally.
         let mut prev: Option<(u32, &RoundState)> = None;
@@ -567,7 +500,7 @@ impl BinaryConsensus {
             return false;
         }
         let (r, s) = (self.round, self.step);
-        let quorum = self.group.quorum();
+        let quorum = self.ctx.group.quorum();
         let st = &mut self.round_mut(r).steps[(s - 1) as usize];
         if st.fired || st.accepted_count() < quorum {
             return false;
@@ -576,7 +509,7 @@ impl BinaryConsensus {
         let tally = st.tally();
         // Own values are accepted inline (no revalidate pass), so a step
         // completed by our own broadcast has no recorded closer: use `me`.
-        let closer = st.quorum_closer.unwrap_or(self.me);
+        let closer = st.quorum_closer.unwrap_or(self.ctx.me);
         match s {
             1 => {
                 self.current = Some(majority(&tally));
@@ -589,8 +522,8 @@ impl BinaryConsensus {
                 self.broadcast_current(out);
             }
             3 => {
-                self.span_annotate(
-                    ritas_metrics::SpanAnnotation::RoundQuorum,
+                self.ctx.annotate(
+                    SpanAnnotation::RoundQuorum,
                     ritas_metrics::pack_round_quorum(r, closer as u32),
                 );
                 self.finish_round(&tally, out);
@@ -601,8 +534,8 @@ impl BinaryConsensus {
     }
 
     fn finish_round(&mut self, tally: &Tally, out: &mut BcStep) {
-        let threshold_decide = self.group.byzantine_majority();
-        let threshold_adopt = self.group.one_correct();
+        let threshold_decide = self.ctx.group.byzantine_majority();
+        let threshold_adopt = self.ctx.group.one_correct();
         self.rounds_executed = self.round;
 
         // Pick the non-⊥ value with the larger support (ties to 0).
@@ -616,32 +549,31 @@ impl BinaryConsensus {
             if self.decided.is_none() {
                 self.decided = Some(lead);
                 self.decided_round = Some(self.round);
-                self.metrics.bc_decided.inc();
-                self.metrics.bc_rounds.record(u64::from(self.round));
-                self.metrics.trace(
+                self.ctx.metrics.bc_decided.inc();
+                self.ctx.metrics.bc_rounds.record(u64::from(self.round));
+                self.ctx.metrics.trace(
                     Layer::Bc,
                     "decide",
-                    || format!("bc:{}", self.me),
+                    || format!("bc:{}", self.ctx.me),
                     self.round,
                 );
-                if let Some(path) = &self.span_path {
-                    self.metrics.span_close(path);
-                }
+                self.ctx.close();
                 out.push_output(lead);
             }
             lead
         } else if lead_count >= threshold_adopt {
             lead
         } else {
-            self.metrics.bc_coin_flips.inc();
-            self.metrics.trace(
+            self.ctx.metrics.bc_coin_flips.inc();
+            self.ctx.metrics.trace(
                 Layer::Bc,
                 "coin-flip",
-                || format!("bc:{}", self.me),
+                || format!("bc:{}", self.ctx.me),
                 self.round,
             );
             let bit = self.coin.flip_round(self.round);
-            self.span_annotate(ritas_metrics::SpanAnnotation::CoinFlipped, u64::from(bit));
+            self.ctx
+                .annotate(SpanAnnotation::CoinFlipped, u64::from(bit));
             bit
         };
 
@@ -657,16 +589,14 @@ impl BinaryConsensus {
         self.current = Some(next_value);
         self.round += 1;
         self.step = 1;
-        self.span_annotate(
-            ritas_metrics::SpanAnnotation::RoundEntered,
-            u64::from(self.round),
-        );
+        self.ctx
+            .annotate(SpanAnnotation::RoundEntered, u64::from(self.round));
         self.broadcast_current(out);
     }
 
     /// Broadcasts our current value for (self.round, self.step).
     fn broadcast_current(&mut self, out: &mut BcStep) {
-        let (round, step, origin) = (self.round, self.step, self.me);
+        let (round, step, origin) = (self.round, self.step, self.ctx.me);
         match self.transport {
             StepTransport::ReliableBroadcast => {
                 let payload = Bytes::copy_from_slice(&[encode_val(self.current)]);
@@ -674,14 +604,7 @@ impl BinaryConsensus {
                     .step_rbc(round, step, origin)
                     .broadcast(payload)
                     .expect("own step broadcast is unique per (round, step)");
-                for m in sub.messages {
-                    out.messages.push(m.map(|inner| BcMessage {
-                        round,
-                        step,
-                        origin,
-                        body: BcBody::Rbc(inner),
-                    }));
-                }
+                out.extend(wrap_rbc(round, step, origin, sub));
             }
             StepTransport::PlainFanout => {
                 out.push_broadcast(BcMessage {
@@ -695,22 +618,32 @@ impl BinaryConsensus {
     }
 }
 
+fn wrap_rbc(round: u32, step: u8, origin: ProcessId, sub: Step<RbMessage, Bytes>) -> BcStep {
+    sub.forward(|inner| BcMessage {
+        round,
+        step,
+        origin,
+        body: BcBody::Rbc(inner),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::{Net, Schedule};
-    use ritas_crypto::{DeterministicCoin, FixedCoin};
+    use crate::testing::{ctx, Net, Schedule};
+    use ritas_crypto::{DeterministicCoin, FixedCoin, LocalRoundCoin};
 
-    fn coin(seed: u64) -> Box<dyn Coin + Send> {
-        Box::new(DeterministicCoin::new(seed))
+    const RB: StepTransport = StepTransport::ReliableBroadcast;
+
+    fn coin(seed: u64) -> Box<dyn RoundCoin + Send> {
+        Box::new(LocalRoundCoin(DeterministicCoin::new(seed)))
     }
 
     type BcNet = Net<BinaryConsensus>;
 
     fn bc_net(n: usize, transport: StepTransport, seed: u64) -> BcNet {
-        let g = Group::new(n).unwrap();
         let insts = (0..n)
-            .map(|me| BinaryConsensus::with_transport(g, me, coin(seed ^ me as u64), transport))
+            .map(|me| BinaryConsensus::new(ctx(n, me, 1), coin(seed ^ me as u64), transport))
             .collect();
         Net::connect(insts, seed)
     }
@@ -878,8 +811,7 @@ mod tests {
 
     #[test]
     fn double_propose_rejected() {
-        let g = Group::new(4).unwrap();
-        let mut bc = BinaryConsensus::new(g, 0, coin(1));
+        let mut bc = BinaryConsensus::new(ctx(4, 0, 1), coin(1), RB);
         let _ = bc.propose(true).unwrap();
         assert_eq!(bc.propose(true).unwrap_err(), ProtocolError::AlreadyStarted);
     }
@@ -888,15 +820,11 @@ mod tests {
     fn fixed_coin_adversarial_coins_still_agree() {
         // Worst-case coins (all heads vs all tails across processes) must
         // never break agreement, only possibly delay termination.
-        let g = Group::new(4).unwrap();
         for schedule in Schedule::ALL {
             let insts = (0..4)
                 .map(|me| {
-                    BinaryConsensus::new(
-                        g,
-                        me,
-                        Box::new(FixedCoin(me % 2 == 0)) as Box<dyn Coin + Send>,
-                    )
+                    let coin = Box::new(LocalRoundCoin(FixedCoin(me % 2 == 0)));
+                    BinaryConsensus::new(ctx(4, me, 1), coin, RB)
                 })
                 .collect();
             let mut net = Net::connect(insts, 1);
@@ -917,17 +845,9 @@ mod tests {
     fn shared_coin_instances_agree() {
         use ritas_crypto::SharedCoinDealer;
         for (seed, schedule) in Schedule::sweep(0..5) {
-            let g = Group::new(4).unwrap();
             let dealer = SharedCoinDealer::new(99);
             let insts = (0..4)
-                .map(|me| {
-                    BinaryConsensus::with_round_coin(
-                        g,
-                        me,
-                        Box::new(dealer.coin(1)),
-                        StepTransport::ReliableBroadcast,
-                    )
-                })
+                .map(|me| BinaryConsensus::new(ctx(4, me, 1), Box::new(dealer.coin(1)), RB))
                 .collect();
             let mut net = Net::connect(insts, 400 + seed);
             net.set_schedule(schedule);
@@ -950,17 +870,9 @@ mod tests {
         // coin converges as soon as the coin round fires, because all
         // correct processes flip the *same* bit.
         use ritas_crypto::SharedCoinDealer;
-        let g = Group::new(4).unwrap();
         let dealer = SharedCoinDealer::new(5);
         let insts = (0..4)
-            .map(|me| {
-                BinaryConsensus::with_round_coin(
-                    g,
-                    me,
-                    Box::new(dealer.coin(7)),
-                    StepTransport::ReliableBroadcast,
-                )
-            })
+            .map(|me| BinaryConsensus::new(ctx(4, me, 1), Box::new(dealer.coin(7)), RB))
             .collect();
         let mut net = Net::connect(insts, 31);
         propose(&mut net, 0, true);
@@ -1004,8 +916,7 @@ mod tests {
 
     #[test]
     fn far_future_round_rejected() {
-        let g = Group::new(4).unwrap();
-        let mut bc = BinaryConsensus::new(g, 0, coin(1));
+        let mut bc = BinaryConsensus::new(ctx(4, 0, 1), coin(1), RB);
         let step = bc.handle_message(
             1,
             BcMessage {
@@ -1020,8 +931,7 @@ mod tests {
 
     #[test]
     fn malformed_step_rejected() {
-        let g = Group::new(4).unwrap();
-        let mut bc = BinaryConsensus::new(g, 0, coin(1));
+        let mut bc = BinaryConsensus::new(ctx(4, 0, 1), coin(1), RB);
         let step = bc.handle_message(
             1,
             BcMessage {
@@ -1036,8 +946,7 @@ mod tests {
 
     #[test]
     fn plain_body_rejected_in_rbc_mode() {
-        let g = Group::new(4).unwrap();
-        let mut bc = BinaryConsensus::new(g, 0, coin(1));
+        let mut bc = BinaryConsensus::new(ctx(4, 0, 1), coin(1), RB);
         let step = bc.handle_message(
             1,
             BcMessage {
@@ -1052,8 +961,7 @@ mod tests {
 
     #[test]
     fn plain_fanout_rejects_relayed_values() {
-        let g = Group::new(4).unwrap();
-        let mut bc = BinaryConsensus::with_transport(g, 0, coin(1), StepTransport::PlainFanout);
+        let mut bc = BinaryConsensus::new(ctx(4, 0, 1), coin(1), StepTransport::PlainFanout);
         let step = bc.handle_message(
             2,
             BcMessage {

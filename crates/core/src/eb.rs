@@ -35,14 +35,13 @@
 //! `n > 3f`.
 
 use crate::codec::{Reader, WireError, WireMessage, Writer};
-use crate::config::Group;
+use crate::ctx::Ctx;
 use crate::error::ProtocolError;
 use crate::step::{FaultKind, Step};
 use crate::ProcessId;
 use bytes::Bytes;
 use ritas_crypto::mac::{self, MacTag, TAG_LEN};
-use ritas_crypto::ProcessKeys;
-use ritas_metrics::{Layer, Metrics, SpanAnnotation};
+use ritas_metrics::{Layer, SpanAnnotation};
 
 /// Upper bound on vector entries accepted by the decoder (defense against
 /// allocation attacks; far above any plausible group size).
@@ -156,10 +155,8 @@ pub type EbStep = Step<EbMessage, Bytes>;
 /// like any receiver.
 #[derive(Debug, Clone)]
 pub struct EchoBroadcast {
-    group: Group,
-    me: ProcessId,
+    ctx: Ctx,
     sender: ProcessId,
-    keys: ProcessKeys,
     sent_init: bool,
     /// Whether the sender's `INIT` was accepted, and answered with our
     /// `VECT`; any later `INIT` is compared with the payload it left.
@@ -171,52 +168,27 @@ pub struct EchoBroadcast {
     rows: Vec<Option<Vec<MacTag>>>,
     /// Receiver role: a column that arrived before `INIT` (buffered).
     pending_column: Option<Vec<Option<MacTag>>>,
-    metrics: Metrics,
-    /// Span path of this instance; set by the owner at creation.
-    span_path: Option<String>,
 }
 
 impl EchoBroadcast {
-    /// Creates the instance for a broadcast by `sender`, as seen by `me`.
-    ///
-    /// `keys` must be `me`'s view of the pairwise key table.
+    /// Creates the instance for a broadcast by `sender`, as seen by the
+    /// process of `ctx`.
     ///
     /// # Panics
     ///
-    /// Panics if ids are out of group or `keys` is for a different process
-    /// or group size.
-    pub fn new(group: Group, me: ProcessId, sender: ProcessId, keys: ProcessKeys) -> Self {
-        assert!(group.contains(me), "me out of group");
-        assert!(group.contains(sender), "sender out of group");
-        assert_eq!(keys.me(), me, "key table view belongs to another process");
-        assert_eq!(keys.len(), group.n(), "key table size mismatch");
+    /// Panics if `sender` is outside the group.
+    pub fn new(ctx: Ctx, sender: ProcessId) -> Self {
+        assert!(ctx.group.contains(sender), "sender out of group");
         EchoBroadcast {
-            group,
-            me,
+            rows: vec![None; ctx.group.n()],
+            ctx,
             sender,
-            keys,
             sent_init: false,
             sent_vect: false,
             delivered: false,
             payload: None,
-            rows: vec![None; group.n()],
             pending_column: None,
-            metrics: Metrics::default(),
-            span_path: None,
         }
-    }
-
-    /// Attaches the process-wide metric registry (a free-standing
-    /// instance keeps its private default registry otherwise).
-    pub fn set_metrics(&mut self, metrics: Metrics) {
-        self.metrics = metrics;
-    }
-
-    /// Assigns this instance's span path and opens its span. Call after
-    /// [`EchoBroadcast::set_metrics`], at instance-creation time.
-    pub fn set_span_path(&mut self, path: String) {
-        self.metrics.span_open(path.clone(), Layer::Eb);
-        self.span_path = Some(path);
     }
 
     /// The designated sender of this instance.
@@ -236,9 +208,9 @@ impl EchoBroadcast {
     /// [`ProtocolError::NotSender`] when `me` is not the sender,
     /// [`ProtocolError::AlreadyStarted`] on a second call.
     pub fn broadcast(&mut self, payload: Bytes) -> Result<EbStep, ProtocolError> {
-        if self.me != self.sender {
+        if self.ctx.me != self.sender {
             return Err(ProtocolError::NotSender {
-                me: self.me,
+                me: self.ctx.me,
                 sender: self.sender,
             });
         }
@@ -255,20 +227,20 @@ impl EchoBroadcast {
 
     /// Handles a protocol message from `from`.
     pub fn handle_message(&mut self, from: ProcessId, message: EbMessage) -> EbStep {
-        if !self.group.contains(from) {
+        if !self.ctx.group.contains(from) {
             return Step::fault(from, FaultKind::NotEntitled);
         }
         match message {
             EbMessage::Init(m) => {
-                self.metrics.eb_init_recv.inc();
+                self.ctx.metrics.eb_init_recv.inc();
                 self.on_init(from, m)
             }
             EbMessage::Vect(v) => {
-                self.metrics.eb_vect_recv.inc();
+                self.ctx.metrics.eb_vect_recv.inc();
                 self.on_vect(from, v)
             }
             EbMessage::Mat(col) => {
-                self.metrics.eb_mat_recv.inc();
+                self.ctx.metrics.eb_mat_recv.inc();
                 self.on_mat(from, col)
             }
         }
@@ -289,7 +261,7 @@ impl EchoBroadcast {
             };
         }
         self.sent_vect = true;
-        let v = mac::hash_vector(&m, &self.keys);
+        let v = mac::hash_vector(&m, &self.ctx.keys);
         let mut step = Step::unicast(self.sender, EbMessage::Vect(v));
         self.payload = Some(m);
         // A column may have been waiting for the payload.
@@ -300,11 +272,11 @@ impl EchoBroadcast {
     }
 
     fn on_vect(&mut self, from: ProcessId, v: Vec<MacTag>) -> EbStep {
-        if self.me != self.sender {
+        if self.ctx.me != self.sender {
             // Receivers never get VECTs; treat as misbehaviour.
             return Step::fault(from, FaultKind::NotEntitled);
         }
-        if v.len() != self.group.n() {
+        if v.len() != self.ctx.group.n() {
             return Step::fault(from, FaultKind::Malformed);
         }
         if self.rows[from].is_some() {
@@ -319,21 +291,18 @@ impl EchoBroadcast {
         let Some(payload) = self.payload.as_ref() else {
             return Step::fault(from, FaultKind::NotEntitled);
         };
-        if !mac::verify(payload, &self.keys.key_for(from), &v[self.me]) {
+        if !mac::verify(payload, &self.ctx.keys.key_for(from), &v[self.ctx.me]) {
             return Step::fault(from, FaultKind::BadAuthenticator);
         }
         self.rows[from] = Some(v);
         let collected = self.rows.iter().filter(|r| r.is_some()).count();
-        if collected < self.group.quorum() {
+        if collected < self.ctx.group.quorum() {
             return Step::none();
         }
-        if collected == self.group.quorum() {
+        if collected == self.ctx.group.quorum() {
             // `from`'s row closed the n−f row quorum that releases the
             // matrix columns — the last arrival on this echo step.
-            if let Some(path) = &self.span_path {
-                self.metrics
-                    .span_annotate(path, SpanAnnotation::QuorumMet, from as u64);
-            }
+            self.ctx.annotate(SpanAnnotation::QuorumMet, from as u64);
         }
         // Enough rows: emit column j to every process j. Rows that pass
         // the screen above can still carry invalid entries for OTHER
@@ -344,7 +313,7 @@ impl EchoBroadcast {
         // until every correct row is in, at which point every column
         // carries at least `n - f ≥ ⌊(n+f)/2⌋ + 1` valid entries.
         let mut step = Step::none();
-        for j in self.group.processes() {
+        for j in self.ctx.group.processes() {
             let column: Vec<Option<MacTag>> = self
                 .rows
                 .iter()
@@ -359,7 +328,7 @@ impl EchoBroadcast {
         if from != self.sender {
             return Step::fault(from, FaultKind::NotEntitled);
         }
-        if col.len() != self.group.n() {
+        if col.len() != self.ctx.group.n() {
             return Step::fault(from, FaultKind::Malformed);
         }
         if self.delivered {
@@ -376,18 +345,17 @@ impl EchoBroadcast {
 
     fn try_deliver(&mut self, col: &[Option<MacTag>]) -> EbStep {
         let payload = self.payload.as_ref().expect("payload known").clone();
-        let valid = mac::count_valid_column_entries(&payload, &self.keys, col);
-        if valid >= self.group.echo_threshold() {
+        let valid = mac::count_valid_column_entries(&payload, &self.ctx.keys, col);
+        if valid >= self.ctx.group.echo_threshold() {
             self.delivered = true;
-            self.metrics.eb_delivered.inc();
-            self.metrics
+            self.ctx.metrics.eb_delivered.inc();
+            self.ctx
+                .metrics
                 .trace(Layer::Eb, "deliver", || format!("eb:{}", self.sender), 0);
-            if let Some(path) = &self.span_path {
-                self.metrics.span_close(path);
-            }
+            self.ctx.close();
             Step::output(payload)
         } else {
-            self.metrics.eb_mac_rejected.inc();
+            self.ctx.metrics.eb_mac_rejected.inc();
             Step::fault(self.sender, FaultKind::BadAuthenticator)
         }
     }
@@ -396,14 +364,12 @@ impl EchoBroadcast {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::broadcast_runs;
+    use crate::testing::{broadcast_runs, ctx};
     use ritas_crypto::KeyTable;
 
     fn setup(n: usize, sender: ProcessId) -> Vec<EchoBroadcast> {
-        let g = Group::new(n).unwrap();
-        let table = KeyTable::dealer(n, 42);
         (0..n)
-            .map(|me| EchoBroadcast::new(g, me, sender, table.view_of(me)))
+            .map(|me| EchoBroadcast::new(ctx(n, me, 42), sender))
             .collect()
     }
 
@@ -484,9 +450,7 @@ mod tests {
 
     #[test]
     fn column_with_too_few_valid_hashes_is_rejected() {
-        let g = Group::new(4).unwrap();
-        let table = KeyTable::dealer(4, 1);
-        let mut rx = EchoBroadcast::new(g, 1, 0, table.view_of(1));
+        let mut rx = EchoBroadcast::new(ctx(4, 1, 1), 0);
         let _ = rx.handle_message(0, EbMessage::Init(payload("m")));
         // A column of garbage tags: 0 valid < ⌊(n+f)/2⌋+1 = 3.
         let col = vec![Some(MacTag([9u8; TAG_LEN])); 4];
@@ -498,9 +462,8 @@ mod tests {
 
     #[test]
     fn column_at_exactly_echo_threshold_delivers() {
-        let g = Group::new(4).unwrap();
         let table = KeyTable::dealer(4, 1);
-        let mut rx = EchoBroadcast::new(g, 1, 0, table.view_of(1));
+        let mut rx = EchoBroadcast::new(ctx(4, 1, 1), 0);
         let _ = rx.handle_message(0, EbMessage::Init(payload("m")));
         // Rows 0, 2, 3 computed honestly (tags H(m ‖ s_{i,1})): exactly
         // ⌊(n+f)/2⌋+1 = 3 valid entries, the delivery threshold.
@@ -516,9 +479,8 @@ mod tests {
         // sender split correct deliverers by counting the receiver's own
         // row (see the module docs). One short of the echo quorum must be
         // rejected.
-        let g = Group::new(4).unwrap();
         let table = KeyTable::dealer(4, 1);
-        let mut rx = EchoBroadcast::new(g, 1, 0, table.view_of(1));
+        let mut rx = EchoBroadcast::new(ctx(4, 1, 1), 0);
         let _ = rx.handle_message(0, EbMessage::Init(payload("m")));
         let honest = |i: usize| mac::authenticate(b"m", &table.view_of(i).key_for(1));
         // Sender's row plus the receiver's own row: the classic split
@@ -537,9 +499,8 @@ mod tests {
 
     #[test]
     fn mat_before_init_is_buffered() {
-        let g = Group::new(4).unwrap();
         let table = KeyTable::dealer(4, 1);
-        let mut rx = EchoBroadcast::new(g, 1, 0, table.view_of(1));
+        let mut rx = EchoBroadcast::new(ctx(4, 1, 1), 0);
         let honest = |i: usize| mac::authenticate(b"m", &table.view_of(i).key_for(1));
         // Column entries are indexed by ROW process.
         let col = vec![Some(honest(0)), None, Some(honest(2)), Some(honest(3))];
@@ -551,9 +512,7 @@ mod tests {
 
     #[test]
     fn init_equivocation_faulted() {
-        let g = Group::new(4).unwrap();
-        let table = KeyTable::dealer(4, 1);
-        let mut rx = EchoBroadcast::new(g, 1, 0, table.view_of(1));
+        let mut rx = EchoBroadcast::new(ctx(4, 1, 1), 0);
         let _ = rx.handle_message(0, EbMessage::Init(payload("a")));
         let step = rx.handle_message(0, EbMessage::Init(payload("b")));
         assert_eq!(step.faults[0].kind, FaultKind::Equivocation);
@@ -561,9 +520,7 @@ mod tests {
 
     #[test]
     fn duplicate_init_ignored_silently() {
-        let g = Group::new(4).unwrap();
-        let table = KeyTable::dealer(4, 1);
-        let mut rx = EchoBroadcast::new(g, 1, 0, table.view_of(1));
+        let mut rx = EchoBroadcast::new(ctx(4, 1, 1), 0);
         let first = rx.handle_message(0, EbMessage::Init(payload("a")));
         assert!(matches!(first.messages[0].message, EbMessage::Vect(_)));
         let again = rx.handle_message(0, EbMessage::Init(payload("a")));
@@ -579,9 +536,8 @@ mod tests {
         // comes back: that INIT is its first, answered with the sender's
         // own row; a repeat is silent, and only a *different* one is an
         // equivocation.
-        let g = Group::new(4).unwrap();
         let table = KeyTable::dealer(4, 1);
-        let mut sender = EchoBroadcast::new(g, 0, 0, table.view_of(0));
+        let mut sender = EchoBroadcast::new(ctx(4, 0, 1), 0);
         let _ = sender.broadcast(payload("m")).unwrap();
         let looped = sender.handle_message(0, EbMessage::Init(payload("m")));
         assert!(looped.faults.is_empty());
@@ -597,27 +553,22 @@ mod tests {
 
     #[test]
     fn vect_to_non_sender_faulted() {
-        let g = Group::new(4).unwrap();
-        let table = KeyTable::dealer(4, 1);
-        let mut rx = EchoBroadcast::new(g, 1, 0, table.view_of(1));
+        let mut rx = EchoBroadcast::new(ctx(4, 1, 1), 0);
         let step = rx.handle_message(2, EbMessage::Vect(vec![MacTag([0; TAG_LEN]); 4]));
         assert_eq!(step.faults[0].kind, FaultKind::NotEntitled);
     }
 
     #[test]
     fn wrong_length_vect_faulted() {
-        let g = Group::new(4).unwrap();
-        let table = KeyTable::dealer(4, 1);
-        let mut sender = EchoBroadcast::new(g, 0, 0, table.view_of(0));
+        let mut sender = EchoBroadcast::new(ctx(4, 0, 1), 0);
         let step = sender.handle_message(2, EbMessage::Vect(vec![MacTag([0; TAG_LEN]); 3]));
         assert_eq!(step.faults[0].kind, FaultKind::Malformed);
     }
 
     #[test]
     fn duplicate_vect_rows_ignored() {
-        let g = Group::new(4).unwrap();
         let table = KeyTable::dealer(4, 1);
-        let mut sender = EchoBroadcast::new(g, 0, 0, table.view_of(0));
+        let mut sender = EchoBroadcast::new(ctx(4, 0, 1), 0);
         let _ = sender.broadcast(payload("m")).unwrap();
         let row = |i: usize| mac::hash_vector(b"m", &table.view_of(i));
         let s1 = sender.handle_message(1, EbMessage::Vect(row(1)));
@@ -636,9 +587,8 @@ mod tests {
         // The sender holds the key for its own entry of every row; a row
         // whose sender-entry does not verify is provably bogus and must
         // not enter the matrix (it would only poison columns).
-        let g = Group::new(4).unwrap();
         let table = KeyTable::dealer(4, 1);
-        let mut sender = EchoBroadcast::new(g, 0, 0, table.view_of(0));
+        let mut sender = EchoBroadcast::new(ctx(4, 0, 1), 0);
         let _ = sender.broadcast(payload("m")).unwrap();
         let step = sender.handle_message(1, EbMessage::Vect(vec![MacTag([1; TAG_LEN]); 4]));
         assert_eq!(step.faults[0].kind, FaultKind::BadAuthenticator);
@@ -655,10 +605,9 @@ mod tests {
         // first matrix then leaves honest receivers below the echo
         // quorum; the straggler's honest row must trigger a fresh, fuller
         // matrix so they still deliver.
-        let g = Group::new(4).unwrap();
         let table = KeyTable::dealer(4, 1);
-        let mut sender = EchoBroadcast::new(g, 0, 0, table.view_of(0));
-        let mut rx = EchoBroadcast::new(g, 1, 0, table.view_of(1));
+        let mut sender = EchoBroadcast::new(ctx(4, 0, 1), 0);
+        let mut rx = EchoBroadcast::new(ctx(4, 1, 1), 0);
         let _ = sender.broadcast(payload("m")).unwrap();
         let _ = rx.handle_message(0, EbMessage::Init(payload("m")));
         // Sender's own row 0 (normally looped back via its own INIT).
@@ -702,9 +651,7 @@ mod tests {
 
     #[test]
     fn mat_from_non_sender_faulted() {
-        let g = Group::new(4).unwrap();
-        let table = KeyTable::dealer(4, 1);
-        let mut rx = EchoBroadcast::new(g, 1, 0, table.view_of(1));
+        let mut rx = EchoBroadcast::new(ctx(4, 1, 1), 0);
         let step = rx.handle_message(2, EbMessage::Mat(vec![None; 4]));
         assert_eq!(step.faults[0].kind, FaultKind::NotEntitled);
     }
@@ -719,9 +666,8 @@ mod tests {
         // row and p3's OWN honest row vouch for it — 2 < 3. The echo
         // broadcast property — correct deliverers deliver the same
         // message — holds.
-        let g = Group::new(4).unwrap();
         let table = KeyTable::dealer(4, 13);
-        let rx = |me: usize| EchoBroadcast::new(g, me, 0, table.view_of(me));
+        let rx = |me: usize| EchoBroadcast::new(ctx(4, me, 13), 0);
         let mut p1 = rx(1);
         let mut p2 = rx(2);
         let mut p3 = rx(3);

@@ -66,6 +66,7 @@ pub mod bc;
 pub mod causal;
 pub mod codec;
 pub mod config;
+pub mod ctx;
 pub mod eb;
 pub mod error;
 pub mod fifo;
@@ -85,5 +86,6 @@ pub mod vc;
 pub use ritas_transport::ProcessId;
 
 pub use config::Group;
+pub use ctx::Ctx;
 pub use error::ProtocolError;
 pub use step::{Fault, FaultKind, Outgoing, Step, Target};

@@ -33,15 +33,16 @@
 
 use crate::bc::{BcMessage, BinaryConsensus, StepTransport};
 use crate::codec::{Reader, WireError, WireMessage, Writer};
-use crate::config::Group;
+use crate::ctx::Ctx;
 use crate::eb::{EbMessage, EchoBroadcast};
 use crate::error::ProtocolError;
 use crate::rb::{RbMessage, ReliableBroadcast};
 use crate::step::{FaultKind, Step};
 use crate::ProcessId;
 use bytes::Bytes;
-use ritas_crypto::{Coin, ProcessKeys};
-use ritas_metrics::{Layer, Metrics};
+use ritas_crypto::RoundCoin;
+use ritas_metrics::{Layer, SpanAnnotation};
+use std::fmt::Write as _;
 
 /// Transport used for the `VECT` messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -228,9 +229,9 @@ pub struct MvcConfig {
 
 /// State of one multi-valued consensus instance for process `me`.
 pub struct MultiValuedConsensus {
-    group: Group,
-    me: ProcessId,
-    keys: ProcessKeys,
+    /// Child instances sit below this one's span at `init:{p}`,
+    /// `vect:{p}` and `bc`.
+    ctx: Ctx,
     config: MvcConfig,
     started: bool,
     /// Byzantine faultload flag (paper §4.2): send ⊥ everywhere, 0 to BC.
@@ -256,17 +257,12 @@ pub struct MultiValuedConsensus {
     bc_decision: Option<bool>,
     decided: bool,
     decision: Option<MvcValue>,
-    metrics: Metrics,
-    /// Span path of this instance; set by the owner at creation. Child
-    /// instances get `{path}/init:{p}`, `{path}/vect:{p}` and
-    /// `{path}/bc`.
-    span_path: Option<String>,
 }
 
 impl core::fmt::Debug for MultiValuedConsensus {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("MultiValuedConsensus")
-            .field("me", &self.me)
+            .field("me", &self.ctx.me)
             .field("sent_vect", &self.sent_vect)
             .field("bc_proposed", &self.bc_proposed)
             .field("decided", &self.decided)
@@ -275,40 +271,19 @@ impl core::fmt::Debug for MultiValuedConsensus {
 }
 
 impl MultiValuedConsensus {
-    /// Creates an instance with the paper's configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is out of group or the key view mismatches.
-    pub fn new(group: Group, me: ProcessId, keys: ProcessKeys, coin: Box<dyn Coin + Send>) -> Self {
-        Self::with_config(group, me, keys, coin, MvcConfig::default())
-    }
-
-    /// Creates an instance with explicit transports (ablations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is out of group or the key view mismatches.
-    pub fn with_config(
-        group: Group,
-        me: ProcessId,
-        keys: ProcessKeys,
-        coin: Box<dyn Coin + Send>,
-        config: MvcConfig,
-    ) -> Self {
-        assert!(group.contains(me), "me out of group");
-        assert_eq!(keys.me(), me, "key view mismatch");
-        let n = group.n();
+    /// Creates an instance whose binary consensus flips `coin`
+    /// ([`MvcConfig::default`] is the paper's configuration).
+    pub fn new(ctx: Ctx, coin: Box<dyn RoundCoin + Send>, config: MvcConfig) -> Self {
+        let n = ctx.group.n();
+        let init_rbc = (0..n)
+            .map(|o| ReliableBroadcast::new(ctx.child(Layer::Rb, |f| write!(f, "init:{o}")), o))
+            .collect();
+        let bc = ctx.child(Layer::Bc, |f| f.write_str("bc"));
         MultiValuedConsensus {
-            group,
-            me,
-            keys,
             config,
             started: false,
             byzantine_bottom: false,
-            init_rbc: (0..n)
-                .map(|o| ReliableBroadcast::new(group, me, o))
-                .collect(),
+            init_rbc,
             init_values: vec![None; n],
             vect_inst: (0..n).map(|_| None).collect(),
             vect_pending: vec![None; n],
@@ -316,43 +291,12 @@ impl MultiValuedConsensus {
             vect_suspected: vec![false; n],
             sent_vect: false,
             bc_proposed: false,
-            bc: BinaryConsensus::with_transport(group, me, coin, config.bc_transport),
+            bc: BinaryConsensus::new(bc, coin, config.bc_transport),
             bc_decision: None,
             decided: false,
             decision: None,
-            metrics: Metrics::default(),
-            span_path: None,
+            ctx,
         }
-    }
-
-    /// Assigns this instance's span path, opens its span and cascades
-    /// child paths down the control-block chain (INIT broadcasts, the
-    /// binary consensus, and VECT instances as they are created). Call
-    /// after [`MultiValuedConsensus::set_metrics`].
-    pub fn set_span_path(&mut self, path: String) {
-        self.metrics.span_open(path.clone(), Layer::Mvc);
-        for (o, rb) in self.init_rbc.iter_mut().enumerate() {
-            rb.set_span_path(format!("{path}/init:{o}"));
-        }
-        self.bc.set_span_path(format!("{path}/bc"));
-        self.span_path = Some(path);
-    }
-
-    /// Attaches the process-wide metric registry and propagates it to
-    /// every sub-protocol instance (INIT broadcasts, VECT broadcasts and
-    /// the underlying binary consensus).
-    pub fn set_metrics(&mut self, metrics: Metrics) {
-        for rb in &mut self.init_rbc {
-            rb.set_metrics(metrics.clone());
-        }
-        for inst in self.vect_inst.iter_mut().flatten() {
-            match inst {
-                VectInstance::Echo(eb) => eb.set_metrics(metrics.clone()),
-                VectInstance::Reliable(rb) => rb.set_metrics(metrics.clone()),
-            }
-        }
-        self.bc.set_metrics(metrics.clone());
-        self.metrics = metrics;
     }
 
     /// The decision, once taken (`Some(None)` = decided ⊥).
@@ -401,10 +345,11 @@ impl MultiValuedConsensus {
             return Err(ProtocolError::AlreadyStarted);
         }
         self.started = true;
-        self.metrics.mvc_started.inc();
-        self.metrics
-            .trace(Layer::Mvc, "propose", || format!("mvc:{}", self.me), 0);
-        let me = self.me;
+        self.ctx.metrics.mvc_started.inc();
+        self.ctx
+            .metrics
+            .trace(Layer::Mvc, "propose", || format!("mvc:{}", self.ctx.me), 0);
+        let me = self.ctx.me;
         let mut payload = Writer::new();
         encode_value(&mut payload, &value);
         let sub = self.init_rbc[me].broadcast(payload.freeze())?;
@@ -415,12 +360,12 @@ impl MultiValuedConsensus {
 
     /// Handles a protocol message from `from`.
     pub fn handle_message(&mut self, from: ProcessId, message: MvcMessage) -> MvcStep {
-        if !self.group.contains(from) {
+        if !self.ctx.group.contains(from) {
             return Step::fault(from, FaultKind::NotEntitled);
         }
         let mut out = match message {
             MvcMessage::Init { origin, inner } => {
-                if !self.group.contains(origin) {
+                if !self.ctx.group.contains(origin) {
                     return Step::fault(from, FaultKind::NotEntitled);
                 }
                 let mut sub = self.init_rbc[origin].handle_message(from, inner);
@@ -450,74 +395,41 @@ impl MultiValuedConsensus {
     }
 
     fn vect_instance(&mut self, origin: ProcessId) -> &mut VectInstance {
-        if self.vect_inst[origin].is_none() {
-            let vect_path = self
-                .span_path
-                .as_ref()
-                .map(|base| format!("{base}/vect:{origin}"));
-            let inst = match self.config.vect_transport {
+        self.vect_inst[origin].get_or_insert_with(|| {
+            let vect = |layer| self.ctx.child(layer, |f| write!(f, "vect:{origin}"));
+            match self.config.vect_transport {
                 VectTransport::Echo => {
-                    let mut eb = EchoBroadcast::new(self.group, self.me, origin, self.keys.clone());
-                    eb.set_metrics(self.metrics.clone());
-                    if let Some(p) = vect_path {
-                        eb.set_span_path(p);
-                    }
-                    VectInstance::Echo(eb)
+                    VectInstance::Echo(EchoBroadcast::new(vect(Layer::Eb), origin))
                 }
                 VectTransport::Reliable => {
-                    let mut rb = ReliableBroadcast::new(self.group, self.me, origin);
-                    rb.set_metrics(self.metrics.clone());
-                    if let Some(p) = vect_path {
-                        rb.set_span_path(p);
-                    }
-                    VectInstance::Reliable(rb)
+                    VectInstance::Reliable(ReliableBroadcast::new(vect(Layer::Rb), origin))
                 }
-            };
-            self.vect_inst[origin] = Some(inst);
-        }
-        self.vect_inst[origin].as_mut().expect("just created")
+            }
+        })
     }
 
     fn on_vect_message(&mut self, from: ProcessId, origin: ProcessId, body: VectBody) -> MvcStep {
-        if !self.group.contains(origin) {
+        if !self.ctx.group.contains(origin) {
             return Step::fault(from, FaultKind::NotEntitled);
         }
-        let expected_echo = matches!(self.config.vect_transport, VectTransport::Echo);
-        let mut out = Step::none();
-        let mut delivered: Vec<Bytes> = Vec::new();
-        match (body, expected_echo) {
-            (VectBody::Echo(m), true) => {
-                let inst = self.vect_instance(origin);
-                let VectInstance::Echo(eb) = inst else {
-                    unreachable!()
-                };
-                let mut sub = eb.handle_message(from, m);
-                out.faults.append(&mut sub.faults);
-                delivered.append(&mut sub.outputs);
-                for m in sub.messages {
-                    out.messages.push(m.map(|inner| MvcMessage::Vect {
-                        origin,
-                        inner: VectBody::Echo(inner),
-                    }));
-                }
-            }
-            (VectBody::Reliable(m), false) => {
-                let inst = self.vect_instance(origin);
-                let VectInstance::Reliable(rb) = inst else {
-                    unreachable!()
-                };
-                let mut sub = rb.handle_message(from, m);
-                out.faults.append(&mut sub.faults);
-                delivered.append(&mut sub.outputs);
-                for m in sub.messages {
-                    out.messages.push(m.map(|inner| MvcMessage::Vect {
-                        origin,
-                        inner: VectBody::Reliable(inner),
-                    }));
-                }
-            }
-            _ => return Step::fault(from, FaultKind::Malformed),
+        let echo = matches!(self.config.vect_transport, VectTransport::Echo);
+        if echo != matches!(body, VectBody::Echo(_)) {
+            return Step::fault(from, FaultKind::Malformed);
         }
+        let (delivered, mut out) = match (self.vect_instance(origin), body) {
+            (VectInstance::Echo(eb), VectBody::Echo(m)) => {
+                let mut sub = eb.handle_message(from, m);
+                (
+                    std::mem::take(&mut sub.outputs),
+                    wrap_vect_echo(origin, sub),
+                )
+            }
+            (VectInstance::Reliable(rb), VectBody::Reliable(m)) => {
+                let mut sub = rb.handle_message(from, m);
+                (std::mem::take(&mut sub.outputs), wrap_vect_rb(origin, sub))
+            }
+            _ => unreachable!("the instance is of the configured transport"),
+        };
         for payload in delivered {
             match VectPayload::from_shared(&payload) {
                 Ok(p) => self.on_vect_delivered(origin, p),
@@ -586,12 +498,12 @@ impl MultiValuedConsensus {
     /// asynchrony and is not flagged.
     fn validate_vects(&mut self, out: &mut MvcStep) -> bool {
         let mut moved = false;
-        for origin in 0..self.group.n() {
+        for origin in 0..self.ctx.group.n() {
             let Some(p) = self.vect_pending[origin].as_ref() else {
                 continue;
             };
             if !self.vect_suspected[origin] {
-                let lied = (0..self.group.n()).any(|k| {
+                let lied = (0..self.ctx.group.n()).any(|k| {
                     matches!(
                         (self.init_values.get(k), p.justification.get(k)),
                         (Some(Some(Some(mine))), Some(Some(theirs))) if mine != theirs
@@ -605,7 +517,7 @@ impl MultiValuedConsensus {
             let valid = match &p.value {
                 None => true, // ⊥ needs no justification
                 Some(v) => {
-                    let matching = (0..self.group.n())
+                    let matching = (0..self.ctx.group.n())
                         .filter(|&k| {
                             let mine = matches!(
                                 self.init_values.get(k),
@@ -618,7 +530,7 @@ impl MultiValuedConsensus {
                             mine && theirs
                         })
                         .count();
-                    matching >= self.group.correct_in_quorum()
+                    matching >= self.ctx.group.correct_in_quorum()
                 }
             };
             if valid {
@@ -632,7 +544,7 @@ impl MultiValuedConsensus {
 
     /// After `n − f` `INIT`s: compose and broadcast our `VECT` (once).
     fn maybe_send_vect(&mut self) -> Option<MvcStep> {
-        if self.sent_vect || !self.started || self.init_count() < self.group.quorum() {
+        if self.sent_vect || !self.started || self.init_count() < self.ctx.group.quorum() {
             return None;
         }
         self.sent_vect = true;
@@ -641,7 +553,7 @@ impl MultiValuedConsensus {
             None
         } else {
             self.most_common_init()
-                .filter(|(_, c)| *c >= self.group.correct_in_quorum())
+                .filter(|(_, c)| *c >= self.ctx.group.correct_in_quorum())
                 .map(|(v, _)| v)
         };
         let payload = VectPayload {
@@ -656,8 +568,8 @@ impl MultiValuedConsensus {
             value,
         };
         let bytes = payload.to_bytes();
-        self.metrics.mvc_vect_bytes.record(bytes.len() as u64);
-        let me = self.me;
+        self.ctx.metrics.mvc_vect_bytes.record(bytes.len() as u64);
+        let me = self.ctx.me;
         let sub = match self.vect_instance(me) {
             VectInstance::Echo(eb) => wrap_vect_echo(me, eb.broadcast(bytes).expect("one vect")),
             VectInstance::Reliable(rb) => wrap_vect_rb(me, rb.broadcast(bytes).expect("one vect")),
@@ -692,17 +604,12 @@ impl MultiValuedConsensus {
             return None;
         }
         let valid_count = self.vect_valid.iter().filter(|v| v.is_some()).count();
-        if valid_count < self.group.quorum() {
+        if valid_count < self.ctx.group.quorum() {
             return None;
         }
         self.bc_proposed = true;
-        if let Some(path) = &self.span_path {
-            self.metrics.span_annotate(
-                path,
-                ritas_metrics::SpanAnnotation::VectCollected,
-                valid_count as u64,
-            );
-        }
+        self.ctx
+            .annotate(SpanAnnotation::VectCollected, valid_count as u64);
 
         let proposal = if self.byzantine_bottom {
             false
@@ -710,7 +617,7 @@ impl MultiValuedConsensus {
             let values: Vec<&Bytes> = self.vect_valid.iter().flatten().flatten().collect();
             let conflict = values.iter().any(|a| values.iter().any(|b| a != b));
             let supported = values.iter().any(|v| {
-                values.iter().filter(|w| w == &v).count() >= self.group.correct_in_quorum()
+                values.iter().filter(|w| w == &v).count() >= self.ctx.group.correct_in_quorum()
             });
             !conflict && supported
         };
@@ -732,22 +639,20 @@ impl MultiValuedConsensus {
             Some(false) => {
                 self.decided = true;
                 self.decision = Some(None);
-                self.metrics.mvc_decided_bottom.inc();
-                self.metrics.trace(
+                self.ctx.metrics.mvc_decided_bottom.inc();
+                self.ctx.metrics.trace(
                     Layer::Mvc,
                     "decide-bottom",
-                    || format!("mvc:{}", self.me),
+                    || format!("mvc:{}", self.ctx.me),
                     0,
                 );
-                if let Some(path) = &self.span_path {
-                    self.metrics.span_close(path);
-                }
+                self.ctx.close();
                 out.push_output(None);
                 true
             }
             Some(true) => {
                 // Wait for n−2f valid VECTs with the same value v.
-                let threshold = self.group.correct_in_quorum();
+                let threshold = self.ctx.group.correct_in_quorum();
                 let mut best: Option<(Bytes, usize)> = None;
                 for v in self.vect_valid.iter().flatten().flatten() {
                     let count = self
@@ -766,16 +671,14 @@ impl MultiValuedConsensus {
                     if count >= threshold {
                         self.decided = true;
                         self.decision = Some(Some(v.clone()));
-                        self.metrics.mvc_decided_value.inc();
-                        self.metrics.trace(
+                        self.ctx.metrics.mvc_decided_value.inc();
+                        self.ctx.metrics.trace(
                             Layer::Mvc,
                             "decide-value",
-                            || format!("mvc:{}", self.me),
+                            || format!("mvc:{}", self.ctx.me),
                             0,
                         );
-                        if let Some(path) = &self.span_path {
-                            self.metrics.span_close(path);
-                        }
+                        self.ctx.close();
                         out.push_output(Some(v));
                         return true;
                     }
@@ -800,54 +703,44 @@ impl VectOrInit {
 }
 
 fn wrap_init(origin: ProcessId, sub: Step<RbMessage, Bytes>) -> MvcStep {
-    sub.map_outputs(|_| None)
-        .map_messages(|inner| MvcMessage::Init { origin, inner })
+    sub.forward(|inner| MvcMessage::Init { origin, inner })
 }
 
 fn wrap_vect_echo(origin: ProcessId, sub: Step<EbMessage, Bytes>) -> MvcStep {
-    sub.map_outputs(|_| None)
-        .map_messages(|inner| MvcMessage::Vect {
-            origin,
-            inner: VectBody::Echo(inner),
-        })
+    sub.forward(|inner| MvcMessage::Vect {
+        origin,
+        inner: VectBody::Echo(inner),
+    })
 }
 
 fn wrap_vect_rb(origin: ProcessId, sub: Step<RbMessage, Bytes>) -> MvcStep {
-    sub.map_outputs(|_| None)
-        .map_messages(|inner| MvcMessage::Vect {
-            origin,
-            inner: VectBody::Reliable(inner),
-        })
+    sub.forward(|inner| MvcMessage::Vect {
+        origin,
+        inner: VectBody::Reliable(inner),
+    })
 }
 
 fn wrap_bin(sub: Step<BcMessage, bool>) -> MvcStep {
-    sub.map_outputs(|_| None).map_messages(MvcMessage::Bin)
+    sub.forward(MvcMessage::Bin)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::{Net, Schedule};
-    use ritas_crypto::{DeterministicCoin, KeyTable};
+    use crate::testing::{ctx, Net, Schedule};
+    use ritas_crypto::{DeterministicCoin, LocalRoundCoin};
 
-    fn coin(seed: u64) -> Box<dyn Coin + Send> {
-        Box::new(DeterministicCoin::new(seed))
+    fn coin(seed: u64) -> Box<dyn RoundCoin + Send> {
+        Box::new(LocalRoundCoin(DeterministicCoin::new(seed)))
     }
 
     type MvcNet = Net<MultiValuedConsensus>;
 
     fn mvc_net(n: usize, seed: u64, config: MvcConfig) -> MvcNet {
-        let g = Group::new(n).unwrap();
-        let table = KeyTable::dealer(n, seed);
         let insts = (0..n)
             .map(|me| {
-                MultiValuedConsensus::with_config(
-                    g,
-                    me,
-                    table.view_of(me),
-                    coin(seed ^ (me as u64) << 8),
-                    config,
-                )
+                let coin = coin(seed ^ (me as u64) << 8);
+                MultiValuedConsensus::new(ctx(n, me, seed), coin, config)
             })
             .collect();
         Net::connect(insts, seed)
@@ -1030,9 +923,7 @@ mod tests {
 
     #[test]
     fn double_propose_rejected() {
-        let g = Group::new(4).unwrap();
-        let table = KeyTable::dealer(4, 0);
-        let mut mvc = MultiValuedConsensus::new(g, 0, table.view_of(0), coin(1));
+        let mut mvc = MultiValuedConsensus::new(ctx(4, 0, 0), coin(1), MvcConfig::default());
         let _ = mvc.propose(Bytes::from_static(b"v")).unwrap();
         assert_eq!(
             mvc.propose(Bytes::from_static(b"w")).unwrap_err(),

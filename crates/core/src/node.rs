@@ -379,11 +379,9 @@ impl Node {
             // Epoch 0 is the dealt table itself; the rekey machinery only
             // changes behavior once a rotation advances the epoch
             // (Node::set_key_epoch).
-            let mut auth = AuthConfig::from_key_table(table, me).with_epoch_rekey(
-                config.master_seed,
-                0,
-                config.epoch_grace,
-            );
+            let mut auth = AuthConfig::from_key_table(table, me)
+                .with_epoch_rekey(config.master_seed, 0, config.epoch_grace)
+                .with_metrics(metrics.clone());
             if hold_ab {
                 // A rejoiner lost its AH sequence counters but the peers'
                 // replay windows did not: resume above anything the old
@@ -395,8 +393,7 @@ impl Node {
                     .unwrap_or(u32::MAX as u64);
                 auth = auth.with_initial_seq(now);
             }
-            let mut transport = AuthenticatedTransport::new(transport, auth);
-            transport.set_metrics(metrics.clone());
+            let transport = AuthenticatedTransport::new(transport, auth);
             Node::spawn_with_metrics(transport, stack, metrics)
         } else {
             Node::spawn_with_metrics(transport, stack, metrics)
@@ -442,20 +439,21 @@ impl Node {
         // reconnects are MAC-authenticated and replay-protected even in
         // the `without_authentication` (no AH layer) configuration.
         let session_table = table.clone();
+        let metrics: Vec<Metrics> = (0..n).map(|_| Metrics::new()).collect();
+        let registries = metrics.clone();
         let endpoints = TcpEndpoint::ephemeral_mesh_with(n, timeout, move |me| TcpConfig {
             keys: Some(
                 (0..n)
                     .map(|j| session_table.view_of(me).key_for(j))
                     .collect(),
             ),
+            metrics: registries[me].clone(),
             ..TcpConfig::default()
         })
         .map_err(|_| NodeError::Disconnected)?;
         let mut nodes = Vec::with_capacity(n);
         let mut chaos = Vec::with_capacity(n);
-        for (me, ep) in endpoints.into_iter().enumerate() {
-            let metrics = Metrics::new();
-            ep.set_metrics(metrics.clone());
+        for ((me, ep), metrics) in endpoints.into_iter().enumerate().zip(metrics) {
             chaos.push(ep.chaos_handle());
             nodes.push(Node::assemble(&config, &table, me, ep, metrics, false)?);
         }
@@ -537,8 +535,8 @@ impl Node {
                             Duration::from_nanos(deadline.saturating_sub(now)).min(IDLE_TICK)
                         });
                     // Exhaust everything already queued before advancing
-                    // the agreement task: rounds run in deferred mode (see
-                    // SessionConfig::new), so one round orders every batch
+                    // the agreement task: a round starts only in the
+                    // `poll_all` below, so one round orders every batch
                     // that arrived while the queues drained.
                     loop {
                         match state.transport.recv_timeout(wait) {

@@ -24,12 +24,12 @@
 //! §3.3).
 
 use crate::codec::{Reader, WireError, WireMessage, Writer};
-use crate::config::Group;
+use crate::ctx::Ctx;
 use crate::error::ProtocolError;
 use crate::step::{FaultKind, Step};
 use crate::ProcessId;
 use bytes::Bytes;
-use ritas_metrics::{Layer, Metrics, SpanAnnotation};
+use ritas_metrics::{Layer, SpanAnnotation};
 
 /// Messages of the reliable broadcast protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,13 +91,12 @@ pub type RbStep = Step<RbMessage, Bytes>;
 /// the message flow by hand delivers the payload at a receiver.
 ///
 /// ```
-/// use ritas::config::Group;
 /// use ritas::rb::{ReliableBroadcast, RbMessage};
+/// use ritas::testing::ctx;
 /// use bytes::Bytes;
 ///
-/// let g = Group::new(4)?;
-/// let mut sender = ReliableBroadcast::new(g, 0, 0);
-/// let mut receiver = ReliableBroadcast::new(g, 1, 0);
+/// let mut sender = ReliableBroadcast::new(ctx(4, 0, 7), 0);
+/// let mut receiver = ReliableBroadcast::new(ctx(4, 1, 7), 0);
 ///
 /// let m = Bytes::from_static(b"hello");
 /// let init = sender.broadcast(m.clone())?;
@@ -117,8 +116,7 @@ pub type RbStep = Step<RbMessage, Bytes>;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReliableBroadcast {
-    group: Group,
-    me: ProcessId,
+    ctx: Ctx,
     sender: ProcessId,
     sent_init: bool,
     sent_echo: bool,
@@ -139,51 +137,31 @@ pub struct ReliableBroadcast {
     /// Whether a value split (two distinct payloads among the INIT and
     /// the echoes) was already reported for this instance.
     split_reported: bool,
-    metrics: Metrics,
-    /// Span path of this instance along the control-block chain; set by
-    /// the owner (stack or parent protocol), `None` on free-standing
-    /// instances.
-    span_path: Option<String>,
 }
 
 impl ReliableBroadcast {
-    /// Creates the instance for a broadcast by `sender`, as seen by `me`.
+    /// Creates the instance for a broadcast by `sender`, as seen by the
+    /// process of `ctx`.
     ///
     /// # Panics
     ///
-    /// Panics if `me` or `sender` are outside the group.
-    pub fn new(group: Group, me: ProcessId, sender: ProcessId) -> Self {
-        assert!(group.contains(me), "me out of group");
-        assert!(group.contains(sender), "sender out of group");
+    /// Panics if `sender` is outside the group.
+    pub fn new(ctx: Ctx, sender: ProcessId) -> Self {
+        assert!(ctx.group.contains(sender), "sender out of group");
+        let n = ctx.group.n();
         ReliableBroadcast {
-            group,
-            me,
+            ctx,
             sender,
             sent_init: false,
             sent_echo: false,
             sent_ready: false,
             delivered: false,
             payloads: Vec::new(),
-            echoes: vec![None; group.n()],
-            readies: vec![None; group.n()],
+            echoes: vec![None; n],
+            readies: vec![None; n],
             init: None,
             split_reported: false,
-            metrics: Metrics::default(),
-            span_path: None,
         }
-    }
-
-    /// Attaches the process-wide metric registry (a free-standing
-    /// instance keeps its private default registry otherwise).
-    pub fn set_metrics(&mut self, metrics: Metrics) {
-        self.metrics = metrics;
-    }
-
-    /// Assigns this instance's span path and opens its span. Call after
-    /// [`ReliableBroadcast::set_metrics`], at instance-creation time.
-    pub fn set_span_path(&mut self, path: String) {
-        self.metrics.span_open(path.clone(), Layer::Rb);
-        self.span_path = Some(path);
     }
 
     /// The designated sender of this instance.
@@ -203,9 +181,9 @@ impl ReliableBroadcast {
     /// [`ProtocolError::NotSender`] if `me` is not the designated sender;
     /// [`ProtocolError::AlreadyStarted`] on a second call.
     pub fn broadcast(&mut self, payload: Bytes) -> Result<RbStep, ProtocolError> {
-        if self.me != self.sender {
+        if self.ctx.me != self.sender {
             return Err(ProtocolError::NotSender {
-                me: self.me,
+                me: self.ctx.me,
                 sender: self.sender,
             });
         }
@@ -289,20 +267,20 @@ impl ReliableBroadcast {
     /// Messages from corrupt processes (duplicate, equivocating,
     /// not-entitled) are ignored and reported as faults on the step.
     pub fn handle_message(&mut self, from: ProcessId, message: RbMessage) -> RbStep {
-        if !self.group.contains(from) {
+        if !self.ctx.group.contains(from) {
             return Step::fault(from, FaultKind::NotEntitled);
         }
         match message {
             RbMessage::Init(m) => {
-                self.metrics.rb_init_recv.inc();
+                self.ctx.metrics.rb_init_recv.inc();
                 self.on_init(from, m)
             }
             RbMessage::Echo(m) => {
-                self.metrics.rb_echo_recv.inc();
+                self.ctx.metrics.rb_echo_recv.inc();
                 self.on_echo(from, m)
             }
             RbMessage::Ready(m) => {
-                self.metrics.rb_ready_recv.inc();
+                self.ctx.metrics.rb_ready_recv.inc();
                 self.on_ready(from, m)
             }
         }
@@ -333,14 +311,11 @@ impl ReliableBroadcast {
         self.echoes[from] = Some(i);
         let mut step = Step::none();
         self.report_split(&mut step);
-        if !self.sent_ready && Self::count(&self.echoes, i) >= self.group.echo_threshold() {
+        if !self.sent_ready && Self::count(&self.echoes, i) >= self.ctx.group.echo_threshold() {
             self.sent_ready = true;
             // `from` closed the echo quorum — the last-arriving process
             // on this step of the critical path (cluster forensics).
-            if let Some(path) = &self.span_path {
-                self.metrics
-                    .span_annotate(path, SpanAnnotation::QuorumMet, from as u64);
-            }
+            self.ctx.annotate(SpanAnnotation::QuorumMet, from as u64);
             step.push_broadcast(RbMessage::Ready(m));
         }
         step
@@ -354,21 +329,19 @@ impl ReliableBroadcast {
         self.readies[from] = Some(i);
         let mut step = Step::none();
         let count = Self::count(&self.readies, i);
-        if !self.sent_ready && count >= self.group.one_correct() {
+        if !self.sent_ready && count >= self.ctx.group.one_correct() {
             self.sent_ready = true;
             step.push_broadcast(RbMessage::Ready(m.clone()));
         }
-        if !self.delivered && count >= self.group.byzantine_majority() {
+        if !self.delivered && count >= self.ctx.group.byzantine_majority() {
             self.delivered = true;
-            self.metrics.rb_delivered.inc();
-            self.metrics
+            self.ctx.metrics.rb_delivered.inc();
+            self.ctx
+                .metrics
                 .trace(Layer::Rb, "deliver", || format!("rb:{}", self.sender), 0);
-            if let Some(path) = &self.span_path {
-                // `from` closed the 2f+1 READY quorum that gates delivery.
-                self.metrics
-                    .span_annotate(path, SpanAnnotation::QuorumMet, from as u64);
-                self.metrics.span_close(path);
-            }
+            // `from` closed the 2f+1 READY quorum that gates delivery.
+            self.ctx.annotate(SpanAnnotation::QuorumMet, from as u64);
+            self.ctx.close();
             step.push_output(m);
         }
         step
@@ -378,11 +351,8 @@ impl ReliableBroadcast {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::broadcast_runs;
-
-    fn group4() -> Group {
-        Group::new(4).unwrap()
-    }
+    use crate::config::Group;
+    use crate::testing::{broadcast_runs, ctx};
 
     fn payload(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
@@ -396,10 +366,9 @@ mod tests {
         crashed: &[ProcessId],
         m: &str,
     ) -> Vec<Vec<Option<Bytes>>> {
-        let g = Group::new(n).unwrap();
         let group = || {
             (0..n)
-                .map(|me| ReliableBroadcast::new(g, me, sender))
+                .map(|me| ReliableBroadcast::new(ctx(n, me, 1), sender))
                 .collect()
         };
         broadcast_runs(group, crashed, sender, |rb| {
@@ -447,8 +416,7 @@ mod tests {
 
     #[test]
     fn non_sender_cannot_broadcast() {
-        let g = group4();
-        let mut rb = ReliableBroadcast::new(g, 1, 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), 0);
         assert_eq!(
             rb.broadcast(payload("m")).unwrap_err(),
             ProtocolError::NotSender { me: 1, sender: 0 }
@@ -457,8 +425,7 @@ mod tests {
 
     #[test]
     fn double_broadcast_rejected() {
-        let g = group4();
-        let mut rb = ReliableBroadcast::new(g, 0, 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 0, 1), 0);
         let _ = rb.broadcast(payload("m")).unwrap();
         assert_eq!(
             rb.broadcast(payload("m")).unwrap_err(),
@@ -468,8 +435,7 @@ mod tests {
 
     #[test]
     fn init_from_non_sender_faulted() {
-        let g = group4();
-        let mut rb = ReliableBroadcast::new(g, 1, 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), 0);
         let step = rb.handle_message(2, RbMessage::Init(payload("evil")));
         assert_eq!(step.faults[0].kind, FaultKind::NotEntitled);
         assert!(step.messages.is_empty());
@@ -477,8 +443,7 @@ mod tests {
 
     #[test]
     fn equivocating_init_faulted() {
-        let g = group4();
-        let mut rb = ReliableBroadcast::new(g, 1, 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), 0);
         let _ = rb.handle_message(0, RbMessage::Init(payload("a")));
         let step = rb.handle_message(0, RbMessage::Init(payload("b")));
         assert_eq!(step.faults[0].kind, FaultKind::Equivocation);
@@ -486,8 +451,7 @@ mod tests {
 
     #[test]
     fn duplicate_init_ignored_silently() {
-        let g = group4();
-        let mut rb = ReliableBroadcast::new(g, 1, 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), 0);
         let _ = rb.handle_message(0, RbMessage::Init(payload("a")));
         let step = rb.handle_message(0, RbMessage::Init(payload("a")));
         assert!(step.is_empty());
@@ -495,8 +459,7 @@ mod tests {
 
     #[test]
     fn echo_counted_once_per_process() {
-        let g = group4();
-        let mut rb = ReliableBroadcast::new(g, 1, 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), 0);
         // Three echoes from the SAME process must not reach the threshold.
         for _ in 0..3 {
             let step = rb.handle_message(2, RbMessage::Echo(payload("m")));
@@ -510,8 +473,7 @@ mod tests {
 
     #[test]
     fn equivocating_echo_faulted() {
-        let g = group4();
-        let mut rb = ReliableBroadcast::new(g, 1, 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), 0);
         let _ = rb.handle_message(2, RbMessage::Echo(payload("a")));
         let step = rb.handle_message(2, RbMessage::Echo(payload("b")));
         assert_eq!(step.faults[0].kind, FaultKind::Equivocation);
@@ -524,8 +486,7 @@ mod tests {
         // but the conflicting echoes expose the split. The fault names
         // the sender plus the first holder of each conflicting digest,
         // exactly once per instance.
-        let g = group4();
-        let mut rb = ReliableBroadcast::new(g, 1, 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), 0);
         let s0 = rb.handle_message(2, RbMessage::Echo(payload("a")));
         assert!(s0.faults.is_empty());
         let s1 = rb.handle_message(3, RbMessage::Echo(payload("b")));
@@ -539,8 +500,7 @@ mod tests {
 
     #[test]
     fn init_conflicting_with_echo_is_a_split() {
-        let g = group4();
-        let mut rb = ReliableBroadcast::new(g, 1, 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), 0);
         let _ = rb.handle_message(2, RbMessage::Echo(payload("a")));
         let step = rb.handle_message(0, RbMessage::Init(payload("b")));
         // Suspects: sender 0 (holds "b" via its INIT) and echoer 2
@@ -559,8 +519,7 @@ mod tests {
     fn ready_amplification_from_f_plus_1_readies() {
         // A process that saw no INIT/ECHO still sends READY after f+1
         // READYs, and delivers after 2f+1.
-        let g = group4();
-        let mut rb = ReliableBroadcast::new(g, 1, 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), 0);
         let s1 = rb.handle_message(2, RbMessage::Ready(payload("m")));
         assert!(s1.messages.is_empty());
         let s2 = rb.handle_message(3, RbMessage::Ready(payload("m")));
@@ -573,8 +532,7 @@ mod tests {
 
     #[test]
     fn delivery_happens_once() {
-        let g = group4();
-        let mut rb = ReliableBroadcast::new(g, 0, 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 0, 1), 0);
         for p in 1..4 {
             let _ = rb.handle_message(p, RbMessage::Ready(payload("m")));
         }
@@ -586,8 +544,7 @@ mod tests {
 
     #[test]
     fn mixed_payload_readies_do_not_deliver() {
-        let g = group4();
-        let mut rb = ReliableBroadcast::new(g, 0, 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 0, 1), 0);
         let _ = rb.handle_message(1, RbMessage::Ready(payload("a")));
         let _ = rb.handle_message(2, RbMessage::Ready(payload("b")));
         let step = rb.handle_message(3, RbMessage::Ready(payload("c")));
@@ -597,8 +554,7 @@ mod tests {
 
     #[test]
     fn out_of_group_sender_faulted() {
-        let g = group4();
-        let mut rb = ReliableBroadcast::new(g, 0, 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 0, 1), 0);
         let step = rb.handle_message(7, RbMessage::Echo(payload("m")));
         assert_eq!(step.faults[0].kind, FaultKind::NotEntitled);
     }
@@ -750,7 +706,7 @@ mod tests {
         ) {
             let n = if seven { 7 } else { 4 };
             let g = Group::new(n).unwrap();
-            let mut rb = ReliableBroadcast::new(g, me, sender);
+            let mut rb = ReliableBroadcast::new(ctx(n, me, 1), sender);
             let mut reference = DigestKeyed::new(g, sender);
             for (i, (from, kind, which)) in script.into_iter().enumerate() {
                 let from = from % (n + 1); // n itself: a stranger
@@ -775,8 +731,7 @@ mod tests {
         // contradicts both: one table entry per filled slot, none for the
         // contradictions, and no two slots ever agree.
         for n in [4, 7] {
-            let g = Group::new(n).unwrap();
-            let mut rb = ReliableBroadcast::new(g, 1, 0);
+            let mut rb = ReliableBroadcast::new(ctx(n, 1, 1), 0);
             let _ = rb.handle_message(0, RbMessage::Init(payload("init")));
             for p in 0..n {
                 let echo = rb.handle_message(p, RbMessage::Echo(payload(&format!("e{p}"))));

@@ -19,26 +19,31 @@
 //!   (bounded; see [`Stack::ooc_len`]).
 
 use crate::ab::{AbConfig, AbDelivery, AbMessage, AtomicBroadcast, MsgId};
-use crate::bc::{BcMessage, BinaryConsensus};
+use crate::bc::BinaryConsensus;
 use crate::codec::{Reader, WireError, WireMessage, Writer};
 use crate::config::Group;
-use crate::eb::{EbMessage, EchoBroadcast};
+use crate::ctx::Ctx;
+use crate::eb::EchoBroadcast;
 use crate::error::ProtocolError;
-use crate::mvc::{MultiValuedConsensus, MvcConfig, MvcMessage, MvcValue};
-use crate::rb::{RbMessage, ReliableBroadcast};
-use crate::step::{FaultKind, Step};
-use crate::vc::{DecisionVector, VcMessage, VectorConsensus};
+use crate::mvc::{MultiValuedConsensus, MvcStep, MvcValue};
+use crate::rb::ReliableBroadcast;
+use crate::step::{FaultKind, Process, Step};
+use crate::vc::{DecisionVector, VectorConsensus};
 use crate::ProcessId;
 use bytes::Bytes;
-use ritas_crypto::{Coin, DeterministicCoin, ProcessKeys};
-use ritas_metrics::Metrics;
+use ritas_crypto::{DeterministicCoin, LocalRoundCoin, ProcessKeys, RoundCoin};
+use ritas_metrics::{Layer, Metrics};
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
+use std::sync::Arc;
 
-/// Bounds for the out-of-context table (§3.4): a Byzantine process must
-/// not be able to make us buffer unbounded state.
+/// Bounds for the out-of-context table (§3.4), in instances with parked
+/// frames and in parked frames. A Byzantine process must not be able to
+/// make us buffer unbounded state — nor to take up the room a correct
+/// one's early frames need, so each peer may open, and fill, an equal
+/// share of the table (see [`Stack::ooc_dropped`]).
 const MAX_OOC_INSTANCES: usize = 4096;
-/// Per-instance OOC message cap.
-const MAX_OOC_PER_INSTANCE: usize = 65536;
+const MAX_OOC_FRAMES: usize = 65536;
 
 /// Identifies a top-level protocol instance within a session.
 ///
@@ -87,20 +92,6 @@ pub enum InstanceKey {
     /// [`Output::Xfer`] — the recovery driver in [`crate::rsm`] does its
     /// own request/response matching and `f+1` vote counting.
     Xfer,
-}
-
-/// Root span path of an instance (children extend it with `/`-separated
-/// segments; see `ritas_metrics::SpanRegistry`).
-fn span_path_for(key: &InstanceKey) -> String {
-    match key {
-        InstanceKey::Rb { sender, seq } => format!("rb:{sender}:{seq}"),
-        InstanceKey::Eb { sender, seq } => format!("eb:{sender}:{seq}"),
-        InstanceKey::Bc { tag } => format!("bc:{tag}"),
-        InstanceKey::Mvc { tag } => format!("mvc:{tag}"),
-        InstanceKey::Vc { tag } => format!("vc:{tag}"),
-        InstanceKey::Ab { session } => format!("ab:{session}"),
-        InstanceKey::Xfer => "xfer".to_string(),
-    }
 }
 
 /// Maps a protocol fault to the suspicion counter it increments.
@@ -253,6 +244,73 @@ enum Instance {
     Ab(Box<AtomicBroadcast>),
 }
 
+/// A layer the stack hosts: its messages travel as wire frames under the
+/// instance's key, its outputs surface as [`Output`]s.
+trait Hosted: Process<Msg: WireMessage> {
+    fn lift(&self, key: InstanceKey, out: Self::Out) -> Output;
+
+    /// A step of this instance as a step of the stack.
+    fn encode(&self, key: InstanceKey, sub: Step<Self::Msg, Self::Out>) -> StackStep {
+        sub.map_messages(|m| encode_frame(key, &m))
+            .map_outputs(|out| Some(self.lift(key, out)))
+    }
+
+    /// Handles `inner`, a message of this layer as it came off the wire.
+    fn feed(&mut self, key: InstanceKey, from: ProcessId, inner: &Bytes) -> StackStep {
+        match Self::Msg::from_shared(inner) {
+            Ok(m) => {
+                let sub = self.handle_message(from, m);
+                self.encode(key, sub)
+            }
+            Err(_) => Step::fault(from, FaultKind::Malformed),
+        }
+    }
+}
+
+impl Hosted for ReliableBroadcast {
+    fn lift(&self, key: InstanceKey, payload: Bytes) -> Output {
+        Output::RbDelivered {
+            key,
+            sender: self.sender(),
+            payload,
+        }
+    }
+}
+
+impl Hosted for EchoBroadcast {
+    fn lift(&self, key: InstanceKey, payload: Bytes) -> Output {
+        Output::EbDelivered {
+            key,
+            sender: self.sender(),
+            payload,
+        }
+    }
+}
+
+impl Hosted for BinaryConsensus {
+    fn lift(&self, key: InstanceKey, decision: bool) -> Output {
+        Output::BcDecided { key, decision }
+    }
+}
+
+impl Hosted for MultiValuedConsensus {
+    fn lift(&self, key: InstanceKey, decision: MvcValue) -> Output {
+        Output::MvcDecided { key, decision }
+    }
+}
+
+impl Hosted for VectorConsensus {
+    fn lift(&self, key: InstanceKey, vector: DecisionVector) -> Output {
+        Output::VcDecided { key, vector }
+    }
+}
+
+impl Hosted for AtomicBroadcast {
+    fn lift(&self, key: InstanceKey, delivery: AbDelivery) -> Output {
+        Output::AbDelivered { key, delivery }
+    }
+}
+
 /// Which randomized-coin scheme standalone binary consensus instances
 /// use (paper §5: Ben-Or's local coins vs Rabin's dealer-distributed
 /// shared coins).
@@ -275,12 +333,10 @@ pub enum CoinPolicy {
 /// Stack-wide configuration.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StackConfig {
-    /// Configuration for atomic broadcast sessions (and their agreement
-    /// sub-protocols).
-    pub ab: AbConfig,
-    /// Transports used by standalone consensus instances (`Bc`, `Mvc`,
+    /// Configuration for atomic broadcast sessions; its `mvc` transports
+    /// are also those of the standalone consensus instances (`Bc`, `Mvc`,
     /// `Vc`).
-    pub consensus: MvcConfig,
+    pub ab: AbConfig,
     /// Coin scheme for standalone binary consensus instances.
     pub coin: CoinPolicy,
 }
@@ -309,14 +365,16 @@ pub struct StackConfig {
 /// # Ok::<(), ritas::ProtocolError>(())
 /// ```
 pub struct Stack {
-    group: Group,
-    me: ProcessId,
-    keys: ProcessKeys,
+    /// The root context: every instance is born with a child of it.
+    ctx: Ctx,
     config: StackConfig,
     coin_seed: u64,
     instances: HashMap<InstanceKey, Instance>,
-    /// Out-of-context messages: (from, encoded inner message).
+    /// Out-of-context messages: (from, encoded inner message). The first
+    /// frame of a queue is from the peer that opened it.
     ooc: HashMap<InstanceKey, VecDeque<(ProcessId, Bytes)>>,
+    /// Per peer: OOC queues it opened and frames it has parked.
+    ooc_held: Vec<(usize, usize)>,
     next_rb_seq: u64,
     next_eb_seq: u64,
     /// While `true`, inbound atomic-broadcast frames are parked in the
@@ -325,17 +383,16 @@ pub struct Stack {
     /// [`Stack::ab_resume`]: the parked frames replay once the session
     /// exists at its resume cursor.
     ab_hold: bool,
-    /// Total frames dropped because the OOC table was full.
+    /// Total frames dropped because their sender's OOC share was full.
     ooc_dropped: u64,
     /// Messages currently parked across all OOC queues.
     ooc_buffered: usize,
-    metrics: Metrics,
 }
 
 impl core::fmt::Debug for Stack {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Stack")
-            .field("me", &self.me)
+            .field("me", &self.ctx.me)
             .field("instances", &self.instances.len())
             .field("ooc", &self.ooc.len())
             .finish_non_exhaustive()
@@ -364,54 +421,50 @@ impl Stack {
         coin_seed: u64,
         config: StackConfig,
     ) -> Self {
-        assert!(group.contains(me), "me out of group");
-        assert_eq!(keys.me(), me, "key view mismatch");
         Stack {
-            group,
-            me,
-            keys,
+            ctx: Ctx::new(group, me, Arc::new(keys)).root(),
             config,
             coin_seed,
             instances: HashMap::new(),
             ooc: HashMap::new(),
+            ooc_held: vec![(0, 0); group.n()],
             next_rb_seq: 0,
             next_eb_seq: 0,
             ab_hold: false,
             ooc_dropped: 0,
             ooc_buffered: 0,
-            metrics: Metrics::default(),
         }
     }
 
-    /// Attaches the process-wide metric registry and propagates it to
-    /// every live protocol instance; instances created later inherit it.
+    /// Attaches the process-wide metric registry in place of the private
+    /// one the stack was created with: every instance created from now on
+    /// counts into it. This is the one place a registry is re-wired —
+    /// instances receive theirs at creation and keep it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stack already holds an instance.
     pub fn set_metrics(&mut self, metrics: Metrics) {
-        for inst in self.instances.values_mut() {
-            match inst {
-                Instance::Rb(rb) => rb.set_metrics(metrics.clone()),
-                Instance::Eb(eb) => eb.set_metrics(metrics.clone()),
-                Instance::Bc(bc) => bc.set_metrics(metrics.clone()),
-                Instance::Mvc(mvc) => mvc.set_metrics(metrics.clone()),
-                Instance::Vc(vc) => vc.set_metrics(metrics.clone()),
-                Instance::Ab(ab) => ab.set_metrics(metrics.clone()),
-            }
-        }
-        self.metrics = metrics;
+        assert!(
+            self.instances.is_empty(),
+            "set_metrics on a stack that holds instances"
+        );
+        self.ctx.metrics = metrics;
     }
 
     /// The metric registry shared by every instance of this stack.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.ctx.metrics
     }
 
     /// This process's id.
     pub fn id(&self) -> ProcessId {
-        self.me
+        self.ctx.me
     }
 
     /// The group configuration.
     pub fn group(&self) -> Group {
-        self.group
+        self.ctx.group
     }
 
     /// Number of live protocol instances.
@@ -424,22 +477,20 @@ impl Stack {
         self.ooc.len()
     }
 
-    /// Total frames dropped because the OOC table was at capacity.
+    /// Total frames dropped because the peer that sent them had used up
+    /// its share (one n-th) of the OOC table.
     pub fn ooc_dropped(&self) -> u64 {
         self.ooc_dropped
     }
 
-    fn coin_for(&self, key: &InstanceKey) -> Box<dyn Coin + Send> {
+    fn coin_for(&self, key: &InstanceKey) -> Box<dyn RoundCoin + Send> {
         let salt = match key {
             InstanceKey::Bc { tag } => 0x1000_0000_0000_0000u64 ^ *tag,
             InstanceKey::Mvc { tag } => 0x2000_0000_0000_0000u64 ^ *tag,
-            InstanceKey::Vc { tag } => 0x3000_0000_0000_0000u64 ^ *tag,
-            InstanceKey::Ab { session } => 0x4000_0000_0000_0000u64 ^ *session as u64,
             _ => 0,
         };
-        Box::new(DeterministicCoin::new(
-            self.coin_seed.wrapping_mul(0x9E3779B97F4A7C15) ^ salt,
-        ))
+        let seed = self.coin_seed.wrapping_mul(0x9E3779B97F4A7C15) ^ salt;
+        Box::new(LocalRoundCoin(DeterministicCoin::new(seed)))
     }
 
     fn sub_seed(&self, key: &InstanceKey) -> u64 {
@@ -451,43 +502,92 @@ impl Stack {
         self.coin_seed.wrapping_mul(0x517C_C1B7_2722_0A95) ^ salt
     }
 
+    // ----- instance creation -----
+
+    /// The context the instance under `key` is born with, its root span
+    /// opened (children extend the path with `/`-separated segments; see
+    /// `ritas_metrics::SpanRegistry`).
+    fn ctx_for(&self, key: InstanceKey) -> Ctx {
+        let root = &self.ctx;
+        match key {
+            InstanceKey::Rb { sender, seq } => {
+                root.child(Layer::Rb, |f| write!(f, "rb:{sender}:{seq}"))
+            }
+            InstanceKey::Eb { sender, seq } => {
+                root.child(Layer::Eb, |f| write!(f, "eb:{sender}:{seq}"))
+            }
+            InstanceKey::Bc { tag } => root.child(Layer::Bc, |f| write!(f, "bc:{tag}")),
+            InstanceKey::Mvc { tag } => root.child(Layer::Mvc, |f| write!(f, "mvc:{tag}")),
+            InstanceKey::Vc { tag } => root.child(Layer::Vc, |f| write!(f, "vc:{tag}")),
+            InstanceKey::Ab { session } => root.session(Layer::Ab, |f| write!(f, "ab:{session}")),
+            InstanceKey::Xfer => unreachable!("transfer frames have no instance"),
+        }
+    }
+
+    /// [`Stack::ctx_for`] a consensus instance, which only the first
+    /// proposal creates.
+    fn ctx_for_proposal(&self, key: InstanceKey) -> Result<Ctx, ProtocolError> {
+        if self.instances.contains_key(&key) {
+            return Err(ProtocolError::AlreadyStarted);
+        }
+        Ok(self.ctx_for(key))
+    }
+
+    /// Enters a new instance — the one way one comes to exist. `first` is
+    /// the step of the request that created it (nothing, when a peer's
+    /// frame did); what was parked for it replays behind that.
+    fn install<P: Hosted>(
+        &mut self,
+        key: InstanceKey,
+        inst: P,
+        wrap: fn(P) -> Instance,
+        first: Step<P::Msg, P::Out>,
+    ) -> StackStep {
+        let mut out = inst.encode(key, first);
+        self.instances.insert(key, wrap(inst));
+        self.note_instances();
+        out.extend(self.replay_ooc(key));
+        out
+    }
+
+    /// Enters atomic broadcast session `key` — resumed at `cursor` first,
+    /// on a rejoin (see [`crate::ab::AtomicBroadcast::resume`]).
+    fn open_ab(&mut self, key: InstanceKey, cursor: Option<&crate::ab::AbCursor>) -> StackStep {
+        let mut ab = match self.instances.remove(&key) {
+            Some(Instance::Ab(ab)) => *ab,
+            _ => AtomicBroadcast::new(self.ctx_for(key), self.sub_seed(&key), self.config.ab),
+        };
+        if let Some(cursor) = cursor {
+            ab.resume(cursor);
+        }
+        self.install(key, ab, |ab| Instance::Ab(Box::new(ab)), Step::none())
+    }
+
     // ----- service requests (the ritas_XX_* functions of §3.1) -----
 
     /// Reliably broadcasts `payload`; returns the instance key so the
     /// caller can correlate deliveries.
     pub fn rb_broadcast(&mut self, payload: Bytes) -> (InstanceKey, StackStep) {
         let key = InstanceKey::Rb {
-            sender: self.me,
+            sender: self.ctx.me,
             seq: self.next_rb_seq,
         };
         self.next_rb_seq += 1;
-        let mut inst = ReliableBroadcast::new(self.group, self.me, self.me);
-        inst.set_metrics(self.metrics.clone());
-        inst.set_span_path(span_path_for(&key));
-        let sub = inst.broadcast(payload).expect("fresh instance");
-        self.instances.insert(key, Instance::Rb(inst));
-        self.note_instances();
-        let mut out = encode_rb_step(key, self.me, sub);
-        out.extend(self.replay_ooc(key));
-        (key, out)
+        let mut rb = ReliableBroadcast::new(self.ctx_for(key), self.ctx.me);
+        let first = rb.broadcast(payload).expect("fresh instance");
+        (key, self.install(key, rb, Instance::Rb, first))
     }
 
     /// Echo-broadcasts `payload`.
     pub fn eb_broadcast(&mut self, payload: Bytes) -> (InstanceKey, StackStep) {
         let key = InstanceKey::Eb {
-            sender: self.me,
+            sender: self.ctx.me,
             seq: self.next_eb_seq,
         };
         self.next_eb_seq += 1;
-        let mut inst = EchoBroadcast::new(self.group, self.me, self.me, self.keys.clone());
-        inst.set_metrics(self.metrics.clone());
-        inst.set_span_path(span_path_for(&key));
-        let sub = inst.broadcast(payload).expect("fresh instance");
-        self.instances.insert(key, Instance::Eb(inst));
-        self.note_instances();
-        let mut out = encode_eb_step(key, self.me, sub);
-        out.extend(self.replay_ooc(key));
-        (key, out)
+        let mut eb = EchoBroadcast::new(self.ctx_for(key), self.ctx.me);
+        let first = eb.broadcast(payload).expect("fresh instance");
+        (key, self.install(key, eb, Instance::Eb, first))
     }
 
     /// Proposes a bit for binary consensus instance `tag`.
@@ -497,31 +597,16 @@ impl Stack {
     /// [`ProtocolError::AlreadyStarted`] if `tag` was already proposed.
     pub fn bc_propose(&mut self, tag: u64, value: bool) -> Result<StackStep, ProtocolError> {
         let key = InstanceKey::Bc { tag };
-        if self.instances.contains_key(&key) {
-            return Err(ProtocolError::AlreadyStarted);
-        }
-        let mut inst = match self.config.coin {
-            CoinPolicy::Local => BinaryConsensus::with_transport(
-                self.group,
-                self.me,
-                self.coin_for(&key),
-                self.config.consensus.bc_transport,
-            ),
-            CoinPolicy::Shared { dealer_seed } => BinaryConsensus::with_round_coin(
-                self.group,
-                self.me,
-                Box::new(ritas_crypto::SharedCoinDealer::new(dealer_seed).coin(tag)),
-                self.config.consensus.bc_transport,
-            ),
+        let ctx = self.ctx_for_proposal(key)?;
+        let coin = match self.config.coin {
+            CoinPolicy::Local => self.coin_for(&key),
+            CoinPolicy::Shared { dealer_seed } => {
+                Box::new(ritas_crypto::SharedCoinDealer::new(dealer_seed).coin(tag))
+            }
         };
-        inst.set_metrics(self.metrics.clone());
-        inst.set_span_path(span_path_for(&key));
-        let sub = inst.propose(value)?;
-        self.instances.insert(key, Instance::Bc(inst));
-        self.note_instances();
-        let mut out = encode_bc_step(key, sub);
-        out.extend(self.replay_ooc(key));
-        Ok(out)
+        let mut bc = BinaryConsensus::new(ctx, coin, self.config.ab.mvc.bc_transport);
+        let first = bc.propose(value)?;
+        Ok(self.install(key, bc, Instance::Bc, first))
     }
 
     /// Proposes a value for multi-valued consensus instance `tag`.
@@ -530,25 +615,7 @@ impl Stack {
     ///
     /// [`ProtocolError::AlreadyStarted`] if `tag` was already proposed.
     pub fn mvc_propose(&mut self, tag: u64, value: Bytes) -> Result<StackStep, ProtocolError> {
-        let key = InstanceKey::Mvc { tag };
-        if self.instances.contains_key(&key) {
-            return Err(ProtocolError::AlreadyStarted);
-        }
-        let mut inst = MultiValuedConsensus::with_config(
-            self.group,
-            self.me,
-            self.keys.clone(),
-            self.coin_for(&key),
-            self.config.consensus,
-        );
-        inst.set_metrics(self.metrics.clone());
-        inst.set_span_path(span_path_for(&key));
-        let sub = inst.propose(value)?;
-        self.instances.insert(key, Instance::Mvc(Box::new(inst)));
-        self.note_instances();
-        let mut out = encode_mvc_step(key, sub);
-        out.extend(self.replay_ooc(key));
-        Ok(out)
+        self.mvc_start(tag, |mvc| mvc.propose(value))
     }
 
     /// Runs the paper's §4.2 Byzantine faultload on multi-valued
@@ -559,25 +626,19 @@ impl Stack {
     ///
     /// [`ProtocolError::AlreadyStarted`] if `tag` was already proposed.
     pub fn mvc_propose_bottom(&mut self, tag: u64) -> Result<StackStep, ProtocolError> {
+        self.mvc_start(tag, MultiValuedConsensus::propose_byzantine_bottom)
+    }
+
+    fn mvc_start(
+        &mut self,
+        tag: u64,
+        propose: impl FnOnce(&mut MultiValuedConsensus) -> Result<MvcStep, ProtocolError>,
+    ) -> Result<StackStep, ProtocolError> {
         let key = InstanceKey::Mvc { tag };
-        if self.instances.contains_key(&key) {
-            return Err(ProtocolError::AlreadyStarted);
-        }
-        let mut inst = MultiValuedConsensus::with_config(
-            self.group,
-            self.me,
-            self.keys.clone(),
-            self.coin_for(&key),
-            self.config.consensus,
-        );
-        inst.set_metrics(self.metrics.clone());
-        inst.set_span_path(span_path_for(&key));
-        let sub = inst.propose_byzantine_bottom()?;
-        self.instances.insert(key, Instance::Mvc(Box::new(inst)));
-        self.note_instances();
-        let mut out = encode_mvc_step(key, sub);
-        out.extend(self.replay_ooc(key));
-        Ok(out)
+        let ctx = self.ctx_for_proposal(key)?;
+        let mut mvc = MultiValuedConsensus::new(ctx, self.coin_for(&key), self.config.ab.mvc);
+        let first = propose(&mut mvc)?;
+        Ok(self.install(key, mvc, |mvc| Instance::Mvc(Box::new(mvc)), first))
     }
 
     /// Proposes a value for vector consensus instance `tag`.
@@ -587,36 +648,24 @@ impl Stack {
     /// [`ProtocolError::AlreadyStarted`] if `tag` was already proposed.
     pub fn vc_propose(&mut self, tag: u64, value: Bytes) -> Result<StackStep, ProtocolError> {
         let key = InstanceKey::Vc { tag };
-        if self.instances.contains_key(&key) {
-            return Err(ProtocolError::AlreadyStarted);
-        }
-        let mut inst = VectorConsensus::with_config(
-            self.group,
-            self.me,
-            self.keys.clone(),
-            self.sub_seed(&key),
-            self.config.consensus,
-        );
-        inst.set_metrics(self.metrics.clone());
-        inst.set_span_path(span_path_for(&key));
-        let sub = inst.propose(value)?;
-        self.instances.insert(key, Instance::Vc(inst));
-        self.note_instances();
-        let mut out = encode_vc_step(key, sub);
-        out.extend(self.replay_ooc(key));
-        Ok(out)
+        let ctx = self.ctx_for_proposal(key)?;
+        let mut vc = VectorConsensus::new(ctx, self.sub_seed(&key), self.config.ab.mvc);
+        let first = vc.propose(value)?;
+        Ok(self.install(key, vc, Instance::Vc, first))
     }
 
     /// A-broadcasts `payload` on atomic broadcast session `session`
     /// (created on first use).
     pub fn ab_broadcast(&mut self, session: u32, payload: Bytes) -> (MsgId, StackStep) {
         let key = InstanceKey::Ab { session };
-        self.ensure_ab(key);
         let Some(Instance::Ab(ab)) = self.instances.get_mut(&key) else {
-            unreachable!("just ensured");
+            let mut out = self.open_ab(key, None);
+            let (id, step) = self.ab_broadcast(session, payload);
+            out.extend(step);
+            return (id, out);
         };
         let (id, sub) = ab.broadcast(payload);
-        (id, encode_ab_step(key, sub))
+        (id, ab.encode(key, sub))
     }
 
     /// Starts agreement rounds (atomic broadcast sessions and vector
@@ -628,8 +677,14 @@ impl Stack {
         let mut out = Step::none();
         for (key, inst) in &mut self.instances {
             match inst {
-                Instance::Ab(ab) => out.extend(encode_ab_step(*key, ab.poll())),
-                Instance::Vc(vc) => out.extend(encode_vc_step(*key, vc.poll())),
+                Instance::Ab(ab) => {
+                    let sub = ab.poll();
+                    out.extend(ab.encode(*key, sub));
+                }
+                Instance::Vc(vc) => {
+                    let sub = vc.poll();
+                    out.extend(vc.encode(*key, sub));
+                }
                 _ => {}
             }
         }
@@ -667,7 +722,8 @@ impl Stack {
         let mut out = Step::none();
         for (key, inst) in &mut self.instances {
             if let Instance::Ab(ab) = inst {
-                out.extend(encode_ab_step(*key, ab.tick()));
+                let sub = ab.tick();
+                out.extend(ab.encode(*key, sub));
             }
         }
         out
@@ -715,7 +771,10 @@ impl Stack {
     ) -> StackStep {
         let key = InstanceKey::Ab { session };
         match self.instances.get_mut(&key) {
-            Some(Instance::Ab(ab)) => encode_ab_step(key, f(ab)),
+            Some(Instance::Ab(ab)) => {
+                let sub = f(ab);
+                ab.encode(key, sub)
+            }
             _ => Step::none(),
         }
     }
@@ -736,46 +795,19 @@ impl Stack {
     pub fn ab_resume(&mut self, session: u32, cursor: &crate::ab::AbCursor) -> StackStep {
         let key = InstanceKey::Ab { session };
         self.ab_hold = false;
-        self.ensure_ab(key);
-        if let Some(Instance::Ab(ab)) = self.instances.get_mut(&key) {
-            ab.resume(cursor);
-        }
-        self.replay_ooc(key)
-    }
-
-    fn ensure_ab(&mut self, key: InstanceKey) {
-        if !self.instances.contains_key(&key) {
-            let mut inst = AtomicBroadcast::with_config(
-                self.group,
-                self.me,
-                self.keys.clone(),
-                self.sub_seed(&key),
-                self.config.ab,
-            );
-            inst.set_metrics(self.metrics.clone());
-            inst.set_span_path(span_path_for(&key));
-            self.instances.insert(key, Instance::Ab(Box::new(inst)));
-            self.note_instances();
-            // Replay is handled by the caller paths that create instances;
-            // ensure_ab is also called from handle_frame where OOC cannot
-            // exist (auto-created on first contact).
-        }
+        self.open_ab(key, Some(cursor))
     }
 
     /// Destroys an instance, purging its out-of-context messages (§3.4).
     pub fn destroy(&mut self, key: InstanceKey) {
         self.instances.remove(&key);
-        if let Some(q) = self.ooc.remove(&key) {
-            self.ooc_buffered -= q.len();
-            self.metrics
-                .stack_ooc_buffered
-                .set(self.ooc_buffered as u64);
-        }
+        self.take_ooc(key);
         self.note_instances();
     }
 
     fn note_instances(&self) {
-        self.metrics
+        self.ctx
+            .metrics
             .stack_instances
             .set(self.instances.len() as u64);
     }
@@ -787,20 +819,20 @@ impl Stack {
     /// Malformed frames are reported as faults; messages for instances
     /// that cannot be auto-created are parked in the OOC table.
     pub fn handle_frame(&mut self, from: ProcessId, frame: Bytes) -> StackStep {
-        self.metrics.stack_frames_in.inc();
+        self.ctx.metrics.stack_frames_in.inc();
         let step = self.handle_frame_inner(from, frame);
         if !step.faults.is_empty() {
-            self.metrics.faults_detected.add(step.faults.len() as u64);
+            let metrics = &self.ctx.metrics;
+            metrics.faults_detected.add(step.faults.len() as u64);
             for fault in &step.faults {
-                self.metrics
-                    .suspect(fault.from as u32, suspicion_kind(fault.kind));
+                metrics.suspect(fault.from as u32, suspicion_kind(fault.kind));
             }
         }
         step
     }
 
     fn handle_frame_inner(&mut self, from: ProcessId, frame: Bytes) -> StackStep {
-        if !self.group.contains(from) {
+        if !self.ctx.group.contains(from) {
             return Step::fault(from, FaultKind::NotEntitled);
         }
         let mut r = Reader::shared(&frame);
@@ -829,22 +861,16 @@ impl Stack {
         }
         // Auto-create broadcast instances on first contact.
         if !self.instances.contains_key(&key) {
-            match key {
-                InstanceKey::Rb { sender, .. } if self.group.contains(sender) => {
-                    let mut rb = ReliableBroadcast::new(self.group, self.me, sender);
-                    rb.set_metrics(self.metrics.clone());
-                    rb.set_span_path(span_path_for(&key));
-                    self.instances.insert(key, Instance::Rb(rb));
-                    self.note_instances();
+            let mut out = match key {
+                InstanceKey::Rb { sender, .. } if self.ctx.group.contains(sender) => {
+                    let rb = ReliableBroadcast::new(self.ctx_for(key), sender);
+                    self.install(key, rb, Instance::Rb, Step::none())
                 }
-                InstanceKey::Eb { sender, .. } if self.group.contains(sender) => {
-                    let mut eb = EchoBroadcast::new(self.group, self.me, sender, self.keys.clone());
-                    eb.set_metrics(self.metrics.clone());
-                    eb.set_span_path(span_path_for(&key));
-                    self.instances.insert(key, Instance::Eb(eb));
-                    self.note_instances();
+                InstanceKey::Eb { sender, .. } if self.ctx.group.contains(sender) => {
+                    let eb = EchoBroadcast::new(self.ctx_for(key), sender);
+                    self.install(key, eb, Instance::Eb, Step::none())
                 }
-                InstanceKey::Ab { .. } => self.ensure_ab(key),
+                InstanceKey::Ab { .. } => self.open_ab(key, None),
                 InstanceKey::Rb { .. } | InstanceKey::Eb { .. } => {
                     return Step::fault(from, FaultKind::Malformed);
                 }
@@ -855,89 +881,94 @@ impl Stack {
                 }
                 // Handled by the early return above.
                 InstanceKey::Xfer => return Step::none(),
-            }
+            };
+            out.extend(self.feed_instance(from, key, &inner));
+            return out;
         }
-        self.feed_instance(from, key, inner)
+        self.feed_instance(from, key, &inner)
     }
 
-    fn feed_instance(&mut self, from: ProcessId, key: InstanceKey, inner: Bytes) -> StackStep {
-        let Some(instance) = self.instances.get_mut(&key) else {
-            return Step::none();
-        };
-        match instance {
-            Instance::Rb(rb) => match RbMessage::from_shared(&inner) {
-                Ok(m) => {
-                    let sender = rb.sender();
-                    encode_rb_step(key, sender, rb.handle_message(from, m))
-                }
-                Err(_) => Step::fault(from, FaultKind::Malformed),
-            },
-            Instance::Eb(eb) => match EbMessage::from_shared(&inner) {
-                Ok(m) => {
-                    let sender = eb.sender();
-                    encode_eb_step(key, sender, eb.handle_message(from, m))
-                }
-                Err(_) => Step::fault(from, FaultKind::Malformed),
-            },
-            Instance::Bc(bc) => match BcMessage::from_shared(&inner) {
-                Ok(m) => encode_bc_step(key, bc.handle_message(from, m)),
-                Err(_) => Step::fault(from, FaultKind::Malformed),
-            },
-            Instance::Mvc(mvc) => match MvcMessage::from_shared(&inner) {
-                Ok(m) => encode_mvc_step(key, mvc.handle_message(from, m)),
-                Err(_) => Step::fault(from, FaultKind::Malformed),
-            },
-            Instance::Vc(vc) => match VcMessage::from_shared(&inner) {
-                Ok(m) => encode_vc_step(key, vc.handle_message(from, m)),
-                Err(_) => Step::fault(from, FaultKind::Malformed),
-            },
-            Instance::Ab(ab) => match AbMessage::from_shared(&inner) {
-                Ok(m) => encode_ab_step(key, ab.handle_message(from, m)),
-                Err(_) => Step::fault(from, FaultKind::Malformed),
-            },
+    fn feed_instance(&mut self, from: ProcessId, key: InstanceKey, inner: &Bytes) -> StackStep {
+        match self.instances.get_mut(&key) {
+            Some(Instance::Rb(rb)) => rb.feed(key, from, inner),
+            Some(Instance::Eb(eb)) => eb.feed(key, from, inner),
+            Some(Instance::Bc(bc)) => bc.feed(key, from, inner),
+            Some(Instance::Mvc(mvc)) => mvc.feed(key, from, inner),
+            Some(Instance::Vc(vc)) => vc.feed(key, from, inner),
+            Some(Instance::Ab(ab)) => ab.feed(key, from, inner),
+            None => Step::none(),
         }
     }
 
+    /// Parks a frame that came before its instance, within `from`'s share
+    /// of the table: one n-th of its queues to open and one n-th of its
+    /// frames to fill. What is over is dropped and counted, so a peer
+    /// that floods the table evicts nobody's frames but its own.
     fn park_ooc(&mut self, key: InstanceKey, from: ProcessId, inner: Bytes) {
-        if !self.ooc.contains_key(&key) && self.ooc.len() >= MAX_OOC_INSTANCES {
+        let n = self.ctx.group.n();
+        let metrics = &self.ctx.metrics;
+        let opens = !self.ooc.contains_key(&key);
+        let (opened, parked) = &mut self.ooc_held[from];
+        if *parked >= MAX_OOC_FRAMES / n || (opens && *opened >= MAX_OOC_INSTANCES / n) {
             self.ooc_dropped += 1;
-            self.metrics.stack_ooc_dropped.inc();
+            metrics.stack_ooc_dropped.inc();
             return;
         }
-        let q = self.ooc.entry(key).or_default();
-        if q.len() >= MAX_OOC_PER_INSTANCE {
-            self.ooc_dropped += 1;
-            self.metrics.stack_ooc_dropped.inc();
-            return;
-        }
-        q.push_back((from, inner));
+        *opened += usize::from(opens);
+        *parked += 1;
+        self.ooc.entry(key).or_default().push_back((from, inner));
         self.ooc_buffered += 1;
-        self.metrics.stack_ooc_parked.inc();
-        self.metrics
-            .stack_ooc_buffered
-            .set(self.ooc_buffered as u64);
-        self.metrics
+        metrics.stack_ooc_parked.inc();
+        metrics.stack_ooc_buffered.set(self.ooc_buffered as u64);
+        metrics
             .stack_ooc_high_water
             .set_max(self.ooc_buffered as u64);
     }
 
-    fn replay_ooc(&mut self, key: InstanceKey) -> StackStep {
+    /// Removes what is parked for `key`, giving each peer its share back.
+    fn take_ooc(&mut self, key: InstanceKey) -> VecDeque<(ProcessId, Bytes)> {
         let Some(q) = self.ooc.remove(&key) else {
-            return Step::none();
+            return VecDeque::new();
         };
+        if let Some((opener, _)) = q.front() {
+            self.ooc_held[*opener].0 -= 1;
+        }
+        for (from, _) in &q {
+            self.ooc_held[*from].1 -= 1;
+        }
         self.ooc_buffered -= q.len();
-        self.metrics
+        self.ctx
+            .metrics
             .stack_ooc_buffered
             .set(self.ooc_buffered as u64);
+        q
+    }
+
+    fn replay_ooc(&mut self, key: InstanceKey) -> StackStep {
+        // Held frames wait for `ab_resume`, whatever created the session.
+        if self.ab_hold && matches!(key, InstanceKey::Ab { .. }) {
+            return Step::none();
+        }
         let mut out = Step::none();
-        for (from, inner) in q {
-            out.extend(self.feed_instance(from, key, inner));
+        for (from, inner) in self.take_ooc(key) {
+            out.extend(self.feed_instance(from, key, &inner));
         }
         out
     }
 }
 
-// ----- step encoding: wrap child messages into wire frames -----
+impl Process for Stack {
+    type Msg = Bytes;
+    type Out = Output;
+
+    fn handle_message(&mut self, from: ProcessId, frame: Bytes) -> Step<Bytes, Output> {
+        self.handle_frame(from, frame)
+    }
+
+    fn poll(&mut self) -> Step<Bytes, Output> {
+        self.poll_all()
+    }
+}
 
 fn encode_frame<M: WireMessage>(key: InstanceKey, m: &M) -> Bytes {
     let mut w = Writer::new();
@@ -953,48 +984,6 @@ pub fn encode_xfer(payload: &[u8]) -> Bytes {
     InstanceKey::Xfer.encode(&mut w);
     w.raw(payload);
     w.freeze()
-}
-
-fn encode_rb_step(key: InstanceKey, sender: ProcessId, sub: Step<RbMessage, Bytes>) -> StackStep {
-    sub.map_messages(|m| encode_frame(key, &m))
-        .map_outputs(|payload| {
-            Some(Output::RbDelivered {
-                key,
-                sender,
-                payload,
-            })
-        })
-}
-
-fn encode_eb_step(key: InstanceKey, sender: ProcessId, sub: Step<EbMessage, Bytes>) -> StackStep {
-    sub.map_messages(|m| encode_frame(key, &m))
-        .map_outputs(|payload| {
-            Some(Output::EbDelivered {
-                key,
-                sender,
-                payload,
-            })
-        })
-}
-
-fn encode_bc_step(key: InstanceKey, sub: Step<BcMessage, bool>) -> StackStep {
-    sub.map_messages(|m| encode_frame(key, &m))
-        .map_outputs(|decision| Some(Output::BcDecided { key, decision }))
-}
-
-fn encode_mvc_step(key: InstanceKey, sub: Step<MvcMessage, MvcValue>) -> StackStep {
-    sub.map_messages(|m| encode_frame(key, &m))
-        .map_outputs(|decision| Some(Output::MvcDecided { key, decision }))
-}
-
-fn encode_vc_step(key: InstanceKey, sub: Step<VcMessage, DecisionVector>) -> StackStep {
-    sub.map_messages(|m| encode_frame(key, &m))
-        .map_outputs(|vector| Some(Output::VcDecided { key, vector }))
-}
-
-fn encode_ab_step(key: InstanceKey, sub: Step<AbMessage, AbDelivery>) -> StackStep {
-    sub.map_messages(|m| encode_frame(key, &m))
-        .map_outputs(|delivery| Some(Output::AbDelivered { key, delivery }))
 }
 
 #[cfg(test)]
@@ -1222,7 +1211,7 @@ mod tests {
         vects: usize,
     }
 
-    impl crate::testing::Process for Unpolled {
+    impl Process for Unpolled {
         type Msg = Bytes;
         type Out = Output;
 
@@ -1335,28 +1324,71 @@ mod tests {
     #[test]
     fn ooc_table_is_bounded() {
         // Flood a stack with traffic for thousands of distinct uncreated
-        // consensus instances: the OOC table must cap, not balloon.
+        // consensus instances: the OOC table must cap, not balloon — at
+        // the flooder's share of it, a quarter of 4 096 queues.
         let mut cluster = crate::testing::Cluster::new(4, 40);
-        let mut dropped_seen = false;
+        let frame = |tag| {
+            let mut w = Writer::new();
+            InstanceKey::Bc { tag }.encode(&mut w);
+            w.u8(0xff); // body irrelevant, parked raw
+            w.freeze()
+        };
         for tag in 0..6000u64 {
-            let frame = {
-                let mut w = Writer::new();
-                InstanceKey::Bc { tag }.encode(&mut w);
-                w.u8(0xff); // body irrelevant, parked raw
-                w.freeze()
-            };
-            let _ = cluster.stack_mut(0).handle_frame(1, frame);
+            let _ = cluster.stack_mut(0).handle_frame(1, frame(tag));
         }
+        assert_eq!(cluster.stack_mut(0).ooc_len(), 1024);
+        let dropped = cluster.stack_mut(0).ooc_dropped();
+        assert_eq!(dropped, 6000 - 1024, "drops after exceeding the cap");
+        // The flood evicted nobody else: consensus 7000 starts at the
+        // correct peers first, everything they send process 0 is early,
+        // is parked in full and replays into the decision.
+        cluster.crash(1);
+        for p in [2, 3, 0] {
+            assert!(cluster.outputs(0).is_empty());
+            let step = cluster.stack_mut(p).bc_propose(7000, true).unwrap();
+            cluster.absorb(p, step);
+            cluster.run();
+            assert_eq!(cluster.stack_mut(0).ooc_len(), 1024 + usize::from(p != 0));
+        }
+        assert!(matches!(
+            cluster.outputs(0),
+            [Output::BcDecided { decision: true, .. }]
+        ));
+        // Destroying what the flooder parked gives it its share back.
+        for tag in 0..1024 {
+            cluster.stack_mut(0).destroy(InstanceKey::Bc { tag });
+        }
+        let _ = cluster.stack_mut(0).handle_frame(1, frame(9000));
+        assert_eq!(cluster.stack_mut(0).ooc_len(), 1);
+        assert_eq!(cluster.stack_mut(0).ooc_dropped(), dropped);
+    }
+
+    #[test]
+    fn the_rejoin_hold_parks_every_peers_share_of_frames() {
+        // Under the hold every peer's atomic-broadcast frames go to one
+        // queue: each may park its share of the frame bound there (what
+        // the whole queue could hold before shares existed), and a peer
+        // that sends more loses only its own excess.
+        let share = MAX_OOC_FRAMES / 4;
+        let mut cluster = Cluster::new(4, 42);
+        let (_, step) = cluster
+            .stack_mut(1)
+            .ab_broadcast(0, Bytes::from_static(b"held"));
+        let frame = step.messages[0].message.clone();
         let stack = cluster.stack_mut(0);
-        assert!(
-            stack.ooc_len() <= 4096,
-            "ooc instances: {}",
-            stack.ooc_len()
-        );
-        if stack.ooc_dropped() > 0 {
-            dropped_seen = true;
+        stack.set_ab_hold(true);
+        for from in 1..4 {
+            for _ in 0..share {
+                assert!(stack.handle_frame(from, frame.clone()).is_empty());
+            }
         }
-        assert!(dropped_seen, "expected drops after exceeding the cap");
+        assert_eq!((stack.ooc_len(), stack.ooc_dropped()), (1, 0));
+        assert_eq!(stack.metrics().stack_ooc_buffered.get(), 3 * share as u64);
+        let _ = stack.handle_frame(1, frame.clone());
+        let _ = stack.handle_frame(0, frame);
+        assert_eq!(stack.ooc_dropped(), 1, "peer 1's excess, not process 0's");
+        stack.destroy(InstanceKey::Ab { session: 0 });
+        assert_eq!(stack.metrics().stack_ooc_buffered.get(), 0);
     }
 
     #[test]
@@ -1392,18 +1424,112 @@ mod tests {
                 cluster.run();
             }
         }
+        // The standalone layers too: every one of them created by the
+        // local request at some processes and by a peer's frame (or out
+        // of the OOC table) at the others.
         for p in 0..4 {
-            let delivered = cluster
-                .outputs(p)
-                .iter()
-                .filter(|o| matches!(o, Output::AbDelivered { .. }))
-                .count();
+            let stack = cluster.stack_mut(p);
+            let mut step = stack.rb_broadcast(Bytes::from_static(b"rb")).1;
+            step.extend(stack.eb_broadcast(Bytes::from_static(b"eb")).1);
+            step.extend(stack.bc_propose(1, p % 2 == 0).unwrap());
+            step.extend(stack.mvc_propose(2, Bytes::from_static(b"mvc")).unwrap());
+            step.extend(stack.vc_propose(3, Bytes::from_static(b"vc")).unwrap());
+            cluster.absorb(p, step);
+            cluster.run();
+        }
+        for p in 0..4 {
+            let count = |wanted: fn(&Output) -> bool| {
+                cluster.outputs(p).iter().filter(|o| wanted(o)).count()
+            };
+            let delivered = count(|o| matches!(o, Output::AbDelivered { .. }));
             assert_eq!(delivered, 200, "process {p}");
+            assert_eq!(count(|o| matches!(o, Output::RbDelivered { .. })), 4);
+            assert_eq!(count(|o| matches!(o, Output::EbDelivered { .. })), 4);
+            assert_eq!(count(|o| matches!(o, Output::BcDecided { .. })), 1);
+            assert_eq!(count(|o| matches!(o, Output::MvcDecided { .. })), 1);
+            assert_eq!(count(|o| matches!(o, Output::VcDecided { .. })), 1);
             assert!(cluster.metrics(p).spans().is_empty(), "a span at {p}");
             let snap = cluster.metrics(p).snapshot();
             assert!(snap.trace.is_empty(), "a trace event at {p}");
             assert_eq!(snap.counters["span_orphan_closed"], 0);
         }
+    }
+
+    /// The perfbench segment pattern: one live session, tracing switched
+    /// per segment. What the session creates while tracing is on is
+    /// recorded, whenever the session itself was created.
+    #[test]
+    fn tracing_switched_on_after_session_creation_records_later_batches_and_rounds() {
+        let mut cluster = Cluster::new(4, 32);
+        let broadcast = |cluster: &mut Cluster, payload: &'static [u8]| {
+            let (_, step) = cluster
+                .stack_mut(0)
+                .ab_broadcast(0, Bytes::from_static(payload));
+            cluster.absorb(0, step);
+            cluster.run();
+        };
+        for p in 0..4 {
+            cluster.metrics(p).set_tracing(false);
+        }
+        broadcast(&mut cluster, b"dark");
+        for p in 0..4 {
+            assert!(cluster.metrics(p).spans().is_empty(), "a span at {p}");
+            cluster.metrics(p).set_tracing(true);
+        }
+        broadcast(&mut cluster, b"lit");
+        for p in 0..4 {
+            let spans = cluster.metrics(p).spans();
+            let vect = format!("ab:0/r:1/vect:{p}");
+            for path in ["m:0:1", "b:0:1", "b:0:1/rb", "r:1", "r:1/mvc", "r:1/mvc/bc"]
+                .map(|below| format!("ab:0/{below}"))
+                .iter()
+                .chain([&vect])
+            {
+                let span = spans.iter().find(|s| s.path == *path);
+                assert!(span.is_some_and(|s| s.close.is_some()), "{path} at {p}");
+            }
+            // The session span itself was due while tracing was off, and
+            // nothing of the first command's batch or round shows up.
+            assert!(spans
+                .iter()
+                .all(|s| s.path != "ab:0" && !s.path.contains("b:0:0") && !s.path.contains("r:0")));
+            assert_eq!(cluster.metrics(p).span_orphan_closed.get(), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "set_metrics on a stack that holds instances")]
+    fn set_metrics_is_refused_once_an_instance_exists() {
+        let mut cluster = Cluster::new(4, 33);
+        let _ = cluster.stack_mut(0).rb_broadcast(Bytes::from_static(b"m"));
+        cluster.stack_mut(0).set_metrics(Metrics::new());
+    }
+
+    #[test]
+    fn set_metrics_on_a_fresh_stack_rewires_every_later_instance() {
+        let mut cluster = Cluster::new(4, 34);
+        let metrics = Metrics::new();
+        let before = cluster.metrics(0).clone();
+        cluster.stack_mut(0).set_metrics(metrics.clone());
+        let (_, step) = cluster.stack_mut(0).rb_broadcast(Bytes::from_static(b"m"));
+        cluster.absorb(0, step);
+        let (_, step) = cluster.stack_mut(1).rb_broadcast(Bytes::from_static(b"m"));
+        cluster.absorb(1, step);
+        cluster.run();
+        // Two broadcasts: 2 INITs, 8 ECHOs and 8 READYs reach process 0,
+        // all counted by the stack and by instances it created itself
+        // (its own broadcast) or on a peer's first frame (process 1's).
+        assert_eq!(metrics.stack_frames_in.get(), 18);
+        assert_eq!(metrics.stack_instances.get(), 2);
+        assert_eq!(metrics.rb_init_recv.get(), 2);
+        assert_eq!(metrics.rb_echo_recv.get(), 8);
+        assert_eq!(metrics.rb_ready_recv.get(), 8);
+        assert_eq!(metrics.rb_delivered.get(), 2);
+        assert!(metrics.spans().iter().any(|s| s.path == "rb:1:0"));
+        let old = before.snapshot();
+        assert_eq!(old.counters["stack_frames_in"], 0);
+        assert_eq!(old.counters["rb_init_recv"], 0);
+        assert!(old.spans.is_empty());
     }
 
     #[test]

@@ -9,7 +9,14 @@
 //! transport, the deterministic test cluster and the discrete-event
 //! simulator.
 
+use crate::ab::{AbDelivery, AbMessage, AtomicBroadcast};
+use crate::bc::{BcMessage, BinaryConsensus};
+use crate::eb::{EbMessage, EchoBroadcast};
+use crate::mvc::{MultiValuedConsensus, MvcMessage, MvcValue};
+use crate::rb::{RbMessage, ReliableBroadcast};
+use crate::vc::{DecisionVector, VcMessage, VectorConsensus};
 use crate::ProcessId;
+use bytes::Bytes;
 
 /// Destination of an outgoing protocol message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,7 +219,63 @@ impl<M, O> Step<M, O> {
             faults: self.faults,
         }
     }
+
+    /// A child's step as its parent forwards it: messages re-wrapped by
+    /// `f`, faults kept, outputs dropped — the parent takes those out
+    /// first and consumes them itself.
+    pub fn forward<N, P>(self, mut f: impl FnMut(M) -> N) -> Step<N, P> {
+        Step {
+            messages: self.messages.into_iter().map(|m| m.map(&mut f)).collect(),
+            outputs: Vec::new(),
+            faults: self.faults,
+        }
+    }
 }
+
+/// A sans-io protocol state machine: what every layer is to whatever
+/// drives it — the [`crate::stack::Stack`] that hosts it, or a
+/// [`crate::testing::Net`] of its peers.
+pub trait Process {
+    /// What it exchanges with its peers.
+    type Msg: Clone;
+    /// What it hands the layer above.
+    type Out;
+
+    /// Handles one message from `from`.
+    fn handle_message(&mut self, from: ProcessId, msg: Self::Msg) -> Step<Self::Msg, Self::Out>;
+
+    /// Work that starts outside message handling (agreement rounds): a
+    /// driver polls once its inbound queue is drained, so a round may
+    /// start at any point of the schedule.
+    fn poll(&mut self) -> Step<Self::Msg, Self::Out> {
+        Step::none()
+    }
+}
+
+macro_rules! process {
+    ($ty:ty, $msg:ty, $out:ty $(, $poll:ident)?) => {
+        impl Process for $ty {
+            type Msg = $msg;
+            type Out = $out;
+
+            fn handle_message(&mut self, from: ProcessId, msg: $msg) -> Step<$msg, $out> {
+                <$ty>::handle_message(self, from, msg)
+            }
+            $(
+            fn poll(&mut self) -> Step<$msg, $out> {
+                <$ty>::$poll(self)
+            }
+            )?
+        }
+    };
+}
+
+process!(ReliableBroadcast, RbMessage, Bytes);
+process!(EchoBroadcast, EbMessage, Bytes);
+process!(BinaryConsensus, BcMessage, bool);
+process!(MultiValuedConsensus, MvcMessage, MvcValue);
+process!(VectorConsensus, VcMessage, DecisionVector, poll);
+process!(AtomicBroadcast, AbMessage, AbDelivery, poll);
 
 #[cfg(test)]
 mod tests {

@@ -12,20 +12,16 @@
 //! `ritas-sim` crate; this harness is for functional tests of the
 //! protocol logic.
 
-use crate::ab::{AbDelivery, AbMessage, AtomicBroadcast};
 use crate::adversary::{FrameMutator, SendCtx, Strategy, StrategyRng};
-use crate::bc::{BcMessage, BinaryConsensus};
 use crate::config::Group;
-use crate::eb::{EbMessage, EchoBroadcast};
-use crate::mvc::{MultiValuedConsensus, MvcMessage, MvcValue};
-use crate::rb::{RbMessage, ReliableBroadcast};
-use crate::stack::{Output, Stack};
-use crate::step::{Outgoing, Step, Target};
-use crate::vc::{DecisionVector, VcMessage, VectorConsensus};
+use crate::ctx::Ctx;
+use crate::stack::Stack;
+use crate::step::{Outgoing, Process, Step, Target};
 use crate::ProcessId;
 use bytes::Bytes;
 use ritas_crypto::KeyTable;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// How in-flight frames are picked for delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -78,62 +74,6 @@ impl std::str::FromStr for Schedule {
     }
 }
 
-/// A sans-io protocol state machine a [`Net`] can drive.
-pub trait Process {
-    /// What it exchanges with its peers.
-    type Msg: Clone;
-    /// What it hands the layer above.
-    type Out;
-
-    /// Handles one message from `from`.
-    fn handle_message(&mut self, from: ProcessId, msg: Self::Msg) -> Step<Self::Msg, Self::Out>;
-
-    /// Work that starts outside message handling (agreement rounds); the
-    /// net polls the receiver after every delivered message, so a round
-    /// may start at any point of the schedule, as under a real driver.
-    fn poll(&mut self) -> Step<Self::Msg, Self::Out> {
-        Step::none()
-    }
-}
-
-macro_rules! process {
-    ($ty:ty, $msg:ty, $out:ty $(, $poll:ident)?) => {
-        impl Process for $ty {
-            type Msg = $msg;
-            type Out = $out;
-
-            fn handle_message(&mut self, from: ProcessId, msg: $msg) -> Step<$msg, $out> {
-                <$ty>::handle_message(self, from, msg)
-            }
-            $(
-            fn poll(&mut self) -> Step<$msg, $out> {
-                <$ty>::$poll(self)
-            }
-            )?
-        }
-    };
-}
-
-process!(ReliableBroadcast, RbMessage, Bytes);
-process!(EchoBroadcast, EbMessage, Bytes);
-process!(BinaryConsensus, BcMessage, bool);
-process!(MultiValuedConsensus, MvcMessage, MvcValue);
-process!(VectorConsensus, VcMessage, DecisionVector, poll);
-process!(AtomicBroadcast, AbMessage, AbDelivery, poll);
-
-impl Process for Stack {
-    type Msg = Bytes;
-    type Out = Output;
-
-    fn handle_message(&mut self, from: ProcessId, frame: Bytes) -> Step<Bytes, Output> {
-        self.handle_frame(from, frame)
-    }
-
-    fn poll(&mut self) -> Step<Bytes, Output> {
-        self.poll_all()
-    }
-}
-
 /// What a process's outbound traffic turns into before it enters the
 /// network: `(destination, message)` pairs, in travel order.
 pub trait Wire<M> {
@@ -160,6 +100,17 @@ impl<M: Clone> Wire<M> for Faithful {
     }
 }
 
+/// The context of a free-standing instance at process `me` of a group of
+/// `n` whose keys are dealt from `seed`.
+///
+/// # Panics
+///
+/// Panics if `n < 4` or `me >= n`.
+pub fn ctx(n: usize, me: ProcessId, seed: u64) -> Ctx {
+    let keys = KeyTable::dealer(n, seed).view_of(me);
+    Ctx::new(Group::new(n).expect("n >= 4"), me, Arc::new(keys))
+}
+
 /// A deterministic network of `n` processes connected by reliable links.
 ///
 /// # Example
@@ -168,12 +119,10 @@ impl<M: Clone> Wire<M> for Faithful {
 ///
 /// ```
 /// use ritas::rb::ReliableBroadcast;
-/// use ritas::testing::Net;
-/// use ritas::Group;
+/// use ritas::testing::{ctx, Net};
 /// use bytes::Bytes;
 ///
-/// let g = Group::new(4)?;
-/// let mut net = Net::connect((0..4).map(|me| ReliableBroadcast::new(g, me, 0)).collect(), 7);
+/// let mut net = Net::connect((0..4).map(|me| ReliableBroadcast::new(ctx(4, me, 1), 0)).collect(), 7);
 /// let step = net.process_mut(0).broadcast(Bytes::from_static(b"hi"))?;
 /// net.absorb(0, step);
 /// net.run();
@@ -566,6 +515,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stack::Output;
 
     #[test]
     fn fifo_and_lifo_schedules_still_converge() {

@@ -23,16 +23,17 @@
 //! permanently silent processes.
 
 use crate::codec::{Reader, WireError, WireMessage, Writer};
-use crate::config::Group;
+use crate::ctx::Ctx;
 use crate::error::ProtocolError;
 use crate::mvc::{MultiValuedConsensus, MvcConfig, MvcMessage, MvcValue};
 use crate::rb::{RbMessage, ReliableBroadcast};
 use crate::step::{FaultKind, Step};
 use crate::ProcessId;
 use bytes::Bytes;
-use ritas_crypto::{Coin, DeterministicCoin, ProcessKeys};
-use ritas_metrics::{Layer, Metrics};
+use ritas_crypto::{DeterministicCoin, LocalRoundCoin};
+use ritas_metrics::{Layer, SpanAnnotation};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// The decided vector: entry `i` is `p_i`'s proposal or `None` (⊥).
 pub type DecisionVector = Vec<Option<Bytes>>;
@@ -144,9 +145,9 @@ const MAX_ROUND_AHEAD: u32 = 64;
 
 /// State of one vector consensus instance for process `me`.
 pub struct VectorConsensus {
-    group: Group,
-    me: ProcessId,
-    keys: ProcessKeys,
+    /// Child instances sit below this one's span at `prop:{p}` and
+    /// `mvc:{r}`.
+    ctx: Ctx,
     mvc_config: MvcConfig,
     coin_seed: u64,
     started: bool,
@@ -161,16 +162,12 @@ pub struct VectorConsensus {
     /// MVC instances per round.
     rounds: BTreeMap<u32, MultiValuedConsensus>,
     decided: bool,
-    metrics: Metrics,
-    /// Span path of this instance; set by the owner at creation. Child
-    /// instances get `{path}/prop:{p}` and `{path}/mvc:{r}`.
-    span_path: Option<String>,
 }
 
 impl core::fmt::Debug for VectorConsensus {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("VectorConsensus")
-            .field("me", &self.me)
+            .field("me", &self.ctx.me)
             .field("round", &self.round)
             .field("decided", &self.decided)
             .finish_non_exhaustive()
@@ -178,80 +175,28 @@ impl core::fmt::Debug for VectorConsensus {
 }
 
 impl VectorConsensus {
-    /// Creates an instance.
+    /// Creates an instance whose rounds run multi-valued consensus as
+    /// `mvc_config` says ([`MvcConfig::default`] is the paper's).
     ///
     /// `coin_seed` seeds the per-round binary consensus coins (each round
     /// derives an independent deterministic coin; pass entropy in
     /// production, a fixed seed for reproducible runs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is out of group or the key view mismatches.
-    pub fn new(group: Group, me: ProcessId, keys: ProcessKeys, coin_seed: u64) -> Self {
-        Self::with_config(group, me, keys, coin_seed, MvcConfig::default())
-    }
-
-    /// Creates an instance with explicit child-protocol transports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is out of group or the key view mismatches.
-    pub fn with_config(
-        group: Group,
-        me: ProcessId,
-        keys: ProcessKeys,
-        coin_seed: u64,
-        mvc_config: MvcConfig,
-    ) -> Self {
-        assert!(group.contains(me), "me out of group");
-        assert_eq!(keys.me(), me, "key view mismatch");
-        let n = group.n();
+    pub fn new(ctx: Ctx, coin_seed: u64, mvc_config: MvcConfig) -> Self {
+        let n = ctx.group.n();
         VectorConsensus {
-            group,
-            me,
-            keys,
             mvc_config,
             coin_seed,
             started: false,
             prop_rbc: (0..n)
-                .map(|o| ReliableBroadcast::new(group, me, o))
+                .map(|o| ReliableBroadcast::new(ctx.child(Layer::Rb, |f| write!(f, "prop:{o}")), o))
                 .collect(),
             proposals: vec![None; n],
             round: 0,
             round_proposed: false,
             rounds: BTreeMap::new(),
             decided: false,
-            metrics: Metrics::default(),
-            span_path: None,
+            ctx,
         }
-    }
-
-    /// Assigns this instance's span path, opens its span and cascades
-    /// child paths down the control-block chain (proposal broadcasts now,
-    /// per-round multi-valued consensus instances as they are created).
-    /// Call after [`VectorConsensus::set_metrics`].
-    pub fn set_span_path(&mut self, path: String) {
-        self.metrics.span_open(path.clone(), Layer::Vc);
-        for (o, rb) in self.prop_rbc.iter_mut().enumerate() {
-            rb.set_span_path(format!("{path}/prop:{o}"));
-        }
-        for (r, mvc) in self.rounds.iter_mut() {
-            mvc.set_span_path(format!("{path}/mvc:{r}"));
-        }
-        self.span_path = Some(path);
-    }
-
-    /// Attaches the process-wide metric registry and propagates it to
-    /// every sub-protocol instance (proposal broadcasts and per-round
-    /// multi-valued consensus).
-    pub fn set_metrics(&mut self, metrics: Metrics) {
-        for rb in &mut self.prop_rbc {
-            rb.set_metrics(metrics.clone());
-        }
-        for mvc in self.rounds.values_mut() {
-            mvc.set_metrics(metrics.clone());
-        }
-        self.metrics = metrics;
     }
 
     /// Starts the current round's agreement once enough proposals
@@ -284,14 +229,14 @@ impl VectorConsensus {
             return Err(ProtocolError::AlreadyStarted);
         }
         self.started = true;
-        self.metrics.vc_started.inc();
-        self.metrics.trace(
+        self.ctx.metrics.vc_started.inc();
+        self.ctx.metrics.trace(
             Layer::Vc,
             "propose",
-            || format!("vc:{}", self.me),
+            || format!("vc:{}", self.ctx.me),
             self.round,
         );
-        let me = self.me;
+        let me = self.ctx.me;
         let sub = self.prop_rbc[me].broadcast(value)?;
         let mut out = wrap_prop(me, sub);
         out.extend(self.settle(false));
@@ -300,12 +245,12 @@ impl VectorConsensus {
 
     /// Handles a protocol message from `from`.
     pub fn handle_message(&mut self, from: ProcessId, message: VcMessage) -> VcStep {
-        if !self.group.contains(from) {
+        if !self.ctx.group.contains(from) {
             return Step::fault(from, FaultKind::NotEntitled);
         }
         let mut out = match message {
             VcMessage::Prop { origin, inner } => {
-                if !self.group.contains(origin) {
+                if !self.ctx.group.contains(origin) {
                     return Step::fault(from, FaultKind::NotEntitled);
                 }
                 let mut sub = self.prop_rbc[origin].handle_message(from, inner);
@@ -338,18 +283,11 @@ impl VectorConsensus {
                 .coin_seed
                 .wrapping_mul(0x9E3779B97F4A7C15)
                 .wrapping_add(round as u64);
-            let mut mvc = MultiValuedConsensus::with_config(
-                self.group,
-                self.me,
-                self.keys.clone(),
-                Box::new(DeterministicCoin::new(seed)) as Box<dyn Coin + Send>,
+            MultiValuedConsensus::new(
+                self.ctx.child(Layer::Mvc, |f| write!(f, "mvc:{round}")),
+                Box::new(LocalRoundCoin(DeterministicCoin::new(seed))),
                 self.mvc_config,
-            );
-            mvc.set_metrics(self.metrics.clone());
-            if let Some(base) = &self.span_path {
-                mvc.set_span_path(format!("{base}/mvc:{round}"));
-            }
-            mvc
+            )
         })
     }
 
@@ -359,7 +297,7 @@ impl VectorConsensus {
 
     /// Round-`r` wait threshold: `n − f + r`, capped at `n`.
     fn threshold(&self, round: u32) -> usize {
-        (self.group.quorum() + round as usize).min(self.group.n())
+        (self.ctx.group.quorum() + round as usize).min(self.ctx.group.n())
     }
 
     fn settle(&mut self, start_rounds: bool) -> VcStep {
@@ -375,13 +313,8 @@ impl VectorConsensus {
             {
                 self.round_proposed = true;
                 let round = self.round;
-                if let Some(path) = &self.span_path {
-                    self.metrics.span_annotate(
-                        path,
-                        ritas_metrics::SpanAnnotation::RoundEntered,
-                        u64::from(round),
-                    );
-                }
+                self.ctx
+                    .annotate(SpanAnnotation::RoundEntered, u64::from(round));
                 let w = encode_vector(&self.proposals);
                 let mvc = self.round_instance(round);
                 let sub = mvc.propose(w).expect("round proposed once");
@@ -394,23 +327,21 @@ impl VectorConsensus {
                 let decision: Option<MvcValue> =
                     self.rounds.get(&round).and_then(|m| m.decision().cloned());
                 match decision {
-                    Some(Some(bytes)) => match decode_vector(&bytes, self.group.n()) {
+                    Some(Some(bytes)) => match decode_vector(&bytes, self.ctx.group.n()) {
                         Ok(v) => {
                             self.decided = true;
-                            self.metrics.vc_decided.inc();
+                            self.ctx.metrics.vc_decided.inc();
                             // Rounds are 0-based; record how many ran.
-                            self.metrics.vc_rounds.record(u64::from(round) + 1);
+                            self.ctx.metrics.vc_rounds.record(u64::from(round) + 1);
                             let bottoms = v.iter().filter(|e| e.is_none()).count();
-                            self.metrics.vc_bottom_entries.add(bottoms as u64);
-                            self.metrics.trace(
+                            self.ctx.metrics.vc_bottom_entries.add(bottoms as u64);
+                            self.ctx.metrics.trace(
                                 Layer::Vc,
                                 "decide",
-                                || format!("vc:{}", self.me),
+                                || format!("vc:{}", self.ctx.me),
                                 round,
                             );
-                            if let Some(path) = &self.span_path {
-                                self.metrics.span_close(path);
-                            }
+                            self.ctx.close();
                             out.push_output(v);
                             progressed = true;
                         }
@@ -441,28 +372,25 @@ impl VectorConsensus {
 }
 
 fn wrap_prop(origin: ProcessId, sub: Step<RbMessage, Bytes>) -> VcStep {
-    sub.map_outputs(|_| None)
-        .map_messages(|inner| VcMessage::Prop { origin, inner })
+    sub.forward(|inner| VcMessage::Prop { origin, inner })
 }
 
 fn wrap_round(round: u32, sub: Step<MvcMessage, MvcValue>) -> VcStep {
-    sub.map_outputs(|_| None)
-        .map_messages(|inner| VcMessage::Round { round, inner })
+    sub.forward(|inner| VcMessage::Round { round, inner })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::{Net, Schedule};
-    use ritas_crypto::KeyTable;
+    use crate::testing::{ctx, Net, Schedule};
 
     type VcNet = Net<VectorConsensus>;
 
     fn vc_net(n: usize, seed: u64) -> VcNet {
-        let g = Group::new(n).unwrap();
-        let table = KeyTable::dealer(n, seed);
         let insts = (0..n)
-            .map(|me| VectorConsensus::new(g, me, table.view_of(me), seed ^ me as u64))
+            .map(|me| {
+                VectorConsensus::new(ctx(n, me, seed), seed ^ me as u64, MvcConfig::default())
+            })
             .collect();
         Net::connect(insts, seed)
     }
@@ -555,9 +483,7 @@ mod tests {
 
     #[test]
     fn double_propose_rejected() {
-        let g = Group::new(4).unwrap();
-        let table = KeyTable::dealer(4, 0);
-        let mut vc = VectorConsensus::new(g, 0, table.view_of(0), 1);
+        let mut vc = VectorConsensus::new(ctx(4, 0, 0), 1, MvcConfig::default());
         let _ = vc.propose(Bytes::from_static(b"v")).unwrap();
         assert_eq!(
             vc.propose(Bytes::from_static(b"w")).unwrap_err(),
@@ -567,9 +493,7 @@ mod tests {
 
     #[test]
     fn far_future_round_rejected() {
-        let g = Group::new(4).unwrap();
-        let table = KeyTable::dealer(4, 0);
-        let mut vc = VectorConsensus::new(g, 0, table.view_of(0), 1);
+        let mut vc = VectorConsensus::new(ctx(4, 0, 0), 1, MvcConfig::default());
         let step = vc.handle_message(
             1,
             VcMessage::Round {

@@ -1353,8 +1353,10 @@ impl Metrics {
     /// allocating observability paths (`span_open`, `span_close`,
     /// `span_annotate`, `trace`) become no-ops when disabled. Throughput
     /// benchmarks turn tracing off so the measurement isn't dominated by
-    /// its own instrumentation (~30% CPU on a saturated single core);
-    /// everything else keeps the default (enabled).
+    /// its own instrumentation (20–25 % of a saturated single core as
+    /// perfbench's `metrics.tracing_cost_pct` reads it since PR 18,
+    /// ≈ 60 µs per a-delivered command); everything else keeps the
+    /// default (enabled).
     pub fn set_tracing(&self, enabled: bool) {
         self.inner.tracing_enabled.store(enabled, Ordering::Relaxed);
     }

@@ -270,7 +270,13 @@ pub struct SimCluster {
 /// Builds process `me`'s protocol stack from nothing but the run
 /// configuration — used both at cluster construction and when a
 /// [`Faultload::Wipe`] victim rejoins with zero state.
-fn fresh_stack(config: &SimConfig, group: Group, table: &KeyTable, me: ProcessId) -> Stack {
+fn fresh_stack(
+    config: &SimConfig,
+    group: Group,
+    table: &KeyTable,
+    me: ProcessId,
+    metrics: &Metrics,
+) -> Stack {
     let stack_config = StackConfig {
         ab: ritas::ab::AbConfig {
             mvc: config.mvc,
@@ -280,16 +286,17 @@ fn fresh_stack(config: &SimConfig, group: Group, table: &KeyTable, me: ProcessId
             // instance-for-instance, so batching stays off.
             batch: ritas::ab::BatchPolicy::immediate(),
         },
-        consensus: config.mvc,
         coin: config.coin,
     };
-    Stack::with_config(
+    let mut stack = Stack::with_config(
         group,
         me,
         table.view_of(me),
         config.seed.wrapping_mul(0xD6E8_FEB8_6659_FD93) ^ ((me as u64) << 24),
         stack_config,
-    )
+    );
+    stack.set_metrics(metrics.clone());
+    stack
 }
 
 impl SimCluster {
@@ -305,11 +312,7 @@ impl SimCluster {
             .map(|_| AMBIENT_METRICS.get().cloned().unwrap_or_else(Metrics::new))
             .collect();
         let stacks = (0..config.n)
-            .map(|me| {
-                let mut stack = fresh_stack(&config, group, &table, me);
-                stack.set_metrics(metrics[me].clone());
-                stack
-            })
+            .map(|me| fresh_stack(&config, group, &table, me, &metrics[me]))
             .collect();
         // The observer must be a live, correct process (a wipe victim
         // loses its state mid-run, so it cannot observe either). Under
@@ -546,9 +549,7 @@ impl SimCluster {
                     // old incarnation died with it at the crash edge.
                     let group = Group::new(self.config.n).expect("n >= 4");
                     let table = KeyTable::dealer(self.config.n, self.config.seed);
-                    let mut stack = fresh_stack(&self.config, group, &table, p);
-                    stack.set_metrics(self.metrics[p].clone());
-                    self.stacks[p] = stack;
+                    self.stacks[p] = fresh_stack(&self.config, group, &table, p, &self.metrics[p]);
                 }
             }
         }

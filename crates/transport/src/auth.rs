@@ -100,6 +100,9 @@ pub struct AuthConfig {
     initial_seq: u64,
     /// Epoch key refresh, when enabled.
     rekey: Option<RekeyConfig>,
+    /// Where rejections and epoch switches are counted (a private
+    /// registry unless [`AuthConfig::with_metrics`] hands one in).
+    metrics: Metrics,
 }
 
 impl AuthConfig {
@@ -115,7 +118,16 @@ impl AuthConfig {
             anti_replay: true,
             initial_seq: 0,
             rekey: None,
+            metrics: Metrics::default(),
         }
+    }
+
+    /// Counts into `metrics` — the registry the owner of the transport
+    /// shares with the stack above it; MAC rejections land in
+    /// `transport_mac_rejected`.
+    pub fn with_metrics(mut self, metrics: Metrics) -> Self {
+        self.metrics = metrics;
+        self
     }
 
     /// Disables anti-replay (used by tests that re-inject frames).
@@ -226,10 +238,6 @@ pub struct AuthenticatedTransport<T: Transport> {
     rejected: AtomicU64,
     /// The key epoch frames are sealed and opened under.
     rekey: RekeyRuntime,
-    /// Observability registry (a private one until [`set_metrics`] is called).
-    ///
-    /// [`set_metrics`]: AuthenticatedTransport::set_metrics
-    metrics: Metrics,
 }
 
 /// The previous epoch's key row, kept alive for the grace window.
@@ -366,14 +374,7 @@ impl<T: Transport> AuthenticatedTransport<T> {
             rx_replay: Mutex::new(vec![ReplayState::default(); n]),
             rejected: AtomicU64::new(0),
             rekey,
-            metrics: Metrics::default(),
         }
-    }
-
-    /// Attaches a shared metrics registry; MAC rejections are counted into
-    /// `transport_mac_rejected`.
-    pub fn set_metrics(&mut self, metrics: Metrics) {
-        self.metrics = metrics;
     }
 
     /// Number of inbound frames dropped for failing authentication.
@@ -513,7 +514,7 @@ impl<T: Transport> AuthenticatedTransport<T> {
                 let mut g = rt.state.lock();
                 if claimed > g.epoch {
                     g.advance(claimed, row);
-                    self.metrics.transport_epoch_adopted.inc();
+                    self.config.metrics.transport_epoch_adopted.inc();
                 }
             }
         }
@@ -533,15 +534,16 @@ impl<T: Transport> AuthenticatedTransport<T> {
         self.rejected.fetch_add(1, Ordering::Relaxed);
         match why {
             Rejection::BadMac => {
-                self.metrics.transport_mac_rejected.inc();
-                self.metrics
+                self.config.metrics.transport_mac_rejected.inc();
+                self.config
+                    .metrics
                     .suspect(from as u32, ritas_metrics::SuspicionKind::BadMac);
             }
             // A stale epoch is *not* Byzantine evidence by itself — an
             // honest-but-slow peer's in-flight frames look the same as an
             // intruder replaying exfiltrated old keys — so it gets its own
             // counter instead of poisoning the suspicion table.
-            Rejection::StaleEpoch => self.metrics.transport_epoch_rejected.inc(),
+            Rejection::StaleEpoch => self.config.metrics.transport_epoch_rejected.inc(),
         }
     }
 }
@@ -630,16 +632,24 @@ mod tests {
     use super::*;
     use crate::hub::Hub;
 
-    fn pair() -> (
+    type Pair = (
         AuthenticatedTransport<crate::MemoryEndpoint>,
         AuthenticatedTransport<crate::MemoryEndpoint>,
-    ) {
+    );
+
+    fn pair() -> Pair {
+        pair_counting(Metrics::new())
+    }
+
+    /// A pair whose receiving end, `b`, counts into `metrics`.
+    fn pair_counting(metrics: Metrics) -> Pair {
         let table = KeyTable::dealer(2, 99);
         let mut hub = Hub::new(2);
         let mut eps = hub.take_endpoints().into_iter();
+        let b = AuthConfig::from_key_table(&table, 1).with_metrics(metrics);
         (
             AuthenticatedTransport::new(eps.next().unwrap(), AuthConfig::from_key_table(&table, 0)),
-            AuthenticatedTransport::new(eps.next().unwrap(), AuthConfig::from_key_table(&table, 1)),
+            AuthenticatedTransport::new(eps.next().unwrap(), b),
         )
     }
 
@@ -783,24 +793,19 @@ mod tests {
         );
     }
 
-    fn rekey_pair(
-        grace: Duration,
-    ) -> (
-        AuthenticatedTransport<crate::MemoryEndpoint>,
-        AuthenticatedTransport<crate::MemoryEndpoint>,
-    ) {
+    fn rekey_pair(grace: Duration) -> Pair {
+        rekey_pair_counting(grace, Metrics::new())
+    }
+
+    /// A rekeying pair whose receiving end, `b`, counts into `metrics`.
+    fn rekey_pair_counting(grace: Duration, metrics: Metrics) -> Pair {
         let table = KeyTable::dealer(2, 7);
         let mut hub = Hub::new(2);
         let mut eps = hub.take_endpoints().into_iter();
+        let config = |me| AuthConfig::from_key_table(&table, me).with_epoch_rekey(7, 0, grace);
         (
-            AuthenticatedTransport::new(
-                eps.next().unwrap(),
-                AuthConfig::from_key_table(&table, 0).with_epoch_rekey(7, 0, grace),
-            ),
-            AuthenticatedTransport::new(
-                eps.next().unwrap(),
-                AuthConfig::from_key_table(&table, 1).with_epoch_rekey(7, 0, grace),
-            ),
+            AuthenticatedTransport::new(eps.next().unwrap(), config(0)),
+            AuthenticatedTransport::new(eps.next().unwrap(), config(1).with_metrics(metrics)),
         )
     }
 
@@ -875,14 +880,12 @@ mod tests {
 
         // Zero grace: the same situation drops the frame and counts it as
         // an epoch rejection, not a MAC failure / suspicion.
-        let (a, b) = rekey_pair(Duration::ZERO);
+        let m = Metrics::new();
+        let (a, b) = rekey_pair_counting(Duration::ZERO, m.clone());
         let stale = a.seal(1, b"exfiltrated");
         b.set_key_epoch(1);
         b.set_key_epoch(2); // epoch 0 is now older than prev: always stale
         a.inner.send(1, stale).unwrap();
-        let m = Metrics::new();
-        let mut b = b;
-        b.set_metrics(m.clone());
         a.set_key_epoch(2);
         a.send(1, Bytes::from_static(b"current")).unwrap();
         assert_eq!(b.recv().unwrap(), (0, Bytes::from_static(b"current")));
@@ -901,10 +904,8 @@ mod tests {
         // rotated to 5. b verifies a's frame under the derived epoch-5
         // keys and adopts the epoch — self-synchronization from
         // authenticated traffic alone.
-        let (a, b) = rekey_pair(Duration::from_secs(60));
         let m = Metrics::new();
-        let mut b = b;
-        b.set_metrics(m.clone());
+        let (a, b) = rekey_pair_counting(Duration::from_secs(60), m.clone());
         a.set_key_epoch(5);
         a.send(1, Bytes::from_static(b"from the future")).unwrap();
         assert_eq!(
@@ -1118,10 +1119,8 @@ mod tests {
     /// wait ends with `Timeout`, nothing is delivered, nothing rejected.
     #[test]
     fn wake_is_forwarded_and_is_not_a_frame() {
-        let (_a, b) = pair();
         let m = Metrics::new();
-        let mut b = b;
-        b.set_metrics(m.clone());
+        let (_a, b) = pair_counting(m.clone());
         b.wake();
         let t0 = Instant::now();
         assert_eq!(

@@ -84,6 +84,11 @@ pub struct TcpConfig {
     pub backoff_min: Duration,
     /// Maximum reconnect backoff delay.
     pub backoff_max: Duration,
+    /// Not a knob: the registry reconnects, retransmissions, duplicate
+    /// drops, link-down transitions and outage spans are recorded in —
+    /// the one the owner of the endpoint shares with the stack above it
+    /// (a private one by default).
+    pub metrics: Metrics,
 }
 
 impl Default for TcpConfig {
@@ -96,6 +101,7 @@ impl Default for TcpConfig {
             tx_buffer_bytes: 32 * 1024 * 1024,
             backoff_min: Duration::from_millis(10),
             backoff_max: Duration::from_millis(500),
+            metrics: Metrics::default(),
         }
     }
 }
@@ -141,7 +147,6 @@ struct Shared {
     /// A wake no timed receive has consumed yet.
     woken: AtomicBool,
     events: Mutex<VecDeque<LinkEvent>>,
-    metrics: Mutex<Metrics>,
     up_count: AtomicUsize,
     closed: AtomicBool,
 }
@@ -149,10 +154,6 @@ struct Shared {
 impl Shared {
     fn link(&self, peer: ProcessId) -> &LinkShared {
         self.links[peer].as_ref().expect("link exists")
-    }
-
-    fn metrics(&self) -> Metrics {
-        self.metrics.lock().clone()
     }
 
     fn is_closed(&self) -> bool {
@@ -167,8 +168,9 @@ impl Shared {
         q.push_back(event);
     }
 
-    fn set_links_up_gauge(&self, metrics: &Metrics) {
-        metrics
+    fn set_links_up_gauge(&self) {
+        self.cfg
+            .metrics
             .transport_links_up
             .set(self.up_count.load(Ordering::SeqCst) as u64);
     }
@@ -177,17 +179,18 @@ impl Shared {
 /// Marks an `Up` link as lost: tears down the connection, moves the link
 /// to `Reconnecting` (buffered frames are kept for retransmission) and
 /// opens an outage span. No-op unless the link is currently `Up`.
-fn note_down_locked(shared: &Shared, peer: ProcessId, core: &mut LinkCore, metrics: &Metrics) {
+fn note_down_locked(shared: &Shared, peer: ProcessId, core: &mut LinkCore) {
     if !matches!(core.state, LinkState::Up) {
         return;
     }
+    let metrics = &shared.cfg.metrics;
     core.state = LinkState::Reconnecting;
     if let Some(w) = core.writer.take() {
         let _ = w.shutdown(Shutdown::Both);
     }
     core.generation += 1;
     shared.up_count.fetch_sub(1, Ordering::SeqCst);
-    shared.set_links_up_gauge(metrics);
+    shared.set_links_up_gauge();
     metrics.transport_link_down_total.inc();
     let path = format!("link:{}-{}/out:{}", shared.me, peer, core.generation);
     metrics.span_open(path.clone(), Layer::Transport);
@@ -206,7 +209,6 @@ fn terminal_down_locked(
     shared: &Shared,
     peer: ProcessId,
     core: &mut LinkCore,
-    metrics: &Metrics,
     reason: LinkDownReason,
 ) {
     if matches!(core.state, LinkState::Down(_)) {
@@ -214,9 +216,9 @@ fn terminal_down_locked(
     }
     if matches!(core.state, LinkState::Up) {
         shared.up_count.fetch_sub(1, Ordering::SeqCst);
-        shared.set_links_up_gauge(metrics);
+        shared.set_links_up_gauge();
     }
-    metrics.transport_link_down_total.inc();
+    shared.cfg.metrics.transport_link_down_total.inc();
     core.state = LinkState::Down(reason);
     if let Some(w) = core.writer.take() {
         let _ = w.shutdown(Shutdown::Both);
@@ -234,11 +236,10 @@ fn terminal_down_locked(
 /// the reader was spawned under (a superseded reader must not tear down
 /// the connection that replaced its own).
 fn note_down(shared: &Arc<Shared>, peer: ProcessId, generation: u64) {
-    let metrics = shared.metrics();
     let link = shared.link(peer);
     let mut core = link.core.lock();
     if core.generation == generation {
-        note_down_locked(shared, peer, &mut core, &metrics);
+        note_down_locked(shared, peer, &mut core);
     }
 }
 
@@ -255,7 +256,7 @@ fn install(
     stream.set_read_timeout(None)?;
     stream.set_write_timeout(Some(shared.cfg.write_timeout))?;
     let reader = stream.try_clone()?;
-    let metrics = shared.metrics();
+    let metrics = &shared.cfg.metrics;
     let link = shared.link(peer);
     let mut core = link.core.lock();
     if shared.is_closed() || matches!(core.state, LinkState::Down(_)) || epoch <= core.epoch {
@@ -278,7 +279,7 @@ fn install(
     core.state = LinkState::Up;
     core.writer = Some(stream);
     shared.up_count.fetch_add(1, Ordering::SeqCst);
-    shared.set_links_up_gauge(&metrics);
+    shared.set_links_up_gauge();
 
     // Retransmit everything the peer has not acknowledged, with the
     // current cumulative ack piggybacked.
@@ -313,7 +314,7 @@ fn install(
     std::thread::spawn(move || reader_loop(shared2, peer, reader, generation));
     link.cond.notify_all();
     if write_failed {
-        note_down_locked(shared, peer, &mut core, &metrics);
+        note_down_locked(shared, peer, &mut core);
     }
     Ok(())
 }
@@ -343,7 +344,7 @@ fn reader_loop(shared: Arc<Shared>, peer: ProcessId, mut stream: TcpStream, gene
         let ack = u64::from_be_bytes(buf[8..16].try_into().expect("8 bytes"));
         let payload = Bytes::from(buf).slice(SESSION_HDR..);
 
-        let metrics = shared.metrics();
+        let metrics = &shared.cfg.metrics;
         let link = shared.link(peer);
         let mut core = link.core.lock();
         if core.generation != generation {
@@ -376,7 +377,7 @@ fn reader_loop(shared: Arc<Shared>, peer: ProcessId, mut stream: TcpStream, gene
                 if ok {
                     core.last_ack_sent = core.rx_cum;
                 } else {
-                    note_down_locked(&shared, peer, &mut core, &metrics);
+                    note_down_locked(&shared, peer, &mut core);
                     return;
                 }
             }
@@ -385,13 +386,7 @@ fn reader_loop(shared: Arc<Shared>, peer: ProcessId, mut stream: TcpStream, gene
             // or Byzantine). Retransmission can no longer uphold the
             // reliable-channel contract — give up on the link rather
             // than deliver with a hole.
-            terminal_down_locked(
-                &shared,
-                peer,
-                &mut core,
-                &metrics,
-                LinkDownReason::PeerStateLost,
-            );
+            terminal_down_locked(&shared, peer, &mut core, LinkDownReason::PeerStateLost);
             return;
         }
         drop(core);
@@ -643,7 +638,6 @@ impl TcpEndpoint {
             inbound_tx,
             woken: AtomicBool::new(false),
             events: Mutex::new(VecDeque::new()),
-            metrics: Mutex::new(Metrics::default()),
             up_count: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
         });
@@ -730,14 +724,6 @@ impl TcpEndpoint {
             .collect()
     }
 
-    /// Attaches a shared metrics registry: reconnects, retransmissions,
-    /// dup drops, backpressure and the per-link `Up` gauge are counted
-    /// into it (the session layer's threads pick it up immediately).
-    pub fn set_metrics(&self, metrics: Metrics) {
-        self.shared.set_links_up_gauge(&metrics);
-        *self.shared.metrics.lock() = metrics;
-    }
-
     /// A cloneable chaos handle onto this endpoint's links, for fault
     /// injection in tests: kill live sockets and watch the session layer
     /// heal them.
@@ -752,7 +738,6 @@ impl TcpEndpoint {
     /// session threads exit.
     pub fn close(&self) {
         self.shared.closed.store(true, Ordering::SeqCst);
-        let metrics = self.shared.metrics();
         for peer in 0..self.shared.n {
             if peer == self.shared.me {
                 continue;
@@ -769,7 +754,7 @@ impl TcpEndpoint {
             core.generation += 1;
             link.cond.notify_all();
         }
-        self.shared.set_links_up_gauge(&metrics);
+        self.shared.set_links_up_gauge();
     }
 }
 
@@ -845,7 +830,7 @@ impl Transport for TcpEndpoint {
                 .send(Some((shared.me, payload)))
                 .map_err(|_| TransportError::Disconnected);
         }
-        let metrics = shared.metrics();
+        let metrics = &shared.cfg.metrics;
         let link = shared.link(to);
         let mut core = link.core.lock();
         let deadline = Instant::now() + shared.cfg.send_block;
@@ -879,7 +864,7 @@ impl Transport for TcpEndpoint {
             if !ok {
                 // The frame stays buffered: the session layer delivers it
                 // after the resume, so the send still succeeds.
-                note_down_locked(shared, to, &mut core, &metrics);
+                note_down_locked(shared, to, &mut core);
             }
         }
         Ok(())
@@ -945,7 +930,16 @@ mod tests {
     use super::*;
 
     fn mesh(n: usize) -> Vec<TcpEndpoint> {
-        TcpEndpoint::ephemeral_mesh(n, Duration::from_secs(10)).expect("mesh")
+        mesh_counting(n, Metrics::new())
+    }
+
+    /// A mesh whose endpoints all count into `metrics`.
+    fn mesh_counting(n: usize, metrics: Metrics) -> Vec<TcpEndpoint> {
+        TcpEndpoint::ephemeral_mesh_with(n, Duration::from_secs(10), |_| TcpConfig {
+            metrics: metrics.clone(),
+            ..TcpConfig::default()
+        })
+        .expect("mesh")
     }
 
     #[test]
@@ -1050,9 +1044,8 @@ mod tests {
         let table = KeyTable::dealer(2, 8);
         let metrics = Metrics::new();
         let mut eps = mesh(2).into_iter();
-        let mut a =
-            AuthenticatedTransport::new(eps.next().unwrap(), AuthConfig::from_key_table(&table, 0));
-        a.set_metrics(metrics.clone());
+        let counting = AuthConfig::from_key_table(&table, 0).with_metrics(metrics.clone());
+        let a = AuthenticatedTransport::new(eps.next().unwrap(), counting);
         let b =
             AuthenticatedTransport::new(eps.next().unwrap(), AuthConfig::from_key_table(&table, 1));
         a.wake();
@@ -1123,9 +1116,8 @@ mod tests {
 
     #[test]
     fn link_survives_socket_kill_without_loss_or_dup() {
-        let eps = mesh(2);
         let metrics = Metrics::default();
-        eps[0].set_metrics(metrics.clone());
+        let eps = mesh_counting(2, metrics.clone());
         let chaos = eps[0].chaos_handle();
 
         // Interleave sends with repeated socket kills; every payload must

@@ -114,8 +114,8 @@ fn forced_divergence_flips_at_least_one_coin() {
     // step-3 vote for each bit, no value reaches f+1 = 2 and the round
     // ends in a coin flip.
     use ritas::bc::{BcBody, BcMessage, BinaryConsensus, StepTransport};
-    use ritas::Group;
-    use ritas_crypto::DeterministicCoin;
+    use ritas::testing::ctx;
+    use ritas_crypto::{DeterministicCoin, LocalRoundCoin};
     use ritas_metrics::{Layer, Metrics};
 
     let plain = |round: u32, step: u8, origin: usize, v: Option<bool>| BcMessage {
@@ -125,15 +125,12 @@ fn forced_divergence_flips_at_least_one_coin() {
         body: BcBody::Plain(v),
     };
 
-    let g = Group::new(N).unwrap();
     let metrics = Metrics::new();
-    let mut bc = BinaryConsensus::with_transport(
-        g,
-        0,
-        Box::new(DeterministicCoin::new(5)),
+    let mut bc = BinaryConsensus::new(
+        ctx(N, 0, 1).with_metrics(metrics.clone()),
+        Box::new(LocalRoundCoin(DeterministicCoin::new(5))),
         StepTransport::PlainFanout,
     );
-    bc.set_metrics(metrics.clone());
 
     let _ = bc.propose(true).unwrap();
     let _ = bc.handle_message(0, plain(1, 1, 0, Some(true))); // own loopback

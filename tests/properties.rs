@@ -341,13 +341,15 @@ proptest! {
         odd_one_out in 1usize..4,
     ) {
         use ritas::eb::{EbMessage, EchoBroadcast};
+        use ritas::Ctx;
         use ritas_crypto::{mac, KeyTable};
+        use std::sync::Arc;
 
         prop_assume!(m1 != m2);
         let g = ritas::Group::new(4).unwrap();
         let table = KeyTable::dealer(4, key_seed);
         let mut receivers: Vec<EchoBroadcast> = (1..4)
-            .map(|me| EchoBroadcast::new(g, me, 0, table.view_of(me)))
+            .map(|me| EchoBroadcast::new(Ctx::new(g, me, Arc::new(table.view_of(me))), 0))
             .collect();
 
         // Equivocating INITs: `odd_one_out` hears m2, the others m1.
