@@ -135,6 +135,27 @@ fn seed_workload(cluster: &mut Cluster, checker: &mut InvariantChecker, attacker
     }
 }
 
+/// The cluster of one run — process `n − 1` corrupt, running `strategy`
+/// if one is given, the standard workload in flight — and the checker
+/// that knows what the correct processes said.
+fn prepare(
+    n: usize,
+    schedule: Schedule,
+    seed: u64,
+    strategy: Option<StrategyKind>,
+) -> (Cluster, InvariantChecker) {
+    let attacker = n - 1;
+    let mut cluster = Cluster::new(n, seed);
+    cluster.set_schedule(schedule);
+    if let Some(strategy) = strategy {
+        cluster.set_strategy(attacker, strategy.build(seed ^ 0xAD5E_CA11));
+    }
+    let mut checker = InvariantChecker::new(n);
+    checker.mark_corrupt(attacker);
+    seed_workload(&mut cluster, &mut checker, attacker);
+    (cluster, checker)
+}
+
 /// Re-runs `spec` deterministically (no invariant checking — the
 /// violation is already known) and writes per-process post-mortem
 /// artifacts to `dir`: span dumps (`spans-{p}.jsonl`, readable by
@@ -148,13 +169,7 @@ pub fn write_forensics(
     spec: &RunSpec,
     dir: &std::path::Path,
 ) -> std::io::Result<Vec<std::path::PathBuf>> {
-    let attacker = spec.n - 1;
-    let mut cluster = Cluster::new(spec.n, spec.seed);
-    cluster.set_schedule(spec.schedule);
-    cluster.set_strategy(attacker, spec.strategy.build(spec.seed ^ 0xAD5E_CA11));
-    let mut checker = InvariantChecker::new(spec.n);
-    checker.mark_corrupt(attacker);
-    seed_workload(&mut cluster, &mut checker, attacker);
+    let (mut cluster, _) = prepare(spec.n, spec.schedule, spec.seed, Some(spec.strategy));
     let mut steps = 0u64;
     while steps < spec.max_steps && cluster.step() {
         steps += 1;
@@ -177,13 +192,7 @@ pub fn write_forensics(
 /// process `n − 1`, seeds the workload, then steps the scheduler under
 /// the budget, checking every safety predicate after each step.
 pub fn run_spec(spec: &RunSpec) -> RunOutcome {
-    let attacker = spec.n - 1;
-    let mut cluster = Cluster::new(spec.n, spec.seed);
-    cluster.set_schedule(spec.schedule);
-    cluster.set_strategy(attacker, spec.strategy.build(spec.seed ^ 0xAD5E_CA11));
-    let mut checker = InvariantChecker::new(spec.n);
-    checker.mark_corrupt(attacker);
-    seed_workload(&mut cluster, &mut checker, attacker);
+    let (mut cluster, mut checker) = prepare(spec.n, spec.schedule, spec.seed, Some(spec.strategy));
     if let Err(v) = checker.check_cluster(&cluster) {
         return RunOutcome {
             steps: 0,
@@ -312,6 +321,7 @@ pub fn sweep(cfg: &SweepConfig) -> SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stack::Output;
 
     fn spec(strategy: StrategyKind, seed: u64) -> RunSpec {
         RunSpec {
@@ -362,33 +372,81 @@ mod tests {
         assert!(out.steps < 200_000, "drained before the budget");
     }
 
-    /// Runs the standard workload (attacker slot = 3, optionally with a
-    /// strategy installed there) and returns per-peer suspicion totals
-    /// summed over the three correct processes.
-    fn suspicion_totals(strategy: Option<StrategyKind>, seed: u64) -> [u64; 4] {
-        let attacker = 3;
-        let mut cluster = Cluster::new(4, seed);
-        cluster.set_schedule(Schedule::Random);
-        if let Some(s) = strategy {
-            cluster.set_strategy(attacker, s.build(seed ^ 0xAD5E_CA11));
-        }
-        let mut checker = InvariantChecker::new(4);
-        checker.mark_corrupt(attacker);
-        seed_workload(&mut cluster, &mut checker, attacker);
+    /// Runs the standard workload to quiescence (attacker slot = 3,
+    /// optionally with a strategy installed there).
+    fn drained_cluster(strategy: Option<StrategyKind>, schedule: Schedule, seed: u64) -> Cluster {
+        let (mut cluster, _) = prepare(4, schedule, seed, strategy);
         let mut steps = 0u64;
         while steps < 200_000 && cluster.step() {
             steps += 1;
         }
+        cluster
+    }
+
+    /// Per-peer suspicion totals of one run, summed over the three
+    /// correct processes.
+    fn suspicion_totals(strategy: Option<StrategyKind>, seed: u64) -> [u64; 4] {
+        let cluster = drained_cluster(strategy, Schedule::Random, seed);
         let mut totals = [0u64; 4];
-        for p in 0..4 {
-            if p == attacker {
-                continue;
-            }
+        for p in 0..3 {
             for s in cluster.metrics(p).suspicions() {
                 totals[s.peer as usize] += s.total();
             }
         }
         totals
+    }
+
+    /// Quiet deciders woken across the three correct processes.
+    fn courtesy_rounds(cluster: &Cluster) -> u64 {
+        (0..3)
+            .map(|p| cluster.metrics(p).snapshot().counter("bc_courtesy_rounds"))
+            .sum()
+    }
+
+    #[test]
+    fn round_ahead_wakes_deciders_nobody_else_would() {
+        // Failure-free, the workload's four binary consensus instances
+        // (standalone, under MVC, VC and AB) decide together and stay
+        // quiet under every schedule; in the matrix cells of the
+        // partial-wake mode a late ask makes correct deciders run the
+        // extra round.
+        for (seed, schedule) in Schedule::sweep(0..8) {
+            let quiet = drained_cluster(None, schedule, seed);
+            assert_eq!(courtesy_rounds(&quiet), 0, "seed {seed} {schedule}");
+        }
+        let mut woken = 0;
+        for (seed, schedule) in Schedule::sweep(0..8) {
+            let cluster = drained_cluster(Some(StrategyKind::RoundAhead), schedule, seed);
+            woken += courtesy_rounds(&cluster);
+            // The checker guards safety; the rule under attack is a
+            // liveness rule, so also require every decision and every
+            // correct sender's three commands at each correct process.
+            for p in 0..3 {
+                let count =
+                    |f: fn(&Output) -> bool| cluster.outputs(p).iter().filter(|o| f(o)).count();
+                let what = format!("seed {seed} {schedule} process {p}");
+                assert_eq!(
+                    count(|o| matches!(o, Output::BcDecided { .. })),
+                    1,
+                    "{what}"
+                );
+                assert_eq!(
+                    count(|o| matches!(o, Output::MvcDecided { .. })),
+                    1,
+                    "{what}"
+                );
+                assert_eq!(
+                    count(|o| matches!(o, Output::VcDecided { .. })),
+                    1,
+                    "{what}"
+                );
+                assert!(
+                    count(|o| matches!(o, Output::AbDelivered { .. })) >= 6,
+                    "{what}"
+                );
+            }
+        }
+        assert!(woken > 0, "no round-ahead cell woke a decider");
     }
 
     #[test]

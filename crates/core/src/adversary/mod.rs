@@ -26,7 +26,8 @@ pub mod explorer;
 mod strategies;
 
 pub use strategies::{
-    BiasedCoin, ConflictingVectors, Equivocate, RandomMutation, SelectiveSilence, StaleReplay,
+    BiasedCoin, ConflictingVectors, Equivocate, RandomMutation, RoundAhead, SelectiveSilence,
+    StaleReplay,
 };
 
 use crate::ab::AbMessage;
@@ -319,17 +320,21 @@ pub enum StrategyKind {
     StaleReplay,
     /// Seeded random frame mutation (drop/duplicate/bit-flip/garbage).
     RandomMutation,
+    /// Ask half the group for the round after a binary consensus
+    /// decision, or never take part in it (the seed picks).
+    RoundAhead,
 }
 
 impl StrategyKind {
     /// Every built-in strategy, in matrix order.
-    pub const ALL: [StrategyKind; 6] = [
+    pub const ALL: [StrategyKind; 7] = [
         StrategyKind::Equivocate,
         StrategyKind::Silence,
         StrategyKind::BiasedCoin,
         StrategyKind::ConflictingVectors,
         StrategyKind::StaleReplay,
         StrategyKind::RandomMutation,
+        StrategyKind::RoundAhead,
     ];
 
     /// Builds the strategy, seeded for deterministic replay.
@@ -341,6 +346,7 @@ impl StrategyKind {
             StrategyKind::ConflictingVectors => Box::new(ConflictingVectors::new()),
             StrategyKind::StaleReplay => Box::new(StaleReplay::new(seed)),
             StrategyKind::RandomMutation => Box::new(RandomMutation::new(seed)),
+            StrategyKind::RoundAhead => Box::new(RoundAhead::new(seed)),
         }
     }
 }
@@ -354,6 +360,7 @@ impl core::fmt::Display for StrategyKind {
             StrategyKind::ConflictingVectors => "conflicting-vectors",
             StrategyKind::StaleReplay => "stale-replay",
             StrategyKind::RandomMutation => "random-mutation",
+            StrategyKind::RoundAhead => "round-ahead",
         };
         f.write_str(s)
     }
@@ -370,9 +377,10 @@ impl std::str::FromStr for StrategyKind {
             "conflicting-vectors" => Ok(StrategyKind::ConflictingVectors),
             "stale-replay" => Ok(StrategyKind::StaleReplay),
             "random-mutation" => Ok(StrategyKind::RandomMutation),
+            "round-ahead" => Ok(StrategyKind::RoundAhead),
             other => Err(format!(
                 "unknown strategy {other:?} (expected one of: equivocate, silence, biased-coin, \
-                 conflicting-vectors, stale-replay, random-mutation)"
+                 conflicting-vectors, stale-replay, random-mutation, round-ahead)"
             )),
         }
     }

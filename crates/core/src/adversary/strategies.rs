@@ -9,10 +9,13 @@ use super::{
     innermost_rb_stage, is_eb_mat, with_innermost_payload, FrameMutator, PayloadKind, ProtocolMsg,
     RbStage, SendCtx, Strategy, StrategyRng,
 };
-use crate::bc::{decode_val, encode_val};
+use crate::ab::AbMessage;
+use crate::bc::{decode_val, encode_val, BcBody, BcMessage};
 use crate::codec::WireMessage;
-use crate::mvc::{MvcValue, VectPayload};
+use crate::mvc::{MvcMessage, MvcValue, VectPayload};
+use crate::rb::RbMessage;
 use crate::stack::InstanceKey;
+use crate::vc::VcMessage;
 use bytes::Bytes;
 
 /// Rewrites `bytes` into a *different but structurally valid* payload of
@@ -333,11 +336,94 @@ impl Strategy for RandomMutation {
     }
 }
 
+/// The binary consensus message `msg` is or carries, wherever it sits in
+/// the chain (standalone, under MVC, under VC or AB agreement rounds).
+fn bc_of(msg: &mut ProtocolMsg) -> Option<&mut BcMessage> {
+    match msg {
+        ProtocolMsg::Bc(m)
+        | ProtocolMsg::Mvc(MvcMessage::Bin(m))
+        | ProtocolMsg::Vc(VcMessage::Round {
+            inner: MvcMessage::Bin(m),
+            ..
+        })
+        | ProtocolMsg::Ab(AbMessage::Agree {
+            inner: MvcMessage::Bin(m),
+            ..
+        }) => Some(m),
+        _ => None,
+    }
+}
+
+/// Round-ahead (targets: the post-decision wake rule of binary consensus,
+/// DESIGN.md §4b — a decided process runs the round after its decision
+/// only once another member names it): the seed picks one of two ways of
+/// abusing that rule, both with well-formed frames only.
+///
+/// * **Partial wake:** behind every frame that closes round `r` at a
+///   process of the low half of the group (a step-3 `READY`) travels a
+///   round-`r + 1` step-1 `INIT` of the attacker's own, so some deciders
+///   are asked — before or just after they decide — for a round nobody
+///   needs, while the others hear of it only from those.
+/// * **Never helps:** the attacker takes part in round 1 and withholds
+///   every frame of a later round, so a correct process that needs the
+///   round after a decision has to wake the deciders, and finish, without
+///   it.
+#[derive(Debug)]
+pub struct RoundAhead {
+    never_helps: bool,
+}
+
+impl RoundAhead {
+    /// Creates the strategy; `seed` picks the mode.
+    pub fn new(seed: u64) -> Self {
+        RoundAhead {
+            never_helps: seed & 1 == 1,
+        }
+    }
+}
+
+impl Strategy for RoundAhead {
+    fn name(&self) -> &'static str {
+        "round-ahead"
+    }
+
+    fn rewrite(&mut self, ctx: &SendCtx, key: InstanceKey, mut msg: ProtocolMsg) -> Vec<Bytes> {
+        let honest = msg.frame(key);
+        let Some(bc) = bc_of(&mut msg) else {
+            return vec![honest];
+        };
+        if self.never_helps {
+            return if bc.round > 1 {
+                Vec::new()
+            } else {
+                vec![honest]
+            };
+        }
+        // The last leg of a round: the frames whose arrival lets the
+        // receiver finish it, so the ask lands around its decision.
+        let closes_round = bc.step == 3
+            && !matches!(
+                bc.body,
+                BcBody::Rbc(RbMessage::Init(_) | RbMessage::Echo(_))
+            );
+        if !closes_round || ctx.to >= ctx.n / 2 {
+            return vec![honest];
+        }
+        bc.round += 1;
+        bc.step = 1;
+        bc.origin = ctx.me;
+        bc.body = match bc.body {
+            BcBody::Rbc(_) => BcBody::Rbc(RbMessage::Init(Bytes::from_static(&[0]))),
+            BcBody::Plain(_) => BcBody::Plain(Some(false)),
+        };
+        vec![honest, msg.frame(key)]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::decode_frame;
-    use crate::rb::RbMessage;
 
     fn ctx(to: crate::ProcessId) -> SendCtx {
         SendCtx { me: 3, to, n: 4 }
@@ -446,6 +532,39 @@ mod tests {
             injected += out.len().saturating_sub(1);
         }
         assert!(injected > 0, "replays old frames");
+    }
+
+    #[test]
+    fn round_ahead_asks_half_the_group_or_goes_silent() {
+        let key = InstanceKey::Mvc { tag: 2 };
+        let frame_of = |round| {
+            ProtocolMsg::Mvc(MvcMessage::Bin(BcMessage {
+                round,
+                step: 3,
+                origin: 1,
+                body: BcBody::Rbc(RbMessage::Ready(Bytes::from_static(&[1]))),
+            }))
+        };
+        let mut wake = RoundAhead::new(0);
+        assert_eq!(wake.rewrite(&ctx(2), key, frame_of(1)).len(), 1);
+        let out = wake.rewrite(&ctx(1), key, frame_of(1));
+        assert_eq!(out[0], frame_of(1).frame(key), "the honest frame travels");
+        let ahead = ProtocolMsg::Mvc(MvcMessage::Bin(BcMessage {
+            round: 2,
+            step: 1,
+            origin: 3,
+            body: BcBody::Rbc(RbMessage::Init(Bytes::from_static(&[0]))),
+        }));
+        assert_eq!(decode_frame(&out[1]), Some((key, ahead)));
+
+        let mut mute = RoundAhead::new(1);
+        assert_eq!(mute.rewrite(&ctx(1), key, frame_of(1)).len(), 1);
+        assert!(mute.rewrite(&ctx(1), key, frame_of(2)).is_empty());
+        // Traffic that carries no binary consensus passes in both modes.
+        let (key, rb) = rb_frame(RbStage::Init, b"p");
+        for s in [&mut wake, &mut mute] {
+            assert_eq!(s.rewrite(&ctx(0), key, rb.clone()), [rb.frame(key)]);
+        }
     }
 
     #[test]

@@ -15,8 +15,13 @@
 //!    set `v_i` to that value, else `v_i ← ⊥`;
 //! 3. broadcast `v_i`; if `≥ 2f+1` received values are some `v ≠ ⊥`,
 //!    **decide** `v`; else if `≥ f+1` are `v ≠ ⊥`, adopt `v_i ← v`; else
-//!    flip a fair **coin**; in all cases start the next round (a decided
-//!    process participates for one more round so laggards can finish).
+//!    flip a fair **coin**; in all cases start the next round. A process
+//!    that decided in round `r` enters `r + 1` with its value pinned to the
+//!    decision but *withholds* its step-1 broadcast until some other member
+//!    shows, by any message naming a round above `r`, that it needs the
+//!    round ([`PostDecision`]); woken, it runs `r + 1` and halts at its
+//!    end. When everybody decides in the same round nobody ever asks, and
+//!    the instance goes quiet after one round (DESIGN.md §4b).
 //!
 //! Two implementation aspects deserve attention:
 //!
@@ -194,6 +199,20 @@ impl StepState {
     }
 }
 
+/// Where an instance stands relative to its own decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PostDecision {
+    /// Not decided yet: every finished round starts the next one.
+    Undecided,
+    /// Decided in round `r`, standing in `r + 1` with the step-1
+    /// broadcast withheld: no other member has named a round above `r`.
+    Quiet,
+    /// Running round `r + 1` for a member that needs it.
+    Courtesy,
+    /// Round `r + 1` finished; no further round is initiated.
+    Halted,
+}
+
 #[derive(Debug, Clone)]
 struct RoundState {
     steps: [StepState; 3],
@@ -247,14 +266,12 @@ pub struct BinaryConsensus {
     step: u8,
     decided: Option<bool>,
     decided_round: Option<u32>,
-    /// True once we have completed our post-decision round and stopped
-    /// initiating new rounds.
-    halted: bool,
+    post: PostDecision,
+    /// Highest round named by a well-formed message from another member.
+    peer_round: u32,
     rounds: BTreeMap<u32, RoundState>,
     /// Reliable-broadcast sub-instances keyed by (round, step, origin).
     rbc: BTreeMap<(u32, u8, ProcessId), ReliableBroadcast>,
-    /// Rounds each process has completed (for statistics only).
-    rounds_executed: u32,
 }
 
 impl core::fmt::Debug for BinaryConsensus {
@@ -264,7 +281,7 @@ impl core::fmt::Debug for BinaryConsensus {
             .field("round", &self.round)
             .field("step", &self.step)
             .field("decided", &self.decided)
-            .field("halted", &self.halted)
+            .field("post", &self.post)
             .finish_non_exhaustive()
     }
 }
@@ -284,10 +301,10 @@ impl BinaryConsensus {
             step: 1,
             decided: None,
             decided_round: None,
-            halted: false,
+            post: PostDecision::Undecided,
+            peer_round: 0,
             rounds: BTreeMap::new(),
             rbc: BTreeMap::new(),
-            rounds_executed: 0,
         }
     }
 
@@ -383,6 +400,15 @@ impl BinaryConsensus {
             _ => {
                 self.ctx.metrics.bc_rejected.inc();
                 return Step::fault(from, FaultKind::Malformed);
+            }
+        }
+        if from != self.ctx.me {
+            self.peer_round = self.peer_round.max(round);
+            if self.post == PostDecision::Quiet && round >= self.round {
+                // Somebody is in the round after our decision: run it.
+                self.post = PostDecision::Courtesy;
+                self.ctx.metrics.bc_courtesy_rounds.inc();
+                self.broadcast_current(&mut out);
             }
         }
         out.extend(self.settle());
@@ -496,7 +522,7 @@ impl BinaryConsensus {
     /// Fires the transition for the current (round, step) if its threshold
     /// is met. Returns whether a transition fired.
     fn try_advance(&mut self, out: &mut BcStep) -> bool {
-        if self.halted || !self.started {
+        if !self.started || matches!(self.post, PostDecision::Quiet | PostDecision::Halted) {
             return false;
         }
         let (r, s) = (self.round, self.step);
@@ -536,7 +562,6 @@ impl BinaryConsensus {
     fn finish_round(&mut self, tally: &Tally, out: &mut BcStep) {
         let threshold_decide = self.ctx.group.byzantine_majority();
         let threshold_adopt = self.ctx.group.one_correct();
-        self.rounds_executed = self.round;
 
         // Pick the non-⊥ value with the larger support (ties to 0).
         let (lead, lead_count) = if tally.ones > tally.zeros {
@@ -577,20 +602,28 @@ impl BinaryConsensus {
             bit
         };
 
-        // A decided process participates for exactly one more round so
-        // that laggards (which are at most one round behind) can decide,
-        // then stops initiating rounds.
-        if let Some(dr) = self.decided_round {
-            if self.round > dr {
-                self.halted = true;
-                return;
-            }
+        if self.post == PostDecision::Courtesy {
+            self.post = PostDecision::Halted;
+            return;
         }
         self.current = Some(next_value);
         self.round += 1;
         self.step = 1;
         self.ctx
             .annotate(SpanAnnotation::RoundEntered, u64::from(self.round));
+        if self.decided.is_some() {
+            // Just decided. A process that did not decide here is at most
+            // one round behind and needs n − f values in the next round to
+            // finish, ours among them — but only if such a process exists.
+            // Its step-1 INIT (or any later frame of that round) reaches us
+            // over the reliable channel, so wait for it; traffic that beat
+            // our decision counts. All decided together: nobody asks.
+            if self.peer_round < self.round {
+                self.post = PostDecision::Quiet;
+                return;
+            }
+            self.post = PostDecision::Courtesy;
+        }
         self.broadcast_current(out);
     }
 
@@ -657,6 +690,66 @@ mod tests {
         net.output(p).copied()
     }
 
+    /// The highest round any frame `bc` sent or received belongs to (each
+    /// one opens the RBC instance of its step broadcast).
+    fn highest_round_touched(bc: &BinaryConsensus) -> u32 {
+        bc.rbc.keys().map(|&(round, _, _)| round).max().unwrap_or(0)
+    }
+
+    /// How many times `bc` was woken out of its quiet post-decision state.
+    fn wakes(bc: &BinaryConsensus) -> u64 {
+        bc.ctx.metrics.bc_courtesy_rounds.get()
+    }
+
+    /// Frames of one all-correct round: 3 steps × n broadcasts × (n INIT +
+    /// n² ECHO + n² READY).
+    fn round_frames(n: u64) -> u64 {
+        3 * n * (n + 2 * n * n)
+    }
+
+    /// Everybody decided in round 1 and nobody sent a frame beyond it.
+    fn assert_quiet_after_round_one(net: &BcNet) {
+        let n = net.n();
+        for p in 0..n {
+            let bc = net.process(p);
+            assert_eq!(bc.decided_round(), Some(1), "process {p}");
+            assert_eq!(bc.post, PostDecision::Quiet, "process {p}");
+            assert_eq!(highest_round_touched(bc), 1, "process {p}");
+            assert_eq!(wakes(bc), 0, "process {p}");
+        }
+        assert_eq!(net.delivered_frames(), round_frames(n as u64));
+    }
+
+    fn rbc(round: u32, step: u8, origin: ProcessId, inner: RbMessage) -> BcMessage {
+        BcMessage {
+            round,
+            step,
+            origin,
+            body: BcBody::Rbc(inner),
+        }
+    }
+
+    fn one() -> Bytes {
+        Bytes::from_static(&[1])
+    }
+
+    /// Feeds `bc` (process 0 of 4) the READYs of processes 1–3 for the
+    /// round-1 values of processes 1–3, all `1`: enough for every step's
+    /// quorum. Returns everything `bc` sent in response.
+    fn feed_unanimous_round_one(bc: &mut BinaryConsensus) -> BcStep {
+        let mut out = Step::none();
+        for step in 1..=3 {
+            for origin in 1..4 {
+                for from in 1..4 {
+                    out.extend(
+                        bc.handle_message(from, rbc(1, step, origin, RbMessage::Ready(one()))),
+                    );
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn message_codec_roundtrip() {
         for msg in [
@@ -694,8 +787,8 @@ mod tests {
         net.run();
         for p in 0..4 {
             assert_eq!(decision(&net, p), Some(true), "process {p}");
-            assert_eq!(net.process(p).decided_round(), Some(1));
         }
+        assert_quiet_after_round_one(&net);
     }
 
     #[test]
@@ -708,6 +801,7 @@ mod tests {
         for p in 0..4 {
             assert_eq!(decision(&net, p), Some(false));
         }
+        assert_quiet_after_round_one(&net);
     }
 
     #[test]
@@ -807,6 +901,7 @@ mod tests {
         for p in 0..7 {
             assert_eq!(decision(&net, p), Some(true));
         }
+        assert_quiet_after_round_one(&net);
     }
 
     #[test]
@@ -894,8 +989,9 @@ mod tests {
     #[test]
     fn laggard_decides_after_others_halt() {
         // Deliver nothing to process 3 until processes 0-2 have decided
-        // and halted; then release its backlog. The one-extra-round
-        // participation of decided instances must let the laggard finish.
+        // and gone quiet; then release its backlog. Round 1 was run in
+        // full by the others, so the backlog alone carries the laggard to
+        // the same round-1 decision and nobody is ever woken.
         let mut net = bc_net(4, StepTransport::ReliableBroadcast, 77);
         for p in 0..4 {
             propose(&mut net, p, true);
@@ -912,6 +1008,167 @@ mod tests {
         net.release(3);
         net.run();
         assert_eq!(decision(&net, 3), Some(true), "laggard never decided");
+        assert_quiet_after_round_one(&net);
+    }
+
+    #[test]
+    fn decided_instance_withholds_the_next_round_until_asked() {
+        let mut bc = BinaryConsensus::new(ctx(4, 0, 1), coin(1), RB);
+        let mut sent = bc.propose(true).unwrap();
+        sent.extend(feed_unanimous_round_one(&mut bc));
+        assert_eq!(sent.outputs, [true]);
+        assert_eq!((bc.decided_round(), bc.round()), (Some(1), 2));
+        assert!(sent.messages.iter().all(|m| m.message.round == 1));
+        assert_eq!(bc.post, PostDecision::Quiet);
+
+        // p1 did not decide in round 1: its round-2 step-1 INIT asks.
+        let woken = bc.handle_message(1, rbc(2, 1, 1, RbMessage::Init(one())));
+        let sent: Vec<_> = woken.messages.into_iter().map(|m| m.message).collect();
+        assert_eq!(
+            sent,
+            [
+                rbc(2, 1, 1, RbMessage::Echo(one())),
+                rbc(2, 1, 0, RbMessage::Init(one())),
+            ]
+        );
+        assert_eq!((bc.post, wakes(&bc)), (PostDecision::Courtesy, 1));
+    }
+
+    #[test]
+    fn round_ahead_traffic_before_the_decision_means_no_deferral() {
+        let mut bc = BinaryConsensus::new(ctx(4, 0, 1), coin(1), RB);
+        let mut sent = bc.propose(true).unwrap();
+        let early = bc.handle_message(1, rbc(2, 1, 1, RbMessage::Init(one())));
+        assert_eq!(early.messages.len(), 1, "the ECHO, nothing of our own");
+        sent.extend(feed_unanimous_round_one(&mut bc));
+        assert_eq!(sent.outputs, [true]);
+        let own_round_two = rbc(2, 1, 0, RbMessage::Init(one()));
+        assert!(sent.messages.iter().any(|m| m.message == own_round_two));
+        assert_eq!((bc.post, wakes(&bc)), (PostDecision::Courtesy, 0));
+    }
+
+    #[test]
+    fn a_malformed_or_own_frame_wakes_nobody() {
+        let mut bc = BinaryConsensus::new(ctx(4, 0, 1), coin(1), RB);
+        let _ = bc.propose(true).unwrap();
+        let _ = feed_unanimous_round_one(&mut bc);
+        for (from, msg) in [
+            (1, rbc(2, 4, 1, RbMessage::Init(one()))),
+            (4, rbc(2, 1, 1, RbMessage::Init(one()))),
+            (
+                1,
+                rbc(2 + MAX_ROUND_AHEAD + 1, 1, 1, RbMessage::Init(one())),
+            ),
+            (
+                1,
+                BcMessage {
+                    round: 2,
+                    step: 1,
+                    origin: 1,
+                    body: BcBody::Plain(Some(true)),
+                },
+            ),
+            (0, rbc(2, 1, 1, RbMessage::Echo(one()))),
+        ] {
+            let step = bc.handle_message(from, msg);
+            assert!(step.messages.is_empty());
+            assert_eq!(bc.post, PostDecision::Quiet);
+        }
+    }
+
+    #[test]
+    fn one_round_ahead_init_costs_exactly_the_old_second_round() {
+        // The worst a Byzantine member can do: ask for the round nobody
+        // needs. Every process then runs it and halts, as all did before.
+        for n in [4, 7] {
+            let mut net = bc_net(n, RB, 9);
+            for p in 0..n {
+                propose(&mut net, p, true);
+            }
+            net.run();
+            assert_quiet_after_round_one(&net);
+            let asker = n - 1;
+            for to in 0..asker {
+                net.inject(asker, to, rbc(2, 1, asker, RbMessage::Init(one())));
+            }
+            net.run();
+            for p in 0..n {
+                let bc = net.process(p);
+                assert_eq!(decision(&net, p), Some(true), "n {n} process {p}");
+                assert_eq!(bc.post, PostDecision::Halted, "n {n} process {p}");
+                assert_eq!((bc.round(), wakes(bc)), (2, 1), "n {n} process {p}");
+            }
+            let injected = asker as u64;
+            assert_eq!(
+                net.delivered_frames() - injected,
+                2 * round_frames(n as u64)
+            );
+        }
+    }
+
+    /// One run of the split-proposal workload the wake rule is tuned on.
+    /// Returns the net after it drained.
+    fn split_run(n: usize, seed: u64, schedule: Schedule) -> BcNet {
+        let mut net = bc_net(n, RB, 5000 + seed);
+        net.set_schedule(schedule);
+        for p in 0..n {
+            propose(&mut net, p, (p as u64 + seed).is_multiple_of(2));
+        }
+        net.run();
+        net
+    }
+
+    /// Agreement and termination of a drained net; returns whether the
+    /// run exercised the liveness half of the wake rule — processes
+    /// decided in different rounds and a quiet decider was woken.
+    fn check_split_run(net: &BcNet, what: &str) -> bool {
+        let d = decision(net, 0).unwrap_or_else(|| panic!("{what}: p0 undecided"));
+        let rounds: Vec<u32> = (0..net.n())
+            .map(|p| {
+                assert_eq!(decision(net, p), Some(d), "{what}: process {p}");
+                net.process(p).decided_round().expect("decided")
+            })
+            .collect();
+        let woken = (0..net.n()).any(|p| wakes(net.process(p)) > 0);
+        woken && rounds.iter().any(|r| *r != rounds[0])
+    }
+
+    #[test]
+    fn split_decisions_wake_quiet_deciders() {
+        for n in [4, 7] {
+            let mut exercised = 0;
+            for (seed, schedule) in Schedule::sweep(0..300) {
+                let net = split_run(n, seed, schedule);
+                let what = format!("n {n} seed {seed} {schedule}");
+                exercised += u32::from(check_split_run(&net, &what));
+            }
+            assert!(exercised > 0, "n {n}: no run woke a quiet decider");
+        }
+    }
+
+    // Three runs of the sweep above in which a process that did not decide
+    // with the others had to wake them, pinned by name: if a change to the
+    // emission order moves them, pick three new hits from the sweep rather
+    // than let the liveness half of the rule go untested.
+    fn assert_wakes_a_quiet_decider(n: usize, seed: u64) {
+        let net = split_run(n, seed, Schedule::Random);
+        let what = format!("n {n} seed {seed}");
+        assert!(check_split_run(&net, &what), "{what}: nobody was woken");
+    }
+
+    #[test]
+    fn split_decision_n4_seed_10_wakes_a_quiet_decider() {
+        assert_wakes_a_quiet_decider(4, 10);
+    }
+
+    #[test]
+    fn split_decision_n4_seed_33_wakes_a_quiet_decider() {
+        assert_wakes_a_quiet_decider(4, 33);
+    }
+
+    #[test]
+    fn split_decision_n7_seed_1_wakes_a_quiet_decider() {
+        assert_wakes_a_quiet_decider(7, 1);
     }
 
     #[test]

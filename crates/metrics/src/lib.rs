@@ -1158,6 +1158,9 @@ instruments! {
     bc_rejected: Counter,
     /// Rounds needed per decided instance.
     bc_rounds: Histogram,
+    /// Decided instances woken from their quiet post-decision state: some
+    /// other member named a later round, so the extra round was run.
+    bc_courtesy_rounds: Counter,
 
     // ---- multi-valued consensus (§2.5) ----
     /// Instances that proposed.
@@ -2354,7 +2357,7 @@ mod tests {
 
     #[test]
     fn every_declared_instrument_is_exported_under_its_field_name() {
-        assert_eq!(INSTRUMENTS.len(), 95);
+        assert_eq!(INSTRUMENTS.len(), 96);
         let snap = Metrics::new().snapshot();
         let prom = snap.to_prometheus();
         for &(name, kind) in INSTRUMENTS {

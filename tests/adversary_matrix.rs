@@ -16,7 +16,7 @@
 //! ```
 //!
 //! One `#[test]` per strategy so the matrix parallelizes across test
-//! threads; together they cover the full 6 × 3 × 8 cross-product.
+//! threads; together they cover the full 7 × 3 × 8 cross-product.
 
 use ritas::adversary::explorer::{run_spec, shrink, sweep, RunSpec, SweepConfig};
 use ritas::adversary::StrategyKind;
@@ -93,6 +93,11 @@ fn matrix_stale_replay() {
 #[test]
 fn matrix_random_mutation() {
     run_strategy_matrix(StrategyKind::RandomMutation);
+}
+
+#[test]
+fn matrix_round_ahead() {
+    run_strategy_matrix(StrategyKind::RoundAhead);
 }
 
 /// The whole point of the harness: identical specs reproduce identical
