@@ -265,10 +265,10 @@ fn main() {
                     load_query,
                 )
             });
-            // This is a throughput benchmark: spans and trace events are
-            // allocation-heavy observability, and on a saturated machine
-            // recording them costs ~30% of the measured capacity. All
-            // counters (including the exactly-once audit) stay live.
+            // This is a throughput benchmark: spans are allocation-heavy
+            // observability, and on a saturated machine recording them
+            // costs ~30% of the measured capacity. All counters
+            // (including the exactly-once audit) stay live.
             replica.metrics().set_tracing(false);
             ServiceServer::spawn(replica, dealer, ServerConfig::default()).expect("front-end")
         })

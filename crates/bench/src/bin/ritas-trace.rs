@@ -1,14 +1,14 @@
 //! Span-trace viewer: renders per-instance waterfalls and critical-path
-//! summaries from a span dump (JSONL, one span per line) written by the
-//! figure binaries' or `real_latency`'s `--span-json PATH` flag.
+//! summaries from a span dump (JSONL, one span per line) written by
+//! `ritas-bench <experiment> --span-json PATH`.
 //!
 //! Usage:
 //! `ritas-trace <span.jsonl> [--max-instances N] [--strict]`
 //! `ritas-trace --cluster <spans-0.jsonl> <spans-1.jsonl> ... [--max-events N] [--strict]`
 //!
 //! In `--cluster` mode the positional files are per-replica dumps of the
-//! *same* run, in replica-id order (`--cluster-span-json` of the figure
-//! binaries writes them). The report estimates pairwise clock skew from
+//! *same* run, in replica-id order (`ritas-bench <experiment>
+//! --cluster-span-json PREFIX` writes them). The report estimates pairwise clock skew from
 //! matched send/receive span opens, attributes every RB/EB echo quorum
 //! and BC round to the replica whose message closed it, aggregates the
 //! coin-round distribution, and prints a bounded merged timeline — it

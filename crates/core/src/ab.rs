@@ -49,11 +49,12 @@ use crate::codec::{Reader, WireError, WireMessage, Writer};
 use crate::ctx::Ctx;
 use crate::mvc::{MultiValuedConsensus, MvcConfig, MvcMessage, MvcValue};
 use crate::rb::{RbMessage, ReliableBroadcast};
+use crate::recovery::milestones;
 use crate::step::{FaultKind, Step};
 use crate::ProcessId;
 use bytes::Bytes;
 use ritas_crypto::{DeterministicCoin, LocalRoundCoin};
-use ritas_metrics::{Layer, SpanAnnotation};
+use ritas_metrics::{FlightKind, Layer, SpanAnnotation};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt::{self, Write as _};
 
@@ -724,11 +725,11 @@ impl AtomicBroadcast {
         self.awaiting_payloads = None;
         self.recovering = true;
         self.free_finished_rounds();
-        self.ctx.metrics.trace(
-            Layer::Ab,
-            "resume",
-            || format!("ab-round:{}", cursor.round),
-            cursor.round,
+        self.ctx.metrics.flight_record(
+            FlightKind::Recovery,
+            self.ctx.me as u32,
+            milestones::AB_RESUMED,
+            u64::from(cursor.round),
         );
     }
 
@@ -798,11 +799,11 @@ impl AtomicBroadcast {
         }
         match decode_batch(&raw) {
             Ok(batch) => {
-                self.ctx.metrics.trace(
-                    Layer::Ab,
-                    "inject",
-                    || format!("ab-batch:{}:{}", id.sender, id.rbid),
-                    self.round,
+                self.ctx.metrics.flight_record(
+                    FlightKind::Recovery,
+                    id.sender as u32,
+                    milestones::BATCH_INJECTED,
+                    id.rbid,
                 );
                 self.received.insert(id, batch);
                 self.settle(false)
@@ -824,12 +825,6 @@ impl AtomicBroadcast {
         self.next_rbid += 1;
         self.stats.broadcast += 1;
         self.ctx.metrics.ab_broadcast.inc();
-        self.ctx.metrics.trace(
-            Layer::Ab,
-            "broadcast",
-            || format!("ab:{}:{}", id.sender, id.rbid),
-            self.round,
-        );
         self.ctx.open_at(Layer::Ab, id_seg('m', id, ""));
         self.ctx.open_at(Layer::Ab, id_seg('m', id, "/queue"));
         self.queue.push_back(QueuedCmd {
@@ -1099,16 +1094,10 @@ impl AtomicBroadcast {
         self.ctx.metrics.ab_batch_commands.record(take as u64);
         self.ctx.metrics.ab_queue_depth.set(self.queue.len() as u64);
         self.ctx.metrics.flight_record(
-            ritas_metrics::FlightKind::Flush,
+            FlightKind::Flush,
             self.ctx.me as u32,
             take as u64,
             reason as u64,
-        );
-        self.ctx.metrics.trace(
-            Layer::Ab,
-            "flush",
-            || format!("ab-batch:{}:{}", batch.sender, batch.rbid),
-            take as u32,
         );
         // Per-command milestones: the queue segment ends, dissemination
         // begins (the `/rb` child closes when the batch RBC delivers
@@ -1240,9 +1229,6 @@ impl AtomicBroadcast {
             Some(Some(bytes)) => {
                 self.stats.agreements += 1;
                 self.ctx.metrics.ab_agreements.inc();
-                self.ctx
-                    .metrics
-                    .trace(Layer::Ab, "agree", || format!("ab-round:{round}"), round);
                 match decode_ids(&bytes) {
                     Ok(ids) => {
                         let fresh: Vec<MsgId> = ids
@@ -1265,12 +1251,6 @@ impl AtomicBroadcast {
                 self.stats.agreements += 1;
                 self.stats.bottom_agreements += 1;
                 self.ctx.metrics.ab_agreements.inc();
-                self.ctx.metrics.trace(
-                    Layer::Ab,
-                    "agree-bottom",
-                    || format!("ab-round:{round}"),
-                    round,
-                );
                 self.next_round();
                 true
             }
@@ -1299,11 +1279,11 @@ impl AtomicBroadcast {
         let Some(round) = target else {
             return false;
         };
-        self.ctx.metrics.trace(
-            Layer::Ab,
-            "fast-forward",
-            || format!("ab-round:{round}"),
-            round,
+        self.ctx.metrics.flight_record(
+            FlightKind::Recovery,
+            self.ctx.me as u32,
+            milestones::FAST_FORWARD,
+            u64::from(round),
         );
         if self.vect_sent {
             self.ctx.close_at(|f| write!(f, "r:{}", self.round));
@@ -1373,12 +1353,6 @@ impl AtomicBroadcast {
                 self.ctx.close_at(id_seg('m', cmd, ""));
                 self.stats.delivered += 1;
                 self.ctx.metrics.ab_delivered.inc();
-                self.ctx.metrics.trace(
-                    Layer::Ab,
-                    "deliver",
-                    || format!("ab:{}:{}", cmd.sender, cmd.rbid),
-                    self.round,
-                );
                 out.push_output(AbDelivery { id: cmd, payload });
             }
         }
@@ -1672,6 +1646,10 @@ mod tests {
             net.absorb(p, step);
         }
         for p in 0..3 {
+            let injected = (FlightKind::Recovery, 3, milestones::BATCH_INJECTED);
+            let events = net.process(p).ctx.metrics.flight().events();
+            let found = events.iter().find(|e| (e.kind, e.peer, e.a) == injected);
+            assert_eq!(found.map(|e| e.b), Some(1000 + p as u64), "process {p}");
             let step = net.process_mut(p).poll();
             net.absorb(p, step);
         }
@@ -1688,6 +1666,42 @@ mod tests {
             let got = delivered_ids(&net, p);
             assert_eq!(got, vec![id], "process {p}");
         }
+    }
+
+    #[test]
+    fn resumed_session_jumps_to_a_round_f_plus_1_peers_reached() {
+        let mut ab = AtomicBroadcast::new(ctx(4, 0, 0), 1, AbConfig::default());
+        ab.resume(&AbCursor {
+            round: 2,
+            a_delivered: vec![0; 4],
+            cmd_delivered: vec![0; 4],
+            next_rbid: 0,
+            next_batch: 0,
+        });
+        // Round-5 vectors of two origins (f + 1), each RB-delivered on
+        // three READYs; one origin alone moves nothing.
+        let vect = encode_ids(&BTreeSet::new());
+        for (origin, reached) in [(1, 2), (2, 5)] {
+            for from in 1..4 {
+                let (round, inner) = (5, RbMessage::Ready(vect.clone()));
+                let step = ab.handle_message(
+                    from,
+                    AbMessage::Vect {
+                        origin,
+                        round,
+                        inner,
+                    },
+                );
+                assert!(step.faults.is_empty() && step.outputs.is_empty());
+            }
+            assert_eq!(ab.round(), reached, "after origin {origin}");
+        }
+        let recorded: Vec<(u64, u64)> = (ab.ctx.metrics.flight().events().iter())
+            .filter(|e| e.kind == FlightKind::Recovery)
+            .map(|e| (e.a, e.b))
+            .collect();
+        let expected = [(milestones::AB_RESUMED, 2), (milestones::FAST_FORWARD, 5)];
+        assert_eq!(recorded, expected);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Protocol-aware Byzantine adversary framework.
 //!
 //! The paper's central claim is safety under *any* behaviour from up to
-//! `f = ⌊(n−1)/3⌋` corrupt processes. The wire-level garbage injector in
-//! [`crate::testing::Cluster::corrupt`] only exercises frames that honest
-//! validation trivially rejects; the strategies here attack *inside* the
+//! `f = ⌊(n−1)/3⌋` corrupt processes. The wire-level garbage injector
+//! ([`RandomMutation`], installed like every strategy with
+//! [`crate::testing::Cluster::set_strategy`]) only exercises frames that
+//! honest validation trivially rejects; the others attack *inside* the
 //! protocol encodings — equivocation, selective silence, biased coin
 //! voting, conflicting `VECT` vectors, stale-instance replay — i.e. the
 //! attacks the paper's validation rules (§2.4–§2.6) are designed to

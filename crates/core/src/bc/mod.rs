@@ -47,7 +47,7 @@ use crate::step::{FaultKind, Step};
 use crate::ProcessId;
 use bytes::Bytes;
 use ritas_crypto::RoundCoin;
-use ritas_metrics::{Layer, SpanAnnotation};
+use ritas_metrics::SpanAnnotation;
 use std::collections::BTreeMap;
 use validation::{majority, next_round_valid, step2_valid, step3_valid, strict_majority, Tally};
 
@@ -335,12 +335,6 @@ impl BinaryConsensus {
         self.started = true;
         self.current = Some(value);
         self.ctx.metrics.bc_started.inc();
-        self.ctx.metrics.trace(
-            Layer::Bc,
-            "propose",
-            || format!("bc:{}", self.ctx.me),
-            self.round,
-        );
         self.ctx
             .annotate(SpanAnnotation::RoundEntered, u64::from(self.round));
         let mut out = Step::none();
@@ -576,12 +570,6 @@ impl BinaryConsensus {
                 self.decided_round = Some(self.round);
                 self.ctx.metrics.bc_decided.inc();
                 self.ctx.metrics.bc_rounds.record(u64::from(self.round));
-                self.ctx.metrics.trace(
-                    Layer::Bc,
-                    "decide",
-                    || format!("bc:{}", self.ctx.me),
-                    self.round,
-                );
                 self.ctx.close();
                 out.push_output(lead);
             }
@@ -590,12 +578,6 @@ impl BinaryConsensus {
             lead
         } else {
             self.ctx.metrics.bc_coin_flips.inc();
-            self.ctx.metrics.trace(
-                Layer::Bc,
-                "coin-flip",
-                || format!("bc:{}", self.ctx.me),
-                self.round,
-            );
             let bit = self.coin.flip_round(self.round);
             self.ctx
                 .annotate(SpanAnnotation::CoinFlipped, u64::from(bit));

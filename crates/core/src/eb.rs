@@ -41,7 +41,7 @@ use crate::step::{FaultKind, Step};
 use crate::ProcessId;
 use bytes::Bytes;
 use ritas_crypto::mac::{self, MacTag, TAG_LEN};
-use ritas_metrics::{Layer, SpanAnnotation};
+use ritas_metrics::SpanAnnotation;
 
 /// Upper bound on vector entries accepted by the decoder (defense against
 /// allocation attacks; far above any plausible group size).
@@ -349,9 +349,6 @@ impl EchoBroadcast {
         if valid >= self.ctx.group.echo_threshold() {
             self.delivered = true;
             self.ctx.metrics.eb_delivered.inc();
-            self.ctx
-                .metrics
-                .trace(Layer::Eb, "deliver", || format!("eb:{}", self.sender), 0);
             self.ctx.close();
             Step::output(payload)
         } else {

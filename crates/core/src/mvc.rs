@@ -346,9 +346,6 @@ impl MultiValuedConsensus {
         }
         self.started = true;
         self.ctx.metrics.mvc_started.inc();
-        self.ctx
-            .metrics
-            .trace(Layer::Mvc, "propose", || format!("mvc:{}", self.ctx.me), 0);
         let me = self.ctx.me;
         let mut payload = Writer::new();
         encode_value(&mut payload, &value);
@@ -640,12 +637,6 @@ impl MultiValuedConsensus {
                 self.decided = true;
                 self.decision = Some(None);
                 self.ctx.metrics.mvc_decided_bottom.inc();
-                self.ctx.metrics.trace(
-                    Layer::Mvc,
-                    "decide-bottom",
-                    || format!("mvc:{}", self.ctx.me),
-                    0,
-                );
                 self.ctx.close();
                 out.push_output(None);
                 true
@@ -672,12 +663,6 @@ impl MultiValuedConsensus {
                         self.decided = true;
                         self.decision = Some(Some(v.clone()));
                         self.ctx.metrics.mvc_decided_value.inc();
-                        self.ctx.metrics.trace(
-                            Layer::Mvc,
-                            "decide-value",
-                            || format!("mvc:{}", self.ctx.me),
-                            0,
-                        );
                         self.ctx.close();
                         out.push_output(Some(v));
                         return true;

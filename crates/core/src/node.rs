@@ -97,8 +97,8 @@ pub struct SessionConfig {
     pub metrics_endpoint: bool,
     /// No-progress budget for the stall watchdog: when set, each node
     /// flags itself stalled (in `/health`, the `node_stalls_total`
-    /// counter, a `stall` trace event and the flight recorder) whenever
-    /// work is outstanding but nothing a-delivers within the budget.
+    /// counter and the flight recorder) whenever work is outstanding
+    /// but nothing a-delivers within the budget.
     pub stall_budget: Option<Duration>,
     /// How long inbound frames sealed under the *previous* key epoch
     /// stay acceptable after a proactive key rotation (see
@@ -699,10 +699,9 @@ impl Node {
     /// Arms the stall watchdog: when work is outstanding (own broadcasts
     /// in flight or commands queued) and nothing a-delivers within
     /// `budget`, the node marks itself stalled — `/health` reports it,
-    /// `node_stalls_total` increments, a `stall` trace event is recorded
-    /// and a [`FlightKind::Stall`] event enters the flight
-    /// recorder. The flag clears as soon as progress resumes. Calling
-    /// again re-tunes the budget.
+    /// `node_stalls_total` increments and a [`FlightKind::Stall`] event
+    /// enters the flight recorder. The flag clears as soon as progress
+    /// resumes. Calling again re-tunes the budget.
     pub fn start_watchdog(&mut self, budget: Duration) {
         self.health
             .budget_ns
@@ -736,12 +735,6 @@ impl Node {
                 if stalled {
                     if !health.stalled.swap(true, Ordering::Relaxed) {
                         metrics.node_stalls_total.inc();
-                        metrics.trace(
-                            ritas_metrics::Layer::Node,
-                            "stall",
-                            || format!("node:{id}"),
-                            0,
-                        );
                         metrics.flight_record(
                             FlightKind::Stall,
                             id as u32,
@@ -1822,11 +1815,6 @@ mod tests {
         let health = http_get(survivor.metrics_addr().unwrap(), "/health");
         assert!(health.contains("\"stalled\":true"), "{health}");
         assert!(health.contains("\"pending\":true"), "{health}");
-        let snap = survivor.metrics_snapshot();
-        assert!(
-            snap.trace.iter().any(|e| e.kind == "stall"),
-            "no stall trace event"
-        );
         assert!(
             survivor
                 .metrics()

@@ -29,7 +29,7 @@ use crate::error::ProtocolError;
 use crate::step::{FaultKind, Step};
 use crate::ProcessId;
 use bytes::Bytes;
-use ritas_metrics::{Layer, SpanAnnotation};
+use ritas_metrics::SpanAnnotation;
 
 /// Messages of the reliable broadcast protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -336,9 +336,6 @@ impl ReliableBroadcast {
         if !self.delivered && count >= self.ctx.group.byzantine_majority() {
             self.delivered = true;
             self.ctx.metrics.rb_delivered.inc();
-            self.ctx
-                .metrics
-                .trace(Layer::Rb, "deliver", || format!("rb:{}", self.sender), 0);
             // `from` closed the 2f+1 READY quorum that gates delivery.
             self.ctx.annotate(SpanAnnotation::QuorumMet, from as u64);
             self.ctx.close();

@@ -133,6 +133,15 @@ pub mod milestones {
     pub const WIPE_COMPLETED: u64 = 6;
     /// A rotation slot was deferred (degraded group or stuck slot).
     pub const WIPE_DEFERRED: u64 = 7;
+    /// Atomic broadcast was rewound to a restored cursor (`b` = the
+    /// agreement round it resumes at).
+    pub const AB_RESUMED: u64 = 8;
+    /// A batch payload fetched from peers was injected into a resumed
+    /// atomic broadcast (`peer` = the batch's sender, `b` = its rbid).
+    pub const BATCH_INJECTED: u64 = 9;
+    /// A recovering atomic broadcast jumped ahead to a round `f + 1`
+    /// peers had already reached (`b` = that round).
+    pub const FAST_FORWARD: u64 = 10;
 }
 
 // ---------------------------------------------------------------------------

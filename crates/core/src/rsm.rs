@@ -1971,13 +1971,15 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
         assert_eq!(m.recovery_phase.get(), 0, "back to Live");
-        assert!(
-            m.flight()
-                .events()
-                .iter()
-                .any(|e| e.kind == FlightKind::Recovery && e.a == milestones::LIVE),
-            "LIVE milestone recorded"
-        );
+        let recovery = m.flight().events();
+        for milestone in [milestones::AB_RESUMED, milestones::LIVE] {
+            assert!(
+                recovery
+                    .iter()
+                    .any(|e| e.kind == FlightKind::Recovery && e.a == milestone),
+                "milestone {milestone} recorded"
+            );
+        }
         // Exactly once: the counter landed exactly on the submitted
         // total on every replica, including the rejoined one.
         for r in replicas.iter().chain([&rejoined]) {

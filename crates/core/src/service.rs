@@ -455,6 +455,16 @@ struct Waiters {
     by_request: HashMap<(ClientId, u64), Vec<Waiter>>,
 }
 
+/// The span path of request `(client, seq)` — `svc:{client}:{seq}{stage}`,
+/// `stage` being `""`, `"/apply"` or `"/reply"` — and the only place the
+/// service tier builds one: `None`, with nothing formatted, while tracing
+/// is off.
+pub fn request_span(metrics: &Metrics, client: ClientId, seq: u64, stage: &str) -> Option<String> {
+    metrics
+        .tracing_enabled()
+        .then(|| format!("svc:{client}:{seq}{stage}"))
+}
+
 /// The per-delivery apply closure a [`ServiceReplica`] hands its
 /// [`Replica`].
 type Applier<S> = Box<dyn FnMut(&mut ServiceState<S>, crate::ProcessId, &[u8]) + Send>;
@@ -615,8 +625,10 @@ impl<S: Send + 'static> ServiceReplica<S> {
                 m.service_dup_apply_skipped.inc();
                 state.sessions.cached(c.client, c.seq)
             } else {
-                let span = format!("svc:{}:{}/apply", c.client, c.seq);
-                m.span_open(span.clone(), Layer::Service);
+                let span = request_span(&m, c.client, c.seq, "/apply");
+                if let Some(span) = &span {
+                    m.span_open(span.as_str(), Layer::Service);
+                }
                 let reply = match c.kind {
                     CommandKind::Apply => (apply)(&mut state.app, c.client, &c.payload),
                     CommandKind::OrderedRead => {
@@ -624,7 +636,9 @@ impl<S: Send + 'static> ServiceReplica<S> {
                         (q)(&state.app, &c.payload)
                     }
                 };
-                m.span_close(&span);
+                if let Some(span) = &span {
+                    m.span_close(span);
+                }
                 m.service_commands_applied.inc();
                 state.sessions.complete(c.client, c.seq, reply.clone());
                 Some(reply)
@@ -685,7 +699,6 @@ impl<S: Send + 'static> ServiceReplica<S> {
         timeout: Duration,
     ) -> Result<Bytes, ServiceError> {
         self.metrics.service_requests_total.inc();
-        let span = format!("svc:{client}:{seq}");
         let (needs_submit, waiter) = {
             let mut table = self.table.lock();
             match table.check(client, seq) {
@@ -709,9 +722,19 @@ impl<S: Send + 'static> ServiceReplica<S> {
                 }
             }
         };
+        let spans = request_span(&self.metrics, client, seq, "")
+            .map(|request| (format!("{request}/ab"), request));
+        let close_spans = || {
+            if let Some((ab, request)) = &spans {
+                self.metrics.span_close(ab);
+                self.metrics.span_close(request);
+            }
+        };
         if needs_submit {
-            self.metrics.span_open(span.clone(), Layer::Service);
-            self.metrics.span_open(format!("{span}/ab"), Layer::Service);
+            if let Some((ab, request)) = &spans {
+                self.metrics.span_open(request.as_str(), Layer::Service);
+                self.metrics.span_open(ab.as_str(), Layer::Service);
+            }
             let cmd = ServiceCommand {
                 client,
                 seq,
@@ -730,14 +753,12 @@ impl<S: Send + 'static> ServiceReplica<S> {
                     table.abort(client, seq);
                     self.metrics.service_inflight.set(table.in_flight() as u64);
                 }
-                self.metrics.span_close(&format!("{span}/ab"));
-                self.metrics.span_close(&span);
+                close_spans();
                 return Err(ServiceError::Node(e));
             }
         }
         let reply = self.wait_reply(client, seq, waiter, timeout)?;
-        self.metrics.span_close(&format!("{span}/ab"));
-        self.metrics.span_close(&span);
+        close_spans();
         Ok(reply)
     }
 
@@ -1033,6 +1054,62 @@ mod tests {
         for r in &replicas {
             r.shutdown();
         }
+    }
+
+    /// DESIGN.md §5b at the service tier: with tracing off a request
+    /// builds no span path and records no span; switched on, the next
+    /// request records every stage.
+    #[test]
+    fn tracing_off_builds_and_records_no_request_span() {
+        let replicas = counters(4);
+        let request_spans = |r: &ServiceReplica<u64>| -> Vec<String> {
+            let mut paths: Vec<String> = r
+                .metrics()
+                .spans()
+                .into_iter()
+                .map(|s| s.path)
+                .filter(|p| p.starts_with("svc:"))
+                .collect();
+            paths.sort();
+            paths
+        };
+        let applied_everywhere = |count: u64| {
+            let deadline = std::time::Instant::now() + T;
+            while replicas
+                .iter()
+                .any(|r| r.metrics().service_commands_applied.get() < count)
+            {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "apply {count} missing"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        for r in &replicas {
+            r.metrics().set_tracing(false);
+        }
+        let incr = || Bytes::from_static(b"incr");
+        replicas[0]
+            .submit(5, 1, CommandKind::Apply, incr(), T)
+            .unwrap();
+        applied_everywhere(1);
+        for r in &replicas {
+            assert_eq!(request_spans(r), Vec::<String>::new());
+            assert_eq!(request_span(r.metrics(), 5, 1, "/apply"), None);
+        }
+        for r in &replicas {
+            r.metrics().set_tracing(true);
+        }
+        replicas[0]
+            .submit(5, 2, CommandKind::Apply, incr(), T)
+            .unwrap();
+        applied_everywhere(2);
+        assert_eq!(
+            request_spans(&replicas[0]),
+            ["svc:5:2", "svc:5:2/ab", "svc:5:2/apply"]
+        );
+        assert_eq!(request_spans(&replicas[1]), ["svc:5:2/apply"]);
     }
 
     #[test]

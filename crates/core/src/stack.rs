@@ -1050,6 +1050,10 @@ mod tests {
         assert!(!s.messages.is_empty(), "replayed frame produced traffic");
         assert_eq!(cluster.stack_mut(0).ooc_len(), 0);
         assert!(cluster.stack_mut(0).ab(0).expect("resumed").recovering());
+        use crate::recovery::milestones::AB_RESUMED;
+        let resumed = (ritas_metrics::FlightKind::Recovery, AB_RESUMED, 0);
+        let events = cluster.metrics(0).flight().events();
+        assert!(events.iter().any(|e| (e.kind, e.a, e.b) == resumed));
     }
 
     #[test]
@@ -1410,7 +1414,7 @@ mod tests {
     }
 
     #[test]
-    fn tracing_off_leaves_no_span_and_no_trace_event() {
+    fn tracing_off_leaves_no_span() {
         let mut cluster = Cluster::new(4, 30);
         for p in 0..4 {
             cluster.metrics(p).set_tracing(false);
@@ -1449,9 +1453,7 @@ mod tests {
             assert_eq!(count(|o| matches!(o, Output::MvcDecided { .. })), 1);
             assert_eq!(count(|o| matches!(o, Output::VcDecided { .. })), 1);
             assert!(cluster.metrics(p).spans().is_empty(), "a span at {p}");
-            let snap = cluster.metrics(p).snapshot();
-            assert!(snap.trace.is_empty(), "a trace event at {p}");
-            assert_eq!(snap.counters["span_orphan_closed"], 0);
+            assert_eq!(cluster.metrics(p).span_orphan_closed.get(), 0);
         }
     }
 

@@ -12,7 +12,7 @@
 //! `ritas-sim` crate; this harness is for functional tests of the
 //! protocol logic.
 
-use crate::adversary::{FrameMutator, SendCtx, Strategy, StrategyRng};
+use crate::adversary::{SendCtx, Strategy, StrategyRng};
 use crate::config::Group;
 use crate::ctx::Ctx;
 use crate::stack::Stack;
@@ -384,11 +384,6 @@ where
 /// The [`Cluster`]'s wire: per process, an optional Byzantine rewrite of
 /// everything its stack sends.
 pub struct Byzantine {
-    seed: u64,
-    /// Processes whose outgoing frames are randomly mutated (dropped,
-    /// duplicated, bit-flipped, truncated or replaced with garbage) — a
-    /// wire-level Byzantine adversary, one seeded mutator each.
-    corrupted: Vec<Option<FrameMutator>>,
     /// Protocol-aware Byzantine strategies (see [`crate::adversary`]):
     /// when set for a process, every outbound frame is decoded and run
     /// through the strategy once per destination before it travels.
@@ -399,27 +394,19 @@ impl Wire<Bytes> for Byzantine {
     fn carry(&mut self, p: ProcessId, n: usize, out: Outgoing<Bytes>) -> Vec<(ProcessId, Bytes)> {
         let dests = destinations(n, out.target);
         if let Some(strategy) = &mut self.strategies[p] {
-            return match crate::adversary::decode_frame(&out.message) {
-                Some((key, msg)) => dests
+            // An honest stack never emits an undecodable frame; if one
+            // appears (strategy-injected), it passes through below.
+            if let Some((key, msg)) = crate::adversary::decode_frame(&out.message) {
+                return dests
                     .flat_map(|to| {
                         let ctx = SendCtx { me: p, to, n };
                         let frames = strategy.rewrite(&ctx, key, msg.clone());
                         frames.into_iter().map(move |frame| (to, frame))
                     })
-                    .collect(),
-                // An honest stack never emits an undecodable frame; if
-                // one appears (strategy-injected), pass it through.
-                None => dests.map(|to| (to, out.message.clone())).collect(),
-            };
+                    .collect();
+            }
         }
-        let frames = match &mut self.corrupted[p] {
-            Some(mutator) => mutator.mutate(out.message),
-            None => vec![out.message],
-        };
-        frames
-            .into_iter()
-            .flat_map(|frame| dests.clone().map(move |to| (to, frame.clone())))
-            .collect()
+        dests.map(|to| (to, out.message.clone())).collect()
     }
 }
 
@@ -472,30 +459,18 @@ impl Cluster {
     pub fn with_stacks(stacks: Vec<Stack>, seed: u64) -> Self {
         let n = stacks.len();
         let wire = Byzantine {
-            seed,
-            corrupted: vec![None; n],
             strategies: (0..n).map(|_| None).collect(),
         };
         Net::over(stacks, wire, seed)
-    }
-
-    /// Marks process `p` as a wire-level Byzantine adversary: every frame
-    /// it sends is randomly dropped, duplicated, bit-flipped, truncated or
-    /// replaced with garbage by a seeded [`FrameMutator`]. The remaining
-    /// correct processes must still satisfy their protocols'
-    /// agreement/validity/order properties — this models a corrupt process
-    /// that emits arbitrary bytes rather than one that merely follows a
-    /// clever high-level strategy.
-    pub fn corrupt(&mut self, p: ProcessId) {
-        self.wire.corrupted[p] = Some(FrameMutator::new(self.wire.seed ^ p as u64));
     }
 
     /// Installs a protocol-aware Byzantine [`crate::adversary::Strategy`]
     /// for process `p`: every frame its stack emits is decoded, handed to
     /// the strategy once per destination (broadcasts included — the basis
     /// of equivocation), and replaced by whatever frames the strategy
-    /// returns. Takes precedence over [`Cluster::corrupt`]'s wire-level
-    /// mutation for the same process.
+    /// returns. [`RandomMutation`](crate::adversary::RandomMutation)
+    /// is the wire-level adversary: a corrupt process that emits arbitrary
+    /// bytes rather than one that follows a clever high-level strategy.
     pub fn set_strategy(&mut self, p: ProcessId, strategy: Box<dyn Strategy>) {
         self.wire.strategies[p] = Some(strategy);
     }
@@ -515,6 +490,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::RandomMutation;
     use crate::stack::Output;
 
     #[test]
@@ -554,7 +530,7 @@ mod tests {
     fn wire_level_byzantine_cannot_break_bc_agreement() {
         for seed in [1u64, 2, 3, 4, 5] {
             let mut cluster = Cluster::new(4, seed);
-            cluster.corrupt(3);
+            cluster.set_strategy(3, Box::new(RandomMutation::new(seed ^ 3)));
             for p in 0..4 {
                 let step = cluster.stack_mut(p).bc_propose(1, p % 2 == 0).unwrap();
                 cluster.absorb(p, step);
@@ -584,7 +560,7 @@ mod tests {
     fn wire_level_byzantine_cannot_break_ab_total_order() {
         for seed in [7u64, 8, 9] {
             let mut cluster = Cluster::new(4, seed);
-            cluster.corrupt(2);
+            cluster.set_strategy(2, Box::new(RandomMutation::new(seed ^ 2)));
             for p in [0usize, 1, 3] {
                 let (_, step) = cluster
                     .stack_mut(p)

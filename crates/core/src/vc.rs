@@ -230,12 +230,6 @@ impl VectorConsensus {
         }
         self.started = true;
         self.ctx.metrics.vc_started.inc();
-        self.ctx.metrics.trace(
-            Layer::Vc,
-            "propose",
-            || format!("vc:{}", self.ctx.me),
-            self.round,
-        );
         let me = self.ctx.me;
         let sub = self.prop_rbc[me].broadcast(value)?;
         let mut out = wrap_prop(me, sub);
@@ -335,12 +329,6 @@ impl VectorConsensus {
                             self.ctx.metrics.vc_rounds.record(u64::from(round) + 1);
                             let bottoms = v.iter().filter(|e| e.is_none()).count();
                             self.ctx.metrics.vc_bottom_entries.add(bottoms as u64);
-                            self.ctx.metrics.trace(
-                                Layer::Vc,
-                                "decide",
-                                || format!("vc:{}", self.ctx.me),
-                                round,
-                            );
                             self.ctx.close();
                             out.push_output(v);
                             progressed = true;

@@ -61,9 +61,12 @@ pub enum FlightKind {
     /// Driver-specific marker (tests, shutdown notes…).
     Marker,
     /// A recovery-pipeline milestone (snapshot taken, rejoin phase
-    /// change, transfer abort); `a` = milestone code (0 snapshot,
-    /// 1 syncing, 2 catching-up, 3 live, 4 aborted), `b` = the applied
-    /// sequence number involved.
+    /// change, transfer abort, rotation slot, atomic broadcast rewound);
+    /// `a` = milestone code (`ritas::recovery::milestones`: 0 snapshot,
+    /// 1 syncing, 2 catching-up, 3 live, 4 aborted, 5–7 rotation slot
+    /// scheduled / completed / deferred, 8 AB resumed, 9 batch injected,
+    /// 10 fast-forward), `b` = the applied sequence number, round or rbid
+    /// involved; `peer` = the recording process (for 9, the batch's sender).
     Recovery,
 }
 

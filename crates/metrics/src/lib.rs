@@ -4,7 +4,8 @@
 //! latency and throughput per protocol, rounds per consensus instance,
 //! messages per broadcast. This crate is the reproduction's counterpart:
 //! a zero-dependency, thread-safe registry of counters, gauges and
-//! fixed-bucket histograms, plus a bounded structured event-trace ring.
+//! fixed-bucket histograms, plus bounded per-instance spans and a flight
+//! recorder.
 //!
 //! Design rules:
 //!
@@ -17,7 +18,7 @@
 //! * **Driver-injected time.** Protocol state machines are sans-io and
 //!   have no clock; drivers (the threaded node, the discrete-event
 //!   simulator) stamp the registry clock via [`Metrics::set_time`], so
-//!   trace timestamps are wall nanoseconds in production and virtual
+//!   span timestamps are wall nanoseconds in production and virtual
 //!   nanoseconds in simulation.
 //!
 //! A [`MetricsSnapshot`] freezes everything into plain data with stable
@@ -269,60 +270,6 @@ impl Layer {
             "service" => Layer::Service,
             _ => return None,
         })
-    }
-}
-
-/// One structured trace event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Global sequence number (records causal order even when the
-    /// injected clock stands still).
-    pub seq: u64,
-    /// Driver-injected timestamp (wall ns for the node runtime, virtual
-    /// ns in simulation, 0 when no driver stamps the clock).
-    pub timestamp: u64,
-    /// Which protocol instance emitted the event (stable debug key).
-    pub instance_id: String,
-    /// The emitting layer.
-    pub layer: Layer,
-    /// Event kind, e.g. `"deliver"`, `"coin-flip"`, `"decide"`.
-    pub kind: &'static str,
-    /// Protocol round, when the layer has rounds (0 otherwise).
-    pub round: u32,
-}
-
-/// Default capacity of the trace ring.
-pub const TRACE_CAPACITY: usize = 1024;
-
-#[derive(Debug)]
-struct TraceRing {
-    events: Mutex<std::collections::VecDeque<TraceEvent>>,
-    capacity: usize,
-}
-
-impl TraceRing {
-    fn new(capacity: usize) -> Self {
-        TraceRing {
-            events: Mutex::new(std::collections::VecDeque::with_capacity(capacity.min(64))),
-            capacity,
-        }
-    }
-
-    fn push(&self, event: TraceEvent) {
-        let mut q = self.events.lock().unwrap_or_else(PoisonError::into_inner);
-        if q.len() == self.capacity {
-            q.pop_front();
-        }
-        q.push_back(event);
-    }
-
-    fn to_vec(&self) -> Vec<TraceEvent> {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .cloned()
-            .collect()
     }
 }
 
@@ -763,7 +710,7 @@ struct SpanRegistryInner {
 
 /// Bounded per-instance span storage. One mutex guards both maps — span
 /// transitions are rare (per protocol instance, not per message), so
-/// contention is negligible next to the trace ring's.
+/// contention is negligible.
 #[derive(Debug)]
 struct SpanRegistry {
     inner: Mutex<SpanRegistryInner>,
@@ -1035,9 +982,7 @@ macro_rules! instruments {
             suspicions: Mutex<BTreeMap<u32, [u64; SUSPICION_KINDS]>>,
             flight: flight::FlightRecorder,
             spans: SpanRegistry,
-            trace: TraceRing,
             clock: AtomicU64,
-            seq: AtomicU64,
             tracing_enabled: AtomicBool,
         }
 
@@ -1048,9 +993,7 @@ macro_rules! instruments {
                     suspicions: Mutex::new(BTreeMap::new()),
                     flight: flight::FlightRecorder::new(flight::FLIGHT_CAPACITY),
                     spans: SpanRegistry::new(SPAN_CAPACITY),
-                    trace: TraceRing::new(TRACE_CAPACITY),
                     clock: AtomicU64::new(0),
-                    seq: AtomicU64::new(0),
                     tracing_enabled: AtomicBool::new(true),
                 }
             }
@@ -1350,11 +1293,11 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Enables or disables span/trace recording on this registry.
+    /// Enables or disables span recording on this registry.
     ///
     /// Counters, gauges and histograms are always live — only the
     /// allocating observability paths (`span_open`, `span_close`,
-    /// `span_annotate`, `trace`) become no-ops when disabled. Throughput
+    /// `span_annotate`) become no-ops when disabled. Throughput
     /// benchmarks turn tracing off so the measurement isn't dominated by
     /// its own instrumentation (20–25 % of a saturated single core as
     /// perfbench's `metrics.tracing_cost_pct` reads it since PR 18,
@@ -1364,13 +1307,13 @@ impl Metrics {
         self.inner.tracing_enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// Whether span/trace recording is currently enabled.
+    /// Whether span recording is currently enabled.
     pub fn tracing_enabled(&self) -> bool {
         self.inner.tracing_enabled.load(Ordering::Relaxed)
     }
 
     /// Injects the driver's current time (wall ns or virtual ns) used to
-    /// stamp subsequent trace events.
+    /// stamp subsequent spans and flight events.
     pub fn set_time(&self, now: u64) {
         self.inner.clock.store(now, Ordering::Relaxed);
     }
@@ -1378,30 +1321,6 @@ impl Metrics {
     /// The last injected driver time.
     pub fn time(&self) -> u64 {
         self.inner.clock.load(Ordering::Relaxed)
-    }
-
-    /// Records a structured trace event. `instance_id` is called only
-    /// when the event is recorded, so a call site pays for formatting its
-    /// id only while tracing is on.
-    pub fn trace(
-        &self,
-        layer: Layer,
-        kind: &'static str,
-        instance_id: impl FnOnce() -> String,
-        round: u32,
-    ) {
-        if !self.tracing_enabled() {
-            return;
-        }
-        let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        self.inner.trace.push(TraceEvent {
-            seq,
-            timestamp: self.time(),
-            instance_id: instance_id(),
-            layer,
-            kind,
-            round,
-        });
     }
 
     /// Opens the span at `path`, stamped with the current driver time.
@@ -1569,7 +1488,6 @@ impl Metrics {
         MetricsSnapshot {
             counters,
             histograms,
-            trace: m.trace.to_vec(),
             spans: self.spans(),
             suspicions: self.suspicions(),
         }
@@ -1597,8 +1515,6 @@ pub struct MetricsSnapshot {
     pub counters: BTreeMap<&'static str, u64>,
     /// All histograms by stable name.
     pub histograms: BTreeMap<&'static str, HistogramSnapshot>,
-    /// The trace ring contents, oldest first.
-    pub trace: Vec<TraceEvent>,
     /// Retained instance spans: closed oldest-first, then open ones.
     pub spans: Vec<SpanRecord>,
     /// Per-peer Byzantine suspicion rows, peers ascending (empty in
@@ -1663,7 +1579,6 @@ impl MetricsSnapshot {
             }
             let _ = writeln!(out, "}}");
         }
-        let _ = writeln!(out, "trace_events {}", self.trace.len());
         let _ = writeln!(out, "spans {}", self.spans.len());
         let paths = self.critical_paths();
         let _ = writeln!(out, "critical_paths {}", paths.len());
@@ -1725,7 +1640,7 @@ impl MetricsSnapshot {
     }
 
     /// Renders the snapshot as a stable JSON object: `{"counters": {...},
-    /// "histograms": {...}, "trace": [...], "spans": [...],
+    /// "histograms": {...}, "suspicions": [...], "spans": [...],
     /// "critical_paths": [...]}`.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
@@ -1775,24 +1690,6 @@ impl MetricsSnapshot {
                 let _ = write!(out, ",\"{}\":{}", kind.as_str(), s.count(kind));
             }
             out.push('}');
-        }
-        out.push_str("],\"trace\":[");
-        first = true;
-        for e in &self.trace {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"seq\":{},\"t\":{},\"instance\":\"{}\",\"layer\":\"{}\",\"kind\":\"{}\",\"round\":{}}}",
-                e.seq,
-                e.timestamp,
-                escape_json(&e.instance_id),
-                e.layer.as_str(),
-                escape_json(e.kind),
-                e.round
-            );
         }
         out.push_str("],\"spans\":[");
         first = true;
@@ -1921,29 +1818,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_ring_keeps_newest_events() {
-        let m = Metrics::new();
-        m.set_time(99);
-        for i in 0..(TRACE_CAPACITY as u32 + 10) {
-            m.trace(Layer::Bc, "round", || format!("bc:{i}"), i);
-        }
-        let snap = m.snapshot();
-        assert_eq!(snap.trace.len(), TRACE_CAPACITY);
-        let first = &snap.trace[0];
-        assert_eq!(first.round, 10); // 10 oldest evicted
-        assert_eq!(first.timestamp, 99);
-        let last = snap.trace.last().unwrap();
-        assert_eq!(last.kind, "round");
-        assert_eq!(last.layer, Layer::Bc);
-        assert!(last.seq > first.seq);
-    }
-
-    #[test]
     fn snapshot_text_and_json_are_stable() {
         let m = Metrics::new();
         m.rb_delivered.add(4);
         m.bc_rounds.record(1);
-        m.trace(Layer::Rb, "deliver", || "rb:0:1".into(), 0);
+        m.span_open("rb:0:1", Layer::Rb);
         let snap = m.snapshot();
         let text = snap.to_text();
         assert!(text.contains("rb_delivered 4"));
@@ -1952,7 +1831,7 @@ mod tests {
         assert!(json.starts_with("{\"counters\":{"));
         assert!(json.contains("\"rb_delivered\":4"));
         assert!(json.contains("\"bc_rounds\":{\"count\":1"));
-        assert!(json.contains("\"instance\":\"rb:0:1\""));
+        assert!(json.contains("\"path\":\"rb:0:1\""));
         assert!(json.contains("\"spans\":["));
         assert!(json.contains("\"critical_paths\":["));
         // Deterministic: same snapshot renders identically.
@@ -1960,9 +1839,9 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_hostile_instance_ids() {
+    fn json_escapes_hostile_span_paths() {
         let m = Metrics::new();
-        m.trace(Layer::Stack, "park", || "he said \"hi\"\\\n".into(), 0);
+        m.span_open("he said \"hi\"\\\n", Layer::Stack);
         let json = m.snapshot().to_json();
         assert!(json.contains("he said \\\"hi\\\"\\\\\\u000a"));
     }
@@ -2217,16 +2096,14 @@ mod tests {
     }
 
     #[test]
-    fn set_tracing_false_gates_spans_and_trace_but_not_counters() {
+    fn set_tracing_false_gates_spans_but_not_counters() {
         let m = Metrics::new();
         m.set_tracing(false);
         assert!(!m.tracing_enabled());
-        m.trace(Layer::Ab, "gated", || "x".into(), 0);
         m.span_open("rb:0:gated", Layer::Rb);
         m.span_close("rb:0:gated");
         m.ab_delivered.inc();
         let snap = m.snapshot();
-        assert!(snap.trace.is_empty(), "trace recorded while disabled");
         assert!(snap.spans.is_empty(), "span recorded while disabled");
         assert_eq!(snap.counters["ab_delivered"], 1, "counters must stay live");
         // Orphan-close bookkeeping is also suppressed while disabled.
@@ -2235,62 +2112,21 @@ mod tests {
         m.set_tracing(true);
         m.span_open("rb:0:live", Layer::Rb);
         m.span_close("rb:0:live");
-        m.trace(Layer::Ab, "live", || "y".into(), 1);
         let snap = m.snapshot();
         assert_eq!(snap.spans.len(), 1);
-        assert_eq!(snap.trace.len(), 1);
     }
 
     #[test]
-    fn trace_builds_its_id_only_when_recording() {
-        let m = Metrics::new();
-        m.set_time(5);
-        m.set_tracing(false);
-        m.trace(
-            Layer::Ab,
-            "deliver",
-            || unreachable!("id built with tracing off"),
-            3,
-        );
-        assert!(m.snapshot().trace.is_empty());
-        m.set_tracing(true);
-        let mut built = 0;
-        m.trace(
-            Layer::Ab,
-            "deliver",
-            || {
-                built += 1;
-                format!("ab:{}:{}", 2, 7)
-            },
-            3,
-        );
-        assert_eq!(built, 1);
-        assert_eq!(
-            m.snapshot().trace,
-            vec![TraceEvent {
-                seq: 0,
-                timestamp: 5,
-                instance_id: "ab:2:7".to_string(),
-                layer: Layer::Ab,
-                kind: "deliver",
-                round: 3,
-            }]
-        );
-    }
-
-    #[test]
-    fn trace_ring_stays_bounded_under_concurrent_snapshots() {
-        // Satellite regression test: 8 writer threads flood the trace
-        // ring and span registry while 4 reader threads snapshot; the
-        // ring must never exceed its capacity and every snapshot must be
-        // internally consistent (monotone seq, bounded collections).
+    fn span_registry_stays_bounded_under_concurrent_snapshots() {
+        // 8 writer threads flood the span registry while 4 reader
+        // threads snapshot; the registry must never exceed its capacity
+        // and every snapshot must render.
         let m = Metrics::new();
         std::thread::scope(|scope| {
             for w in 0..8 {
                 let m = m.clone();
                 scope.spawn(move || {
                     for i in 0..2_000u32 {
-                        m.trace(Layer::Ab, "stress", || format!("w{w}:{i}"), i);
                         let path = format!("rb:{w}:{i}");
                         m.span_open(path.clone(), Layer::Rb);
                         m.span_close(&path);
@@ -2302,18 +2138,7 @@ mod tests {
                 scope.spawn(move || {
                     for _ in 0..50 {
                         let snap = m.snapshot();
-                        assert!(snap.trace.len() <= TRACE_CAPACITY);
                         assert!(snap.spans.len() <= 2 * SPAN_CAPACITY);
-                        // Sequence numbers are allocated before the ring
-                        // push, so cross-thread order can interleave —
-                        // but every event is distinct and the ring is
-                        // nearly sorted (races span adjacent events).
-                        let mut seqs: Vec<u64> = snap.trace.iter().map(|e| e.seq).collect();
-                        seqs.dedup();
-                        let n = seqs.len();
-                        seqs.sort_unstable();
-                        seqs.dedup();
-                        assert_eq!(seqs.len(), n, "duplicate trace events");
                         // Renderings never panic mid-flight.
                         let _ = snap.to_text();
                         let _ = snap.to_prometheus();
@@ -2322,7 +2147,6 @@ mod tests {
             }
         });
         let snap = m.snapshot();
-        assert_eq!(snap.trace.len(), TRACE_CAPACITY);
         assert_eq!(snap.spans.len(), SPAN_CAPACITY);
         assert_eq!(m.span_opened.get(), 8 * 2_000);
         assert_eq!(m.span_closed.get(), 8 * 2_000);

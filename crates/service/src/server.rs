@@ -15,7 +15,7 @@ use crate::wire::{
 };
 use bytes::Bytes;
 use parking_lot::Mutex;
-use ritas::service::{CommandKind, ServiceError, ServiceReplica};
+use ritas::service::{request_span, CommandKind, ServiceError, ServiceReplica};
 use ritas_crypto::ClientKeyDealer;
 use ritas_metrics::Layer;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -233,8 +233,10 @@ fn serve_connection<S: Send + 'static>(
             (Status::Ok, Some(t)) => t(&request, payload),
             _ => payload,
         };
-        let span = format!("svc:{}:{}/reply", request.client, request.seq);
-        metrics.span_open(span.clone(), Layer::Service);
+        let span = request_span(&metrics, request.client, request.seq, "/reply");
+        if let Some(span) = &span {
+            metrics.span_open(span.as_str(), Layer::Service);
+        }
         let reply = Reply {
             replica: me,
             client: request.client,
@@ -243,7 +245,9 @@ fn serve_connection<S: Send + 'static>(
             payload,
         };
         let ok = write_frame(&mut stream, &reply.seal(&conn_key)).is_ok();
-        metrics.span_close(&span);
+        if let Some(span) = &span {
+            metrics.span_close(span);
+        }
         if !ok {
             return;
         }

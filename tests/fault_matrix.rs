@@ -16,6 +16,7 @@
 
 use bytes::Bytes;
 use ritas::ab::MsgId;
+use ritas::adversary::RandomMutation;
 use ritas::stack::{Output, Stack, StackConfig};
 use ritas::testing::Cluster;
 use ritas::Group;
@@ -56,7 +57,7 @@ fn cluster(fault: Fault, seed: u64) -> Cluster {
     let mut c = Cluster::with_stacks(stacks, seed);
     match fault {
         Fault::Crash => c.crash(FAULTY),
-        Fault::Wire => c.corrupt(FAULTY),
+        Fault::Wire => c.set_strategy(FAULTY, Box::new(RandomMutation::new(seed ^ FAULTY as u64))),
         Fault::Strategy | Fault::Flap => {}
     }
     c

@@ -230,13 +230,15 @@ fn rejoin_under_load_with_byzantine_chunk_server() {
         std::thread::sleep(Duration::from_millis(20));
     }
     assert_eq!(m.recovery_phase.get(), 0, "back to Live");
-    assert!(
-        m.flight()
-            .events()
-            .iter()
-            .any(|e| e.kind == FlightKind::Recovery && e.a == milestones::LIVE),
-        "LIVE milestone recorded"
-    );
+    let recovery = m.flight().events();
+    for milestone in [milestones::AB_RESUMED, milestones::LIVE] {
+        assert!(
+            recovery
+                .iter()
+                .any(|e| e.kind == FlightKind::Recovery && e.a == milestone),
+            "milestone {milestone} recorded"
+        );
+    }
 
     // The Byzantine chunk server was caught: Merkle proofs rejected
     // its bytes and the evidence landed in the suspicion table.
