@@ -670,7 +670,6 @@ impl Node {
             return Ok(addr);
         }
         let listener = std::net::TcpListener::bind(("127.0.0.1", 0))?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let ctx = ServeCtx {
             metrics: self.metrics.clone(),
@@ -680,16 +679,13 @@ impl Node {
         };
         let stop = Arc::clone(&self.stop);
         self.threads.push(std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((conn, _)) => {
-                        let _ = serve_metrics_request(conn, &ctx);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                    Err(_) => break,
+            // Blocks in `accept`, as `ServiceServer` does; `shutdown` sets
+            // `stop` and connects once to have it looked at.
+            while let Ok((conn, _)) = listener.accept() {
+                if stop.load(Ordering::SeqCst) {
+                    break;
                 }
+                let _ = serve_metrics_request(conn, &ctx);
             }
         }));
         self.metrics_addr = Some(addr);
@@ -1005,8 +1001,12 @@ impl Node {
     /// Stops the stack thread (`ritas_destroy`). Idempotent.
     pub fn shutdown(&self) {
         let _ = self.cmd_tx.send(Event::Shutdown);
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
         self.transport.wake();
+        if let Some(addr) = self.metrics_addr {
+            // Releases the endpoint thread's blocking `accept`.
+            let _ = std::net::TcpStream::connect(addr);
+        }
     }
 }
 
@@ -1033,7 +1033,6 @@ struct ServeCtx {
 /// introspection JSON) — and serves the Prometheus metrics page for
 /// every other path (existing scrapers keep working unchanged).
 fn serve_metrics_request(mut conn: std::net::TcpStream, ctx: &ServeCtx) -> std::io::Result<()> {
-    conn.set_nonblocking(false)?;
     conn.set_read_timeout(Some(Duration::from_millis(500)))?;
     conn.set_write_timeout(Some(Duration::from_secs(2)))?;
     let mut req = Vec::new();
@@ -1786,9 +1785,12 @@ mod tests {
         assert!(prom.contains("# TYPE ritas_transport_frames_sent counter"));
         let fallback = http_get(addr, "/");
         assert!(fallback.contains("# TYPE"));
-        for n in &nodes {
-            n.shutdown();
-        }
+        // The endpoint stops with its node: dropped, the port refuses.
+        drop(nodes);
+        assert!(
+            std::net::TcpStream::connect(addr).is_err(),
+            "endpoint outlived its node"
+        );
     }
 
     #[test]

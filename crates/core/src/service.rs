@@ -854,7 +854,7 @@ impl<S: Send + 'static> ServiceReplica<S> {
     }
 
     /// Reads the application state under the replica lock (local tests
-    /// and loadgen verification).
+    /// and the integration suites' exactly-once audits).
     pub fn read_state<R>(&self, f: impl FnOnce(&S) -> R) -> R {
         self.replica.read(|s| f(&s.app))
     }

@@ -51,7 +51,7 @@ pub struct ClientConfig {
     pub connect_timeout: Duration,
     /// Metrics registry the client reports into (client-side counters
     /// and the end-to-end latency histogram). Share one across clients
-    /// to aggregate, e.g. in the load generator.
+    /// to aggregate their counters.
     pub metrics: Metrics,
 }
 

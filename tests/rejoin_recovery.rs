@@ -23,20 +23,21 @@
 //!
 //! Timing-dependent (real threads over the in-memory hub).
 
+mod common;
+
 use bytes::Bytes;
-use ritas::codec::{Reader, WireError, Writer};
+use common::{audit_apply, audit_query, duplicate_applies, Audit};
 use ritas::node::{Node, SessionConfig};
-use ritas::recovery::{milestones, RecoveryConfig, SnapshotState};
+use ritas::recovery::{milestones, RecoveryConfig};
 use ritas::service::{ClientId, CommandKind, ServiceConfig, ServiceReplica};
 use ritas_metrics::{FlightKind, Metrics, SuspicionKind};
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// CI forensics: when `RITAS_FORENSICS_DIR` is set, any panic (i.e.
 /// any failed assertion) dumps the rejoiner's flight ring
 /// (`flight-<tag>.bin`, via the metrics crate's panic hook) and its
 /// span tree (`spans-<tag>.jsonl`) into that directory, so the
-/// `rejoin-smoke` CI job can upload a post-mortem of the wiped
+/// `service episodes` CI job can upload a post-mortem of the wiped
 /// replica. A no-op when the variable is unset.
 fn arm_forensics(m: &Metrics, tag: &str) {
     let Ok(dir) = std::env::var("RITAS_FORENSICS_DIR") else {
@@ -50,55 +51,6 @@ fn arm_forensics(m: &Metrics, tag: &str) {
         let _ = std::fs::write(path, ritas_metrics::spans_to_jsonl(&m.spans()));
         prev(info);
     }));
-}
-
-/// Replicated state that tallies applies per `(client, seq)` so the
-/// tests can audit exactly-once directly against the replicated state
-/// — any count above 1 is a duplicate apply.
-///
-/// The snapshot encoding is canonical by construction: `BTreeMap`
-/// iteration is sorted, and every field is fixed-width, so equal
-/// states encode to equal bytes on every replica.
-#[derive(Default, Clone)]
-struct Audit {
-    total: u64,
-    applied: BTreeMap<(u64, u64), u64>,
-}
-
-impl SnapshotState for Audit {
-    fn encode_snapshot(&self, w: &mut Writer) {
-        w.u64(self.total);
-        w.u64(self.applied.len() as u64);
-        for (&(client, seq), &n) in &self.applied {
-            w.u64(client).u64(seq).u64(n);
-        }
-    }
-
-    fn decode_snapshot(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let total = r.u64("audit.total")?;
-        let count = r.u64("audit.count")?;
-        let mut applied = BTreeMap::new();
-        for _ in 0..count {
-            let client = r.u64("audit.client")?;
-            let seq = r.u64("audit.seq")?;
-            let n = r.u64("audit.n")?;
-            applied.insert((client, seq), n);
-        }
-        Ok(Audit { total, applied })
-    }
-}
-
-fn audit_apply(state: &mut Audit, client: ClientId, cmd: &[u8]) -> Bytes {
-    let mut seq_bytes = [0u8; 8];
-    seq_bytes.copy_from_slice(&cmd[..8]);
-    let seq = u64::from_be_bytes(seq_bytes);
-    *state.applied.entry((client, seq)).or_insert(0) += 1;
-    state.total += 1;
-    Bytes::from(state.total.to_be_bytes().to_vec())
-}
-
-fn audit_query(state: &Audit, _q: &[u8]) -> Bytes {
-    Bytes::from(state.total.to_be_bytes().to_vec())
 }
 
 fn recovery_cfg() -> RecoveryConfig {
@@ -141,26 +93,14 @@ fn submit(at: &ServiceReplica<Audit>, client: ClientId, seq: u64) -> Bytes {
     .expect("submit")
 }
 
-/// Asserts every replica's audited apply counts are exactly 1 and the
-/// totals agree — the cross-replica duplicate-apply census.
+/// Asserts every replica's total and zero duplicate applies across the
+/// group — the cross-replica exactly-once census.
 fn assert_no_duplicate_applies(replicas: &[&ServiceReplica<Audit>], expect_total: u64) {
     for r in replicas {
-        let (total, dups) = r.read_state(|s| {
-            let dups: Vec<_> = s
-                .applied
-                .iter()
-                .filter(|(_, &n)| n != 1)
-                .map(|(&k, &n)| (k, n))
-                .collect();
-            (s.total, dups)
-        });
+        let total = r.read_state(|s| s.total);
         assert_eq!(total, expect_total, "replica {} total", r.id());
-        assert!(
-            dups.is_empty(),
-            "replica {} duplicate applies: {dups:?}",
-            r.id()
-        );
     }
+    assert_eq!(duplicate_applies(replicas), 0, "duplicate applies");
 }
 
 /// The acceptance scenario: wipe a replica mid-load, rejoin it through

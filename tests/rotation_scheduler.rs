@@ -21,61 +21,18 @@
 //!
 //! Timing-dependent (real threads over the in-memory hub).
 
+mod common;
+
 use bytes::Bytes;
-use ritas::codec::{Reader, WireError, Writer};
+use common::{audit_apply, audit_query, duplicate_applies, Audit};
 use ritas::node::{Node, SessionConfig};
 use ritas::recovery::scheduler::RotationConfig;
-use ritas::recovery::{RecoveryConfig, SnapshotState};
-use ritas::service::{ClientId, CommandKind, ServiceConfig, ServiceError, ServiceReplica};
+use ritas::recovery::RecoveryConfig;
+use ritas::service::{CommandKind, ServiceConfig, ServiceError, ServiceReplica};
 use ritas_metrics::SuspicionKind;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Replicated state that tallies applies per `(client, seq)`: any count
-/// above 1 is a duplicate apply (same audit as the rejoin tier).
-#[derive(Default, Clone)]
-struct Audit {
-    total: u64,
-    applied: BTreeMap<(u64, u64), u64>,
-}
-
-impl SnapshotState for Audit {
-    fn encode_snapshot(&self, w: &mut Writer) {
-        w.u64(self.total);
-        w.u64(self.applied.len() as u64);
-        for (&(client, seq), &n) in &self.applied {
-            w.u64(client).u64(seq).u64(n);
-        }
-    }
-
-    fn decode_snapshot(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let total = r.u64("audit.total")?;
-        let count = r.u64("audit.count")?;
-        let mut applied = BTreeMap::new();
-        for _ in 0..count {
-            let client = r.u64("audit.client")?;
-            let seq = r.u64("audit.seq")?;
-            let n = r.u64("audit.n")?;
-            applied.insert((client, seq), n);
-        }
-        Ok(Audit { total, applied })
-    }
-}
-
-fn audit_apply(state: &mut Audit, client: ClientId, cmd: &[u8]) -> Bytes {
-    let mut seq_bytes = [0u8; 8];
-    seq_bytes.copy_from_slice(&cmd[..8]);
-    let seq = u64::from_be_bytes(seq_bytes);
-    *state.applied.entry((client, seq)).or_insert(0) += 1;
-    state.total += 1;
-    Bytes::from(state.total.to_be_bytes().to_vec())
-}
-
-fn audit_query(state: &Audit, _q: &[u8]) -> Bytes {
-    Bytes::from(state.total.to_be_bytes().to_vec())
-}
 
 /// Coarser than the rejoin tier's config: under sustained load the
 /// audit state grows continuously, and a rejoiner pulling tiny chunks
@@ -340,20 +297,8 @@ fn full_rotation_under_load_is_exactly_once() {
         totals.windows(2).all(|w| w[0] == w[1]),
         "replicas diverged: {totals:?}"
     );
-    for r in &replicas {
-        let dups: Vec<((u64, u64), u64)> = r.read_state(|s| {
-            s.applied
-                .iter()
-                .filter(|(_, &c)| c != 1)
-                .map(|(&k, &c)| (k, c))
-                .collect()
-        });
-        assert!(
-            dups.is_empty(),
-            "replica {} duplicate applies: {dups:?}",
-            r.id()
-        );
-    }
+    let all: Vec<&ServiceReplica<Audit>> = replicas.iter().map(Arc::as_ref).collect();
+    assert_eq!(duplicate_applies(&all), 0, "duplicate applies");
 
     // Replicated scheduler bookkeeping: four completed rounds, an epoch
     // that kept pace, no deferrals, and every replica sealing under a

@@ -2,7 +2,7 @@
 //! front-end (`ritas-service`) over a real `n = 4, f = 1` replica group
 //! with TCP client connections.
 //!
-//! Three properties from the paper's service model are checked here:
+//! Five properties from the paper's service model are checked here:
 //!
 //! 1. **Exactly-once** — a client retry of an in-flight request is
 //!    answered from the session table, never applied twice, and the
@@ -13,10 +13,18 @@
 //! 3. **Bounded sessions** — the session table's LRU eviction never
 //!    evicts a live in-flight request; when every slot is pinned the
 //!    front-end sheds load with `Busy` and clients retry through.
+//! 4. **Channel faults below the service** — over the real TCP replica
+//!    mesh, a replica↔replica socket killed mid-run costs the clients
+//!    nothing but latency.
+//! 5. **A front-end down** — clients keep completing every invoke while
+//!    one of the four front-ends refuses connections.
 //!
 //! Timing-dependent (real threads, real sockets at the client edge).
 
+mod common;
+
 use bytes::Bytes;
+use common::{audit_apply, audit_query, duplicate_applies, Audit};
 use ritas::adversary::FrameMutator;
 use ritas::node::{Node, SessionConfig};
 use ritas::service::{ServiceConfig, ServiceReplica};
@@ -24,66 +32,57 @@ use ritas_crypto::ClientKeyDealer;
 use ritas_metrics::Metrics;
 use ritas_service::client::{ClientConfig, ServiceClient};
 use ritas_service::server::{ServerConfig, ServiceServer};
-use std::collections::HashMap;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
-
-/// Replicated state that tallies applies per `(client, seq)` so every
-/// test can audit exactly-once directly against the replicated state.
-#[derive(Default, Clone)]
-struct Tally {
-    total: u64,
-    applied: HashMap<(u64, u64), u64>,
-}
-
-fn tally_apply(state: &mut Tally, client: u64, cmd: &[u8]) -> Bytes {
-    let mut seq_bytes = [0u8; 8];
-    seq_bytes.copy_from_slice(&cmd[..8]);
-    let seq = u64::from_be_bytes(seq_bytes);
-    *state.applied.entry((client, seq)).or_insert(0) += 1;
-    state.total += 1;
-    Bytes::from(state.total.to_be_bytes().to_vec())
-}
-
-fn tally_query(state: &Tally, _q: &[u8]) -> Bytes {
-    Bytes::from(state.total.to_be_bytes().to_vec())
-}
+use std::time::{Duration, Instant};
 
 /// Spawns a 4-replica group (in-memory replica mesh, TCP client edge)
 /// and returns the front-ends plus the shared client key seed.
 /// `apply_delay` artificially stretches every apply — used to keep
 /// in-flight pins alive long enough for admission pressure to be
 /// deterministic rather than a race against the optimizer.
-fn cluster(config: ServiceConfig, apply_delay: Duration) -> (Vec<ServiceServer<Tally>>, u64) {
+fn cluster(config: ServiceConfig, apply_delay: Duration) -> (Vec<ServiceServer<Audit>>, u64) {
     let session = SessionConfig::new(4).expect("n=4");
     let key_seed = session.client_key_seed();
+    let nodes = Node::cluster(session).expect("cluster");
+    (front_ends(nodes, key_seed, config, apply_delay), key_seed)
+}
+
+/// One audited `ServiceReplica` and its TCP front-end per node.
+fn front_ends(
+    nodes: Vec<Node>,
+    key_seed: u64,
+    config: ServiceConfig,
+    apply_delay: Duration,
+) -> Vec<ServiceServer<Audit>> {
     let dealer = ClientKeyDealer::new(key_seed);
-    let servers = Node::cluster(session)
-        .expect("cluster")
+    nodes
         .into_iter()
         .map(|node| {
             let replica = Arc::new(ServiceReplica::new(
                 node,
-                Tally::default(),
+                Audit::default(),
                 config.clone(),
-                move |state: &mut Tally, client, cmd: &[u8]| {
+                move |state: &mut Audit, client, cmd: &[u8]| {
                     if !apply_delay.is_zero() {
                         std::thread::sleep(apply_delay);
                     }
-                    tally_apply(state, client, cmd)
+                    audit_apply(state, client, cmd)
                 },
-                tally_query,
+                audit_query,
             ));
             ServiceServer::spawn(replica, dealer, ServerConfig::default()).expect("front-end")
         })
-        .collect();
-    (servers, key_seed)
+        .collect()
 }
 
-fn addrs_of(servers: &[ServiceServer<Tally>]) -> Vec<SocketAddr> {
+fn addrs_of(servers: &[ServiceServer<Audit>]) -> Vec<SocketAddr> {
     servers.iter().map(|s| s.addr()).collect()
+}
+
+fn replicas_of(servers: &[ServiceServer<Audit>]) -> Vec<&ServiceReplica<Audit>> {
+    servers.iter().map(|s| s.replica().as_ref()).collect()
 }
 
 /// Command payload: 8-byte request index, then filler.
@@ -93,23 +92,7 @@ fn payload(i: u64) -> Bytes {
     Bytes::from(v)
 }
 
-/// Settles all replicas, then returns the summed duplicate-apply count
-/// (Σ per-key `count − 1`) across every replica — the measured
-/// exactly-once check.
-fn duplicate_applies(servers: &[ServiceServer<Tally>]) -> u64 {
-    for s in servers {
-        let _ = s.replica().barrier();
-    }
-    servers
-        .iter()
-        .map(|s| {
-            s.replica()
-                .read_state(|st| st.applied.values().map(|c| c - 1).sum::<u64>())
-        })
-        .sum()
-}
-
-fn shutdown(mut servers: Vec<ServiceServer<Tally>>) {
+fn shutdown(mut servers: Vec<ServiceServer<Audit>>) {
     for s in &mut servers {
         s.replica().shutdown();
         s.shutdown();
@@ -172,7 +155,11 @@ fn client_retry_is_applied_exactly_once() {
         })
         .sum();
     assert!(dedup >= 1, "retry must be visible as a dedup hit");
-    assert_eq!(duplicate_applies(&servers), 0, "retry applied twice");
+    assert_eq!(
+        duplicate_applies(&replicas_of(&servers)),
+        0,
+        "retry applied twice"
+    );
     shutdown(servers);
 }
 
@@ -219,7 +206,7 @@ fn byzantine_replica_replies_are_outvoted() {
         tampered.load(Ordering::Relaxed) >= 1,
         "the Byzantine replica was never consulted — the test proved nothing"
     );
-    assert_eq!(duplicate_applies(&servers), 0);
+    assert_eq!(duplicate_applies(&replicas_of(&servers)), 0);
     shutdown(servers);
 }
 
@@ -293,7 +280,11 @@ fn retry_across_batch_boundary_applies_once() {
         skipped >= 1,
         "the ordered duplicate must be skipped, not silently absent"
     );
-    assert_eq!(duplicate_applies(&servers), 0, "cross-batch dedup failed");
+    assert_eq!(
+        duplicate_applies(&replicas_of(&servers)),
+        0,
+        "cross-batch dedup failed"
+    );
 
     // Per-key audit: (99, 1) applied exactly once at every replica.
     for s in &servers {
@@ -325,10 +316,10 @@ fn retry_across_batch_boundary_applies_once() {
 /// capacity (see `DESIGN.md` §6) — a deliberately undersized table like
 /// this one sheds load correctly but cannot remember completed sessions
 /// long enough to absorb every duplicate ordered copy, which is why the
-/// zero-duplicate audits live in the tests above (and in the loadgen)
-/// at default capacity. What must hold at *any* capacity is what this
-/// test checks: no live in-flight request is ever evicted, so every
-/// admitted request completes and replies stay correct.
+/// zero-duplicate audits live in the other tests, at default capacity.
+/// What must hold at *any* capacity is what this test checks: no live
+/// in-flight request is ever evicted, so every admitted request
+/// completes and replies stay correct.
 #[test]
 fn session_bound_sheds_load_without_evicting_in_flight() {
     // Each apply holds its in-flight pin ≥ 25 ms, and a barrier fires
@@ -390,5 +381,139 @@ fn session_bound_sheds_load_without_evicting_in_flight() {
     }
     let distinct = servers[0].replica().read_state(|st| st.applied.len());
     assert_eq!(distinct, 12, "every client's request must have applied");
+    shutdown(servers);
+}
+
+/// The service group over the real TCP replica mesh (the other tests
+/// order over the in-memory hub), driven by TCP clients while the
+/// replica 0 ↔ 1 socket is killed mid-run. Every invoke must succeed
+/// and apply exactly once, and the session layer must report the
+/// resume — so a run whose kill missed cannot pass.
+#[test]
+fn service_over_tcp_mesh_survives_a_killed_replica_link() {
+    const CLIENTS: u64 = 3;
+    const REQUESTS: u64 = 20;
+    let session = SessionConfig::new(4).expect("n=4");
+    let key_seed = session.client_key_seed();
+    let (nodes, chaos) =
+        Node::tcp_cluster_with_chaos(session, Duration::from_secs(10)).expect("tcp mesh");
+    let servers = front_ends(nodes, key_seed, ServiceConfig::default(), Duration::ZERO);
+    let addrs = addrs_of(&servers);
+
+    let done = Arc::new(AtomicU64::new(0));
+    let workers: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let addrs = addrs.clone();
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                let mut client = ServiceClient::new(
+                    300 + c,
+                    addrs,
+                    ClientConfig {
+                        key_seed,
+                        ..ClientConfig::default()
+                    },
+                );
+                let mut ok = 0;
+                for i in 1..=REQUESTS {
+                    if client.invoke(payload(i)).is_ok() {
+                        ok += 1;
+                    }
+                    done.fetch_add(1, Ordering::Relaxed);
+                }
+                client.shutdown();
+                ok
+            })
+        })
+        .collect();
+
+    // Kill the link a third of the way in, with the clients still going.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while done.load(Ordering::Relaxed) < CLIENTS * REQUESTS / 3 {
+        assert!(Instant::now() < deadline, "clients made no progress");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(chaos[0].kill_link(1), "link 0->1 was not live at the kill");
+
+    let ok: u64 = workers.into_iter().map(|w| w.join().expect("client")).sum();
+    assert_eq!(ok, CLIENTS * REQUESTS, "an invoke failed under link chaos");
+
+    let reconnects = || -> u64 {
+        servers
+            .iter()
+            .map(|s| s.replica().metrics().transport_reconnects_total.get())
+            .sum()
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while reconnects() == 0 {
+        assert!(Instant::now() < deadline, "the killed link never resumed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(duplicate_applies(&replicas_of(&servers)), 0);
+    let distinct = servers[0]
+        .replica()
+        .read_state(|st| st.applied.len() as u64);
+    assert_eq!(distinct, CLIENTS * REQUESTS, "every invoke applied");
+    shutdown(servers);
+}
+
+/// Clients keep completing every invoke while one front-end is gone
+/// (shut down: its connections closed, new ones refused) and its replica
+/// keeps ordering. This is the client's unreachable-replica path: the
+/// write or the redial to the dead front-end fails, the fan-out counts
+/// only the live legs, and the `f+1` vote forms from the 2 live
+/// front-ends of the 3 targeted — in the first round, with no retry.
+#[test]
+fn clients_complete_every_invoke_while_a_front_end_is_gone() {
+    let (mut servers, key_seed) = cluster(ServiceConfig::default(), Duration::ZERO);
+    let metrics = Metrics::new();
+    let mut clients: Vec<ServiceClient> = (0..3)
+        .map(|c| {
+            ServiceClient::new(
+                400 + c,
+                addrs_of(&servers),
+                ClientConfig {
+                    key_seed,
+                    metrics: metrics.clone(),
+                    ..ClientConfig::default()
+                },
+            )
+        })
+        .collect();
+    // Every client connected to the front-ends it targets.
+    for i in 1..=4 {
+        for c in &mut clients {
+            c.invoke(payload(i)).expect("invoke, all front-ends up");
+        }
+    }
+
+    let mut gone = servers.pop().expect("four front-ends");
+    gone.shutdown();
+    assert!(
+        TcpStream::connect(gone.addr()).is_err(),
+        "the shut-down front-end still accepts connections"
+    );
+    for i in 5..=12 {
+        for c in &mut clients {
+            c.invoke(payload(i)).expect("invoke, one front-end gone");
+        }
+    }
+    for c in &mut clients {
+        c.shutdown();
+    }
+
+    let retries = metrics
+        .snapshot()
+        .counters
+        .get("service_client_retries")
+        .copied()
+        .unwrap_or(0);
+    assert_eq!(retries, 0, "a vote needed a retry");
+    let mut replicas = replicas_of(&servers);
+    replicas.push(gone.replica());
+    assert_eq!(duplicate_applies(&replicas), 0);
+    let distinct = gone.replica().read_state(|st| st.applied.len());
+    assert_eq!(distinct, 3 * 12, "every invoke applied");
+    gone.replica().shutdown();
     shutdown(servers);
 }
