@@ -53,7 +53,7 @@ use crate::recovery::milestones;
 use crate::step::{FaultKind, Step};
 use crate::ProcessId;
 use bytes::Bytes;
-use ritas_crypto::{DeterministicCoin, LocalRoundCoin};
+use ritas_crypto::DeterministicCoin;
 use ritas_metrics::{FlightKind, Layer, SpanAnnotation};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt::{self, Write as _};
@@ -1016,7 +1016,7 @@ impl AtomicBroadcast {
                 .wrapping_add(round as u64);
             MultiValuedConsensus::new(
                 self.ctx.child(Layer::Mvc, |f| write!(f, "r:{round}/mvc")),
-                Box::new(LocalRoundCoin(DeterministicCoin::new(seed))),
+                Box::new(DeterministicCoin::new(seed)),
                 self.config.mvc,
             )
         })

@@ -6,8 +6,8 @@
 //! run is replayable bit-for-bit from `(strategy, schedule, seed)`.
 
 use super::{
-    innermost_rb_stage, is_eb_mat, with_innermost_payload, FrameMutator, PayloadKind, ProtocolMsg,
-    RbStage, SendCtx, Strategy, StrategyRng,
+    innermost_rb_stage, is_eb_mat, seeded_rng, with_innermost_payload, FrameMutator, PayloadKind,
+    ProtocolMsg, RbStage, SendCtx, Strategy,
 };
 use crate::ab::AbMessage;
 use crate::bc::{decode_val, encode_val, BcBody, BcMessage};
@@ -17,6 +17,7 @@ use crate::rb::RbMessage;
 use crate::stack::InstanceKey;
 use crate::vc::VcMessage;
 use bytes::Bytes;
+use ritas_crypto::XorShift64;
 
 /// Rewrites `bytes` into a *different but structurally valid* payload of
 /// the same kind, salted by `salt` (so distinct salts yield distinct
@@ -119,10 +120,10 @@ pub struct SelectiveSilence {
 impl SelectiveSilence {
     /// Creates the strategy; `seed` picks which peers are starved.
     pub fn new(seed: u64) -> Self {
-        let mut rng = StrategyRng::new(seed ^ 0x51EC);
+        let mut rng = seeded_rng(seed ^ 0x51EC);
         // Mute roughly half the group, but never everyone (an entirely
         // mute process is just a crash, which the fault matrix covers).
-        let mut muted_mask = rng.next();
+        let mut muted_mask = rng.next_u64();
         if muted_mask.count_ones() > 32 {
             muted_mask = !muted_mask;
         }
@@ -264,7 +265,7 @@ impl Strategy for ConflictingVectors {
 /// the current message, resurrecting finished instances and past rounds.
 #[derive(Debug)]
 pub struct StaleReplay {
-    rng: StrategyRng,
+    rng: XorShift64,
     history: Vec<Bytes>,
     calls: u64,
 }
@@ -276,7 +277,7 @@ impl StaleReplay {
     /// Creates the strategy; `seed` drives which stale frame returns.
     pub fn new(seed: u64) -> Self {
         StaleReplay {
-            rng: StrategyRng::new(seed ^ 0x57A1E),
+            rng: seeded_rng(seed ^ 0x57A1E),
             history: Vec::new(),
             calls: 0,
         }
@@ -294,11 +295,11 @@ impl Strategy for StaleReplay {
         let mut out = vec![frame.clone()];
         // Every fourth send, resurrect a seeded pick from the history.
         if self.calls.is_multiple_of(4) && !self.history.is_empty() {
-            let idx = (self.rng.next() as usize) % self.history.len();
+            let idx = (self.rng.next_u64() as usize) % self.history.len();
             out.push(self.history[idx].clone());
         }
         if self.history.len() == REPLAY_HISTORY {
-            let evict = (self.rng.next() as usize) % REPLAY_HISTORY;
+            let evict = (self.rng.next_u64() as usize) % REPLAY_HISTORY;
             self.history[evict] = frame;
         } else {
             self.history.push(frame);

@@ -231,11 +231,11 @@ impl RoundState {
 /// The instance is generic-free: the coin is injected as a boxed
 /// [`RoundCoin`] so that production, simulation and adversarial tests can
 /// plug different sources (see `ritas_crypto::coin`): a local coin
-/// (Ben-Or's scheme, the paper's) wrapped in
-/// [`ritas_crypto::LocalRoundCoin`], or a [`ritas_crypto::SharedCoin`] —
-/// Rabin's common coin, which keeps the expected round count constant
-/// even under an adversarial message scheduler (paper §5's discussion of
-/// the two approaches).
+/// (Ben-Or's scheme, the paper's) such as
+/// [`ritas_crypto::DeterministicCoin`], or a [`ritas_crypto::SharedCoin`]
+/// — a Rabin-style common coin, which keeps the expected round count
+/// constant against a scheduler that controls no member (paper §5's
+/// discussion of the two approaches; every member can predict it).
 ///
 /// # Example
 ///
@@ -247,9 +247,9 @@ impl RoundState {
 /// ```
 /// use ritas::bc::{BinaryConsensus, StepTransport};
 /// use ritas::testing::ctx;
-/// use ritas_crypto::{DeterministicCoin, LocalRoundCoin};
+/// use ritas_crypto::DeterministicCoin;
 ///
-/// let coin = Box::new(LocalRoundCoin(DeterministicCoin::new(1)));
+/// let coin = Box::new(DeterministicCoin::new(1));
 /// let mut bc = BinaryConsensus::new(ctx(4, 0, 7), coin, StepTransport::default());
 /// let step = bc.propose(true)?;
 /// assert!(!step.messages.is_empty(), "round 1 step 1 broadcast");
@@ -646,12 +646,12 @@ fn wrap_rbc(round: u32, step: u8, origin: ProcessId, sub: Step<RbMessage, Bytes>
 mod tests {
     use super::*;
     use crate::testing::{ctx, Net, Schedule};
-    use ritas_crypto::{DeterministicCoin, FixedCoin, LocalRoundCoin};
+    use ritas_crypto::{DeterministicCoin, FixedCoin};
 
     const RB: StepTransport = StepTransport::ReliableBroadcast;
 
     fn coin(seed: u64) -> Box<dyn RoundCoin + Send> {
-        Box::new(LocalRoundCoin(DeterministicCoin::new(seed)))
+        Box::new(DeterministicCoin::new(seed))
     }
 
     type BcNet = Net<BinaryConsensus>;
@@ -900,7 +900,7 @@ mod tests {
         for schedule in Schedule::ALL {
             let insts = (0..4)
                 .map(|me| {
-                    let coin = Box::new(LocalRoundCoin(FixedCoin(me % 2 == 0)));
+                    let coin = Box::new(FixedCoin(me % 2 == 0));
                     BinaryConsensus::new(ctx(4, me, 1), coin, RB)
                 })
                 .collect();

@@ -63,7 +63,6 @@
 pub mod ab;
 pub mod adversary;
 pub mod bc;
-pub mod causal;
 pub mod codec;
 pub mod config;
 pub mod ctx;

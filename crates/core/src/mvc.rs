@@ -713,10 +713,10 @@ fn wrap_bin(sub: Step<BcMessage, bool>) -> MvcStep {
 mod tests {
     use super::*;
     use crate::testing::{ctx, Net, Schedule};
-    use ritas_crypto::{DeterministicCoin, LocalRoundCoin};
+    use ritas_crypto::DeterministicCoin;
 
     fn coin(seed: u64) -> Box<dyn RoundCoin + Send> {
-        Box::new(LocalRoundCoin(DeterministicCoin::new(seed)))
+        Box::new(DeterministicCoin::new(seed))
     }
 
     type MvcNet = Net<MultiValuedConsensus>;

@@ -27,9 +27,8 @@ use crate::step::{Fault, Target};
 use crate::vc::DecisionVector;
 use crate::ProcessId;
 use bytes::Bytes;
-use parking_lot::Mutex;
 use ritas_crypto::KeyTable;
-use ritas_metrics::{FlightKind, Metrics, MetricsSnapshot};
+use ritas_metrics::{unpoison, FlightKind, Metrics, MetricsSnapshot};
 use ritas_transport::{
     AuthConfig, AuthenticatedTransport, Hub, LinkEvent, LinkState, TcpChaosHandle, TcpConfig,
     TcpEndpoint, Transport, TransportError,
@@ -41,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{
     channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -588,7 +587,7 @@ impl Node {
                     }
                     if later.saturating_sub(last_state_refresh) >= STATE_REFRESH_NS {
                         last_state_refresh = later;
-                        *health.state_json.lock() = state.state_json(later);
+                        *unpoison(health.state_json.lock()) = state.state_json(later);
                     }
                 }
                 stop.store(true, Ordering::Relaxed);
@@ -629,7 +628,7 @@ impl Node {
     /// (outages, reconnects, terminal downs). Empty for transports whose
     /// links cannot fail.
     pub fn take_link_events(&self) -> Vec<LinkEvent> {
-        self.link_rx.lock().try_iter().collect()
+        unpoison(self.link_rx.lock()).try_iter().collect()
     }
 
     /// The current state of this node's link to `peer` (always
@@ -812,7 +811,7 @@ impl Node {
     /// input — but useful for monitoring and intrusion *detection* on top
     /// of intrusion tolerance.
     pub fn take_faults(&self) -> Vec<Fault> {
-        self.fault_rx.lock().try_iter().collect()
+        unpoison(self.fault_rx.lock()).try_iter().collect()
     }
 
     /// This process's identifier.
@@ -835,8 +834,7 @@ impl Node {
     ///
     /// [`NodeError::Disconnected`] if the stack thread has stopped.
     pub fn rb_recv(&self) -> Result<(ProcessId, Bytes), NodeError> {
-        self.rb_rx
-            .lock()
+        unpoison(self.rb_rx.lock())
             .recv()
             .map_err(|_| NodeError::Disconnected)
     }
@@ -847,7 +845,7 @@ impl Node {
     ///
     /// [`NodeError::Timeout`] when nothing arrived in time.
     pub fn rb_recv_timeout(&self, t: Duration) -> Result<(ProcessId, Bytes), NodeError> {
-        map_timeout(self.rb_rx.lock().recv_timeout(t))
+        map_timeout(unpoison(self.rb_rx.lock()).recv_timeout(t))
     }
 
     /// Echo-broadcasts `payload` (`ritas_eb_bcast`).
@@ -865,8 +863,7 @@ impl Node {
     ///
     /// [`NodeError::Disconnected`] if the stack thread has stopped.
     pub fn eb_recv(&self) -> Result<(ProcessId, Bytes), NodeError> {
-        self.eb_rx
-            .lock()
+        unpoison(self.eb_rx.lock())
             .recv()
             .map_err(|_| NodeError::Disconnected)
     }
@@ -877,7 +874,7 @@ impl Node {
     ///
     /// [`NodeError::Timeout`] when nothing arrived in time.
     pub fn eb_recv_timeout(&self, t: Duration) -> Result<(ProcessId, Bytes), NodeError> {
-        map_timeout(self.eb_rx.lock().recv_timeout(t))
+        map_timeout(unpoison(self.eb_rx.lock()).recv_timeout(t))
     }
 
     /// Atomically broadcasts `payload` (`ritas_ab_bcast`); returns the
@@ -899,8 +896,7 @@ impl Node {
     ///
     /// [`NodeError::Disconnected`] if the stack thread has stopped.
     pub fn atomic_recv(&self) -> Result<AbDelivery, NodeError> {
-        self.ab_rx
-            .lock()
+        unpoison(self.ab_rx.lock())
             .recv()
             .map_err(|_| NodeError::Disconnected)
     }
@@ -911,7 +907,7 @@ impl Node {
     ///
     /// [`NodeError::Timeout`] when nothing arrived in time.
     pub fn atomic_recv_timeout(&self, t: Duration) -> Result<AbDelivery, NodeError> {
-        map_timeout(self.ab_rx.lock().recv_timeout(t))
+        map_timeout(unpoison(self.ab_rx.lock()).recv_timeout(t))
     }
 
     /// Like [`Node::atomic_recv`] but never blocks: `Ok(None)` when no
@@ -922,7 +918,7 @@ impl Node {
     ///
     /// [`NodeError::Disconnected`] if the stack thread has stopped.
     pub fn atomic_try_recv(&self) -> Result<Option<AbDelivery>, NodeError> {
-        match self.ab_rx.lock().try_recv() {
+        match unpoison(self.ab_rx.lock()).try_recv() {
             Ok(d) => Ok(Some(d)),
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => Err(NodeError::Disconnected),
@@ -951,7 +947,7 @@ impl Node {
     ///
     /// [`NodeError::Timeout`] when nothing arrived in time.
     pub fn xfer_recv_timeout(&self, t: Duration) -> Result<(ProcessId, Bytes), NodeError> {
-        map_timeout(self.xfer_rx.lock().recv_timeout(t))
+        map_timeout(unpoison(self.xfer_rx.lock()).recv_timeout(t))
     }
 
     /// Proposes a bit on binary consensus instance `tag` and blocks until
@@ -1153,7 +1149,7 @@ fn health_json(ctx: &ServeCtx) -> String {
 fn state_json_response(ctx: &ServeCtx) -> String {
     let now = ctx.epoch.elapsed().as_nanos() as u64;
     let heartbeat = ctx.health.heartbeat_ns.load(Ordering::Relaxed);
-    let worker = ctx.health.state_json.lock().clone();
+    let worker = unpoison(ctx.health.state_json.lock()).clone();
     format!(
         "{{\"id\":{},\"heartbeat_age_ns\":{},\"worker\":{worker}}}",
         ctx.id,

@@ -389,21 +389,7 @@ impl Default for RotationConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Deterministic xorshift64* — no external RNG dependencies, seeds
-    /// explored exhaustively below.
-    struct XorShift(u64);
-
-    impl XorShift {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.0 = x;
-            x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-        }
-    }
+    use ritas_crypto::XorShift64;
 
     #[test]
     fn command_codec_roundtrip() {
@@ -765,22 +751,22 @@ mod tests {
     #[test]
     fn fuzzed_schedules_preserve_safety_invariants() {
         for seed in 1..=64u64 {
-            let mut rng = XorShift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            let n = 3 + (rng.next() % 5) as usize; // 3..=7
+            let mut rng = XorShift64::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let n = 3 + (rng.next_u64() % 5) as usize; // 3..=7
             let mut a = RotationState::default();
             let mut b = RotationState::default();
             let mut accepted_schedules = 0u64;
             for _ in 0..512 {
-                let victim = (rng.next() % (n as u64 + 2)) as u32; // incl. out-of-range
-                let epoch = a.epoch + rng.next() % 3; // current-1..current+2 style drift
-                let sender = (rng.next() % (n as u64 + 2)) as u32; // incl. forged origins
-                let cmd = match rng.next() % 3 {
+                let victim = (rng.next_u64() % (n as u64 + 2)) as u32; // incl. out-of-range
+                let epoch = a.epoch + rng.next_u64() % 3; // current-1..current+2 style drift
+                let sender = (rng.next_u64() % (n as u64 + 2)) as u32; // incl. forged origins
+                let cmd = match rng.next_u64() % 3 {
                     0 => RecoveryCommand::ScheduleWipe { victim, epoch },
                     1 => RecoveryCommand::WipeComplete { victim, epoch },
                     _ => RecoveryCommand::DeferWipe {
                         victim,
                         epoch,
-                        reason: DeferReason::from_code((rng.next() % 3) as u8).unwrap(),
+                        reason: DeferReason::from_code((rng.next_u64() % 3) as u8).unwrap(),
                     },
                 };
                 let before = a;

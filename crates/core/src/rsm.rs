@@ -32,11 +32,10 @@ use crate::recovery::{
 };
 use crate::ProcessId;
 use bytes::{BufMut, Bytes, BytesMut};
-use parking_lot::{Condvar, Mutex};
-use ritas_metrics::{FlightKind, Layer, SuspicionKind};
+use ritas_metrics::{unpoison, FlightKind, Layer, SuspicionKind};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -218,7 +217,7 @@ impl<S: Send + 'static> Replica<S> {
         let core = recovery.as_ref().map(|r| Arc::clone(&r.core));
         let server = Arc::new(Mutex::new(None));
         if let (Some(core), false) = (&core, rejoining) {
-            *server.lock() = Some(spawn_xfer_server(Arc::clone(&node), Arc::clone(core)));
+            *unpoison(server.lock()) = Some(spawn_xfer_server(Arc::clone(&node), Arc::clone(core)));
         }
         let applier = {
             let node = Arc::clone(&node);
@@ -233,7 +232,7 @@ impl<S: Send + 'static> Replica<S> {
                     }
                     // Live: start answering transfer requests (the
                     // driver owned the channel until now).
-                    *server.lock() =
+                    *unpoison(server.lock()) =
                         Some(spawn_xfer_server(Arc::clone(&node), Arc::clone(&rec.core)));
                 }
                 // The AB layer delivers whole batches at once; drain
@@ -304,7 +303,7 @@ impl<S: Send + 'static> Replica<S> {
 
     /// Reads the current state under the replica lock.
     pub fn read<R>(&self, f: impl FnOnce(&S) -> R) -> R {
-        f(&self.shared.state.lock())
+        f(&*unpoison(self.shared.state.lock()))
     }
 
     /// Shuts the underlying node down.
@@ -326,7 +325,7 @@ impl<S: Send + 'static> Replica<S> {
     /// command applied.
     pub fn wait_applied_covered(&self, rbid: u64) -> Result<Applied, NodeError> {
         {
-            let applied = self.shared.applied.lock();
+            let applied = unpoison(self.shared.applied.lock());
             if rbid < applied.base {
                 return Ok(Applied::CoveredBySnapshot);
             }
@@ -336,7 +335,7 @@ impl<S: Send + 'static> Replica<S> {
     }
 
     fn wait_applied(&self, rbid: u64) -> Result<(), NodeError> {
-        let mut applied = self.shared.applied.lock();
+        let mut applied = unpoison(self.shared.applied.lock());
         while !applied.contains(rbid) {
             // Bail out once the applier has exited (node shut down): no
             // further deliveries will ever be applied, so the command can
@@ -348,9 +347,8 @@ impl<S: Send + 'static> Replica<S> {
             }
             // The applier notifies on every apply; the timeout only
             // covers shutdown racing the stopped-flag store.
-            self.shared
-                .applied_cv
-                .wait_for(&mut applied, std::time::Duration::from_millis(100));
+            let cv = &self.shared.applied_cv;
+            applied = unpoison(cv.wait_timeout(applied, Duration::from_millis(100))).0;
         }
         Ok(())
     }
@@ -360,7 +358,7 @@ impl<S: Send + 'static> Drop for Replica<S> {
     fn drop(&mut self) {
         self.shutdown();
         // The rotation driver exits on the stopped flag set by shutdown.
-        if let Some(h) = self.driver.lock().take() {
+        if let Some(h) = unpoison(self.driver.lock()).take() {
             let _ = h.join();
         }
         // Join the applier first: a rejoining applier is the only writer
@@ -368,7 +366,7 @@ impl<S: Send + 'static> Drop for Replica<S> {
         if let Some(h) = self.applier.take() {
             let _ = h.join();
         }
-        if let Some(h) = self.server.lock().take() {
+        if let Some(h) = unpoison(self.server.lock()).take() {
             let _ = h.join();
         }
     }
@@ -553,8 +551,8 @@ fn apply_ready<S, F>(
     let me = node.id();
     let mut effects: Vec<RotationEffect> = Vec::new();
     let rotation_after = {
-        let mut state = shared.state.lock();
-        let mut core = recovery.map(|r| (r, r.core.inner.lock()));
+        let mut state = unpoison(shared.state.lock());
+        let mut core = recovery.map(|r| (r, unpoison(r.core.inner.lock())));
         for d in ready {
             if let Some((&TAG_USER, body)) = d.payload.split_first() {
                 apply(&mut state, d.id.sender, body);
@@ -574,7 +572,7 @@ fn apply_ready<S, F>(
     // sync-submit latency must come from the protocol, not from a poll
     // interval.
     node.metrics().rsm_applied_total.add(ready.len() as u64);
-    let mut applied = shared.applied.lock();
+    let mut applied = unpoison(shared.applied.lock());
     for d in ready {
         if d.id.sender == me {
             applied.insert(d.id.rbid);
@@ -676,7 +674,7 @@ fn serve_xfer(node: &Node, core: &RecoveryCore, msg: XferMessage) -> Option<Xfer
                 .with_stack(|stack, _| stack.ab(0).map(|ab| ab.hints()))
                 .ok()?
                 .unwrap_or_default();
-            let manifest = core.inner.lock().snaps.last().map(|b| b.manifest);
+            let manifest = unpoison(core.inner.lock()).snaps.last().map(|b| b.manifest);
             Some(XferMessage::ManifestResp { manifest, hints })
         }
         XferMessage::NodesReq {
@@ -684,7 +682,7 @@ fn serve_xfer(node: &Node, core: &RecoveryCore, msg: XferMessage) -> Option<Xfer
             level,
             indices,
         } => {
-            let inner = core.inner.lock();
+            let inner = unpoison(core.inner.lock());
             let hashes = inner
                 .snaps
                 .iter()
@@ -700,7 +698,7 @@ fn serve_xfer(node: &Node, core: &RecoveryCore, msg: XferMessage) -> Option<Xfer
             })
         }
         XferMessage::ChunkReq { seq, idx } => {
-            let inner = core.inner.lock();
+            let inner = unpoison(core.inner.lock());
             let (mut data, proof) = match inner.snaps.iter().find(|b| b.manifest.seq == seq) {
                 Some(b) => (
                     Bytes::copy_from_slice(b.chunk(idx, core.cfg.chunk_size)),
@@ -723,7 +721,7 @@ fn serve_xfer(node: &Node, core: &RecoveryCore, msg: XferMessage) -> Option<Xfer
             })
         }
         XferMessage::FillReq { from_seq, max } => {
-            let inner = core.inner.lock();
+            let inner = unpoison(core.inner.lock());
             let budget = (max as usize).min(core.cfg.fill_batch as usize);
             let mut entries = Vec::new();
             let mut want = from_seq;
@@ -1070,7 +1068,7 @@ where
     let n = node.group_size();
     let f = (n - 1) / 3;
     let peers: Vec<ProcessId> = (0..n).filter(|&p| p != node.id()).collect();
-    let applied_seq = || rec.core.inner.lock().applied_seq;
+    let applied_seq = || unpoison(rec.core.inner.lock()).applied_seq;
     let mut buffer: Vec<AbDelivery> = Vec::new();
     let mut buffered: HashSet<(ProcessId, u64)> = HashSet::new();
     let mut idle = 0u32;
@@ -1183,11 +1181,11 @@ where
         // The rotation coordinator rides after the application state in
         // the same snapshot encoding.
         let rotation = RotationState::decode(&mut reader).map_err(|_| Aborted)?;
-        *shared.state.lock() = decoded;
+        *unpoison(shared.state.lock()) = decoded;
         snap_next.clone_from(&snap.next);
         snap_next.resize(n, 0);
         {
-            let mut c = core.inner.lock();
+            let mut c = unpoison(core.inner.lock());
             c.applied_seq = snap.seq;
             c.applied_next.clone_from(&snap_next);
             c.log.clear();
@@ -1206,7 +1204,7 @@ where
     // --- Resume the atomic-broadcast cursor and catch up ---
     let cursor = select_cursor(me, n, f, &hints, &snap_next);
     {
-        let mut applied = shared.applied.lock();
+        let mut applied = unpoison(shared.applied.lock());
         applied.fast_forward(cursor.next_rbid);
         m.rsm_applied_watermark.set(applied.watermark);
         shared.applied_cv.notify_all();
@@ -1218,7 +1216,7 @@ where
         FlightKind::Recovery,
         me as u32,
         milestones::CATCHING_UP,
-        core.inner.lock().applied_seq,
+        unpoison(core.inner.lock()).applied_seq,
     );
     m.span_open("recover:catchup", Layer::Node);
     // Announce the resume: every replica's FIFO restarts our rbid
@@ -1237,7 +1235,7 @@ where
         .collect();
     apply_ready(node, shared, Some(rec), apply, &ready);
     let (live_seq, rotation) = {
-        let c = core.inner.lock();
+        let c = unpoison(core.inner.lock());
         (c.applied_seq, c.rotation)
     };
     m.span_close("recover:catchup");
@@ -1332,7 +1330,7 @@ impl<S: SnapshotState + Send + 'static> Replica<S> {
     /// across correct replicas at equal `seq`.
     pub fn snapshot_digest(&self) -> Option<(u64, Hash)> {
         let core = self.recovery.as_ref()?;
-        let inner = core.inner.lock();
+        let inner = unpoison(core.inner.lock());
         inner
             .snaps
             .last()
@@ -1345,7 +1343,7 @@ impl<S: SnapshotState + Send + 'static> Replica<S> {
     /// can reuse unchanged chunks instead of re-downloading them.
     pub fn latest_snapshot_bytes(&self) -> Option<Bytes> {
         let core = self.recovery.as_ref()?;
-        let inner = core.inner.lock();
+        let inner = unpoison(core.inner.lock());
         inner.snaps.last().map(|b| b.bytes.clone())
     }
 
@@ -1361,7 +1359,9 @@ impl<S: SnapshotState + Send + 'static> Replica<S> {
     /// The replicated rotation-coordinator state as of the last applied
     /// command (`None` on replicas without the recovery pipeline).
     pub fn rotation_state(&self) -> Option<RotationState> {
-        self.recovery.as_ref().map(|c| c.inner.lock().rotation)
+        self.recovery
+            .as_ref()
+            .map(|c| unpoison(c.inner.lock()).rotation)
     }
 
     /// Arms the proactive-recovery rotation driver (see
@@ -1386,7 +1386,7 @@ impl<S: SnapshotState + Send + 'static> Replica<S> {
         let Some(core) = self.recovery.as_ref().map(Arc::clone) else {
             return;
         };
-        let mut slot = self.driver.lock();
+        let mut slot = unpoison(self.driver.lock());
         if slot.is_some() {
             return;
         }
@@ -1408,7 +1408,7 @@ impl<S: SnapshotState + Send + 'static> Replica<S> {
             // WipeComplete is still in flight, and reacting to it again
             // would wipe the replica in a loop), and a foreign slot is
             // the established drivers' stuck-slot watchdog duty.
-            let mut acted: Option<(u32, u64)> = core.inner.lock().rotation.active;
+            let mut acted: Option<(u32, u64)> = unpoison(core.inner.lock()).rotation.active;
             let mut closed = (0u64, 0u64);
             loop {
                 if shared.stopped.load(Ordering::SeqCst) {
@@ -1416,7 +1416,7 @@ impl<S: SnapshotState + Send + 'static> Replica<S> {
                 }
                 std::thread::sleep(poll);
                 let (rot, has_snapshot) = {
-                    let c = core.inner.lock();
+                    let c = unpoison(core.inner.lock());
                     (c.rotation, !c.snaps.is_empty())
                 };
                 let progress = (rot.rounds_completed, rot.deferrals);
@@ -1691,7 +1691,7 @@ mod tests {
             .map(|node| Replica::new(node, 0u64, |s, _, _| *s += 1))
             .collect();
         // Simulate a rejoin watermark on replica 0.
-        replicas[0].shared.applied.lock().fast_forward(50);
+        unpoison(replicas[0].shared.applied.lock()).fast_forward(50);
         assert_eq!(
             replicas[0].wait_applied_covered(49).unwrap(),
             Applied::CoveredBySnapshot

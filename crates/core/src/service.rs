@@ -36,12 +36,11 @@ use crate::recovery::scheduler::{RotationConfig, RotationState};
 use crate::recovery::{Hash, RecoveryConfig, RecoveryConfigError, SnapshotState};
 use crate::rsm::Replica;
 use bytes::Bytes;
-use parking_lot::Mutex;
-use ritas_metrics::{Layer, Metrics};
+use ritas_metrics::{unpoison, Layer, Metrics};
 use std::collections::{BTreeSet, HashMap};
 use std::convert::Infallible;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Identifier of an external service client (disjoint from replica
@@ -646,12 +645,12 @@ impl<S: Send + 'static> ServiceReplica<S> {
             // Mirror into the serving table and wake local waiters.
             if let Some(reply) = reply {
                 {
-                    let mut t = t.lock();
+                    let mut t = unpoison(t.lock());
                     t.complete(c.client, c.seq, reply.clone());
                     m.service_sessions_live.set(t.len() as u64);
                     m.service_inflight.set(t.in_flight() as u64);
                 }
-                let woken = w.lock().by_request.remove(&(c.client, c.seq));
+                let woken = unpoison(w.lock()).by_request.remove(&(c.client, c.seq));
                 for waiter in woken.into_iter().flatten() {
                     let _ = waiter.tx.send(reply.clone());
                 }
@@ -700,7 +699,7 @@ impl<S: Send + 'static> ServiceReplica<S> {
     ) -> Result<Bytes, ServiceError> {
         self.metrics.service_requests_total.inc();
         let (needs_submit, waiter) = {
-            let mut table = self.table.lock();
+            let mut table = unpoison(self.table.lock());
             match table.check(client, seq) {
                 SessionCheck::Cached(reply) => {
                     self.metrics.service_dedup_hits.inc();
@@ -749,7 +748,7 @@ impl<S: Send + 'static> ServiceReplica<S> {
                 // session permanently unevictable and every retry of
                 // this (client, seq) hang on a waiter that never fires.
                 {
-                    let mut table = self.table.lock();
+                    let mut table = unpoison(self.table.lock());
                     table.abort(client, seq);
                     self.metrics.service_inflight.set(table.in_flight() as u64);
                 }
@@ -782,7 +781,7 @@ impl<S: Send + 'static> ServiceReplica<S> {
     ) -> Result<Bytes, ServiceError> {
         self.metrics.service_requests_total.inc();
         let waiter = {
-            let table = self.table.lock();
+            let table = unpoison(self.table.lock());
             match table.check(client, seq) {
                 SessionCheck::Cached(reply) => {
                     self.metrics.service_dedup_hits.inc();
@@ -799,7 +798,7 @@ impl<S: Send + 'static> ServiceReplica<S> {
     /// and receiving end.
     fn register_waiter(&self, client: ClientId, seq: u64) -> (u64, Receiver<Bytes>) {
         let (tx, rx) = sync_channel(1);
-        let mut w = self.waiters.lock();
+        let mut w = unpoison(self.waiters.lock());
         w.next_ticket += 1;
         let ticket = w.next_ticket;
         w.by_request
@@ -813,7 +812,7 @@ impl<S: Send + 'static> ServiceReplica<S> {
     /// last one — leaving any other request merged on the same
     /// `(client, seq)` waiting.
     fn withdraw_waiter(&self, client: ClientId, seq: u64, ticket: u64) {
-        let mut w = self.waiters.lock();
+        let mut w = unpoison(self.waiters.lock());
         if let Some(txs) = w.by_request.get_mut(&(client, seq)) {
             txs.retain(|w| w.ticket != ticket);
             if txs.is_empty() {
@@ -1256,24 +1255,24 @@ mod tests {
             let e = r0.await_reply(7, seq, Duration::ZERO).unwrap_err();
             assert_eq!(e, ServiceError::Timeout);
         }
-        assert!(r0.waiters.lock().by_request.is_empty());
+        assert!(unpoison(r0.waiters.lock()).by_request.is_empty());
         // Withdrawing is per caller: of two observers merged on one key,
         // the one that times out leaves the other registered — and a
         // later real submit of that command still answers it.
         std::thread::scope(|scope| {
             let patient = scope.spawn(|| r0.await_reply(7, 1, T));
-            while r0.waiters.lock().by_request.is_empty() {
+            while unpoison(r0.waiters.lock()).by_request.is_empty() {
                 std::thread::yield_now();
             }
             let e = r0.await_reply(7, 1, Duration::ZERO).unwrap_err();
             assert_eq!(e, ServiceError::Timeout);
-            assert_eq!(r0.waiters.lock().by_request[&(7, 1)].len(), 1);
+            assert_eq!(unpoison(r0.waiters.lock()).by_request[&(7, 1)].len(), 1);
             let reply = replicas[1]
                 .submit(7, 1, CommandKind::Apply, Bytes::from_static(b"incr"), T)
                 .unwrap();
             assert_eq!(patient.join().unwrap().unwrap(), reply);
         });
-        assert!(r0.waiters.lock().by_request.is_empty());
+        assert!(unpoison(r0.waiters.lock()).by_request.is_empty());
         for r in &replicas {
             r.shutdown();
         }

@@ -31,7 +31,7 @@ use crate::step::{FaultKind, Process, Step};
 use crate::vc::{DecisionVector, VectorConsensus};
 use crate::ProcessId;
 use bytes::Bytes;
-use ritas_crypto::{DeterministicCoin, LocalRoundCoin, ProcessKeys, RoundCoin};
+use ritas_crypto::{DeterministicCoin, ProcessKeys, RoundCoin};
 use ritas_metrics::{Layer, Metrics};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -321,8 +321,11 @@ pub enum CoinPolicy {
     #[default]
     Local,
     /// Rabin-style shared coins dealt from a common seed: every process
-    /// flips the same bit in the same round, giving O(1) expected rounds
-    /// even under adversarial scheduling. All processes must configure
+    /// flips the same bit in the same round. Every member holds the seed,
+    /// a Byzantine member included, so anyone in the group can compute
+    /// every coin of every instance from setup: the O(1) expected-round
+    /// bound holds only against a scheduler that controls no member
+    /// (ROADMAP item 8 replaces this coin). All processes must configure
     /// the same `dealer_seed`.
     Shared {
         /// The dealer's master seed (distributed with the keys).
@@ -337,7 +340,9 @@ pub struct StackConfig {
     /// are also those of the standalone consensus instances (`Bc`, `Mvc`,
     /// `Vc`).
     pub ab: AbConfig,
-    /// Coin scheme for standalone binary consensus instances.
+    /// Coin scheme for standalone binary consensus instances — those
+    /// started by [`Stack::bc_propose`] only. The binary consensus rounds
+    /// inside MVC, VC and atomic broadcast always flip local coins.
     pub coin: CoinPolicy,
 }
 
@@ -490,7 +495,7 @@ impl Stack {
             _ => 0,
         };
         let seed = self.coin_seed.wrapping_mul(0x9E3779B97F4A7C15) ^ salt;
-        Box::new(LocalRoundCoin(DeterministicCoin::new(seed)))
+        Box::new(DeterministicCoin::new(seed))
     }
 
     fn sub_seed(&self, key: &InstanceKey) -> u64 {

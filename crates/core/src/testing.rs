@@ -12,14 +12,14 @@
 //! `ritas-sim` crate; this harness is for functional tests of the
 //! protocol logic.
 
-use crate::adversary::{SendCtx, Strategy, StrategyRng};
+use crate::adversary::{seeded_rng, SendCtx, Strategy};
 use crate::config::Group;
 use crate::ctx::Ctx;
 use crate::stack::Stack;
 use crate::step::{Outgoing, Process, Step, Target};
 use crate::ProcessId;
 use bytes::Bytes;
-use ritas_crypto::KeyTable;
+use ritas_crypto::{KeyTable, XorShift64};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -135,7 +135,7 @@ pub struct Net<P: Process, W = Faithful> {
     queue: Vec<(ProcessId, ProcessId, P::Msg)>,
     outputs: Vec<Vec<P::Out>>,
     schedule: Schedule,
-    rng: StrategyRng,
+    rng: XorShift64,
     crashed: Vec<bool>,
     /// Processes whose inbound messages are currently withheld (extreme
     /// asynchrony: the messages are buffered, not lost, and re-enter the
@@ -184,7 +184,7 @@ impl<P: Process, W: Wire<P::Msg>> Net<P, W> {
             queue: Vec::new(),
             outputs: (0..n).map(|_| Vec::new()).collect(),
             schedule: Schedule::Random,
-            rng: StrategyRng::new(seed),
+            rng: seeded_rng(seed),
             crashed: vec![false; n],
             held_inbound: vec![false; n],
             stash: Vec::new(),
@@ -317,7 +317,7 @@ impl<P: Process, W: Wire<P::Msg>> Net<P, W> {
         let idx = match self.schedule {
             Schedule::Fifo => 0,
             Schedule::Lifo => self.queue.len() - 1,
-            Schedule::Random => (self.rng.next() as usize) % self.queue.len(),
+            Schedule::Random => (self.rng.next_u64() as usize) % self.queue.len(),
         };
         let (from, to, msg) = self.queue.remove(idx);
         if self.crashed[to] {

@@ -30,7 +30,7 @@ use crate::rb::{RbMessage, ReliableBroadcast};
 use crate::step::{FaultKind, Step};
 use crate::ProcessId;
 use bytes::Bytes;
-use ritas_crypto::{DeterministicCoin, LocalRoundCoin};
+use ritas_crypto::DeterministicCoin;
 use ritas_metrics::{Layer, SpanAnnotation};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -279,7 +279,7 @@ impl VectorConsensus {
                 .wrapping_add(round as u64);
             MultiValuedConsensus::new(
                 self.ctx.child(Layer::Mvc, |f| write!(f, "mvc:{round}")),
-                Box::new(LocalRoundCoin(DeterministicCoin::new(seed))),
+                Box::new(DeterministicCoin::new(seed)),
                 self.mvc_config,
             )
         })

@@ -1,78 +1,77 @@
-//! Local coin flips for Bracha-style randomized consensus.
+//! Coins for Bracha-style randomized binary consensus.
 //!
 //! §2: "Each process has access to a random bit generator that returns
 //! unbiased bits observable only by the process". Ben-Or/Bracha protocols
 //! need only this *local* coin (unlike Rabin-style shared coins, which need
-//! a trusted dealer). The [`Coin`] trait abstracts the generator so that:
+//! a trusted dealer). Every coin implements [`RoundCoin`]:
 //!
-//! * production uses an OS-seeded RNG ([`SeededCoin::from_entropy`]),
-//! * simulation/tests use a seeded deterministic RNG ([`DeterministicCoin`]),
-//! * adversarial tests force worst-case coins ([`FixedCoin`]).
+//! * every driver — node runtime, simulator, tests — uses a seeded local
+//!   coin ([`DeterministicCoin`]), so a run replays from its seeds,
+//! * adversarial tests force worst-case coins ([`FixedCoin`]),
+//! * the shared-coin extension uses a dealer-keyed [`SharedCoin`].
+//!
+//! [`XorShift64`], the generator behind [`DeterministicCoin`], is also the
+//! workspace's one small replayable generator for everything else that
+//! must replay from a seed: adversary strategies and the test cluster's
+//! scheduler in `ritas`, reconnect jitter in `ritas-transport`.
 
 use crate::digest::Digest;
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
 
-/// A source of unbiased random bits, private to one process.
-pub trait Coin {
-    /// Returns one unbiased random bit.
-    fn flip(&mut self) -> bool;
-}
-
-/// A coin backed by [`StdRng`] (cryptographically strong, reseedable).
-#[derive(Debug)]
-pub struct SeededCoin {
-    rng: StdRng,
-}
-
-impl SeededCoin {
-    /// Creates a coin seeded from OS entropy — the production configuration.
-    pub fn from_entropy() -> Self {
-        SeededCoin {
-            rng: StdRng::from_entropy(),
-        }
-    }
-
-    /// Creates a coin from an explicit seed (reproducible runs).
-    pub fn from_seed(seed: u64) -> Self {
-        SeededCoin {
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl Coin for SeededCoin {
-    fn flip(&mut self) -> bool {
-        self.rng.gen::<bool>()
-    }
-}
-
-/// A deterministic coin for simulation: identical seeds yield identical
-/// flip sequences, which makes every simulated execution replayable.
+/// xorshift64* (Vigna): a tiny, fast, replayable — and **not**
+/// cryptographic — generator. Each caller seeds it its own way; the state
+/// must be nonzero, the generator's fixpoint.
 #[derive(Debug, Clone)]
-pub struct DeterministicCoin {
-    state: u64,
+pub struct XorShift64(u64);
+
+impl XorShift64 {
+    /// Starts the generator at the nonzero `state`.
+    pub fn new(state: u64) -> Self {
+        debug_assert_ne!(state, 0, "zero is the xorshift fixpoint");
+        XorShift64(state)
+    }
+
+    /// Advances the state and returns the next output.
+    pub fn next_u64(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        self.0 = x;
+        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
 }
+
+/// A coin indexed by protocol round — the interface randomized consensus
+/// needs.
+///
+/// Ben-Or-style *local* coins ignore the round. Rabin-style *shared* coins
+/// ([`SharedCoin`]) return the **same** bit at every correct process for
+/// the same round, which collapses the expected round count to O(1) —
+/// provided the scheduler cannot read the coin in advance, which
+/// [`SharedCoin`] does not guarantee (see its docs).
+pub trait RoundCoin: Send {
+    /// Returns the coin for `round` (1-based protocol round).
+    fn flip_round(&mut self, round: u32) -> bool;
+}
+
+/// A deterministic local coin: identical seeds yield identical flip
+/// sequences, which makes every execution replayable. The round is
+/// ignored (Ben-Or's scheme, the paper's default).
+#[derive(Debug, Clone)]
+pub struct DeterministicCoin(XorShift64);
 
 impl DeterministicCoin {
     /// Creates a deterministic coin from a seed.
     pub fn new(seed: u64) -> Self {
-        // Avoid the all-zero fixpoint of the xorshift below.
-        DeterministicCoin {
-            state: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1),
-        }
+        DeterministicCoin(XorShift64::new(
+            seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1),
+        ))
     }
 }
 
-impl Coin for DeterministicCoin {
-    fn flip(&mut self) -> bool {
-        // xorshift64*; plenty for schedule-level randomness in a simulator.
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 63) != 0
+impl RoundCoin for DeterministicCoin {
+    fn flip_round(&mut self, _round: u32) -> bool {
+        (self.0.next_u64() >> 63) != 0
     }
 }
 
@@ -81,40 +80,9 @@ impl Coin for DeterministicCoin {
 #[derive(Debug, Clone, Copy)]
 pub struct FixedCoin(pub bool);
 
-impl Coin for FixedCoin {
-    fn flip(&mut self) -> bool {
-        self.0
-    }
-}
-
-impl<C: Coin + ?Sized> Coin for Box<C> {
-    fn flip(&mut self) -> bool {
-        (**self).flip()
-    }
-}
-
-/// A coin indexed by protocol round — the interface randomized consensus
-/// actually needs.
-///
-/// Ben-Or-style *local* coins ignore the round (see [`LocalRoundCoin`]).
-/// Rabin-style *shared* coins ([`SharedCoin`]) return the **same** bit at
-/// every correct process for the same round, which collapses the expected
-/// round count to O(1) even against an adversarial message scheduler —
-/// the trade-off (paper §5) being that a trusted dealer must distribute
-/// the coin material beforehand.
-pub trait RoundCoin: Send {
-    /// Returns the coin for `round` (1-based protocol round).
-    fn flip_round(&mut self, round: u32) -> bool;
-}
-
-/// Adapts any local [`Coin`] to the [`RoundCoin`] interface by ignoring
-/// the round number (Ben-Or's scheme, the paper's default).
-#[derive(Debug)]
-pub struct LocalRoundCoin<C: Coin>(pub C);
-
-impl<C: Coin + Send> RoundCoin for LocalRoundCoin<C> {
+impl RoundCoin for FixedCoin {
     fn flip_round(&mut self, _round: u32) -> bool {
-        self.0.flip()
+        self.0
     }
 }
 
@@ -122,11 +90,13 @@ impl<C: Coin + Send> RoundCoin for LocalRoundCoin<C> {
 /// the coin for round `r` of instance `nonce` is a bit of
 /// `H(secret ‖ nonce ‖ r)` — identical at every holder.
 ///
-/// This models the *outcome* of Rabin's scheme (dealer-distributed shares
-/// of pre-drawn coins) without threshold cryptography: every process can
-/// compute every round's coin locally. The adversary learns a round's
-/// coin as soon as any process uses it, exactly as in Rabin's protocol
-/// once `f + 1` shares are revealed.
+/// **Predictable to every member.** There is no threshold cryptography:
+/// every member holds the secret, a Byzantine member included, so anyone
+/// in the group can compute every coin of every instance from setup. The
+/// O(1) expected-round bound therefore holds only against a scheduler
+/// that controls no member; a Byzantine member can order messages against
+/// the coin it already knows. ROADMAP item 8 replaces this coin with one
+/// no `f` members can compute.
 #[derive(Debug, Clone)]
 pub struct SharedCoin {
     secret: [u8; 32],
@@ -182,98 +152,79 @@ impl SharedCoinDealer {
     }
 }
 
-/// A coin driven by any [`RngCore`], handy for plugging proptest-controlled
-/// RNGs into the protocol core.
-#[derive(Debug)]
-pub struct RngCoin<R: RngCore>(pub R);
-
-impl<R: RngCore> Coin for RngCoin<R> {
-    fn flip(&mut self) -> bool {
-        (self.0.next_u32() & 1) == 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn flips(mut coin: impl RoundCoin, n: u32) -> String {
+        (1..=n)
+            .map(|r| if coin.flip_round(r) { '1' } else { '0' })
+            .collect()
+    }
+
+    #[test]
+    fn deterministic_coin_known_answers() {
+        // Pinned from the pre-`XorShift64` coin: every replayed run and
+        // every committed artifact depends on these flips.
+        assert_eq!(flips(DeterministicCoin::new(1), 16), "0010111011010100");
+        assert_eq!(
+            flips(DeterministicCoin::new(0xDEAD_BEEF), 16),
+            "1101000100111110"
+        );
+    }
+
     #[test]
     fn deterministic_coin_replays() {
-        let mut a = DeterministicCoin::new(42);
-        let mut b = DeterministicCoin::new(42);
-        for _ in 0..100 {
-            assert_eq!(a.flip(), b.flip());
-        }
+        assert_eq!(
+            flips(DeterministicCoin::new(42), 100),
+            flips(DeterministicCoin::new(42), 100)
+        );
     }
 
     #[test]
     fn deterministic_coin_varies_with_seed() {
-        let seq = |seed| {
-            let mut c = DeterministicCoin::new(seed);
-            (0..64).map(|_| c.flip()).collect::<Vec<_>>()
-        };
-        assert_ne!(seq(1), seq(2));
+        assert_ne!(
+            flips(DeterministicCoin::new(1), 64),
+            flips(DeterministicCoin::new(2), 64)
+        );
     }
 
     #[test]
     fn deterministic_coin_is_roughly_unbiased() {
-        let mut c = DeterministicCoin::new(7);
-        let ones = (0..10_000).filter(|_| c.flip()).count();
+        let ones = flips(DeterministicCoin::new(7), 10_000)
+            .matches('1')
+            .count();
         assert!((4_000..6_000).contains(&ones), "ones = {ones}");
     }
 
     #[test]
-    fn seeded_coin_reproducible() {
-        let mut a = SeededCoin::from_seed(5);
-        let mut b = SeededCoin::from_seed(5);
-        for _ in 0..32 {
-            assert_eq!(a.flip(), b.flip());
-        }
-    }
-
-    #[test]
     fn fixed_coin_is_fixed() {
-        let mut heads = FixedCoin(true);
-        let mut tails = FixedCoin(false);
-        for _ in 0..8 {
-            assert!(heads.flip());
-            assert!(!tails.flip());
-        }
-    }
-
-    #[test]
-    fn boxed_coin_dispatches() {
-        let mut c: Box<dyn Coin> = Box::new(FixedCoin(true));
-        assert!(c.flip());
+        assert_eq!(flips(FixedCoin(true), 8), "11111111");
+        assert_eq!(flips(FixedCoin(false), 8), "00000000");
     }
 
     #[test]
     fn shared_coin_identical_across_holders() {
         let a = SharedCoinDealer::new(7);
         let b = SharedCoinDealer::new(7);
-        let mut ca = a.coin(3);
-        let mut cb = b.coin(3);
-        for round in 1..50 {
-            assert_eq!(ca.flip_round(round), cb.flip_round(round));
-        }
+        assert_eq!(flips(a.coin(3), 50), flips(b.coin(3), 50));
     }
 
     #[test]
     fn shared_coin_differs_across_instances_and_seeds() {
         let dealer = SharedCoinDealer::new(7);
-        let seq = |mut c: SharedCoin| (1..64).map(|r| c.flip_round(r)).collect::<Vec<_>>();
-        assert_ne!(seq(dealer.coin(1)), seq(dealer.coin(2)));
+        assert_ne!(flips(dealer.coin(1), 63), flips(dealer.coin(2), 63));
         assert_ne!(
-            seq(SharedCoinDealer::new(1).coin(0)),
-            seq(SharedCoinDealer::new(2).coin(0))
+            flips(SharedCoinDealer::new(1).coin(0), 63),
+            flips(SharedCoinDealer::new(2).coin(0), 63)
         );
     }
 
     #[test]
     fn shared_coin_is_roughly_unbiased() {
-        let dealer = SharedCoinDealer::new(11);
-        let mut coin = dealer.coin(0);
-        let ones = (1..10_000).filter(|r| coin.flip_round(*r)).count();
+        let ones = flips(SharedCoinDealer::new(11).coin(0), 10_000)
+            .matches('1')
+            .count();
         assert!((4_000..6_000).contains(&ones), "ones = {ones}");
     }
 
@@ -282,12 +233,5 @@ mod tests {
         // Re-querying the same round yields the same bit (stateless).
         let mut c = SharedCoinDealer::new(5).coin(9);
         assert_eq!(c.flip_round(4), c.flip_round(4));
-    }
-
-    #[test]
-    fn local_round_coin_ignores_round() {
-        let mut c = LocalRoundCoin(FixedCoin(true));
-        assert!(c.flip_round(1));
-        assert!(c.flip_round(1000));
     }
 }

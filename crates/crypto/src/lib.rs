@@ -44,10 +44,7 @@ pub mod mac;
 pub mod sha1;
 pub mod sha256;
 
-pub use coin::{
-    Coin, DeterministicCoin, FixedCoin, LocalRoundCoin, RoundCoin, SeededCoin, SharedCoin,
-    SharedCoinDealer,
-};
+pub use coin::{DeterministicCoin, FixedCoin, RoundCoin, SharedCoin, SharedCoinDealer, XorShift64};
 pub use digest::Digest;
 pub use hmac::{Hmac, HmacKey};
 pub use keys::{ClientKeyDealer, KeyTable, ProcessKeys, SecretKey};

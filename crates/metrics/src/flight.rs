@@ -21,7 +21,9 @@ use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock};
+
+use crate::unpoison;
 
 /// Default number of events the ring retains (oldest evicted first).
 pub const FLIGHT_CAPACITY: usize = 16384;
@@ -175,7 +177,7 @@ impl FlightRecorder {
             return;
         }
         self.recorded.fetch_add(1, Ordering::Relaxed);
-        let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut ring = unpoison(self.ring.lock());
         if ring.len() == self.capacity {
             ring.pop_front();
         }
@@ -189,12 +191,7 @@ impl FlightRecorder {
 
     /// The retained events, oldest first.
     pub fn events(&self) -> Vec<FlightEvent> {
-        self.ring
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .copied()
-            .collect()
+        unpoison(self.ring.lock()).iter().copied().collect()
     }
 
     /// Encodes the retained ring into the binary dump format.
@@ -336,7 +333,7 @@ pub fn register_dump(dir: impl Into<PathBuf>, tag: impl Into<String>, metrics: c
         }));
     });
     let (dir, tag) = (dir.into(), tag.into());
-    let mut reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
+    let mut reg = unpoison(registry().lock());
     reg.retain(|r| r.tag != tag);
     reg.push(Registered { dir, tag, metrics });
 }
@@ -349,7 +346,7 @@ pub fn dump_registered() -> Vec<PathBuf> {
 }
 
 fn dump_registered_inner() -> Vec<PathBuf> {
-    let reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
+    let reg = unpoison(registry().lock());
     let mut written = Vec::new();
     for r in reg.iter() {
         let path = r.dir.join(format!("flight-{}.bin", r.tag));

@@ -32,12 +32,21 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, LockResult, Mutex, PoisonError};
 
 pub mod cluster;
 pub mod flight;
 
 pub use flight::{FlightEvent, FlightKind, FlightRecorder};
+
+/// The workspace's one lock policy: a guard poisoned by a thread that
+/// panicked while holding it is recovered, not propagated, so one failed
+/// worker cannot cascade panics through every thread sharing its state.
+/// Wraps any `std::sync` acquisition — `lock()`, `read()`, `write()`,
+/// `Condvar::wait` and `Condvar::wait_timeout` — in every crate.
+pub fn unpoison<G>(acquired: LockResult<G>) -> G {
+    acquired.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A monotonically increasing event counter.
 #[derive(Debug, Default)]
@@ -726,7 +735,7 @@ impl SpanRegistry {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, SpanRegistryInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+        unpoison(self.inner.lock())
     }
 }
 
@@ -1406,11 +1415,7 @@ impl Metrics {
     pub fn suspect(&self, peer: u32, kind: SuspicionKind) {
         self.inner.suspicions_total.inc();
         {
-            let mut g = self
-                .inner
-                .suspicions
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut g = unpoison(self.inner.suspicions.lock());
             g.entry(peer).or_insert([0; SUSPICION_KINDS])[kind.index()] += 1;
         }
         self.flight_record(FlightKind::Suspicion, peer, kind.index() as u64, 0);
@@ -1428,11 +1433,7 @@ impl Metrics {
     /// out.
     pub fn clear_suspicions_of(&self, peer: u32) {
         let cleared = {
-            let mut g = self
-                .inner
-                .suspicions
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut g = unpoison(self.inner.suspicions.lock());
             match g.remove(&peer) {
                 Some(counts) => counts.iter().sum::<u64>(),
                 None => return,
@@ -1444,10 +1445,7 @@ impl Metrics {
     /// The per-peer suspicion table, peers in ascending order. Empty in
     /// failure-free runs — every row is evidence.
     pub fn suspicions(&self) -> Vec<SuspicionSnapshot> {
-        self.inner
-            .suspicions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        unpoison(self.inner.suspicions.lock())
             .iter()
             .map(|(&peer, &counts)| SuspicionSnapshot { peer, counts })
             .collect()
@@ -1746,6 +1744,24 @@ fn escape_json(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unpoison_leaves_a_panicked_holders_lock_usable() {
+        let m = Arc::new(Mutex::new(1));
+        let held = Arc::clone(&m);
+        let died = std::thread::spawn(move || {
+            let mut g = unpoison(held.lock());
+            *g = 2;
+            panic!("poison the lock");
+        })
+        .join();
+        assert!(died.is_err() && m.is_poisoned());
+        let mut g = unpoison(m.lock());
+        assert_eq!(*g, 2, "the dead holder's last write survives");
+        *g = 3;
+        drop(g);
+        assert_eq!(*unpoison(m.lock()), 3);
+    }
 
     #[test]
     fn counter_and_gauge_basics() {

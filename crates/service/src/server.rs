@@ -14,13 +14,12 @@ use crate::wire::{
     Reply, Request, RequestKind, RequestMode, Status,
 };
 use bytes::Bytes;
-use parking_lot::Mutex;
 use ritas::service::{request_span, CommandKind, ServiceError, ServiceReplica};
 use ritas_crypto::ClientKeyDealer;
-use ritas_metrics::Layer;
+use ritas_metrics::{unpoison, Layer};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -124,7 +123,7 @@ impl<S: Send + 'static> ServiceServer<S> {
     /// sealing, turning this replica into an actively lying Byzantine
     /// front-end with valid MACs.
     pub fn set_reply_tamper(&self, f: impl Fn(&Request, Bytes) -> Bytes + Send + Sync + 'static) {
-        *self.tamper.lock() = Some(Arc::new(f));
+        *unpoison(self.tamper.lock()) = Some(Arc::new(f));
     }
 
     /// Stops accepting, closes serving threads, and waits for them.
@@ -229,7 +228,7 @@ fn serve_connection<S: Send + 'static>(
             }
         };
         let (status, payload) = execute(&replica, &request, config.request_timeout);
-        let payload = match (&status, tamper.lock().clone()) {
+        let payload = match (&status, unpoison(tamper.lock()).clone()) {
             (Status::Ok, Some(t)) => t(&request, payload),
             _ => payload,
         };

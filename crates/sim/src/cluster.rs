@@ -12,6 +12,7 @@
 use crate::calibration::Calibration;
 use crate::faults::Faultload;
 use crate::lan::{LanModel, Ns};
+use crate::rng::SimRng;
 use crate::stats::{classify_broadcast_init, NetCounters, Purpose};
 use bytes::Bytes;
 use ritas::config::Group;
@@ -164,12 +165,11 @@ pub enum Action {
 /// A seeded symmetric per-pair propagation matrix in `lo..=hi` ns.
 #[allow(clippy::needless_range_loop)] // index pairs (i, j) are link endpoints
 fn wan_matrix(n: usize, lo: u64, hi: u64, seed: u64) -> Vec<Vec<Ns>> {
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut rng = SimRng::seed_from_u64(seed);
     let mut m = vec![vec![0u64; n]; n];
     for i in 0..n {
         for j in (i + 1)..n {
-            let d = if hi > lo { rng.gen_range(lo..=hi) } else { lo };
+            let d = if hi > lo { rng.gen_u64(lo..=hi) } else { lo };
             m[i][j] = d;
             m[j][i] = d;
         }

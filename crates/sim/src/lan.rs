@@ -9,8 +9,7 @@
 //! network", §4.2).
 
 use crate::calibration::Calibration;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::SimRng;
 
 /// Virtual time in nanoseconds.
 pub type Ns = u64;
@@ -29,7 +28,7 @@ pub struct LanModel {
     /// topologies, probing the paper's §4.2 conjecture that the
     /// one-round-decision result depends on LAN symmetry.
     propagation: Option<Vec<Vec<Ns>>>,
-    rng: StdRng,
+    rng: SimRng,
 }
 
 /// The outcome of scheduling a frame transmission.
@@ -51,7 +50,7 @@ impl LanModel {
             tx_free: vec![0; n],
             rx_free: vec![0; n],
             propagation: None,
-            rng: StdRng::seed_from_u64(seed),
+            rng: SimRng::seed_from_u64(seed),
         }
     }
 
@@ -90,7 +89,7 @@ impl LanModel {
         if j <= 0.0 {
             return ns;
         }
-        let factor = 1.0 + self.rng.gen_range(-j..j);
+        let factor = 1.0 + self.rng.gen_f64(-j..j);
         (ns as f64 * factor) as u64
     }
 

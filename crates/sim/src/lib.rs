@@ -16,7 +16,8 @@
 //! Modules:
 //!
 //! * [`calibration`] — the LAN/CPU model constants;
-//! * [`lan`] — the queueing network model (per-host tx/rx resources);
+//! * [`lan`] — the queueing network model (per-host tx/rx resources),
+//!   drawing its jitter from the simulator's own seeded xoshiro256++;
 //! * [`cluster`] — the event loop driving `ritas::stack::Stack`s;
 //! * [`faults`] — the §4.2 faultloads (failure-free, fail-stop,
 //!   Byzantine);
@@ -33,6 +34,7 @@ pub mod cluster;
 pub mod faults;
 pub mod harness;
 pub mod lan;
+mod rng;
 pub mod stats;
 
 pub use calibration::Calibration;

@@ -46,11 +46,10 @@
 
 use crate::{ProcessId, Transport, TransportError};
 use bytes::Bytes;
-use parking_lot::Mutex;
 use ritas_crypto::{HmacKey, KeyTable, SecretKey, Sha1};
-use ritas_metrics::Metrics;
+use ritas_metrics::{unpoison, Metrics};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Bytes added to every frame by the AH-style header (matches the paper's
@@ -399,7 +398,7 @@ impl<T: Transport> AuthenticatedTransport<T> {
         let seq = self.tx_seq[to].fetch_add(1, Ordering::Relaxed) + 1; // AH starts at 1
         let me = self.inner.local_id();
         let (epoch, keys) = {
-            let g = self.rekey.state.lock();
+            let g = unpoison(self.rekey.state.lock());
             (g.epoch, Arc::clone(&g.keys))
         };
         let mut frame = Vec::with_capacity(AH_OVERHEAD + payload.len());
@@ -447,7 +446,7 @@ impl<T: Transport> AuthenticatedTransport<T> {
         }
         let rt = &self.rekey;
         let cand = {
-            let g = rt.state.lock();
+            let g = unpoison(rt.state.lock());
             // The wire carries only the epoch's low 16 bits: recover the
             // full epoch windowed around our own, so the tag keeps
             // working after the counter wraps.
@@ -488,7 +487,7 @@ impl<T: Transport> AuthenticatedTransport<T> {
                 // the legitimate pattern — every frame from a
                 // rotated-ahead peer) cost one cheap ICV check.
                 let cached = {
-                    let g = rt.state.lock();
+                    let g = unpoison(rt.state.lock());
                     match &g.future {
                         Some((e, row)) if *e == claimed => Some(Arc::clone(row)),
                         _ => None,
@@ -504,14 +503,14 @@ impl<T: Transport> AuthenticatedTransport<T> {
                             self.inner.local_id(),
                         );
                         rt.future_derives.fetch_add(1, Ordering::Relaxed);
-                        rt.state.lock().future = Some((claimed, Arc::clone(&row)));
+                        unpoison(rt.state.lock()).future = Some((claimed, Arc::clone(&row)));
                         row
                     }
                 };
                 if !checks(&row[from]) {
                     return Err(Rejection::BadMac);
                 }
-                let mut g = rt.state.lock();
+                let mut g = unpoison(rt.state.lock());
                 if claimed > g.epoch {
                     g.advance(claimed, row);
                     self.config.metrics.transport_epoch_adopted.inc();
@@ -520,7 +519,7 @@ impl<T: Transport> AuthenticatedTransport<T> {
         }
 
         if self.config.anti_replay {
-            let mut windows = self.rx_replay.lock();
+            let mut windows = unpoison(self.rx_replay.lock());
             if !windows[from].accept(seq) {
                 return Err(Rejection::BadMac);
             }
@@ -609,7 +608,7 @@ impl<T: Transport> Transport for AuthenticatedTransport<T> {
         let Some(master_seed) = rt.master_seed else {
             return;
         };
-        let mut g = rt.state.lock();
+        let mut g = unpoison(rt.state.lock());
         if epoch <= g.epoch {
             return; // epochs only move forward
         }
@@ -623,7 +622,7 @@ impl<T: Transport> Transport for AuthenticatedTransport<T> {
     }
 
     fn key_epoch(&self) -> u64 {
-        self.rekey.state.lock().epoch
+        unpoison(self.rekey.state.lock()).epoch
     }
 }
 

@@ -13,10 +13,10 @@
 
 use crate::{ProcessId, Transport, TransportError};
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex, RwLock};
+use ritas_metrics::unpoison;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// One process's inbound queue: a locked deque and a condition variable
@@ -50,12 +50,12 @@ impl Inbox {
         if self.abandoned.load(Ordering::Relaxed) {
             return;
         }
-        self.queue.lock().frames.push_back(frame);
+        unpoison(self.queue.lock()).frames.push_back(frame);
         self.ready.notify_one();
     }
 
     fn wake(&self) {
-        self.queue.lock().woken = true;
+        unpoison(self.queue.lock()).woken = true;
         // All: a thread parked in an untimed `pop` would swallow a
         // single notification and go back to sleep.
         self.ready.notify_all();
@@ -64,7 +64,7 @@ impl Inbox {
     /// Pops the next frame, waiting until `deadline` (forever if `None`).
     /// Only a timed wait is ended by a wake, and gives `None` for it.
     fn pop(&self, deadline: Option<Instant>) -> Option<(ProcessId, Bytes)> {
-        let mut queue = self.queue.lock();
+        let mut queue = unpoison(self.queue.lock());
         loop {
             if deadline.is_some() && std::mem::take(&mut queue.woken) {
                 return None;
@@ -73,13 +73,13 @@ impl Inbox {
                 return Some(frame);
             }
             match deadline {
-                None => self.ready.wait(&mut queue),
+                None => queue = unpoison(self.ready.wait(queue)),
                 Some(d) => {
                     let left = d.saturating_duration_since(Instant::now());
                     if left.is_zero() {
                         return None;
                     }
-                    self.ready.wait_for(&mut queue, left);
+                    queue = unpoison(self.ready.wait_timeout(queue, left)).0;
                 }
             }
         }
@@ -181,7 +181,7 @@ impl Hub {
     /// Fail-stops process `p`: all its links go down and its inbound
     /// endpoint stops yielding messages.
     pub fn crash(&self, p: ProcessId) {
-        let mut s = self.state.write();
+        let mut s = unpoison(self.state.write());
         if p < self.n {
             s.crashed[p] = true;
             for j in 0..self.n {
@@ -193,7 +193,7 @@ impl Hub {
 
     /// Raises or cuts the directed link `from → to`.
     pub fn set_link(&self, from: ProcessId, to: ProcessId, up: bool) {
-        let mut s = self.state.write();
+        let mut s = unpoison(self.state.write());
         if from < self.n && to < self.n {
             s.links[from][to] = up;
         }
@@ -201,7 +201,11 @@ impl Hub {
 
     /// Whether process `p` has been crashed.
     pub fn is_crashed(&self, p: ProcessId) -> bool {
-        self.state.read().crashed.get(p).copied().unwrap_or(false)
+        unpoison(self.state.read())
+            .crashed
+            .get(p)
+            .copied()
+            .unwrap_or(false)
     }
 
     /// Re-admits process `p` with a **fresh** inbound queue: clears its
@@ -216,7 +220,7 @@ impl Hub {
     pub fn reattach(&self, p: ProcessId) -> MemoryEndpoint {
         assert!(p < self.n, "reattach of unknown process {p}");
         let inbox = Arc::<Inbox>::default();
-        let mut s = self.state.write();
+        let mut s = unpoison(self.state.write());
         s.crashed[p] = false;
         for j in 0..self.n {
             s.links[p][j] = true;
@@ -263,14 +267,14 @@ impl MemoryEndpoint {
         if self.closed.load(Ordering::SeqCst) {
             return None;
         }
-        self.inbox.queue.lock().frames.pop_front()
+        unpoison(self.inbox.queue.lock()).frames.pop_front()
     }
 }
 
 impl Drop for MemoryEndpoint {
     fn drop(&mut self) {
         self.inbox.abandoned.store(true, Ordering::Relaxed);
-        self.inbox.queue.lock().frames.clear();
+        unpoison(self.inbox.queue.lock()).frames.clear();
     }
 }
 
@@ -288,7 +292,7 @@ impl Transport for MemoryEndpoint {
         if to >= self.n {
             return Err(TransportError::UnknownPeer(to));
         }
-        let s = self.state.read();
+        let s = unpoison(self.state.read());
         // A crashed or partitioned link silently drops: from the
         // receiver's perspective this is indistinguishable from an
         // arbitrarily slow asynchronous link, which is the model.

@@ -24,7 +24,7 @@
 use crate::wire::{Reader, Writer};
 use crate::ProcessId;
 use bytes::Bytes;
-use ritas_crypto::{Hmac, SecretKey, Sha1};
+use ritas_crypto::{Hmac, SecretKey, Sha1, XorShift64};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -219,7 +219,7 @@ pub struct Backoff {
     min: Duration,
     max: Duration,
     attempt: u32,
-    rng: u64,
+    rng: XorShift64,
 }
 
 impl Backoff {
@@ -229,17 +229,8 @@ impl Backoff {
             min,
             max,
             attempt: 0,
-            rng: seed | 1,
+            rng: XorShift64::new(seed | 1),
         }
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
     /// The delay before the next attempt: `min · 2^attempt` capped at
@@ -252,7 +243,7 @@ impl Backoff {
             .min(self.max);
         self.attempt = self.attempt.saturating_add(1);
         let base_ns = base.as_nanos() as u64;
-        let jittered = base_ns / 2 + self.next_rand() % (base_ns / 2 + 1);
+        let jittered = base_ns / 2 + self.rng.next_u64() % (base_ns / 2 + 1);
         Duration::from_nanos(jittered)
     }
 
@@ -356,5 +347,57 @@ mod tests {
         assert!(last >= max / 2, "did not reach the cap region: {last:?}");
         b.reset();
         assert!(b.next_delay() <= min, "reset did not restart the schedule");
+    }
+
+    #[test]
+    fn backoff_jitter_known_answers() {
+        // Pinned from the pre-`XorShift64` `Backoff`: every reconnect
+        // schedule of a seeded TCP mesh depends on this stream.
+        let draws = |seed| {
+            let mut b = Backoff::new(Duration::ZERO, Duration::ZERO, seed);
+            (0..16).map(|_| b.rng.next_u64()).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            draws(1),
+            [
+                0x47e4_ce4b_896c_dd1d,
+                0xabcf_a6a8_e079_651d,
+                0xb9d1_0d8f_eb73_1f57,
+                0x4db4_18a0_bb1b_019d,
+                0x0e61_99b0_4d5a_a600,
+                0xc867_4bcb_42e3_aad9,
+                0xd052_b2d8_d46e_7181,
+                0xac71_8cf8_ce31_398d,
+                0x56b2_b122_e948_3038,
+                0xbffa_b238_424d_3a95,
+                0x7fb3_3871_5ebc_2cde,
+                0x2d53_666f_8cdb_ba9c,
+                0x27a6_c0f1_4fd1_5210,
+                0xbc75_2df0_c2a5_9aff,
+                0xdff1_c948_ec62_1e61,
+                0xa1e9_39fb_928e_0e31,
+            ]
+        );
+        assert_eq!(
+            draws(0xDEAD_BEEF),
+            [
+                0x4615_1251_b681_bada,
+                0x7db2_11d8_263e_f2a6,
+                0x4bfd_eea9_8d3b_4d52,
+                0xb96c_3191_798b_f3f9,
+                0x223f_37a4_71e5_e3ab,
+                0xf094_01e7_0d79_ad3b,
+                0x9153_660a_8f58_4523,
+                0x35ec_156e_a5ef_3271,
+                0x5b9e_dfc0_fd5e_e3dc,
+                0x5877_8700_6f62_56c3,
+                0x3184_14a1_3cc1_6035,
+                0x5e75_27c5_42e5_fb53,
+                0x2464_1d07_69be_3d87,
+                0x5866_d274_361f_9e2f,
+                0xc797_7189_8eb9_4d5a,
+                0x15e6_146a_3884_8dc6,
+            ]
+        );
     }
 }

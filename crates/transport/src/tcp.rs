@@ -34,15 +34,14 @@ use crate::session::{encode_frame, Backoff, Hello, RetransmitBuffer, HELLO_LEN, 
 use crate::wire::MAX_FRAME;
 use crate::{LinkDownReason, LinkEvent, LinkState, ProcessId, Transport, TransportError};
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
 use ritas_crypto::{KeyTable, SecretKey};
-use ritas_metrics::{Layer, Metrics, SpanAnnotation};
+use ritas_metrics::{unpoison, Layer, Metrics, SpanAnnotation};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Timeout for one connect attempt and for each handshake read/write.
@@ -161,7 +160,7 @@ impl Shared {
     }
 
     fn push_event(&self, event: LinkEvent) {
-        let mut q = self.events.lock();
+        let mut q = unpoison(self.events.lock());
         if q.len() == EVENT_QUEUE_CAP {
             q.pop_front();
         }
@@ -237,7 +236,7 @@ fn terminal_down_locked(
 /// the connection that replaced its own).
 fn note_down(shared: &Arc<Shared>, peer: ProcessId, generation: u64) {
     let link = shared.link(peer);
-    let mut core = link.core.lock();
+    let mut core = unpoison(link.core.lock());
     if core.generation == generation {
         note_down_locked(shared, peer, &mut core);
     }
@@ -258,7 +257,7 @@ fn install(
     let reader = stream.try_clone()?;
     let metrics = &shared.cfg.metrics;
     let link = shared.link(peer);
-    let mut core = link.core.lock();
+    let mut core = unpoison(link.core.lock());
     if shared.is_closed() || matches!(core.state, LinkState::Down(_)) || epoch <= core.epoch {
         let _ = stream.shutdown(Shutdown::Both);
         return Ok(());
@@ -346,7 +345,7 @@ fn reader_loop(shared: Arc<Shared>, peer: ProcessId, mut stream: TcpStream, gene
 
         let metrics = &shared.cfg.metrics;
         let link = shared.link(peer);
-        let mut core = link.core.lock();
+        let mut core = unpoison(link.core.lock());
         if core.generation != generation {
             return; // superseded by a newer connection
         }
@@ -403,14 +402,14 @@ fn dial_supervisor(shared: Arc<Shared>, peer: ProcessId) {
         // Wait until the link needs (re)establishing.
         {
             let link = shared.link(peer);
-            let mut core = link.core.lock();
+            let mut core = unpoison(link.core.lock());
             loop {
                 if shared.is_closed() {
                     return;
                 }
                 match core.state {
                     LinkState::Up => {
-                        link.cond.wait_for(&mut core, Duration::from_millis(200));
+                        core = unpoison(link.cond.wait_timeout(core, Duration::from_millis(200))).0;
                     }
                     LinkState::Reconnecting => break,
                     LinkState::Down(_) => return,
@@ -429,7 +428,7 @@ fn dial_supervisor(shared: Arc<Shared>, peer: ProcessId) {
 /// when the link no longer wants a connection, `Err` to back off.
 fn dial_once(shared: &Arc<Shared>, peer: ProcessId) -> std::io::Result<bool> {
     let (epoch, rx_cum) = {
-        let core = shared.link(peer).core.lock();
+        let core = unpoison(shared.link(peer).core.lock());
         if !matches!(core.state, LinkState::Reconnecting) || shared.is_closed() {
             return Ok(false);
         }
@@ -490,7 +489,7 @@ fn accept_handshake(shared: Arc<Shared>, stream: TcpStream) {
         return;
     }
     let rx_cum = {
-        let core = shared.link(hello.from).core.lock();
+        let core = unpoison(shared.link(hello.from).core.lock());
         // A stale epoch is a replayed or superseded hello: drop the
         // connection without touching link state (a replay must not be
         // able to take a healthy link down).
@@ -660,7 +659,7 @@ impl TcpEndpoint {
         let all_established = |shared: &Shared| {
             (0..n)
                 .filter(|&p| p != me)
-                .all(|p| shared.link(p).core.lock().epoch > 0)
+                .all(|p| unpoison(shared.link(p).core.lock()).epoch > 0)
         };
         while !all_established(&endpoint.shared) {
             if Instant::now() >= deadline {
@@ -743,7 +742,7 @@ impl TcpEndpoint {
                 continue;
             }
             let link = self.shared.link(peer);
-            let mut core = link.core.lock();
+            let mut core = unpoison(link.core.lock());
             if matches!(core.state, LinkState::Up) {
                 self.shared.up_count.fetch_sub(1, Ordering::SeqCst);
             }
@@ -788,7 +787,7 @@ impl TcpChaosHandle {
         if peer >= self.shared.n || peer == self.shared.me {
             return false;
         }
-        let core = self.shared.link(peer).core.lock();
+        let core = unpoison(self.shared.link(peer).core.lock());
         match &core.writer {
             Some(w) => {
                 let _ = w.shutdown(Shutdown::Both);
@@ -803,7 +802,7 @@ impl TcpChaosHandle {
         if peer >= self.shared.n || peer == self.shared.me {
             return LinkState::Up;
         }
-        self.shared.link(peer).core.lock().state
+        unpoison(self.shared.link(peer).core.lock()).state
     }
 }
 
@@ -832,7 +831,7 @@ impl Transport for TcpEndpoint {
         }
         let metrics = &shared.cfg.metrics;
         let link = shared.link(to);
-        let mut core = link.core.lock();
+        let mut core = unpoison(link.core.lock());
         let deadline = Instant::now() + shared.cfg.send_block;
         loop {
             if shared.is_closed() {
@@ -849,7 +848,7 @@ impl Transport for TcpEndpoint {
                 metrics.transport_send_backpressure_total.inc();
                 return Err(TransportError::LinkDown { peer: to });
             }
-            link.cond.wait_for(&mut core, deadline - now);
+            core = unpoison(link.cond.wait_timeout(core, deadline - now)).0;
         }
         core.tx_seq += 1;
         let seq = core.tx_seq;
@@ -874,7 +873,7 @@ impl Transport for TcpEndpoint {
         if self.shared.is_closed() {
             return Err(TransportError::Disconnected);
         }
-        let inbound = self.inbound.lock();
+        let inbound = unpoison(self.inbound.lock());
         loop {
             match inbound.recv() {
                 Ok(Some(frame)) => return Ok(frame),
@@ -888,7 +887,7 @@ impl Transport for TcpEndpoint {
         if self.shared.is_closed() {
             return Err(TransportError::Disconnected);
         }
-        let inbound = self.inbound.lock();
+        let inbound = unpoison(self.inbound.lock());
         let deadline = Instant::now() + timeout;
         loop {
             if self.shared.woken.swap(false, Ordering::SeqCst) {
@@ -917,11 +916,11 @@ impl Transport for TcpEndpoint {
         if peer >= self.shared.n || peer == self.shared.me {
             return LinkState::Up;
         }
-        self.shared.link(peer).core.lock().state
+        unpoison(self.shared.link(peer).core.lock()).state
     }
 
     fn poll_link_event(&self) -> Option<LinkEvent> {
-        self.shared.events.lock().pop_front()
+        unpoison(self.shared.events.lock()).pop_front()
     }
 }
 

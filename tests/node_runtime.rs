@@ -123,49 +123,6 @@ fn seven_node_cluster() {
 }
 
 #[test]
-fn causal_adapter_over_live_cluster() {
-    // A chat-like causality pattern: p1 replies only after delivering
-    // p0's message. Every process runs the causal adapter over its
-    // deliveries; the released order must respect the reply dependency
-    // and be identical everywhere.
-    use ritas::causal::CausalOrder;
-    let nodes = Node::cluster(SessionConfig::new(4).unwrap()).unwrap();
-    let handles: Vec<_> = nodes
-        .into_iter()
-        .map(|node| {
-            std::thread::spawn(move || {
-                let me = node.id();
-                let mut causal = CausalOrder::new(4, me);
-                if me == 0 {
-                    node.atomic_broadcast(causal.wrap(b"question")).unwrap();
-                }
-                let mut released = Vec::new();
-                while released.len() < 2 {
-                    let d = node.atomic_recv().unwrap();
-                    for (id, payload) in causal.push(d) {
-                        // p1 replies as soon as it causally delivers the
-                        // question.
-                        if me == 1 && payload.as_ref() == b"question" {
-                            node.atomic_broadcast(causal.wrap(b"answer")).unwrap();
-                        }
-                        released.push((id, payload));
-                    }
-                }
-                node.shutdown();
-                released
-            })
-        })
-        .collect();
-    let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    for r in &results {
-        assert_eq!(r.len(), 2);
-        assert_eq!(r[0].1.as_ref(), b"question", "causality violated");
-        assert_eq!(r[1].1.as_ref(), b"answer");
-        assert_eq!(r, &results[0], "causal order diverged");
-    }
-}
-
-#[test]
 fn full_stack_over_real_tcp_with_real_hmacs() {
     // The complete paper deployment: protocol stack over TCP with the
     // AH-style authentication layer computing real HMAC-SHA-1-96 on

@@ -114,7 +114,7 @@ fn forced_divergence_flips_at_least_one_coin() {
     // ends in a coin flip.
     use ritas::bc::{BcBody, BcMessage, BinaryConsensus, StepTransport};
     use ritas::testing::ctx;
-    use ritas_crypto::{DeterministicCoin, LocalRoundCoin};
+    use ritas_crypto::DeterministicCoin;
     use ritas_metrics::Metrics;
 
     let plain = |round: u32, step: u8, origin: usize, v: Option<bool>| BcMessage {
@@ -127,7 +127,7 @@ fn forced_divergence_flips_at_least_one_coin() {
     let metrics = Metrics::new();
     let mut bc = BinaryConsensus::new(
         ctx(N, 0, 1).with_metrics(metrics.clone()),
-        Box::new(LocalRoundCoin(DeterministicCoin::new(5))),
+        Box::new(DeterministicCoin::new(5)),
         StepTransport::PlainFanout,
     );
 
