@@ -23,15 +23,15 @@ use crate::config::{ConfigError, Group};
 use crate::error::ProtocolError;
 use crate::mvc::MvcValue;
 use crate::stack::{InstanceKey, Output, Stack, StackConfig, StackStep};
-use crate::step::{Fault, Target};
+use crate::step::Target;
 use crate::vc::DecisionVector;
 use crate::ProcessId;
 use bytes::Bytes;
 use ritas_crypto::KeyTable;
 use ritas_metrics::{unpoison, FlightKind, Metrics, MetricsSnapshot};
 use ritas_transport::{
-    AuthConfig, AuthenticatedTransport, Hub, LinkEvent, LinkState, TcpChaosHandle, TcpConfig,
-    TcpEndpoint, Transport, TransportError,
+    AuthConfig, AuthenticatedTransport, Hub, LinkState, TcpChaosHandle, TcpConfig, TcpEndpoint,
+    Transport, TransportError,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -49,9 +49,15 @@ const STATE_REFRESH_NS: u64 = 200_000_000;
 
 /// The longest the protocol thread waits for a frame with nothing due:
 /// how stale the heartbeat, the link events and `/state` may get on an
-/// idle node, and how long a command waits on a transport whose
-/// [`Transport::wake`] does nothing.
+/// idle node, how late a stall is counted, and how long a command waits
+/// on a transport whose [`Transport::wake`] does nothing.
 const IDLE_TICK: Duration = Duration::from_millis(50);
+
+/// How long inbound frames sealed under the *previous* key epoch stay
+/// acceptable after a proactive key rotation (see [`Node::set_key_epoch`]):
+/// long enough to cover in-flight frames and queue residue, short enough
+/// that exfiltrated old-epoch keys die quickly.
+const EPOCH_GRACE: Duration = Duration::from_secs(5);
 
 /// Errors surfaced by the blocking node API.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,17 +100,11 @@ pub struct SessionConfig {
     /// Serve a Prometheus text-format `/metrics` endpoint per node (each
     /// binds an ephemeral localhost port; see [`Node::metrics_addr`]).
     pub metrics_endpoint: bool,
-    /// No-progress budget for the stall watchdog: when set, each node
-    /// flags itself stalled (in `/health`, the `node_stalls_total`
-    /// counter and the flight recorder) whenever work is outstanding
-    /// but nothing a-delivers within the budget.
+    /// No-progress budget: when set, each node reads as stalled (in
+    /// [`Node::is_stalled`], `/health`, the `node_stalls_total` counter
+    /// and the flight recorder) whenever work is outstanding but nothing
+    /// a-delivers within the budget.
     pub stall_budget: Option<Duration>,
-    /// How long inbound frames sealed under the *previous* key epoch
-    /// stay acceptable after a proactive key rotation (see
-    /// [`Node::set_key_epoch`]). Long enough to cover in-flight frames
-    /// and queue residue; short enough that exfiltrated old-epoch keys
-    /// die quickly.
-    pub epoch_grace: Duration,
     /// Stack configuration.
     pub stack: StackConfig,
 }
@@ -122,13 +122,12 @@ impl SessionConfig {
             authenticate: true,
             metrics_endpoint: false,
             stall_budget: None,
-            epoch_grace: Duration::from_secs(5),
             stack: StackConfig::default(),
         })
     }
 
-    /// Arms the per-node stall watchdog with the given no-progress
-    /// budget (see [`SessionConfig::stall_budget`]).
+    /// Sets the per-node no-progress budget (see
+    /// [`SessionConfig::stall_budget`]).
     pub fn with_stall_budget(mut self, budget: Duration) -> Self {
         self.stall_budget = Some(budget);
         self
@@ -152,14 +151,6 @@ impl SessionConfig {
     /// Sets the key-dealer seed.
     pub fn with_master_seed(mut self, seed: u64) -> Self {
         self.master_seed = seed;
-        self
-    }
-
-    /// Sets the grace window during which previous-epoch frames stay
-    /// acceptable after a proactive key rotation (see
-    /// [`SessionConfig::epoch_grace`]).
-    pub fn with_epoch_grace(mut self, grace: Duration) -> Self {
-        self.epoch_grace = grace;
         self
     }
 
@@ -224,8 +215,8 @@ enum PendingReply {
     Vc(SyncSender<Result<DecisionVector, ProtocolError>>),
 }
 
-/// Liveness state shared between the worker loop, the stall watchdog and
-/// the `/health` + `/state` endpoints. Everything is lock-free except the
+/// Liveness state shared between the worker loop and the `/health` +
+/// `/state` endpoints. Everything is lock-free except the
 /// worker-refreshed `/state` JSON, so the endpoints never block on (or
 /// wait for) a wedged protocol thread — that is exactly the situation
 /// they exist to diagnose.
@@ -236,24 +227,37 @@ struct HealthShared {
     progress_ns: AtomicU64,
     /// When outstanding work was first observed (0 = queue idle).
     pending_since_ns: AtomicU64,
-    /// Whether the watchdog currently considers the node stalled.
-    stalled: AtomicBool,
-    /// Watchdog no-progress budget in nanoseconds (0 = disarmed).
-    budget_ns: AtomicU64,
+    /// No-progress budget in nanoseconds (0 = none).
+    budget_ns: u64,
     /// Worker-refreshed `/state` introspection JSON.
     state_json: Mutex<String>,
 }
 
 impl HealthShared {
-    fn new() -> Self {
+    fn new(budget: Option<Duration>) -> Self {
         HealthShared {
             heartbeat_ns: AtomicU64::new(0),
             progress_ns: AtomicU64::new(0),
             pending_since_ns: AtomicU64::new(0),
-            stalled: AtomicBool::new(false),
-            budget_ns: AtomicU64::new(0),
+            budget_ns: budget.map_or(0, |b| b.as_nanos() as u64),
             state_json: Mutex::new(String::from("null")),
         }
+    }
+
+    /// How long work has been outstanding with nothing a-delivered, at
+    /// epoch time `now`, when that exceeds the budget — the node is then
+    /// stalled. Computed from atomics wherever it is read, so it reads
+    /// true while the protocol thread itself is wedged.
+    fn stalled_for(&self, now: u64) -> Option<u64> {
+        let since = self.pending_since_ns.load(Ordering::Relaxed);
+        if self.budget_ns == 0 || since == 0 {
+            return None;
+        }
+        // Progress restarts the clock: a slow-but-moving queue is not a
+        // stall.
+        let anchor = since.max(self.progress_ns.load(Ordering::Relaxed));
+        let idle = now.saturating_sub(anchor);
+        (idle > self.budget_ns).then_some(idle)
     }
 }
 
@@ -270,10 +274,9 @@ pub struct Node {
     // shared through `Arc<Node>`); each has one consumer at a time.
     rb_rx: Mutex<Receiver<(ProcessId, Bytes)>>,
     eb_rx: Mutex<Receiver<(ProcessId, Bytes)>>,
-    ab_rx: Mutex<Receiver<AbDelivery>>,
-    xfer_rx: Mutex<Receiver<(ProcessId, Bytes)>>,
-    fault_rx: Mutex<Receiver<Fault>>,
-    link_rx: Mutex<Receiver<LinkEvent>>,
+    /// The replica feed: [`Output::AbDelivered`] and [`Output::Xfer`], in
+    /// the order the stack produced them (see [`Node::recv_output`]).
+    feed: Mutex<Receiver<Output>>,
     transport: Arc<dyn Transport + Sync>,
     metrics: Metrics,
     health: Arc<HealthShared>,
@@ -281,7 +284,6 @@ pub struct Node {
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
     metrics_addr: Option<SocketAddr>,
-    watchdog_running: bool,
 }
 
 impl core::fmt::Debug for Node {
@@ -296,7 +298,7 @@ impl Node {
     /// Builds an in-memory cluster of `n` nodes (one per process) over a
     /// [`Hub`], with pairwise keys dealt from the session seed. This is
     /// the quickest way to run the stack; for custom transports use
-    /// [`Node::spawn`].
+    /// [`Node::new`].
     ///
     /// # Errors
     ///
@@ -316,14 +318,12 @@ impl Node {
     ///
     /// As [`Node::cluster`].
     pub fn cluster_with_hub(config: &SessionConfig) -> Result<(Vec<Node>, Hub), NodeError> {
-        let n = config.group.n();
-        let table = KeyTable::dealer(n, config.master_seed);
-        let mut hub = Hub::new(n);
+        let mut hub = Hub::new(config.group.n());
         let nodes = hub
             .take_endpoints()
             .into_iter()
             .enumerate()
-            .map(|(me, ep)| Node::assemble(config, &table, me, ep, Metrics::new(), false))
+            .map(|(me, ep)| Node::new(config, me, ep))
             .collect::<Result<_, _>>()?;
         Ok((nodes, hub))
     }
@@ -345,22 +345,42 @@ impl Node {
     ///
     /// Panics if `me` is out of range for the hub.
     pub fn rejoin(config: &SessionConfig, hub: &Hub, me: ProcessId) -> Result<Node, NodeError> {
-        let table = KeyTable::dealer(config.group.n(), config.master_seed);
-        Node::assemble(config, &table, me, hub.reattach(me), Metrics::new(), true)
+        Node::assemble(config, me, hub.reattach(me), Metrics::new(), true)
     }
 
-    /// The one construction path of a session node: builds the stack
-    /// (with the AB session held when `hold_ab`, for rejoin), wraps
-    /// `transport` in the auth layer when configured, spawns the runtime
-    /// and arms the optional endpoints/watchdog.
+    /// Starts process `me` of the session described by `config` over
+    /// `transport` (one endpoint of a mesh of `config.group().n()`
+    /// processes): keys dealt from the session seed, the AH layer when
+    /// the config asks for it, the protocol thread, and the optional
+    /// `/metrics` endpoint and stall budget.
+    ///
+    /// # Errors
+    ///
+    /// [`NodeError::Disconnected`] if the configured `/metrics` endpoint
+    /// cannot bind.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `me` is out of range for the group.
+    pub fn new<T: Transport + Sync + 'static>(
+        config: &SessionConfig,
+        me: ProcessId,
+        transport: T,
+    ) -> Result<Node, NodeError> {
+        Node::assemble(config, me, transport, Metrics::new(), false)
+    }
+
+    /// [`Node::new`] with the registry `metrics` (shared with a transport
+    /// that already counts into it) and, when `hold_ab`, the AB session
+    /// held for a rejoin.
     fn assemble<T: Transport + Sync + 'static>(
         config: &SessionConfig,
-        table: &KeyTable,
         me: ProcessId,
         transport: T,
         metrics: Metrics,
         hold_ab: bool,
     ) -> Result<Node, NodeError> {
+        let table = KeyTable::dealer(config.group.n(), config.master_seed);
         let mut stack = Stack::with_config(
             config.group,
             me,
@@ -378,8 +398,8 @@ impl Node {
             // Epoch 0 is the dealt table itself; the rekey machinery only
             // changes behavior once a rotation advances the epoch
             // (Node::set_key_epoch).
-            let mut auth = AuthConfig::from_key_table(table, me)
-                .with_epoch_rekey(config.master_seed, 0, config.epoch_grace)
+            let mut auth = AuthConfig::from_key_table(&table, me)
+                .with_epoch_rekey(config.master_seed, 0, EPOCH_GRACE)
                 .with_metrics(metrics.clone());
             if hold_ab {
                 // A rejoiner lost its AH sequence counters but the peers'
@@ -393,15 +413,12 @@ impl Node {
                 auth = auth.with_initial_seq(now);
             }
             let transport = AuthenticatedTransport::new(transport, auth);
-            Node::spawn_with_metrics(transport, stack, metrics)
+            Node::spawn(transport, stack, metrics, config.stall_budget)
         } else {
-            Node::spawn_with_metrics(transport, stack, metrics)
+            Node::spawn(transport, stack, metrics, config.stall_budget)
         };
         if config.metrics_endpoint {
             node.serve_metrics().map_err(|_| NodeError::Disconnected)?;
-        }
-        if let Some(budget) = config.stall_budget {
-            node.start_watchdog(budget);
         }
         Ok(node)
     }
@@ -410,7 +427,7 @@ impl Node {
     /// deployment transport — with the AH-style authentication layer on
     /// top when the config requests it. One endpoint per process, all in
     /// this OS process (for cross-host deployments, establish
-    /// [`ritas_transport::TcpEndpoint`]s manually and use [`Node::spawn`]).
+    /// [`ritas_transport::TcpEndpoint`]s manually and use [`Node::new`]).
     ///
     /// # Errors
     ///
@@ -433,45 +450,33 @@ impl Node {
         timeout: Duration,
     ) -> Result<(Vec<Node>, Vec<TcpChaosHandle>), NodeError> {
         let n = config.group.n();
-        let table = KeyTable::dealer(n, config.master_seed);
         // The session-resume handshake reuses the pairwise dealt keys, so
         // reconnects are MAC-authenticated and replay-protected even in
         // the `without_authentication` (no AH layer) configuration.
-        let session_table = table.clone();
+        let table = KeyTable::dealer(n, config.master_seed);
         let metrics: Vec<Metrics> = (0..n).map(|_| Metrics::new()).collect();
         let registries = metrics.clone();
-        let endpoints = TcpEndpoint::ephemeral_mesh_with(n, timeout, move |me| TcpConfig {
-            keys: Some(
-                (0..n)
-                    .map(|j| session_table.view_of(me).key_for(j))
-                    .collect(),
-            ),
+        let endpoints = TcpEndpoint::ephemeral_mesh(n, timeout, move |me| TcpConfig {
             metrics: registries[me].clone(),
-            ..TcpConfig::default()
+            ..TcpConfig::from_key_table(&table, me)
         })
         .map_err(|_| NodeError::Disconnected)?;
         let mut nodes = Vec::with_capacity(n);
         let mut chaos = Vec::with_capacity(n);
         for ((me, ep), metrics) in endpoints.into_iter().enumerate().zip(metrics) {
             chaos.push(ep.chaos_handle());
-            nodes.push(Node::assemble(&config, &table, me, ep, metrics, false)?);
+            nodes.push(Node::assemble(&config, me, ep, metrics, false)?);
         }
         Ok((nodes, chaos))
     }
 
-    /// Spawns the stack thread for `stack` over `transport` and returns
-    /// the application handle.
-    pub fn spawn<T: Transport + Sync + 'static>(transport: T, stack: Stack) -> Node {
-        Node::spawn_with_metrics(transport, stack, Metrics::new())
-    }
-
-    /// Like [`Node::spawn`], but shares a caller-provided metrics registry
-    /// (so e.g. an [`AuthenticatedTransport`] wrapping the transport can
-    /// count into the same snapshot).
-    pub fn spawn_with_metrics<T: Transport + Sync + 'static>(
+    /// Spawns the protocol thread for `stack` over `transport`, counting
+    /// into `metrics`, and returns the application handle.
+    fn spawn<T: Transport + Sync + 'static>(
         transport: T,
         mut stack: Stack,
         metrics: Metrics,
+        stall_budget: Option<Duration>,
     ) -> Node {
         let id = stack.id();
         let group_size = stack.group().n();
@@ -481,12 +486,9 @@ impl Node {
         let (cmd_tx, cmd_rx) = channel::<Event>();
         let (rb_tx, rb_rx) = channel();
         let (eb_tx, eb_rx) = channel();
-        let (ab_tx, ab_rx) = channel();
-        let (xfer_tx, xfer_rx) = channel();
-        let (fault_tx, fault_rx) = channel();
-        let (link_tx, link_rx) = channel();
+        let (feed_tx, feed_rx) = channel();
         let epoch = Instant::now();
-        let health = Arc::new(HealthShared::new());
+        let health = Arc::new(HealthShared::new(stall_budget));
 
         // The single protocol thread of §3: it blocks in the transport
         // for the next frame, verifies it there (through the AH layer,
@@ -508,12 +510,10 @@ impl Node {
                     health: Arc::clone(&health),
                     rb_tx,
                     eb_tx,
-                    ab_tx,
-                    xfer_tx,
-                    fault_tx,
-                    link_tx,
+                    feed_tx,
                 };
                 let mut last_state_refresh: u64 = 0;
+                let mut stalled = false;
                 'worker: loop {
                     // Trace events are stamped with nanoseconds since the
                     // node was spawned; the same clock drives the AB layer's
@@ -568,7 +568,7 @@ impl Node {
                     state.dispatch(step);
                     state.surface_link_events();
                     // Liveness bookkeeping for `/health` and the stall
-                    // watchdog: the heartbeat proves this loop is turning;
+                    // budget: the heartbeat proves this loop is turning;
                     // `pending_since` marks how long work has been
                     // outstanding with nothing a-delivering.
                     health.heartbeat_ns.store(later.max(1), Ordering::Relaxed);
@@ -583,8 +583,15 @@ impl Node {
                         );
                     } else {
                         health.pending_since_ns.store(0, Ordering::Relaxed);
-                        health.stalled.store(false, Ordering::Relaxed);
                     }
+                    // Whoever reads the stall computes it; this loop only
+                    // counts its rising edge, one turn (≤ IDLE_TICK) late.
+                    let stall = health.stalled_for(later);
+                    if let (Some(idle), false) = (stall, stalled) {
+                        metrics.node_stalls_total.inc();
+                        metrics.flight_record(FlightKind::Stall, id as u32, idle, health.budget_ns);
+                    }
+                    stalled = stall.is_some();
                     if later.saturating_sub(last_state_refresh) >= STATE_REFRESH_NS {
                         last_state_refresh = later;
                         *unpoison(health.state_json.lock()) = state.state_json(later);
@@ -600,10 +607,7 @@ impl Node {
             cmd_tx,
             rb_rx: Mutex::new(rb_rx),
             eb_rx: Mutex::new(eb_rx),
-            ab_rx: Mutex::new(ab_rx),
-            xfer_rx: Mutex::new(xfer_rx),
-            fault_rx: Mutex::new(fault_rx),
-            link_rx: Mutex::new(link_rx),
+            feed: Mutex::new(feed_rx),
             transport,
             metrics,
             health,
@@ -611,7 +615,6 @@ impl Node {
             stop,
             threads: vec![worker],
             metrics_addr: None,
-            watchdog_running: false,
         }
     }
 
@@ -624,15 +627,10 @@ impl Node {
         Ok(())
     }
 
-    /// Drains the link-state transitions observed since the last call
-    /// (outages, reconnects, terminal downs). Empty for transports whose
-    /// links cannot fail.
-    pub fn take_link_events(&self) -> Vec<LinkEvent> {
-        unpoison(self.link_rx.lock()).try_iter().collect()
-    }
-
     /// The current state of this node's link to `peer` (always
-    /// [`LinkState::Up`] for failure-free transports).
+    /// [`LinkState::Up`] for failure-free transports). Transitions are
+    /// recorded as [`FlightKind::LinkUp`]/[`FlightKind::LinkDown`] flight
+    /// events.
     pub fn link_state(&self, peer: ProcessId) -> LinkState {
         self.transport.link_state(peer)
     }
@@ -640,8 +638,8 @@ impl Node {
     /// Switches the underlying transport to the pairwise key table of
     /// `epoch` (proactive key rejuvenation): outbound frames seal under
     /// the new epoch immediately; inbound frames from the previous epoch
-    /// stay acceptable for [`SessionConfig::epoch_grace`]. Forward-only;
-    /// a no-op on unkeyed transports.
+    /// stay acceptable for a five-second grace window. Forward-only; a
+    /// no-op on unkeyed transports.
     pub fn set_key_epoch(&self, epoch: u64) {
         self.transport.set_key_epoch(epoch);
     }
@@ -653,21 +651,13 @@ impl Node {
     }
 
     /// Starts serving this node's observability endpoints over HTTP on an
-    /// ephemeral localhost port: `/metrics` (Prometheus text format, also
-    /// the fallback for unknown paths), `/health` (lock-free liveness
-    /// summary — safe to scrape even when the protocol thread is wedged)
-    /// and `/state` (worker-refreshed protocol introspection). Returns
-    /// the bound address (`curl http://{addr}/metrics`). Idempotent: a
-    /// second call returns the existing address. The server stops with
-    /// the node.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind failure.
-    pub fn serve_metrics(&mut self) -> std::io::Result<SocketAddr> {
-        if let Some(addr) = self.metrics_addr {
-            return Ok(addr);
-        }
+    /// ephemeral localhost port ([`SessionConfig::with_metrics_endpoint`]):
+    /// `/metrics` (Prometheus text format, also the fallback for unknown
+    /// paths), `/health` (lock-free liveness summary — safe to scrape
+    /// even when the protocol thread is wedged) and `/state`
+    /// (worker-refreshed protocol introspection). The bound address is
+    /// [`Node::metrics_addr`]; the server stops with the node.
+    fn serve_metrics(&mut self) -> std::io::Result<()> {
         let listener = std::net::TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
         let ctx = ServeCtx {
@@ -688,66 +678,19 @@ impl Node {
             }
         }));
         self.metrics_addr = Some(addr);
-        Ok(addr)
+        Ok(())
     }
 
-    /// Arms the stall watchdog: when work is outstanding (own broadcasts
-    /// in flight or commands queued) and nothing a-delivers within
-    /// `budget`, the node marks itself stalled — `/health` reports it,
-    /// `node_stalls_total` increments and a [`FlightKind::Stall`] event
-    /// enters the flight recorder. The flag clears as soon as progress
-    /// resumes. Calling again re-tunes the budget.
-    pub fn start_watchdog(&mut self, budget: Duration) {
-        self.health
-            .budget_ns
-            .store(budget.as_nanos() as u64, Ordering::Relaxed);
-        if self.watchdog_running {
-            return;
-        }
-        self.watchdog_running = true;
-        let health = Arc::clone(&self.health);
-        let metrics = self.metrics.clone();
-        let stop = Arc::clone(&self.stop);
-        let epoch = self.epoch;
-        let id = self.id;
-        self.threads.push(std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                let budget = health.budget_ns.load(Ordering::Relaxed);
-                let poll = (budget / 4).clamp(5_000_000, 50_000_000);
-                std::thread::sleep(Duration::from_nanos(poll));
-                if budget == 0 {
-                    continue;
-                }
-                let since = health.pending_since_ns.load(Ordering::Relaxed);
-                if since == 0 {
-                    continue;
-                }
-                let now = epoch.elapsed().as_nanos() as u64;
-                // Progress restarts the clock: a slow-but-moving queue is
-                // not a stall.
-                let anchor = since.max(health.progress_ns.load(Ordering::Relaxed));
-                let stalled = now.saturating_sub(anchor) > budget;
-                if stalled {
-                    if !health.stalled.swap(true, Ordering::Relaxed) {
-                        metrics.node_stalls_total.inc();
-                        metrics.flight_record(
-                            FlightKind::Stall,
-                            id as u32,
-                            now.saturating_sub(anchor),
-                            budget,
-                        );
-                    }
-                } else {
-                    health.stalled.store(false, Ordering::Relaxed);
-                }
-            }
-        }));
-    }
-
-    /// Whether the stall watchdog currently flags this node as making no
-    /// progress (always `false` while the watchdog is disarmed).
+    /// Whether work is outstanding (own broadcasts in flight or commands
+    /// queued) and nothing has a-delivered for longer than
+    /// [`SessionConfig::stall_budget`]; always `false` without a budget.
+    /// Read from atomics, so it answers — and reads `true` — while the
+    /// protocol thread is wedged; that thread counts each stall in
+    /// `node_stalls_total` and a [`FlightKind::Stall`] flight event on its
+    /// next turn.
     pub fn is_stalled(&self) -> bool {
-        self.health.stalled.load(Ordering::Relaxed)
+        let now = self.epoch.elapsed().as_nanos() as u64;
+        self.health.stalled_for(now).is_some()
     }
 
     /// Registers this node's flight recorder for a crash dump: on panic
@@ -759,8 +702,9 @@ impl Node {
         ritas_metrics::flight::register_dump(dir, tag, self.metrics.clone());
     }
 
-    /// The address of the live `/metrics` endpoint, if one is being
-    /// served (see [`Node::serve_metrics`]).
+    /// The address of the live `/metrics`, `/health` and `/state`
+    /// endpoint, if the session config asked for one
+    /// ([`SessionConfig::with_metrics_endpoint`]).
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
         self.metrics_addr
     }
@@ -803,15 +747,6 @@ impl Node {
         };
         self.submit(Command::WithStack(Box::new(run)))?;
         rx.recv().map_err(|_| NodeError::Disconnected)
-    }
-
-    /// Drains the faults the stack has attributed to peers since the last
-    /// call (equivocation, forged authenticators, malformed frames…).
-    /// Purely observational — the protocols already ignored the offending
-    /// input — but useful for monitoring and intrusion *detection* on top
-    /// of intrusion tolerance.
-    pub fn take_faults(&self) -> Vec<Fault> {
-        unpoison(self.fault_rx.lock()).try_iter().collect()
     }
 
     /// This process's identifier.
@@ -891,14 +826,18 @@ impl Node {
     }
 
     /// Blocks until the next message in the total order (`ritas_ab_recv`).
+    /// Transfer frames queued ahead of it are dropped: a node read this
+    /// way serves no state transfer.
     ///
     /// # Errors
     ///
     /// [`NodeError::Disconnected`] if the stack thread has stopped.
     pub fn atomic_recv(&self) -> Result<AbDelivery, NodeError> {
-        unpoison(self.ab_rx.lock())
-            .recv()
-            .map_err(|_| NodeError::Disconnected)
+        loop {
+            if let Output::AbDelivered { delivery, .. } = self.recv_output(None)? {
+                return Ok(delivery);
+            }
+        }
     }
 
     /// Like [`Node::atomic_recv`] with a timeout.
@@ -907,27 +846,33 @@ impl Node {
     ///
     /// [`NodeError::Timeout`] when nothing arrived in time.
     pub fn atomic_recv_timeout(&self, t: Duration) -> Result<AbDelivery, NodeError> {
-        map_timeout(unpoison(self.ab_rx.lock()).recv_timeout(t))
-    }
-
-    /// Like [`Node::atomic_recv`] but never blocks: `Ok(None)` when no
-    /// delivery is ready right now. Lets appliers drain a whole batch of
-    /// ready deliveries in one pass.
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError::Disconnected`] if the stack thread has stopped.
-    pub fn atomic_try_recv(&self) -> Result<Option<AbDelivery>, NodeError> {
-        match unpoison(self.ab_rx.lock()).try_recv() {
-            Ok(d) => Ok(Some(d)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(NodeError::Disconnected),
+        let deadline = Instant::now() + t;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if let Output::AbDelivered { delivery, .. } = self.recv_output(Some(left))? {
+                return Ok(delivery);
+            }
         }
     }
 
-    // ------------------------------------------------------------------
-    // Recovery / state transfer
-    // ------------------------------------------------------------------
+    /// Blocks for the next item of the replica feed — an
+    /// [`Output::AbDelivered`] or an [`Output::Xfer`] (an inbound
+    /// state-transfer payload), in the order the stack produced them —
+    /// for at most `timeout` (`None`: until one arrives;
+    /// `Some(Duration::ZERO)`: only what is already queued). The one
+    /// queue a replica's application thread waits on.
+    ///
+    /// # Errors
+    ///
+    /// [`NodeError::Timeout`] when nothing arrived in time,
+    /// [`NodeError::Disconnected`] if the stack thread has stopped.
+    pub fn recv_output(&self, timeout: Option<Duration>) -> Result<Output, NodeError> {
+        let feed = unpoison(self.feed.lock());
+        match timeout {
+            None => feed.recv().map_err(|_| NodeError::Disconnected),
+            Some(t) => map_timeout(feed.recv_timeout(t)),
+        }
+    }
 
     /// Sends a point-to-point state-transfer payload to `to` (encoded
     /// [`crate::recovery::XferMessage`] bytes). Transfer traffic bypasses
@@ -939,15 +884,6 @@ impl Node {
     /// [`NodeError::Disconnected`] if the stack thread has stopped.
     pub fn send_xfer(&self, to: ProcessId, payload: Bytes) -> Result<(), NodeError> {
         self.submit(Command::SendXfer(to, payload))
-    }
-
-    /// Blocks until an inbound state-transfer payload arrives, up to `t`.
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError::Timeout`] when nothing arrived in time.
-    pub fn xfer_recv_timeout(&self, t: Duration) -> Result<(ProcessId, Bytes), NodeError> {
-        map_timeout(unpoison(self.xfer_rx.lock()).recv_timeout(t))
     }
 
     /// Proposes a bit on binary consensus instance `tag` and blocks until
@@ -1119,8 +1055,8 @@ fn health_json(ctx: &ServeCtx) -> String {
          \"rotation\":{rotation},\
          \"suspicions_total\":{},\"suspicions\":{}}}",
         ctx.id,
-        h.stalled.load(Ordering::Relaxed),
-        h.budget_ns.load(Ordering::Relaxed),
+        h.stalled_for(now).is_some(),
+        h.budget_ns,
         now.saturating_sub(heartbeat),
         since != 0,
         if since == 0 {
@@ -1186,10 +1122,7 @@ struct Worker<T: Transport> {
     health: Arc<HealthShared>,
     rb_tx: Sender<(ProcessId, Bytes)>,
     eb_tx: Sender<(ProcessId, Bytes)>,
-    ab_tx: Sender<AbDelivery>,
-    xfer_tx: Sender<(ProcessId, Bytes)>,
-    fault_tx: Sender<Fault>,
-    link_tx: Sender<LinkEvent>,
+    feed_tx: Sender<Output>,
 }
 
 impl<T: Transport> Worker<T> {
@@ -1295,8 +1228,8 @@ impl<T: Transport> Worker<T> {
         }
     }
 
-    /// Surfaces link transitions (a self-healing transport reports
-    /// outages and resumes here) instead of silently absorbing them.
+    /// Records link transitions (a self-healing transport reports
+    /// outages and resumes here) in the flight recorder.
     fn surface_link_events(&self) {
         while let Some(ev) = self.transport.poll_link_event() {
             let kind = match ev.state {
@@ -1305,7 +1238,6 @@ impl<T: Transport> Worker<T> {
             };
             self.metrics
                 .flight_record(kind, ev.peer as u32, ev.epoch, 0);
-            let _ = self.link_tx.send(ev);
         }
     }
 
@@ -1373,9 +1305,10 @@ impl<T: Transport> Worker<T> {
         )
     }
 
-    /// Sends, delivers and reports what `step` carries, then feeds the
-    /// stack its own copies of what it sent, in the order sent, until
-    /// they have produced nothing more.
+    /// Sends and delivers what `step` carries, then feeds the stack its
+    /// own copies of what it sent, in the order sent, until they have
+    /// produced nothing more. (The stack has already counted the step's
+    /// faults against their senders.)
     fn dispatch(&mut self, step: StackStep) {
         self.emit(step);
         while let Some(frame) = self.loopback.pop_front() {
@@ -1385,9 +1318,6 @@ impl<T: Transport> Worker<T> {
     }
 
     fn emit(&mut self, step: StackStep) {
-        for fault in step.faults {
-            let _ = self.fault_tx.send(fault);
-        }
         let (me, n) = (self.stack.id(), self.transport.group_size());
         for out in step.messages {
             // A send failure means the transport is gone; the loop will
@@ -1426,7 +1356,7 @@ impl<T: Transport> Worker<T> {
                 } => {
                     let _ = self.eb_tx.send((sender, payload));
                 }
-                Output::AbDelivered { delivery, .. } => {
+                Output::AbDelivered { ref delivery, .. } => {
                     if let Some(sent) = self.ab_sent.remove(&delivery.id) {
                         self.metrics
                             .ab_latency_ns
@@ -1439,12 +1369,12 @@ impl<T: Transport> Worker<T> {
                         delivery.id.rbid,
                         0,
                     );
-                    // Any a-delivery is progress from the watchdog's view:
+                    // Any a-delivery is progress against the stall budget:
                     // the total order advanced.
                     self.health
                         .progress_ns
                         .store(self.metrics.time().max(1), Ordering::Relaxed);
-                    let _ = self.ab_tx.send(delivery);
+                    let _ = self.feed_tx.send(output);
                 }
                 Output::BcDecided { key, decision } => {
                     if let Some(PendingReply::Bc(tx)) = self.replies.remove(&key) {
@@ -1461,8 +1391,8 @@ impl<T: Transport> Worker<T> {
                         let _ = tx.send(Ok(vector));
                     }
                 }
-                Output::Xfer { from, payload } => {
-                    let _ = self.xfer_tx.send((from, payload));
+                Output::Xfer { .. } => {
+                    let _ = self.feed_tx.send(output);
                 }
             }
         }
@@ -1592,28 +1522,27 @@ mod tests {
 
     #[test]
     fn faults_are_observable() {
-        use ritas_transport::Hub;
-        let group = Group::new(4).unwrap();
-        let table = KeyTable::dealer(4, 9);
+        use ritas_metrics::SuspicionKind;
+        let config = SessionConfig::new(4).unwrap().without_authentication();
         let mut hub = Hub::new(4);
         let mut eps = hub.take_endpoints().into_iter();
-        let ep0 = eps.next().unwrap();
+        let node = Node::new(&config, 0, eps.next().unwrap()).unwrap();
         let ep1 = eps.next().unwrap();
-        let stack = Stack::new(group, 0, table.view_of(0), 1);
-        let node = Node::spawn(ep0, stack);
         // A peer sends garbage that cannot decode as any protocol frame.
         ep1.send(0, Bytes::from_static(&[0xde, 0xad, 0xbe, 0xef]))
             .unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let faults = loop {
-            let f = node.take_faults();
-            if !f.is_empty() || std::time::Instant::now() > deadline {
-                break f;
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let suspicions = loop {
+            let s = node.metrics().suspicions();
+            if !s.is_empty() || Instant::now() > deadline {
+                break s;
             }
             std::thread::sleep(Duration::from_millis(10));
         };
-        assert!(!faults.is_empty(), "garbage frame went unobserved");
-        assert_eq!(faults[0].from, 1);
+        assert_eq!(suspicions.len(), 1, "garbage frame went unobserved");
+        assert_eq!(suspicions[0].peer, 1);
+        assert_eq!(suspicions[0].count(SuspicionKind::Malformed), 1);
+        assert_eq!(node.metrics().faults_detected.get(), 1);
         node.shutdown();
     }
 
@@ -1714,11 +1643,10 @@ mod tests {
     /// own copy going straight back into its stack.
     #[test]
     fn broadcast_puts_n_minus_one_frames_on_the_transport() {
-        let table = KeyTable::dealer(4, 9);
+        let config = SessionConfig::new(4).unwrap().without_authentication();
         let mut hub = Hub::new(4);
         let mut eps = hub.take_endpoints().into_iter();
-        let stack = Stack::new(Group::new(4).unwrap(), 0, table.view_of(0), 1);
-        let node = Node::spawn(eps.next().unwrap(), stack);
+        let node = Node::new(&config, 0, eps.next().unwrap()).unwrap();
         let peers: Vec<_> = eps.collect();
         node.reliable_broadcast(Bytes::from_static(b"rb")).unwrap();
         // Commands are served in order: when this one returns, the
@@ -1789,42 +1717,51 @@ mod tests {
         );
     }
 
+    /// With a broadcast that can never a-deliver (two of four replicas
+    /// gone) and the protocol thread parked inside a port call,
+    /// `is_stalled` and `/health` still flip once the budget runs out:
+    /// the verdict is computed where it is read. The thread counts the
+    /// stall when it turns again.
     #[test]
-    fn watchdog_flags_stalled_replica() {
-        let config = SessionConfig::new(4)
-            .unwrap()
-            .with_metrics_endpoint()
-            .with_stall_budget(Duration::from_millis(200));
-        let mut nodes = Node::cluster(config).unwrap();
-        // Fail two replicas: with n = 4 (f = 1) the survivors are below
-        // every quorum, so the broadcast below can never a-deliver.
-        drop(nodes.pop());
-        drop(nodes.pop());
-        let survivor = &nodes[0];
-        survivor
-            .atomic_broadcast(Bytes::from_static(b"stuck"))
-            .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !survivor.is_stalled() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        assert!(survivor.is_stalled(), "watchdog never tripped");
-        assert!(survivor.metrics().node_stalls_total.get() >= 1);
-        let health = http_get(survivor.metrics_addr().unwrap(), "/health");
-        assert!(health.contains("\"stalled\":true"), "{health}");
-        assert!(health.contains("\"pending\":true"), "{health}");
-        assert!(
-            survivor
-                .metrics()
-                .flight()
-                .events()
-                .iter()
-                .any(|e| e.kind == FlightKind::Stall),
-            "no stall flight event"
-        );
-        for n in &nodes {
-            n.shutdown();
-        }
+    fn a_wedged_protocol_thread_still_reads_as_stalled() {
+        let budget = Duration::from_millis(200);
+        let config = SessionConfig::new(4).unwrap().with_metrics_endpoint();
+        let mut nodes = Node::cluster(config.with_stall_budget(budget)).unwrap();
+        nodes.truncate(2);
+        let node = &nodes[0];
+        let addr = node.metrics_addr().unwrap();
+        node.atomic_broadcast(Bytes::from_static(b"stuck")).unwrap();
+        let wait_for = |what: &str, cond: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !cond() {
+                assert!(Instant::now() < deadline, "{what}");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        wait_for("never pending", &|| {
+            http_get(addr, "/health").contains("\"pending\":true")
+        });
+        let (entered_tx, entered_rx) = channel();
+        let (gate_tx, gate_rx) = channel::<()>();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                node.with_stack(move |_, _| {
+                    entered_tx.send(()).unwrap();
+                    let _ = gate_rx.recv();
+                })
+            });
+            entered_rx.recv().unwrap();
+            let counted = node.metrics().node_stalls_total.get();
+            wait_for("never stalled", &|| node.is_stalled());
+            let health = http_get(addr, "/health");
+            assert!(health.contains("\"stalled\":true"), "{health}");
+            assert_eq!(node.metrics().node_stalls_total.get(), counted);
+            gate_tx.send(()).unwrap();
+            let stalls = &node.metrics().node_stalls_total;
+            wait_for("never counted", &|| stalls.get() > counted);
+        });
+        let events = node.metrics().flight().events();
+        assert!(events.iter().any(|e| e.kind == FlightKind::Stall));
     }
 
     #[test]

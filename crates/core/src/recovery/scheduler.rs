@@ -42,7 +42,7 @@
 //! 4. back Live, the victim a-broadcasts `WipeComplete`, which closes
 //!    the slot, advances the rotation cursor, and clears the victim's
 //!    pre-wipe suspicion rows;
-//! 5. if instead the group is degraded (stall watchdog, suspicion
+//! 5. if instead the group is degraded (a stalled node, suspicion
 //!    pressure) the victim defers — or any replica clears a slot stuck
 //!    longer than [`RotationConfig::abort_after`] — via `DeferWipe`,
 //!    so rotation never *voluntarily* pushes the group past `f`
@@ -58,8 +58,8 @@ use std::time::Duration;
 /// Why a rotation slot was given up instead of executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeferReason {
-    /// The victim's stall watchdog reported no protocol progress — the
-    /// group may already be at its failure budget.
+    /// The victim read as stalled (no a-delivery within its stall
+    /// budget) — the group may already be at its failure budget.
     Stalled,
     /// The victim saw suspicion evidence above the configured threshold
     /// — some peer is already misbehaving, so don't also go down.
@@ -358,9 +358,9 @@ impl RotationState {
     }
 }
 
-/// Tuning for the rotation driver (the thread that proposes/defers
-/// slots and triggers the self-wipe — the *liveness* side; safety lives
-/// entirely in [`RotationState::apply`]).
+/// Tuning for the rotation driver (what proposes/defers slots and
+/// triggers the self-wipe, stepped by the replica's applier thread — the
+/// *liveness* side; safety lives entirely in [`RotationState::apply`]).
 #[derive(Debug, Clone)]
 pub struct RotationConfig {
     /// How long the expected victim waits, once it is its turn, before

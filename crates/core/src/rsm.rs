@@ -30,6 +30,7 @@ use crate::recovery::{
     Manifest, MerkleTree, PeerHints, RecoveryConfig, RecoveryConfigError, Snapshot, SnapshotBundle,
     SnapshotState, XferMessage,
 };
+use crate::stack::Output;
 use crate::ProcessId;
 use bytes::{BufMut, Bytes, BytesMut};
 use ritas_metrics::{unpoison, FlightKind, Layer, SuspicionKind};
@@ -120,6 +121,9 @@ struct Shared<S> {
     /// Set when the applier thread exits (node shut down): no further
     /// deliveries will ever be applied.
     stopped: AtomicBool,
+    /// The proactive-rotation driver, once armed (see
+    /// [`Replica::start_rotation`]); the applier thread steps it.
+    rotation: Mutex<Option<RotationDriver>>,
 }
 
 /// The applier's recovery bookkeeping — absent on a [`Replica::new`]
@@ -161,17 +165,14 @@ struct Recovery<S> {
 pub struct Replica<S: Send + 'static> {
     node: Arc<Node>,
     shared: Arc<Shared<S>>,
+    /// The application thread beside the node's protocol thread (the
+    /// paper's two): it runs the rejoin driver when rejoining, then
+    /// applies deliveries, serves state transfer and steps the rotation
+    /// driver.
     applier: Option<JoinHandle<()>>,
     /// Snapshot/log bookkeeping — `Some` only for replicas built with
     /// [`Replica::with_recovery`] / [`Replica::rejoin`].
     recovery: Option<Arc<RecoveryCore>>,
-    /// The state-transfer server thread. Behind a shared slot because a
-    /// rejoining replica only starts serving once it reaches `Live`
-    /// (from the applier thread), while `Drop` must still join it.
-    server: Arc<Mutex<Option<JoinHandle<()>>>>,
-    /// The proactive-rotation driver thread, if armed (see
-    /// [`Replica::start_rotation`]).
-    driver: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl<S: Send + 'static> core::fmt::Debug for Replica<S> {
@@ -196,9 +197,9 @@ impl<S: Send + 'static> Replica<S> {
     }
 
     /// The one construction path: builds the shared state and starts the
-    /// applier thread — after the rejoin driver when `rejoining` (only
-    /// with `recovery`), which hands over its FIFO state on reaching
-    /// Live.
+    /// application thread — the rejoin driver first when `rejoining`
+    /// (only with `recovery`), which hands over its FIFO state on
+    /// reaching Live, then [`run_applier`].
     fn spawn(
         node: Node,
         initial: S,
@@ -213,16 +214,12 @@ impl<S: Send + 'static> Replica<S> {
             applied: Mutex::new(OwnApplied::default()),
             applied_cv: Condvar::new(),
             stopped: AtomicBool::new(false),
+            rotation: Mutex::new(None),
         });
         let core = recovery.as_ref().map(|r| Arc::clone(&r.core));
-        let server = Arc::new(Mutex::new(None));
-        if let (Some(core), false) = (&core, rejoining) {
-            *unpoison(server.lock()) = Some(spawn_xfer_server(Arc::clone(&node), Arc::clone(core)));
-        }
         let applier = {
             let node = Arc::clone(&node);
             let shared = Arc::clone(&shared);
-            let server = Arc::clone(&server);
             std::thread::spawn(move || {
                 let mut fifo = FifoOrder::new(node.group_size());
                 if let (Some(rec), true) = (&recovery, rejoining) {
@@ -230,22 +227,8 @@ impl<S: Send + 'static> Replica<S> {
                         Ok(resumed) => fifo = resumed,
                         Err(Aborted) => return abort_rejoin(&node, &shared),
                     }
-                    // Live: start answering transfer requests (the
-                    // driver owned the channel until now).
-                    *unpoison(server.lock()) =
-                        Some(spawn_xfer_server(Arc::clone(&node), Arc::clone(&rec.core)));
                 }
-                // The AB layer delivers whole batches at once; drain
-                // everything that is already ready so the batch applies
-                // under a single state-lock acquisition instead of one
-                // lock round-trip per command.
-                while let Ok(delivery) = node.atomic_recv() {
-                    let mut ready = push_with_reset(&mut fifo, delivery);
-                    while let Ok(Some(d)) = node.atomic_try_recv() {
-                        ready.extend(push_with_reset(&mut fifo, d));
-                    }
-                    apply_ready(&node, &shared, recovery.as_ref(), &mut apply, &ready);
-                }
+                run_applier(&node, &shared, recovery.as_ref(), fifo, &mut apply);
                 mark_stopped(&shared);
             })
         };
@@ -254,8 +237,6 @@ impl<S: Send + 'static> Replica<S> {
             shared,
             applier: Some(applier),
             recovery: core,
-            server,
-            driver: Mutex::new(None),
         }
     }
 
@@ -357,16 +338,7 @@ impl<S: Send + 'static> Replica<S> {
 impl<S: Send + 'static> Drop for Replica<S> {
     fn drop(&mut self) {
         self.shutdown();
-        // The rotation driver exits on the stopped flag set by shutdown.
-        if let Some(h) = unpoison(self.driver.lock()).take() {
-            let _ = h.join();
-        }
-        // Join the applier first: a rejoining applier is the only writer
-        // of the server slot, so after it exits the slot is final.
         if let Some(h) = self.applier.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = unpoison(self.server.lock()).take() {
             let _ = h.join();
         }
     }
@@ -381,7 +353,8 @@ impl<S: Send + 'static> Drop for Replica<S> {
 /// peers cross the next boundary.
 const RETAINED_SNAPSHOTS: usize = 2;
 
-/// How often an idle transfer server re-checks for shutdown.
+/// The longest a recovering replica's applier waits on its feed with
+/// nothing due: how late it notices a rotation driver armed meanwhile.
 const XFER_SERVER_IDLE: Duration = Duration::from_millis(100);
 /// How long one manifest-collection round waits for peer responses.
 const MANIFEST_ROUND: Duration = Duration::from_millis(300);
@@ -416,8 +389,8 @@ struct CoreInner {
     rotation: RotationState,
 }
 
-/// Shared snapshot/log bookkeeping between the applier thread (writer),
-/// the transfer server thread (reader) and digest accessors.
+/// Snapshot/log bookkeeping: written and served by the applier thread,
+/// read by the digest accessors.
 struct RecoveryCore {
     cfg: RecoveryConfig,
     /// Fault-injection hook: serve bit-flipped chunk bytes (a Byzantine
@@ -642,27 +615,61 @@ fn rotation_side_effects(
         .set(u64::from(after.expected_victim(n)));
 }
 
-/// The state-transfer server: answers manifest, Merkle-node, chunk, fill
-/// and batch requests from rejoining peers until the node shuts down.
-fn spawn_xfer_server(node: Arc<Node>, core: Arc<RecoveryCore>) -> JoinHandle<()> {
-    std::thread::spawn(move || loop {
-        let (from, payload) = match node.xfer_recv_timeout(XFER_SERVER_IDLE) {
-            Ok(x) => x,
-            Err(NodeError::Timeout) => continue,
-            Err(_) => return,
-        };
-        let Ok(msg) = XferMessage::from_bytes(&payload) else {
-            // Garbage from a Byzantine peer: drop, don't serve.
-            continue;
-        };
-        if let Some(resp) = serve_xfer(&node, &core, msg) {
-            if node.send_xfer(from, resp.to_bytes()).is_err() {
-                return;
+/// The application thread once Live, until the node shuts down: applies
+/// every a-delivery already queued as one batch (one state-lock
+/// acquisition) and, with `recovery`, answers transfer requests and
+/// steps the rotation driver; without, transfer frames are dropped.
+fn run_applier<S, F>(
+    node: &Node,
+    shared: &Shared<S>,
+    recovery: Option<&Recovery<S>>,
+    mut fifo: FifoOrder,
+    apply: &mut F,
+) where
+    F: FnMut(&mut S, ProcessId, &[u8]),
+{
+    let mut open = true;
+    while open {
+        // A recovering replica wakes for its rotation check (or to see
+        // whether a driver was armed); any other blocks until output.
+        let wait = recovery.map(|_| match &*unpoison(shared.rotation.lock()) {
+            Some(d) => d.next_check.saturating_duration_since(Instant::now()),
+            None => XFER_SERVER_IDLE,
+        });
+        let mut ready = Vec::new();
+        let mut next = node.recv_output(wait);
+        loop {
+            match next {
+                Ok(Output::AbDelivered { delivery, .. }) => {
+                    ready.extend(push_with_reset(&mut fifo, delivery));
+                }
+                Ok(Output::Xfer { from, payload }) => {
+                    // Garbage from a Byzantine peer is dropped, not served.
+                    let reply = recovery
+                        .zip(XferMessage::from_bytes(&payload).ok())
+                        .and_then(|(rec, msg)| serve_xfer(node, &rec.core, msg));
+                    if let Some(reply) = reply {
+                        let _ = node.send_xfer(from, reply.to_bytes());
+                    }
+                }
+                Ok(_) => {}
+                Err(NodeError::Timeout) => break,
+                Err(_) => {
+                    open = false;
+                    break;
+                }
             }
+            next = node.recv_output(Some(Duration::ZERO));
         }
-    })
+        apply_ready(node, shared, recovery, apply, &ready);
+        if let Some(rec) = recovery {
+            step_rotation(node, shared, &rec.core);
+        }
+    }
 }
 
+/// Answers one state-transfer request — manifest, Merkle nodes, chunk,
+/// fill or batch — from a rejoining peer.
 fn serve_xfer(node: &Node, core: &RecoveryCore, msg: XferMessage) -> Option<XferMessage> {
     match msg {
         XferMessage::ManifestReq => {
@@ -800,8 +807,9 @@ fn abort_rejoin<S>(node: &Node, shared: &Shared<S>) {
 /// to every peer in `targets`, then hands each decodable reply to
 /// `on_reply` until it reports the round satisfied (`true`) or `window`
 /// has elapsed. Undecodable payloads are dropped here; replies of the
-/// wrong kind are the handler's to ignore. What the round achieved is
-/// read from what the handler captured.
+/// wrong kind are the handler's to ignore. A-deliveries the round passes
+/// over on the feed are pushed to `live`, in order. What the round
+/// achieved is read from what the handler captured.
 ///
 /// # Errors
 ///
@@ -811,6 +819,7 @@ fn xfer_round(
     targets: &[ProcessId],
     request: &XferMessage,
     window: Duration,
+    live: &mut Vec<AbDelivery>,
     mut on_reply: impl FnMut(ProcessId, XferMessage) -> bool,
 ) -> Result<(), NodeError> {
     let request = request.to_bytes();
@@ -820,12 +829,14 @@ fn xfer_round(
     let deadline = Instant::now() + window;
     loop {
         let left = deadline.saturating_duration_since(Instant::now());
-        match node.xfer_recv_timeout(left) {
-            Ok((from, payload)) => {
+        match node.recv_output(Some(left)) {
+            Ok(Output::Xfer { from, payload }) => {
                 if XferMessage::from_bytes(&payload).is_ok_and(|msg| on_reply(from, msg)) {
                     return Ok(());
                 }
             }
+            Ok(Output::AbDelivered { delivery, .. }) => live.push(delivery),
+            Ok(_) => {}
             Err(NodeError::Timeout) => return Ok(()),
             Err(e) => return Err(e),
         }
@@ -843,7 +854,12 @@ struct Synced {
 
 /// Syncing, part one: collects manifests + stream hints from `2f+1`
 /// peers until `f+1` of them agree on what to restore.
-fn sync_manifests(node: &Node, peers: &[ProcessId], f: usize) -> Result<Synced, NodeError> {
+fn sync_manifests(
+    node: &Node,
+    peers: &[ProcessId],
+    f: usize,
+    live: &mut Vec<AbDelivery>,
+) -> Result<Synced, NodeError> {
     let mut responses: HashMap<ProcessId, (Option<Manifest>, PeerHints)> = HashMap::new();
     loop {
         let mut answered = HashSet::new();
@@ -852,6 +868,7 @@ fn sync_manifests(node: &Node, peers: &[ProcessId], f: usize) -> Result<Synced, 
             peers,
             &XferMessage::ManifestReq,
             MANIFEST_ROUND,
+            live,
             |from, msg| {
                 if let XferMessage::ManifestResp { manifest, hints } = msg {
                     responses.insert(from, (manifest, hints));
@@ -890,6 +907,7 @@ fn fetch_snapshot(
     manifest: &Manifest,
     servers: &[ProcessId],
     stale: Option<&Bytes>,
+    live: &mut Vec<AbDelivery>,
 ) -> Result<Vec<u8>, Aborted> {
     let m = node.metrics();
     let stale_tree = stale.map(|b| MerkleTree::build(b, chunk_size));
@@ -908,7 +926,7 @@ fn fetch_snapshot(
                 indices: indices.to_vec(),
             };
             let mut got = None;
-            let round = xfer_round(node, &[srv], &req, FETCH_TIMEOUT, |_, msg| {
+            let round = xfer_round(node, &[srv], &req, FETCH_TIMEOUT, live, |_, msg| {
                 if let XferMessage::NodesResp {
                     seq,
                     level: l,
@@ -963,7 +981,7 @@ fn fetch_snapshot(
         // cannot serialize the whole download behind retries.
         for k in 0..servers.len() * 2 {
             let srv = servers[(idx as usize + k) % servers.len()];
-            xfer_round(node, &[srv], &req, FETCH_TIMEOUT, |from, msg| {
+            xfer_round(node, &[srv], &req, FETCH_TIMEOUT, live, |from, msg| {
                 let XferMessage::ChunkResp {
                     seq,
                     idx: i,
@@ -1016,7 +1034,12 @@ fn agreed<'a, T: PartialEq>(copies: &[&'a T], f: usize) -> Option<&'a T> {
 /// Rounds can conclude on batch ids whose payload dissemination finished
 /// before the wipe: fetches the raw batches from peers and injects any
 /// copy `f+1` of them agree on.
-fn fetch_missing_batches(node: &Node, peers: &[ProcessId], f: usize) -> Result<(), NodeError> {
+fn fetch_missing_batches(
+    node: &Node,
+    peers: &[ProcessId],
+    f: usize,
+    live: &mut Vec<AbDelivery>,
+) -> Result<(), NodeError> {
     let missing = node
         .with_stack(|stack, _| stack.ab(0).map(|ab| ab.missing_payloads()))?
         .unwrap_or_default();
@@ -1030,7 +1053,7 @@ fn fetch_missing_batches(node: &Node, peers: &[ProcessId], f: usize) -> Result<(
             .collect(),
     };
     let mut copies: HashMap<(u32, u64), Vec<Bytes>> = HashMap::new();
-    xfer_round(node, peers, &req, FILL_ROUND, |_, msg| {
+    xfer_round(node, peers, &req, FILL_ROUND, live, |_, msg| {
         if let XferMessage::BatchResp { batches } = msg {
             for (sender, seq, raw) in batches {
                 copies.entry((sender, seq)).or_default().push(raw);
@@ -1054,14 +1077,18 @@ fn fetch_missing_batches(node: &Node, peers: &[ProcessId], f: usize) -> Result<(
 
 /// CatchingUp: replays the peers' applied log from our snapshot position
 /// until the fill stream reaches a delivery the resumed atomic broadcast
-/// already handed us live, and returns those buffered live deliveries.
+/// already handed us live. The live deliveries collect in `live`; they
+/// are applied only after the fill stream reaches one of them (never
+/// double-applied: the bridge entry itself switches streams *instead of*
+/// applying via fill).
 fn catch_up<S, F>(
     node: &Node,
     shared: &Shared<S>,
     rec: &Recovery<S>,
     apply: &mut F,
     fifo: &mut FifoOrder,
-) -> Result<Vec<AbDelivery>, NodeError>
+    live: &mut Vec<AbDelivery>,
+) -> Result<(), NodeError>
 where
     F: FnMut(&mut S, ProcessId, &[u8]),
 {
@@ -1069,29 +1096,25 @@ where
     let f = (n - 1) / 3;
     let peers: Vec<ProcessId> = (0..n).filter(|&p| p != node.id()).collect();
     let applied_seq = || unpoison(rec.core.inner.lock()).applied_seq;
-    let mut buffer: Vec<AbDelivery> = Vec::new();
-    let mut buffered: HashSet<(ProcessId, u64)> = HashSet::new();
+    // The ids of `live[..indexed]`.
+    let mut buffered: HashSet<MsgId> = HashSet::new();
+    let mut indexed = 0;
     let mut idle = 0u32;
     loop {
-        // Buffer live deliveries; they are applied only after the fill
-        // stream reaches one of them (never double-applied: the bridge
-        // entry itself switches streams *instead of* applying via fill).
-        while let Some(d) = node.atomic_try_recv()? {
-            buffered.insert((d.id.sender, d.id.rbid));
-            buffer.push(d);
-        }
         // Poll every peer for the next stretch of the applied log.
         let req = XferMessage::FillReq {
             from_seq: applied_seq() + 1,
             max: rec.core.cfg.fill_batch,
         };
         let mut fills: HashMap<ProcessId, Vec<FillEntry>> = HashMap::new();
-        xfer_round(node, &peers, &req, FILL_ROUND, |from, msg| {
+        xfer_round(node, &peers, &req, FILL_ROUND, live, |from, msg| {
             if let XferMessage::FillResp { entries } = msg {
                 fills.insert(from, entries);
             }
             fills.len() == peers.len()
         })?;
+        buffered.extend(live[indexed..].iter().map(|d| d.id));
+        indexed = live.len();
         // Apply f+1-agreed entries strictly in sequence order: an entry
         // served byte-identically by f+1 peers is the true delivery at
         // that position of the total order.
@@ -1113,8 +1136,8 @@ where
             // total-order suffix (live deliveries only start once the
             // resumed AB concludes rounds normally, after which no round
             // is skipped), so switch to it and stop filling.
-            if buffered.contains(&(id.sender, id.rbid)) {
-                return Ok(buffer);
+            if buffered.contains(&id) {
+                return Ok(());
             }
             let d = AbDelivery {
                 id,
@@ -1127,7 +1150,7 @@ where
             node.metrics().recovery_fills_applied.inc();
             progressed = true;
         }
-        fetch_missing_batches(node, &peers, f)?;
+        fetch_missing_batches(node, &peers, f, live)?;
         if progressed {
             idle = 0;
         } else {
@@ -1165,13 +1188,23 @@ where
     m.flight_record(FlightKind::Recovery, me as u32, milestones::SYNCING, 0);
     m.span_open("recover:sync", Layer::Node);
     let peers: Vec<ProcessId> = (0..n).filter(|&p| p != me).collect();
+    // Every a-delivery the transfer rounds pass over, in order. None
+    // arrives before the resume below: until then the AB session is held.
+    let mut live = Vec::new();
 
-    let Synced { snapshot, hints } = sync_manifests(node, &peers, f)?;
+    let Synced { snapshot, hints } = sync_manifests(node, &peers, f, &mut live)?;
     // Genesis rejoin (no peer has snapshotted yet) starts from zero.
     let mut snap_next = vec![0; n];
     if let Some((manifest, servers)) = snapshot {
         let chunk_size = core.cfg.chunk_size;
-        let buf = fetch_snapshot(node, chunk_size, &manifest, &servers, stale.as_ref())?;
+        let buf = fetch_snapshot(
+            node,
+            chunk_size,
+            &manifest,
+            &servers,
+            stale.as_ref(),
+            &mut live,
+        )?;
         // f+1 byte-identical manifests include one from a correct
         // replica, and every chunk verified against that root, so the
         // assembled bytes are a correct replica's snapshot encoding.
@@ -1224,12 +1257,12 @@ where
     // while also sitting in our live buffer — it gives the catch-up loop
     // a guaranteed bridge point even on an otherwise idle stream.
     node.atomic_broadcast(frame(TAG_REJOIN, &[]))?;
-    let buffer = catch_up(node, shared, rec, apply, &mut fifo)?;
+    catch_up(node, shared, rec, apply, &mut fifo, &mut live)?;
 
     // --- Switch to the live buffer ---
     // Entries up to the bridge point are duplicates of what the fill
     // stream applied; the FIFO's per-sender watermark drops them.
-    let ready: Vec<AbDelivery> = buffer
+    let ready: Vec<AbDelivery> = live
         .into_iter()
         .flat_map(|d| push_with_reset(&mut fifo, d))
         .collect();
@@ -1365,7 +1398,7 @@ impl<S: SnapshotState + Send + 'static> Replica<S> {
     }
 
     /// Arms the proactive-recovery rotation driver (see
-    /// [`crate::recovery::scheduler`]): a background thread that
+    /// [`crate::recovery::scheduler`]), which the applier thread steps:
     ///
     /// * proposes this replica's own wipe slot (via an ordered
     ///   `ScheduleWipe`) whenever the rotation cursor points at it and
@@ -1373,153 +1406,192 @@ impl<S: SnapshotState + Send + 'static> Replica<S> {
     /// * reacts to its slot opening — calling `on_wipe(epoch)` so the
     ///   embedding runtime tears this replica down and rejoins it (the
     ///   rejoin pipeline announces `WipeComplete` on reaching Live), or
-    ///   deferring with an ordered `DeferWipe` when the stall watchdog
+    ///   deferring with an ordered `DeferWipe` when [`Node::is_stalled`]
     ///   or accumulated suspicion evidence says the group is already
     ///   degraded;
     /// * clears any peer's slot stuck active past `cfg.abort_after`.
     ///
     /// `on_wipe` must not block and must not drop the replica from
-    /// inside the callback (signal the owning thread instead): `Drop`
-    /// joins the driver thread that calls it. No-op on replicas without
+    /// inside the callback (signal the owning thread instead): it runs on
+    /// the applier thread, which `Drop` joins. No-op on replicas without
     /// the recovery pipeline, and at most one driver per replica.
     pub fn start_rotation(&self, cfg: RotationConfig, on_wipe: impl Fn(u64) + Send + 'static) {
-        let Some(core) = self.recovery.as_ref().map(Arc::clone) else {
+        let Some(core) = &self.recovery else {
             return;
         };
-        let mut slot = unpoison(self.driver.lock());
-        if slot.is_some() {
-            return;
+        let mut slot = unpoison(self.shared.rotation.lock());
+        if slot.is_none() {
+            let open = unpoison(core.inner.lock()).rotation.active;
+            let (me, n) = (self.id() as u32, self.node.group_size());
+            *slot = Some(RotationDriver::new(
+                cfg,
+                Box::new(on_wipe),
+                me,
+                n,
+                Instant::now(),
+                open,
+            ));
         }
-        let node = Arc::clone(&self.node);
-        let shared = Arc::clone(&self.shared);
-        let me = node.id() as u32;
-        let n = node.group_size();
-        *slot = Some(std::thread::spawn(move || {
-            let poll =
-                (cfg.period / 8).clamp(Duration::from_millis(10), Duration::from_millis(100));
-            // Liveness bookkeeping is all local wall-clock: the *safety*
-            // of the protocol never depends on these timers (any command
-            // mistimed by them is rejected deterministically everywhere).
-            let mut quiet_since = Instant::now();
-            let mut slot_seen: Option<((u32, u64), Instant)> = None;
-            // A slot already open when the driver arms is never this
-            // driver's grant: on a rejoined replica it is its own
-            // just-completed recovery (the rejoin pipeline's
-            // WipeComplete is still in flight, and reacting to it again
-            // would wipe the replica in a loop), and a foreign slot is
-            // the established drivers' stuck-slot watchdog duty.
-            let mut acted: Option<(u32, u64)> = unpoison(core.inner.lock()).rotation.active;
-            let mut closed = (0u64, 0u64);
-            loop {
-                if shared.stopped.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(poll);
-                let (rot, has_snapshot) = {
-                    let c = unpoison(core.inner.lock());
-                    (c.rotation, !c.snaps.is_empty())
-                };
-                let progress = (rot.rounds_completed, rot.deferrals);
-                if progress != closed {
-                    closed = progress;
-                    quiet_since = Instant::now();
-                }
-                match rot.active {
-                    Some(active) => {
-                        let since = match slot_seen {
-                            Some((s, t)) if s == active => t,
-                            _ => {
-                                let now = Instant::now();
-                                slot_seen = Some((active, now));
-                                now
-                            }
-                        };
-                        if acted == Some(active) {
-                            continue;
-                        }
-                        let (victim, epoch) = active;
-                        if victim == me {
-                            acted = Some(active);
-                            // Health gate: rotation must never
-                            // *voluntarily* push the group past f
-                            // unavailable. (The epoch already advanced at
-                            // schedule time, so deferring keeps the key
-                            // refresh.)
-                            let suspicion: u64 = node
-                                .metrics()
-                                .suspicions()
-                                .iter()
-                                .map(|s| s.counts.iter().sum::<u64>())
-                                .sum();
-                            let reason = if node.is_stalled() {
-                                Some(DeferReason::Stalled)
-                            } else if suspicion >= cfg.suspicion_defer_threshold {
-                                Some(DeferReason::Suspicion)
-                            } else {
-                                None
-                            };
-                            match reason {
-                                Some(reason) => {
-                                    let cmd = RecoveryCommand::DeferWipe {
-                                        victim,
-                                        epoch,
-                                        reason,
-                                    };
-                                    if node
-                                        .atomic_broadcast(frame(TAG_RECOVERY, &cmd.to_bytes()))
-                                        .is_err()
-                                    {
-                                        return;
-                                    }
-                                }
-                                None => on_wipe(epoch),
-                            }
-                        } else if since.elapsed() >= cfg.abort_after {
-                            acted = Some(active);
-                            let cmd = RecoveryCommand::DeferWipe {
-                                victim,
-                                epoch,
-                                reason: DeferReason::StuckSlot,
-                            };
-                            if node
-                                .atomic_broadcast(frame(TAG_RECOVERY, &cmd.to_bytes()))
-                                .is_err()
-                            {
-                                return;
-                            }
-                        }
-                    }
-                    None => {
-                        slot_seen = None;
-                        // Never schedule the own wipe before the group has a
-                        // snapshot to restore from: a genesis rejoin races the
-                        // survivors' log pruning under load and can wedge.
-                        // Correct replicas snapshot at the same stream
-                        // boundaries, so the local bundle is a sound proxy for
-                        // the group's (skew is absorbed by the Syncing
-                        // re-poll).
-                        if has_snapshot
-                            && rot.expected_victim(n) == me
-                            && quiet_since.elapsed() >= cfg.period
-                        {
-                            let cmd = RecoveryCommand::ScheduleWipe {
-                                victim: me,
-                                epoch: rot.epoch + 1,
-                            };
-                            if node
-                                .atomic_broadcast(frame(TAG_RECOVERY, &cmd.to_bytes()))
-                                .is_err()
-                            {
-                                return;
-                            }
-                            // Rate-limit re-proposals: if this one is
-                            // lost or rejected, wait another full period.
-                            quiet_since = Instant::now();
-                        }
-                    }
-                }
+    }
+}
+
+/// Steps the rotation driver, if one is armed and its check is due, and
+/// a-broadcasts the command it decides on.
+fn step_rotation<S>(node: &Node, shared: &Shared<S>, core: &RecoveryCore) {
+    let now = Instant::now();
+    let mut slot = unpoison(shared.rotation.lock());
+    let Some(driver) = slot.as_mut().filter(|d| d.next_check <= now) else {
+        return;
+    };
+    let (rotation, has_snapshot) = {
+        let c = unpoison(core.inner.lock());
+        (c.rotation, !c.snaps.is_empty())
+    };
+    let seen = Observed {
+        rotation,
+        has_snapshot,
+        stalled: node.is_stalled(),
+        suspicion: node.metrics().suspicions().iter().map(|s| s.total()).sum(),
+    };
+    if let Some(cmd) = driver.step(now, seen) {
+        let _ = node.atomic_broadcast(frame(TAG_RECOVERY, &cmd.to_bytes()));
+    }
+}
+
+/// What the rotation driver reads at a step.
+#[derive(Debug, Clone, Copy)]
+struct Observed {
+    /// The replicated coordinator state as of the last applied command.
+    rotation: RotationState,
+    /// Whether this replica holds a snapshot a rejoin could restore.
+    has_snapshot: bool,
+    /// [`Node::is_stalled`].
+    stalled: bool,
+    /// Suspicion evidence against all peers, summed.
+    suspicion: u64,
+}
+
+/// The liveness side of proactive rotation (see
+/// [`Replica::start_rotation`]): local bookkeeping the applier thread
+/// steps. Its timers are local wall-clock; the *safety* of the protocol
+/// never depends on them (any command they mistime is rejected
+/// deterministically everywhere by [`RotationState::apply`]).
+struct RotationDriver {
+    cfg: RotationConfig,
+    on_wipe: Box<dyn Fn(u64) + Send>,
+    me: u32,
+    n: usize,
+    /// The applier steps the driver every `poll`, next at `next_check`.
+    poll: Duration,
+    next_check: Instant,
+    /// Since when no slot has closed and this driver has proposed none.
+    quiet_since: Instant,
+    /// The open slot and when this driver first saw it open.
+    slot_seen: Option<((u32, u64), Instant)>,
+    /// The slot this driver last acted on.
+    acted: Option<(u32, u64)>,
+    /// `(rounds_completed, deferrals)` at the last step.
+    closed: (u64, u64),
+}
+
+impl RotationDriver {
+    /// The driver of replica `me` of `n`, armed at `now` while `open` is
+    /// the open slot, if any. That slot is never this driver's grant: on
+    /// a rejoined replica it is its own just-completed recovery (the
+    /// rejoin pipeline's WipeComplete is still in flight, and reacting to
+    /// it again would wipe the replica in a loop), and a foreign slot is
+    /// the established drivers' stuck-slot duty.
+    fn new(
+        cfg: RotationConfig,
+        on_wipe: Box<dyn Fn(u64) + Send>,
+        me: u32,
+        n: usize,
+        now: Instant,
+        open: Option<(u32, u64)>,
+    ) -> Self {
+        let poll = (cfg.period / 8).clamp(Duration::from_millis(10), XFER_SERVER_IDLE);
+        RotationDriver {
+            cfg,
+            on_wipe,
+            me,
+            n,
+            poll,
+            next_check: now + poll,
+            quiet_since: now,
+            slot_seen: None,
+            acted: open,
+            closed: (0, 0),
+        }
+    }
+
+    /// One decision at `now`: the command to a-broadcast, if any. When
+    /// this replica's own slot opens and the health gate lets it go
+    /// down, calls `on_wipe` instead.
+    fn step(&mut self, now: Instant, seen: Observed) -> Option<RecoveryCommand> {
+        self.next_check = now + self.poll;
+        let rot = seen.rotation;
+        let progress = (rot.rounds_completed, rot.deferrals);
+        if progress != self.closed {
+            self.closed = progress;
+            self.quiet_since = now;
+        }
+        let Some(active) = rot.active else {
+            self.slot_seen = None;
+            // Never schedule the own wipe before the group has a snapshot
+            // to restore from: a genesis rejoin races the survivors' log
+            // pruning under load and can wedge. Correct replicas snapshot
+            // at the same stream boundaries, so the local bundle is a
+            // sound proxy for the group's (skew is absorbed by the Syncing
+            // re-poll).
+            let due = seen.has_snapshot
+                && rot.expected_victim(self.n) == self.me
+                && now.duration_since(self.quiet_since) >= self.cfg.period;
+            if !due {
+                return None;
             }
-        }));
+            // Rate-limit re-proposals: if this one is lost or rejected,
+            // wait another full period.
+            self.quiet_since = now;
+            return Some(RecoveryCommand::ScheduleWipe {
+                victim: self.me,
+                epoch: rot.epoch + 1,
+            });
+        };
+        let since = match self.slot_seen {
+            Some((slot, t)) if slot == active => t,
+            _ => {
+                self.slot_seen = Some((active, now));
+                now
+            }
+        };
+        if self.acted == Some(active) {
+            return None;
+        }
+        let (victim, epoch) = active;
+        let reason = if victim == self.me {
+            // Health gate: rotation must never *voluntarily* push the
+            // group past f unavailable. (The epoch already advanced at
+            // schedule time, so deferring keeps the key refresh.)
+            if seen.stalled {
+                DeferReason::Stalled
+            } else if seen.suspicion >= self.cfg.suspicion_defer_threshold {
+                DeferReason::Suspicion
+            } else {
+                self.acted = Some(active);
+                (self.on_wipe)(epoch);
+                return None;
+            }
+        } else if now.duration_since(since) >= self.cfg.abort_after {
+            DeferReason::StuckSlot
+        } else {
+            return None;
+        };
+        self.acted = Some(active);
+        Some(RecoveryCommand::DeferWipe {
+            victim,
+            epoch,
+            reason,
+        })
     }
 }
 
@@ -1795,8 +1867,10 @@ mod tests {
             for peer in &nodes[1..] {
                 let (nodes, script) = (&nodes, &script);
                 scope.spawn(move || {
-                    while let Ok((from, payload)) = peer.xfer_recv_timeout(Duration::from_secs(30))
-                    {
+                    while let Ok(output) = peer.recv_output(Some(Duration::from_secs(30))) {
+                        let Output::Xfer { from, payload } = output else {
+                            continue;
+                        };
                         let request = XferMessage::from_bytes(&payload).unwrap();
                         for reply in script(peer.id(), &nodes[0], request) {
                             peer.send_xfer(from, reply).unwrap();
@@ -1842,11 +1916,18 @@ mod tests {
         let seen = scripted_round(script, |node| {
             let mut seen = Vec::new();
             let request = XferMessage::ManifestReq;
-            xfer_round(node, &[1, 2, 3], &request, LONG_WINDOW, |from, msg| {
-                assert!(from == 1 || from == 2);
-                seen.push(matches!(msg, XferMessage::ManifestResp { .. }));
-                seen.iter().filter(|&&wanted| wanted).count() == 2
-            })
+            xfer_round(
+                node,
+                &[1, 2, 3],
+                &request,
+                LONG_WINDOW,
+                &mut Vec::new(),
+                |from, msg| {
+                    assert!(from == 1 || from == 2);
+                    seen.push(matches!(msg, XferMessage::ManifestResp { .. }));
+                    seen.iter().filter(|&&wanted| wanted).count() == 2
+                },
+            )
             .unwrap();
             seen
         });
@@ -1876,10 +1957,157 @@ mod tests {
                 &[1],
                 &XferMessage::ManifestReq,
                 LONG_WINDOW,
+                &mut Vec::new(),
                 |_, _| false,
             )
         });
         assert_eq!(outcome, Err(NodeError::Disconnected));
+    }
+
+    /// A round keeps the a-deliveries it passes over on the feed — the
+    /// catch-up's live buffer — instead of dropping them.
+    #[test]
+    fn xfer_round_keeps_the_deliveries_it_passes_over() {
+        let script = |_: ProcessId, _: &Node, _| vec![manifest_resp()];
+        let (live, id) = scripted_round(script, |node| {
+            let id = node.atomic_broadcast(Bytes::from_static(b"live")).unwrap();
+            // Delivered, so queued on the feed ahead of any reply.
+            let deadline = Instant::now() + LONG_WINDOW;
+            while node.metrics().ab_delivered.get() == 0 {
+                assert!(Instant::now() < deadline, "never delivered");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let mut live = Vec::new();
+            let request = XferMessage::ManifestReq;
+            xfer_round(node, &[1], &request, LONG_WINDOW, &mut live, |_, msg| {
+                matches!(msg, XferMessage::ManifestResp { .. })
+            })
+            .unwrap();
+            (live, id)
+        });
+        assert_eq!(live.len(), 1, "{live:?}");
+        assert_eq!(live[0].id, id);
+    }
+
+    /// A rotation config and a driver for replica 1 of 4 armed at the
+    /// returned instant, with `open` already open; the wipe callback
+    /// reports its epoch on the returned channel.
+    fn armed_driver(
+        open: Option<(u32, u64)>,
+    ) -> (RotationDriver, Instant, std::sync::mpsc::Receiver<u64>) {
+        let cfg = RotationConfig {
+            period: Duration::from_secs(1),
+            abort_after: Duration::from_secs(10),
+            suspicion_defer_threshold: 5,
+        };
+        let (wiped, wipes) = std::sync::mpsc::channel();
+        let on_wipe = Box::new(move |epoch: u64| wiped.send(epoch).unwrap());
+        let t0 = Instant::now();
+        (RotationDriver::new(cfg, on_wipe, 1, 4, t0, open), t0, wipes)
+    }
+
+    /// A healthy replica holding a snapshot, under `rotation`.
+    fn healthy(rotation: RotationState) -> Observed {
+        Observed {
+            rotation,
+            has_snapshot: true,
+            stalled: false,
+            suspicion: 0,
+        }
+    }
+
+    /// The coordinator with `victim`'s slot open at `epoch`.
+    fn slot_open(victim: u32, epoch: u64) -> RotationState {
+        RotationState {
+            epoch,
+            active: Some((victim, epoch)),
+            next_idx: u64::from(victim),
+            ..RotationState::default()
+        }
+    }
+
+    fn defer(victim: u32, epoch: u64, reason: DeferReason) -> Option<RecoveryCommand> {
+        Some(RecoveryCommand::DeferWipe {
+            victim,
+            epoch,
+            reason,
+        })
+    }
+
+    const SEC: Duration = Duration::from_secs(1);
+
+    #[test]
+    fn driver_never_acts_on_a_slot_open_when_it_armed() {
+        // Its own (a rejoined replica's just-completed wipe)…
+        let (mut driver, t0, wipes) = armed_driver(Some((1, 3)));
+        for k in 1..100 {
+            assert_eq!(driver.step(t0 + k * SEC, healthy(slot_open(1, 3))), None);
+        }
+        assert!(wipes.try_recv().is_err(), "wiped on an old grant");
+        // …but the next one is its grant.
+        let next = RotationState {
+            rounds_completed: 1,
+            ..slot_open(1, 4)
+        };
+        assert_eq!(driver.step(t0 + 100 * SEC, healthy(next)), None);
+        assert_eq!(wipes.try_recv(), Ok(4));
+        // A foreign one, however long it stays open.
+        let (mut driver, t0, _) = armed_driver(Some((2, 3)));
+        for k in 1..100 {
+            assert_eq!(driver.step(t0 + k * SEC, healthy(slot_open(2, 3))), None);
+        }
+    }
+
+    #[test]
+    fn driver_schedules_nothing_before_a_local_snapshot_exists() {
+        let (mut driver, t0, _) = armed_driver(None);
+        // Replica 1's turn, the period long over, but no snapshot yet.
+        let turn = RotationState {
+            next_idx: 1,
+            ..RotationState::default()
+        };
+        let bare = Observed {
+            has_snapshot: false,
+            ..healthy(turn)
+        };
+        for k in 1..10 {
+            assert_eq!(driver.step(t0 + k * SEC, bare), None);
+        }
+        let schedule = RecoveryCommand::ScheduleWipe {
+            victim: 1,
+            epoch: 1,
+        };
+        assert_eq!(driver.step(t0 + 10 * SEC, healthy(turn)), Some(schedule));
+        // Not again until another period has passed.
+        assert_eq!(driver.step(t0 + 10 * SEC + SEC / 2, healthy(turn)), None);
+        assert_eq!(driver.step(t0 + 11 * SEC, healthy(turn)), Some(schedule));
+    }
+
+    #[test]
+    fn driver_defers_a_stuck_foreign_slot() {
+        let (mut driver, t0, wipes) = armed_driver(None);
+        let stuck = healthy(slot_open(2, 1));
+        // First seen one second in; stuck once `abort_after` has passed.
+        assert_eq!(driver.step(t0 + SEC, stuck), None);
+        assert_eq!(driver.step(t0 + 10 * SEC, stuck), None);
+        let stuck_slot = defer(2, 1, DeferReason::StuckSlot);
+        assert_eq!(driver.step(t0 + 11 * SEC, stuck), stuck_slot);
+        // Once.
+        assert_eq!(driver.step(t0 + 100 * SEC, stuck), None);
+        assert!(wipes.try_recv().is_err());
+    }
+
+    #[test]
+    fn driver_defers_its_own_slot_while_stalled() {
+        let (mut driver, t0, wipes) = armed_driver(None);
+        let stalled = Observed {
+            stalled: true,
+            ..healthy(slot_open(1, 1))
+        };
+        let deferred = defer(1, 1, DeferReason::Stalled);
+        assert_eq!(driver.step(t0 + SEC, stalled), deferred);
+        assert_eq!(driver.step(t0 + 2 * SEC, healthy(slot_open(1, 1))), None);
+        assert!(wipes.try_recv().is_err(), "wiped a stalled replica");
     }
 
     /// Correct replicas must cut byte-identical snapshots at identical
@@ -2046,7 +2274,7 @@ mod tests {
             rejoined.wait_applied_covered(u64::MAX).unwrap_err(),
             NodeError::Disconnected
         );
-        drop(rejoined); // joins the applier + (never-started) server
+        drop(rejoined); // joins the applier thread
         assert!(
             m.flight()
                 .events()

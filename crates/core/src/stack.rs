@@ -580,7 +580,8 @@ impl Stack {
         self.next_rb_seq += 1;
         let mut rb = ReliableBroadcast::new(self.ctx_for(key), self.ctx.me);
         let first = rb.broadcast(payload).expect("fresh instance");
-        (key, self.install(key, rb, Instance::Rb, first))
+        let step = self.install(key, rb, Instance::Rb, first);
+        (key, self.reported(step))
     }
 
     /// Echo-broadcasts `payload`.
@@ -592,7 +593,8 @@ impl Stack {
         self.next_eb_seq += 1;
         let mut eb = EchoBroadcast::new(self.ctx_for(key), self.ctx.me);
         let first = eb.broadcast(payload).expect("fresh instance");
-        (key, self.install(key, eb, Instance::Eb, first))
+        let step = self.install(key, eb, Instance::Eb, first);
+        (key, self.reported(step))
     }
 
     /// Proposes a bit for binary consensus instance `tag`.
@@ -611,7 +613,8 @@ impl Stack {
         };
         let mut bc = BinaryConsensus::new(ctx, coin, self.config.ab.mvc.bc_transport);
         let first = bc.propose(value)?;
-        Ok(self.install(key, bc, Instance::Bc, first))
+        let step = self.install(key, bc, Instance::Bc, first);
+        Ok(self.reported(step))
     }
 
     /// Proposes a value for multi-valued consensus instance `tag`.
@@ -643,7 +646,8 @@ impl Stack {
         let ctx = self.ctx_for_proposal(key)?;
         let mut mvc = MultiValuedConsensus::new(ctx, self.coin_for(&key), self.config.ab.mvc);
         let first = propose(&mut mvc)?;
-        Ok(self.install(key, mvc, |mvc| Instance::Mvc(Box::new(mvc)), first))
+        let step = self.install(key, mvc, |mvc| Instance::Mvc(Box::new(mvc)), first);
+        Ok(self.reported(step))
     }
 
     /// Proposes a value for vector consensus instance `tag`.
@@ -656,21 +660,28 @@ impl Stack {
         let ctx = self.ctx_for_proposal(key)?;
         let mut vc = VectorConsensus::new(ctx, self.sub_seed(&key), self.config.ab.mvc);
         let first = vc.propose(value)?;
-        Ok(self.install(key, vc, Instance::Vc, first))
+        let step = self.install(key, vc, Instance::Vc, first);
+        Ok(self.reported(step))
     }
 
     /// A-broadcasts `payload` on atomic broadcast session `session`
     /// (created on first use).
     pub fn ab_broadcast(&mut self, session: u32, payload: Bytes) -> (MsgId, StackStep) {
         let key = InstanceKey::Ab { session };
+        let opened = (!self.instances.contains_key(&key)).then(|| self.open_ab(key, None));
         let Some(Instance::Ab(ab)) = self.instances.get_mut(&key) else {
-            let mut out = self.open_ab(key, None);
-            let (id, step) = self.ab_broadcast(session, payload);
-            out.extend(step);
-            return (id, out);
+            unreachable!("open_ab installs the session")
         };
         let (id, sub) = ab.broadcast(payload);
-        (id, ab.encode(key, sub))
+        let step = ab.encode(key, sub);
+        let step = match opened {
+            Some(mut out) => {
+                out.extend(step);
+                out
+            }
+            None => step,
+        };
+        (id, self.reported(step))
     }
 
     /// Starts agreement rounds (atomic broadcast sessions and vector
@@ -693,7 +704,7 @@ impl Stack {
                 _ => {}
             }
         }
-        out
+        self.reported(out)
     }
 
     /// Injects the driver clock into every atomic broadcast session (the
@@ -731,7 +742,7 @@ impl Stack {
                 out.extend(ab.encode(*key, sub));
             }
         }
-        out
+        self.reported(out)
     }
 
     /// The round in which binary consensus instance `tag` decided
@@ -775,13 +786,14 @@ impl Stack {
         f: impl FnOnce(&mut AtomicBroadcast) -> Step<AbMessage, AbDelivery>,
     ) -> StackStep {
         let key = InstanceKey::Ab { session };
-        match self.instances.get_mut(&key) {
+        let step = match self.instances.get_mut(&key) {
             Some(Instance::Ab(ab)) => {
                 let sub = f(ab);
                 ab.encode(key, sub)
             }
             _ => Step::none(),
-        }
+        };
+        self.reported(step)
     }
 
     // ----- recovery / state transfer -----
@@ -800,7 +812,8 @@ impl Stack {
     pub fn ab_resume(&mut self, session: u32, cursor: &crate::ab::AbCursor) -> StackStep {
         let key = InstanceKey::Ab { session };
         self.ab_hold = false;
-        self.open_ab(key, Some(cursor))
+        let step = self.open_ab(key, Some(cursor));
+        self.reported(step)
     }
 
     /// Destroys an instance, purging its out-of-context messages (§3.4).
@@ -826,6 +839,16 @@ impl Stack {
     pub fn handle_frame(&mut self, from: ProcessId, frame: Bytes) -> StackStep {
         self.ctx.metrics.stack_frames_in.inc();
         let step = self.handle_frame_inner(from, frame);
+        self.reported(step)
+    }
+
+    /// Counts the faults `step` carries against their senders
+    /// (`faults_detected` and the suspicion table) and hands it on. Every
+    /// public method that returns a step passes it through here exactly
+    /// once, so a fault is recorded once whatever set it off — a peer's
+    /// frame, or a local request replaying the frames parked for the
+    /// instance it creates.
+    fn reported(&self, step: StackStep) -> StackStep {
         if !step.faults.is_empty() {
             let metrics = &self.ctx.metrics;
             metrics.faults_detected.add(step.faults.len() as u64);
@@ -1407,6 +1430,37 @@ mod tests {
             .stack_mut(0)
             .handle_frame(1, Bytes::from_static(&[0xff, 0xff]));
         assert_eq!(step.faults[0].kind, FaultKind::Malformed);
+    }
+
+    /// A fault that surfaces in the step of a local request reaches the
+    /// registry too, once: peer 2's malformed BC frame parks before the
+    /// instance exists and is attributed to peer 2 when the proposal
+    /// replays it.
+    #[test]
+    fn parked_malformed_frame_is_attributed_when_the_proposal_replays_it() {
+        use crate::step::Fault;
+        use ritas_metrics::SuspicionKind;
+        let mut cluster = Cluster::new(4, 43);
+        let mut w = Writer::new();
+        InstanceKey::Bc { tag: 5 }.encode(&mut w);
+        w.u8(0xff);
+        let stack = cluster.stack_mut(0);
+        assert!(stack.handle_frame(2, w.freeze()).is_empty(), "parked");
+        assert!(stack.metrics().suspicions().is_empty());
+        let step = stack.bc_propose(5, true).unwrap();
+        assert_eq!(
+            step.faults,
+            vec![Fault {
+                from: 2,
+                kind: FaultKind::Malformed
+            }]
+        );
+        let m = stack.metrics();
+        assert_eq!(m.faults_detected.get(), 1);
+        let suspicions = m.suspicions();
+        assert_eq!(suspicions.len(), 1);
+        assert_eq!(suspicions[0].peer, 2);
+        assert_eq!(suspicions[0].count(SuspicionKind::Malformed), 1);
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub enum FlightKind {
     LinkUp,
     /// A point-to-point link went down; `a` = session epoch.
     LinkDown,
-    /// The progress watchdog flagged a stall; `a` = outstanding work
-    /// items, `b` = budget in ns.
+    /// The node went stalled; `a` = ns without progress, `b` = budget
+    /// in ns.
     Stall,
     /// Byzantine evidence was attributed to `peer`; `a` = the
     /// [`crate::SuspicionKind`] index.

@@ -1275,7 +1275,7 @@ instruments! {
     /// Wipe-and-rejoin rounds completed (`WipeComplete` applied).
     rotation_rounds_total: Counter,
     /// Rotation slots deferred because the group was already degraded
-    /// (stall watchdog, suspicion pressure, or a stuck slot aborted).
+    /// (a stalled node, suspicion pressure, or a stuck slot aborted).
     rotation_deferrals_total: Counter,
     /// Current key epoch agreed through the replicated log.
     rotation_epoch: Gauge,

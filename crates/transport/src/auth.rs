@@ -93,8 +93,6 @@ struct RekeyConfig {
 pub struct AuthConfig {
     /// Pairwise keys for this process (dealt out-of-band, §2).
     keys: Vec<SecretKey>,
-    /// Whether replayed sequence numbers are rejected.
-    anti_replay: bool,
     /// First outbound sequence number minus one (0 = fresh association).
     initial_seq: u64,
     /// Epoch key refresh, when enabled.
@@ -114,7 +112,6 @@ impl AuthConfig {
         let view = table.view_of(me);
         AuthConfig {
             keys: (0..view.len()).map(|j| view.key_for(j)).collect(),
-            anti_replay: true,
             initial_seq: 0,
             rekey: None,
             metrics: Metrics::default(),
@@ -126,12 +123,6 @@ impl AuthConfig {
     /// `transport_mac_rejected`.
     pub fn with_metrics(mut self, metrics: Metrics) -> Self {
         self.metrics = metrics;
-        self
-    }
-
-    /// Disables anti-replay (used by tests that re-inject frames).
-    pub fn without_anti_replay(mut self) -> Self {
-        self.anti_replay = false;
         self
     }
 
@@ -518,11 +509,8 @@ impl<T: Transport> AuthenticatedTransport<T> {
             }
         }
 
-        if self.config.anti_replay {
-            let mut windows = unpoison(self.rx_replay.lock());
-            if !windows[from].accept(seq) {
-                return Err(Rejection::BadMac);
-            }
+        if !unpoison(self.rx_replay.lock())[from].accept(seq) {
+            return Err(Rejection::BadMac);
         }
 
         Ok(frame.slice(AH_OVERHEAD..))
@@ -730,24 +718,6 @@ mod tests {
         assert_eq!(b.recv().unwrap(), (0, Bytes::from_static(b"once")));
         assert_eq!(b.recv().unwrap(), (0, Bytes::from_static(b"end")));
         assert_eq!(b.rejected_frames(), 1);
-    }
-
-    #[test]
-    fn replay_allowed_when_disabled() {
-        let table = KeyTable::dealer(2, 5);
-        let mut hub = Hub::new(2);
-        let mut eps = hub.take_endpoints().into_iter();
-        let ep0 = eps.next().unwrap();
-        let b = AuthenticatedTransport::new(
-            eps.next().unwrap(),
-            AuthConfig::from_key_table(&table, 1).without_anti_replay(),
-        );
-        let a = AuthenticatedTransport::new(ep0, AuthConfig::from_key_table(&table, 0));
-        let sealed = a.seal(1, b"dup");
-        a.inner.send(1, sealed.clone()).unwrap();
-        a.inner.send(1, sealed).unwrap();
-        assert_eq!(b.recv().unwrap(), (0, Bytes::from_static(b"dup")));
-        assert_eq!(b.recv().unwrap(), (0, Bytes::from_static(b"dup")));
     }
 
     #[test]

@@ -54,35 +54,29 @@ const ACK_EVERY: u64 = 64;
 /// Bound on the buffered link-event queue (oldest dropped beyond it).
 const EVENT_QUEUE_CAP: usize = 1024;
 
-/// Master seed for the fallback session-handshake keys used when
-/// [`TcpConfig::keys`] is `None`. Shared by construction, so endpoints
-/// without dealt keys still complete the handshake — without dealt keys
-/// the resume handshake authenticates nothing, it only frames sessions.
-const UNKEYED_SEED: u64 = 0x5345_5353_494F_4E30; // "SESSION0"
+/// Per-write deadline on link sockets; a write that cannot complete
+/// within it marks the link down (and the frame is retransmitted after
+/// the session resumes).
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Tuning knobs for a [`TcpEndpoint`]'s session layer.
+/// Retransmission-buffer bound in payload bytes (per link).
+const TX_BUFFER_BYTES: usize = 32 * 1024 * 1024;
+
+/// Reconnect backoff delay bounds.
+const BACKOFF_MIN: Duration = Duration::from_millis(10);
+const BACKOFF_MAX: Duration = Duration::from_millis(500);
+
+/// Configuration of a [`TcpEndpoint`]'s session layer.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
-    /// Pairwise session-handshake keys, indexed by peer id (use the
-    /// `KeyTable` view of this process). `None` falls back to a fixed
-    /// shared key: handshakes still frame sessions but authenticate
-    /// nothing — fine for tests, not for deployment.
-    pub keys: Option<Vec<SecretKey>>,
-    /// Per-write deadline on link sockets; a write that cannot complete
-    /// within it marks the link down (and the frame is retransmitted
-    /// after the session resumes).
-    pub write_timeout: Duration,
+    /// Pairwise session-handshake keys, indexed by peer id: the resume
+    /// handshake is MAC-authenticated under them.
+    pub keys: Vec<SecretKey>,
     /// How long [`Transport::send`] may wait for retransmission-buffer
     /// space before giving up with [`TransportError::LinkDown`].
     pub send_block: Duration,
     /// Retransmission-buffer bound in frames (per link).
     pub tx_buffer_frames: usize,
-    /// Retransmission-buffer bound in payload bytes (per link).
-    pub tx_buffer_bytes: usize,
-    /// Minimum reconnect backoff delay.
-    pub backoff_min: Duration,
-    /// Maximum reconnect backoff delay.
-    pub backoff_max: Duration,
     /// Not a knob: the registry reconnects, retransmissions, duplicate
     /// drops, link-down transitions and outage spans are recorded in —
     /// the one the owner of the endpoint shares with the stack above it
@@ -90,16 +84,19 @@ pub struct TcpConfig {
     pub metrics: Metrics,
 }
 
-impl Default for TcpConfig {
-    fn default() -> Self {
+impl TcpConfig {
+    /// The config of process `me` over its row of a dealt [`KeyTable`],
+    /// with the default buffer bounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `me` is out of range for the table.
+    pub fn from_key_table(table: &KeyTable, me: ProcessId) -> Self {
+        let view = table.view_of(me);
         TcpConfig {
-            keys: None,
-            write_timeout: Duration::from_secs(2),
+            keys: (0..view.len()).map(|j| view.key_for(j)).collect(),
             send_block: Duration::from_secs(1),
             tx_buffer_frames: 4096,
-            tx_buffer_bytes: 32 * 1024 * 1024,
-            backoff_min: Duration::from_millis(10),
-            backoff_max: Duration::from_millis(500),
             metrics: Metrics::default(),
         }
     }
@@ -137,8 +134,6 @@ struct Shared {
     n: usize,
     addrs: Vec<SocketAddr>,
     cfg: TcpConfig,
-    /// Resolved handshake keys, one per peer (self index unused).
-    keys: Vec<SecretKey>,
     links: Vec<Option<LinkShared>>,
     /// Frames towards the receiving thread; `None` is the marker a
     /// [`Transport::wake`] queues to end a blocked wait.
@@ -253,7 +248,7 @@ fn install(
     peer_rx_cum: u64,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(None)?;
-    stream.set_write_timeout(Some(shared.cfg.write_timeout))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     let reader = stream.try_clone()?;
     let metrics = &shared.cfg.metrics;
     let link = shared.link(peer);
@@ -397,7 +392,7 @@ fn reader_loop(shared: Arc<Shared>, peer: ProcessId, mut stream: TcpStream, gene
 /// session. Exits when the endpoint closes or the link goes terminal.
 fn dial_supervisor(shared: Arc<Shared>, peer: ProcessId) {
     let seed = ((shared.me as u64) << 32) ^ (peer as u64) ^ 0x9E37_79B9_7F4A_7C15;
-    let mut backoff = Backoff::new(shared.cfg.backoff_min, shared.cfg.backoff_max, seed);
+    let mut backoff = Backoff::new(BACKOFF_MIN, BACKOFF_MAX, seed);
     loop {
         // Wait until the link needs (re)establishing.
         {
@@ -438,7 +433,7 @@ fn dial_once(shared: &Arc<Shared>, peer: ProcessId) -> std::io::Result<bool> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
     stream.set_write_timeout(Some(HANDSHAKE_TIMEOUT))?;
-    let key = &shared.keys[peer];
+    let key = &shared.cfg.keys[peer];
     let hello = Hello {
         from: shared.me,
         to: peer,
@@ -484,7 +479,7 @@ fn accept_handshake(shared: Arc<Shared>, stream: TcpStream) {
     if hello.to != shared.me || hello.from >= shared.me {
         return;
     }
-    let key = &shared.keys[hello.from];
+    let key = &shared.cfg.keys[hello.from];
     if !hello.verify(&mac, key, false) {
         return;
     }
@@ -535,11 +530,15 @@ fn acceptor_loop(shared: Arc<Shared>, listener: TcpListener) {
 /// # Example
 ///
 /// ```
-/// use ritas_transport::tcp::TcpEndpoint;
+/// use ritas_crypto::KeyTable;
+/// use ritas_transport::tcp::{TcpConfig, TcpEndpoint};
 /// use ritas_transport::Transport;
 /// use bytes::Bytes;
 ///
-/// let endpoints = TcpEndpoint::ephemeral_mesh(4, std::time::Duration::from_secs(5))?;
+/// let table = KeyTable::dealer(4, 7);
+/// let endpoints = TcpEndpoint::ephemeral_mesh(4, std::time::Duration::from_secs(5), |me| {
+///     TcpConfig::from_key_table(&table, me)
+/// })?;
 /// endpoints[0].send(1, Bytes::from_static(b"over tcp"))?;
 /// let (from, payload) = endpoints[1].recv()?;
 /// assert_eq!((from, payload.as_ref()), (0, &b"over tcp"[..]));
@@ -564,29 +563,18 @@ impl core::fmt::Debug for TcpEndpoint {
 impl TcpEndpoint {
     /// Establishes the mesh for process `me` using a pre-bound listener
     /// and the address list of all processes (`addrs[me]` must be the
-    /// listener's address). Blocks until every link is up or `timeout`
-    /// expires. Uses [`TcpConfig::default`] — see
-    /// [`TcpEndpoint::establish_with`] to supply session keys and tuning.
+    /// listener's address), with the session keys of `cfg`. Blocks until
+    /// every link is up or `timeout` expires.
     ///
     /// # Errors
     ///
     /// I/O errors from binding/dialing, or `TimedOut` if the mesh did not
     /// come up in time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `me` is out of range or `cfg` holds no key per process.
     pub fn establish(
-        me: ProcessId,
-        listener: TcpListener,
-        addrs: &[SocketAddr],
-        timeout: Duration,
-    ) -> std::io::Result<Self> {
-        Self::establish_with(me, listener, addrs, timeout, TcpConfig::default())
-    }
-
-    /// [`TcpEndpoint::establish`] with an explicit [`TcpConfig`].
-    ///
-    /// # Errors
-    ///
-    /// As [`TcpEndpoint::establish`].
-    pub fn establish_with(
         me: ProcessId,
         listener: TcpListener,
         addrs: &[SocketAddr],
@@ -595,19 +583,10 @@ impl TcpEndpoint {
     ) -> std::io::Result<Self> {
         let n = addrs.len();
         assert!(me < n, "me out of range");
-        if let Some(keys) = &cfg.keys {
-            assert_eq!(keys.len(), n, "need one session key slot per process");
-        }
+        assert_eq!(cfg.keys.len(), n, "need one session key per process");
         let deadline = Instant::now() + timeout;
         listener.set_nonblocking(true)?;
 
-        let keys = match &cfg.keys {
-            Some(keys) => keys.clone(),
-            None => {
-                let view = KeyTable::dealer(n, UNKEYED_SEED).view_of(me);
-                (0..n).map(|j| view.key_for(j)).collect()
-            }
-        };
         let (inbound_tx, inbound_rx) = sync_channel(64 * 1024);
         let links = (0..n)
             .map(|peer| {
@@ -615,7 +594,7 @@ impl TcpEndpoint {
                     core: Mutex::new(LinkCore {
                         state: LinkState::Reconnecting,
                         writer: None,
-                        buf: RetransmitBuffer::new(cfg.tx_buffer_frames, cfg.tx_buffer_bytes),
+                        buf: RetransmitBuffer::new(cfg.tx_buffer_frames, TX_BUFFER_BYTES),
                         tx_seq: 0,
                         rx_cum: 0,
                         last_ack_sent: 0,
@@ -632,7 +611,6 @@ impl TcpEndpoint {
             n,
             addrs: addrs.to_vec(),
             cfg,
-            keys,
             links,
             inbound_tx,
             woken: AtomicBool::new(false),
@@ -675,23 +653,13 @@ impl TcpEndpoint {
     }
 
     /// Test/demo convenience: builds a complete `n`-process mesh over
-    /// ephemeral localhost ports, returning one endpoint per process.
+    /// ephemeral localhost ports, process `me` configured by
+    /// `config_for(me)`, returning one endpoint per process.
     ///
     /// # Errors
     ///
     /// Propagates any bind/connect failure.
-    pub fn ephemeral_mesh(n: usize, timeout: Duration) -> std::io::Result<Vec<TcpEndpoint>> {
-        Self::ephemeral_mesh_with(n, timeout, |_| TcpConfig::default())
-    }
-
-    /// [`TcpEndpoint::ephemeral_mesh`] with a per-process [`TcpConfig`]
-    /// (e.g. to hand each endpoint its `KeyTable` view for authenticated
-    /// session resumes).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any bind/connect failure.
-    pub fn ephemeral_mesh_with(
+    pub fn ephemeral_mesh(
         n: usize,
         timeout: Duration,
         config_for: impl Fn(ProcessId) -> TcpConfig,
@@ -710,7 +678,7 @@ impl TcpEndpoint {
                 let addrs = addrs.clone();
                 let cfg = config_for(me);
                 std::thread::spawn(move || {
-                    TcpEndpoint::establish_with(me, listener, &addrs, timeout, cfg)
+                    TcpEndpoint::establish(me, listener, &addrs, timeout, cfg)
                 })
             })
             .collect();
@@ -934,9 +902,18 @@ mod tests {
 
     /// A mesh whose endpoints all count into `metrics`.
     fn mesh_counting(n: usize, metrics: Metrics) -> Vec<TcpEndpoint> {
-        TcpEndpoint::ephemeral_mesh_with(n, Duration::from_secs(10), |_| TcpConfig {
+        mesh_with(n, |cfg| TcpConfig {
             metrics: metrics.clone(),
-            ..TcpConfig::default()
+            ..cfg
+        })
+    }
+
+    /// A mesh over keys dealt from a test seed, each endpoint's config
+    /// adjusted by `tune`.
+    fn mesh_with(n: usize, tune: impl Fn(TcpConfig) -> TcpConfig) -> Vec<TcpEndpoint> {
+        let table = KeyTable::dealer(n, 99);
+        TcpEndpoint::ephemeral_mesh(n, Duration::from_secs(10), |me| {
+            tune(TcpConfig::from_key_table(&table, me))
         })
         .expect("mesh")
     }
@@ -1191,13 +1168,11 @@ mod tests {
 
     #[test]
     fn backpressure_surfaces_link_down_when_buffer_fills() {
-        let cfg = TcpConfig {
+        let eps = mesh_with(2, |cfg| TcpConfig {
             tx_buffer_frames: 8,
             send_block: Duration::from_millis(50),
-            ..TcpConfig::default()
-        };
-        let eps = TcpEndpoint::ephemeral_mesh_with(2, Duration::from_secs(10), |_| cfg.clone())
-            .expect("mesh");
+            ..cfg
+        });
         // Sever the peer's acceptor too so the link cannot heal, then
         // fill the bounded buffer.
         eps[1].close();
@@ -1212,13 +1187,7 @@ mod tests {
 
     #[test]
     fn keyed_session_resume_works_end_to_end() {
-        use ritas_crypto::KeyTable;
-        let table = KeyTable::dealer(2, 99);
-        let eps = TcpEndpoint::ephemeral_mesh_with(2, Duration::from_secs(10), |me| TcpConfig {
-            keys: Some((0..2).map(|j| table.view_of(me).key_for(j)).collect()),
-            ..TcpConfig::default()
-        })
-        .expect("mesh");
+        let eps = mesh(2);
         let chaos = eps[0].chaos_handle();
         eps[0].send(1, Bytes::from_static(b"before")).unwrap();
         assert!(chaos.kill_link(1));
@@ -1242,6 +1211,8 @@ mod tests {
         let fake_addr = listener.local_addr().unwrap();
         let honest_listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let honest_addr = honest_listener.local_addr().unwrap();
+        let table = KeyTable::dealer(2, 99);
+        let key = table.view_of(1).key_for(0);
         // Honest endpoint is process 0; the fake peer is process 1, so
         // process 0 dials it.
         let fake = std::thread::spawn(move || {
@@ -1250,8 +1221,6 @@ mod tests {
             let mut buf = [0u8; HELLO_LEN];
             s.read_exact(&mut buf).unwrap();
             let (hello, _) = Hello::parse(&buf, false).unwrap();
-            let view = KeyTable::dealer(2, UNKEYED_SEED).view_of(1);
-            let key = view.key_for(0);
             let hello_ack = Hello {
                 from: 1,
                 to: 0,
@@ -1269,6 +1238,7 @@ mod tests {
             honest_listener,
             &[honest_addr, fake_addr],
             Duration::from_secs(10),
+            TcpConfig::from_key_table(&table, 0),
         )
         .unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);

@@ -7,8 +7,8 @@
 //!
 //! All four endpoints live in this OS process for the demo, but each
 //! speaks length-prefixed frames over a genuine localhost socket; for a
-//! multi-host deployment, establish `TcpEndpoint`s with your address
-//! list and hand them to `Node::spawn`.
+//! multi-host deployment, establish a `TcpEndpoint` with your address
+//! list and hand it to `Node::new` (as the `ritas-node` binary does).
 
 use bytes::Bytes;
 use ritas::node::{Node, SessionConfig};

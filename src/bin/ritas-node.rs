@@ -23,11 +23,9 @@
 //! broadcast; deliveries are printed as they arrive in the total order.
 
 use bytes::Bytes;
-use ritas::node::Node;
-use ritas::stack::Stack;
-use ritas::Group;
+use ritas::node::{Node, SessionConfig};
 use ritas_crypto::KeyTable;
-use ritas_transport::{AuthConfig, AuthenticatedTransport, TcpEndpoint};
+use ritas_transport::{TcpConfig, TcpEndpoint};
 use std::io::BufRead;
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
@@ -115,31 +113,26 @@ fn main() {
 
 fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
     let n = args.peers.len();
-    let group = Group::new(n)?;
-    let table = KeyTable::dealer(n, args.seed);
+    let mut config = SessionConfig::new(n)?.with_master_seed(args.seed);
+    if !args.auth {
+        config = config.without_authentication();
+    }
+    // The session-resume handshake is keyed by the same dealt pairwise
+    // keys as the AH layer, with or without it.
+    let session_keys = TcpConfig::from_key_table(&KeyTable::dealer(n, args.seed), args.me);
 
     eprintln!("[p{}] binding {}", args.me, args.peers[args.me]);
     let listener = TcpListener::bind(args.peers[args.me])?;
     eprintln!("[p{}] establishing mesh with {} peers…", args.me, n - 1);
-    let endpoint = TcpEndpoint::establish(args.me, listener, &args.peers, args.connect_timeout)?;
-    eprintln!("[p{}] mesh up (auth: {})", args.me, args.auth);
-
-    let stack = Stack::new(
-        group,
+    let endpoint = TcpEndpoint::establish(
         args.me,
-        table.view_of(args.me),
-        args.seed
-            .wrapping_mul(0xA076_1D64_78BD_642F)
-            .wrapping_add(args.me as u64),
-    );
-    let node = if args.auth {
-        Node::spawn(
-            AuthenticatedTransport::new(endpoint, AuthConfig::from_key_table(&table, args.me)),
-            stack,
-        )
-    } else {
-        Node::spawn(endpoint, stack)
-    };
+        listener,
+        &args.peers,
+        args.connect_timeout,
+        session_keys,
+    )?;
+    eprintln!("[p{}] mesh up (auth: {})", args.me, args.auth);
+    let node = Node::new(&config, args.me, endpoint)?;
 
     match args.burst {
         Some(k) => run_burst(&node, args.me, n, k),

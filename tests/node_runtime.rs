@@ -4,6 +4,7 @@
 
 use bytes::Bytes;
 use ritas::node::{Node, NodeError, SessionConfig};
+use ritas_metrics::FlightKind;
 use std::time::Duration;
 
 /// Runs `body` on every node of a fresh cluster, in parallel threads.
@@ -272,10 +273,14 @@ fn tcp_delivery_resumes_after_link_sever_mid_run() {
     }
 
     // The runtime observed the outage on the severed link.
-    let events = nodes[0].take_link_events();
+    let m = nodes[0].metrics();
+    assert!(m.transport_link_down_total.get() >= 1, "no link went down");
+    let events = m.flight().events();
     assert!(
-        events.iter().any(|e| e.peer == 1),
-        "node 0 saw no link event for peer 1: {events:?}"
+        events
+            .iter()
+            .any(|e| e.kind == FlightKind::LinkDown && e.peer == 1),
+        "node 0 recorded no outage of its link to peer 1"
     );
     for node in nodes {
         node.shutdown();
