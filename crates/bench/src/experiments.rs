@@ -5,9 +5,9 @@
 
 use crate::{Args, PAPER_TABLE1};
 use bytes::Bytes;
-use ritas::bc::StepTransport;
+use ritas::bc::Profile;
 use ritas::mvc::{MvcConfig, VectTransport};
-use ritas::stack::{CoinPolicy, Stack, StackStep};
+use ritas::stack::{Stack, StackStep};
 use ritas::testing::{Cluster, Schedule};
 use ritas_sim::cluster::{Action, SimCluster, SimConfig};
 use ritas_sim::harness::{
@@ -202,27 +202,27 @@ fn transport_ablation(
     writeln!(out)
 }
 
-/// **Ablation A1**: the transport of binary consensus step broadcasts.
-/// The paper (§2.4) describes binary consensus over "the underlying
-/// reliable broadcast" yet reports one-round decisions as "three
-/// communication steps" — suggesting one fan-out per step protected by
-/// the validation rule. `ReliableBroadcast` is a full Bracha broadcast
-/// per step (safe against equivocation inside a step), `PlainFanout` one
-/// authenticated fan-out (crash-fault safe only).
+/// **Ablation A1**: the binary consensus of the two profiles. `paper` is
+/// Bracha's as the paper describes it (§2.4): three steps per round, each
+/// step value carried by "the underlying reliable broadcast". `lean` is
+/// BV-broadcast + `AUX` as plain fan-outs on the dealt common coin — what
+/// the node runtime and the service tier run. Both tolerate `f < n/3`
+/// Byzantine processes.
 pub(crate) fn a1(args: &Args, out: &mut dyn Write) -> io::Result<()> {
-    let variants = [StepTransport::ReliableBroadcast, StepTransport::PlainFanout].map(|t| {
+    let variants = [Profile::Paper, Profile::Lean].map(|profile| {
         let mvc = MvcConfig {
-            bc_transport: t,
+            profile,
             ..MvcConfig::default()
         };
-        (format!("{t:?}"), mvc)
+        (profile.to_string(), mvc)
     });
-    let header = "   n           step transport   latency (us)     vs rbc";
+    let header = "   n  profile   latency (us)   vs paper";
     let bc = ProtocolUnderTest::BinaryConsensus;
-    transport_ablation(args, out, bc, (header, 24, 9), 7919, variants)?;
+    transport_ablation(args, out, bc, (header, 8, 9), 7919, variants)?;
     writeln!(
         out,
-        "note: PlainFanout tolerates crash faults only; the library default is ReliableBroadcast"
+        "note: both are Byzantine-safe; lean's common coin is one every member can compute\n\
+         (ROADMAP item 8), which costs liveness against a scheduler that is also a member"
     )
 }
 
@@ -377,24 +377,28 @@ pub(crate) fn x3(args: &Args, out: &mut dyn Write) -> io::Result<()> {
 }
 
 /// **Extension X4**: decided-round histogram of randomized binary
-/// consensus under Ben-Or local coins vs Rabin-style shared coins (§5),
-/// over many seeded runs with *divergent* proposals (2 vs 2, no initial
-/// majority) — the hard case: unanimity decides in round 1 regardless
-/// of coins.
+/// consensus in both profiles — Bracha's with Ben-Or local coins (§2.4)
+/// and the lean one with the common coin dealt with the keys (a
+/// Rabin-style coin, §5) — over many seeded runs with *divergent*
+/// proposals (2 vs 2, no initial majority), the hard case.
 pub(crate) fn x4(args: &Args, out: &mut dyn Write) -> io::Result<()> {
     let runs = args.runs.max(100);
     writeln!(
         out,
         "binary consensus decided-round distribution, {runs} runs, split 2-2 proposals\n"
     )?;
-    for (label, policy) in [
-        ("Ben-Or local coins", CoinPolicy::Local),
-        ("Rabin shared coins", CoinPolicy::Shared { dealer_seed: 77 }),
+    for (label, profile) in [
+        ("Bracha, local coins", Profile::Paper),
+        ("lean, dealt coin", Profile::Lean),
     ] {
+        let mvc = MvcConfig {
+            profile,
+            ..MvcConfig::default()
+        };
         let mut histogram = std::collections::BTreeMap::<u32, u32>::new();
         for i in 0..runs {
             let seed = args.seed.wrapping_add(i as u64 * 131);
-            let sim = simulate(SimConfig::paper_testbed(seed).with_coin(policy), |p| {
+            let sim = simulate(SimConfig::paper_testbed(seed).with_mvc(mvc), |p| {
                 let value = p % 2 == 0;
                 vec![Action::BcPropose { tag: 1, value }]
             });
@@ -413,10 +417,15 @@ pub(crate) fn x4(args: &Args, out: &mut dyn Write) -> io::Result<()> {
     }
     writeln!(
         out,
-        "\nthe paper's observation holds: despite the 2^(n-f) worst case, realistic\n\
-         schedules decide almost always in round 1 even for split proposals, because\n\
-         symmetric delivery makes the step-1 majority common; the shared coin removes\n\
-         the residual multi-round tail."
+        "\nBracha's keeps the paper's observation: despite the 2^(n-f) worst case, the\n\
+         symmetric LAN decides in round 1 even for split proposals, because delivery\n\
+         order makes the step-1 majority common. The lean one never does: a 2-2 split\n\
+         BV-delivers both values everywhere, so round 1 ends with est = coin(1) = 1,\n\
+         round 2 holds {{1}} against the fixed coin(2) = 0, and from round 3 on each\n\
+         round decides when the common coin comes up 1 — a geometric tail. At 2 message\n\
+         delays and at most 3n² frames a round (2n² EST + AUX, n² relays) against\n\
+         Bracha's 9 and 3n(n + 2n²), the lean mean still costs fewer of both than\n\
+         Bracha's single round."
     )
 }
 
@@ -431,9 +440,12 @@ pub(crate) fn x4(args: &Args, out: &mut dyn Write) -> io::Result<()> {
 /// * echo broadcast: `n + n + (f + 1)·n` (INIT fan-out, n VECT unicasts,
 ///   and the sender's MAT columns — a first set once n − f rows are in,
 ///   one more set for each of the f rows that arrive after it);
-/// * binary consensus (RBC per step): `3 · n · (n + 2n²)` per round; all
-///   decide in round 1 and a decided instance sends nothing of round 2
-///   unless another process asks for it, so one round is the count;
+/// * binary consensus, `paper` (RBC per step): `3 · n · (n + 2n²)` per
+///   round; all decide in round 1 and a decided instance sends nothing of
+///   round 2 unless another process asks for it, so one round is the
+///   count;
+/// * binary consensus, `lean`: `2n²` (one `EST` and one `AUX` fan-out per
+///   process; a unanimous 1 decides in round 1 and nobody names round 2);
 /// * multi-valued consensus: n INIT reliable broadcasts + n VECT echo
 ///   broadcasts + one binary consensus;
 /// * vector consensus: n proposal reliable broadcasts + one multi-valued
@@ -445,13 +457,17 @@ pub(crate) fn x5(args: &Args, out: &mut dyn Write) -> io::Result<()> {
         let f = (n - 1) / 3;
         let rb = n + 2 * n * n;
         let eb = n + n + (f + 1) * n;
-        let bc = 3 * n * rb;
-        let mvc = n * rb + n * eb + bc;
-        // (protocol, closed form, how many processes start it, how)
+        // Per profile: binary consensus, then multi-valued consensus.
+        let bc = [3 * n * rb, 2 * n * n];
+        let mvc = bc.map(|bc| n * rb + n * eb + bc);
+        // (protocol, closed form per profile, how many processes start
+        // it, how)
         type Start<'a> = &'a dyn Fn(&mut Stack) -> StackStep;
-        let protocols: [(&str, u64, u64, Start); 6] = [
-            ("Echo Broadcast", eb, 1, &|s| s.eb_broadcast(payload()).1),
-            ("Reliable Broadcast", rb, 1, &|s| {
+        let protocols: [(&str, [u64; 2], u64, Start); 6] = [
+            ("Echo Broadcast", [eb; 2], 1, &|s| {
+                s.eb_broadcast(payload()).1
+            }),
+            ("Reliable Broadcast", [rb; 2], 1, &|s| {
                 s.rb_broadcast(payload()).1
             }),
             ("Binary Consensus", bc, n, &|s| {
@@ -460,44 +476,61 @@ pub(crate) fn x5(args: &Args, out: &mut dyn Write) -> io::Result<()> {
             ("Multi-valued Consensus", mvc, n, &|s| {
                 s.mvc_propose(1, payload()).unwrap()
             }),
-            ("Vector Consensus", n * rb + mvc, n, &|s| {
+            ("Vector Consensus", mvc.map(|mvc| n * rb + mvc), n, &|s| {
                 s.vc_propose(1, payload()).unwrap()
             }),
-            ("Atomic Broadcast", rb + n * rb + mvc, 1, &|s| {
-                s.ab_broadcast(0, payload()).1
-            }),
+            (
+                "Atomic Broadcast",
+                mvc.map(|mvc| rb + n * rb + mvc),
+                1,
+                &|s| s.ab_broadcast(0, payload()).1,
+            ),
         ];
         writeln!(
             out,
             "message complexity per isolated instance, n = {n}, failure-free\n"
         )?;
-        writeln!(out, "protocol                     frames  closed form")?;
-        for (name, form, starters, start) in protocols {
-            let mut cluster = Cluster::new(n as usize, 1);
-            // In send order every process sees the same first n − f proposals, so
-            // vector consensus needs one multi-valued consensus; under another
-            // schedule views can differ and it runs a second one (n = 7, random).
-            cluster.set_schedule(Schedule::Fifo);
-            for p in 0..n as usize {
-                cluster.stack_mut(p).set_metrics(args.metrics.clone());
+        writeln!(out, "{:<24} {:>23} {:>23}", "", "paper", "lean")?;
+        let (frames, form) = ("frames", "closed form");
+        writeln!(
+            out,
+            "{:<24} {frames:>10} {form:>12} {frames:>10} {form:>12}",
+            "protocol"
+        )?;
+        for (name, forms, starters, start) in protocols {
+            write!(out, "{name:<24}")?;
+            for (profile, form) in [Profile::Paper, Profile::Lean].into_iter().zip(forms) {
+                let mut cluster = Cluster::with_profile(n as usize, 1, profile);
+                // In send order every process sees the same first n − f
+                // proposals, so vector consensus needs one multi-valued
+                // consensus; under another schedule views can differ and
+                // it runs a second one (n = 7, random).
+                cluster.set_schedule(Schedule::Fifo);
+                for p in 0..n as usize {
+                    cluster.stack_mut(p).set_metrics(args.metrics.clone());
+                }
+                for p in 0..starters as usize {
+                    let step = start(cluster.stack_mut(p));
+                    cluster.absorb(p, step);
+                }
+                cluster.run();
+                let frames = cluster.delivered_frames();
+                write!(out, " {frames:>10} {form:>12}")?;
+                let what = format!("{name} ({profile}) at n = {n}");
+                assert!(!cluster.outputs(0).is_empty(), "{what} did not complete");
+                assert_eq!(frames, form, "{what}: frame count drifted");
             }
-            for p in 0..starters as usize {
-                let step = start(cluster.stack_mut(p));
-                cluster.absorb(p, step);
-            }
-            cluster.run();
-            let frames = cluster.delivered_frames();
-            writeln!(out, "{name:<24} {frames:>10} {form:>12}")?;
-            assert!(!cluster.outputs(0).is_empty(), "{name} did not complete");
-            assert_eq!(frames, form, "{name} frame count drifted at n = {n}");
+            writeln!(out)?;
         }
         writeln!(out)?;
     }
     writeln!(
         out,
-        "the O(n³)-per-round binary consensus dominates every composite — which is\n\
-         why the paper's 'dilute agreements across a burst' observation (Figure 7)\n\
-         matters so much in practice."
+        "the paper's O(n³)-per-round binary consensus dominates every composite —\n\
+         which is why its 'dilute agreements across a burst' observation (Figure 7)\n\
+         matters so much in practice. The lean one costs 2n² frames, and what an\n\
+         agreement pays for is then the n INIT reliable broadcasts and n VECT echo\n\
+         broadcasts of its multi-valued consensus (ROADMAP item 3)."
     )
 }
 

@@ -45,6 +45,7 @@
 //! paper's per-message protocol exactly (the simulator uses it to
 //! reproduce Figures 4–7).
 
+use crate::bc::Coins;
 use crate::codec::{Reader, WireError, WireMessage, Writer};
 use crate::ctx::Ctx;
 use crate::mvc::{MultiValuedConsensus, MvcConfig, MvcMessage, MvcValue};
@@ -53,7 +54,6 @@ use crate::recovery::milestones;
 use crate::step::{FaultKind, Step};
 use crate::ProcessId;
 use bytes::Bytes;
-use ritas_crypto::DeterministicCoin;
 use ritas_metrics::{FlightKind, Layer, SpanAnnotation};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt::{self, Write as _};
@@ -487,7 +487,7 @@ pub struct AtomicBroadcast {
     /// (with `/vect:{origin}` and `/mvc` children).
     ctx: Ctx,
     config: AbConfig,
-    coin_seed: u64,
+    coins: Coins,
     /// Next rbid for our own a-broadcast *commands*.
     next_rbid: u64,
     /// Next sequence number for our own dissemination batches.
@@ -564,14 +564,14 @@ impl core::fmt::Debug for AtomicBroadcast {
 impl AtomicBroadcast {
     /// Creates a session.
     ///
-    /// `coin_seed` seeds the per-round consensus coins deterministically;
-    /// pass entropy in production, a fixed seed for reproducible runs.
-    pub fn new(ctx: Ctx, coin_seed: u64, config: AbConfig) -> Self {
+    /// Each agreement round's binary consensus flips its own coins of
+    /// `coins` ([`Coins::round`]).
+    pub fn new(ctx: Ctx, coins: Coins, config: AbConfig) -> Self {
         let n = ctx.group.n();
         AtomicBroadcast {
             ctx,
             config,
-            coin_seed,
+            coins,
             next_rbid: 0,
             next_batch: 0,
             queue: VecDeque::new(),
@@ -1010,13 +1010,9 @@ impl AtomicBroadcast {
     /// The MVC instance of `round`, created on first use.
     fn agreement_instance(&mut self, round: u32) -> &mut MultiValuedConsensus {
         self.agreements.entry(round).or_insert_with(|| {
-            let seed = self
-                .coin_seed
-                .wrapping_mul(0x9E3779B97F4A7C15)
-                .wrapping_add(round as u64);
             MultiValuedConsensus::new(
                 self.ctx.child(Layer::Mvc, |f| write!(f, "r:{round}/mvc")),
-                Box::new(DeterministicCoin::new(seed)),
+                self.coins.round(round),
                 self.config.mvc,
             )
         })
@@ -1384,6 +1380,10 @@ mod tests {
 
     type AbNet = Net<AtomicBroadcast>;
 
+    fn coins(local: u64) -> Coins {
+        Coins { local, nonce: 6 }
+    }
+
     fn ab_net(n: usize, seed: u64) -> AbNet {
         ab_net_with(n, seed, |_| AbConfig::default())
     }
@@ -1394,7 +1394,13 @@ mod tests {
         config: impl Fn(ProcessId) -> AbConfig,
     ) -> Vec<AtomicBroadcast> {
         (0..n)
-            .map(|me| AtomicBroadcast::new(ctx(n, me, seed), seed ^ (me as u64) << 16, config(me)))
+            .map(|me| {
+                AtomicBroadcast::new(
+                    ctx(n, me, seed),
+                    coins(seed ^ (me as u64) << 16),
+                    config(me),
+                )
+            })
             .collect()
     }
 
@@ -1670,7 +1676,7 @@ mod tests {
 
     #[test]
     fn resumed_session_jumps_to_a_round_f_plus_1_peers_reached() {
-        let mut ab = AtomicBroadcast::new(ctx(4, 0, 0), 1, AbConfig::default());
+        let mut ab = AtomicBroadcast::new(ctx(4, 0, 0), coins(1), AbConfig::default());
         ab.resume(&AbCursor {
             round: 2,
             a_delivered: vec![0; 4],
@@ -1798,7 +1804,7 @@ mod tests {
 
     #[test]
     fn far_future_round_rejected() {
-        let mut ab = AtomicBroadcast::new(ctx(4, 0, 0), 1, AbConfig::default());
+        let mut ab = AtomicBroadcast::new(ctx(4, 0, 0), coins(1), AbConfig::default());
         let step = ab.handle_message(
             1,
             AbMessage::Vect {
@@ -2037,7 +2043,7 @@ mod tests {
             batch: policy,
             ..AbConfig::default()
         };
-        let mut ab = AtomicBroadcast::new(ctx(4, 0, 0), 1, config);
+        let mut ab = AtomicBroadcast::new(ctx(4, 0, 0), coins(1), config);
         ab.set_now(10);
         // First command flushes immediately (idle window)…
         let (_, step) = ab.broadcast(Bytes::from_static(b"a"));

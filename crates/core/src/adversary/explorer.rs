@@ -3,7 +3,8 @@
 //! Each point of the cross-product is a [`RunSpec`]: one corrupt process
 //! running a [`super::StrategyKind`] against a standard workload that
 //! exercises every layer of the stack (RB, EB, BC, MVC, VC, AB) inside a
-//! seeded [`Cluster`], under one delivery [`Schedule`]. The paper's
+//! seeded [`Cluster`] of either [`Profile`], under one delivery
+//! [`Schedule`]. The paper's
 //! safety predicates ([`InvariantChecker`]) are checked after **every**
 //! scheduler step, so the first violating step is also the minimal step
 //! budget that exposes the bug.
@@ -14,6 +15,7 @@
 //! [`shrink`] binary-searches the smallest step budget that still fails.
 
 use super::StrategyKind;
+use crate::bc::Profile;
 use crate::invariants::{InvariantChecker, Violation};
 use crate::testing::{Cluster, Schedule};
 use bytes::Bytes;
@@ -23,6 +25,8 @@ use bytes::Bytes;
 pub struct RunSpec {
     /// Group size (the corrupt process is always `n − 1`).
     pub n: usize,
+    /// Which binary consensus every stack runs.
+    pub profile: Profile,
     /// The Byzantine strategy under test.
     pub strategy: StrategyKind,
     /// The delivery schedule.
@@ -38,8 +42,9 @@ impl RunSpec {
     pub fn replay_command(&self) -> String {
         format!(
             "cargo run --release -p ritas-sim --bin adversary_explorer -- \
-             --n {} --strategies {} --schedules {} --seed-base {} --seeds 1 --max-steps {}",
-            self.n, self.strategy, self.schedule, self.seed, self.max_steps
+             --n {} --profiles {} --strategies {} --schedules {} --seed-base {} --seeds 1 \
+             --max-steps {}",
+            self.n, self.profile, self.strategy, self.schedule, self.seed, self.max_steps
         )
     }
 }
@@ -135,17 +140,18 @@ fn seed_workload(cluster: &mut Cluster, checker: &mut InvariantChecker, attacker
     }
 }
 
-/// The cluster of one run — process `n − 1` corrupt, running `strategy`
-/// if one is given, the standard workload in flight — and the checker
-/// that knows what the correct processes said.
+/// The cluster of one run — `profile` stacks, process `n − 1` corrupt,
+/// running `strategy` if one is given, the standard workload in flight —
+/// and the checker that knows what the correct processes said.
 fn prepare(
     n: usize,
+    profile: Profile,
     schedule: Schedule,
     seed: u64,
     strategy: Option<StrategyKind>,
 ) -> (Cluster, InvariantChecker) {
     let attacker = n - 1;
-    let mut cluster = Cluster::new(n, seed);
+    let mut cluster = Cluster::with_profile(n, seed, profile);
     cluster.set_schedule(schedule);
     if let Some(strategy) = strategy {
         cluster.set_strategy(attacker, strategy.build(seed ^ 0xAD5E_CA11));
@@ -169,7 +175,7 @@ pub fn write_forensics(
     spec: &RunSpec,
     dir: &std::path::Path,
 ) -> std::io::Result<Vec<std::path::PathBuf>> {
-    let (mut cluster, _) = prepare(spec.n, spec.schedule, spec.seed, Some(spec.strategy));
+    let (mut cluster, _) = spec_cluster(spec);
     let mut steps = 0u64;
     while steps < spec.max_steps && cluster.step() {
         steps += 1;
@@ -188,11 +194,16 @@ pub fn write_forensics(
     Ok(written)
 }
 
+fn spec_cluster(spec: &RunSpec) -> (Cluster, InvariantChecker) {
+    let strategy = Some(spec.strategy);
+    prepare(spec.n, spec.profile, spec.schedule, spec.seed, strategy)
+}
+
 /// Executes one run: builds the cluster, installs the strategy on
 /// process `n − 1`, seeds the workload, then steps the scheduler under
 /// the budget, checking every safety predicate after each step.
 pub fn run_spec(spec: &RunSpec) -> RunOutcome {
-    let (mut cluster, mut checker) = prepare(spec.n, spec.schedule, spec.seed, Some(spec.strategy));
+    let (mut cluster, mut checker) = spec_cluster(spec);
     if let Err(v) = checker.check_cluster(&cluster) {
         return RunOutcome {
             steps: 0,
@@ -243,6 +254,8 @@ pub fn shrink(spec: &RunSpec, violating_step: u64) -> u64 {
 pub struct SweepConfig {
     /// Group size.
     pub n: usize,
+    /// Profiles to run.
+    pub profiles: Vec<Profile>,
     /// Strategies to run.
     pub strategies: Vec<StrategyKind>,
     /// Schedules to run.
@@ -285,37 +298,47 @@ pub struct SweepReport {
 /// Sweeps the full cross-product, collecting every violation.
 pub fn sweep(cfg: &SweepConfig) -> SweepReport {
     let mut report = SweepReport::default();
-    for strategy in &cfg.strategies {
-        for schedule in &cfg.schedules {
-            for seed in &cfg.seeds {
-                let spec = RunSpec {
-                    n: cfg.n,
-                    strategy: *strategy,
-                    schedule: *schedule,
-                    seed: *seed,
-                    max_steps: cfg.max_steps,
-                };
-                let outcome = run_spec(&spec);
-                report.runs += 1;
-                report.total_steps += outcome.steps;
-                if let Some((step, violation)) = outcome.violation {
-                    let shrunk_steps = cfg.shrink.then(|| shrink(&spec, step));
-                    let replay_spec = RunSpec {
-                        max_steps: shrunk_steps.unwrap_or(step),
-                        ..spec
+    for profile in &cfg.profiles {
+        for strategy in &cfg.strategies {
+            for schedule in &cfg.schedules {
+                for seed in &cfg.seeds {
+                    let spec = RunSpec {
+                        n: cfg.n,
+                        profile: *profile,
+                        strategy: *strategy,
+                        schedule: *schedule,
+                        seed: *seed,
+                        max_steps: cfg.max_steps,
                     };
-                    report.violations.push(ViolationReport {
-                        spec,
-                        step,
-                        shrunk_steps,
-                        violation,
-                        replay: replay_spec.replay_command(),
-                    });
+                    report.run(&spec, cfg.shrink);
                 }
             }
         }
     }
     report
+}
+
+impl SweepReport {
+    /// Runs `spec` into this report.
+    fn run(&mut self, spec: &RunSpec, shrink_violations: bool) {
+        let outcome = run_spec(spec);
+        self.runs += 1;
+        self.total_steps += outcome.steps;
+        if let Some((step, violation)) = outcome.violation {
+            let shrunk_steps = shrink_violations.then(|| shrink(spec, step));
+            let replay_spec = RunSpec {
+                max_steps: shrunk_steps.unwrap_or(step),
+                ..*spec
+            };
+            self.violations.push(ViolationReport {
+                spec: *spec,
+                step,
+                shrunk_steps,
+                violation,
+                replay: replay_spec.replay_command(),
+            });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -326,6 +349,7 @@ mod tests {
     fn spec(strategy: StrategyKind, seed: u64) -> RunSpec {
         RunSpec {
             n: 4,
+            profile: Profile::Paper,
             strategy,
             schedule: Schedule::Random,
             seed,
@@ -348,6 +372,7 @@ mod tests {
         let cmd = s.replay_command();
         for needle in [
             "--n 4",
+            "--profiles paper",
             "--strategies conflicting-vectors",
             "--schedules random",
             "--seed-base 17",
@@ -362,20 +387,30 @@ mod tests {
         // Sanity: the standard workload drains well within the budget on
         // an honest-but-silent adversary slot (random mutation can drop
         // everything, so use the weakest strategy here).
-        let out = run_spec(&spec(StrategyKind::Silence, 1));
-        assert!(out.violation.is_none(), "violation: {:?}", out.violation);
-        assert!(
-            out.steps > 100,
-            "workload actually ran ({} steps)",
-            out.steps
-        );
-        assert!(out.steps < 200_000, "drained before the budget");
+        for profile in [Profile::Paper, Profile::Lean] {
+            let out = run_spec(&RunSpec {
+                profile,
+                ..spec(StrategyKind::Silence, 1)
+            });
+            assert!(out.violation.is_none(), "violation: {:?}", out.violation);
+            assert!(
+                out.steps > 100,
+                "workload actually ran ({} steps)",
+                out.steps
+            );
+            assert!(out.steps < 200_000, "drained before the budget");
+        }
     }
 
-    /// Runs the standard workload to quiescence (attacker slot = 3,
-    /// optionally with a strategy installed there).
-    fn drained_cluster(strategy: Option<StrategyKind>, schedule: Schedule, seed: u64) -> Cluster {
-        let (mut cluster, _) = prepare(4, schedule, seed, strategy);
+    /// Runs the standard workload on `profile` stacks to quiescence
+    /// (attacker slot = 3, optionally with a strategy installed there).
+    fn drained_cluster(
+        profile: Profile,
+        strategy: Option<StrategyKind>,
+        schedule: Schedule,
+        seed: u64,
+    ) -> Cluster {
+        let (mut cluster, _) = prepare(4, profile, schedule, seed, strategy);
         let mut steps = 0u64;
         while steps < 200_000 && cluster.step() {
             steps += 1;
@@ -386,7 +421,7 @@ mod tests {
     /// Per-peer suspicion totals of one run, summed over the three
     /// correct processes.
     fn suspicion_totals(strategy: Option<StrategyKind>, seed: u64) -> [u64; 4] {
-        let cluster = drained_cluster(strategy, Schedule::Random, seed);
+        let cluster = drained_cluster(Profile::Paper, strategy, Schedule::Random, seed);
         let mut totals = [0u64; 4];
         for p in 0..3 {
             for s in cluster.metrics(p).suspicions() {
@@ -403,6 +438,34 @@ mod tests {
             .sum()
     }
 
+    /// Every decision of the workload and every correct sender's three
+    /// commands at each correct process: the checker guards safety only.
+    fn assert_workload_finished(cluster: &Cluster, what: &str) {
+        for p in 0..3 {
+            let count = |f: fn(&Output) -> bool| cluster.outputs(p).iter().filter(|o| f(o)).count();
+            let what = format!("{what} process {p}");
+            assert_eq!(
+                count(|o| matches!(o, Output::BcDecided { .. })),
+                1,
+                "{what}"
+            );
+            assert_eq!(
+                count(|o| matches!(o, Output::MvcDecided { .. })),
+                1,
+                "{what}"
+            );
+            assert_eq!(
+                count(|o| matches!(o, Output::VcDecided { .. })),
+                1,
+                "{what}"
+            );
+            assert!(
+                count(|o| matches!(o, Output::AbDelivered { .. })) >= 6,
+                "{what}"
+            );
+        }
+    }
+
     #[test]
     fn round_ahead_wakes_deciders_nobody_else_would() {
         // Failure-free, the workload's four binary consensus instances
@@ -411,42 +474,31 @@ mod tests {
         // partial-wake mode a late ask makes correct deciders run the
         // extra round.
         for (seed, schedule) in Schedule::sweep(0..8) {
-            let quiet = drained_cluster(None, schedule, seed);
+            let quiet = drained_cluster(Profile::Paper, None, schedule, seed);
             assert_eq!(courtesy_rounds(&quiet), 0, "seed {seed} {schedule}");
         }
         let mut woken = 0;
         for (seed, schedule) in Schedule::sweep(0..8) {
-            let cluster = drained_cluster(Some(StrategyKind::RoundAhead), schedule, seed);
+            let strategy = Some(StrategyKind::RoundAhead);
+            let cluster = drained_cluster(Profile::Paper, strategy, schedule, seed);
             woken += courtesy_rounds(&cluster);
-            // The checker guards safety; the rule under attack is a
-            // liveness rule, so also require every decision and every
-            // correct sender's three commands at each correct process.
-            for p in 0..3 {
-                let count =
-                    |f: fn(&Output) -> bool| cluster.outputs(p).iter().filter(|o| f(o)).count();
-                let what = format!("seed {seed} {schedule} process {p}");
-                assert_eq!(
-                    count(|o| matches!(o, Output::BcDecided { .. })),
-                    1,
-                    "{what}"
-                );
-                assert_eq!(
-                    count(|o| matches!(o, Output::MvcDecided { .. })),
-                    1,
-                    "{what}"
-                );
-                assert_eq!(
-                    count(|o| matches!(o, Output::VcDecided { .. })),
-                    1,
-                    "{what}"
-                );
-                assert!(
-                    count(|o| matches!(o, Output::AbDelivered { .. })) >= 6,
-                    "{what}"
-                );
-            }
+            // The rule under attack is a liveness rule.
+            assert_workload_finished(&cluster, &format!("seed {seed} {schedule}"));
         }
         assert!(woken > 0, "no round-ahead cell woke a decider");
+    }
+
+    #[test]
+    fn the_lean_workload_finishes_under_every_strategy() {
+        // The lean consensus's liveness rests on BV-broadcast totality
+        // and on deciders answering with TERM; no strategy of one
+        // attacker may stall either.
+        for strategy in StrategyKind::ALL {
+            for (seed, schedule) in Schedule::sweep(0..2) {
+                let cluster = drained_cluster(Profile::Lean, Some(strategy), schedule, seed);
+                assert_workload_finished(&cluster, &format!("{strategy} seed {seed} {schedule}"));
+            }
+        }
     }
 
     #[test]

@@ -27,12 +27,12 @@ pub mod explorer;
 mod strategies;
 
 pub use strategies::{
-    BiasedCoin, ConflictingVectors, Equivocate, RandomMutation, RoundAhead, SelectiveSilence,
-    StaleReplay,
+    BiasedCoin, BvSplit, ConflictingVectors, Equivocate, RandomMutation, RoundAhead,
+    SelectiveSilence, StaleReplay,
 };
 
 use crate::ab::AbMessage;
-use crate::bc::{BcBody, BcMessage};
+use crate::bc::BinMessage;
 use crate::codec::{Reader, WireMessage, Writer};
 use crate::eb::EbMessage;
 use crate::mvc::{MvcMessage, VectBody};
@@ -52,7 +52,7 @@ pub enum ProtocolMsg {
     /// Echo broadcast traffic.
     Eb(EbMessage),
     /// Binary consensus traffic.
-    Bc(BcMessage),
+    Bc(BinMessage),
     /// Multi-valued consensus traffic.
     Mvc(MvcMessage),
     /// Vector consensus traffic.
@@ -92,7 +92,7 @@ pub fn decode_frame(frame: &[u8]) -> Option<(InstanceKey, ProtocolMsg)> {
     let msg = match key {
         InstanceKey::Rb { .. } => ProtocolMsg::Rb(RbMessage::from_bytes(inner).ok()?),
         InstanceKey::Eb { .. } => ProtocolMsg::Eb(EbMessage::from_bytes(inner).ok()?),
-        InstanceKey::Bc { .. } => ProtocolMsg::Bc(BcMessage::from_bytes(inner).ok()?),
+        InstanceKey::Bc { .. } => ProtocolMsg::Bc(BinMessage::from_bytes(inner).ok()?),
         InstanceKey::Mvc { .. } => ProtocolMsg::Mvc(MvcMessage::from_bytes(inner).ok()?),
         InstanceKey::Vc { .. } => ProtocolMsg::Vc(VcMessage::from_bytes(inner).ok()?),
         InstanceKey::Ab { .. } => ProtocolMsg::Ab(AbMessage::from_bytes(inner).ok()?),
@@ -146,10 +146,10 @@ fn rb_stage_of(m: &RbMessage) -> RbStage {
 
 /// The innermost RB stage of `msg`, chasing the control-block chain.
 pub fn innermost_rb_stage(msg: &ProtocolMsg) -> Option<RbStage> {
-    fn of_bc(m: &BcMessage) -> Option<RbStage> {
-        match &m.body {
-            BcBody::Rbc(rb) => Some(rb_stage_of(rb)),
-            BcBody::Plain(_) => None,
+    fn of_bc(m: &BinMessage) -> Option<RbStage> {
+        match m {
+            BinMessage::Paper(bc) => Some(rb_stage_of(&bc.inner)),
+            BinMessage::Lean(_) => None,
         }
     }
     fn of_mvc(m: &MvcMessage) -> Option<RbStage> {
@@ -203,7 +203,7 @@ pub fn is_eb_mat(msg: &ProtocolMsg) -> bool {
 
 /// Grants a mutator access to the innermost broadcast payload of `msg`,
 /// with its [`PayloadKind`]. Returns `false` when the message has no
-/// mutable payload (EB `VECT`/`MAT`, plain-fanout BC values).
+/// mutable payload (EB `VECT`/`MAT`, lean binary consensus values).
 pub fn with_innermost_payload(
     msg: &mut ProtocolMsg,
     f: &mut dyn FnMut(PayloadKind, &mut Bytes),
@@ -213,13 +213,13 @@ pub fn with_innermost_payload(
             RbMessage::Init(p) | RbMessage::Echo(p) | RbMessage::Ready(p) => f(kind, p),
         }
     }
-    fn of_bc(m: &mut BcMessage, f: &mut dyn FnMut(PayloadKind, &mut Bytes)) -> bool {
-        match &mut m.body {
-            BcBody::Rbc(rb) => {
-                of_rb(rb, PayloadKind::BcVal, f);
+    fn of_bc(m: &mut BinMessage, f: &mut dyn FnMut(PayloadKind, &mut Bytes)) -> bool {
+        match m {
+            BinMessage::Paper(bc) => {
+                of_rb(&mut bc.inner, PayloadKind::BcVal, f);
                 true
             }
-            BcBody::Plain(_) => false,
+            BinMessage::Lean(_) => false,
         }
     }
     fn of_mvc(m: &mut MvcMessage, f: &mut dyn FnMut(PayloadKind, &mut Bytes)) -> bool {
@@ -325,11 +325,15 @@ pub enum StrategyKind {
     /// Ask half the group for the round after a binary consensus
     /// decision, or never take part in it (the seed picks).
     RoundAhead,
+    /// Split the lean binary consensus's BV-broadcast between the two
+    /// halves of the group, `AUX` a value never BV-delivered, `TERM` the
+    /// value not decided.
+    BvSplit,
 }
 
 impl StrategyKind {
     /// Every built-in strategy, in matrix order.
-    pub const ALL: [StrategyKind; 7] = [
+    pub const ALL: [StrategyKind; 8] = [
         StrategyKind::Equivocate,
         StrategyKind::Silence,
         StrategyKind::BiasedCoin,
@@ -337,6 +341,7 @@ impl StrategyKind {
         StrategyKind::StaleReplay,
         StrategyKind::RandomMutation,
         StrategyKind::RoundAhead,
+        StrategyKind::BvSplit,
     ];
 
     /// Builds the strategy, seeded for deterministic replay.
@@ -349,6 +354,7 @@ impl StrategyKind {
             StrategyKind::StaleReplay => Box::new(StaleReplay::new(seed)),
             StrategyKind::RandomMutation => Box::new(RandomMutation::new(seed)),
             StrategyKind::RoundAhead => Box::new(RoundAhead::new(seed)),
+            StrategyKind::BvSplit => Box::new(BvSplit::new()),
         }
     }
 }
@@ -363,6 +369,7 @@ impl core::fmt::Display for StrategyKind {
             StrategyKind::StaleReplay => "stale-replay",
             StrategyKind::RandomMutation => "random-mutation",
             StrategyKind::RoundAhead => "round-ahead",
+            StrategyKind::BvSplit => "bv-split",
         };
         f.write_str(s)
     }
@@ -380,9 +387,10 @@ impl std::str::FromStr for StrategyKind {
             "stale-replay" => Ok(StrategyKind::StaleReplay),
             "random-mutation" => Ok(StrategyKind::RandomMutation),
             "round-ahead" => Ok(StrategyKind::RoundAhead),
+            "bv-split" => Ok(StrategyKind::BvSplit),
             other => Err(format!(
                 "unknown strategy {other:?} (expected one of: equivocate, silence, biased-coin, \
-                 conflicting-vectors, stale-replay, random-mutation, round-ahead)"
+                 conflicting-vectors, stale-replay, random-mutation, round-ahead, bv-split)"
             )),
         }
     }

@@ -10,7 +10,8 @@ use super::{
     ProtocolMsg, RbStage, SendCtx, Strategy,
 };
 use crate::ab::AbMessage;
-use crate::bc::{decode_val, encode_val, BcBody, BcMessage};
+use crate::bc::lean::{LeanKind, LeanMessage};
+use crate::bc::{decode_val, encode_val, BinMessage};
 use crate::codec::WireMessage;
 use crate::mvc::{MvcMessage, MvcValue, VectPayload};
 use crate::rb::RbMessage;
@@ -108,10 +109,11 @@ impl Strategy for Equivocate {
     }
 }
 
-/// Selective silence (targets: RB/EB liveness margins and the BC step-3
-/// threshold): withholds the delivery-driving legs — RB `READY`, EB
-/// `MAT`, and all of binary consensus step 3 — from a seeded subset of
-/// peers, starving chosen quorums without ever sending an invalid byte.
+/// Selective silence (targets: RB/EB liveness margins and the BC
+/// round-closing threshold): withholds the delivery-driving legs — RB
+/// `READY`, EB `MAT`, and the binary consensus frames that close a round
+/// (Bracha's step 3, the lean `AUX`) — from a seeded subset of peers,
+/// starving chosen quorums without ever sending an invalid byte.
 #[derive(Debug)]
 pub struct SelectiveSilence {
     muted_mask: u64,
@@ -141,15 +143,15 @@ impl Strategy for SelectiveSilence {
     }
 
     fn rewrite(&mut self, ctx: &SendCtx, key: InstanceKey, msg: ProtocolMsg) -> Vec<Bytes> {
-        let is_step3 = matches!(
-            &msg,
-            ProtocolMsg::Bc(m) if m.step == 3
-        ) || matches!(
-            &msg,
-            ProtocolMsg::Mvc(crate::mvc::MvcMessage::Bin(m)) if m.step == 3
-        );
+        let closing = match &msg {
+            ProtocolMsg::Bc(m) | ProtocolMsg::Mvc(MvcMessage::Bin(m)) => match m {
+                BinMessage::Paper(bc) => bc.step == 3,
+                BinMessage::Lean(lean) => lean.kind == LeanKind::Aux,
+            },
+            _ => false,
+        };
         let delivery_leg =
-            innermost_rb_stage(&msg) == Some(RbStage::Ready) || is_eb_mat(&msg) || is_step3;
+            innermost_rb_stage(&msg) == Some(RbStage::Ready) || is_eb_mat(&msg) || closing;
         if delivery_leg && self.muted(ctx.to) {
             return Vec::new();
         }
@@ -158,10 +160,11 @@ impl Strategy for SelectiveSilence {
 }
 
 /// Biased coin voting (targets: the BC validation rules `step2_valid` /
-/// `step3_valid` / `next_round_valid` and coin unpredictability, §4.2):
-/// every binary consensus step value the process transmits — its own and
-/// the echoes/readies it relays for others — is forced to 0, the paper's
-/// "always propose 0" attacker made protocol-aware.
+/// `step3_valid` / `next_round_valid`, the lean BV-broadcast thresholds
+/// and coin unpredictability, §4.2): every binary consensus value the
+/// process transmits — its own and the echoes/readies it relays for
+/// others; every lean `EST`, `AUX` and `TERM` — is forced to 0, the
+/// paper's "always propose 0" attacker made protocol-aware.
 #[derive(Debug)]
 pub struct BiasedCoin {
     _private: (),
@@ -186,17 +189,9 @@ impl Strategy for BiasedCoin {
     }
 
     fn rewrite(&mut self, _ctx: &SendCtx, key: InstanceKey, mut msg: ProtocolMsg) -> Vec<Bytes> {
-        use crate::bc::BcBody;
-        // Plain-fanout step values carry the Val directly.
-        let force_plain = |body: &mut BcBody| {
-            if let BcBody::Plain(v) = body {
-                *v = Some(false);
-            }
-        };
-        match &mut msg {
-            ProtocolMsg::Bc(m) => force_plain(&mut m.body),
-            ProtocolMsg::Mvc(crate::mvc::MvcMessage::Bin(m)) => force_plain(&mut m.body),
-            _ => {}
+        // Lean values travel bare, not as a broadcast payload.
+        if let Some(BinMessage::Lean(m)) = bin_of(&mut msg) {
+            m.value = false;
         }
         with_innermost_payload(&mut msg, &mut |kind, bytes| {
             if kind == PayloadKind::BcVal {
@@ -339,7 +334,7 @@ impl Strategy for RandomMutation {
 
 /// The binary consensus message `msg` is or carries, wherever it sits in
 /// the chain (standalone, under MVC, under VC or AB agreement rounds).
-fn bc_of(msg: &mut ProtocolMsg) -> Option<&mut BcMessage> {
+fn bin_of(msg: &mut ProtocolMsg) -> Option<&mut BinMessage> {
     match msg {
         ProtocolMsg::Bc(m)
         | ProtocolMsg::Mvc(MvcMessage::Bin(m))
@@ -356,19 +351,21 @@ fn bc_of(msg: &mut ProtocolMsg) -> Option<&mut BcMessage> {
 }
 
 /// Round-ahead (targets: the post-decision wake rule of binary consensus,
-/// DESIGN.md §4b — a decided process runs the round after its decision
-/// only once another member names it): the seed picks one of two ways of
-/// abusing that rule, both with well-formed frames only.
+/// DESIGN.md §4b — a decided process speaks after its decision only once
+/// another member names a later round: Bracha's runs the next round, the
+/// lean one sends its `TERM`): the seed picks one of two ways of abusing
+/// that rule, both with well-formed frames only.
 ///
 /// * **Partial wake:** behind every frame that closes round `r` at a
-///   process of the low half of the group (a step-3 `READY`) travels a
-///   round-`r + 1` step-1 `INIT` of the attacker's own, so some deciders
-///   are asked — before or just after they decide — for a round nobody
-///   needs, while the others hear of it only from those.
+///   process of the low half of the group (a step-3 `READY`, a lean
+///   `AUX`) travels a round-`r + 1` opening of the attacker's own (a
+///   step-1 `INIT`, an `EST`), so some deciders are asked — before or
+///   just after they decide — for a round nobody needs, while the others
+///   hear of it only from those.
 /// * **Never helps:** the attacker takes part in round 1 and withholds
-///   every frame of a later round, so a correct process that needs the
-///   round after a decision has to wake the deciders, and finish, without
-///   it.
+///   every frame of a later round (and its `TERM`), so a correct process
+///   that needs the round after a decision has to wake the deciders, and
+///   finish, without it.
 #[derive(Debug)]
 pub struct RoundAhead {
     never_helps: bool,
@@ -390,34 +387,84 @@ impl Strategy for RoundAhead {
 
     fn rewrite(&mut self, ctx: &SendCtx, key: InstanceKey, mut msg: ProtocolMsg) -> Vec<Bytes> {
         let honest = msg.frame(key);
-        let Some(bc) = bc_of(&mut msg) else {
+        let Some(bin) = bin_of(&mut msg) else {
             return vec![honest];
         };
         if self.never_helps {
-            return if bc.round > 1 {
-                Vec::new()
-            } else {
-                vec![honest]
+            let later = match bin {
+                BinMessage::Paper(bc) => bc.round > 1,
+                BinMessage::Lean(m) => m.round > 1 || m.kind == LeanKind::Term,
             };
+            return if later { Vec::new() } else { vec![honest] };
         }
         // The last leg of a round: the frames whose arrival lets the
         // receiver finish it, so the ask lands around its decision.
-        let closes_round = bc.step == 3
-            && !matches!(
-                bc.body,
-                BcBody::Rbc(RbMessage::Init(_) | RbMessage::Echo(_))
-            );
+        let closes_round = match bin {
+            BinMessage::Paper(bc) => {
+                bc.step == 3 && !matches!(bc.inner, RbMessage::Init(_) | RbMessage::Echo(_))
+            }
+            BinMessage::Lean(m) => m.kind == LeanKind::Aux,
+        };
         if !closes_round || ctx.to >= ctx.n / 2 {
             return vec![honest];
         }
-        bc.round += 1;
-        bc.step = 1;
-        bc.origin = ctx.me;
-        bc.body = match bc.body {
-            BcBody::Rbc(_) => BcBody::Rbc(RbMessage::Init(Bytes::from_static(&[0]))),
-            BcBody::Plain(_) => BcBody::Plain(Some(false)),
-        };
+        match bin {
+            BinMessage::Paper(bc) => {
+                bc.round += 1;
+                bc.step = 1;
+                bc.origin = ctx.me;
+                bc.inner = RbMessage::Init(Bytes::from_static(&[0]));
+            }
+            BinMessage::Lean(m) => {
+                *m = LeanMessage {
+                    kind: LeanKind::Est,
+                    round: m.round + 1,
+                    value: false,
+                };
+            }
+        }
         vec![honest, msg.frame(key)]
+    }
+}
+
+/// BV-split (targets: the rule the lean binary consensus rests on —
+/// relay an `EST` after `f + 1`, BV-deliver after `2f + 1`, count an
+/// `AUX` only for a BV-delivered value — and the `TERM` stand-in): every
+/// lean `EST` says 0 to the low half of the group and 1 to the high half,
+/// every `AUX` carries the value the attacker did not BV-deliver first
+/// (typically never BV-delivered at all), and its `TERM` the value it did
+/// not decide. Bracha's frames, and everything else, travel unchanged.
+#[derive(Debug)]
+pub struct BvSplit {
+    _private: (),
+}
+
+impl BvSplit {
+    /// Creates the strategy (stateless; the split is positional).
+    pub fn new() -> Self {
+        BvSplit { _private: () }
+    }
+}
+
+impl Default for BvSplit {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Strategy for BvSplit {
+    fn name(&self) -> &'static str {
+        "bv-split"
+    }
+
+    fn rewrite(&mut self, ctx: &SendCtx, key: InstanceKey, mut msg: ProtocolMsg) -> Vec<Bytes> {
+        if let Some(BinMessage::Lean(m)) = bin_of(&mut msg) {
+            m.value = match m.kind {
+                LeanKind::Est => ctx.to >= ctx.n / 2,
+                LeanKind::Aux | LeanKind::Term => !m.value,
+            };
+        }
+        vec![msg.frame(key)]
     }
 }
 
@@ -425,6 +472,7 @@ impl Strategy for RoundAhead {
 mod tests {
     use super::*;
     use crate::adversary::decode_frame;
+    use crate::bc::BcMessage;
 
     fn ctx(to: crate::ProcessId) -> SendCtx {
         SendCtx { me: 3, to, n: 4 }
@@ -469,26 +517,56 @@ mod tests {
 
     #[test]
     fn biased_coin_forces_step_values_to_zero() {
-        use crate::bc::{BcBody, BcMessage};
         let mut s = BiasedCoin::new();
         let key = InstanceKey::Bc { tag: 9 };
-        let msg = ProtocolMsg::Bc(BcMessage {
-            round: 0,
+        let msg = ProtocolMsg::Bc(BinMessage::Paper(BcMessage {
+            round: 1,
             step: 1,
             origin: 3,
-            body: BcBody::Rbc(RbMessage::Init(Bytes::from(vec![encode_val(Some(true))]))),
-        });
+            inner: RbMessage::Init(Bytes::from(vec![encode_val(Some(true))])),
+        }));
         let out = s.rewrite(&ctx(1), key, msg);
-        let (_, rewritten) = decode_frame(&out[0]).unwrap();
-        match rewritten {
-            ProtocolMsg::Bc(m) => match m.body {
-                BcBody::Rbc(rb) => {
-                    assert_eq!(rb.payload().as_ref(), &[encode_val(Some(false))]);
-                }
-                other => panic!("unexpected body {other:?}"),
-            },
+        match decode_frame(&out[0]).unwrap().1 {
+            ProtocolMsg::Bc(BinMessage::Paper(m)) => {
+                assert_eq!(m.inner.payload().as_ref(), &[encode_val(Some(false))]);
+            }
             other => panic!("unexpected {other:?}"),
         }
+        for kind in [LeanKind::Est, LeanKind::Aux, LeanKind::Term] {
+            let lean = |value| LeanMessage {
+                kind,
+                round: 2,
+                value,
+            };
+            let msg = ProtocolMsg::Mvc(MvcMessage::Bin(BinMessage::Lean(lean(true))));
+            let out = s.rewrite(&ctx(1), key, msg);
+            let zero = ProtocolMsg::Mvc(MvcMessage::Bin(BinMessage::Lean(lean(false))));
+            assert_eq!(out, [zero.frame(key)], "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn bv_split_halves_the_estimate_and_lies_in_aux_and_term() {
+        let key = InstanceKey::Bc { tag: 4 };
+        let lean = |kind, value| {
+            ProtocolMsg::Bc(BinMessage::Lean(LeanMessage {
+                kind,
+                round: 3,
+                value,
+            }))
+        };
+        let mut s = BvSplit::new();
+        for (kind, sent, to, heard) in [
+            (LeanKind::Est, true, 0, false),
+            (LeanKind::Est, false, 3, true),
+            (LeanKind::Aux, true, 1, false),
+            (LeanKind::Term, false, 2, true),
+        ] {
+            let out = s.rewrite(&ctx(to), key, lean(kind, sent));
+            assert_eq!(out, [lean(kind, heard).frame(key)], "{kind:?} to {to}");
+        }
+        let (key, rb) = rb_frame(RbStage::Init, b"p");
+        assert_eq!(s.rewrite(&ctx(3), key, rb.clone()), [rb.frame(key)]);
     }
 
     #[test]
@@ -539,24 +617,44 @@ mod tests {
     fn round_ahead_asks_half_the_group_or_goes_silent() {
         let key = InstanceKey::Mvc { tag: 2 };
         let frame_of = |round| {
-            ProtocolMsg::Mvc(MvcMessage::Bin(BcMessage {
+            ProtocolMsg::Mvc(MvcMessage::Bin(BinMessage::Paper(BcMessage {
                 round,
                 step: 3,
                 origin: 1,
-                body: BcBody::Rbc(RbMessage::Ready(Bytes::from_static(&[1]))),
-            }))
+                inner: RbMessage::Ready(Bytes::from_static(&[1])),
+            })))
         };
         let mut wake = RoundAhead::new(0);
         assert_eq!(wake.rewrite(&ctx(2), key, frame_of(1)).len(), 1);
         let out = wake.rewrite(&ctx(1), key, frame_of(1));
         assert_eq!(out[0], frame_of(1).frame(key), "the honest frame travels");
-        let ahead = ProtocolMsg::Mvc(MvcMessage::Bin(BcMessage {
+        let ahead = ProtocolMsg::Mvc(MvcMessage::Bin(BinMessage::Paper(BcMessage {
             round: 2,
             step: 1,
             origin: 3,
-            body: BcBody::Rbc(RbMessage::Init(Bytes::from_static(&[0]))),
-        }));
+            inner: RbMessage::Init(Bytes::from_static(&[0])),
+        })));
         assert_eq!(decode_frame(&out[1]), Some((key, ahead)));
+        // The lean arm: an AUX to the low half carries an EST of the next
+        // round behind it; the never-helping mode drops rounds past 1 and
+        // every TERM.
+        let lean = |kind, round| {
+            ProtocolMsg::Mvc(MvcMessage::Bin(BinMessage::Lean(LeanMessage {
+                kind,
+                round,
+                value: true,
+            })))
+        };
+        let out = wake.rewrite(&ctx(0), key, lean(LeanKind::Aux, 1));
+        let ask = ProtocolMsg::Mvc(MvcMessage::Bin(BinMessage::Lean(LeanMessage {
+            kind: LeanKind::Est,
+            round: 2,
+            value: false,
+        })));
+        assert_eq!(out, [lean(LeanKind::Aux, 1).frame(key), ask.frame(key)]);
+        assert!(RoundAhead::new(1)
+            .rewrite(&ctx(0), key, lean(LeanKind::Term, 1))
+            .is_empty());
 
         let mut mute = RoundAhead::new(1);
         assert_eq!(mute.rewrite(&ctx(1), key, frame_of(1)).len(), 1);

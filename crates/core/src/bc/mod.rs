@@ -1,13 +1,16 @@
-//! Randomized binary consensus — Bracha's protocol (paper §2.4).
+//! Randomized binary consensus, in the two profiles a stack runs
+//! ([`Profile`]): Bracha's protocol as the paper describes it (§2.4), and
+//! the [`lean`] one the node runtime deploys. [`BcInstance::new`] is the
+//! one place either is made.
 //!
 //! Each process proposes a bit; all correct processes decide the same bit,
 //! and if all correct processes propose `v` the decision is `v`. The
 //! protocol is the only randomized layer of the stack: it circumvents FLP
-//! with a *local coin* and terminates with probability 1, with no timing
+//! with a *coin* and terminates with probability 1, with no timing
 //! assumptions whatsoever.
 //!
-//! It proceeds in rounds of three steps. In each step every process
-//! (reliably) broadcasts a value and waits for `n − f` *valid* values:
+//! Bracha's proceeds in rounds of three steps. In each step every process
+//! reliably broadcasts a value and waits for `n − f` *valid* values:
 //!
 //! 1. broadcast `v_i`; set `v_i` to the **majority** of the values
 //!    received;
@@ -15,28 +18,23 @@
 //!    set `v_i` to that value, else `v_i ← ⊥`;
 //! 3. broadcast `v_i`; if `≥ 2f+1` received values are some `v ≠ ⊥`,
 //!    **decide** `v`; else if `≥ f+1` are `v ≠ ⊥`, adopt `v_i ← v`; else
-//!    flip a fair **coin**; in all cases start the next round. A process
-//!    that decided in round `r` enters `r + 1` with its value pinned to the
-//!    decision but *withholds* its step-1 broadcast until some other member
-//!    shows, by any message naming a round above `r`, that it needs the
-//!    round ([`PostDecision`]); woken, it runs `r + 1` and halts at its
-//!    end. When everybody decides in the same round nobody ever asks, and
-//!    the instance goes quiet after one round (DESIGN.md §4b).
+//!    flip a fair local **coin**; in all cases start the next round. A
+//!    process that decided in round `r` enters `r + 1` with its value
+//!    pinned to the decision but *withholds* its step-1 broadcast until
+//!    some other member shows, by any message naming a round above `r`,
+//!    that it needs the round ([`PostDecision`]); woken, it runs `r + 1`
+//!    and halts at its end. When everybody decides in the same round
+//!    nobody ever asks, and the instance goes quiet after one round
+//!    (DESIGN.md §4b).
 //!
-//! Two implementation aspects deserve attention:
-//!
-//! * **Validation** ([`validation`]): received values are only *accepted*
-//!   once they are congruent with some `n − f` subset of the previous
-//!   step's accepted values; messages that cannot yet be justified are
-//!   parked. This neutralizes processes that do not follow the protocol —
-//!   the mechanism the paper credits for its Byzantine immunity results.
-//! * **Step transport**: per the paper, each step's broadcast uses the
-//!   underlying *reliable broadcast* ([`StepTransport::ReliableBroadcast`]),
-//!   which prevents equivocation inside a step. A cheaper
-//!   [`StepTransport::PlainFanout`] mode (one authenticated point-to-point
-//!   fan-out per step) is provided **for the crash-fault ablation bench
-//!   only** — it does not tolerate Byzantine equivocation.
+//! Received values are only *accepted* once they are congruent with some
+//! `n − f` subset of the previous step's accepted values ([`validation`]);
+//! messages that cannot yet be justified are parked. This neutralizes
+//! processes that do not follow the protocol — the mechanism the paper
+//! credits for its Byzantine immunity results — while the reliable
+//! broadcast under each step prevents equivocation inside it.
 
+pub mod lean;
 pub mod validation;
 
 use crate::codec::{Reader, WireError, WireMessage, Writer};
@@ -46,7 +44,8 @@ use crate::rb::{RbMessage, ReliableBroadcast};
 use crate::step::{FaultKind, Step};
 use crate::ProcessId;
 use bytes::Bytes;
-use ritas_crypto::RoundCoin;
+use lean::{LeanConsensus, LeanMessage};
+use ritas_crypto::{DeterministicCoin, RoundCoin};
 use ritas_metrics::SpanAnnotation;
 use std::collections::BTreeMap;
 use validation::{majority, next_round_valid, step2_valid, step3_valid, strict_majority, Tally};
@@ -59,40 +58,68 @@ pub type Val = Option<bool>;
 /// bound only limits memory a Byzantine process can make us allocate.
 const MAX_ROUND_AHEAD: u32 = 64;
 
-/// Transport used for the per-step broadcasts.
+/// Which binary consensus a stack's agreements run — and with it which
+/// coin they flip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StepTransport {
-    /// Reliable broadcast per step — the paper's configuration, tolerates
-    /// Byzantine faults.
+pub enum Profile {
+    /// Bracha's consensus, every step value reliably broadcast, a local
+    /// coin per process: the paper's stack, which Table 1 and Figures 4–7
+    /// reproduce.
     #[default]
-    ReliableBroadcast,
-    /// One plain fan-out per step — ablation mode; tolerates crash faults
-    /// only (an equivocating process can violate agreement).
-    PlainFanout,
+    Paper,
+    /// BV-broadcast and `AUX` as plain fan-outs on the common coin dealt
+    /// with the keys ([`lean`]): what the node runtime and the service
+    /// tier run.
+    Lean,
 }
 
-/// Body of a [`BcMessage`]: a reliable-broadcast sub-message or a plain
-/// value, depending on the configured [`StepTransport`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BcBody {
-    /// Reliable broadcast traffic for the step value of `origin`.
-    Rbc(RbMessage),
-    /// The step value itself (plain fan-out mode).
-    Plain(Val),
+impl core::fmt::Display for Profile {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str(match self {
+            Profile::Paper => "paper",
+            Profile::Lean => "lean",
+        })
+    }
 }
 
-/// A binary consensus message: traffic of the broadcast of `origin`'s
-/// value for (`round`, `step`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BcMessage {
-    /// Round number (from 1).
-    pub round: u32,
-    /// Step within the round (1, 2 or 3).
-    pub step: u8,
-    /// The process whose step value this broadcast carries.
-    pub origin: ProcessId,
-    /// The payload.
-    pub body: BcBody,
+impl std::str::FromStr for Profile {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "paper" => Ok(Profile::Paper),
+            "lean" => Ok(Profile::Lean),
+            other => Err(format!(
+                "unknown profile {other:?} (expected paper or lean)"
+            )),
+        }
+    }
+}
+
+/// The coins one binary consensus instance may flip; its [`Profile`]
+/// takes one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Coins {
+    /// Seeds this process's own local coin ([`Profile::Paper`]).
+    pub local: u64,
+    /// Names the instance to the dealt common coin ([`Profile::Lean`]):
+    /// every process derives the same nonce for the same instance.
+    pub nonce: u64,
+}
+
+impl Coins {
+    /// The coins of agreement round `round` of a layer that runs one
+    /// agreement per round (vector consensus, atomic broadcast).
+    pub fn round(self, round: u32) -> Coins {
+        let of = |seed: u64| {
+            seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(u64::from(round))
+        };
+        Coins {
+            local: of(self.local),
+            nonce: of(self.nonce),
+        }
+    }
 }
 
 pub(crate) fn encode_val(v: Val) -> u8 {
@@ -115,43 +142,145 @@ pub(crate) fn decode_val(b: u8) -> Result<Val, WireError> {
     }
 }
 
+/// A message of Bracha's binary consensus: traffic of the reliable
+/// broadcast of `origin`'s value for (`round`, `step`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BcMessage {
+    /// Round number (from 1).
+    pub round: u32,
+    /// Step within the round (1, 2 or 3).
+    pub step: u8,
+    /// The process whose step value this broadcast carries.
+    pub origin: ProcessId,
+    /// The reliable broadcast traffic.
+    pub inner: RbMessage,
+}
+
+/// The tag byte before the reliable broadcast traffic: the frame layout
+/// Table 1 and Figures 4–7 were measured with.
 const BODY_RBC: u8 = 1;
-const BODY_PLAIN: u8 = 2;
 
 impl WireMessage for BcMessage {
     fn encode(&self, w: &mut Writer) {
         w.u32(self.round).u8(self.step).u32(self.origin as u32);
-        match &self.body {
-            BcBody::Rbc(inner) => {
-                w.u8(BODY_RBC);
-                inner.encode(w);
-            }
-            BcBody::Plain(v) => {
-                w.u8(BODY_PLAIN).u8(encode_val(*v));
-            }
-        }
+        w.u8(BODY_RBC);
+        self.inner.encode(w);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let round = r.u32("bc.round")?;
         let step = r.u8("bc.step")?;
         let origin = r.u32("bc.origin")? as usize;
-        let body = match r.u8("bc.body")? {
-            BODY_RBC => BcBody::Rbc(RbMessage::decode(r)?),
-            BODY_PLAIN => BcBody::Plain(decode_val(r.u8("bc.plain")?)?),
-            t => {
+        match r.u8("bc.body")? {
+            BODY_RBC => {}
+            tag => {
                 return Err(WireError::InvalidTag {
                     what: "bc.body",
-                    tag: t,
+                    tag,
                 })
             }
-        };
+        }
         Ok(BcMessage {
             round,
             step,
             origin,
-            body,
+            inner: RbMessage::decode(r)?,
         })
+    }
+}
+
+/// A binary consensus message of either profile, as it travels.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BinMessage {
+    /// Bracha's ([`Profile::Paper`]).
+    Paper(BcMessage),
+    /// The lean one's ([`Profile::Lean`]).
+    Lean(LeanMessage),
+}
+
+impl WireMessage for BinMessage {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            BinMessage::Paper(m) => m.encode(w),
+            BinMessage::Lean(m) => m.encode(w),
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        // Both begin with the round; the next byte is a paper step (1–3)
+        // or a lean kind.
+        let mut peek = r.clone();
+        peek.u32("bc.round")?;
+        if (1..=3).contains(&peek.u8("bc.step")?) {
+            Ok(BinMessage::Paper(BcMessage::decode(r)?))
+        } else {
+            Ok(BinMessage::Lean(LeanMessage::decode(r)?))
+        }
+    }
+}
+
+/// Step type of a binary consensus instance of either profile.
+pub type BinStep = Step<BinMessage, bool>;
+
+/// One binary consensus instance of either profile, as the layers above
+/// hold it.
+#[derive(Debug)]
+pub enum BcInstance {
+    /// Bracha's.
+    Paper(BinaryConsensus),
+    /// The lean one.
+    Lean(LeanConsensus),
+}
+
+impl BcInstance {
+    /// The instance `profile` runs: Bracha's flipping a local coin seeded
+    /// by `coins.local`, or the lean one flipping the common coin
+    /// `ctx`'s keys deal for `coins.nonce`.
+    pub fn new(ctx: Ctx, profile: Profile, coins: Coins) -> Self {
+        match profile {
+            Profile::Paper => {
+                let coin = Box::new(DeterministicCoin::new(coins.local));
+                BcInstance::Paper(BinaryConsensus::new(ctx, coin))
+            }
+            Profile::Lean => {
+                let coin = ctx.keys.coin(coins.nonce);
+                BcInstance::Lean(LeanConsensus::new(ctx, coin))
+            }
+        }
+    }
+
+    /// Proposes a bit.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::AlreadyStarted`] on a second call.
+    pub fn propose(&mut self, value: bool) -> Result<BinStep, ProtocolError> {
+        Ok(match self {
+            BcInstance::Paper(bc) => bc.propose(value)?.map_messages(BinMessage::Paper),
+            BcInstance::Lean(bc) => bc.propose(value)?.map_messages(BinMessage::Lean),
+        })
+    }
+
+    /// Handles a protocol message from `from`; a message of the other
+    /// profile is [`FaultKind::Malformed`].
+    pub fn handle_message(&mut self, from: ProcessId, message: BinMessage) -> BinStep {
+        match (self, message) {
+            (BcInstance::Paper(bc), BinMessage::Paper(m)) => {
+                bc.handle_message(from, m).map_messages(BinMessage::Paper)
+            }
+            (BcInstance::Lean(bc), BinMessage::Lean(m)) => {
+                bc.handle_message(from, m).map_messages(BinMessage::Lean)
+            }
+            _ => Step::fault(from, FaultKind::Malformed),
+        }
+    }
+
+    /// The round in which the decision was taken (1-based), once decided.
+    pub fn decided_round(&self) -> Option<u32> {
+        match self {
+            BcInstance::Paper(bc) => bc.decided_round(),
+            BcInstance::Lean(bc) => bc.decided_round(),
+        }
     }
 }
 
@@ -226,16 +355,14 @@ impl RoundState {
     }
 }
 
-/// State of one binary consensus instance for process `me`.
+/// State of one instance of Bracha's binary consensus for process `me`.
 ///
 /// The instance is generic-free: the coin is injected as a boxed
-/// [`RoundCoin`] so that production, simulation and adversarial tests can
-/// plug different sources (see `ritas_crypto::coin`): a local coin
-/// (Ben-Or's scheme, the paper's) such as
-/// [`ritas_crypto::DeterministicCoin`], or a [`ritas_crypto::SharedCoin`]
-/// — a Rabin-style common coin, which keeps the expected round count
-/// constant against a scheduler that controls no member (paper §5's
-/// discussion of the two approaches; every member can predict it).
+/// [`RoundCoin`] so that the stack and adversarial tests can plug
+/// different sources (see `ritas_crypto::coin`): the local coin of
+/// Ben-Or's scheme, the paper's, which [`BcInstance::new`] seeds, or a
+/// forced [`ritas_crypto::FixedCoin`]. (The common coin belongs to the
+/// [`lean`] consensus, whose decide rule needs it.)
 ///
 /// # Example
 ///
@@ -245,12 +372,12 @@ impl RoundState {
 /// constructed per instance:
 ///
 /// ```
-/// use ritas::bc::{BinaryConsensus, StepTransport};
+/// use ritas::bc::BinaryConsensus;
 /// use ritas::testing::ctx;
 /// use ritas_crypto::DeterministicCoin;
 ///
 /// let coin = Box::new(DeterministicCoin::new(1));
-/// let mut bc = BinaryConsensus::new(ctx(4, 0, 7), coin, StepTransport::default());
+/// let mut bc = BinaryConsensus::new(ctx(4, 0, 7), coin);
 /// let step = bc.propose(true)?;
 /// assert!(!step.messages.is_empty(), "round 1 step 1 broadcast");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -258,7 +385,6 @@ impl RoundState {
 pub struct BinaryConsensus {
     ctx: Ctx,
     coin: Box<dyn RoundCoin + Send>,
-    transport: StepTransport,
     started: bool,
     /// Our value for the in-progress step broadcast.
     current: Val,
@@ -287,14 +413,11 @@ impl core::fmt::Debug for BinaryConsensus {
 }
 
 impl BinaryConsensus {
-    /// Creates an instance flipping `coin`, its step values carried by
-    /// `transport` ([`StepTransport::ReliableBroadcast`] is the paper's
-    /// configuration).
-    pub fn new(ctx: Ctx, coin: Box<dyn RoundCoin + Send>, transport: StepTransport) -> Self {
+    /// Creates an instance flipping `coin`.
+    pub fn new(ctx: Ctx, coin: Box<dyn RoundCoin + Send>) -> Self {
         BinaryConsensus {
             ctx,
             coin,
-            transport,
             started: false,
             current: None,
             round: 1,
@@ -361,39 +484,18 @@ impl BinaryConsensus {
             return Step::fault(from, FaultKind::Unjustified);
         }
         let (round, step, origin) = (message.round, message.step, message.origin);
-        let mut out = Step::none();
-        match (message.body, self.transport) {
-            (BcBody::Rbc(inner), StepTransport::ReliableBroadcast) => {
-                let mut sub = self
-                    .step_rbc(round, step, origin)
-                    .handle_message(from, inner);
-                let delivered = std::mem::take(&mut sub.outputs);
-                out = wrap_rbc(round, step, origin, sub);
-                for payload in delivered {
-                    match Self::decode_step_value(&payload, step) {
-                        Ok(v) => self.record_pending(round, step, origin, v),
-                        Err(_) => {
-                            self.ctx.metrics.bc_rejected.inc();
-                            out.push_fault(origin, FaultKind::Malformed);
-                        }
-                    }
-                }
-            }
-            (BcBody::Plain(v), StepTransport::PlainFanout) => {
-                if from != origin {
+        let mut sub = self
+            .step_rbc(round, step, origin)
+            .handle_message(from, message.inner);
+        let delivered = std::mem::take(&mut sub.outputs);
+        let mut out = wrap_rbc(round, step, origin, sub);
+        for payload in delivered {
+            match Self::decode_step_value(&payload, step) {
+                Ok(v) => self.record_pending(round, step, origin, v),
+                Err(_) => {
                     self.ctx.metrics.bc_rejected.inc();
-                    return Step::fault(from, FaultKind::NotEntitled);
+                    out.push_fault(origin, FaultKind::Malformed);
                 }
-                if (step == 1 || step == 2) && v.is_none() {
-                    self.ctx.metrics.bc_rejected.inc();
-                    return Step::fault(from, FaultKind::Malformed);
-                }
-                self.record_pending(round, step, origin, v);
-            }
-            // Body does not match the configured transport.
-            _ => {
-                self.ctx.metrics.bc_rejected.inc();
-                return Step::fault(from, FaultKind::Malformed);
             }
         }
         if from != self.ctx.me {
@@ -612,24 +714,12 @@ impl BinaryConsensus {
     /// Broadcasts our current value for (self.round, self.step).
     fn broadcast_current(&mut self, out: &mut BcStep) {
         let (round, step, origin) = (self.round, self.step, self.ctx.me);
-        match self.transport {
-            StepTransport::ReliableBroadcast => {
-                let payload = Bytes::copy_from_slice(&[encode_val(self.current)]);
-                let sub = self
-                    .step_rbc(round, step, origin)
-                    .broadcast(payload)
-                    .expect("own step broadcast is unique per (round, step)");
-                out.extend(wrap_rbc(round, step, origin, sub));
-            }
-            StepTransport::PlainFanout => {
-                out.push_broadcast(BcMessage {
-                    round,
-                    step,
-                    origin,
-                    body: BcBody::Plain(self.current),
-                });
-            }
-        }
+        let payload = Bytes::copy_from_slice(&[encode_val(self.current)]);
+        let sub = self
+            .step_rbc(round, step, origin)
+            .broadcast(payload)
+            .expect("own step broadcast is unique per (round, step)");
+        out.extend(wrap_rbc(round, step, origin, sub));
     }
 }
 
@@ -638,7 +728,7 @@ fn wrap_rbc(round: u32, step: u8, origin: ProcessId, sub: Step<RbMessage, Bytes>
         round,
         step,
         origin,
-        body: BcBody::Rbc(inner),
+        inner,
     })
 }
 
@@ -648,17 +738,15 @@ mod tests {
     use crate::testing::{ctx, Net, Schedule};
     use ritas_crypto::{DeterministicCoin, FixedCoin};
 
-    const RB: StepTransport = StepTransport::ReliableBroadcast;
-
     fn coin(seed: u64) -> Box<dyn RoundCoin + Send> {
         Box::new(DeterministicCoin::new(seed))
     }
 
     type BcNet = Net<BinaryConsensus>;
 
-    fn bc_net(n: usize, transport: StepTransport, seed: u64) -> BcNet {
+    fn bc_net(n: usize, seed: u64) -> BcNet {
         let insts = (0..n)
-            .map(|me| BinaryConsensus::new(ctx(n, me, 1), coin(seed ^ me as u64), transport))
+            .map(|me| BinaryConsensus::new(ctx(n, me, 1), coin(seed ^ me as u64)))
             .collect();
         Net::connect(insts, seed)
     }
@@ -707,7 +795,7 @@ mod tests {
             round,
             step,
             origin,
-            body: BcBody::Rbc(inner),
+            inner,
         }
     }
 
@@ -735,21 +823,18 @@ mod tests {
     #[test]
     fn message_codec_roundtrip() {
         for msg in [
-            BcMessage {
-                round: 3,
-                step: 2,
-                origin: 1,
-                body: BcBody::Rbc(RbMessage::Init(Bytes::from_static(&[1]))),
-            },
-            BcMessage {
-                round: 1,
-                step: 3,
-                origin: 0,
-                body: BcBody::Plain(None),
-            },
+            rbc(3, 2, 1, RbMessage::Init(one())),
+            rbc(1, 3, 0, RbMessage::Ready(Bytes::from_static(&[2]))),
         ] {
-            assert_eq!(BcMessage::from_bytes(&msg.to_bytes()).unwrap(), msg);
+            let bytes = msg.to_bytes();
+            assert_eq!(BcMessage::from_bytes(&bytes).unwrap(), msg);
+            let either = BinMessage::from_bytes(&bytes).unwrap();
+            assert_eq!(either, BinMessage::Paper(msg));
         }
+        // The body tag before the broadcast traffic is the only one there is.
+        let mut bytes = rbc(1, 1, 0, RbMessage::Init(one())).to_bytes().to_vec();
+        bytes[9] = 2;
+        assert!(BcMessage::from_bytes(&bytes).is_err());
     }
 
     #[test]
@@ -762,7 +847,7 @@ mod tests {
 
     #[test]
     fn unanimous_one_decides_one_in_one_round() {
-        let mut net = bc_net(4, StepTransport::ReliableBroadcast, 7);
+        let mut net = bc_net(4, 7);
         for p in 0..4 {
             propose(&mut net, p, true);
         }
@@ -775,7 +860,7 @@ mod tests {
 
     #[test]
     fn unanimous_zero_decides_zero() {
-        let mut net = bc_net(4, StepTransport::ReliableBroadcast, 8);
+        let mut net = bc_net(4, 8);
         for p in 0..4 {
             propose(&mut net, p, false);
         }
@@ -789,7 +874,7 @@ mod tests {
     #[test]
     fn mixed_proposals_agree() {
         for (seed, schedule) in Schedule::sweep(0..10) {
-            let mut net = bc_net(4, StepTransport::ReliableBroadcast, 100 + seed);
+            let mut net = bc_net(4, 100 + seed);
             net.set_schedule(schedule);
             propose(&mut net, 0, true);
             propose(&mut net, 1, false);
@@ -811,7 +896,7 @@ mod tests {
     fn majority_proposal_wins_with_unanimity() {
         // 3 of 4 propose 1: decision must be 1 when the fourth is silent
         // (validity w.r.t. correct processes).
-        let mut net = bc_net(4, StepTransport::ReliableBroadcast, 21);
+        let mut net = bc_net(4, 21);
         net.crash(3);
         propose(&mut net, 0, true);
         propose(&mut net, 1, true);
@@ -825,7 +910,7 @@ mod tests {
     #[test]
     fn crash_fault_still_terminates() {
         for (seed, schedule) in Schedule::sweep(0..5) {
-            let mut net = bc_net(4, StepTransport::ReliableBroadcast, 200 + seed);
+            let mut net = bc_net(4, 200 + seed);
             net.set_schedule(schedule);
             net.crash(2);
             propose(&mut net, 0, true);
@@ -843,7 +928,7 @@ mod tests {
         // The paper's Byzantine faultload: one process always proposes 0
         // (a legal value) while the correct ones propose 1. Decision: 1.
         for (seed, schedule) in Schedule::sweep(0..5) {
-            let mut net = bc_net(4, StepTransport::ReliableBroadcast, 300 + seed);
+            let mut net = bc_net(4, 300 + seed);
             net.set_schedule(schedule);
             propose(&mut net, 0, true);
             propose(&mut net, 1, true);
@@ -861,21 +946,8 @@ mod tests {
     }
 
     #[test]
-    fn plain_fanout_terminates_under_crash() {
-        let mut net = bc_net(4, StepTransport::PlainFanout, 17);
-        net.crash(1);
-        propose(&mut net, 0, true);
-        propose(&mut net, 2, true);
-        propose(&mut net, 3, true);
-        net.run();
-        assert_eq!(decision(&net, 0), Some(true));
-        assert_eq!(decision(&net, 2), Some(true));
-        assert_eq!(decision(&net, 3), Some(true));
-    }
-
-    #[test]
     fn larger_group_unanimous() {
-        let mut net = bc_net(7, StepTransport::ReliableBroadcast, 5);
+        let mut net = bc_net(7, 5);
         for p in 0..7 {
             propose(&mut net, p, true);
         }
@@ -888,7 +960,7 @@ mod tests {
 
     #[test]
     fn double_propose_rejected() {
-        let mut bc = BinaryConsensus::new(ctx(4, 0, 1), coin(1), RB);
+        let mut bc = BinaryConsensus::new(ctx(4, 0, 1), coin(1));
         let _ = bc.propose(true).unwrap();
         assert_eq!(bc.propose(true).unwrap_err(), ProtocolError::AlreadyStarted);
     }
@@ -901,7 +973,7 @@ mod tests {
             let insts = (0..4)
                 .map(|me| {
                     let coin = Box::new(FixedCoin(me % 2 == 0));
-                    BinaryConsensus::new(ctx(4, me, 1), coin, RB)
+                    BinaryConsensus::new(ctx(4, me, 1), coin)
                 })
                 .collect();
             let mut net = Net::connect(insts, 1);
@@ -924,7 +996,7 @@ mod tests {
         for (seed, schedule) in Schedule::sweep(0..5) {
             let dealer = SharedCoinDealer::new(99);
             let insts = (0..4)
-                .map(|me| BinaryConsensus::new(ctx(4, me, 1), Box::new(dealer.coin(1)), RB))
+                .map(|me| BinaryConsensus::new(ctx(4, me, 1), Box::new(dealer.coin(1))))
                 .collect();
             let mut net = Net::connect(insts, 400 + seed);
             net.set_schedule(schedule);
@@ -949,7 +1021,7 @@ mod tests {
         use ritas_crypto::SharedCoinDealer;
         let dealer = SharedCoinDealer::new(5);
         let insts = (0..4)
-            .map(|me| BinaryConsensus::new(ctx(4, me, 1), Box::new(dealer.coin(7)), RB))
+            .map(|me| BinaryConsensus::new(ctx(4, me, 1), Box::new(dealer.coin(7))))
             .collect();
         let mut net = Net::connect(insts, 31);
         propose(&mut net, 0, true);
@@ -974,7 +1046,7 @@ mod tests {
         // and gone quiet; then release its backlog. Round 1 was run in
         // full by the others, so the backlog alone carries the laggard to
         // the same round-1 decision and nobody is ever woken.
-        let mut net = bc_net(4, StepTransport::ReliableBroadcast, 77);
+        let mut net = bc_net(4, 77);
         for p in 0..4 {
             propose(&mut net, p, true);
         }
@@ -995,7 +1067,7 @@ mod tests {
 
     #[test]
     fn decided_instance_withholds_the_next_round_until_asked() {
-        let mut bc = BinaryConsensus::new(ctx(4, 0, 1), coin(1), RB);
+        let mut bc = BinaryConsensus::new(ctx(4, 0, 1), coin(1));
         let mut sent = bc.propose(true).unwrap();
         sent.extend(feed_unanimous_round_one(&mut bc));
         assert_eq!(sent.outputs, [true]);
@@ -1018,7 +1090,7 @@ mod tests {
 
     #[test]
     fn round_ahead_traffic_before_the_decision_means_no_deferral() {
-        let mut bc = BinaryConsensus::new(ctx(4, 0, 1), coin(1), RB);
+        let mut bc = BinaryConsensus::new(ctx(4, 0, 1), coin(1));
         let mut sent = bc.propose(true).unwrap();
         let early = bc.handle_message(1, rbc(2, 1, 1, RbMessage::Init(one())));
         assert_eq!(early.messages.len(), 1, "the ECHO, nothing of our own");
@@ -1031,7 +1103,7 @@ mod tests {
 
     #[test]
     fn a_malformed_or_own_frame_wakes_nobody() {
-        let mut bc = BinaryConsensus::new(ctx(4, 0, 1), coin(1), RB);
+        let mut bc = BinaryConsensus::new(ctx(4, 0, 1), coin(1));
         let _ = bc.propose(true).unwrap();
         let _ = feed_unanimous_round_one(&mut bc);
         for (from, msg) in [
@@ -1040,15 +1112,6 @@ mod tests {
             (
                 1,
                 rbc(2 + MAX_ROUND_AHEAD + 1, 1, 1, RbMessage::Init(one())),
-            ),
-            (
-                1,
-                BcMessage {
-                    round: 2,
-                    step: 1,
-                    origin: 1,
-                    body: BcBody::Plain(Some(true)),
-                },
             ),
             (0, rbc(2, 1, 1, RbMessage::Echo(one()))),
         ] {
@@ -1063,7 +1126,7 @@ mod tests {
         // The worst a Byzantine member can do: ask for the round nobody
         // needs. Every process then runs it and halts, as all did before.
         for n in [4, 7] {
-            let mut net = bc_net(n, RB, 9);
+            let mut net = bc_net(n, 9);
             for p in 0..n {
                 propose(&mut net, p, true);
             }
@@ -1091,7 +1154,7 @@ mod tests {
     /// One run of the split-proposal workload the wake rule is tuned on.
     /// Returns the net after it drained.
     fn split_run(n: usize, seed: u64, schedule: Schedule) -> BcNet {
-        let mut net = bc_net(n, RB, 5000 + seed);
+        let mut net = bc_net(n, 5000 + seed);
         net.set_schedule(schedule);
         for p in 0..n {
             propose(&mut net, p, (p as u64 + seed).is_multiple_of(2));
@@ -1155,61 +1218,15 @@ mod tests {
 
     #[test]
     fn far_future_round_rejected() {
-        let mut bc = BinaryConsensus::new(ctx(4, 0, 1), coin(1), RB);
-        let step = bc.handle_message(
-            1,
-            BcMessage {
-                round: 1_000_000,
-                step: 1,
-                origin: 1,
-                body: BcBody::Rbc(RbMessage::Init(Bytes::from_static(&[1]))),
-            },
-        );
+        let mut bc = BinaryConsensus::new(ctx(4, 0, 1), coin(1));
+        let step = bc.handle_message(1, rbc(1_000_000, 1, 1, RbMessage::Init(one())));
         assert_eq!(step.faults[0].kind, FaultKind::Unjustified);
     }
 
     #[test]
     fn malformed_step_rejected() {
-        let mut bc = BinaryConsensus::new(ctx(4, 0, 1), coin(1), RB);
-        let step = bc.handle_message(
-            1,
-            BcMessage {
-                round: 1,
-                step: 4,
-                origin: 1,
-                body: BcBody::Plain(Some(true)),
-            },
-        );
+        let mut bc = BinaryConsensus::new(ctx(4, 0, 1), coin(1));
+        let step = bc.handle_message(1, rbc(1, 4, 1, RbMessage::Init(one())));
         assert_eq!(step.faults[0].kind, FaultKind::Malformed);
-    }
-
-    #[test]
-    fn plain_body_rejected_in_rbc_mode() {
-        let mut bc = BinaryConsensus::new(ctx(4, 0, 1), coin(1), RB);
-        let step = bc.handle_message(
-            1,
-            BcMessage {
-                round: 1,
-                step: 1,
-                origin: 1,
-                body: BcBody::Plain(Some(true)),
-            },
-        );
-        assert_eq!(step.faults[0].kind, FaultKind::Malformed);
-    }
-
-    #[test]
-    fn plain_fanout_rejects_relayed_values() {
-        let mut bc = BinaryConsensus::new(ctx(4, 0, 1), coin(1), StepTransport::PlainFanout);
-        let step = bc.handle_message(
-            2,
-            BcMessage {
-                round: 1,
-                step: 1,
-                origin: 1, // relayed: from != origin
-                body: BcBody::Plain(Some(true)),
-            },
-        );
-        assert_eq!(step.faults[0].kind, FaultKind::NotEntitled);
     }
 }

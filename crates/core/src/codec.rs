@@ -99,7 +99,8 @@ mod tests {
 
     use crate::ab::{AbMessage, MsgId};
     use crate::adversary::FrameMutator;
-    use crate::bc::{BcBody, BcMessage};
+    use crate::bc::lean::{LeanKind, LeanMessage};
+    use crate::bc::{BcMessage, BinMessage};
     use crate::eb::EbMessage;
     use crate::mvc::{MvcMessage, VectBody, VectPayload};
     use crate::rb::RbMessage;
@@ -183,12 +184,17 @@ mod tests {
                 origin: 3,
                 inner: VectBody::Reliable(RbMessage::Ready(Bytes::from_static(b"vect"))),
             },
-            MvcMessage::Bin(BcMessage {
+            MvcMessage::Bin(BinMessage::Paper(BcMessage {
                 round: 2,
                 step: 3,
                 origin: 0,
-                body: BcBody::Rbc(RbMessage::Echo(Bytes::from_static(&[2]))),
-            }),
+                inner: RbMessage::Echo(Bytes::from_static(&[2])),
+            })),
+            MvcMessage::Bin(BinMessage::Lean(LeanMessage {
+                kind: LeanKind::Term,
+                round: 4,
+                value: true,
+            })),
         ]);
         out
     }
@@ -212,18 +218,28 @@ mod tests {
             EbMessage::Mat(vec![Some(tags[0]), None, Some(tags[1])]),
         ]);
         messages_agree(&[
-            BcMessage {
+            BinMessage::Paper(BcMessage {
                 round: 1,
                 step: 1,
                 origin: 3,
-                body: BcBody::Rbc(RbMessage::Init(Bytes::from_static(&[1]))),
-            },
-            BcMessage {
+                inner: RbMessage::Init(Bytes::from_static(&[1])),
+            }),
+            BinMessage::Paper(BcMessage {
                 round: 7,
                 step: 3,
                 origin: 0,
-                body: BcBody::Plain(None),
-            },
+                inner: RbMessage::Ready(Bytes::from_static(&[2])),
+            }),
+            BinMessage::Lean(LeanMessage {
+                kind: LeanKind::Est,
+                round: 1,
+                value: false,
+            }),
+            BinMessage::Lean(LeanMessage {
+                kind: LeanKind::Aux,
+                round: 9,
+                value: true,
+            }),
         ]);
         messages_agree(&mvc_messages());
         let mut vc: Vec<VcMessage> = rb_messages()

@@ -31,7 +31,7 @@
 //! as [`MultiValuedConsensus::propose_byzantine_bottom`], so the
 //! evaluation harness attacks through the real code path.
 
-use crate::bc::{BcMessage, BinaryConsensus, StepTransport};
+use crate::bc::{BcInstance, BinMessage, Coins, Profile};
 use crate::codec::{Reader, WireError, WireMessage, Writer};
 use crate::ctx::Ctx;
 use crate::eb::{EbMessage, EchoBroadcast};
@@ -40,7 +40,6 @@ use crate::rb::{RbMessage, ReliableBroadcast};
 use crate::step::{FaultKind, Step};
 use crate::ProcessId;
 use bytes::Bytes;
-use ritas_crypto::RoundCoin;
 use ritas_metrics::{Layer, SpanAnnotation};
 use std::fmt::Write as _;
 
@@ -152,7 +151,7 @@ pub enum MvcMessage {
         inner: VectBody,
     },
     /// Binary consensus traffic.
-    Bin(BcMessage),
+    Bin(BinMessage),
 }
 
 const TAG_INIT: u8 = 1;
@@ -198,7 +197,7 @@ impl WireMessage for MvcMessage {
                 origin: r.u32("mvc.origin")? as usize,
                 inner: VectBody::Reliable(RbMessage::decode(r)?),
             }),
-            TAG_BIN => Ok(MvcMessage::Bin(BcMessage::decode(r)?)),
+            TAG_BIN => Ok(MvcMessage::Bin(BinMessage::decode(r)?)),
             t => Err(WireError::InvalidTag {
                 what: "mvc.tag",
                 tag: t,
@@ -223,8 +222,8 @@ enum VectInstance {
 pub struct MvcConfig {
     /// Transport for `VECT` messages.
     pub vect_transport: VectTransport,
-    /// Transport for the binary consensus steps.
-    pub bc_transport: StepTransport,
+    /// Which binary consensus decides the instance.
+    pub profile: Profile,
 }
 
 /// State of one multi-valued consensus instance for process `me`.
@@ -253,7 +252,7 @@ pub struct MultiValuedConsensus {
     sent_vect: bool,
     /// Snapshot flag: the BC proposal has been computed and submitted.
     bc_proposed: bool,
-    bc: BinaryConsensus,
+    bc: BcInstance,
     bc_decision: Option<bool>,
     decided: bool,
     decision: Option<MvcValue>,
@@ -271,9 +270,9 @@ impl core::fmt::Debug for MultiValuedConsensus {
 }
 
 impl MultiValuedConsensus {
-    /// Creates an instance whose binary consensus flips `coin`
+    /// Creates an instance whose binary consensus flips one of `coins`
     /// ([`MvcConfig::default`] is the paper's configuration).
-    pub fn new(ctx: Ctx, coin: Box<dyn RoundCoin + Send>, config: MvcConfig) -> Self {
+    pub fn new(ctx: Ctx, coins: Coins, config: MvcConfig) -> Self {
         let n = ctx.group.n();
         let init_rbc = (0..n)
             .map(|o| ReliableBroadcast::new(ctx.child(Layer::Rb, |f| write!(f, "init:{o}")), o))
@@ -291,7 +290,7 @@ impl MultiValuedConsensus {
             vect_suspected: vec![false; n],
             sent_vect: false,
             bc_proposed: false,
-            bc: BinaryConsensus::new(bc, coin, config.bc_transport),
+            bc: BcInstance::new(bc, config.profile, coins),
             bc_decision: None,
             decided: false,
             decision: None,
@@ -705,18 +704,21 @@ fn wrap_vect_rb(origin: ProcessId, sub: Step<RbMessage, Bytes>) -> MvcStep {
     })
 }
 
-fn wrap_bin(sub: Step<BcMessage, bool>) -> MvcStep {
+fn wrap_bin(sub: Step<BinMessage, bool>) -> MvcStep {
     sub.forward(MvcMessage::Bin)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bc::BcMessage;
     use crate::testing::{ctx, Net, Schedule};
-    use ritas_crypto::DeterministicCoin;
 
-    fn coin(seed: u64) -> Box<dyn RoundCoin + Send> {
-        Box::new(DeterministicCoin::new(seed))
+    fn coins(seed: u64) -> Coins {
+        Coins {
+            local: seed,
+            nonce: 1,
+        }
     }
 
     type MvcNet = Net<MultiValuedConsensus>;
@@ -724,8 +726,8 @@ mod tests {
     fn mvc_net(n: usize, seed: u64, config: MvcConfig) -> MvcNet {
         let insts = (0..n)
             .map(|me| {
-                let coin = coin(seed ^ (me as u64) << 8);
-                MultiValuedConsensus::new(ctx(n, me, seed), coin, config)
+                let coins = coins(seed ^ (me as u64) << 8);
+                MultiValuedConsensus::new(ctx(n, me, seed), coins, config)
             })
             .collect();
         Net::connect(insts, seed)
@@ -777,12 +779,17 @@ mod tests {
                 origin: 0,
                 inner: VectBody::Reliable(RbMessage::Echo(Bytes::from_static(b"y"))),
             },
-            MvcMessage::Bin(BcMessage {
+            MvcMessage::Bin(BinMessage::Paper(BcMessage {
                 round: 1,
                 step: 1,
                 origin: 3,
-                body: crate::bc::BcBody::Rbc(RbMessage::Init(Bytes::from_static(&[1]))),
-            }),
+                inner: RbMessage::Init(Bytes::from_static(&[1])),
+            })),
+            MvcMessage::Bin(BinMessage::Lean(crate::bc::lean::LeanMessage {
+                kind: crate::bc::lean::LeanKind::Aux,
+                round: 2,
+                value: true,
+            })),
         ];
         for m in msgs {
             assert_eq!(MvcMessage::from_bytes(&m.to_bytes()).unwrap(), m);
@@ -815,7 +822,7 @@ mod tests {
             9,
             MvcConfig {
                 vect_transport: VectTransport::Reliable,
-                bc_transport: StepTransport::ReliableBroadcast,
+                ..MvcConfig::default()
             },
         );
         for p in 0..4 {
@@ -825,6 +832,33 @@ mod tests {
         for p in 0..4 {
             assert_eq!(decision(&net, p), Some(Some(Bytes::from_static(b"agreed"))));
         }
+    }
+
+    #[test]
+    fn the_lean_profile_decides_alike() {
+        let lean = MvcConfig {
+            profile: Profile::Lean,
+            ..MvcConfig::default()
+        };
+        for (seed, schedule) in Schedule::sweep(0..5) {
+            let mut net = mvc_net(4, 60 + seed, lean);
+            net.set_schedule(schedule);
+            for p in 0..3 {
+                propose(&mut net, p, b"good");
+            }
+            propose_byzantine(&mut net, 3);
+            net.run();
+            for p in 0..3 {
+                let good = Some(Some(Bytes::from_static(b"good")));
+                assert_eq!(decision(&net, p), good, "seed {seed} {schedule} {p}");
+            }
+        }
+        let mut net = mvc_net(4, 5, lean);
+        for (p, v) in [b"a", b"b", b"c", b"d"].iter().enumerate() {
+            propose(&mut net, p, *v);
+        }
+        net.run();
+        assert!((0..4).all(|p| decision(&net, p) == Some(None)));
     }
 
     #[test]
@@ -908,7 +942,7 @@ mod tests {
 
     #[test]
     fn double_propose_rejected() {
-        let mut mvc = MultiValuedConsensus::new(ctx(4, 0, 0), coin(1), MvcConfig::default());
+        let mut mvc = MultiValuedConsensus::new(ctx(4, 0, 0), coins(1), MvcConfig::default());
         let _ = mvc.propose(Bytes::from_static(b"v")).unwrap();
         assert_eq!(
             mvc.propose(Bytes::from_static(b"w")).unwrap_err(),

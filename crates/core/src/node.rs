@@ -19,6 +19,7 @@
 //! | `ritas_destroy` | [`Node::shutdown`] |
 
 use crate::ab::AbDelivery;
+use crate::bc::Profile;
 use crate::config::{ConfigError, Group};
 use crate::error::ProtocolError;
 use crate::mvc::MvcValue;
@@ -105,12 +106,14 @@ pub struct SessionConfig {
     /// and the flight recorder) whenever work is outstanding but nothing
     /// a-delivers within the budget.
     pub stall_budget: Option<Duration>,
-    /// Stack configuration.
+    /// Stack configuration: the lean binary consensus
+    /// ([`crate::bc::Profile::Lean`]) unless changed.
     pub stack: StackConfig,
 }
 
 impl SessionConfig {
-    /// Creates a configuration for `n` processes with authentication on.
+    /// Creates a configuration for `n` processes with authentication on,
+    /// running the lean binary consensus.
     ///
     /// # Errors
     ///
@@ -122,7 +125,7 @@ impl SessionConfig {
             authenticate: true,
             metrics_endpoint: false,
             stall_budget: None,
-            stack: StackConfig::default(),
+            stack: StackConfig::default().with_profile(Profile::Lean),
         })
     }
 

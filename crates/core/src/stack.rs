@@ -19,7 +19,7 @@
 //!   (bounded; see [`Stack::ooc_len`]).
 
 use crate::ab::{AbConfig, AbDelivery, AbMessage, AtomicBroadcast, MsgId};
-use crate::bc::BinaryConsensus;
+use crate::bc::{BcInstance, Coins, Profile};
 use crate::codec::{Reader, WireError, WireMessage, Writer};
 use crate::config::Group;
 use crate::ctx::Ctx;
@@ -31,7 +31,7 @@ use crate::step::{FaultKind, Process, Step};
 use crate::vc::{DecisionVector, VectorConsensus};
 use crate::ProcessId;
 use bytes::Bytes;
-use ritas_crypto::{DeterministicCoin, ProcessKeys, RoundCoin};
+use ritas_crypto::{Digest, ProcessKeys, Sha256};
 use ritas_metrics::{Layer, Metrics};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -238,7 +238,7 @@ pub type StackStep = Step<Bytes, Output>;
 enum Instance {
     Rb(ReliableBroadcast),
     Eb(EchoBroadcast),
-    Bc(BinaryConsensus),
+    Bc(BcInstance),
     Mvc(Box<MultiValuedConsensus>),
     Vc(VectorConsensus),
     Ab(Box<AtomicBroadcast>),
@@ -287,7 +287,7 @@ impl Hosted for EchoBroadcast {
     }
 }
 
-impl Hosted for BinaryConsensus {
+impl Hosted for BcInstance {
     fn lift(&self, key: InstanceKey, decision: bool) -> Output {
         Output::BcDecided { key, decision }
     }
@@ -311,39 +311,24 @@ impl Hosted for AtomicBroadcast {
     }
 }
 
-/// Which randomized-coin scheme standalone binary consensus instances
-/// use (paper §5: Ben-Or's local coins vs Rabin's dealer-distributed
-/// shared coins).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CoinPolicy {
-    /// Ben-Or-style private local coins — the paper's configuration; no
-    /// setup beyond the pairwise keys.
-    #[default]
-    Local,
-    /// Rabin-style shared coins dealt from a common seed: every process
-    /// flips the same bit in the same round. Every member holds the seed,
-    /// a Byzantine member included, so anyone in the group can compute
-    /// every coin of every instance from setup: the O(1) expected-round
-    /// bound holds only against a scheduler that controls no member
-    /// (ROADMAP item 8 replaces this coin). All processes must configure
-    /// the same `dealer_seed`.
-    Shared {
-        /// The dealer's master seed (distributed with the keys).
-        dealer_seed: u64,
-    },
-}
-
-/// Stack-wide configuration.
+/// Stack-wide configuration. The default is the paper's stack
+/// ([`Profile::Paper`]); `SessionConfig::new` configures the lean one.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StackConfig {
-    /// Configuration for atomic broadcast sessions; its `mvc` transports
-    /// are also those of the standalone consensus instances (`Bc`, `Mvc`,
-    /// `Vc`).
+    /// Configuration for atomic broadcast sessions. Its `mvc` part — the
+    /// `VECT` transport and the [`Profile`] — is also that of the
+    /// standalone consensus instances (`Bc`, `Mvc`, `Vc`): every binary
+    /// consensus of the stack, standalone or inside an agreement, is of
+    /// that one profile and flips that profile's coin.
     pub ab: AbConfig,
-    /// Coin scheme for standalone binary consensus instances — those
-    /// started by [`Stack::bc_propose`] only. The binary consensus rounds
-    /// inside MVC, VC and atomic broadcast always flip local coins.
-    pub coin: CoinPolicy,
+}
+
+impl StackConfig {
+    /// This configuration with every binary consensus of `profile`.
+    pub fn with_profile(mut self, profile: Profile) -> Self {
+        self.ab.mvc.profile = profile;
+        self
+    }
 }
 
 /// The per-process protocol stack (the `ritas_t` context of §3.1).
@@ -488,23 +473,26 @@ impl Stack {
         self.ooc_dropped
     }
 
-    fn coin_for(&self, key: &InstanceKey) -> Box<dyn RoundCoin + Send> {
-        let salt = match key {
-            InstanceKey::Bc { tag } => 0x1000_0000_0000_0000u64 ^ *tag,
-            InstanceKey::Mvc { tag } => 0x2000_0000_0000_0000u64 ^ *tag,
-            _ => 0,
+    /// The coins of the consensus instance (or the agreements of the
+    /// session) under `key`: a local seed of this process's own, from
+    /// `coin_seed`, and a common-coin nonce every process derives alike
+    /// from the key alone.
+    pub(crate) fn coins(&self, key: &InstanceKey) -> Coins {
+        let (mul, salt) = match key {
+            InstanceKey::Bc { tag } => (0x9E37_79B9_7F4A_7C15, 0x1000_0000_0000_0000 ^ *tag),
+            InstanceKey::Mvc { tag } => (0x9E37_79B9_7F4A_7C15, 0x2000_0000_0000_0000 ^ *tag),
+            InstanceKey::Vc { tag } => (0x517C_C1B7_2722_0A95, 0x5000_0000_0000_0000 ^ *tag),
+            InstanceKey::Ab { session } => (
+                0x517C_C1B7_2722_0A95,
+                0x6000_0000_0000_0000 ^ u64::from(*session),
+            ),
+            _ => unreachable!("only consensus instances and sessions flip coins"),
         };
-        let seed = self.coin_seed.wrapping_mul(0x9E3779B97F4A7C15) ^ salt;
-        Box::new(DeterministicCoin::new(seed))
-    }
-
-    fn sub_seed(&self, key: &InstanceKey) -> u64 {
-        let salt = match key {
-            InstanceKey::Vc { tag } => 0x5000_0000_0000_0000u64 ^ *tag,
-            InstanceKey::Ab { session } => 0x6000_0000_0000_0000u64 ^ *session as u64,
-            _ => 0,
-        };
-        self.coin_seed.wrapping_mul(0x517C_C1B7_2722_0A95) ^ salt
+        let digest = Sha256::digest_concat(&[b"ritas-coin-nonce", &key.to_bytes()]);
+        Coins {
+            local: self.coin_seed.wrapping_mul(mul) ^ salt,
+            nonce: u64::from_be_bytes(digest[..8].try_into().expect("a SHA-256 digest")),
+        }
     }
 
     // ----- instance creation -----
@@ -560,7 +548,7 @@ impl Stack {
     fn open_ab(&mut self, key: InstanceKey, cursor: Option<&crate::ab::AbCursor>) -> StackStep {
         let mut ab = match self.instances.remove(&key) {
             Some(Instance::Ab(ab)) => *ab,
-            _ => AtomicBroadcast::new(self.ctx_for(key), self.sub_seed(&key), self.config.ab),
+            _ => AtomicBroadcast::new(self.ctx_for(key), self.coins(&key), self.config.ab),
         };
         if let Some(cursor) = cursor {
             ab.resume(cursor);
@@ -605,13 +593,7 @@ impl Stack {
     pub fn bc_propose(&mut self, tag: u64, value: bool) -> Result<StackStep, ProtocolError> {
         let key = InstanceKey::Bc { tag };
         let ctx = self.ctx_for_proposal(key)?;
-        let coin = match self.config.coin {
-            CoinPolicy::Local => self.coin_for(&key),
-            CoinPolicy::Shared { dealer_seed } => {
-                Box::new(ritas_crypto::SharedCoinDealer::new(dealer_seed).coin(tag))
-            }
-        };
-        let mut bc = BinaryConsensus::new(ctx, coin, self.config.ab.mvc.bc_transport);
+        let mut bc = BcInstance::new(ctx, self.config.ab.mvc.profile, self.coins(&key));
         let first = bc.propose(value)?;
         let step = self.install(key, bc, Instance::Bc, first);
         Ok(self.reported(step))
@@ -644,7 +626,7 @@ impl Stack {
     ) -> Result<StackStep, ProtocolError> {
         let key = InstanceKey::Mvc { tag };
         let ctx = self.ctx_for_proposal(key)?;
-        let mut mvc = MultiValuedConsensus::new(ctx, self.coin_for(&key), self.config.ab.mvc);
+        let mut mvc = MultiValuedConsensus::new(ctx, self.coins(&key), self.config.ab.mvc);
         let first = propose(&mut mvc)?;
         let step = self.install(key, mvc, |mvc| Instance::Mvc(Box::new(mvc)), first);
         Ok(self.reported(step))
@@ -658,7 +640,7 @@ impl Stack {
     pub fn vc_propose(&mut self, tag: u64, value: Bytes) -> Result<StackStep, ProtocolError> {
         let key = InstanceKey::Vc { tag };
         let ctx = self.ctx_for_proposal(key)?;
-        let mut vc = VectorConsensus::new(ctx, self.sub_seed(&key), self.config.ab.mvc);
+        let mut vc = VectorConsensus::new(ctx, self.coins(&key), self.config.ab.mvc);
         let first = vc.propose(value)?;
         let step = self.install(key, vc, Instance::Vc, first);
         Ok(self.reported(step))
@@ -1317,40 +1299,52 @@ mod tests {
     }
 
     #[test]
-    fn shared_coin_cluster_agrees() {
-        use crate::testing::Cluster;
-        let group = crate::Group::new(4).unwrap();
-        let table = ritas_crypto::KeyTable::dealer(4, 3);
-        let stacks: Vec<Stack> = (0..4)
-            .map(|me| {
-                Stack::with_config(
-                    group,
-                    me,
-                    table.view_of(me),
-                    3 ^ (me as u64) << 8,
-                    StackConfig {
-                        coin: CoinPolicy::Shared { dealer_seed: 55 },
-                        ..StackConfig::default()
-                    },
-                )
-            })
-            .collect();
-        let mut cluster = Cluster::with_stacks(stacks, 3);
-        for p in 0..4 {
-            let s = cluster.stack_mut(p).bc_propose(8, p % 2 == 1).unwrap();
-            cluster.absorb(p, s);
-        }
-        cluster.run();
-        let decisions: Vec<bool> = (0..4)
-            .filter_map(|p| {
-                cluster.outputs(p).iter().find_map(|o| match o {
-                    Output::BcDecided { decision, .. } => Some(*decision),
-                    _ => None,
+    fn lean_cluster_agrees() {
+        for seed in 0..8 {
+            let mut cluster = Cluster::with_profile(4, seed, Profile::Lean);
+            for p in 0..4 {
+                let s = cluster.stack_mut(p).bc_propose(8, p % 2 == 1).unwrap();
+                cluster.absorb(p, s);
+            }
+            cluster.run();
+            let decisions: Vec<bool> = (0..4)
+                .filter_map(|p| {
+                    cluster.outputs(p).iter().find_map(|o| match o {
+                        Output::BcDecided { decision, .. } => Some(*decision),
+                        _ => None,
+                    })
                 })
-            })
-            .collect();
-        assert_eq!(decisions.len(), 4);
-        assert!(decisions.iter().all(|d| *d == decisions[0]));
+                .collect();
+            assert_eq!(decisions.len(), 4, "seed {seed}");
+            assert!(decisions.iter().all(|d| *d == decisions[0]), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn every_stack_flips_the_same_coin_for_the_same_agreement_round() {
+        // Each stack has its own coin seed; the common coin of a round is
+        // a function of the session's key and the round alone.
+        use ritas_crypto::RoundCoin;
+        let cluster = Cluster::with_profile(4, 44, Profile::Lean);
+        for key in [InstanceKey::Ab { session: 0 }, InstanceKey::Vc { tag: 3 }] {
+            let flips = |p: usize, round: u32| {
+                let stack = cluster.process(p);
+                let coins = stack.coins(&key).round(round);
+                let mut coin = stack.ctx.keys.coin(coins.nonce);
+                (3..35).map(|r| coin.flip_round(r)).collect::<Vec<_>>()
+            };
+            for round in 0..8 {
+                let first = flips(0, round);
+                for p in 1..4 {
+                    assert_eq!(flips(p, round), first, "{key:?} round {round} process {p}");
+                }
+                assert_ne!(flips(0, round + 1), first, "{key:?} round {round}");
+            }
+            assert_ne!(
+                cluster.process(0).coins(&key).local,
+                cluster.process(1).coins(&key).local
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! simulator.
 
 use crate::ab::{AbDelivery, AbMessage, AtomicBroadcast};
-use crate::bc::{BcMessage, BinaryConsensus};
+use crate::bc::lean::{LeanConsensus, LeanMessage};
+use crate::bc::{BcInstance, BcMessage, BinMessage, BinaryConsensus};
 use crate::eb::{EbMessage, EchoBroadcast};
 use crate::mvc::{MultiValuedConsensus, MvcMessage, MvcValue};
 use crate::rb::{RbMessage, ReliableBroadcast};
@@ -273,6 +274,8 @@ macro_rules! process {
 process!(ReliableBroadcast, RbMessage, Bytes);
 process!(EchoBroadcast, EbMessage, Bytes);
 process!(BinaryConsensus, BcMessage, bool);
+process!(LeanConsensus, LeanMessage, bool);
+process!(BcInstance, BinMessage, bool);
 process!(MultiValuedConsensus, MvcMessage, MvcValue);
 process!(VectorConsensus, VcMessage, DecisionVector, poll);
 process!(AtomicBroadcast, AbMessage, AbDelivery, poll);

@@ -13,9 +13,10 @@
 //! protocol logic.
 
 use crate::adversary::{seeded_rng, SendCtx, Strategy};
+use crate::bc::Profile;
 use crate::config::Group;
 use crate::ctx::Ctx;
-use crate::stack::Stack;
+use crate::stack::{Stack, StackConfig};
 use crate::step::{Outgoing, Process, Step, Target};
 use crate::ProcessId;
 use bytes::Bytes;
@@ -432,18 +433,30 @@ impl Wire<Bytes> for Byzantine {
 pub type Cluster = Net<Stack, Byzantine>;
 
 impl Cluster {
-    /// Creates a cluster of `n` correct processes with dealt keys.
+    /// Creates a cluster of `n` correct processes with dealt keys,
+    /// running the paper's stack.
     ///
     /// # Panics
     ///
     /// Panics if `n < 4`.
     pub fn new(n: usize, seed: u64) -> Self {
+        Self::with_profile(n, seed, Profile::Paper)
+    }
+
+    /// [`Cluster::new`] with every binary consensus of `profile`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 4`.
+    pub fn with_profile(n: usize, seed: u64, profile: Profile) -> Self {
+        let group = Group::new(n).expect("n >= 4");
+        let table = KeyTable::dealer(n, seed);
+        let config = StackConfig::default().with_profile(profile);
         Self::with_stacks(
             (0..n)
                 .map(|me| {
-                    let group = Group::new(n).expect("n >= 4");
-                    let table = KeyTable::dealer(n, seed);
-                    Stack::new(group, me, table.view_of(me), seed ^ ((me as u64) << 32))
+                    let coin_seed = seed ^ ((me as u64) << 32);
+                    Stack::with_config(group, me, table.view_of(me), coin_seed, config)
                 })
                 .collect(),
             seed,

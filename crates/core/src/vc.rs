@@ -22,6 +22,7 @@
 //! `DESIGN.md` for a discussion of the termination behaviour under
 //! permanently silent processes.
 
+use crate::bc::Coins;
 use crate::codec::{Reader, WireError, WireMessage, Writer};
 use crate::ctx::Ctx;
 use crate::error::ProtocolError;
@@ -30,7 +31,6 @@ use crate::rb::{RbMessage, ReliableBroadcast};
 use crate::step::{FaultKind, Step};
 use crate::ProcessId;
 use bytes::Bytes;
-use ritas_crypto::DeterministicCoin;
 use ritas_metrics::{Layer, SpanAnnotation};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -149,7 +149,7 @@ pub struct VectorConsensus {
     /// `mvc:{r}`.
     ctx: Ctx,
     mvc_config: MvcConfig,
-    coin_seed: u64,
+    coins: Coins,
     started: bool,
     /// Proposal reliable broadcasts, one per origin.
     prop_rbc: Vec<ReliableBroadcast>,
@@ -178,14 +178,13 @@ impl VectorConsensus {
     /// Creates an instance whose rounds run multi-valued consensus as
     /// `mvc_config` says ([`MvcConfig::default`] is the paper's).
     ///
-    /// `coin_seed` seeds the per-round binary consensus coins (each round
-    /// derives an independent deterministic coin; pass entropy in
-    /// production, a fixed seed for reproducible runs).
-    pub fn new(ctx: Ctx, coin_seed: u64, mvc_config: MvcConfig) -> Self {
+    /// Each round's binary consensus flips its own coins of `coins`
+    /// ([`Coins::round`]).
+    pub fn new(ctx: Ctx, coins: Coins, mvc_config: MvcConfig) -> Self {
         let n = ctx.group.n();
         VectorConsensus {
             mvc_config,
-            coin_seed,
+            coins,
             started: false,
             prop_rbc: (0..n)
                 .map(|o| ReliableBroadcast::new(ctx.child(Layer::Rb, |f| write!(f, "prop:{o}")), o))
@@ -273,13 +272,9 @@ impl VectorConsensus {
     /// The MVC instance of `round`, created on first use.
     fn round_instance(&mut self, round: u32) -> &mut MultiValuedConsensus {
         self.rounds.entry(round).or_insert_with(|| {
-            let seed = self
-                .coin_seed
-                .wrapping_mul(0x9E3779B97F4A7C15)
-                .wrapping_add(round as u64);
             MultiValuedConsensus::new(
                 self.ctx.child(Layer::Mvc, |f| write!(f, "mvc:{round}")),
-                Box::new(DeterministicCoin::new(seed)),
+                self.coins.round(round),
                 self.mvc_config,
             )
         })
@@ -374,10 +369,18 @@ mod tests {
 
     type VcNet = Net<VectorConsensus>;
 
+    fn coins(local: u64) -> Coins {
+        Coins { local, nonce: 3 }
+    }
+
     fn vc_net(n: usize, seed: u64) -> VcNet {
         let insts = (0..n)
             .map(|me| {
-                VectorConsensus::new(ctx(n, me, seed), seed ^ me as u64, MvcConfig::default())
+                VectorConsensus::new(
+                    ctx(n, me, seed),
+                    coins(seed ^ me as u64),
+                    MvcConfig::default(),
+                )
             })
             .collect();
         Net::connect(insts, seed)
@@ -471,7 +474,7 @@ mod tests {
 
     #[test]
     fn double_propose_rejected() {
-        let mut vc = VectorConsensus::new(ctx(4, 0, 0), 1, MvcConfig::default());
+        let mut vc = VectorConsensus::new(ctx(4, 0, 0), coins(1), MvcConfig::default());
         let _ = vc.propose(Bytes::from_static(b"v")).unwrap();
         assert_eq!(
             vc.propose(Bytes::from_static(b"w")).unwrap_err(),
@@ -481,7 +484,7 @@ mod tests {
 
     #[test]
     fn far_future_round_rejected() {
-        let mut vc = VectorConsensus::new(ctx(4, 0, 0), 1, MvcConfig::default());
+        let mut vc = VectorConsensus::new(ctx(4, 0, 0), coins(1), MvcConfig::default());
         let step = vc.handle_message(
             1,
             VcMessage::Round {

@@ -1,14 +1,17 @@
-//! Coins for Bracha-style randomized binary consensus.
+//! Coins for randomized binary consensus.
 //!
 //! §2: "Each process has access to a random bit generator that returns
 //! unbiased bits observable only by the process". Ben-Or/Bracha protocols
 //! need only this *local* coin (unlike Rabin-style shared coins, which need
 //! a trusted dealer). Every coin implements [`RoundCoin`]:
 //!
-//! * every driver — node runtime, simulator, tests — uses a seeded local
-//!   coin ([`DeterministicCoin`]), so a run replays from its seeds,
-//! * adversarial tests force worst-case coins ([`FixedCoin`]),
-//! * the shared-coin extension uses a dealer-keyed [`SharedCoin`].
+//! * the paper's Bracha consensus — the `paper` profile the simulator
+//!   reproduces — flips a seeded local coin ([`DeterministicCoin`]), so a
+//!   run replays from its seeds,
+//! * the `lean` consensus the node runtime and the service tier run
+//!   flips a [`SharedCoin`], its secret dealt with the pairwise keys
+//!   (`KeyTable::dealer`),
+//! * adversarial tests force worst-case coins ([`FixedCoin`]).
 //!
 //! [`XorShift64`], the generator behind [`DeterministicCoin`], is also the
 //! workspace's one small replayable generator for everything else that
@@ -124,10 +127,17 @@ impl RoundCoin for SharedCoin {
 
 /// The trusted dealer of Rabin's scheme: deals [`SharedCoin`]s for
 /// consensus instances. Every process must be given a dealer built from
-/// the same seed (alongside the pairwise keys, §2's key distribution).
-#[derive(Debug, Clone)]
+/// the same seed (alongside the pairwise keys, §2's key distribution —
+/// `KeyTable::dealer` does both).
+#[derive(Clone)]
 pub struct SharedCoinDealer {
     secret: [u8; 32],
+}
+
+impl core::fmt::Debug for SharedCoinDealer {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "SharedCoinDealer(..)")
+    }
 }
 
 impl SharedCoinDealer {

@@ -1,4 +1,5 @@
-//! Pairwise shared secret keys.
+//! Pairwise shared secret keys, and the common-coin secret dealt with
+//! them.
 //!
 //! The paper's model (§2): "Each pair of processes (p_i, p_j) shares a
 //! secret key s_ij. It is out of the scope of the paper to present a
@@ -7,7 +8,10 @@
 //! deterministic [`KeyTable::dealer`] constructor that derives the full
 //! pairwise key matrix from a master seed (for tests, simulation and the
 //! examples — a production deployment would load dealt keys instead).
+//! The same dealer hands every process the secret of the common coin
+//! ([`ProcessKeys::coin`]), derived from the master seed alone.
 
+use crate::coin::{SharedCoin, SharedCoinDealer};
 use crate::digest::Digest;
 use crate::sha256::Sha256;
 
@@ -64,6 +68,8 @@ pub struct KeyTable {
     /// Full symmetric matrix; entry `(i, j)` is `s_ij` (only the upper
     /// triangle is distinct). A per-process *view* exposes one row.
     matrix: Vec<SecretKey>,
+    /// The common coin's secret, the same in every epoch.
+    coin: SharedCoinDealer,
 }
 
 impl KeyTable {
@@ -72,6 +78,7 @@ impl KeyTable {
     ///
     /// Key derivation is `SHA-256("ritas-key" ‖ seed ‖ min(i,j) ‖ max(i,j))`,
     /// which guarantees symmetry (`s_ij == s_ji`) and pairwise-distinct keys.
+    /// The coin secret is [`SharedCoinDealer::new`] of the same seed.
     ///
     /// # Panics
     ///
@@ -91,7 +98,11 @@ impl KeyTable {
                 matrix.push(SecretKey(digest));
             }
         }
-        KeyTable { n, matrix }
+        KeyTable {
+            n,
+            matrix,
+            coin: SharedCoinDealer::new(master_seed),
+        }
     }
 
     /// Acts as the trusted dealer for one rotation **epoch**: derives the
@@ -105,7 +116,9 @@ impl KeyTable {
     /// `HKDF(master_seed, "ritas-epoch" ‖ epoch)` is expanded into each
     /// pairwise key, so every proactive-recovery round rotates every
     /// `s_ij` and keys exfiltrated before a wipe stop authenticating
-    /// traffic once the grace window closes.
+    /// traffic once the grace window closes. The coin secret does not
+    /// rotate: it is the master seed's in every epoch, so a rejoiner
+    /// flips the coins the group flips.
     ///
     /// # Panics
     ///
@@ -132,7 +145,11 @@ impl KeyTable {
                 matrix.push(SecretKey(key));
             }
         }
-        KeyTable { n, matrix }
+        KeyTable {
+            n,
+            matrix,
+            coin: SharedCoinDealer::new(master_seed),
+        }
     }
 
     /// Number of processes the table was dealt for.
@@ -165,6 +182,7 @@ impl KeyTable {
         ProcessKeys {
             me,
             keys: (0..self.n).map(|j| self.matrix[me * self.n + j]).collect(),
+            coin: self.coin.clone(),
         }
     }
 }
@@ -232,17 +250,25 @@ impl ClientKeyDealer {
 }
 
 /// The row of the key matrix belonging to a single process: its shared key
-/// with every peer.
+/// with every peer, and the common coin's secret.
 #[derive(Clone, Debug)]
 pub struct ProcessKeys {
     me: usize,
     keys: Vec<SecretKey>,
+    coin: SharedCoinDealer,
 }
 
 impl ProcessKeys {
     /// Builds a view directly from dealt keys (production path).
-    pub fn from_keys(me: usize, keys: Vec<SecretKey>) -> Self {
-        ProcessKeys { me, keys }
+    pub fn from_keys(me: usize, keys: Vec<SecretKey>, coin: SharedCoinDealer) -> Self {
+        ProcessKeys { me, keys, coin }
+    }
+
+    /// The common coin of the consensus instance every process names by
+    /// `nonce`: the same bit per round at every holder of this table's
+    /// secret.
+    pub fn coin(&self, nonce: u64) -> SharedCoin {
+        self.coin.coin(nonce)
     }
 
     /// This process's identifier.
@@ -355,6 +381,23 @@ mod tests {
                 assert!(seen.insert(*e1.shared_key(i, j).unwrap().as_bytes()));
             }
         }
+    }
+
+    #[test]
+    fn every_process_and_every_epoch_holds_the_same_coin() {
+        use crate::coin::RoundCoin;
+        let flips = |keys: &ProcessKeys| {
+            let mut coin = keys.coin(9);
+            (1..=32).map(|r| coin.flip_round(r)).collect::<Vec<_>>()
+        };
+        let first = flips(&KeyTable::dealer(4, 42).view_of(0));
+        for epoch in 0..3 {
+            for me in 0..4 {
+                let keys = KeyTable::dealer_for_epoch(4, 42, epoch).view_of(me);
+                assert_eq!(flips(&keys), first, "epoch {epoch} process {me}");
+            }
+        }
+        assert_ne!(flips(&KeyTable::dealer(4, 43).view_of(0)), first);
     }
 
     #[test]

@@ -4,15 +4,16 @@
 //! matrix.
 //!
 //! ```text
-//! adversary_explorer [--n N] [--strategies all|s1,s2,...]
+//! adversary_explorer [--n N] [--profiles all|paper,lean]
+//!                    [--strategies all|s1,s2,...]
 //!                    [--schedules all|random,fifo,lifo]
 //!                    [--seed-base B] [--seeds K] [--max-steps S]
 //!                    [--no-shrink] [--trace-out FILE]
 //!                    [--forensics-dir DIR]
 //! ```
 //!
-//! Runs the cross-product of the requested strategies, schedules and the
-//! seeds `B..B+K`, checking every safety predicate of the paper after
+//! Runs the cross-product of the requested binary consensus profiles,
+//! strategies, schedules and the seeds `B..B+K`, checking every safety predicate of the paper after
 //! every scheduler step. Exits 0 when all runs are clean; on violation it
 //! prints one replay command per failing run, writes the full trace to
 //! `--trace-out` (if given), re-runs each violating spec to write
@@ -21,6 +22,7 @@
 
 use ritas::adversary::explorer::{sweep, write_forensics, SweepConfig};
 use ritas::adversary::StrategyKind;
+use ritas::bc::Profile;
 use ritas::testing::Schedule;
 use std::io::Write;
 
@@ -33,7 +35,8 @@ struct Options {
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
-        "usage: adversary_explorer [--n N] [--strategies all|LIST] [--schedules all|LIST] \
+        "usage: adversary_explorer [--n N] [--profiles all|LIST] [--strategies all|LIST] \
+         [--schedules all|LIST] \
          [--seed-base B] [--seeds K] [--max-steps S] [--no-shrink] [--trace-out FILE] \
          [--forensics-dir DIR]"
     );
@@ -42,6 +45,7 @@ fn usage(err: &str) -> ! {
 
 fn parse_args() -> Options {
     let mut n = 4usize;
+    let mut profiles = vec![Profile::Paper, Profile::Lean];
     let mut strategies = StrategyKind::ALL.to_vec();
     let mut schedules = Schedule::ALL.to_vec();
     let mut seed_base = 0u64;
@@ -62,6 +66,15 @@ fn parse_args() -> Options {
                 n = value("--n").parse().unwrap_or_else(|_| usage("bad --n"));
                 if n < 4 {
                     usage("--n must be at least 4");
+                }
+            }
+            "--profiles" => {
+                let v = value("--profiles");
+                if v != "all" {
+                    profiles = v
+                        .split(',')
+                        .map(|s| s.parse().unwrap_or_else(|e: String| usage(&e)))
+                        .collect();
                 }
             }
             "--strategies" => {
@@ -109,6 +122,7 @@ fn parse_args() -> Options {
     Options {
         cfg: SweepConfig {
             n,
+            profiles,
             strategies,
             schedules,
             seeds: (seed_base..seed_base + seeds).collect(),
@@ -124,7 +138,9 @@ fn main() {
     let opts = parse_args();
     let cfg = &opts.cfg;
     eprintln!(
-        "sweeping {} strategies × {} schedules × {} seeds at n={} (budget {} steps/run)",
+        "sweeping {} profiles × {} strategies × {} schedules × {} seeds at n={} \
+         (budget {} steps/run)",
+        cfg.profiles.len(),
         cfg.strategies.len(),
         cfg.schedules.len(),
         cfg.seeds.len(),
@@ -144,7 +160,8 @@ fn main() {
     let mut trace = String::new();
     for v in &report.violations {
         let line = format!(
-            "VIOLATION [{} × {} × seed {}] at step {}{}: {}\n  replay: {}",
+            "VIOLATION [{} × {} × {} × seed {}] at step {}{}: {}\n  replay: {}",
+            v.spec.profile,
             v.spec.strategy,
             v.spec.schedule,
             v.spec.seed,
@@ -171,8 +188,8 @@ fn main() {
         // `ritas-trace --cluster` plus the flight-recorder rings.
         for v in &report.violations {
             let sub = std::path::Path::new(dir).join(format!(
-                "{}-{}-seed{}",
-                v.spec.strategy, v.spec.schedule, v.spec.seed
+                "{}-{}-{}-seed{}",
+                v.spec.profile, v.spec.strategy, v.spec.schedule, v.spec.seed
             ));
             match write_forensics(&v.spec, &sub) {
                 Ok(paths) => eprintln!(

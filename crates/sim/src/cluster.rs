@@ -54,15 +54,16 @@ pub struct SimConfig {
     pub calibration: Calibration,
     /// The faultload (§4.2).
     pub faultload: Faultload,
-    /// Multi-valued consensus / binary consensus transports.
+    /// The `VECT` transport and the binary consensus [`Profile`] (the
+    /// paper's by default).
+    ///
+    /// [`Profile`]: ritas::bc::Profile
     pub mvc: ritas::mvc::MvcConfig,
     /// When set, per-link propagation is drawn uniformly (seeded) from
     /// this `(min, max)` ns range instead of the calibrated switch
     /// latency — a WAN-like asymmetric topology (extension experiment
     /// probing the paper's §4.2 conjecture).
     pub wan_spread_ns: Option<(u64, u64)>,
-    /// Coin scheme for standalone binary consensus instances.
-    pub coin: ritas::stack::CoinPolicy,
 }
 
 impl SimConfig {
@@ -77,7 +78,6 @@ impl SimConfig {
             faultload: Faultload::FailureFree,
             mvc: ritas::mvc::MvcConfig::default(),
             wan_spread_ns: None,
-            coin: ritas::stack::CoinPolicy::Local,
         }
     }
 
@@ -85,12 +85,6 @@ impl SimConfig {
     /// drawn uniformly from `lo..=hi` nanoseconds (symmetric per pair).
     pub fn with_wan_spread(mut self, lo: u64, hi: u64) -> Self {
         self.wan_spread_ns = Some((lo, hi));
-        self
-    }
-
-    /// Sets the coin scheme for standalone binary consensus instances.
-    pub fn with_coin(mut self, coin: ritas::stack::CoinPolicy) -> Self {
-        self.coin = coin;
         self
     }
 
@@ -106,7 +100,7 @@ impl SimConfig {
         self
     }
 
-    /// Sets the consensus-layer transports.
+    /// Sets the `VECT` transport and the binary consensus profile.
     pub fn with_mvc(mut self, mvc: ritas::mvc::MvcConfig) -> Self {
         self.mvc = mvc;
         self
@@ -286,7 +280,6 @@ fn fresh_stack(
             // instance-for-instance, so batching stays off.
             batch: ritas::ab::BatchPolicy::immediate(),
         },
-        coin: config.coin,
     };
     let mut stack = Stack::with_config(
         group,
@@ -888,9 +881,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_coin_policy_flows_through() {
-        let config = SimConfig::paper_testbed(6)
-            .with_coin(ritas::stack::CoinPolicy::Shared { dealer_seed: 3 });
+    fn lean_profile_flows_through() {
+        let config = SimConfig::paper_testbed(6).with_mvc(ritas::mvc::MvcConfig {
+            profile: ritas::bc::Profile::Lean,
+            ..ritas::mvc::MvcConfig::default()
+        });
         let mut sim = SimCluster::new(config);
         for p in 0..4 {
             sim.schedule(

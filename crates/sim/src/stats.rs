@@ -10,7 +10,7 @@
 
 use bytes::Bytes;
 use ritas::ab::AbMessage;
-use ritas::bc::BcBody;
+use ritas::bc::{BcMessage, BinMessage};
 use ritas::codec::Reader;
 use ritas::codec::WireMessage;
 use ritas::eb::EbMessage;
@@ -49,10 +49,9 @@ pub fn classify_broadcast_init(frame: &Bytes) -> Option<Purpose> {
             EbMessage::Init(_) => Some(Purpose::Standalone),
             _ => None,
         },
-        InstanceKey::Bc { .. } => match BcMessageInit::check_bc(&body) {
-            true => Some(Purpose::Standalone),
-            false => None,
-        },
+        InstanceKey::Bc { .. } => {
+            bc_is_init(&BinMessage::from_bytes(&body).ok()?).then_some(Purpose::Standalone)
+        }
         InstanceKey::Mvc { .. } => match MvcMessage::from_bytes(&body).ok()? {
             m if mvc_is_init(&m) => Some(Purpose::Standalone),
             _ => None,
@@ -87,18 +86,16 @@ pub fn classify_broadcast_init(frame: &Bytes) -> Option<Purpose> {
     }
 }
 
-struct BcMessageInit;
-
-impl BcMessageInit {
-    fn check_bc(body: &Bytes) -> bool {
-        matches!(
-            ritas::bc::BcMessage::from_bytes(body),
-            Ok(ritas::bc::BcMessage {
-                body: BcBody::Rbc(RbMessage::Init(_)),
-                ..
-            })
-        )
-    }
+/// Whether a binary consensus message is the `INIT` of a step broadcast
+/// (the lean consensus has none).
+fn bc_is_init(m: &BinMessage) -> bool {
+    matches!(
+        m,
+        BinMessage::Paper(BcMessage {
+            inner: RbMessage::Init(_),
+            ..
+        })
+    )
 }
 
 /// Whether an MVC message is the `INIT` of one of its child broadcast
@@ -118,7 +115,7 @@ fn mvc_is_init(m: &MvcMessage) -> bool {
             inner: VectBody::Reliable(RbMessage::Init(_)),
             ..
         } => true,
-        MvcMessage::Bin(bc) => matches!(&bc.body, BcBody::Rbc(RbMessage::Init(_))),
+        MvcMessage::Bin(bc) => bc_is_init(bc),
         _ => false,
     }
 }
@@ -231,12 +228,12 @@ mod tests {
 
         let bc_init = AbMessage::Agree {
             round: 0,
-            inner: MvcMessage::Bin(ritas::bc::BcMessage {
+            inner: MvcMessage::Bin(BinMessage::Paper(BcMessage {
                 round: 1,
                 step: 1,
                 origin: 0,
-                body: BcBody::Rbc(RbMessage::Init(Bytes::from_static(&[1]))),
-            }),
+                inner: RbMessage::Init(Bytes::from_static(&[1])),
+            })),
         };
         let f = frame(InstanceKey::Ab { session: 0 }, &bc_init);
         assert_eq!(classify_broadcast_init(&f), Some(Purpose::Agreement));

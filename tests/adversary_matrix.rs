@@ -1,8 +1,9 @@
 //! Adversarial conformance matrix (headline suite).
 //!
 //! Runs every built-in Byzantine strategy against every delivery
-//! schedule over a battery of seeds at `n = 4, f = 1`, with process 3
-//! corrupt and the paper's safety predicates (RB/EB agreement &
+//! schedule over a battery of seeds at `n = 4, f = 1`, on stacks of both
+//! binary consensus profiles (the paper's and the lean one), with process
+//! 3 corrupt and the paper's safety predicates (RB/EB agreement &
 //! integrity, BC/MVC/VC agreement & validity, AB total order — see
 //! `ritas::invariants`) checked after **every** scheduler step.
 //!
@@ -11,15 +12,16 @@
 //!
 //! ```text
 //! cargo run --release -p ritas-sim --bin adversary_explorer -- \
-//!     --n 4 --strategies <s> --schedules <sch> --seed-base <seed> \
-//!     --seeds 1 --max-steps <budget>
+//!     --n 4 --profiles <p> --strategies <s> --schedules <sch> \
+//!     --seed-base <seed> --seeds 1 --max-steps <budget>
 //! ```
 //!
 //! One `#[test]` per strategy so the matrix parallelizes across test
-//! threads; together they cover the full 7 × 3 × 8 cross-product.
+//! threads; together they cover the full 2 × 8 × 3 × 8 cross-product.
 
 use ritas::adversary::explorer::{run_spec, shrink, sweep, RunSpec, SweepConfig};
 use ritas::adversary::StrategyKind;
+use ritas::bc::Profile;
 use ritas::testing::Schedule;
 
 /// Seeds per (strategy, schedule) cell.
@@ -29,11 +31,15 @@ const SEEDS: u64 = 8;
 /// (≈6k steps), so the budget only bounds runaway livelock.
 const MAX_STEPS: u64 = 200_000;
 
-/// Runs one strategy across the full schedule × seed slice and panics
-/// with replay commands on any safety violation.
+/// Both binary consensus profiles.
+const PROFILES: [Profile; 2] = [Profile::Paper, Profile::Lean];
+
+/// Runs one strategy across the full profile × schedule × seed slice and
+/// panics with replay commands on any safety violation.
 fn run_strategy_matrix(strategy: StrategyKind) {
     let report = sweep(&SweepConfig {
         n: 4,
+        profiles: PROFILES.to_vec(),
         strategies: vec![strategy],
         schedules: Schedule::ALL.to_vec(),
         seeds: (0..SEEDS).collect(),
@@ -42,11 +48,11 @@ fn run_strategy_matrix(strategy: StrategyKind) {
     });
     assert_eq!(
         report.runs,
-        3 * SEEDS,
-        "matrix slice did not cover every (schedule, seed) cell"
+        2 * 3 * SEEDS,
+        "matrix slice did not cover every (profile, schedule, seed) cell"
     );
     assert!(
-        report.total_steps > 3 * SEEDS * 100,
+        report.total_steps > 2 * 3 * SEEDS * 100,
         "workload barely ran ({} steps) — harness wiring is broken",
         report.total_steps
     );
@@ -57,8 +63,14 @@ fn run_strategy_matrix(strategy: StrategyKind) {
         );
         for v in &report.violations {
             msg.push_str(&format!(
-                "  [{} × {} × seed {}] step {}: {}\n    replay: {}\n",
-                v.spec.strategy, v.spec.schedule, v.spec.seed, v.step, v.violation, v.replay
+                "  [{} × {} × {} × seed {}] step {}: {}\n    replay: {}\n",
+                v.spec.profile,
+                v.spec.strategy,
+                v.spec.schedule,
+                v.spec.seed,
+                v.step,
+                v.violation,
+                v.replay
             ));
         }
         panic!("{msg}");
@@ -100,25 +112,34 @@ fn matrix_round_ahead() {
     run_strategy_matrix(StrategyKind::RoundAhead);
 }
 
+#[test]
+fn matrix_bv_split() {
+    run_strategy_matrix(StrategyKind::BvSplit);
+}
+
 /// The whole point of the harness: identical specs reproduce identical
 /// runs, step for step — otherwise replay commands would be worthless.
 #[test]
 fn runs_replay_bit_for_bit() {
-    for strategy in StrategyKind::ALL {
-        let spec = RunSpec {
-            n: 4,
-            strategy,
-            schedule: Schedule::Random,
-            seed: 99,
-            max_steps: MAX_STEPS,
-        };
-        let a = run_spec(&spec);
-        let b = run_spec(&spec);
-        assert_eq!(a.steps, b.steps, "{strategy}: step counts diverged");
-        assert_eq!(
-            a.violation, b.violation,
-            "{strategy}: outcomes diverged between identical specs"
-        );
+    for profile in PROFILES {
+        for strategy in StrategyKind::ALL {
+            let spec = RunSpec {
+                n: 4,
+                profile,
+                strategy,
+                schedule: Schedule::Random,
+                seed: 99,
+                max_steps: MAX_STEPS,
+            };
+            let a = run_spec(&spec);
+            let b = run_spec(&spec);
+            let what = format!("{profile} {strategy}");
+            assert_eq!(a.steps, b.steps, "{what}: step counts diverged");
+            assert_eq!(
+                a.violation, b.violation,
+                "{what}: outcomes diverged between identical specs"
+            );
+        }
     }
 }
 
@@ -130,6 +151,7 @@ fn runs_replay_bit_for_bit() {
 fn budget_cutoff_and_replay_formatting() {
     let spec = RunSpec {
         n: 4,
+        profile: Profile::Paper,
         strategy: StrategyKind::Equivocate,
         schedule: Schedule::Fifo,
         seed: 7,
@@ -141,6 +163,7 @@ fn budget_cutoff_and_replay_formatting() {
     let cmd = spec.replay_command();
     for needle in [
         "adversary_explorer",
+        "--profiles paper",
         "--strategies equivocate",
         "--schedules fifo",
         "--seed-base 7",
@@ -160,6 +183,7 @@ fn budget_cutoff_and_replay_formatting() {
 fn shrinker_converges_on_clean_runs() {
     let spec = RunSpec {
         n: 4,
+        profile: Profile::Lean,
         strategy: StrategyKind::Silence,
         schedule: Schedule::Lifo,
         seed: 3,

@@ -43,7 +43,6 @@ fn cluster(fault: Fault, seed: u64) -> Cluster {
                     byzantine_bottom: fault == Fault::Strategy && me == FAULTY,
                     ..Default::default()
                 },
-                ..Default::default()
             };
             Stack::with_config(
                 group,

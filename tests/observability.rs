@@ -106,50 +106,61 @@ fn echo_counts_match_the_broadcast_fanout_shape() {
 #[test]
 fn forced_divergence_flips_at_least_one_coin() {
     // Force the §2.4 coin branch with a 4-process divergence schedule,
-    // delivered by hand so the run is deterministic: process 0's step-1
-    // view ends as a 2-2 tie (step-2 traffic arrives before its step-1
-    // quorum completes, so delayed validation batch-accepts all four
-    // step-2 values at once), producing a step-3 ⊥; combined with one
-    // step-3 vote for each bit, no value reaches f+1 = 2 and the round
-    // ends in a coin flip.
-    use ritas::bc::{BcBody, BcMessage, BinaryConsensus, StepTransport};
+    // delivered by hand so the run is deterministic: every step value is
+    // reliably delivered to process 0 by three READYs, in an order where
+    // process 0's step-1 view ends as a 2-2 tie (step-2 values are
+    // delivered before its step-1 quorum completes, so delayed validation
+    // batch-accepts all four step-2 values at once), producing a step-3
+    // ⊥; combined with one step-3 vote for each bit, no value reaches
+    // f+1 = 2 and the round ends in a coin flip.
+    use ritas::bc::{BcMessage, BinaryConsensus};
+    use ritas::rb::RbMessage;
     use ritas::testing::ctx;
     use ritas_crypto::DeterministicCoin;
     use ritas_metrics::Metrics;
-
-    let plain = |round: u32, step: u8, origin: usize, v: Option<bool>| BcMessage {
-        round,
-        step,
-        origin,
-        body: BcBody::Plain(v),
-    };
 
     let metrics = Metrics::new();
     let mut bc = BinaryConsensus::new(
         ctx(N, 0, 1).with_metrics(metrics.clone()),
         Box::new(DeterministicCoin::new(5)),
-        StepTransport::PlainFanout,
     );
-
     let _ = bc.propose(true).unwrap();
-    let _ = bc.handle_message(0, plain(1, 1, 0, Some(true))); // own loopback
-                                                              // Peers' step-2 values overtake their step-1 values (asynchrony):
-                                                              // parked as pending until they become justifiable.
-    let _ = bc.handle_message(1, plain(1, 2, 1, Some(true)));
-    let _ = bc.handle_message(2, plain(1, 2, 2, Some(false)));
-    let _ = bc.handle_message(3, plain(1, 2, 3, Some(false)));
+    // Reliably delivers `origin`'s value `v` for (round 1, `step`).
+    let mut deliver = |step: u8, origin: usize, v: Option<bool>| {
+        // The one-byte step value encoding: 0, 1, or 2 for ⊥.
+        let value = Bytes::copy_from_slice(&[v.map_or(2, u8::from)]);
+        for from in 1..N {
+            let inner = RbMessage::Ready(value.clone());
+            let _ = bc.handle_message(
+                from,
+                BcMessage {
+                    round: 1,
+                    step,
+                    origin,
+                    inner,
+                },
+            );
+        }
+    };
+
+    deliver(1, 0, Some(true)); // own value
+                               // Peers' step-2 values overtake their step-1 values (asynchrony):
+                               // parked as pending until they become justifiable.
+    deliver(2, 1, Some(true));
+    deliver(2, 2, Some(false));
+    deliver(2, 3, Some(false));
     // Step-1 quorum completes (T, T, F → majority T), own step-2 follows.
-    let _ = bc.handle_message(1, plain(1, 1, 1, Some(true)));
-    let _ = bc.handle_message(2, plain(1, 1, 2, Some(false)));
-    let _ = bc.handle_message(0, plain(1, 2, 0, Some(true))); // own loopback
-                                                              // The fourth step-1 value makes the step-1 tally 2-2, which validates
-                                                              // BOTH parked false step-2 values in one batch: step 2 fires on a
-                                                              // 2-2 tie and process 0 goes to step 3 with ⊥.
-    let _ = bc.handle_message(3, plain(1, 1, 3, Some(false)));
-    let _ = bc.handle_message(0, plain(1, 3, 0, None)); // own ⊥ loopback
-                                                        // One step-3 vote for each bit: {⊥, 1, 0} — nothing reaches f+1.
-    let _ = bc.handle_message(1, plain(1, 3, 1, Some(true)));
-    let _ = bc.handle_message(2, plain(1, 3, 2, Some(false)));
+    deliver(1, 1, Some(true));
+    deliver(1, 2, Some(false));
+    deliver(2, 0, Some(true)); // own value
+                               // The fourth step-1 value makes the step-1 tally 2-2, which validates
+                               // BOTH parked false step-2 values in one batch: step 2 fires on a
+                               // 2-2 tie and process 0 goes to step 3 with ⊥.
+    deliver(1, 3, Some(false));
+    deliver(3, 0, None); // own ⊥
+                         // One step-3 vote for each bit: {⊥, 1, 0} — nothing reaches f+1.
+    deliver(3, 1, Some(true));
+    deliver(3, 2, Some(false));
 
     assert!(
         metrics.bc_coin_flips.get() >= 1,

@@ -170,7 +170,6 @@ fn byzantine_stack_cannot_break_atomic_broadcast() {
                     byzantine_bottom: me == 3,
                     ..Default::default()
                 },
-                ..Default::default()
             };
             Stack::with_config(
                 group,
