@@ -416,9 +416,9 @@ impl Node {
                 auth = auth.with_initial_seq(now);
             }
             let transport = AuthenticatedTransport::new(transport, auth);
-            Node::spawn(transport, stack, metrics, config.stall_budget)
+            Node::spawn(transport, stack, metrics, config.stall_budget, false)
         } else {
-            Node::spawn(transport, stack, metrics, config.stall_budget)
+            Node::spawn(transport, stack, metrics, config.stall_budget, true)
         };
         if config.metrics_endpoint {
             node.serve_metrics().map_err(|_| NodeError::Disconnected)?;
@@ -474,12 +474,16 @@ impl Node {
     }
 
     /// Spawns the protocol thread for `stack` over `transport`, counting
-    /// into `metrics`, and returns the application handle.
+    /// into `metrics`, and returns the application handle. With
+    /// `counts_frames` the thread counts wire frames itself, one per
+    /// message: the transport has no AH layer to count the frames it
+    /// seals and opens.
     fn spawn<T: Transport + Sync + 'static>(
         transport: T,
         mut stack: Stack,
         metrics: Metrics,
         stall_budget: Option<Duration>,
+        counts_frames: bool,
     ) -> Node {
         let id = stack.id();
         let group_size = stack.group().n();
@@ -506,6 +510,8 @@ impl Node {
                 let mut state = Worker {
                     stack,
                     transport,
+                    outbox: vec![Vec::new(); group_size],
+                    counts_frames,
                     loopback: VecDeque::new(),
                     replies: HashMap::new(),
                     ab_sent: BTreeMap::new(),
@@ -569,6 +575,10 @@ impl Node {
                     state.dispatch(step);
                     let step = state.stack.poll_all();
                     state.dispatch(step);
+                    // The pass is over: what it sent each peer leaves as
+                    // one batch, before the next wait (nothing is held
+                    // across one).
+                    state.flush();
                     state.surface_link_events();
                     // Liveness bookkeeping for `/health` and the stall
                     // budget: the heartbeat proves this loop is turning;
@@ -600,6 +610,8 @@ impl Node {
                         *unpoison(health.state_json.lock()) = state.state_json(later);
                     }
                 }
+                // A shutdown ends the pass early: what it sent still goes.
+                state.flush();
                 stop.store(true, Ordering::Relaxed);
             })
         };
@@ -1113,6 +1125,12 @@ fn map_timeout<T>(r: Result<T, RecvTimeoutError>) -> Result<T, NodeError> {
 struct Worker<T: Transport> {
     stack: Stack,
     transport: Arc<T>,
+    /// What this pass sends each peer, in order, indexed by peer: one
+    /// [`Transport::send_batch`] per peer when the pass ends
+    /// ([`Worker::flush`]), so the AH layer seals it under one ICV.
+    outbox: Vec<Vec<Bytes>>,
+    /// Whether this thread counts wire frames (see [`Node::spawn`]).
+    counts_frames: bool,
     /// This process's own copies of what it sent, oldest first: they go
     /// straight back into the stack, never through the transport.
     loopback: VecDeque<Bytes>,
@@ -1198,11 +1216,14 @@ impl<T: Transport> Worker<T> {
             }
             Command::SendXfer(to, payload) => {
                 let frame = crate::stack::encode_xfer(&payload);
-                self.metrics.transport_frames_sent.inc();
+                self.metrics.transport_msgs_sent.inc();
                 self.metrics.transport_bytes_sent.add(frame.len() as u64);
-                let _ = self.transport.send(to, frame);
+                self.queue(to, frame);
             }
             Command::WithStack(f) => {
+                // Whoever gets a port call's answer finds everything
+                // earlier commands and frames sent on the transport.
+                self.flush();
                 let mut step = StackStep::none();
                 f(&mut self.stack, &mut step);
                 self.dispatch(step);
@@ -1213,7 +1234,9 @@ impl<T: Transport> Worker<T> {
     /// A frame off the transport (already authenticated, when the AH
     /// layer is configured).
     fn on_frame(&mut self, from: ProcessId, frame: Bytes) {
-        self.metrics.transport_frames_recv.inc();
+        if self.counts_frames {
+            self.metrics.transport_frames_recv.inc();
+        }
         self.metrics.transport_bytes_recv.add(frame.len() as u64);
         self.flight_frame(FlightKind::FrameIn, from as u32, &frame);
         let step = self.stack.handle_frame(from, frame);
@@ -1320,30 +1343,53 @@ impl<T: Transport> Worker<T> {
         }
     }
 
+    /// Queues `message` for `to` until the pass ends.
+    fn queue(&mut self, to: ProcessId, message: Bytes) {
+        // Out of range, the transport would refuse it anyway.
+        if let Some(outbox) = self.outbox.get_mut(to) {
+            outbox.push(message);
+        }
+    }
+
+    /// Hands each peer what this pass sent it, in one
+    /// [`Transport::send_batch`]. Best effort per link: a failure towards
+    /// one peer (a crashed or departed one) does not hold back the
+    /// others, and a transport that is gone is noticed by the loop at its
+    /// next receive.
+    fn flush(&mut self) {
+        for (to, batch) in self.outbox.iter_mut().enumerate() {
+            if batch.is_empty() {
+                continue;
+            }
+            if self.counts_frames {
+                self.metrics.transport_frames_sent.add(batch.len() as u64);
+            }
+            let _ = self.transport.send_batch(to, batch);
+            batch.clear();
+        }
+    }
+
     fn emit(&mut self, step: StackStep) {
         let (me, n) = (self.stack.id(), self.transport.group_size());
         for out in step.messages {
-            // A send failure means the transport is gone; the loop will
-            // notice at its next receive. Nothing sensible to do here.
             let len = out.message.len() as u64;
             match out.target {
                 Target::All => {
                     let peers = n as u64 - 1;
-                    self.metrics.transport_frames_sent.add(peers);
+                    self.metrics.transport_msgs_sent.add(peers);
                     self.metrics.transport_bytes_sent.add(peers * len);
                     self.flight_frame(FlightKind::FrameOut, u32::MAX, &out.message);
-                    // Best effort per link, like `Transport::send_all`.
                     for to in (0..n).filter(|&to| to != me) {
-                        let _ = self.transport.send(to, out.message.clone());
+                        self.queue(to, out.message.clone());
                     }
                     self.loopback.push_back(out.message);
                 }
                 Target::One(to) if to == me => self.loopback.push_back(out.message),
                 Target::One(to) => {
-                    self.metrics.transport_frames_sent.inc();
+                    self.metrics.transport_msgs_sent.inc();
                     self.metrics.transport_bytes_sent.add(len);
                     self.flight_frame(FlightKind::FrameOut, to as u32, &out.message);
-                    let _ = self.transport.send(to, out.message);
+                    self.queue(to, out.message);
                 }
             }
         }
@@ -1663,6 +1709,28 @@ mod tests {
         assert_eq!(m.transport_frames_recv.get(), 0);
         for peer in &peers {
             assert!(peer.try_recv().is_some() && peer.try_recv().is_some());
+            assert!(peer.try_recv().is_none());
+        }
+    }
+
+    /// The same broadcast under the AH layer: the INIT and its ECHO leave
+    /// in one pass, so each peer gets them as one frame of two records.
+    #[test]
+    fn broadcast_puts_one_ah_frame_per_peer_on_the_transport() {
+        let config = SessionConfig::new(4).unwrap();
+        let mut hub = Hub::new(4);
+        let mut eps = hub.take_endpoints().into_iter();
+        let node = Node::new(&config, 0, eps.next().unwrap()).unwrap();
+        let peers: Vec<_> = eps.collect();
+        node.reliable_broadcast(Bytes::from_static(b"rb")).unwrap();
+        node.with_stack(|_, _| ()).unwrap();
+        let m = node.metrics();
+        assert_eq!(m.transport_msgs_sent.get(), 2 * 3);
+        assert_eq!(m.transport_frames_sent.get(), 3);
+        assert_eq!(m.stack_frames_in.get(), 2);
+        assert_eq!(m.transport_frames_recv.get(), 0);
+        for peer in &peers {
+            assert!(peer.try_recv().is_some());
             assert!(peer.try_recv().is_none());
         }
     }

@@ -1045,10 +1045,13 @@ enum InstrumentKind {
 
 instruments! {
     // ---- transport (§2.1) ----
-    /// Frames handed to the network.
+    /// Frames handed to the network. Under the AH layer one frame
+    /// carries every message a pass sent that peer; without it, one.
     transport_frames_sent: Counter,
     /// Frames received from the network (before authentication).
     transport_frames_recv: Counter,
+    /// Messages handed to the transport, one per message per peer.
+    transport_msgs_sent: Counter,
     /// Payload bytes handed to the network.
     transport_bytes_sent: Counter,
     /// Payload bytes received from the network.
@@ -2197,7 +2200,7 @@ mod tests {
 
     #[test]
     fn every_declared_instrument_is_exported_under_its_field_name() {
-        assert_eq!(INSTRUMENTS.len(), 96);
+        assert_eq!(INSTRUMENTS.len(), 97);
         let snap = Metrics::new().snapshot();
         let prom = snap.to_prometheus();
         for &(name, kind) in INSTRUMENTS {

@@ -21,6 +21,29 @@
 //! receiving protocol stack never sees them, which is how the integrity
 //! property is enforced against a network-level adversary.
 //!
+//! # One header, many messages
+//!
+//! The paper's AH authenticated a TCP *packet*, and a packet carried
+//! however many RITAS messages TCP had gathered. Here too: a frame is
+//! the 24-byte header followed by *records*, each a big-endian `u32`
+//! length and then one message (the codec's length-prefix convention).
+//! [`Transport::send_batch`] seals its whole batch as one frame — one
+//! ICV, one anti-replay sequence number, one hand-off to the transport
+//! underneath — and splits it only where a frame would pass what the TCP
+//! session layer accepts ([`MAX_FRAME`]); [`Transport::send`] is a batch
+//! of one. An empty message is not carried: nothing above sends one.
+//!
+//! The receiver verifies a frame once and hands its records up one at a
+//! time from a read cursor; a frame is never split into a queue. A frame
+//! holding one record hands it up as a view of the frame. The records of
+//! a frame holding several are copied out, each into its own buffer, so
+//! a record kept for long (a retained batch) never keeps its neighbours
+//! alive — the retention rule of [`crate::wire`] holds as written. A
+//! record whose length runs past the frame, an empty record, or one to
+//! three trailing bytes end the frame: the rest of it is dropped and the
+//! sender suspected of [`SuspicionKind::Malformed`] input. Behind a
+//! valid ICV only a group member can have sent it.
+//!
 //! # Epoch key refresh (proactive recovery)
 //!
 //! Every transport seals under a *key epoch*; built with
@@ -44,10 +67,12 @@
 //! dropped and counted in `transport_epoch_rejected`: keys an intruder
 //! exfiltrated before its host was wiped die with the grace window.
 
+use crate::session::SESSION_HDR;
+use crate::wire::MAX_FRAME;
 use crate::{ProcessId, Transport, TransportError};
 use bytes::Bytes;
 use ritas_crypto::{HmacKey, KeyTable, SecretKey, Sha1};
-use ritas_metrics::{unpoison, Metrics};
+use ritas_metrics::{unpoison, Metrics, SuspicionKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -62,6 +87,23 @@ const ICV_LEN: usize = 12;
 /// Where the ICV sits in the header: after next-header, payload-length,
 /// reserved, SPI and sequence number.
 const ICV_AT: usize = AH_OVERHEAD - ICV_LEN;
+
+/// Bytes a record's length prefix adds to each message of a frame.
+const RECORD_HDR: usize = 4;
+
+/// The most record bytes one frame carries: with the AH header and the
+/// TCP session header it is exactly the longest frame a session reader
+/// accepts.
+const MAX_RECORDS: usize = MAX_FRAME - SESSION_HDR - AH_OVERHEAD;
+
+/// What a message takes up in a frame: nothing when empty (not carried).
+fn record_len(msg: &Bytes) -> usize {
+    if msg.is_empty() {
+        0
+    } else {
+        RECORD_HDR + msg.len()
+    }
+}
 
 /// One epoch's pairwise keys of this process, each with its HMAC key
 /// schedule done (the per-frame cost is then the frame's own
@@ -228,6 +270,41 @@ pub struct AuthenticatedTransport<T: Transport> {
     rejected: AtomicU64,
     /// The key epoch frames are sealed and opened under.
     rekey: RekeyRuntime,
+    /// The authenticated frame whose records are being handed up, to
+    /// whichever thread receives (the node runtime has one).
+    opened: Mutex<Option<Opened>>,
+}
+
+/// An authenticated frame, read record by record.
+#[derive(Debug)]
+struct Opened {
+    from: ProcessId,
+    frame: Bytes,
+    /// Where the next record's length prefix starts.
+    at: usize,
+}
+
+impl Opened {
+    /// The next record, or `None` when what is left is not a record — a
+    /// length past the frame's end, a zero length, or too few bytes for
+    /// a length — which ends the frame. Never called on a frame whose
+    /// records are all read.
+    fn next(&mut self) -> Option<Bytes> {
+        let start = self.at.checked_add(RECORD_HDR)?;
+        let len = u32::from_be_bytes(self.frame.get(self.at..start)?.try_into().ok()?) as usize;
+        let end = start.checked_add(len)?;
+        if len == 0 || end > self.frame.len() {
+            return None;
+        }
+        let record = if self.at == AH_OVERHEAD && end == self.frame.len() {
+            // A frame of one message hands it up as a view, as always.
+            self.frame.slice(start..)
+        } else {
+            Bytes::copy_from_slice(&self.frame[start..end])
+        };
+        self.at = end;
+        Some(record)
+    }
 }
 
 /// The previous epoch's key row, kept alive for the grace window.
@@ -364,6 +441,7 @@ impl<T: Transport> AuthenticatedTransport<T> {
             rx_replay: Mutex::new(vec![ReplayState::default(); n]),
             rejected: AtomicU64::new(0),
             rekey,
+            opened: Mutex::new(None),
         }
     }
 
@@ -383,16 +461,17 @@ impl<T: Transport> AuthenticatedTransport<T> {
         ((src as u32) << 16) | (dst as u32 & 0xffff)
     }
 
-    /// Header ‖ zero ICV ‖ payload in one buffer, MACed where it lies,
-    /// the ICV patched in.
-    fn seal(&self, to: ProcessId, payload: &[u8]) -> Bytes {
+    /// Header ‖ zero ICV ‖ one record per non-empty message in one
+    /// buffer of `AH_OVERHEAD + records` bytes, MACed where it lies, the
+    /// ICV patched in.
+    fn seal(&self, to: ProcessId, msgs: &[Bytes], records: usize) -> Bytes {
         let seq = self.tx_seq[to].fetch_add(1, Ordering::Relaxed) + 1; // AH starts at 1
         let me = self.inner.local_id();
         let (epoch, keys) = {
             let g = unpoison(self.rekey.state.lock());
             (g.epoch, Arc::clone(&g.keys))
         };
-        let mut frame = Vec::with_capacity(AH_OVERHEAD + payload.len());
+        let mut frame = Vec::with_capacity(AH_OVERHEAD + records);
         // Next header (opaque payload), then AH "payload len" in 32-bit
         // words minus 2.
         frame.extend_from_slice(&[0, ((AH_OVERHEAD / 4) - 2) as u8]);
@@ -400,14 +479,58 @@ impl<T: Transport> AuthenticatedTransport<T> {
         frame.extend_from_slice(&Self::spi(me, to).to_be_bytes());
         frame.extend_from_slice(&(seq as u32).to_be_bytes());
         frame.extend_from_slice(&[0; ICV_LEN]);
-        frame.extend_from_slice(payload);
+        for msg in msgs.iter().filter(|m| !m.is_empty()) {
+            frame.extend_from_slice(&(msg.len() as u32).to_be_bytes());
+            frame.extend_from_slice(msg);
+        }
         let icv = keys[to].mac(&[&frame]);
         frame[ICV_AT..AH_OVERHEAD].copy_from_slice(&icv[..ICV_LEN]);
         Bytes::from(frame)
     }
 
-    /// Validates a sealed frame from `from`; returns the payload on success.
-    fn open(&self, from: ProcessId, frame: &Bytes) -> Result<Bytes, Rejection> {
+    /// Takes a frame off the transport underneath: counted, then kept for
+    /// its records to be read when it authenticates, dropped otherwise.
+    fn admit(&self, from: ProcessId, frame: Bytes) {
+        self.config.metrics.transport_frames_recv.inc();
+        match self.open(from, &frame) {
+            Ok(()) => {
+                *unpoison(self.opened.lock()) = Some(Opened {
+                    from,
+                    frame,
+                    at: AH_OVERHEAD,
+                });
+            }
+            Err(why) => self.note_rejection(from, &why),
+        }
+    }
+
+    /// The next record of the frame being read. A frame with nothing
+    /// left is released at once; one whose rest is not a record is
+    /// dropped and its sender suspected.
+    fn next_record(&self) -> Option<(ProcessId, Bytes)> {
+        let mut slot = unpoison(self.opened.lock());
+        let opened = slot.as_mut()?;
+        let from = opened.from;
+        match opened.next() {
+            Some(record) => {
+                if opened.at == opened.frame.len() {
+                    *slot = None;
+                }
+                Some((from, record))
+            }
+            None => {
+                *slot = None;
+                self.config
+                    .metrics
+                    .suspect(from as u32, SuspicionKind::Malformed);
+                None
+            }
+        }
+    }
+
+    /// Authenticates a frame from `from`: ICV, key epoch and anti-replay,
+    /// one sequence number for the whole frame.
+    fn open(&self, from: ProcessId, frame: &Bytes) -> Result<(), Rejection> {
         if frame.len() < AH_OVERHEAD {
             return Err(Rejection::BadMac);
         }
@@ -512,8 +635,7 @@ impl<T: Transport> AuthenticatedTransport<T> {
         if !unpoison(self.rx_replay.lock())[from].accept(seq) {
             return Err(Rejection::BadMac);
         }
-
-        Ok(frame.slice(AH_OVERHEAD..))
+        Ok(())
     }
 
     /// Counts one dropped frame into the kind-appropriate instruments.
@@ -524,7 +646,7 @@ impl<T: Transport> AuthenticatedTransport<T> {
                 self.config.metrics.transport_mac_rejected.inc();
                 self.config
                     .metrics
-                    .suspect(from as u32, ritas_metrics::SuspicionKind::BadMac);
+                    .suspect(from as u32, SuspicionKind::BadMac);
             }
             // A stale epoch is *not* Byzantine evidence by itself — an
             // honest-but-slow peer's in-flight frames look the same as an
@@ -545,32 +667,57 @@ impl<T: Transport> Transport for AuthenticatedTransport<T> {
     }
 
     fn send(&self, to: ProcessId, payload: Bytes) -> Result<(), TransportError> {
+        self.send_batch(to, std::slice::from_ref(&payload))
+    }
+
+    fn send_batch(&self, to: ProcessId, msgs: &[Bytes]) -> Result<(), TransportError> {
         if to >= self.inner.group_size() {
             return Err(TransportError::UnknownPeer(to));
         }
-        self.inner.send(to, self.seal(to, &payload))
+        let mut rest = msgs;
+        while !rest.is_empty() {
+            // As many messages as fit under the frame cap, at least one.
+            let (mut take, mut records) = (1, record_len(&rest[0]));
+            while let Some(next) = rest.get(take).map(record_len) {
+                if records + next > MAX_RECORDS {
+                    break;
+                }
+                records += next;
+                take += 1;
+            }
+            let (frame, tail) = rest.split_at(take);
+            rest = tail;
+            if records > 0 {
+                self.config.metrics.transport_frames_sent.inc();
+                self.inner.send(to, self.seal(to, frame, records))?;
+            }
+        }
+        Ok(())
     }
 
     fn recv(&self) -> Result<(ProcessId, Bytes), TransportError> {
         loop {
-            let (from, frame) = self.inner.recv()?;
-            match self.open(from, &frame) {
-                Ok(payload) => return Ok((from, payload)),
-                Err(why) => self.note_rejection(from, &why),
+            if let Some(record) = self.next_record() {
+                return Ok(record);
             }
+            let (from, frame) = self.inner.recv()?;
+            self.admit(from, frame);
         }
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<(ProcessId, Bytes), TransportError> {
+        if let Some(record) = self.next_record() {
+            return Ok(record);
+        }
         let deadline = Instant::now() + timeout;
         let mut remaining = timeout;
         loop {
             // Also with nothing left (a zero `timeout` is a poll): the
             // inner transport hands over what is already queued.
             let (from, frame) = self.inner.recv_timeout(remaining)?;
-            match self.open(from, &frame) {
-                Ok(payload) => return Ok((from, payload)),
-                Err(why) => self.note_rejection(from, &why),
+            self.admit(from, frame);
+            if let Some(record) = self.next_record() {
+                return Ok(record);
             }
             remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
@@ -640,6 +787,16 @@ mod tests {
         )
     }
 
+    /// The frame `t.send(to, msg)` puts on the wire: one record.
+    fn seal_one<T: Transport>(t: &AuthenticatedTransport<T>, to: ProcessId, msg: &[u8]) -> Bytes {
+        t.seal(to, &[Bytes::copy_from_slice(msg)], RECORD_HDR + msg.len())
+    }
+
+    /// `msg` as a record: its length, then the message.
+    fn record(msg: &[u8]) -> Vec<u8> {
+        [&(msg.len() as u32).to_be_bytes()[..], msg].concat()
+    }
+
     #[test]
     fn seal_open_roundtrip() {
         let (a, b) = pair();
@@ -658,7 +815,10 @@ mod tests {
             AuthenticatedTransport::new(eps.next().unwrap(), AuthConfig::from_key_table(&table, 1));
         a.send(0, Bytes::from_static(b"ten bytes!")).unwrap();
         let (_, frame) = raw_receiver.recv().unwrap();
-        assert_eq!(frame.len(), 10 + AH_OVERHEAD);
+        // Table 1's header, then one record: its length word and the
+        // message. Every further message of a batch adds its own 4 + len.
+        assert_eq!(frame.len(), AH_OVERHEAD + RECORD_HDR + 10);
+        assert_eq!(&frame[AH_OVERHEAD..], &record(b"ten bytes!")[..]);
     }
 
     #[test]
@@ -693,7 +853,7 @@ mod tests {
         let a = AuthenticatedTransport::new(ep0, AuthConfig::from_key_table(&table, 0));
         // Seal a frame, flip one payload bit, re-inject through the inner
         // transport — the open() path must reject it.
-        let sealed = a.seal(1, b"x");
+        let sealed = seal_one(&a, 1, b"x");
         let mut bad = sealed.to_vec();
         *bad.last_mut().unwrap() ^= 0x01;
         a.inner.send(1, Bytes::from(bad)).unwrap();
@@ -702,22 +862,63 @@ mod tests {
         assert_eq!(b.rejected_frames(), 1);
     }
 
+    /// An aggregate spends one sequence number, so its replay is
+    /// rejected whole: none of its records comes up twice.
     #[test]
     fn replayed_frame_dropped() {
-        let table = KeyTable::dealer(2, 4);
-        let mut hub = Hub::new(2);
-        let mut eps = hub.take_endpoints().into_iter();
-        let ep0 = eps.next().unwrap();
-        let b =
-            AuthenticatedTransport::new(eps.next().unwrap(), AuthConfig::from_key_table(&table, 1));
-        let a = AuthenticatedTransport::new(ep0, AuthConfig::from_key_table(&table, 0));
-        let sealed = a.seal(1, b"once");
+        let (a, b) = pair();
+        let batch = [b"once".as_slice(), b"twice", b"thrice"].map(Bytes::from_static);
+        a.send_batch(1, &batch).unwrap();
+        let (_, sealed) = b.inner.try_recv().unwrap();
         a.inner.send(1, sealed.clone()).unwrap();
         a.inner.send(1, sealed).unwrap(); // replay
         a.send(1, Bytes::from_static(b"end")).unwrap();
-        assert_eq!(b.recv().unwrap(), (0, Bytes::from_static(b"once")));
-        assert_eq!(b.recv().unwrap(), (0, Bytes::from_static(b"end")));
+        for msg in batch.iter().chain([&Bytes::from_static(b"end")]) {
+            assert_eq!(b.recv().unwrap(), (0, msg.clone()));
+        }
+        assert_eq!(
+            b.recv_timeout(Duration::ZERO).unwrap_err(),
+            TransportError::Timeout
+        );
         assert_eq!(b.rejected_frames(), 1);
+    }
+
+    /// A batch of k messages is one frame on the transport underneath,
+    /// and the receiver hands the k messages up in order, each copied
+    /// into its own buffer; the message of a frame of one is a view.
+    #[test]
+    fn a_batch_is_one_frame_and_comes_out_in_order() {
+        let m = Metrics::new();
+        let (a, b) = pair_counting(m.clone());
+        // Taken off `b`'s queue and put back, to look at it on the way.
+        let intercept = || {
+            let (_, frame) = b.inner.try_recv().unwrap();
+            assert!(b.inner.try_recv().is_none(), "one batch, one frame");
+            a.inner.send(1, frame.clone()).unwrap();
+            frame
+        };
+        let within = |msg: &Bytes, frame: &Bytes| frame.as_ptr_range().contains(&msg.as_ptr());
+
+        let batch: Vec<Bytes> = (1..=5u8)
+            .map(|i| Bytes::from(vec![i; i as usize]))
+            .collect();
+        a.send_batch(1, &batch).unwrap();
+        let frame = intercept();
+        let records: usize = batch.iter().map(|r| RECORD_HDR + r.len()).sum();
+        assert_eq!(frame.len(), AH_OVERHEAD + records);
+        for msg in &batch {
+            let (from, got) = b.recv().unwrap();
+            assert_eq!((from, &got), (0, msg));
+            assert!(!within(&got, &frame), "a record of an aggregate is a copy");
+        }
+
+        a.send(1, Bytes::from_static(b"alone")).unwrap();
+        let frame = intercept();
+        let (_, got) = b.recv().unwrap();
+        assert_eq!(got, Bytes::from_static(b"alone"));
+        assert!(within(&got, &frame), "the one record of a frame is a view");
+        assert_eq!(m.transport_frames_recv.get(), 2);
+        assert_eq!(b.rejected_frames(), 0);
     }
 
     #[test]
@@ -733,7 +934,7 @@ mod tests {
         let b =
             AuthenticatedTransport::new(eps.next().unwrap(), AuthConfig::from_key_table(&table, 1));
         let ep2 = eps.next().unwrap();
-        let sealed_by_0 = a.seal(1, b"stolen");
+        let sealed_by_0 = seal_one(&a, 1, b"stolen");
         ep2.send(1, sealed_by_0).unwrap(); // claims from=2, SPI says 0→1
         a.send(1, Bytes::from_static(b"real")).unwrap();
         assert_eq!(b.recv().unwrap(), (0, Bytes::from_static(b"real")));
@@ -796,7 +997,10 @@ mod tests {
         rekeyed.send(0, Bytes::from_static(b"back")).unwrap();
         assert_eq!(legacy.recv().unwrap(), (1, Bytes::from_static(b"back")));
         // The epoch tag rides in the existing reserved field: still 24 bytes.
-        assert_eq!(rekeyed.seal(0, b"x").len(), 1 + AH_OVERHEAD);
+        assert_eq!(
+            seal_one(&rekeyed, 0, b"x").len(),
+            AH_OVERHEAD + RECORD_HDR + 1
+        );
     }
 
     #[test]
@@ -831,7 +1035,7 @@ mod tests {
         b.set_key_epoch(3);
         assert_eq!(a.key_epoch(), 3);
         // The frame is tagged with epoch 3 in the reserved field.
-        let sealed = a.seal(1, b"tagged");
+        let sealed = seal_one(&a, 1, b"tagged");
         assert_eq!(u16::from_be_bytes([sealed[2], sealed[3]]), 3);
         a.inner.send(1, sealed).unwrap();
         assert_eq!(b.recv().unwrap(), (0, Bytes::from_static(b"tagged")));
@@ -842,7 +1046,7 @@ mod tests {
     fn previous_epoch_accepted_within_grace_then_rejected_after() {
         // Generous grace: an in-flight epoch-0 frame survives b's switch.
         let (a, b) = rekey_pair(Duration::from_secs(60));
-        let in_flight = a.seal(1, b"old but fresh");
+        let in_flight = seal_one(&a, 1, b"old but fresh");
         b.set_key_epoch(1);
         a.inner.send(1, in_flight).unwrap();
         assert_eq!(b.recv().unwrap(), (0, Bytes::from_static(b"old but fresh")));
@@ -851,7 +1055,7 @@ mod tests {
         // an epoch rejection, not a MAC failure / suspicion.
         let m = Metrics::new();
         let (a, b) = rekey_pair_counting(Duration::ZERO, m.clone());
-        let stale = a.seal(1, b"exfiltrated");
+        let stale = seal_one(&a, 1, b"exfiltrated");
         b.set_key_epoch(1);
         b.set_key_epoch(2); // epoch 0 is now older than prev: always stale
         a.inner.send(1, stale).unwrap();
@@ -942,7 +1146,7 @@ mod tests {
         // check.
         let (a, b) = rekey_pair(Duration::from_secs(60));
         for _ in 0..32 {
-            let mut forged = a.seal(1, b"junk").to_vec();
+            let mut forged = seal_one(&a, 1, b"junk").to_vec();
             forged[2..4].copy_from_slice(&9u16.to_be_bytes()); // claim epoch 9
             a.inner.send(1, Bytes::from(forged)).unwrap();
         }
@@ -964,7 +1168,7 @@ mod tests {
         // An attacker without the master seed cannot fast-forward a peer:
         // the ICV check under the derived keys fails and the epoch stays.
         let (a, b) = rekey_pair(Duration::from_secs(60));
-        let mut forged = a.seal(1, b"evil").to_vec();
+        let mut forged = seal_one(&a, 1, b"evil").to_vec();
         forged[2..4].copy_from_slice(&9u16.to_be_bytes()); // claim epoch 9
         a.inner.send(1, Bytes::from(forged)).unwrap();
         a.send(1, Bytes::from_static(b"real")).unwrap();
@@ -973,9 +1177,10 @@ mod tests {
         assert_eq!(b.key_epoch(), 0);
     }
 
-    /// The wire format, byte for byte: the frame the parent commit's
-    /// `seal` (contiguous copy, one-shot HMAC) produced for this key,
-    /// epoch, sequence number and payload.
+    /// The wire format, byte for byte, for this key, epoch, sequence
+    /// number and message: the 24-byte header, then one record — the
+    /// length word `0000000e` and the message. The contiguous one-shot
+    /// construction below produces the same bytes.
     #[test]
     fn golden_frame_pins_the_wire_format() {
         let table = KeyTable::dealer(2, 7);
@@ -988,18 +1193,25 @@ mod tests {
                 .with_epoch_rekey(7, 0x1_0203, Duration::from_secs(60))
                 .with_initial_seq(0xA0B0_C0D0),
         );
-        let hex: String = a
-            .seal(0, b"golden payload")
-            .iter()
-            .map(|b| format!("{b:02x}"))
-            .collect();
+        let sealed = seal_one(&a, 0, b"golden payload");
+        let hex: String = sealed.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(
             hex,
             "00040203\
              00010000\
              a0b0c0d1\
-             7227046baf76b3656f0f1fc9\
+             22d0def5bc855866e811ace2\
+             0000000e\
              676f6c64656e207061796c6f6164"
+        );
+        let key = KeyTable::dealer_for_epoch(2, 7, 0x1_0203)
+            .shared_key(1, 0)
+            .unwrap();
+        let spi = AuthenticatedTransport::<crate::MemoryEndpoint>::spi(1, 0);
+        let body = record(b"golden payload");
+        assert_eq!(
+            sealed,
+            reference_seal(&key, 0x1_0203, spi, 0xA0B0_C0D1, &body)
         );
     }
 
@@ -1015,13 +1227,15 @@ mod tests {
         full[..ICV_LEN].try_into().unwrap()
     }
 
-    fn reference_seal(key: &SecretKey, epoch: u64, spi: u32, seq: u32, payload: &[u8]) -> Bytes {
+    /// A frame carrying `body` — records, or anything a member with the
+    /// key cares to authenticate — under a valid ICV.
+    fn reference_seal(key: &SecretKey, epoch: u64, spi: u32, seq: u32, body: &[u8]) -> Bytes {
         let mut frame = vec![0, 4];
         frame.extend_from_slice(&(epoch as u16).to_be_bytes());
         frame.extend_from_slice(&spi.to_be_bytes());
         frame.extend_from_slice(&seq.to_be_bytes());
         frame.extend_from_slice(&[0; ICV_LEN]);
-        frame.extend_from_slice(payload);
+        frame.extend_from_slice(body);
         let icv = reference_icv(key, &frame);
         frame[12..24].copy_from_slice(&icv);
         Bytes::from(frame)
@@ -1050,15 +1264,13 @@ mod tests {
         let mut both_ways = |epoch: u64| {
             for payload in [&small, &large] {
                 seq += 1;
-                let sealed = reference_seal(&key_at(epoch), epoch, spi, seq, payload);
+                let body = record(payload);
+                let sealed = reference_seal(&key_at(epoch), epoch, spi, seq, &body);
                 a.inner.send(1, sealed).unwrap();
                 assert_eq!(b.recv().unwrap(), (0, Bytes::from(payload.clone())));
                 a.set_key_epoch(epoch);
-                let sealed = a.seal(1, payload);
-                assert_eq!(
-                    reference_open(&key_at(epoch), &sealed).as_ref(),
-                    Some(payload)
-                );
+                let sealed = seal_one(&a, 1, payload);
+                assert_eq!(reference_open(&key_at(epoch), &sealed), Some(body));
             }
         };
         // Current key row.
@@ -1082,6 +1294,73 @@ mod tests {
         a.send(1, Bytes::from_static(b"whole")).unwrap();
         assert_eq!(b.recv().unwrap(), (0, Bytes::from_static(b"whole")));
         assert_eq!(b.rejected_frames(), 3);
+    }
+
+    /// A Byzantine member holds its own key, so a frame whose records
+    /// make no sense can arrive behind a valid ICV: a length past the
+    /// frame's end, an empty record, one to three trailing bytes, or no
+    /// record at all. The records before the fault come up; the rest of
+    /// the frame is dropped and the sender suspected; the receiver
+    /// neither panics nor spins, and the next frame reads normally.
+    #[test]
+    fn hostile_aggregates_end_their_frame_and_are_suspected() {
+        let m = Metrics::new();
+        let (a, b) = pair_counting(m.clone());
+        let key = KeyTable::dealer(2, 99).shared_key(0, 1).unwrap();
+        let spi = AuthenticatedTransport::<crate::MemoryEndpoint>::spi(0, 1);
+        let kept = record(b"kept");
+        let lost = record(b"lost");
+        let hostile = [
+            [&kept[..], &9u32.to_be_bytes(), b"short"].concat(),
+            [&kept[..], &record(b""), &lost].concat(),
+            [&kept[..], &[0xAB]].concat(),
+            [&kept[..], &[0xAB; 2]].concat(),
+            [&kept[..], &[0xAB; 3]].concat(),
+            [&kept[..], &u32::MAX.to_be_bytes(), &lost].concat(),
+        ];
+        for (seq, body) in (1..).zip(&hostile) {
+            a.inner
+                .send(1, reference_seal(&key, 0, spi, seq, body))
+                .unwrap();
+            assert_eq!(b.recv().unwrap(), (0, Bytes::from_static(b"kept")));
+            assert_eq!(
+                b.recv_timeout(Duration::ZERO).unwrap_err(),
+                TransportError::Timeout
+            );
+        }
+        let seq = hostile.len() as u32;
+        let empty = reference_seal(&key, 0, spi, seq + 1, &[]);
+        a.inner.send(1, empty).unwrap();
+        assert_eq!(
+            b.recv_timeout(Duration::ZERO).unwrap_err(),
+            TransportError::Timeout
+        );
+        let next = reference_seal(&key, 0, spi, seq + 2, &record(b"next"));
+        a.inner.send(1, next).unwrap();
+        assert_eq!(b.recv().unwrap(), (0, Bytes::from_static(b"next")));
+        let suspicions = m.suspicions();
+        assert_eq!(suspicions.len(), 1);
+        assert_eq!(
+            suspicions[0].count(SuspicionKind::Malformed),
+            hostile.len() as u64 + 1
+        );
+        assert_eq!(b.rejected_frames(), 0, "every ICV was valid");
+    }
+
+    /// An empty message is not carried (a zero-length record is
+    /// malformed): a batch of nothing else puts nothing on the wire.
+    #[test]
+    fn empty_messages_are_not_carried() {
+        let (a, b) = pair();
+        a.send(1, Bytes::new()).unwrap();
+        assert!(b.inner.try_recv().is_none());
+        let batch = [Bytes::new(), Bytes::from_static(b"x"), Bytes::new()];
+        a.send_batch(1, &batch).unwrap();
+        assert_eq!(b.recv().unwrap(), (0, Bytes::from_static(b"x")));
+        assert_eq!(
+            b.recv_timeout(Duration::ZERO).unwrap_err(),
+            TransportError::Timeout
+        );
     }
 
     /// A wake passes through the authentication layer as a wake: the

@@ -363,11 +363,15 @@ mod tests {
     }
 
     #[test]
-    fn send_all_reaches_everyone() {
+    fn send_batch_reaches_everyone_in_order() {
         let mut hub = Hub::new(4);
         let eps = hub.take_endpoints();
-        eps[2].send_all(bytes("b")).unwrap();
+        let batch = [bytes("a"), bytes("b")];
+        for to in 0..4 {
+            eps[2].send_batch(to, &batch).unwrap();
+        }
         for ep in &eps {
+            assert_eq!(ep.recv().unwrap(), (2, bytes("a")));
             assert_eq!(ep.recv().unwrap(), (2, bytes("b")));
         }
     }

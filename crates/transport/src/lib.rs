@@ -17,7 +17,9 @@
 //! * [`auth`] — an AH-style authentication layer reproducing the IPSec AH
 //!   wire format (24-byte header: SPI, sequence number, 96-bit ICV) with
 //!   HMAC-SHA-1-96 and anti-replay, so the +24-byte overhead measured in
-//!   Table 1 is real in this reproduction too;
+//!   Table 1 is real in this reproduction too; like AH over TCP, one
+//!   header authenticates every message a batch carries
+//!   ([`Transport::send_batch`]);
 //! * [`wire`] — the byte-level codec helpers shared by every layer.
 //!
 //! # One thread, two queues: [`Transport::wake`]
@@ -185,32 +187,20 @@ pub trait Transport: Send {
     /// its timeout expires.
     fn wake(&self) {}
 
-    /// Broadcast convenience: sends `payload` to every process including
-    /// self. The stack's broadcasts are built from point-to-point sends,
-    /// exactly as in the paper (there is no network-level multicast).
-    ///
-    /// The fan-out is **best-effort per link**: a failure on one link
-    /// (e.g. a crashed peer whose endpoint is gone) must not prevent
-    /// delivery to the remaining peers — in the asynchronous Byzantine
-    /// model a dead peer is indistinguishable from a slow one, and
-    /// aborting a broadcast midway would silently violate the reliable-
-    /// channel assumption for the *live* peers.
+    /// Sends `msgs` to `to`, in order: the receiver's [`Transport::recv`]
+    /// returns them one at a time, exactly as if each had been sent on
+    /// its own. The default does that, one [`Transport::send`] per
+    /// message; a transport that frames its own traffic may put them on
+    /// the wire together ([`AuthenticatedTransport`] seals them as one AH
+    /// frame). The node runtime hands each peer everything one pass of
+    /// its protocol thread sent it through one call.
     ///
     /// # Errors
     ///
-    /// Returns the first error only after attempting every peer, so
-    /// callers can observe (and typically ignore) link failures.
-    fn send_all(&self, payload: Bytes) -> Result<(), TransportError> {
-        let mut first_err = None;
-        for p in 0..self.group_size() {
-            if let Err(e) = self.send(p, payload.clone()) {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+    /// As [`Transport::send`]. The first failure ends the batch, so a
+    /// link never carries a message whose predecessor was refused.
+    fn send_batch(&self, to: ProcessId, msgs: &[Bytes]) -> Result<(), TransportError> {
+        msgs.iter().try_for_each(|m| self.send(to, m.clone()))
     }
 
     /// The current state of the link to `peer`.

@@ -951,7 +951,11 @@ mod tests {
     #[test]
     fn broadcast_to_full_mesh() {
         let eps = mesh(4);
-        eps[2].send_all(Bytes::from_static(b"mesh")).unwrap();
+        for to in 0..4 {
+            eps[2]
+                .send_batch(to, &[Bytes::from_static(b"mesh")])
+                .unwrap();
+        }
         for ep in &eps {
             let (from, payload) = ep.recv().unwrap();
             assert_eq!((from, payload.as_ref()), (2, &b"mesh"[..]));
@@ -1076,6 +1080,38 @@ mod tests {
             b.recv().unwrap(),
             (0, Bytes::from_static(b"sealed over tcp"))
         );
+        assert_eq!(b.rejected_frames(), 0);
+    }
+
+    /// An AH batch longer than a session frame may be crosses as several
+    /// frames, each under the cap, its messages in order.
+    #[test]
+    fn authenticated_batch_past_the_frame_cap_is_split_in_order() {
+        use crate::{AuthConfig, AuthenticatedTransport};
+        let table = KeyTable::dealer(2, 8);
+        let (sent, received) = (Metrics::new(), Metrics::new());
+        let mut eps = mesh(2).into_iter();
+        let a = AuthenticatedTransport::new(
+            eps.next().unwrap(),
+            AuthConfig::from_key_table(&table, 0).with_metrics(sent.clone()),
+        );
+        let b = AuthenticatedTransport::new(
+            eps.next().unwrap(),
+            AuthConfig::from_key_table(&table, 1).with_metrics(received.clone()),
+        );
+        // 5 + 5 MiB fit in one frame; 8 MiB more would pass MAX_FRAME.
+        let batch: Vec<Bytes> = [(5, 1u8), (5, 2), (8, 3)]
+            .map(|(mib, fill)| Bytes::from(vec![fill; mib << 20]))
+            .into();
+        assert!(batch.iter().map(Bytes::len).sum::<usize>() > MAX_FRAME);
+        a.send_batch(1, &batch).unwrap();
+        for msg in &batch {
+            let (from, got) = b.recv_timeout(Duration::from_secs(30)).unwrap();
+            assert_eq!(from, 0);
+            assert!(got == *msg, "out of order or corrupted");
+        }
+        assert_eq!(sent.transport_frames_sent.get(), 2);
+        assert_eq!(received.transport_frames_recv.get(), 2);
         assert_eq!(b.rejected_frames(), 0);
     }
 

@@ -289,10 +289,11 @@ fn tcp_delivery_resumes_after_link_sever_mid_run() {
 
 #[test]
 fn survivors_progress_after_a_node_departs() {
-    // Regression test: `send_all` used to abort on the first per-link
-    // error, so once one node shut down (its endpoint dropped), every
-    // broadcast silently stopped reaching higher-indexed peers and the
-    // survivors' agreements hung forever.
+    // Regression test: the broadcast fan-out used to abort on the first
+    // per-link error, so once one node shut down (its endpoint dropped),
+    // every broadcast silently stopped reaching higher-indexed peers and
+    // the survivors' agreements hung forever. The fan-out is now one
+    // `send_batch` per peer, and a failed one skips no other peer.
     let nodes = Node::cluster(SessionConfig::new(4).unwrap()).unwrap();
     // Wave 1: everyone broadcasts, everyone receives.
     let handles: Vec<_> = nodes

@@ -249,6 +249,12 @@ fn node_runtime_snapshot_covers_transport_and_latency() {
             let snap = node.metrics_snapshot();
             assert!(snap.counter("transport_frames_sent") > 0);
             assert!(snap.counter("transport_frames_recv") > 0);
+            // One AH frame carries what a pass sent a peer: at least the
+            // first broadcast's INIT and ECHO travel together.
+            assert!(
+                snap.counter("transport_frames_sent") < snap.counter("transport_msgs_sent"),
+                "no AH frame carried two messages"
+            );
             assert!(snap.counter("ab_delivered") >= N as u64);
             // The node's own message round-tripped, so the a-deliver
             // latency histogram has at least one observation.
