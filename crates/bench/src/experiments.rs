@@ -5,8 +5,11 @@
 
 use crate::{Args, PAPER_TABLE1};
 use bytes::Bytes;
+use ritas::adversary::{innermost_rb, ProtocolMsg, SendCtx, Strategy};
 use ritas::bc::Profile;
 use ritas::mvc::{MvcConfig, VectTransport};
+use ritas::rb::RbMessage;
+use ritas::stack::InstanceKey;
 use ritas::stack::{Stack, StackStep};
 use ritas::testing::{Cluster, Schedule};
 use ritas_sim::cluster::{Action, SimCluster, SimConfig};
@@ -17,6 +20,8 @@ use ritas_sim::harness::{
 use ritas_sim::stats::mean;
 use ritas_sim::Calibration;
 use std::io::{self, Write};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The burst sizes of Figures 4–7 (paper: up to 1000).
 const BURSTS: [usize; 8] = [4, 8, 16, 40, 100, 250, 500, 1000];
@@ -451,6 +456,12 @@ pub(crate) fn x4(args: &Args, out: &mut dyn Write) -> io::Result<()> {
 /// * vector consensus: n proposal reliable broadcasts + one multi-valued
 ///   consensus; atomic broadcast of one message: its reliable broadcast +
 ///   n `AB_VECT` reliable broadcasts + one multi-valued consensus.
+///
+/// And the bytes one reliable broadcast of `m` puts on the wire, counted
+/// as its messages' bodies between distinct processes: `paper` carries
+/// `m` in `n − 1` INITs and `n(n − 1)` ECHOs and READYs each,
+/// `(n − 1)(2n + 1)·|m|`; `lean`'s READY carries a 32-byte digest,
+/// `(n − 1)(n + 1)·|m| + n(n − 1)·32`.
 pub(crate) fn x5(args: &Args, out: &mut dyn Write) -> io::Result<()> {
     let payload = || Bytes::from_static(b"0123456789");
     for n in [4u64, 7] {
@@ -522,6 +533,29 @@ pub(crate) fn x5(args: &Args, out: &mut dyn Write) -> io::Result<()> {
             }
             writeln!(out)?;
         }
+        writeln!(
+            out,
+            "\nreliable broadcast bytes per instance, n = {n}, self-sends excluded\n"
+        )?;
+        writeln!(out, "{:<24} {:>23} {:>23}", "", "paper", "lean")?;
+        let (bytes, form) = ("bytes", "closed form");
+        writeln!(
+            out,
+            "{:<24} {bytes:>10} {form:>12} {bytes:>10} {form:>12}",
+            "|m|"
+        )?;
+        for len in [10u64, 4096] {
+            let copies = [(n - 1) * (2 * n + 1) * len, (n - 1) * (n + 1) * len];
+            let forms = [copies[0], copies[1] + n * (n - 1) * 32];
+            write!(out, "{len:<24}")?;
+            for (profile, form) in [Profile::Paper, Profile::Lean].into_iter().zip(forms) {
+                let bytes = rb_wire_bytes(n as usize, profile, len as usize);
+                write!(out, " {bytes:>10} {form:>12}")?;
+                let what = format!("reliable broadcast ({profile}) of {len} B at n = {n}");
+                assert_eq!(bytes, form, "{what}: wire bytes drifted");
+            }
+            writeln!(out)?;
+        }
         writeln!(out)?;
     }
     writeln!(
@@ -530,8 +564,53 @@ pub(crate) fn x5(args: &Args, out: &mut dyn Write) -> io::Result<()> {
          which is why its 'dilute agreements across a burst' observation (Figure 7)\n\
          matters so much in practice. The lean one costs 2n² frames, and what an\n\
          agreement pays for is then the n INIT reliable broadcasts and n VECT echo\n\
-         broadcasts of its multi-valued consensus (ROADMAP item 3)."
+         broadcasts of its multi-valued consensus (ROADMAP item 3). The lean READY\n\
+         names m by its SHA-256, so a reliable broadcast carries n(n − 1) fewer\n\
+         copies of m for n(n − 1) digests: fewer bytes once |m| exceeds 32."
     )
+}
+
+/// Adds up, per destination other than the sender, the body of every
+/// reliable broadcast message a process sends; sends what it was given.
+#[derive(Debug)]
+struct RbBytes(Arc<AtomicU64>);
+
+impl Strategy for RbBytes {
+    fn name(&self) -> &'static str {
+        "rb-bytes"
+    }
+
+    fn rewrite(&mut self, ctx: &SendCtx, key: InstanceKey, mut msg: ProtocolMsg) -> Vec<Bytes> {
+        if let Some((_, rb)) = innermost_rb(&mut msg).filter(|_| ctx.to != ctx.me) {
+            let body = match rb {
+                RbMessage::ReadyDigest(h) => h.len(),
+                other => other.payload().map_or(0, Bytes::len),
+            };
+            self.0.fetch_add(body as u64, Ordering::Relaxed);
+        }
+        vec![msg.frame(key)]
+    }
+}
+
+/// The reliable broadcast bytes of one failure-free broadcast of a
+/// `len`-byte payload among `n` `profile` stacks.
+fn rb_wire_bytes(n: usize, profile: Profile, len: usize) -> u64 {
+    let total = Arc::new(AtomicU64::new(0));
+    let mut cluster = Cluster::with_profile(n, 1, profile);
+    for p in 0..n {
+        cluster.set_strategy(p, Box::new(RbBytes(Arc::clone(&total))));
+    }
+    let step = cluster
+        .stack_mut(0)
+        .rb_broadcast(Bytes::from(vec![0x5a; len]))
+        .1;
+    cluster.absorb(0, step);
+    cluster.run();
+    assert!(
+        !cluster.outputs(n - 1).is_empty(),
+        "the broadcast completed"
+    );
+    total.load(Ordering::Relaxed)
 }
 
 /// **Extension X7b**: open-loop (steady-state) load on atomic

@@ -233,7 +233,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "x5",
         stem: "ext_x5",
-        title: "X5: frames per instance against the closed forms (asserted)",
+        title: "X5: frames and RB bytes per instance against the closed forms (asserted)",
         args: &[],
         deterministic: true,
         run: experiments::x5,

@@ -224,7 +224,9 @@ pub(crate) struct BatchPayload {
 }
 
 fn encode_batch(start_rbid: u64, payloads: &[Bytes]) -> Bytes {
-    let mut w = Writer::new();
+    // Exactly sized: the buffer is the batch every process retains.
+    let len = 12 + payloads.iter().map(|p| 4 + p.len()).sum::<usize>();
+    let mut w = Writer::with_capacity(len);
     w.u64(start_rbid).u32(payloads.len() as u32);
     for p in payloads {
         w.bytes(p);
@@ -994,7 +996,7 @@ impl AtomicBroadcast {
         self.msg_rbc.entry(id).or_insert_with(|| {
             self.ctx.open_at(Layer::Ab, id_seg('b', id, ""));
             let rb = self.ctx.child(Layer::Rb, id_seg('b', id, "/rb"));
-            ReliableBroadcast::new(rb, id.sender)
+            ReliableBroadcast::new(rb, self.config.mvc.profile, id.sender)
         })
     }
 
@@ -1003,7 +1005,11 @@ impl AtomicBroadcast {
     fn vect_instance(&mut self, round: u32, origin: ProcessId) -> &mut ReliableBroadcast {
         self.vect_rbc.entry((round, origin)).or_insert_with(|| {
             let rb = |f: &mut String| write!(f, "r:{round}/vect:{origin}");
-            ReliableBroadcast::new(self.ctx.child(Layer::Rb, rb), origin)
+            ReliableBroadcast::new(
+                self.ctx.child(Layer::Rb, rb),
+                self.config.mvc.profile,
+                origin,
+            )
         })
     }
 

@@ -420,8 +420,8 @@ mod tests {
 
     /// Per-peer suspicion totals of one run, summed over the three
     /// correct processes.
-    fn suspicion_totals(strategy: Option<StrategyKind>, seed: u64) -> [u64; 4] {
-        let cluster = drained_cluster(Profile::Paper, strategy, Schedule::Random, seed);
+    fn suspicion_totals(profile: Profile, strategy: Option<StrategyKind>, seed: u64) -> [u64; 4] {
+        let cluster = drained_cluster(profile, strategy, Schedule::Random, seed);
         let mut totals = [0u64; 4];
         for p in 0..3 {
             for s in cluster.metrics(p).suspicions() {
@@ -505,7 +505,8 @@ mod tests {
     fn failure_free_runs_report_zero_suspicions() {
         // The conformance counters must be silent when nobody misbehaves
         // — an honest-but-empty attacker slot produces no evidence.
-        assert_eq!(suspicion_totals(None, 11), [0; 4]);
+        assert_eq!(suspicion_totals(Profile::Paper, None, 11), [0; 4]);
+        assert_eq!(suspicion_totals(Profile::Lean, None, 11), [0; 4]);
     }
 
     #[test]
@@ -527,7 +528,7 @@ mod tests {
             StrategyKind::StaleReplay,
             StrategyKind::RandomMutation,
         ] {
-            let totals = suspicion_totals(Some(strategy), 5);
+            let totals = suspicion_totals(Profile::Paper, Some(strategy), 5);
             assert!(
                 totals[3] > 0,
                 "{strategy:?}: attacker never suspected: {totals:?}"
@@ -538,6 +539,20 @@ mod tests {
                     "{strategy:?}: attacker not the top suspect: {totals:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn forged_readies_convict_the_forger_alone() {
+        // Every lie of `ready-forge` is the attacker's own: an unbacked
+        // or foreign digest READY, a digest READY contradicting its
+        // earlier one, a body that fails decoding. The lean workload
+        // finishes (the_lean_workload_finishes_under_every_strategy), and
+        // only the forger collects evidence.
+        for seed in 0..3 {
+            let totals = suspicion_totals(Profile::Lean, Some(StrategyKind::ReadyForge), seed);
+            assert!(totals[3] > 0, "seed {seed}: forger never suspected");
+            assert_eq!(totals[..3], [0; 3], "seed {seed}: an honest peer suspected");
         }
     }
 }

@@ -27,7 +27,7 @@ pub mod explorer;
 mod strategies;
 
 pub use strategies::{
-    BiasedCoin, BvSplit, ConflictingVectors, Equivocate, RandomMutation, RoundAhead,
+    BiasedCoin, BvSplit, ConflictingVectors, Equivocate, RandomMutation, ReadyForge, RoundAhead,
     SelectiveSilence, StaleReplay,
 };
 
@@ -123,155 +123,103 @@ pub enum PayloadKind {
     Opaque,
 }
 
-/// Which reliable-broadcast stage a message ultimately carries, wherever
-/// it sits in the chain. `None` for messages with no RB component (EB
-/// `VECT`/`MAT` legs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RbStage {
-    /// An `INIT` transmission.
-    Init,
-    /// An `ECHO`.
-    Echo,
-    /// A `READY` (the delivery-driving stage — prime silence target).
-    Ready,
-}
-
-fn rb_stage_of(m: &RbMessage) -> RbStage {
-    match m {
-        RbMessage::Init(_) => RbStage::Init,
-        RbMessage::Echo(_) => RbStage::Echo,
-        RbMessage::Ready(_) => RbStage::Ready,
+/// The multi-valued consensus message `msg` is or carries, wherever it
+/// sits in the chain (standalone, a vector consensus round, an atomic
+/// broadcast agreement).
+fn innermost_mvc(msg: &mut ProtocolMsg) -> Option<&mut MvcMessage> {
+    match msg {
+        ProtocolMsg::Mvc(m)
+        | ProtocolMsg::Vc(VcMessage::Round { inner: m, .. })
+        | ProtocolMsg::Ab(AbMessage::Agree { inner: m, .. }) => Some(m),
+        _ => None,
     }
 }
 
-/// The innermost RB stage of `msg`, chasing the control-block chain.
-pub fn innermost_rb_stage(msg: &ProtocolMsg) -> Option<RbStage> {
-    fn of_bc(m: &BinMessage) -> Option<RbStage> {
+/// The innermost reliable-broadcast message of `msg`, chasing the
+/// control-block chain, with the kind of payload it carries. `None` for
+/// messages with no RB component (EB legs, lean binary consensus).
+pub fn innermost_rb(msg: &mut ProtocolMsg) -> Option<(PayloadKind, &mut RbMessage)> {
+    fn of_bc(m: &mut BinMessage) -> Option<(PayloadKind, &mut RbMessage)> {
         match m {
-            BinMessage::Paper(bc) => Some(rb_stage_of(&bc.inner)),
+            BinMessage::Paper(bc) => Some((PayloadKind::BcVal, &mut bc.inner)),
             BinMessage::Lean(_) => None,
         }
     }
-    fn of_mvc(m: &MvcMessage) -> Option<RbStage> {
-        match m {
-            MvcMessage::Init { inner, .. } => Some(rb_stage_of(inner)),
-            MvcMessage::Vect { inner, .. } => match inner {
-                VectBody::Echo(_) => None,
-                VectBody::Reliable(rb) => Some(rb_stage_of(rb)),
-            },
-            MvcMessage::Bin(bc) => of_bc(bc),
-        }
-    }
     match msg {
-        ProtocolMsg::Rb(m) => Some(rb_stage_of(m)),
-        ProtocolMsg::Eb(_) => None,
+        ProtocolMsg::Rb(m)
+        | ProtocolMsg::Vc(VcMessage::Prop { inner: m, .. })
+        | ProtocolMsg::Ab(AbMessage::Msg { inner: m, .. }) => Some((PayloadKind::Raw, m)),
+        ProtocolMsg::Ab(AbMessage::Vect { inner, .. }) => Some((PayloadKind::Opaque, inner)),
         ProtocolMsg::Bc(m) => of_bc(m),
-        ProtocolMsg::Mvc(m) => of_mvc(m),
-        ProtocolMsg::Vc(m) => match m {
-            VcMessage::Prop { inner, .. } => Some(rb_stage_of(inner)),
-            VcMessage::Round { inner, .. } => of_mvc(inner),
-        },
-        ProtocolMsg::Ab(m) => match m {
-            AbMessage::Msg { inner, .. } | AbMessage::Vect { inner, .. } => {
-                Some(rb_stage_of(inner))
-            }
-            AbMessage::Agree { inner, .. } => of_mvc(inner),
+        _ => match innermost_mvc(msg)? {
+            MvcMessage::Init { inner, .. } => Some((PayloadKind::MvcValue, inner)),
+            MvcMessage::Vect {
+                inner: VectBody::Reliable(rb),
+                ..
+            } => Some((PayloadKind::VectPayload, rb)),
+            MvcMessage::Vect { .. } => None,
+            MvcMessage::Bin(bc) => of_bc(bc),
         },
     }
+}
+
+/// Whether `msg` is (or carries) a `READY` of either form — the RB
+/// delivery-driving leg, the silence strategy's first target.
+pub fn is_rb_ready(msg: &mut ProtocolMsg) -> bool {
+    matches!(
+        innermost_rb(msg),
+        Some((_, RbMessage::Ready(_) | RbMessage::ReadyDigest(_)))
+    )
 }
 
 /// Whether `msg` is (or carries) an echo-broadcast `MAT` column — the EB
 /// delivery-driving leg, the silence strategy's other target.
-pub fn is_eb_mat(msg: &ProtocolMsg) -> bool {
-    fn of_mvc(m: &MvcMessage) -> bool {
-        matches!(
-            m,
-            MvcMessage::Vect {
+pub fn is_eb_mat(msg: &mut ProtocolMsg) -> bool {
+    match msg {
+        ProtocolMsg::Eb(m) => matches!(m, EbMessage::Mat(_)),
+        _ => matches!(
+            innermost_mvc(msg),
+            Some(MvcMessage::Vect {
                 inner: VectBody::Echo(EbMessage::Mat(_)),
                 ..
-            }
-        )
-    }
-    match msg {
-        ProtocolMsg::Eb(EbMessage::Mat(_)) => true,
-        ProtocolMsg::Mvc(m) => of_mvc(m),
-        ProtocolMsg::Vc(VcMessage::Round { inner, .. }) => of_mvc(inner),
-        ProtocolMsg::Ab(AbMessage::Agree { inner, .. }) => of_mvc(inner),
-        _ => false,
+            })
+        ),
     }
 }
 
 /// Grants a mutator access to the innermost broadcast payload of `msg`,
 /// with its [`PayloadKind`]. Returns `false` when the message has no
-/// mutable payload (EB `VECT`/`MAT`, lean binary consensus values).
+/// mutable payload (EB `VECT`/`MAT`, digest `READY`s, lean binary
+/// consensus values).
 pub fn with_innermost_payload(
     msg: &mut ProtocolMsg,
     f: &mut dyn FnMut(PayloadKind, &mut Bytes),
 ) -> bool {
-    fn of_rb(m: &mut RbMessage, kind: PayloadKind, f: &mut dyn FnMut(PayloadKind, &mut Bytes)) {
-        match m {
-            RbMessage::Init(p) | RbMessage::Echo(p) | RbMessage::Ready(p) => f(kind, p),
-        }
-    }
-    fn of_bc(m: &mut BinMessage, f: &mut dyn FnMut(PayloadKind, &mut Bytes)) -> bool {
-        match m {
-            BinMessage::Paper(bc) => {
-                of_rb(&mut bc.inner, PayloadKind::BcVal, f);
+    if let Some((kind, rb)) = innermost_rb(msg) {
+        return match rb {
+            RbMessage::Init(p) | RbMessage::Echo(p) | RbMessage::Ready(p) => {
+                f(kind, p);
                 true
             }
-            BinMessage::Lean(_) => false,
-        }
+            RbMessage::ReadyDigest(_) => false,
+        };
     }
-    fn of_mvc(m: &mut MvcMessage, f: &mut dyn FnMut(PayloadKind, &mut Bytes)) -> bool {
-        match m {
-            MvcMessage::Init { inner, .. } => {
-                of_rb(inner, PayloadKind::MvcValue, f);
-                true
-            }
-            MvcMessage::Vect { inner, .. } => match inner {
-                VectBody::Echo(EbMessage::Init(p)) => {
-                    f(PayloadKind::VectPayload, p);
-                    true
-                }
-                VectBody::Echo(_) => false,
-                VectBody::Reliable(rb) => {
-                    of_rb(rb, PayloadKind::VectPayload, f);
-                    true
-                }
-            },
-            MvcMessage::Bin(bc) => of_bc(bc, f),
-        }
-    }
-    match msg {
-        ProtocolMsg::Rb(m) => {
-            of_rb(m, PayloadKind::Raw, f);
+    let eb_init = match msg {
+        ProtocolMsg::Eb(EbMessage::Init(p)) => Some((PayloadKind::Raw, p)),
+        _ => match innermost_mvc(msg) {
+            Some(MvcMessage::Vect {
+                inner: VectBody::Echo(EbMessage::Init(p)),
+                ..
+            }) => Some((PayloadKind::VectPayload, p)),
+            _ => None,
+        },
+    };
+    match eb_init {
+        Some((kind, p)) => {
+            f(kind, p);
             true
         }
-        ProtocolMsg::Eb(EbMessage::Init(p)) => {
-            f(PayloadKind::Raw, p);
-            true
-        }
-        ProtocolMsg::Eb(_) => false,
-        ProtocolMsg::Bc(m) => of_bc(m, f),
-        ProtocolMsg::Mvc(m) => of_mvc(m, f),
-        ProtocolMsg::Vc(m) => match m {
-            VcMessage::Prop { inner, .. } => {
-                of_rb(inner, PayloadKind::Raw, f);
-                true
-            }
-            VcMessage::Round { inner, .. } => of_mvc(inner, f),
-        },
-        ProtocolMsg::Ab(m) => match m {
-            AbMessage::Msg { inner, .. } => {
-                of_rb(inner, PayloadKind::Raw, f);
-                true
-            }
-            AbMessage::Vect { inner, .. } => {
-                of_rb(inner, PayloadKind::Opaque, f);
-                true
-            }
-            AbMessage::Agree { inner, .. } => of_mvc(inner, f),
-        },
+        None => false,
     }
 }
 
@@ -329,11 +277,15 @@ pub enum StrategyKind {
     /// halves of the group, `AUX` a value never BV-delivered, `TERM` the
     /// value not decided.
     BvSplit,
+    /// Forge the `lean` reliable broadcast's digest `READY`s: a digest
+    /// nobody holds a payload for, the digest of a payload other than
+    /// the one echoed, a body of the wrong length.
+    ReadyForge,
 }
 
 impl StrategyKind {
     /// Every built-in strategy, in matrix order.
-    pub const ALL: [StrategyKind; 8] = [
+    pub const ALL: [StrategyKind; 9] = [
         StrategyKind::Equivocate,
         StrategyKind::Silence,
         StrategyKind::BiasedCoin,
@@ -342,6 +294,7 @@ impl StrategyKind {
         StrategyKind::RandomMutation,
         StrategyKind::RoundAhead,
         StrategyKind::BvSplit,
+        StrategyKind::ReadyForge,
     ];
 
     /// Builds the strategy, seeded for deterministic replay.
@@ -355,6 +308,7 @@ impl StrategyKind {
             StrategyKind::RandomMutation => Box::new(RandomMutation::new(seed)),
             StrategyKind::RoundAhead => Box::new(RoundAhead::new(seed)),
             StrategyKind::BvSplit => Box::new(BvSplit::new()),
+            StrategyKind::ReadyForge => Box::new(ReadyForge::new(seed)),
         }
     }
 }
@@ -370,6 +324,7 @@ impl core::fmt::Display for StrategyKind {
             StrategyKind::RandomMutation => "random-mutation",
             StrategyKind::RoundAhead => "round-ahead",
             StrategyKind::BvSplit => "bv-split",
+            StrategyKind::ReadyForge => "ready-forge",
         };
         f.write_str(s)
     }
@@ -388,9 +343,11 @@ impl std::str::FromStr for StrategyKind {
             "random-mutation" => Ok(StrategyKind::RandomMutation),
             "round-ahead" => Ok(StrategyKind::RoundAhead),
             "bv-split" => Ok(StrategyKind::BvSplit),
+            "ready-forge" => Ok(StrategyKind::ReadyForge),
             other => Err(format!(
                 "unknown strategy {other:?} (expected one of: equivocate, silence, biased-coin, \
-                 conflicting-vectors, stale-replay, random-mutation, round-ahead, bv-split)"
+                 conflicting-vectors, stale-replay, random-mutation, round-ahead, bv-split, \
+                 ready-forge)"
             )),
         }
     }
@@ -546,15 +503,27 @@ mod tests {
     }
 
     #[test]
-    fn innermost_stage_chases_the_chain() {
-        let msg = ProtocolMsg::Ab(AbMessage::Msg {
-            id: crate::ab::MsgId { sender: 0, rbid: 0 },
-            inner: RbMessage::Ready(Bytes::from_static(b"p")),
-        });
-        assert_eq!(innermost_rb_stage(&msg), Some(RbStage::Ready));
-        let eb = ProtocolMsg::Eb(EbMessage::Mat(vec![None]));
-        assert_eq!(innermost_rb_stage(&eb), None);
-        assert!(is_eb_mat(&eb));
+    fn innermost_rb_chases_the_chain() {
+        for ready in [
+            RbMessage::Ready(Bytes::from_static(b"p")),
+            RbMessage::ReadyDigest([7; 32]),
+        ] {
+            let mut msg = ProtocolMsg::Ab(AbMessage::Msg {
+                id: crate::ab::MsgId { sender: 0, rbid: 0 },
+                inner: ready.clone(),
+            });
+            assert!(is_rb_ready(&mut msg));
+            assert_eq!(
+                innermost_rb(&mut msg),
+                Some((PayloadKind::Raw, &mut ready.clone()))
+            );
+        }
+        let mut eb = ProtocolMsg::Eb(EbMessage::Mat(vec![None]));
+        assert_eq!(innermost_rb(&mut eb), None);
+        assert!(!is_rb_ready(&mut eb));
+        assert!(is_eb_mat(&mut eb));
+        let mut digest = ProtocolMsg::Rb(RbMessage::ReadyDigest([7; 32]));
+        assert!(!with_innermost_payload(&mut digest, &mut |_, _| {}));
     }
 
     #[test]
@@ -571,7 +540,7 @@ mod tests {
         assert_eq!(seen, Some((PayloadKind::Raw, Bytes::from_static(b"v"))));
         match msg {
             ProtocolMsg::Vc(VcMessage::Prop { inner, .. }) => {
-                assert_eq!(inner.payload().as_ref(), b"w");
+                assert_eq!(inner.payload().unwrap()[..], b"w"[..]);
             }
             other => panic!("unexpected {other:?}"),
         }

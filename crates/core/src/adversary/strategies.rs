@@ -6,8 +6,8 @@
 //! run is replayable bit-for-bit from `(strategy, schedule, seed)`.
 
 use super::{
-    innermost_rb_stage, is_eb_mat, seeded_rng, with_innermost_payload, FrameMutator, PayloadKind,
-    ProtocolMsg, RbStage, SendCtx, Strategy,
+    innermost_rb, is_eb_mat, is_rb_ready, seeded_rng, with_innermost_payload, FrameMutator,
+    PayloadKind, ProtocolMsg, SendCtx, Strategy,
 };
 use crate::ab::AbMessage;
 use crate::bc::lean::{LeanKind, LeanMessage};
@@ -18,7 +18,7 @@ use crate::rb::RbMessage;
 use crate::stack::InstanceKey;
 use crate::vc::VcMessage;
 use bytes::Bytes;
-use ritas_crypto::XorShift64;
+use ritas_crypto::{Digest, Sha256, XorShift64};
 
 /// Rewrites `bytes` into a *different but structurally valid* payload of
 /// the same kind, salted by `salt` (so distinct salts yield distinct
@@ -142,7 +142,7 @@ impl Strategy for SelectiveSilence {
         "silence"
     }
 
-    fn rewrite(&mut self, ctx: &SendCtx, key: InstanceKey, msg: ProtocolMsg) -> Vec<Bytes> {
+    fn rewrite(&mut self, ctx: &SendCtx, key: InstanceKey, mut msg: ProtocolMsg) -> Vec<Bytes> {
         let closing = match &msg {
             ProtocolMsg::Bc(m) | ProtocolMsg::Mvc(MvcMessage::Bin(m)) => match m {
                 BinMessage::Paper(bc) => bc.step == 3,
@@ -150,8 +150,7 @@ impl Strategy for SelectiveSilence {
             },
             _ => false,
         };
-        let delivery_leg =
-            innermost_rb_stage(&msg) == Some(RbStage::Ready) || is_eb_mat(&msg) || closing;
+        let delivery_leg = closing || is_rb_ready(&mut msg) || is_eb_mat(&mut msg);
         if delivery_leg && self.muted(ctx.to) {
             return Vec::new();
         }
@@ -468,6 +467,70 @@ impl Strategy for BvSplit {
     }
 }
 
+/// `READY` forgery (targets: the `lean` reliable broadcast's delivery
+/// rule — `2f + 1` `READY(h)` *and* an accepted payload that hashes to
+/// `h` — its digest-slot equivocation check and the digest codec): each
+/// destination hears one of three lies, the seed rotating who hears which.
+///
+/// * **Unbacked digest:** every digest `READY` names `h'`, the honest
+///   digest with each bit flipped — a digest no correct process holds a
+///   payload for.
+/// * **Digest of another payload:** every `ECHO(m)` travels behind a
+///   `READY` for the digest of a different well-formed `m'`. Sent first,
+///   it takes the attacker's `READY` slot, and its honest `READY` later
+///   is an equivocation.
+/// * **Wrong length:** every digest `READY` arrives with a 31-byte body,
+///   which must fail decoding.
+///
+/// Bracha's payload `READY`s travel unchanged; a `paper` stack fed the
+/// injected digest `READY` reports it as malformed.
+#[derive(Debug)]
+pub struct ReadyForge {
+    seed: u64,
+}
+
+impl ReadyForge {
+    /// Creates the strategy; `seed` rotates which peer hears which lie.
+    pub fn new(seed: u64) -> Self {
+        ReadyForge { seed }
+    }
+}
+
+impl Strategy for ReadyForge {
+    fn name(&self) -> &'static str {
+        "ready-forge"
+    }
+
+    fn rewrite(&mut self, ctx: &SendCtx, key: InstanceKey, mut msg: ProtocolMsg) -> Vec<Bytes> {
+        let honest = msg.frame(key);
+        let Some((kind, rb)) = innermost_rb(&mut msg) else {
+            return vec![honest];
+        };
+        match ((ctx.to as u64).wrapping_add(self.seed) % 3, &mut *rb) {
+            (0, RbMessage::ReadyDigest(h)) => {
+                h.iter_mut().for_each(|b| *b = !*b);
+                vec![msg.frame(key)]
+            }
+            (1, RbMessage::Echo(m)) => {
+                let mut other = m.clone();
+                mutate_payload(kind, &mut other, 0x3F);
+                *rb = RbMessage::ReadyDigest(Sha256::digest(&other));
+                vec![msg.frame(key), honest]
+            }
+            (2, RbMessage::ReadyDigest(_)) => {
+                // The RB message ends every frame that carries one, so
+                // the digest is the last 32 bytes behind its length.
+                let mut short = honest.to_vec();
+                let len_at = short.len() - 36;
+                short[len_at..len_at + 4].copy_from_slice(&31u32.to_be_bytes());
+                short.pop();
+                vec![Bytes::from(short)]
+            }
+            _ => vec![honest],
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,20 +541,18 @@ mod tests {
         SendCtx { me: 3, to, n: 4 }
     }
 
-    fn rb_frame(stage: RbStage, payload: &'static [u8]) -> (InstanceKey, ProtocolMsg) {
+    fn rb_frame(
+        stage: fn(Bytes) -> RbMessage,
+        payload: &'static [u8],
+    ) -> (InstanceKey, ProtocolMsg) {
         let key = InstanceKey::Rb { sender: 3, seq: 1 };
-        let m = match stage {
-            RbStage::Init => RbMessage::Init(Bytes::from_static(payload)),
-            RbStage::Echo => RbMessage::Echo(Bytes::from_static(payload)),
-            RbStage::Ready => RbMessage::Ready(Bytes::from_static(payload)),
-        };
-        (key, ProtocolMsg::Rb(m))
+        (key, ProtocolMsg::Rb(stage(Bytes::from_static(payload))))
     }
 
     #[test]
     fn equivocate_splits_the_group() {
         let mut s = Equivocate::new();
-        let (key, msg) = rb_frame(RbStage::Init, b"truth");
+        let (key, msg) = rb_frame(RbMessage::Init, b"truth");
         let low = s.rewrite(&ctx(0), key, msg.clone());
         let high = s.rewrite(&ctx(3), key, msg.clone());
         assert_eq!(low, vec![msg.frame(key)], "low half sees the truth");
@@ -505,8 +566,8 @@ mod tests {
         let mut s = SelectiveSilence::new(7);
         let muted: Vec<bool> = (0..4).map(|p| s.muted(p)).collect();
         assert!(muted.iter().any(|m| *m), "seed 7 mutes someone");
-        let (key, ready) = rb_frame(RbStage::Ready, b"p");
-        let (_, init) = rb_frame(RbStage::Init, b"p");
+        let (key, ready) = rb_frame(RbMessage::Ready, b"p");
+        let (_, init) = rb_frame(RbMessage::Init, b"p");
         for (to, muted) in muted.iter().enumerate() {
             let out = s.rewrite(&ctx(to), key, ready.clone());
             assert_eq!(out.is_empty(), *muted, "peer {to}");
@@ -528,7 +589,7 @@ mod tests {
         let out = s.rewrite(&ctx(1), key, msg);
         match decode_frame(&out[0]).unwrap().1 {
             ProtocolMsg::Bc(BinMessage::Paper(m)) => {
-                assert_eq!(m.inner.payload().as_ref(), &[encode_val(Some(false))]);
+                assert_eq!(m.inner.payload().unwrap()[..], [encode_val(Some(false))]);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -565,8 +626,56 @@ mod tests {
             let out = s.rewrite(&ctx(to), key, lean(kind, sent));
             assert_eq!(out, [lean(kind, heard).frame(key)], "{kind:?} to {to}");
         }
-        let (key, rb) = rb_frame(RbStage::Init, b"p");
+        let (key, rb) = rb_frame(RbMessage::Init, b"p");
         assert_eq!(s.rewrite(&ctx(3), key, rb.clone()), [rb.frame(key)]);
+    }
+
+    #[test]
+    fn ready_forge_tells_each_peer_one_lie() {
+        let key = InstanceKey::Ab { session: 1 };
+        let ab = |inner| {
+            ProtocolMsg::Ab(AbMessage::Msg {
+                id: crate::ab::MsgId { sender: 0, rbid: 4 },
+                inner,
+            })
+        };
+        let h = Sha256::digest(b"m");
+        let ready = ab(RbMessage::ReadyDigest(h));
+        let echo = ab(RbMessage::Echo(Bytes::from_static(b"m")));
+        let paper_ready = ab(RbMessage::Ready(Bytes::from_static(b"m")));
+        let mut s = ReadyForge::new(0);
+        // Peer 0: a digest nobody holds a payload for.
+        let unbacked = ab(RbMessage::ReadyDigest(h.map(|b| !b)));
+        assert_eq!(
+            s.rewrite(&ctx(0), key, ready.clone()),
+            [unbacked.frame(key)]
+        );
+        // Peer 1: the digest of another payload, ahead of the honest ECHO.
+        let out = s.rewrite(&ctx(1), key, echo.clone());
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[1], echo.frame(key));
+        match decode_frame(&out[0]) {
+            Some((_, ProtocolMsg::Ab(AbMessage::Msg { inner, .. }))) => {
+                assert!(matches!(inner, RbMessage::ReadyDigest(d) if d != h));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // Peer 2: a 31-byte digest, which no decoder accepts.
+        let out = s.rewrite(&ctx(2), key, ready.clone());
+        assert_eq!(out[0].len(), ready.frame(key).len() - 1);
+        assert_eq!(decode_frame(&out[0]), None);
+        // Everything else travels as it was, and the seed rotates the lies.
+        for to in 0..3 {
+            assert_eq!(
+                s.rewrite(&ctx(to), key, paper_ready.clone()),
+                [paper_ready.frame(key)]
+            );
+        }
+        assert_eq!(s.rewrite(&ctx(0), key, echo.clone()), [echo.frame(key)]);
+        assert_eq!(
+            ReadyForge::new(1).rewrite(&ctx(0), key, echo.clone()).len(),
+            2
+        );
     }
 
     #[test]
@@ -592,7 +701,7 @@ mod tests {
                     inner: VectBody::Reliable(rb),
                     ..
                 }) => {
-                    let p = VectPayload::from_bytes(rb.payload()).unwrap();
+                    let p = VectPayload::from_bytes(rb.payload().unwrap()).unwrap();
                     assert_eq!(p.justification.len(), 4);
                     assert!(p.value.is_some());
                 }
@@ -604,7 +713,7 @@ mod tests {
     #[test]
     fn stale_replay_reinjects_history() {
         let mut s = StaleReplay::new(11);
-        let (key, msg) = rb_frame(RbStage::Init, b"old");
+        let (key, msg) = rb_frame(RbMessage::Init, b"old");
         let mut injected = 0;
         for _ in 0..16 {
             let out = s.rewrite(&ctx(0), key, msg.clone());
@@ -660,7 +769,7 @@ mod tests {
         assert_eq!(mute.rewrite(&ctx(1), key, frame_of(1)).len(), 1);
         assert!(mute.rewrite(&ctx(1), key, frame_of(2)).is_empty());
         // Traffic that carries no binary consensus passes in both modes.
-        let (key, rb) = rb_frame(RbStage::Init, b"p");
+        let (key, rb) = rb_frame(RbMessage::Init, b"p");
         for s in [&mut wake, &mut mute] {
             assert_eq!(s.rewrite(&ctx(0), key, rb.clone()), [rb.frame(key)]);
         }
@@ -668,7 +777,7 @@ mod tests {
 
     #[test]
     fn random_mutation_is_deterministic_per_seed() {
-        let (key, msg) = rb_frame(RbStage::Echo, b"payload");
+        let (key, msg) = rb_frame(RbMessage::Echo, b"payload");
         let run = |seed| {
             let mut s = RandomMutation::new(seed);
             (0..32)

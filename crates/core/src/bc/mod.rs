@@ -532,7 +532,7 @@ impl BinaryConsensus {
     fn step_rbc(&mut self, round: u32, step: u8, origin: ProcessId) -> &mut ReliableBroadcast {
         self.rbc
             .entry((round, step, origin))
-            .or_insert_with(|| ReliableBroadcast::new(self.ctx.spanless(), origin))
+            .or_insert_with(|| ReliableBroadcast::new(self.ctx.spanless(), Profile::Paper, origin))
     }
 
     fn round_mut(&mut self, round: u32) -> &mut RoundState {

@@ -274,8 +274,9 @@ impl MultiValuedConsensus {
     /// ([`MvcConfig::default`] is the paper's configuration).
     pub fn new(ctx: Ctx, coins: Coins, config: MvcConfig) -> Self {
         let n = ctx.group.n();
+        let init = |o| ctx.child(Layer::Rb, |f| write!(f, "init:{o}"));
         let init_rbc = (0..n)
-            .map(|o| ReliableBroadcast::new(ctx.child(Layer::Rb, |f| write!(f, "init:{o}")), o))
+            .map(|o| ReliableBroadcast::new(init(o), config.profile, o))
             .collect();
         let bc = ctx.child(Layer::Bc, |f| f.write_str("bc"));
         MultiValuedConsensus {
@@ -397,9 +398,11 @@ impl MultiValuedConsensus {
                 VectTransport::Echo => {
                     VectInstance::Echo(EchoBroadcast::new(vect(Layer::Eb), origin))
                 }
-                VectTransport::Reliable => {
-                    VectInstance::Reliable(ReliableBroadcast::new(vect(Layer::Rb), origin))
-                }
+                VectTransport::Reliable => VectInstance::Reliable(ReliableBroadcast::new(
+                    vect(Layer::Rb),
+                    self.config.profile,
+                    origin,
+                )),
             }
         })
     }

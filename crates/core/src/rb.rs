@@ -10,26 +10,48 @@
 //!    process broadcasts `(READY, m)` (once);
 //! 4. on `2f+1` `READY`s for the same `m`, it delivers `m`.
 //!
-//! "The same `m`" is byte equality, as in Bracha's protocol: an instance
-//! keeps the distinct payloads it has accepted in one small table (at
-//! most one per `INIT`, `ECHO` and `READY` slot, so ≤ 2n + 1) and every
-//! slot holds an index into it. Comparing lengths and then bytes costs
-//! less than one hash compression for any payload, and nothing here is
-//! secret — payloads are what the protocol publishes — so the comparison
-//! need not be constant-time.
+//! The stack's [`Profile`] decides what a `READY` carries. `paper` sends
+//! `m` itself, as Bracha's protocol and the paper do. `lean` sends
+//! `h = SHA-256(m)` ([`RbMessage::ReadyDigest`]) and delivers on `2f+1`
+//! `READY(h)` once it also holds, from an accepted `INIT` or `ECHO`, a
+//! payload that hashes to `h` — waiting for one if the quorum comes
+//! first. At n = 4 that is 15 wire copies of `m` per broadcast instead of
+//! 27. A correct process names `h` only after an echo quorum for `m` or
+//! after `f+1` `READY(h)`, so behind any `READY(h)` quorum stand at least
+//! `f+1` correct processes that echoed `m` to everyone; collision
+//! resistance makes `h` name one payload (DESIGN.md §3).
+//!
+//! In the `INIT` and `ECHO` slots "the same `m`" is byte equality: an
+//! instance keeps the distinct payloads it has accepted in one small table
+//! (at most one entry per `INIT`, `ECHO` and `READY` slot, so ≤ 2n + 1)
+//! and every slot holds an index into it. Comparing lengths and then bytes
+//! costs less than one hash compression for any payload, and nothing here
+//! is secret — payloads are what the protocol publishes — so the
+//! comparison need not be constant-time. In `lean` a `READY` slot names
+//! its entry by digest instead (a digest-only entry until an accepted
+//! payload hashes to it), and each entry is hashed at most once, when its
+//! digest is first needed: to send this process's own `READY`, or to
+//! match a `READY(h)` received.
 //!
 //! One [`ReliableBroadcast`] value is the state of a single instance —
 //! one broadcast by one designated sender. Higher protocols create one
 //! instance per message they reliably broadcast (control block chaining,
 //! §3.3).
 
+use crate::bc::Profile;
 use crate::codec::{Reader, WireError, WireMessage, Writer};
 use crate::ctx::Ctx;
 use crate::error::ProtocolError;
 use crate::step::{FaultKind, Step};
 use crate::ProcessId;
 use bytes::Bytes;
+use ritas_crypto::{Digest, Sha256};
 use ritas_metrics::SpanAnnotation;
+
+/// The SHA-256 of a payload, as a `lean` `READY` carries it. SHA-256 and
+/// not SHA-1: a collision pair would let a Byzantine sender make correct
+/// processes deliver different payloads under one digest.
+pub type PayloadDigest = [u8; 32];
 
 /// Messages of the reliable broadcast protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,15 +60,19 @@ pub enum RbMessage {
     Init(Bytes),
     /// A process echoing `m`.
     Echo(Bytes),
-    /// A process asserting it will deliver `m`.
+    /// A process asserting it will deliver `m` ([`Profile::Paper`]).
     Ready(Bytes),
+    /// A process asserting it will deliver the payload with this digest
+    /// ([`Profile::Lean`]).
+    ReadyDigest(PayloadDigest),
 }
 
 impl RbMessage {
-    /// The payload carried by the message.
-    pub fn payload(&self) -> &Bytes {
+    /// The payload carried by the message; `None` for a digest `READY`.
+    pub fn payload(&self) -> Option<&Bytes> {
         match self {
-            RbMessage::Init(m) | RbMessage::Echo(m) | RbMessage::Ready(m) => m,
+            RbMessage::Init(m) | RbMessage::Echo(m) | RbMessage::Ready(m) => Some(m),
+            RbMessage::ReadyDigest(_) => None,
         }
     }
 }
@@ -54,6 +80,7 @@ impl RbMessage {
 const TAG_INIT: u8 = 1;
 const TAG_ECHO: u8 = 2;
 const TAG_READY: u8 = 3;
+const TAG_READY_DIGEST: u8 = 4;
 
 impl WireMessage for RbMessage {
     fn encode(&self, w: &mut Writer) {
@@ -61,6 +88,7 @@ impl WireMessage for RbMessage {
             RbMessage::Init(m) => w.u8(TAG_INIT).bytes(m),
             RbMessage::Echo(m) => w.u8(TAG_ECHO).bytes(m),
             RbMessage::Ready(m) => w.u8(TAG_READY).bytes(m),
+            RbMessage::ReadyDigest(h) => w.u8(TAG_READY_DIGEST).bytes(h),
         };
     }
 
@@ -71,6 +99,15 @@ impl WireMessage for RbMessage {
             TAG_INIT => Ok(RbMessage::Init(m)),
             TAG_ECHO => Ok(RbMessage::Echo(m)),
             TAG_READY => Ok(RbMessage::Ready(m)),
+            TAG_READY_DIGEST => {
+                m[..]
+                    .try_into()
+                    .map(RbMessage::ReadyDigest)
+                    .map_err(|_| WireError::BadLength {
+                        what: "rb.digest",
+                        len: m.len(),
+                    })
+            }
             t => Err(WireError::InvalidTag {
                 what: "rb.tag",
                 tag: t,
@@ -83,6 +120,22 @@ impl WireMessage for RbMessage {
 /// [`RbMessage`]s plus, at most once, the delivered payload.
 pub type RbStep = Step<RbMessage, Bytes>;
 
+/// One entry of an instance's table: a distinct payload it accepted or
+/// — `lean` only — a digest a `READY` named before any accepted `INIT`
+/// or `ECHO` carried a payload that hashes to it.
+#[derive(Debug, Clone)]
+struct Entry {
+    /// `None` while the entry is a digest only; the first accepted
+    /// payload with that digest fills it.
+    bytes: Option<Bytes>,
+    /// The first process whose accepted `INIT`/`ECHO` carried it (the
+    /// endpoint named when a split is reported; `None` while only
+    /// `READY`s did).
+    holder: Option<ProcessId>,
+    /// Its SHA-256 (`lean`): named by a `READY`, or hashed on first use.
+    digest: Option<PayloadDigest>,
+}
+
 /// State of one reliable broadcast instance.
 ///
 /// # Example
@@ -91,12 +144,13 @@ pub type RbStep = Step<RbMessage, Bytes>;
 /// the message flow by hand delivers the payload at a receiver.
 ///
 /// ```
+/// use ritas::bc::Profile;
 /// use ritas::rb::{ReliableBroadcast, RbMessage};
 /// use ritas::testing::ctx;
 /// use bytes::Bytes;
 ///
-/// let mut sender = ReliableBroadcast::new(ctx(4, 0, 7), 0);
-/// let mut receiver = ReliableBroadcast::new(ctx(4, 1, 7), 0);
+/// let mut sender = ReliableBroadcast::new(ctx(4, 0, 7), Profile::Paper, 0);
+/// let mut receiver = ReliableBroadcast::new(ctx(4, 1, 7), Profile::Paper, 0);
 ///
 /// let m = Bytes::from_static(b"hello");
 /// let init = sender.broadcast(m.clone())?;
@@ -117,17 +171,16 @@ pub type RbStep = Step<RbMessage, Bytes>;
 #[derive(Debug, Clone)]
 pub struct ReliableBroadcast {
     ctx: Ctx,
+    profile: Profile,
     sender: ProcessId,
     sent_init: bool,
     sent_echo: bool,
     sent_ready: bool,
     delivered: bool,
-    /// The distinct payloads accepted so far, each with the first
-    /// process whose accepted `INIT`/`ECHO` carried it (the endpoint
-    /// named when a split is reported; `None` while only `READY`s did).
-    /// One entry per slot below at most: ≤ 2n + 1.
-    payloads: Vec<(Bytes, Option<ProcessId>)>,
-    /// Index into `payloads` of what each process echoed (one `ECHO`
+    /// The distinct payloads (and, in `lean`, `READY` digests) accepted
+    /// so far. One entry per slot below at most: ≤ 2n + 1.
+    entries: Vec<Entry>,
+    /// Index into `entries` of what each process echoed (one `ECHO`
     /// counted per process).
     echoes: Vec<Option<usize>>,
     /// Index of what each process `READY`ed.
@@ -140,23 +193,25 @@ pub struct ReliableBroadcast {
 }
 
 impl ReliableBroadcast {
-    /// Creates the instance for a broadcast by `sender`, as seen by the
-    /// process of `ctx`.
+    /// Creates the instance of `profile` for a broadcast by `sender`, as
+    /// seen by the process of `ctx`.
     ///
     /// # Panics
     ///
     /// Panics if `sender` is outside the group.
-    pub fn new(ctx: Ctx, sender: ProcessId) -> Self {
+    pub fn new(ctx: Ctx, profile: Profile, sender: ProcessId) -> Self {
         assert!(ctx.group.contains(sender), "sender out of group");
         let n = ctx.group.n();
         ReliableBroadcast {
             ctx,
+            profile,
             sender,
             sent_init: false,
             sent_echo: false,
             sent_ready: false,
             delivered: false,
-            payloads: Vec::new(),
+            // A failure-free instance only ever holds one entry.
+            entries: Vec::with_capacity(1),
             echoes: vec![None; n],
             readies: vec![None; n],
             init: None,
@@ -196,26 +251,78 @@ impl ReliableBroadcast {
 
     /// The table index of `payload`, entered on first sight. `holder` is
     /// the process whose accepted `INIT`/`ECHO` carries it (`None` for a
-    /// `READY`); the first one sticks.
+    /// `READY`); the first one sticks. A new payload that hashes to a
+    /// digest only a `READY` named so far fills that entry.
     fn intern(&mut self, payload: &Bytes, holder: Option<ProcessId>) -> usize {
-        match self.payloads.iter().position(|(p, _)| p == payload) {
-            Some(i) => {
-                let first = &mut self.payloads[i].1;
-                *first = first.or(holder);
-                i
-            }
+        let i = match self
+            .entries
+            .iter()
+            .position(|e| e.bytes.as_ref() == Some(payload))
+        {
+            Some(i) => i,
             None => {
-                self.payloads.push((payload.clone(), holder));
-                self.payloads.len() - 1
+                let digest = self
+                    .entries
+                    .iter()
+                    .any(|e| e.bytes.is_none())
+                    .then(|| Sha256::digest(payload));
+                let named = digest.and_then(|h| {
+                    self.entries
+                        .iter()
+                        .position(|e| e.bytes.is_none() && e.digest == Some(h))
+                });
+                match named {
+                    Some(i) => {
+                        self.entries[i].bytes = Some(payload.clone());
+                        i
+                    }
+                    None => {
+                        self.entries.push(Entry {
+                            bytes: Some(payload.clone()),
+                            holder: None,
+                            digest,
+                        });
+                        self.entries.len() - 1
+                    }
+                }
+            }
+        };
+        let first = &mut self.entries[i].holder;
+        *first = first.or(holder);
+        i
+    }
+
+    /// The table index of digest `h` (`lean`), hashing held payloads not
+    /// hashed before until one matches, or a new digest-only entry.
+    fn intern_digest(&mut self, h: PayloadDigest) -> usize {
+        match (0..self.entries.len()).find(|&i| self.digest(i) == h) {
+            Some(i) => i,
+            None => {
+                self.entries.push(Entry {
+                    bytes: None,
+                    holder: None,
+                    digest: Some(h),
+                });
+                self.entries.len() - 1
             }
         }
     }
 
-    /// What a second message from `from` makes of a slot already holding
-    /// `prev`: nothing if it repeats the first, equivocation if it differs
-    /// — and a differing message is *not* stored.
-    fn repeated(&self, prev: usize, from: ProcessId, m: &Bytes) -> RbStep {
-        if self.payloads[prev].0 == *m {
+    /// The digest of entry `i`, hashed on first use.
+    fn digest(&mut self, i: usize) -> PayloadDigest {
+        let e = &mut self.entries[i];
+        match (e.digest, &e.bytes) {
+            (Some(h), _) => h,
+            (None, Some(m)) => *e.digest.insert(Sha256::digest(m)),
+            (None, None) => unreachable!("an entry holds a payload or a digest"),
+        }
+    }
+
+    /// What a second message from `from` makes of a slot already filled:
+    /// nothing if it repeats the first (`same`), equivocation if it
+    /// differs — and a differing message is *not* stored.
+    fn repeated(from: ProcessId, same: bool) -> RbStep {
+        if same {
             Step::none()
         } else {
             Step::fault(from, FaultKind::Equivocation)
@@ -252,7 +359,7 @@ impl ReliableBroadcast {
         };
         self.split_reported = true;
         let mut suspects = vec![self.sender];
-        for h in [a, b].into_iter().filter_map(|i| self.payloads[i].1) {
+        for h in [a, b].into_iter().filter_map(|i| self.entries[i].holder) {
             if !suspects.contains(&h) {
                 suspects.push(h);
             }
@@ -265,23 +372,39 @@ impl ReliableBroadcast {
     /// Handles a protocol message from `from`.
     ///
     /// Messages from corrupt processes (duplicate, equivocating,
-    /// not-entitled) are ignored and reported as faults on the step.
+    /// not-entitled) are ignored and reported as faults on the step; so
+    /// is a `READY` of the other profile's form ([`FaultKind::Malformed`]).
     pub fn handle_message(&mut self, from: ProcessId, message: RbMessage) -> RbStep {
         if !self.ctx.group.contains(from) {
             return Step::fault(from, FaultKind::NotEntitled);
         }
-        match message {
-            RbMessage::Init(m) => {
+        match (message, self.profile) {
+            (RbMessage::Init(m), _) => {
                 self.ctx.metrics.rb_init_recv.inc();
                 self.on_init(from, m)
             }
-            RbMessage::Echo(m) => {
+            (RbMessage::Echo(m), _) => {
                 self.ctx.metrics.rb_echo_recv.inc();
                 self.on_echo(from, m)
             }
-            RbMessage::Ready(m) => {
+            (RbMessage::Ready(m), Profile::Paper) => {
                 self.ctx.metrics.rb_ready_recv.inc();
-                self.on_ready(from, m)
+                if let Some(prev) = self.readies[from] {
+                    return Self::repeated(from, self.entries[prev].bytes.as_ref() == Some(&m));
+                }
+                let i = self.intern(&m, None);
+                self.on_ready(from, i, RbMessage::Ready(m))
+            }
+            (RbMessage::ReadyDigest(h), Profile::Lean) => {
+                self.ctx.metrics.rb_ready_recv.inc();
+                if let Some(prev) = self.readies[from] {
+                    return Self::repeated(from, self.entries[prev].digest == Some(h));
+                }
+                let i = self.intern_digest(h);
+                self.on_ready(from, i, RbMessage::ReadyDigest(h))
+            }
+            (RbMessage::Ready(_), Profile::Lean) | (RbMessage::ReadyDigest(_), Profile::Paper) => {
+                Step::fault(from, FaultKind::Malformed)
             }
         }
     }
@@ -291,11 +414,13 @@ impl ReliableBroadcast {
             return Step::fault(from, FaultKind::NotEntitled);
         }
         if let Some(prev) = self.init {
-            return self.repeated(prev, from, &m);
+            return Self::repeated(from, self.entries[prev].bytes.as_ref() == Some(&m));
         }
-        self.init = Some(self.intern(&m, Some(from)));
+        let i = self.intern(&m, Some(from));
+        self.init = Some(i);
         let mut step = Step::none();
         self.report_split(&mut step);
+        self.deliver_if_ready(i, &mut step);
         if !self.sent_echo {
             self.sent_echo = true;
             step.push_broadcast(RbMessage::Echo(m));
@@ -305,7 +430,7 @@ impl ReliableBroadcast {
 
     fn on_echo(&mut self, from: ProcessId, m: Bytes) -> RbStep {
         if let Some(prev) = self.echoes[from] {
-            return self.repeated(prev, from, &m);
+            return Self::repeated(from, self.entries[prev].bytes.as_ref() == Some(&m));
         }
         let i = self.intern(&m, Some(from));
         self.echoes[from] = Some(i);
@@ -316,32 +441,45 @@ impl ReliableBroadcast {
             // `from` closed the echo quorum — the last-arriving process
             // on this step of the critical path (cluster forensics).
             self.ctx.annotate(SpanAnnotation::QuorumMet, from as u64);
-            step.push_broadcast(RbMessage::Ready(m));
+            step.push_broadcast(match self.profile {
+                Profile::Paper => RbMessage::Ready(m),
+                Profile::Lean => RbMessage::ReadyDigest(self.digest(i)),
+            });
         }
+        self.deliver_if_ready(i, &mut step);
         step
     }
 
-    fn on_ready(&mut self, from: ProcessId, m: Bytes) -> RbStep {
-        if let Some(prev) = self.readies[from] {
-            return self.repeated(prev, from, &m);
-        }
-        let i = self.intern(&m, None);
+    /// Enters `from`'s `READY` for entry `i`, sending `ready` on `f+1` and
+    /// delivering on `2f+1` once entry `i` holds its payload.
+    fn on_ready(&mut self, from: ProcessId, i: usize, ready: RbMessage) -> RbStep {
         self.readies[from] = Some(i);
         let mut step = Step::none();
         let count = Self::count(&self.readies, i);
         if !self.sent_ready && count >= self.ctx.group.one_correct() {
             self.sent_ready = true;
-            step.push_broadcast(RbMessage::Ready(m.clone()));
+            step.push_broadcast(ready);
         }
-        if !self.delivered && count >= self.ctx.group.byzantine_majority() {
-            self.delivered = true;
-            self.ctx.metrics.rb_delivered.inc();
+        if count == self.ctx.group.byzantine_majority() {
             // `from` closed the 2f+1 READY quorum that gates delivery.
             self.ctx.annotate(SpanAnnotation::QuorumMet, from as u64);
+        }
+        self.deliver_if_ready(i, &mut step);
+        step
+    }
+
+    /// Delivers entry `i` if `2f+1` `READY`s name it and it holds its
+    /// payload (`lean` can have the quorum first and wait).
+    fn deliver_if_ready(&mut self, i: usize, step: &mut RbStep) {
+        if self.delivered || Self::count(&self.readies, i) < self.ctx.group.byzantine_majority() {
+            return;
+        }
+        if let Some(m) = self.entries[i].bytes.clone() {
+            self.delivered = true;
+            self.ctx.metrics.rb_delivered.inc();
             self.ctx.close();
             step.push_output(m);
         }
-        step
     }
 }
 
@@ -355,9 +493,20 @@ mod tests {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
-    /// `sender` broadcasts `m` in a group of `n` (minus the `crashed`),
-    /// under every schedule; returns each run's per-process delivery.
+    fn digest(s: &str) -> PayloadDigest {
+        Sha256::digest(s.as_bytes())
+    }
+
+    /// A `lean` instance at process `me` of four, for a broadcast by 0.
+    fn lean(me: ProcessId) -> ReliableBroadcast {
+        ReliableBroadcast::new(ctx(4, me, 1), Profile::Lean, 0)
+    }
+
+    /// `sender` broadcasts `m` in a `profile` group of `n` (minus the
+    /// `crashed`), under every schedule; returns each run's per-process
+    /// delivery.
     fn broadcast_and_run(
+        profile: Profile,
         n: usize,
         sender: ProcessId,
         crashed: &[ProcessId],
@@ -365,7 +514,7 @@ mod tests {
     ) -> Vec<Vec<Option<Bytes>>> {
         let group = || {
             (0..n)
-                .map(|me| ReliableBroadcast::new(ctx(n, me, 1), sender))
+                .map(|me| ReliableBroadcast::new(ctx(n, me, 1), profile, sender))
                 .collect()
         };
         broadcast_runs(group, crashed, sender, |rb| {
@@ -379,8 +528,24 @@ mod tests {
             RbMessage::Init(payload("a")),
             RbMessage::Echo(payload("")),
             RbMessage::Ready(payload("xyz")),
+            RbMessage::ReadyDigest([0xA5; 32]),
         ] {
             assert_eq!(RbMessage::from_bytes(&msg.to_bytes()).unwrap(), msg);
+        }
+    }
+
+    #[test]
+    fn digest_ready_of_any_other_length_is_a_wire_error() {
+        for len in [0, 31, 33] {
+            let mut w = Writer::new();
+            w.u8(TAG_READY_DIGEST).bytes(&vec![7; len]);
+            assert_eq!(
+                RbMessage::from_bytes(&w.freeze()),
+                Err(WireError::BadLength {
+                    what: "rb.digest",
+                    len
+                })
+            );
         }
     }
 
@@ -396,8 +561,10 @@ mod tests {
 
     #[test]
     fn all_correct_deliver_senders_payload() {
-        for delivered in broadcast_and_run(4, 0, &[], "m") {
-            assert_eq!(delivered, vec![Some(payload("m")); 4]);
+        for profile in [Profile::Paper, Profile::Lean] {
+            for delivered in broadcast_and_run(profile, 4, 0, &[], "m") {
+                assert_eq!(delivered, vec![Some(payload("m")); 4], "{profile}");
+            }
         }
     }
 
@@ -405,15 +572,17 @@ mod tests {
     fn delivery_with_one_silent_process() {
         // Process 3 never participates (crash): the other three still
         // deliver (n=4, f=1: echo threshold 3, ready threshold 3).
-        for delivered in broadcast_and_run(4, 0, &[3], "m") {
-            assert_eq!(delivered[..3], vec![Some(payload("m")); 3]);
-            assert_eq!(delivered[3], None);
+        for profile in [Profile::Paper, Profile::Lean] {
+            for delivered in broadcast_and_run(profile, 4, 0, &[3], "m") {
+                assert_eq!(delivered[..3], vec![Some(payload("m")); 3], "{profile}");
+                assert_eq!(delivered[3], None);
+            }
         }
     }
 
     #[test]
     fn non_sender_cannot_broadcast() {
-        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), Profile::Paper, 0);
         assert_eq!(
             rb.broadcast(payload("m")).unwrap_err(),
             ProtocolError::NotSender { me: 1, sender: 0 }
@@ -422,7 +591,7 @@ mod tests {
 
     #[test]
     fn double_broadcast_rejected() {
-        let mut rb = ReliableBroadcast::new(ctx(4, 0, 1), 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 0, 1), Profile::Paper, 0);
         let _ = rb.broadcast(payload("m")).unwrap();
         assert_eq!(
             rb.broadcast(payload("m")).unwrap_err(),
@@ -432,7 +601,7 @@ mod tests {
 
     #[test]
     fn init_from_non_sender_faulted() {
-        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), Profile::Paper, 0);
         let step = rb.handle_message(2, RbMessage::Init(payload("evil")));
         assert_eq!(step.faults[0].kind, FaultKind::NotEntitled);
         assert!(step.messages.is_empty());
@@ -440,7 +609,7 @@ mod tests {
 
     #[test]
     fn equivocating_init_faulted() {
-        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), Profile::Paper, 0);
         let _ = rb.handle_message(0, RbMessage::Init(payload("a")));
         let step = rb.handle_message(0, RbMessage::Init(payload("b")));
         assert_eq!(step.faults[0].kind, FaultKind::Equivocation);
@@ -448,7 +617,7 @@ mod tests {
 
     #[test]
     fn duplicate_init_ignored_silently() {
-        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), Profile::Paper, 0);
         let _ = rb.handle_message(0, RbMessage::Init(payload("a")));
         let step = rb.handle_message(0, RbMessage::Init(payload("a")));
         assert!(step.is_empty());
@@ -456,7 +625,7 @@ mod tests {
 
     #[test]
     fn echo_counted_once_per_process() {
-        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), Profile::Paper, 0);
         // Three echoes from the SAME process must not reach the threshold.
         for _ in 0..3 {
             let step = rb.handle_message(2, RbMessage::Echo(payload("m")));
@@ -470,7 +639,7 @@ mod tests {
 
     #[test]
     fn equivocating_echo_faulted() {
-        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), Profile::Paper, 0);
         let _ = rb.handle_message(2, RbMessage::Echo(payload("a")));
         let step = rb.handle_message(2, RbMessage::Echo(payload("b")));
         assert_eq!(step.faults[0].kind, FaultKind::Equivocation);
@@ -483,7 +652,7 @@ mod tests {
         // but the conflicting echoes expose the split. The fault names
         // the sender plus the first holder of each conflicting digest,
         // exactly once per instance.
-        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), Profile::Paper, 0);
         let s0 = rb.handle_message(2, RbMessage::Echo(payload("a")));
         assert!(s0.faults.is_empty());
         let s1 = rb.handle_message(3, RbMessage::Echo(payload("b")));
@@ -497,7 +666,7 @@ mod tests {
 
     #[test]
     fn init_conflicting_with_echo_is_a_split() {
-        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), Profile::Paper, 0);
         let _ = rb.handle_message(2, RbMessage::Echo(payload("a")));
         let step = rb.handle_message(0, RbMessage::Init(payload("b")));
         // Suspects: sender 0 (holds "b" via its INIT) and echoer 2
@@ -516,7 +685,7 @@ mod tests {
     fn ready_amplification_from_f_plus_1_readies() {
         // A process that saw no INIT/ECHO still sends READY after f+1
         // READYs, and delivers after 2f+1.
-        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 1, 1), Profile::Paper, 0);
         let s1 = rb.handle_message(2, RbMessage::Ready(payload("m")));
         assert!(s1.messages.is_empty());
         let s2 = rb.handle_message(3, RbMessage::Ready(payload("m")));
@@ -529,7 +698,7 @@ mod tests {
 
     #[test]
     fn delivery_happens_once() {
-        let mut rb = ReliableBroadcast::new(ctx(4, 0, 1), 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 0, 1), Profile::Paper, 0);
         for p in 1..4 {
             let _ = rb.handle_message(p, RbMessage::Ready(payload("m")));
         }
@@ -541,7 +710,7 @@ mod tests {
 
     #[test]
     fn mixed_payload_readies_do_not_deliver() {
-        let mut rb = ReliableBroadcast::new(ctx(4, 0, 1), 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 0, 1), Profile::Paper, 0);
         let _ = rb.handle_message(1, RbMessage::Ready(payload("a")));
         let _ = rb.handle_message(2, RbMessage::Ready(payload("b")));
         let step = rb.handle_message(3, RbMessage::Ready(payload("c")));
@@ -551,15 +720,101 @@ mod tests {
 
     #[test]
     fn out_of_group_sender_faulted() {
-        let mut rb = ReliableBroadcast::new(ctx(4, 0, 1), 0);
+        let mut rb = ReliableBroadcast::new(ctx(4, 0, 1), Profile::Paper, 0);
         let step = rb.handle_message(7, RbMessage::Echo(payload("m")));
         assert_eq!(step.faults[0].kind, FaultKind::NotEntitled);
     }
 
     #[test]
     fn larger_group_delivers() {
-        for delivered in broadcast_and_run(7, 3, &[], "wide") {
-            assert_eq!(delivered, vec![Some(payload("wide")); 7]);
+        for profile in [Profile::Paper, Profile::Lean] {
+            for delivered in broadcast_and_run(profile, 7, 3, &[], "wide") {
+                assert_eq!(delivered, vec![Some(payload("wide")); 7], "{profile}");
+            }
+        }
+    }
+
+    #[test]
+    fn lean_ready_quorum_waits_for_a_payload_that_hashes_to_it() {
+        let mut rb = lean(1);
+        // f + 1 READY(h) amplify (as a digest), 2f + 1 do not deliver
+        // while no payload is held.
+        let _ = rb.handle_message(2, RbMessage::ReadyDigest(digest("m")));
+        let amplified = rb.handle_message(3, RbMessage::ReadyDigest(digest("m")));
+        assert_eq!(
+            amplified.messages[0].message,
+            RbMessage::ReadyDigest(digest("m"))
+        );
+        let quorum = rb.handle_message(0, RbMessage::ReadyDigest(digest("m")));
+        assert!(quorum.outputs.is_empty());
+        assert!(!rb.is_delivered());
+        // The first ECHO that carries m delivers it.
+        let step = rb.handle_message(2, RbMessage::Echo(payload("m")));
+        assert_eq!(step.outputs, vec![payload("m")]);
+        assert!(rb.is_delivered());
+        // So would the INIT have; nothing delivers twice.
+        let step = rb.handle_message(0, RbMessage::Init(payload("m")));
+        assert!(step.outputs.is_empty());
+    }
+
+    #[test]
+    fn lean_never_delivers_a_payload_of_another_digest() {
+        let mut rb = lean(1);
+        for p in [0, 2, 3] {
+            let _ = rb.handle_message(p, RbMessage::ReadyDigest(digest("m")));
+        }
+        let mut outputs = Vec::new();
+        outputs.extend(rb.handle_message(0, RbMessage::Init(payload("x"))).outputs);
+        for p in 0..4 {
+            outputs.extend(rb.handle_message(p, RbMessage::Echo(payload("x"))).outputs);
+        }
+        assert!(outputs.is_empty());
+        assert!(!rb.is_delivered());
+        // "x" was hashed once, to be matched, and cached beside the
+        // digest-only entry of "m".
+        assert_eq!(rb.entries.len(), 2);
+        assert_eq!(rb.entries[1].digest, Some(digest("x")));
+    }
+
+    #[test]
+    fn lean_hashes_a_payload_only_when_it_needs_the_digest() {
+        let mut rb = lean(1);
+        let _ = rb.handle_message(0, RbMessage::Init(payload("m")));
+        let _ = rb.handle_message(0, RbMessage::Echo(payload("m")));
+        let _ = rb.handle_message(2, RbMessage::Echo(payload("m")));
+        assert_eq!(rb.entries[0].digest, None, "no quorum yet, no hash");
+        // The echo quorum: its own READY carries the digest.
+        let step = rb.handle_message(3, RbMessage::Echo(payload("m")));
+        assert_eq!(
+            step.messages[0].message,
+            RbMessage::ReadyDigest(digest("m"))
+        );
+        assert_eq!(rb.entries[0].digest, Some(digest("m")));
+    }
+
+    #[test]
+    fn a_ready_of_the_other_profile_is_malformed() {
+        let mut paper = ReliableBroadcast::new(ctx(4, 1, 1), Profile::Paper, 0);
+        let mut lean = lean(1);
+        for (rb, foreign, own) in [
+            (
+                &mut paper,
+                RbMessage::ReadyDigest(digest("m")),
+                RbMessage::Ready(payload("m")),
+            ),
+            (
+                &mut lean,
+                RbMessage::Ready(payload("m")),
+                RbMessage::ReadyDigest(digest("m")),
+            ),
+        ] {
+            let step = rb.handle_message(2, foreign);
+            assert_eq!(step, Step::fault(2, FaultKind::Malformed));
+            // The foreign READY filled no slot: the real one counts.
+            let _ = rb.handle_message(3, own.clone());
+            let step = rb.handle_message(2, own);
+            assert!(step.faults.is_empty());
+            assert!(!step.messages.is_empty(), "f + 1 READYs amplify");
         }
     }
 
@@ -639,14 +894,17 @@ mod tests {
             if !self.group.contains(from) {
                 return Step::fault(from, FaultKind::NotEntitled);
             }
-            let d = Self::digest(message.payload());
+            let Some(payload) = message.payload() else {
+                unreachable!("the reference speaks paper only")
+            };
+            let d = Self::digest(payload);
             let slot = match &message {
                 RbMessage::Init(_) if from != self.sender => {
                     return Step::fault(from, FaultKind::NotEntitled)
                 }
                 RbMessage::Init(_) => &mut self.init_digest,
                 RbMessage::Echo(_) => &mut self.echoes[from],
-                RbMessage::Ready(_) => &mut self.readies[from],
+                RbMessage::Ready(_) | RbMessage::ReadyDigest(_) => &mut self.readies[from],
             };
             match *slot {
                 Some(prev) if prev != d => return Step::fault(from, FaultKind::Equivocation),
@@ -684,6 +942,7 @@ mod tests {
                         step.push_output(m);
                     }
                 }
+                RbMessage::ReadyDigest(_) => unreachable!("the reference speaks paper only"),
             }
             step
         }
@@ -693,7 +952,10 @@ mod tests {
         /// Any message sequence — strangers, non-sender INITs, repeats,
         /// equivocations, splits, four payloads one of them empty — draws
         /// the same step, in the same order, from the payload table as
-        /// from the digest-keyed bookkeeping it replaced.
+        /// from the digest-keyed bookkeeping it replaced. A `lean`
+        /// instance fed the same script, each `READY(m)` as `READY(H(m))`,
+        /// sends and reports the same, and delivers what the reference
+        /// delivered once it holds that payload from an `INIT` or `ECHO`.
         #[test]
         fn steps_equal_the_digest_keyed_reference(
             seven in proptest::prelude::any::<bool>(),
@@ -703,8 +965,14 @@ mod tests {
         ) {
             let n = if seven { 7 } else { 4 };
             let g = Group::new(n).unwrap();
-            let mut rb = ReliableBroadcast::new(ctx(n, me, 1), sender);
+            let mut rb = ReliableBroadcast::new(ctx(n, me, 1), Profile::Paper, sender);
+            let mut lean = ReliableBroadcast::new(ctx(n, me, 1), Profile::Lean, sender);
             let mut reference = DigestKeyed::new(g, sender);
+            let as_lean = |m: RbMessage| match m {
+                RbMessage::Ready(m) => RbMessage::ReadyDigest(Sha256::digest(&m)),
+                other => other,
+            };
+            let mut delivered = None;
             for (i, (from, kind, which)) in script.into_iter().enumerate() {
                 let from = from % (n + 1); // n itself: a stranger
                 let m = payload(["a", "b", "c", ""][which]);
@@ -715,10 +983,23 @@ mod tests {
                 };
                 let got = rb.handle_message(from, message.clone());
                 let want = reference.handle_message(from, message.clone());
-                proptest::prop_assert_eq!(got, want, "message {} = {:?} from {}", i, message, from);
-                proptest::prop_assert!(rb.payloads.len() <= 2 * n + 1);
+                let lean_got = lean.handle_message(from, as_lean(message.clone()));
+                proptest::prop_assert_eq!(&got, &want, "message {} = {:?} from {}", i, message, from);
+                proptest::prop_assert!(rb.entries.len() <= 2 * n + 1);
+                delivered = delivered.or(got.outputs.first().cloned());
+                let sent: Vec<_> = got.messages.into_iter().map(|o| as_lean(o.message)).collect();
+                let lean_sent: Vec<_> = lean_got.messages.into_iter().map(|o| o.message).collect();
+                proptest::prop_assert_eq!(lean_sent, sent, "lean, message {}", i);
+                proptest::prop_assert_eq!(&lean_got.faults, &got.faults, "lean, message {}", i);
+                for out in &lean_got.outputs {
+                    proptest::prop_assert_eq!(Some(out), delivered.as_ref(), "lean, message {}", i);
+                }
+                let held = lean.entries.iter().filter(|e| e.bytes.is_some()).count();
+                proptest::prop_assert!(held <= n + 1 && lean.entries.len() - held <= n);
             }
             proptest::prop_assert_eq!(rb.is_delivered(), reference.delivered);
+            let held = delivered.is_some_and(|m| lean.entries.iter().any(|e| e.bytes == Some(m.clone())));
+            proptest::prop_assert_eq!(lean.is_delivered(), held);
         }
     }
 
@@ -728,7 +1009,7 @@ mod tests {
         // contradicts both: one table entry per filled slot, none for the
         // contradictions, and no two slots ever agree.
         for n in [4, 7] {
-            let mut rb = ReliableBroadcast::new(ctx(n, 1, 1), 0);
+            let mut rb = ReliableBroadcast::new(ctx(n, 1, 1), Profile::Paper, 0);
             let _ = rb.handle_message(0, RbMessage::Init(payload("init")));
             for p in 0..n {
                 let echo = rb.handle_message(p, RbMessage::Echo(payload(&format!("e{p}"))));
@@ -736,7 +1017,7 @@ mod tests {
                 let ready = rb.handle_message(p, RbMessage::Ready(payload(&format!("r{p}"))));
                 assert!(ready.messages.is_empty() && ready.outputs.is_empty());
             }
-            assert_eq!(rb.payloads.len(), 2 * n + 1);
+            assert_eq!(rb.entries.len(), 2 * n + 1);
             for p in 0..n {
                 for second in [
                     RbMessage::Echo(payload(&format!("e{p}'"))),
@@ -748,7 +1029,7 @@ mod tests {
             }
             let step = rb.handle_message(0, RbMessage::Init(payload("init'")));
             assert_eq!(step, Step::fault(0, FaultKind::Equivocation));
-            assert_eq!(rb.payloads.len(), 2 * n + 1, "a contradiction was stored");
+            assert_eq!(rb.entries.len(), 2 * n + 1, "a contradiction was stored");
             assert!(!rb.is_delivered());
         }
     }

@@ -566,7 +566,8 @@ impl Stack {
             seq: self.next_rb_seq,
         };
         self.next_rb_seq += 1;
-        let mut rb = ReliableBroadcast::new(self.ctx_for(key), self.ctx.me);
+        let mut rb =
+            ReliableBroadcast::new(self.ctx_for(key), self.config.ab.mvc.profile, self.ctx.me);
         let first = rb.broadcast(payload).expect("fresh instance");
         let step = self.install(key, rb, Instance::Rb, first);
         (key, self.reported(step))
@@ -873,7 +874,11 @@ impl Stack {
         if !self.instances.contains_key(&key) {
             let mut out = match key {
                 InstanceKey::Rb { sender, .. } if self.ctx.group.contains(sender) => {
-                    let rb = ReliableBroadcast::new(self.ctx_for(key), sender);
+                    let rb = ReliableBroadcast::new(
+                        self.ctx_for(key),
+                        self.config.ab.mvc.profile,
+                        sender,
+                    );
                     self.install(key, rb, Instance::Rb, Step::none())
                 }
                 InstanceKey::Eb { sender, .. } if self.ctx.group.contains(sender) => {
@@ -981,7 +986,9 @@ impl Process for Stack {
 }
 
 fn encode_frame<M: WireMessage>(key: InstanceKey, m: &M) -> Bytes {
-    let mut w = Writer::new();
+    // Room for most frames up front: a frozen frame keeps its buffer, so
+    // each growth step would otherwise be a reallocation and a copy.
+    let mut w = Writer::with_capacity(128);
     key.encode(&mut w);
     m.encode(&mut w);
     w.freeze()

@@ -119,11 +119,12 @@ pub fn ctx(n: usize, me: ProcessId, seed: u64) -> Ctx {
 /// Driving one protocol layer directly:
 ///
 /// ```
+/// use ritas::bc::Profile;
 /// use ritas::rb::ReliableBroadcast;
 /// use ritas::testing::{ctx, Net};
 /// use bytes::Bytes;
 ///
-/// let mut net = Net::connect((0..4).map(|me| ReliableBroadcast::new(ctx(4, me, 1), 0)).collect(), 7);
+/// let mut net = Net::connect((0..4).map(|me| ReliableBroadcast::new(ctx(4, me, 1), Profile::Paper, 0)).collect(), 7);
 /// let step = net.process_mut(0).broadcast(Bytes::from_static(b"hi"))?;
 /// net.absorb(0, step);
 /// net.run();

@@ -182,12 +182,13 @@ impl VectorConsensus {
     /// ([`Coins::round`]).
     pub fn new(ctx: Ctx, coins: Coins, mvc_config: MvcConfig) -> Self {
         let n = ctx.group.n();
+        let prop = |o| ctx.child(Layer::Rb, |f| write!(f, "prop:{o}"));
         VectorConsensus {
             mvc_config,
             coins,
             started: false,
             prop_rbc: (0..n)
-                .map(|o| ReliableBroadcast::new(ctx.child(Layer::Rb, |f| write!(f, "prop:{o}")), o))
+                .map(|o| ReliableBroadcast::new(prop(o), mvc_config.profile, o))
                 .collect(),
             proposals: vec![None; n],
             round: 0,

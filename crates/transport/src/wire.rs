@@ -63,6 +63,13 @@ pub enum WireError {
         /// The offending length.
         len: usize,
     },
+    /// A fixed-size field arrived with another length.
+    BadLength {
+        /// What was being decoded.
+        what: &'static str,
+        /// The length it arrived with.
+        len: usize,
+    },
     /// A tag/discriminant byte had no defined meaning.
     InvalidTag {
         /// What was being decoded.
@@ -83,6 +90,9 @@ impl core::fmt::Display for WireError {
             WireError::Truncated { what } => write!(f, "truncated input while decoding {what}"),
             WireError::FieldTooLong { what, len } => {
                 write!(f, "field {what} too long ({len} bytes)")
+            }
+            WireError::BadLength { what, len } => {
+                write!(f, "field {what} has the wrong length ({len} bytes)")
             }
             WireError::InvalidTag { what, tag } => {
                 write!(f, "invalid tag {tag:#04x} while decoding {what}")

@@ -17,7 +17,7 @@
 //! ```
 //!
 //! One `#[test]` per strategy so the matrix parallelizes across test
-//! threads; together they cover the full 2 × 8 × 3 × 8 cross-product.
+//! threads; together they cover the full 2 × 9 × 3 × 8 cross-product.
 
 use ritas::adversary::explorer::{run_spec, shrink, sweep, RunSpec, SweepConfig};
 use ritas::adversary::StrategyKind;
@@ -115,6 +115,11 @@ fn matrix_round_ahead() {
 #[test]
 fn matrix_bv_split() {
     run_strategy_matrix(StrategyKind::BvSplit);
+}
+
+#[test]
+fn matrix_ready_forge() {
+    run_strategy_matrix(StrategyKind::ReadyForge);
 }
 
 /// The whole point of the harness: identical specs reproduce identical
