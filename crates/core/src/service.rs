@@ -15,15 +15,14 @@
 //!   unchanged — including when the two copies of a retried command land
 //!   in different batches.
 //! * [`SessionTable`] — a bounded per-client table `(client, seq) →
-//!   cached reply` with LRU eviction that never evicts a session holding
-//!   a live in-flight request. One *replicated* instance (inside the
-//!   state machine) discharges exactly-once applies; one *serving*
-//!   instance per front-end answers retries from cache without
-//!   re-ordering.
+//!   cached reply` with LRU eviction. Each replica holds one, inside the
+//!   replicated state machine: it discharges exactly-once applies and
+//!   answers retries from cache without re-ordering.
 //! * [`ServiceReplica`] — wraps a [`Node`] into a replica whose apply
-//!   function returns a **reply** per command, maintains both tables,
-//!   wakes request waiters after local apply, and offers the optimistic
-//!   local read the client library's `f+1`-vote read path consumes.
+//!   function returns a **reply** per command, records it in the session
+//!   table, wakes request waiters after local apply, and offers the
+//!   optimistic local read the client library's `f+1`-vote read path
+//!   consumes.
 //!
 //! The network face of this module (framed, HMAC-authenticated client
 //! connections, reply voting, retries) lives in the `ritas-service`
@@ -37,7 +36,7 @@ use crate::recovery::{Hash, RecoveryConfig, RecoveryConfigError, SnapshotState};
 use crate::rsm::Replica;
 use bytes::Bytes;
 use ritas_metrics::{unpoison, Layer, Metrics};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::convert::Infallible;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -108,11 +107,8 @@ impl WireMessage for ServiceCommand {
 /// Outcome of a [`SessionTable`] lookup for an incoming request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionCheck {
-    /// Never seen: submit it.
+    /// Not applied yet: submit it, or wait for its apply.
     New,
-    /// The same request is already submitted and awaiting apply: wait,
-    /// do not submit again.
-    InFlight,
     /// Already applied; here is the cached reply.
     Cached(Bytes),
     /// `seq` is older than the session's last applied request and its
@@ -120,29 +116,26 @@ pub enum SessionCheck {
     Stale,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Session {
     /// Highest applied sequence number (0 = none yet).
     last_seq: u64,
     /// Reply of the last applied request.
     last_reply: Option<Bytes>,
-    /// Sequence numbers submitted but not yet applied.
-    in_flight: BTreeSet<u64>,
     /// LRU stamp (monotone per table).
     stamp: u64,
 }
 
 /// A bounded table of client sessions: per client, the last applied
-/// `(seq, reply)` pair plus the set of in-flight sequence numbers.
+/// `(seq, reply)` pair.
 ///
-/// Eviction policy: when inserting a *new* client past the capacity, the
-/// least-recently-used session **with no in-flight request** is evicted.
-/// A live in-flight request pins its session — evicting it would either
-/// lose the reply a waiting connection needs or, in the replicated
-/// instance, forget dedup state while the command is still in the
-/// ordering pipeline. If every session is pinned, the insert is refused
-/// ([`SessionTable::begin`] returns `false`): admission control instead
-/// of silent unboundedness.
+/// Each replica holds exactly one, inside its replicated state, and only
+/// the apply path writes it — so every correct replica makes the same
+/// dedup decisions and the same evictions. Eviction policy: inserting a
+/// *new* client past the capacity evicts the least-recently-used session.
+/// Requests still in flight are not in the table: they are local
+/// knowledge (the [`ServiceReplica`]'s waiter map), which must never
+/// steer a replicated eviction.
 #[derive(Debug)]
 pub struct SessionTable {
     cap: usize,
@@ -170,24 +163,10 @@ impl SessionTable {
         self.clients.is_empty()
     }
 
-    /// Total in-flight requests across all sessions.
-    pub fn in_flight(&self) -> usize {
-        self.clients.values().map(|s| s.in_flight.len()).sum()
-    }
-
-    fn touch(&mut self, client: ClientId) {
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some(s) = self.clients.get_mut(&client) {
-            s.stamp = clock;
-        }
-    }
-
     /// Classifies request `(client, seq)` against the table.
     pub fn check(&self, client: ClientId, seq: u64) -> SessionCheck {
         match self.clients.get(&client) {
             None => SessionCheck::New,
-            Some(s) if s.in_flight.contains(&seq) => SessionCheck::InFlight,
             Some(s) if seq == s.last_seq => match &s.last_reply {
                 Some(r) => SessionCheck::Cached(r.clone()),
                 None => SessionCheck::Stale,
@@ -211,143 +190,44 @@ impl SessionTable {
             .and_then(|s| s.last_reply.clone())
     }
 
-    /// Marks `(client, seq)` in flight, creating (and if necessary
-    /// evicting for) the session. Returns `false` when the table is at
-    /// capacity and every session is pinned by a live in-flight request —
-    /// the caller should refuse the request (busy) rather than grow.
-    pub fn begin(&mut self, client: ClientId, seq: u64) -> bool {
-        if !self.clients.contains_key(&client) && !self.make_room() {
-            return false;
+    /// Records the applied reply for `(client, seq)`, creating the
+    /// session — and evicting the least-recently-used one to make room —
+    /// when the client is new.
+    pub fn complete(&mut self, client: ClientId, seq: u64, reply: Bytes) {
+        if !self.clients.contains_key(&client) {
+            self.make_room();
         }
-        self.clients
-            .entry(client)
-            .or_insert_with(|| Session {
-                last_seq: 0,
-                last_reply: None,
-                in_flight: BTreeSet::new(),
-                stamp: 0,
-            })
-            .in_flight
-            .insert(seq);
-        self.touch(client);
-        true
-    }
-
-    /// Records the applied reply for `(client, seq)`, clearing its
-    /// in-flight mark. Creates the session if needed (apply-driven
-    /// instances never call [`SessionTable::begin`]); returns `false`
-    /// when the table refused the insert (full of pinned sessions).
-    pub fn complete(&mut self, client: ClientId, seq: u64, reply: Bytes) -> bool {
-        if !self.clients.contains_key(&client) && !self.make_room() {
-            return false;
-        }
-        let s = self.clients.entry(client).or_insert_with(|| Session {
-            last_seq: 0,
-            last_reply: None,
-            in_flight: BTreeSet::new(),
-            stamp: 0,
-        });
-        s.in_flight.remove(&seq);
+        self.clock += 1;
+        let s = self.clients.entry(client).or_default();
         if seq >= s.last_seq {
             s.last_seq = seq;
             s.last_reply = Some(reply);
         }
-        self.touch(client);
-        true
+        s.stamp = self.clock;
     }
 
-    /// Clears the in-flight mark of `(client, seq)` without recording a
-    /// reply — the submit path failed before the command entered the
-    /// ordered stream. The session becomes eviction-eligible again and
-    /// `seq` reverts to [`SessionCheck::New`], so a later retry
-    /// resubmits instead of waiting forever on an apply that will never
-    /// come.
-    pub fn abort(&mut self, client: ClientId, seq: u64) {
-        if let Some(s) = self.clients.get_mut(&client) {
-            s.in_flight.remove(&seq);
-        }
-    }
-
-    /// Deterministic decode bound: a snapshot's session count can never
-    /// exceed the table capacity it encodes.
-    fn decode_bounded(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let cap = r.u64("sess.cap")? as usize;
-        let clock = r.u64("sess.clock")?;
-        let count = r.u32("sess.count")? as usize;
-        if count > cap.max(1) {
-            return Err(WireError::FieldTooLong {
-                what: "sess.count",
-                len: count,
-            });
-        }
-        let mut clients = HashMap::new();
-        for _ in 0..count {
-            let id = r.u64("sess.client")?;
-            let last_seq = r.u64("sess.last_seq")?;
-            let stamp = r.u64("sess.stamp")?;
-            let last_reply = match r.u8("sess.has_reply")? {
-                0 => None,
-                _ => Some(r.bytes("sess.reply")?),
-            };
-            let pins = r.u32("sess.pins")? as usize;
-            if pins > cap.max(1) * 64 {
-                return Err(WireError::FieldTooLong {
-                    what: "sess.pins",
-                    len: pins,
-                });
-            }
-            let mut in_flight = BTreeSet::new();
-            for _ in 0..pins {
-                in_flight.insert(r.u64("sess.pin")?);
-            }
-            clients.insert(
-                id,
-                Session {
-                    last_seq,
-                    last_reply,
-                    in_flight,
-                    stamp,
-                },
-            );
-        }
-        Ok(SessionTable {
-            cap: cap.max(1),
-            clients,
-            clock,
-        })
-    }
-
-    /// Ensures room for one more session. Never evicts a session with a
-    /// live in-flight request.
-    fn make_room(&mut self) -> bool {
+    /// Evicts the least-recently-used session when the table is full.
+    fn make_room(&mut self) {
         if self.clients.len() < self.cap {
-            return true;
+            return;
         }
-        let victim = self
-            .clients
-            .iter()
-            .filter(|(_, s)| s.in_flight.is_empty())
-            .min_by_key(|(_, s)| s.stamp)
-            .map(|(c, _)| *c);
-        match victim {
-            Some(c) => {
-                self.clients.remove(&c);
-                true
-            }
-            None => false,
+        let victim = self.clients.iter().min_by_key(|(_, s)| s.stamp);
+        if let Some(c) = victim.map(|(c, _)| *c) {
+            self.clients.remove(&c);
         }
     }
 }
 
-/// Canonical encoding of the *replicated* session table for snapshots.
+/// Canonical encoding of the session table for snapshots:
+/// `cap | clock | count`, then per session, sorted by client id,
+/// `id | last_seq | stamp | has_reply | reply`.
 ///
 /// Everything that influences replicated behavior is included: the LRU
 /// clock and per-session stamps drive eviction decisions, which are part
 /// of the deterministic apply path, so a restored replica must make the
 /// same evictions as its peers. Clients encode sorted by id (the map is
-/// unordered in memory) and in-flight sets iterate sorted, so equal
-/// tables always produce equal bytes — snapshot digests are
-/// vote-compared across replicas.
+/// unordered in memory), so equal tables always produce equal bytes —
+/// snapshot digests are vote-compared across replicas.
 impl SnapshotState for SessionTable {
     fn encode_snapshot(&self, w: &mut Writer) {
         w.u64(self.cap as u64)
@@ -366,15 +246,39 @@ impl SnapshotState for SessionTable {
                     w.u8(0);
                 }
             }
-            w.u32(s.in_flight.len() as u32);
-            for &seq in &s.in_flight {
-                w.u64(seq);
-            }
         }
     }
 
+    /// The session count is bounded by the capacity the snapshot encodes,
+    /// so garbage cannot make the decoder allocate unboundedly.
     fn decode_snapshot(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        SessionTable::decode_bounded(r)
+        let cap = (r.u64("sess.cap")? as usize).max(1);
+        let clock = r.u64("sess.clock")?;
+        let count = r.u32("sess.count")? as usize;
+        if count > cap {
+            return Err(WireError::FieldTooLong {
+                what: "sess.count",
+                len: count,
+            });
+        }
+        let mut clients = HashMap::new();
+        for _ in 0..count {
+            let id = r.u64("sess.client")?;
+            let session = Session {
+                last_seq: r.u64("sess.last_seq")?,
+                stamp: r.u64("sess.stamp")?,
+                last_reply: match r.u8("sess.has_reply")? {
+                    0 => None,
+                    _ => Some(r.bytes("sess.reply")?),
+                },
+            };
+            clients.insert(id, session);
+        }
+        Ok(SessionTable {
+            cap,
+            clients,
+            clock,
+        })
     }
 }
 
@@ -387,8 +291,8 @@ pub enum ServiceError {
     /// later — retry against this or another replica; dedup makes the
     /// retry safe).
     Timeout,
-    /// The session table is full of live in-flight sessions (admission
-    /// control) — back off and retry.
+    /// `session_capacity` requests submitted through this replica are
+    /// still in flight (admission control) — back off and retry.
     Busy,
     /// `seq` is older than the client's last applied request and its
     /// cached reply is gone.
@@ -400,7 +304,7 @@ impl core::fmt::Display for ServiceError {
         match self {
             ServiceError::Node(e) => write!(f, "node error: {e}"),
             ServiceError::Timeout => write!(f, "request did not apply in time"),
-            ServiceError::Busy => write!(f, "session table full (busy)"),
+            ServiceError::Busy => write!(f, "too many requests in flight (busy)"),
             ServiceError::Stale => write!(f, "stale sequence number"),
         }
     }
@@ -440,18 +344,80 @@ impl<S: SnapshotState> SnapshotState for ServiceState<S> {
     }
 }
 
-/// One request blocked on a reply: the ticket its caller withdraws it by
-/// on timeout, and where the reply goes.
+/// One caller blocked on a reply: the ticket it withdraws itself by on
+/// timeout, and where the reply goes.
 struct Waiter {
     ticket: u64,
     tx: SyncSender<Bytes>,
 }
 
-/// The requests waiting on each `(client, seq)`.
+/// A caller registered on a request: its ticket and reply channel.
+type Ticket = (u64, Receiver<Bytes>);
+
+/// The callers waiting on one `(client, seq)`.
+#[derive(Default)]
+struct Pending {
+    /// Whether this replica a-broadcast the command. The request is then
+    /// in flight here until it applies, however many of its callers time
+    /// out, so a retry merges onto it instead of ordering a second copy.
+    submitted: bool,
+    waiters: Vec<Waiter>,
+}
+
+/// Every request this replica waits on — the only record of in-flight
+/// requests. An entry lives until its command applies, its submit fails,
+/// or (when not submitted here) its last caller times out.
 #[derive(Default)]
 struct Waiters {
     next_ticket: u64,
-    by_request: HashMap<(ClientId, u64), Vec<Waiter>>,
+    /// Entries with `submitted` set.
+    submitted: usize,
+    by_request: HashMap<(ClientId, u64), Pending>,
+}
+
+impl Waiters {
+    /// Registers a caller on `key`, marking the entry submitted when
+    /// `submit` is set.
+    fn register(&mut self, key: (ClientId, u64), submit: bool) -> Ticket {
+        let (tx, rx) = sync_channel(1);
+        self.next_ticket += 1;
+        let ticket = self.next_ticket;
+        let entry = self.by_request.entry(key).or_default();
+        if submit && !entry.submitted {
+            entry.submitted = true;
+            self.submitted += 1;
+        }
+        entry.waiters.push(Waiter { ticket, tx });
+        (ticket, rx)
+    }
+
+    /// Removes the entry of `key`, returning its callers.
+    fn remove(&mut self, key: (ClientId, u64)) -> Vec<Waiter> {
+        let entry = self.by_request.remove(&key).unwrap_or_default();
+        self.submitted -= usize::from(entry.submitted);
+        entry.waiters
+    }
+
+    /// Removes one caller's waiter, leaving any other caller merged on
+    /// the same `key` waiting; an entry not submitted here goes with its
+    /// last caller.
+    fn withdraw(&mut self, key: (ClientId, u64), ticket: u64) {
+        if let Some(entry) = self.by_request.get_mut(&key) {
+            entry.waiters.retain(|w| w.ticket != ticket);
+            if entry.waiters.is_empty() && !entry.submitted {
+                self.by_request.remove(&key);
+            }
+        }
+    }
+}
+
+/// What [`ServiceReplica::lookup`] found for a request.
+enum Lookup {
+    /// Already applied: the cached reply.
+    Applied(Bytes),
+    /// The caller is registered on the request's entry; `true` when it
+    /// must a-broadcast the command itself.
+    Waiting(Ticket, bool),
 }
 
 /// The span path of request `(client, seq)` — `svc:{client}:{seq}{stage}`,
@@ -476,6 +442,11 @@ type Applier<S> = Box<dyn FnMut(&mut ServiceState<S>, crate::ProcessId, &[u8]) +
 /// must be **deterministic** — replies are vote-compared byte-for-byte
 /// across replicas by the client library, so any divergence (clocks,
 /// randomness, map iteration order) reads as a Byzantine replica.
+///
+/// Front-end lookups answer from the replicated session table, under the
+/// state lock — so a lookup waits while the applier holds that lock for
+/// one batch. A request not yet applied waits in the replica's waiter
+/// map, whose entries are the only record of what is in flight here.
 ///
 /// # Example
 ///
@@ -514,12 +485,6 @@ type Applier<S> = Box<dyn FnMut(&mut ServiceState<S>, crate::ProcessId, &[u8]) +
 /// ```
 pub struct ServiceReplica<S: Send + 'static> {
     replica: Replica<ServiceState<S>>,
-    /// Serving-side session table (cache + in-flight pinning). Distinct
-    /// from the replicated instance inside the state: this one may be
-    /// consulted and updated without holding the state lock, and its
-    /// in-flight pins are local knowledge that must never influence the
-    /// replicated dedup decision.
-    table: Arc<Mutex<SessionTable>>,
     waiters: Arc<Mutex<Waiters>>,
     query: Arc<QueryFn<S>>,
     metrics: Metrics,
@@ -531,7 +496,8 @@ type QueryFn<S> = dyn Fn(&S, &[u8]) -> Bytes + Send + Sync;
 /// Tuning for a [`ServiceReplica`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Bound on client sessions tracked by each table.
+    /// Bound on the session table's clients, and on the requests submitted
+    /// through one replica still in flight (past it: [`ServiceError::Busy`]).
     pub session_capacity: usize,
 }
 
@@ -566,8 +532,8 @@ impl<S: Send + 'static> ServiceReplica<S> {
         }
     }
 
-    /// The one construction path: builds the serving table, the waiter
-    /// map, the replicated state and the apply closure, and leaves to
+    /// The one construction path: builds the waiter map, the replicated
+    /// state and the apply closure, and leaves to
     /// `build` only how the [`Replica`] underneath is started.
     fn assemble<E>(
         node: Node,
@@ -578,7 +544,6 @@ impl<S: Send + 'static> ServiceReplica<S> {
         build: impl FnOnce(Node, ServiceState<S>, Applier<S>) -> Result<Replica<ServiceState<S>>, E>,
     ) -> Result<Self, E> {
         let metrics = node.metrics().clone();
-        let table = Arc::new(Mutex::new(SessionTable::new(config.session_capacity)));
         let waiters = Arc::new(Mutex::new(Waiters::default()));
         let query: Arc<QueryFn<S>> = Arc::new(query);
         let state = ServiceState {
@@ -587,14 +552,12 @@ impl<S: Send + 'static> ServiceReplica<S> {
         };
         let applier = Self::make_apply(
             metrics.clone(),
-            Arc::clone(&table),
             Arc::clone(&waiters),
             Arc::clone(&query),
             apply,
         );
         Ok(ServiceReplica {
             replica: build(node, state, Box::new(applier))?,
-            table,
             waiters,
             query,
             metrics,
@@ -602,10 +565,9 @@ impl<S: Send + 'static> ServiceReplica<S> {
     }
 
     /// The shared per-delivery apply closure: decode, replicated dedup,
-    /// apply/query, mirror into the serving table, wake local waiters.
+    /// apply/query, wake local waiters.
     fn make_apply(
         m: Metrics,
-        t: Arc<Mutex<SessionTable>>,
         w: Arc<Mutex<Waiters>>,
         q: Arc<QueryFn<S>>,
         mut apply: impl FnMut(&mut S, ClientId, &[u8]) -> Bytes + Send + 'static,
@@ -640,18 +602,16 @@ impl<S: Send + 'static> ServiceReplica<S> {
                 }
                 m.service_commands_applied.inc();
                 state.sessions.complete(c.client, c.seq, reply.clone());
+                m.service_sessions_live.set(state.sessions.len() as u64);
                 Some(reply)
             };
-            // Mirror into the serving table and wake local waiters.
+            // The request is no longer in flight here: wake its callers.
+            let mut waiters = unpoison(w.lock());
+            let woken = waiters.remove((c.client, c.seq));
+            m.service_inflight.set(waiters.submitted as u64);
+            drop(waiters);
             if let Some(reply) = reply {
-                {
-                    let mut t = unpoison(t.lock());
-                    t.complete(c.client, c.seq, reply.clone());
-                    m.service_sessions_live.set(t.len() as u64);
-                    m.service_inflight.set(t.in_flight() as u64);
-                }
-                let woken = unpoison(w.lock()).by_request.remove(&(c.client, c.seq));
-                for waiter in woken.into_iter().flatten() {
+                for waiter in woken {
                     let _ = waiter.tx.send(reply.clone());
                 }
             }
@@ -678,14 +638,15 @@ impl<S: Send + 'static> ServiceReplica<S> {
     /// command applies locally, return the reply.
     ///
     /// Safe to call concurrently from many connection threads; retries of
-    /// an in-flight `(client, seq)` merge onto the same waiter set
-    /// instead of re-submitting.
+    /// a `(client, seq)` already submitted here merge onto its waiter-map
+    /// entry instead of re-submitting — also after the first caller timed
+    /// out.
     ///
     /// # Errors
     ///
     /// [`ServiceError::Timeout`] when the command did not apply within
     /// `timeout` (it may still apply later — retrying is safe),
-    /// [`ServiceError::Busy`] under session-table admission control,
+    /// [`ServiceError::Busy`] under in-flight admission control,
     /// [`ServiceError::Stale`] for sequence numbers older than the
     /// session's last reply, [`ServiceError::Node`] when the node is
     /// gone.
@@ -697,29 +658,9 @@ impl<S: Send + 'static> ServiceReplica<S> {
         payload: Bytes,
         timeout: Duration,
     ) -> Result<Bytes, ServiceError> {
-        self.metrics.service_requests_total.inc();
-        let (needs_submit, waiter) = {
-            let mut table = unpoison(self.table.lock());
-            match table.check(client, seq) {
-                SessionCheck::Cached(reply) => {
-                    self.metrics.service_dedup_hits.inc();
-                    return Ok(reply);
-                }
-                SessionCheck::Stale => return Err(ServiceError::Stale),
-                SessionCheck::InFlight => {
-                    self.metrics.service_dedup_hits.inc();
-                    (false, self.register_waiter(client, seq))
-                }
-                SessionCheck::New => {
-                    if !table.begin(client, seq) {
-                        self.metrics.service_busy_rejected.inc();
-                        return Err(ServiceError::Busy);
-                    }
-                    self.metrics.service_sessions_live.set(table.len() as u64);
-                    self.metrics.service_inflight.set(table.in_flight() as u64);
-                    (true, self.register_waiter(client, seq))
-                }
-            }
+        let (waiter, needs_submit) = match self.lookup(client, seq, true)? {
+            Lookup::Applied(reply) => return Ok(reply),
+            Lookup::Waiting(waiter, needs_submit) => (waiter, needs_submit),
         };
         let spans = request_span(&self.metrics, client, seq, "")
             .map(|request| (format!("{request}/ab"), request));
@@ -741,18 +682,13 @@ impl<S: Send + 'static> ServiceReplica<S> {
                 payload,
             };
             if let Err(e) = self.replica.submit(cmd.to_bytes()) {
-                self.withdraw_waiter(client, seq, waiter.0);
-                // Unwind the in-flight pin set by `begin` above: the
-                // command never entered the ordered stream, so nothing
-                // will ever complete it. Leaving it would make the
-                // session permanently unevictable and every retry of
-                // this (client, seq) hang on a waiter that never fires.
-                {
-                    let mut table = unpoison(self.table.lock());
-                    table.abort(client, seq);
-                    self.metrics.service_inflight.set(table.in_flight() as u64);
-                }
+                // The command never entered the ordered stream, so no apply
+                // will remove its entry; left, it would make every retry
+                // merge onto a request that is in flight nowhere.
                 close_spans();
+                let mut w = unpoison(self.waiters.lock());
+                w.remove((client, seq));
+                self.metrics.service_inflight.set(w.submitted as u64);
                 return Err(ServiceError::Node(e));
             }
         }
@@ -766,7 +702,9 @@ impl<S: Send + 'static> ServiceReplica<S> {
     /// submits at `f+1` replicas (at least one correct, so ordering is
     /// guaranteed) and merely observes at the rest, which answer from
     /// their own apply of the same ordered command without injecting
-    /// duplicates into the ordered stream.
+    /// duplicates into the ordered stream. An observer does not make the
+    /// request in flight: a later [`ServiceReplica::submit`] of it here
+    /// still submits.
     ///
     /// # Errors
     ///
@@ -779,56 +717,55 @@ impl<S: Send + 'static> ServiceReplica<S> {
         seq: u64,
         timeout: Duration,
     ) -> Result<Bytes, ServiceError> {
-        self.metrics.service_requests_total.inc();
-        let waiter = {
-            let table = unpoison(self.table.lock());
-            match table.check(client, seq) {
-                SessionCheck::Cached(reply) => {
-                    self.metrics.service_dedup_hits.inc();
-                    return Ok(reply);
-                }
-                SessionCheck::Stale => return Err(ServiceError::Stale),
-                SessionCheck::InFlight | SessionCheck::New => self.register_waiter(client, seq),
-            }
-        };
-        self.wait_reply(client, seq, waiter, timeout)
-    }
-
-    /// Registers a reply channel for `(client, seq)`; returns its ticket
-    /// and receiving end.
-    fn register_waiter(&self, client: ClientId, seq: u64) -> (u64, Receiver<Bytes>) {
-        let (tx, rx) = sync_channel(1);
-        let mut w = unpoison(self.waiters.lock());
-        w.next_ticket += 1;
-        let ticket = w.next_ticket;
-        w.by_request
-            .entry((client, seq))
-            .or_default()
-            .push(Waiter { ticket, tx });
-        (ticket, rx)
-    }
-
-    /// Removes the caller's own waiter — and the map entry once it is the
-    /// last one — leaving any other request merged on the same
-    /// `(client, seq)` waiting.
-    fn withdraw_waiter(&self, client: ClientId, seq: u64, ticket: u64) {
-        let mut w = unpoison(self.waiters.lock());
-        if let Some(txs) = w.by_request.get_mut(&(client, seq)) {
-            txs.retain(|w| w.ticket != ticket);
-            if txs.is_empty() {
-                w.by_request.remove(&(client, seq));
-            }
+        match self.lookup(client, seq, false)? {
+            Lookup::Applied(reply) => Ok(reply),
+            Lookup::Waiting(waiter, _) => self.wait_reply(client, seq, waiter, timeout),
         }
     }
 
-    /// Blocks on a registered waiter. A waiter whose command does not
-    /// apply in time is withdrawn: nothing else would ever remove it if
-    /// the command is never submitted anywhere.
+    /// The lookup behind [`ServiceReplica::submit`] (`submitting`) and
+    /// [`ServiceReplica::await_reply`]: the cached reply when
+    /// `(client, seq)` already applied, else the caller registered on its
+    /// waiter-map entry — plus, for a submitter, whether no earlier
+    /// caller here submitted it. The session-table check and the
+    /// registration run under the state lock, which the apply closure
+    /// holds while it takes the waiter lock, so no apply can land between
+    /// them and leave the caller unwoken.
+    fn lookup(&self, client: ClientId, seq: u64, submitting: bool) -> Result<Lookup, ServiceError> {
+        self.metrics.service_requests_total.inc();
+        self.replica.read(|state| {
+            match state.sessions.check(client, seq) {
+                SessionCheck::Cached(reply) => {
+                    self.metrics.service_dedup_hits.inc();
+                    return Ok(Lookup::Applied(reply));
+                }
+                SessionCheck::Stale => return Err(ServiceError::Stale),
+                SessionCheck::New => {}
+            }
+            let (mut w, key) = (unpoison(self.waiters.lock()), (client, seq));
+            let in_flight = w.by_request.get(&key).is_some_and(|e| e.submitted);
+            let needs_submit = submitting && !in_flight;
+            if needs_submit && w.submitted >= state.sessions.cap {
+                self.metrics.service_busy_rejected.inc();
+                return Err(ServiceError::Busy);
+            }
+            if submitting && in_flight {
+                self.metrics.service_dedup_hits.inc();
+            }
+            let waiter = w.register(key, needs_submit);
+            self.metrics.service_inflight.set(w.submitted as u64);
+            Ok(Lookup::Waiting(waiter, needs_submit))
+        })
+    }
+
+    /// Blocks on a registered waiter. A caller whose command does not
+    /// apply in time withdraws its waiter: nothing else would ever remove
+    /// it if the command is never submitted anywhere.
     fn wait_reply(
         &self,
         client: ClientId,
         seq: u64,
-        (ticket, rx): (u64, Receiver<Bytes>),
+        (ticket, rx): Ticket,
         timeout: Duration,
     ) -> Result<Bytes, ServiceError> {
         match rx.recv_timeout(timeout) {
@@ -837,7 +774,7 @@ impl<S: Send + 'static> ServiceReplica<S> {
                 Ok(reply)
             }
             Err(_) => {
-                self.withdraw_waiter(client, seq, ticket);
+                unpoison(self.waiters.lock()).withdraw((client, seq), ticket);
                 Err(ServiceError::Timeout)
             }
         }
@@ -992,16 +929,24 @@ mod tests {
     use super::*;
     use crate::node::SessionConfig;
 
-    fn counters(n: usize) -> Vec<Arc<ServiceReplica<u64>>> {
+    type Counters = Vec<Arc<ServiceReplica<u64>>>;
+
+    fn counters(n: usize) -> Counters {
         let nodes = Node::cluster(SessionConfig::new(n).unwrap()).unwrap();
+        counters_on(nodes, SESSION_TABLE_CAPACITY, Duration::ZERO)
+    }
+
+    /// Counter replicas over `nodes`, each apply stretched by `delay`.
+    fn counters_on(nodes: Vec<Node>, session_capacity: usize, delay: Duration) -> Counters {
         nodes
             .into_iter()
             .map(|node| {
                 Arc::new(ServiceReplica::new(
                     node,
                     0u64,
-                    ServiceConfig::default(),
-                    |count, _client, cmd| {
+                    ServiceConfig { session_capacity },
+                    move |count, _client, cmd| {
+                        std::thread::sleep(delay);
                         if cmd == b"incr" {
                             *count += 1;
                         }
@@ -1014,6 +959,10 @@ mod tests {
     }
 
     const T: Duration = Duration::from_secs(20);
+
+    fn incr() -> Bytes {
+        Bytes::from_static(b"incr")
+    }
 
     #[test]
     fn command_codec_roundtrip() {
@@ -1033,22 +982,16 @@ mod tests {
     fn submit_applies_and_retry_hits_cache() {
         let replicas = counters(4);
         let r0 = Arc::clone(&replicas[0]);
-        let reply = r0
-            .submit(5, 1, CommandKind::Apply, Bytes::from_static(b"incr"), T)
-            .unwrap();
+        let reply = r0.submit(5, 1, CommandKind::Apply, incr(), T).unwrap();
         assert_eq!(reply.as_ref(), 1u64.to_be_bytes());
         // Retry of the same (client, seq): served from the session table,
         // no second apply.
-        let again = r0
-            .submit(5, 1, CommandKind::Apply, Bytes::from_static(b"incr"), T)
-            .unwrap();
+        let again = r0.submit(5, 1, CommandKind::Apply, incr(), T).unwrap();
         assert_eq!(again, reply);
         assert_eq!(r0.metrics().service_dedup_hits.get(), 1);
         assert_eq!(r0.read_state(|c| *c), 1);
         // A second sequence number applies normally.
-        let next = r0
-            .submit(5, 2, CommandKind::Apply, Bytes::from_static(b"incr"), T)
-            .unwrap();
+        let next = r0.submit(5, 2, CommandKind::Apply, incr(), T).unwrap();
         assert_eq!(next.as_ref(), 2u64.to_be_bytes());
         for r in &replicas {
             r.shutdown();
@@ -1088,10 +1031,8 @@ mod tests {
         for r in &replicas {
             r.metrics().set_tracing(false);
         }
-        let incr = || Bytes::from_static(b"incr");
-        replicas[0]
-            .submit(5, 1, CommandKind::Apply, incr(), T)
-            .unwrap();
+        let r0 = &replicas[0];
+        r0.submit(5, 1, CommandKind::Apply, incr(), T).unwrap();
         applied_everywhere(1);
         for r in &replicas {
             assert_eq!(request_spans(r), Vec::<String>::new());
@@ -1100,12 +1041,10 @@ mod tests {
         for r in &replicas {
             r.metrics().set_tracing(true);
         }
-        replicas[0]
-            .submit(5, 2, CommandKind::Apply, incr(), T)
-            .unwrap();
+        r0.submit(5, 2, CommandKind::Apply, incr(), T).unwrap();
         applied_everywhere(2);
         assert_eq!(
-            request_spans(&replicas[0]),
+            request_spans(r0),
             ["svc:5:2", "svc:5:2/ab", "svc:5:2/apply"]
         );
         assert_eq!(request_spans(&replicas[1]), ["svc:5:2/apply"]);
@@ -1116,18 +1055,11 @@ mod tests {
         let replicas = counters(4);
         // The same (client, seq) lands at two different replicas — the
         // retry-after-failover pattern. Both order it; exactly one apply.
-        let h0 = {
-            let r = Arc::clone(&replicas[0]);
-            std::thread::spawn(move || {
-                r.submit(9, 1, CommandKind::Apply, Bytes::from_static(b"incr"), T)
-            })
+        let submit = |r: &Arc<ServiceReplica<u64>>| {
+            let r = Arc::clone(r);
+            std::thread::spawn(move || r.submit(9, 1, CommandKind::Apply, incr(), T))
         };
-        let h1 = {
-            let r = Arc::clone(&replicas[1]);
-            std::thread::spawn(move || {
-                r.submit(9, 1, CommandKind::Apply, Bytes::from_static(b"incr"), T)
-            })
-        };
+        let (h0, h1) = (submit(&replicas[0]), submit(&replicas[1]));
         let a = h0.join().unwrap().unwrap();
         let b = h1.join().unwrap().unwrap();
         assert_eq!(a.as_ref(), 1u64.to_be_bytes());
@@ -1149,14 +1081,11 @@ mod tests {
     #[test]
     fn ordered_read_sees_prior_writes() {
         let replicas = counters(4);
-        replicas[2]
-            .submit(3, 1, CommandKind::Apply, Bytes::from_static(b"incr"), T)
-            .unwrap();
-        let read = replicas[2]
-            .submit(3, 2, CommandKind::OrderedRead, Bytes::new(), T)
-            .unwrap();
-        assert_eq!(read.as_ref(), 1u64.to_be_bytes());
-        assert!(replicas[2].metrics().service_reads_ordered.get() >= 1);
+        let r2 = &replicas[2];
+        r2.submit(3, 1, CommandKind::Apply, incr(), T).unwrap();
+        let read = r2.submit(3, 2, CommandKind::OrderedRead, Bytes::new(), T);
+        assert_eq!(read.unwrap().as_ref(), 1u64.to_be_bytes());
+        assert!(r2.metrics().service_reads_ordered.get() >= 1);
         for r in &replicas {
             r.shutdown();
         }
@@ -1166,60 +1095,56 @@ mod tests {
     fn session_table_check_transitions() {
         let mut t = SessionTable::new(8);
         assert_eq!(t.check(1, 1), SessionCheck::New);
-        assert!(t.begin(1, 1));
-        assert_eq!(t.check(1, 1), SessionCheck::InFlight);
-        assert!(t.complete(1, 1, Bytes::from_static(b"r1")));
+        t.complete(1, 1, Bytes::from_static(b"r1"));
         assert_eq!(
             t.check(1, 1),
             SessionCheck::Cached(Bytes::from_static(b"r1"))
         );
         assert!(t.is_applied(1, 1));
         assert_eq!(t.cached(1, 1), Some(Bytes::from_static(b"r1")));
-        assert!(t.complete(1, 2, Bytes::from_static(b"r2")));
+        t.complete(1, 2, Bytes::from_static(b"r2"));
         assert_eq!(t.check(1, 1), SessionCheck::Stale);
         assert_eq!(t.check(1, 3), SessionCheck::New);
-        assert_eq!(t.in_flight(), 0);
     }
 
+    /// In flight = a waiter-map entry submitted here: it merges retries,
+    /// bounds admission, outlives the replicated table's evictions, and
+    /// goes when its command applies, whoever ordered it.
     #[test]
-    fn session_table_eviction_never_evicts_in_flight() {
-        let mut t = SessionTable::new(2);
-        assert!(t.begin(1, 1)); // pinned by a live in-flight request
-        assert!(t.complete(2, 1, Bytes::from_static(b"a")));
-        // Table is at capacity {1 (pinned), 2}; a third client must evict
-        // client 2, never the pinned client 1.
-        assert!(t.complete(3, 1, Bytes::from_static(b"b")));
-        assert_eq!(t.len(), 2);
-        assert_eq!(
-            t.check(1, 1),
-            SessionCheck::InFlight,
-            "pinned session evicted"
-        );
-        assert_eq!(
-            t.check(2, 1),
-            SessionCheck::New,
-            "LRU unpinned session kept"
-        );
-        // Pin the remaining sessions too: the table must now refuse new
-        // clients instead of evicting a live one.
-        assert!(t.begin(3, 2));
-        assert!(!t.begin(4, 1), "full of pinned sessions must refuse");
-        // Completing the in-flight request unpins and readmits.
-        assert!(t.complete(1, 1, Bytes::from_static(b"c")));
-        assert!(t.begin(4, 1));
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn session_table_abort_unpins() {
-        let mut t = SessionTable::new(1);
-        assert!(t.begin(1, 1));
-        assert_eq!(t.check(1, 1), SessionCheck::InFlight);
-        t.abort(1, 1);
-        assert_eq!(t.check(1, 1), SessionCheck::New, "abort restores New");
-        assert_eq!(t.in_flight(), 0);
-        // The session is eviction-eligible again: a new client gets in.
-        assert!(t.begin(2, 1));
+    fn in_flight_requests_merge_retries_and_bound_admission() {
+        let (nodes, hub) = Node::cluster_with_hub(&SessionConfig::new(4).unwrap()).unwrap();
+        let replicas = counters_on(nodes, 2, Duration::ZERO);
+        // Replica 0's broadcasts go nowhere: what it submits stays in flight.
+        for to in 1..4 {
+            hub.set_link(0, to, false);
+        }
+        let (r0, short) = (&replicas[0], Duration::from_millis(50));
+        let submit = |r: &ServiceReplica<u64>, client, timeout| {
+            r.submit(client, 1, CommandKind::Apply, incr(), timeout)
+        };
+        for client in [1, 1, 2] {
+            assert_eq!(submit(r0, client, short), Err(ServiceError::Timeout));
+        }
+        assert_eq!(r0.metrics().service_dedup_hits.get(), 1, "retry merged");
+        assert_eq!(r0.metrics().service_inflight.get(), 2);
+        assert_eq!(submit(r0, 3, short), Err(ServiceError::Busy));
+        // Observers are never refused.
+        assert_eq!(r0.await_reply(3, 1, short), Err(ServiceError::Timeout));
+        // Clients 5 and 6 evict every session of the replicated table;
+        // then (1, 1), ordered by replica 1, applies and frees its slot.
+        for client in [5, 6, 1] {
+            submit(&replicas[1], client, T).unwrap();
+        }
+        let start = std::time::Instant::now();
+        while r0.read_state(|c| *c) < 3 {
+            assert!(start.elapsed() < T, "replica 0 never applied");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(r0.metrics().service_inflight.get(), 1);
+        assert_eq!(submit(r0, 2, short), Err(ServiceError::Timeout));
+        assert_eq!(r0.metrics().service_dedup_hits.get(), 2, "still merges");
+        assert_eq!(submit(r0, 3, short), Err(ServiceError::Timeout));
+        assert_eq!(r0.metrics().ab_broadcast.get(), 3, "one copy per request");
     }
 
     #[test]
@@ -1228,21 +1153,71 @@ mod tests {
         for r in &replicas {
             r.shutdown();
         }
-        let short = Duration::from_millis(300);
-        let e = replicas[0]
-            .submit(5, 1, CommandKind::Apply, Bytes::from_static(b"incr"), short)
-            .unwrap_err();
-        assert!(matches!(e, ServiceError::Node(_)));
-        // The failed submit must not leave (5, 1) pinned: a retry takes
-        // the submit path again (Node error), not an InFlight wait that
-        // times out against an apply that will never come.
-        let e = replicas[0]
-            .submit(5, 1, CommandKind::Apply, Bytes::from_static(b"incr"), short)
-            .unwrap_err();
-        assert!(
-            matches!(e, ServiceError::Node(_)),
-            "retry saw a stale in-flight pin: {e:?}"
-        );
+        let r0 = &replicas[0];
+        let submit = || r0.submit(5, 1, CommandKind::Apply, incr(), T).unwrap_err();
+        assert!(matches!(submit(), ServiceError::Node(_)));
+        // The failed submit leaves no waiter-map entry: a retry takes the
+        // submit path again (Node error), not a merge onto a request that
+        // is in flight nowhere.
+        assert!(unpoison(r0.waiters.lock()).by_request.is_empty());
+        assert_eq!(r0.metrics().service_inflight.get(), 0);
+        let e = submit();
+        assert!(matches!(e, ServiceError::Node(_)), "retry merged: {e:?}");
+    }
+
+    /// A retry of a timed-out submit at the same replica merges onto the
+    /// request still in flight (or hits the cache once it applied): it
+    /// never orders a second copy.
+    #[test]
+    fn retry_after_timed_out_submit_orders_no_second_copy() {
+        let nodes = Node::cluster(SessionConfig::new(4).unwrap()).unwrap();
+        let replicas = counters_on(nodes, SESSION_TABLE_CAPACITY, Duration::from_millis(300));
+        let r0 = &replicas[0];
+        let first = r0.submit(4, 1, CommandKind::Apply, incr(), Duration::from_millis(50));
+        assert_eq!(first, Err(ServiceError::Timeout));
+        let reply = r0.submit(4, 1, CommandKind::Apply, incr(), T).unwrap();
+        assert_eq!(reply.as_ref(), 1u64.to_be_bytes());
+        assert!(r0.metrics().service_dedup_hits.get() >= 1);
+        assert_eq!(r0.metrics().ab_broadcast.get(), 1);
+        for r in &replicas {
+            r.barrier().unwrap();
+            assert_eq!(r.metrics().service_dup_apply_skipped.get(), 0);
+        }
+    }
+
+    /// An observer's waiter does not make a request in flight: a submit
+    /// of the same key at that replica still a-broadcasts it, and both
+    /// callers get the one reply. Then overlapping submitters and
+    /// observers against a running applier: every call returns (the
+    /// state-lock-then-waiter-lock order admits no deadlock).
+    #[test]
+    fn observing_does_not_block_submitting() {
+        let replicas = counters(4);
+        let r0 = &replicas[0];
+        std::thread::scope(|scope| {
+            let observer = scope.spawn(|| r0.await_reply(8, 1, T));
+            while unpoison(r0.waiters.lock()).by_request.is_empty() {
+                std::thread::yield_now();
+            }
+            let reply = r0.submit(8, 1, CommandKind::Apply, incr(), T).unwrap();
+            assert_eq!(observer.join().unwrap(), Ok(reply));
+        });
+        assert_eq!(r0.metrics().ab_broadcast.get(), 1, "replica 0 submitted");
+        std::thread::scope(|scope| {
+            for thread in 0..4 {
+                scope.spawn(move || {
+                    for (seq, client) in (1..=10).flat_map(|s| (0..3).map(move |c| (s, c))) {
+                        let got = match thread % 2 {
+                            0 => r0.submit(client, seq, CommandKind::Apply, incr(), T),
+                            _ => r0.await_reply(client, seq, T),
+                        };
+                        assert!(matches!(got, Ok(_) | Err(ServiceError::Stale)), "{got:?}");
+                    }
+                });
+            }
+        });
+        r0.barrier().unwrap();
+        assert_eq!(r0.read_state(|c| *c), 31, "each key applied once");
     }
 
     /// An observer that times out takes its waiter with it: requests for
@@ -1266,11 +1241,11 @@ mod tests {
             }
             let e = r0.await_reply(7, 1, Duration::ZERO).unwrap_err();
             assert_eq!(e, ServiceError::Timeout);
-            assert_eq!(unpoison(r0.waiters.lock()).by_request[&(7, 1)].len(), 1);
-            let reply = replicas[1]
-                .submit(7, 1, CommandKind::Apply, Bytes::from_static(b"incr"), T)
-                .unwrap();
-            assert_eq!(patient.join().unwrap().unwrap(), reply);
+            let w = unpoison(r0.waiters.lock());
+            assert_eq!(w.by_request[&(7, 1)].waiters.len(), 1);
+            drop(w);
+            let reply = replicas[1].submit(7, 1, CommandKind::Apply, incr(), T);
+            assert_eq!(patient.join().unwrap().unwrap(), reply.unwrap());
         });
         assert!(unpoison(r0.waiters.lock()).by_request.is_empty());
         for r in &replicas {
@@ -1285,14 +1260,20 @@ mod tests {
     #[test]
     fn session_table_snapshot_restore_determinism() {
         let mut t = SessionTable::new(8);
-        assert!(t.complete(7, 1, Bytes::from_static(b"r1")));
-        // Mid-retry: (7, 2) submitted (in-flight at the front-end) while
-        // the snapshot is cut.
-        assert!(t.begin(7, 2));
-        assert!(t.complete(9, 5, Bytes::from_static(b"r5")));
+        t.complete(7, 1, Bytes::from_static(b"r1"));
+        t.complete(9, 5, Bytes::from_static(b"r5"));
         let mut w = Writer::new();
         t.encode_snapshot(&mut w);
         let bytes = w.freeze();
+        // The layout, byte for byte: `cap | clock | count`, then per
+        // session `id | last_seq | stamp | has_reply | reply`.
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        let golden = [
+            "0000000000000008 0000000000000002 00000002",
+            "0000000000000007 0000000000000001 0000000000000001 01 00000002 7231",
+            "0000000000000009 0000000000000005 0000000000000002 01 00000002 7235",
+        ];
+        assert_eq!(hex, golden.concat().replace(' ', ""));
         // Determinism: re-encoding the same table yields the same bytes.
         let mut w2 = Writer::new();
         t.encode_snapshot(&mut w2);
@@ -1302,15 +1283,10 @@ mod tests {
         let mut restored = SessionTable::decode_snapshot(&mut Reader::new(&bytes)).unwrap();
         assert!(restored.is_applied(7, 1), "pre-snapshot apply survived");
         assert_eq!(restored.cached(7, 1), Some(Bytes::from_static(b"r1")));
-        assert_eq!(
-            restored.check(7, 2),
-            SessionCheck::InFlight,
-            "mid-retry pin survives the snapshot"
-        );
-        // The retried command now applies (once); a second ordered copy
-        // is a duplicate by the replicated predicate.
+        // A retried command applies once; a second ordered copy is a
+        // duplicate by the replicated predicate.
         assert!(!restored.is_applied(7, 2));
-        assert!(restored.complete(7, 2, Bytes::from_static(b"r2")));
+        restored.complete(7, 2, Bytes::from_static(b"r2"));
         assert!(restored.is_applied(7, 2), "second copy dedups");
         // Round-trip again: restored tables re-encode identically, so a
         // rejoined replica's next snapshot digest matches its peers'.
@@ -1335,6 +1311,16 @@ mod tests {
         w.u64(4).u64(0).u32(u32::MAX);
         let bytes = w.freeze();
         assert!(SessionTable::decode_snapshot(&mut Reader::new(&bytes)).is_err());
+        // The old layout, whose pin count trailed each reply, is rejected.
+        let mut old = Writer::new();
+        old.u64(8).u64(2).u32(2);
+        for (id, seq, stamp, reply) in [(7, 1, 1, b"r1"), (9, 5, 2, b"r5")] {
+            old.u64(id).u64(seq).u64(stamp).u8(1).bytes(reply).u32(0);
+        }
+        let old = old.freeze();
+        let mut r = Reader::new(&old);
+        let decoded = SessionTable::decode_snapshot(&mut r).and_then(|_| r.finish());
+        assert!(matches!(decoded, Err(WireError::TrailingBytes { .. })));
     }
 
     #[test]

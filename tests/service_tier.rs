@@ -11,8 +11,9 @@
 //!    corrupted (but correctly MAC'd) replies is outvoted by `f+1`
 //!    byte-identical replies from correct replicas.
 //! 3. **Bounded sessions** — the session table's LRU eviction never
-//!    evicts a live in-flight request; when every slot is pinned the
-//!    front-end sheds load with `Busy` and clients retry through.
+//!    loses a live in-flight request; when a replica has as many
+//!    requests in flight as the table has slots, its front-end sheds
+//!    load with `Busy` and clients retry through.
 //! 4. **Channel faults below the service** — over the real TCP replica
 //!    mesh, a replica↔replica socket killed mid-run costs the clients
 //!    nothing but latency.
@@ -40,7 +41,7 @@ use std::time::{Duration, Instant};
 /// Spawns a 4-replica group (in-memory replica mesh, TCP client edge)
 /// and returns the front-ends plus the shared client key seed.
 /// `apply_delay` artificially stretches every apply — used to keep
-/// in-flight pins alive long enough for admission pressure to be
+/// requests in flight long enough for admission pressure to be
 /// deterministic rather than a race against the optimizer.
 fn cluster(config: ServiceConfig, apply_delay: Duration) -> (Vec<ServiceServer<Audit>>, u64) {
     let session = SessionConfig::new(4).expect("n=4");
@@ -104,7 +105,7 @@ fn shutdown(mut servers: Vec<ServiceServer<Audit>>) {
 /// matching votes (all its replies are distinct garbage) and the client
 /// must retry, deterministically, independent of scheduling or build
 /// profile. The retry re-sends the same sequence number; it must be
-/// answered from the session table (serving cache or in-flight wait),
+/// answered from the session table or merged onto the in-flight request,
 /// and the replicated state must show exactly one apply.
 #[test]
 fn client_retry_is_applied_exactly_once() {
@@ -244,9 +245,9 @@ fn retry_across_batch_boundary_applies_once() {
             })
         })
         .collect();
-    // The duplicate pair: same (client, seq) at replicas 0 and 1. Each
-    // replica's serving table has no in-flight pin for it, so both
-    // submit into the ordered stream.
+    // The duplicate pair: same (client, seq) at replicas 0 and 1. Neither
+    // replica has it in flight yet, so both submit into the ordered
+    // stream.
     let dup: Vec<_> = [0usize, 1]
         .into_iter()
         .map(|replica| {
@@ -307,8 +308,8 @@ fn retry_across_batch_boundary_applies_once() {
 }
 
 /// With a session table far smaller than the client population, eviction
-/// pressure is constant — but live in-flight requests are pinned and the
-/// front-end sheds the overflow with `Busy` instead of evicting them.
+/// pressure is constant — but in-flight requests live outside the table,
+/// and the front-end sheds the overflow with `Busy` instead.
 /// Every client must still complete, and every client's request must
 /// actually reach the replicated state.
 ///
@@ -322,10 +323,10 @@ fn retry_across_batch_boundary_applies_once() {
 /// completes and replies stay correct.
 #[test]
 fn session_bound_sheds_load_without_evicting_in_flight() {
-    // Each apply holds its in-flight pin ≥ 25 ms, and a barrier fires
-    // all 12 clients at once — so some replica must see > 4 admission
-    // attempts while all 4 slots are still pinned, whatever the build
-    // profile's speed.
+    // Each apply keeps its request in flight ≥ 25 ms, and a barrier
+    // fires all 12 clients at once — so some replica must see > 4
+    // admission attempts while 4 requests are still in flight, whatever
+    // the build profile's speed.
     let (servers, key_seed) = cluster(
         ServiceConfig {
             session_capacity: 4,
@@ -365,8 +366,7 @@ fn session_bound_sheds_load_without_evicting_in_flight() {
     }
     assert_eq!(ok, 12, "every client must get through the Busy shedding");
 
-    // The bound actually engaged: some requests were shed with Busy
-    // instead of evicting a pinned in-flight slot.
+    // The bound actually engaged: some requests were shed with Busy.
     let busy: u64 = servers
         .iter()
         .map(|s| s.replica().metrics().service_busy_rejected.get())
@@ -374,8 +374,8 @@ fn session_bound_sheds_load_without_evicting_in_flight() {
     assert!(busy >= 1, "12 clients through 4 slots must shed some load");
 
     // No in-flight request was evicted: every admitted request reached
-    // the replicated state (an evicted pin would strand its waiter and
-    // fail that client's invoke above).
+    // the replicated state (a lost one would strand its waiter and fail
+    // that client's invoke above).
     for s in &servers {
         let _ = s.replica().barrier();
     }
