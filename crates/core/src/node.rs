@@ -95,9 +95,6 @@ pub struct SessionConfig {
     group: Group,
     /// Seed for the trusted key dealer.
     pub master_seed: u64,
-    /// Wrap the transport in the AH-style authentication layer (the
-    /// paper's "with IPSec" configuration).
-    pub authenticate: bool,
     /// Serve a Prometheus text-format `/metrics` endpoint per node (each
     /// binds an ephemeral localhost port; see [`Node::metrics_addr`]).
     pub metrics_endpoint: bool,
@@ -112,8 +109,8 @@ pub struct SessionConfig {
 }
 
 impl SessionConfig {
-    /// Creates a configuration for `n` processes with authentication on,
-    /// running the lean binary consensus.
+    /// Creates a configuration for `n` processes running the lean binary
+    /// consensus.
     ///
     /// # Errors
     ///
@@ -122,7 +119,6 @@ impl SessionConfig {
         Ok(SessionConfig {
             group: Group::new(n)?,
             master_seed: 0x5249_5441_5321, // "RITAS!"
-            authenticate: true,
             metrics_endpoint: false,
             stall_budget: None,
             stack: StackConfig::default().with_profile(Profile::Lean),
@@ -141,13 +137,6 @@ impl SessionConfig {
     /// address via [`Node::metrics_addr`]).
     pub fn with_metrics_endpoint(mut self) -> Self {
         self.metrics_endpoint = true;
-        self
-    }
-
-    /// Disables the channel authentication layer (the paper's "without
-    /// IPSec" configuration).
-    pub fn without_authentication(mut self) -> Self {
-        self.authenticate = false;
         self
     }
 
@@ -280,7 +269,7 @@ pub struct Node {
     /// The replica feed: [`Output::AbDelivered`] and [`Output::Xfer`], in
     /// the order the stack produced them (see [`Node::recv_output`]).
     feed: Mutex<Receiver<Output>>,
-    transport: Arc<dyn Transport + Sync>,
+    transport: Arc<AuthenticatedTransport>,
     metrics: Metrics,
     health: Arc<HealthShared>,
     epoch: Instant,
@@ -353,9 +342,9 @@ impl Node {
 
     /// Starts process `me` of the session described by `config` over
     /// `transport` (one endpoint of a mesh of `config.group().n()`
-    /// processes): keys dealt from the session seed, the AH layer when
-    /// the config asks for it, the protocol thread, and the optional
-    /// `/metrics` endpoint and stall budget.
+    /// processes): keys dealt from the session seed, the AH layer over
+    /// it, the protocol thread, and the optional `/metrics` endpoint and
+    /// stall budget.
     ///
     /// # Errors
     ///
@@ -397,29 +386,25 @@ impl Node {
         if hold_ab {
             stack.set_ab_hold(true);
         }
-        let mut node = if config.authenticate {
-            // Epoch 0 is the dealt table itself; the rekey machinery only
-            // changes behavior once a rotation advances the epoch
-            // (Node::set_key_epoch).
-            let mut auth = AuthConfig::from_key_table(&table, me)
-                .with_epoch_rekey(config.master_seed, 0, EPOCH_GRACE)
-                .with_metrics(metrics.clone());
-            if hold_ab {
-                // A rejoiner lost its AH sequence counters but the peers'
-                // replay windows did not: resume above anything the old
-                // incarnation can have used (new-SA semantics). Wall-clock
-                // seconds dominate any plausible frame count.
-                let now = std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map(|d| d.as_secs())
-                    .unwrap_or(u32::MAX as u64);
-                auth = auth.with_initial_seq(now);
-            }
-            let transport = AuthenticatedTransport::new(transport, auth);
-            Node::spawn(transport, stack, metrics, config.stall_budget, false)
-        } else {
-            Node::spawn(transport, stack, metrics, config.stall_budget, true)
-        };
+        // Epoch 0 is the dealt table itself; the rekey machinery only
+        // changes behavior once a rotation advances the epoch
+        // (Node::set_key_epoch).
+        let mut auth = AuthConfig::from_key_table(&table, me)
+            .with_epoch_rekey(config.master_seed, 0, EPOCH_GRACE)
+            .with_metrics(metrics.clone());
+        if hold_ab {
+            // A rejoiner lost its AH sequence counters but the peers'
+            // replay windows did not: resume above anything the old
+            // incarnation can have used (new-SA semantics). Wall-clock
+            // seconds dominate any plausible frame count.
+            let now = std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map(|d| d.as_secs())
+                .unwrap_or(u32::MAX as u64);
+            auth = auth.with_initial_seq(now);
+        }
+        let transport = AuthenticatedTransport::new(transport, auth);
+        let mut node = Node::spawn(transport, stack, metrics, config.stall_budget);
         if config.metrics_endpoint {
             node.serve_metrics().map_err(|_| NodeError::Disconnected)?;
         }
@@ -427,10 +412,10 @@ impl Node {
     }
 
     /// Builds a cluster over a real localhost **TCP** mesh — the paper's
-    /// deployment transport — with the AH-style authentication layer on
-    /// top when the config requests it. One endpoint per process, all in
-    /// this OS process (for cross-host deployments, establish
-    /// [`ritas_transport::TcpEndpoint`]s manually and use [`Node::new`]).
+    /// deployment transport — with the AH layer on top, as on every
+    /// node. One endpoint per process, all in this OS process (for
+    /// cross-host deployments, establish [`ritas_transport::TcpEndpoint`]s
+    /// manually and use [`Node::new`]).
     ///
     /// # Errors
     ///
@@ -454,8 +439,8 @@ impl Node {
     ) -> Result<(Vec<Node>, Vec<TcpChaosHandle>), NodeError> {
         let n = config.group.n();
         // The session-resume handshake reuses the pairwise dealt keys, so
-        // reconnects are MAC-authenticated and replay-protected even in
-        // the `without_authentication` (no AH layer) configuration.
+        // reconnects are MAC-authenticated and replay-protected below the
+        // AH layer too.
         let table = KeyTable::dealer(n, config.master_seed);
         let metrics: Vec<Metrics> = (0..n).map(|_| Metrics::new()).collect();
         let registries = metrics.clone();
@@ -474,16 +459,12 @@ impl Node {
     }
 
     /// Spawns the protocol thread for `stack` over `transport`, counting
-    /// into `metrics`, and returns the application handle. With
-    /// `counts_frames` the thread counts wire frames itself, one per
-    /// message: the transport has no AH layer to count the frames it
-    /// seals and opens.
-    fn spawn<T: Transport + Sync + 'static>(
-        transport: T,
+    /// into `metrics`, and returns the application handle.
+    fn spawn(
+        transport: AuthenticatedTransport,
         mut stack: Stack,
         metrics: Metrics,
         stall_budget: Option<Duration>,
-        counts_frames: bool,
     ) -> Node {
         let id = stack.id();
         let group_size = stack.group().n();
@@ -498,9 +479,8 @@ impl Node {
         let health = Arc::new(HealthShared::new(stall_budget));
 
         // The single protocol thread of §3: it blocks in the transport
-        // for the next frame, verifies it there (through the AH layer,
-        // when configured) and drains the command queue whenever a wait
-        // ends.
+        // for the next frame, verifies it there (through the AH layer)
+        // and drains the command queue whenever a wait ends.
         let worker = {
             let transport = Arc::clone(&transport);
             let stop = Arc::clone(&stop);
@@ -511,7 +491,6 @@ impl Node {
                     stack,
                     transport,
                     outbox: vec![Vec::new(); group_size],
-                    counts_frames,
                     loopback: VecDeque::new(),
                     replies: HashMap::new(),
                     ab_sent: BTreeMap::new(),
@@ -653,14 +632,13 @@ impl Node {
     /// Switches the underlying transport to the pairwise key table of
     /// `epoch` (proactive key rejuvenation): outbound frames seal under
     /// the new epoch immediately; inbound frames from the previous epoch
-    /// stay acceptable for a five-second grace window. Forward-only; a
-    /// no-op on unkeyed transports.
+    /// stay acceptable for a five-second grace window. Forward-only.
     pub fn set_key_epoch(&self, epoch: u64) {
         self.transport.set_key_epoch(epoch);
     }
 
-    /// The key epoch outbound frames are currently sealed under (0 on
-    /// unkeyed transports and before any rotation).
+    /// The key epoch outbound frames are currently sealed under (0
+    /// before any rotation).
     pub fn key_epoch(&self) -> u64 {
         self.transport.key_epoch()
     }
@@ -1122,15 +1100,13 @@ fn map_timeout<T>(r: Result<T, RecvTimeoutError>) -> Result<T, NodeError> {
 }
 
 /// The state owned by the stack thread.
-struct Worker<T: Transport> {
+struct Worker {
     stack: Stack,
-    transport: Arc<T>,
+    transport: Arc<AuthenticatedTransport>,
     /// What this pass sends each peer, in order, indexed by peer: one
-    /// [`Transport::send_batch`] per peer when the pass ends
-    /// ([`Worker::flush`]), so the AH layer seals it under one ICV.
+    /// [`AuthenticatedTransport::send_batch`] per peer when the pass ends
+    /// ([`Worker::flush`]), so it is sealed under one ICV.
     outbox: Vec<Vec<Bytes>>,
-    /// Whether this thread counts wire frames (see [`Node::spawn`]).
-    counts_frames: bool,
     /// This process's own copies of what it sent, oldest first: they go
     /// straight back into the stack, never through the transport.
     loopback: VecDeque<Bytes>,
@@ -1146,7 +1122,7 @@ struct Worker<T: Transport> {
     feed_tx: Sender<Output>,
 }
 
-impl<T: Transport> Worker<T> {
+impl Worker {
     /// Handles every queued command; `false` once the node is to stop.
     fn drain_commands(&mut self, cmd_rx: &Receiver<Event>) -> bool {
         loop {
@@ -1231,12 +1207,9 @@ impl<T: Transport> Worker<T> {
         }
     }
 
-    /// A frame off the transport (already authenticated, when the AH
-    /// layer is configured).
+    /// A frame off the transport, already authenticated by the AH layer
+    /// (which counts the wire frames).
     fn on_frame(&mut self, from: ProcessId, frame: Bytes) {
-        if self.counts_frames {
-            self.metrics.transport_frames_recv.inc();
-        }
         self.metrics.transport_bytes_recv.add(frame.len() as u64);
         self.flight_frame(FlightKind::FrameIn, from as u32, &frame);
         let step = self.stack.handle_frame(from, frame);
@@ -1352,17 +1325,14 @@ impl<T: Transport> Worker<T> {
     }
 
     /// Hands each peer what this pass sent it, in one
-    /// [`Transport::send_batch`]. Best effort per link: a failure towards
-    /// one peer (a crashed or departed one) does not hold back the
-    /// others, and a transport that is gone is noticed by the loop at its
-    /// next receive.
+    /// [`AuthenticatedTransport::send_batch`]. Best effort per link: a
+    /// failure towards one peer (a crashed or departed one) does not hold
+    /// back the others, and a transport that is gone is noticed by the
+    /// loop at its next receive.
     fn flush(&mut self) {
         for (to, batch) in self.outbox.iter_mut().enumerate() {
             if batch.is_empty() {
                 continue;
-            }
-            if self.counts_frames {
-                self.metrics.transport_frames_sent.add(batch.len() as u64);
             }
             let _ = self.transport.send_batch(to, batch);
             batch.clear();
@@ -1537,18 +1507,6 @@ mod tests {
     }
 
     #[test]
-    fn without_authentication_works_too() {
-        run_cluster(
-            SessionConfig::new(4).unwrap().without_authentication(),
-            |node| {
-                let d = node.binary_consensus(1, false).unwrap();
-                assert!(!d);
-                node.shutdown();
-            },
-        );
-    }
-
-    #[test]
     fn duplicate_tag_rejected() {
         let nodes = Node::cluster(SessionConfig::new(4).unwrap()).unwrap();
         let handles: Vec<_> = nodes
@@ -1572,12 +1530,14 @@ mod tests {
     #[test]
     fn faults_are_observable() {
         use ritas_metrics::SuspicionKind;
-        let config = SessionConfig::new(4).unwrap().without_authentication();
+        let config = SessionConfig::new(4).unwrap();
         let mut hub = Hub::new(4);
         let mut eps = hub.take_endpoints().into_iter();
         let node = Node::new(&config, 0, eps.next().unwrap()).unwrap();
-        let ep1 = eps.next().unwrap();
-        // A peer sends garbage that cannot decode as any protocol frame.
+        let table = KeyTable::dealer(4, config.master_seed);
+        let ep1 =
+            AuthenticatedTransport::new(eps.next().unwrap(), AuthConfig::from_key_table(&table, 1));
+        // A peer seals garbage that cannot decode as any protocol frame.
         ep1.send(0, Bytes::from_static(&[0xde, 0xad, 0xbe, 0xef]))
             .unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -1688,11 +1648,13 @@ mod tests {
         assert_eq!(node.metrics().transport_frames_recv.get(), 0);
     }
 
-    /// What a broadcast costs the transport: n − 1 frames, the sender's
-    /// own copy going straight back into its stack.
+    /// What a broadcast costs the transport: the INIT and its ECHO leave
+    /// in one pass, so each peer gets them as one AH frame of two
+    /// records, the sender's own copies going straight back into its
+    /// stack.
     #[test]
-    fn broadcast_puts_n_minus_one_frames_on_the_transport() {
-        let config = SessionConfig::new(4).unwrap().without_authentication();
+    fn broadcast_puts_one_ah_frame_per_peer_on_the_transport() {
+        let config = SessionConfig::new(4).unwrap();
         let mut hub = Hub::new(4);
         let mut eps = hub.take_endpoints().into_iter();
         let node = Node::new(&config, 0, eps.next().unwrap()).unwrap();
@@ -1702,28 +1664,7 @@ mod tests {
         // broadcast and everything it set off locally are done.
         node.with_stack(|_, _| ()).unwrap();
         // The INIT, and the ECHO the node's own copy of the INIT set
-        // off: two broadcasts, three frames each, both handled at home.
-        let m = node.metrics();
-        assert_eq!(m.transport_frames_sent.get(), 2 * 3);
-        assert_eq!(m.stack_frames_in.get(), 2);
-        assert_eq!(m.transport_frames_recv.get(), 0);
-        for peer in &peers {
-            assert!(peer.try_recv().is_some() && peer.try_recv().is_some());
-            assert!(peer.try_recv().is_none());
-        }
-    }
-
-    /// The same broadcast under the AH layer: the INIT and its ECHO leave
-    /// in one pass, so each peer gets them as one frame of two records.
-    #[test]
-    fn broadcast_puts_one_ah_frame_per_peer_on_the_transport() {
-        let config = SessionConfig::new(4).unwrap();
-        let mut hub = Hub::new(4);
-        let mut eps = hub.take_endpoints().into_iter();
-        let node = Node::new(&config, 0, eps.next().unwrap()).unwrap();
-        let peers: Vec<_> = eps.collect();
-        node.reliable_broadcast(Bytes::from_static(b"rb")).unwrap();
-        node.with_stack(|_, _| ()).unwrap();
+        // off: two broadcasts, three messages each, both handled at home.
         let m = node.metrics();
         assert_eq!(m.transport_msgs_sent.get(), 2 * 3);
         assert_eq!(m.transport_frames_sent.get(), 3);
@@ -1733,6 +1674,41 @@ mod tests {
             assert!(peer.try_recv().is_some());
             assert!(peer.try_recv().is_none());
         }
+    }
+
+    /// A well-formed stack frame that a peer puts on the wire unsealed
+    /// is dropped by the AH layer and held against that peer: the stack
+    /// never sees it, so nothing is delivered.
+    #[test]
+    fn an_unsealed_frame_never_reaches_the_stack() {
+        use ritas_metrics::SuspicionKind;
+        let config = SessionConfig::new(4).unwrap();
+        let mut hub = Hub::new(4);
+        let mut eps = hub.take_endpoints().into_iter();
+        let node = Node::new(&config, 0, eps.next().unwrap()).unwrap();
+        let ep1 = eps.next().unwrap();
+        // Peer 1's RB INIT, exactly as its own stack encodes it.
+        let table = KeyTable::dealer(4, config.master_seed);
+        let mut stack = Stack::new(config.group(), 1, table.view_of(1), 1);
+        let (_, step) = stack.rb_broadcast(Bytes::from_static(b"unsealed"));
+        ep1.send(0, step.messages[0].message.clone()).unwrap();
+        let m = node.metrics();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while m.transport_mac_rejected.get() == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(m.transport_mac_rejected.get(), 1);
+        let suspicions = m.suspicions();
+        assert_eq!(suspicions.len(), 1);
+        assert_eq!(suspicions[0].peer, 1);
+        assert_eq!(suspicions[0].count(SuspicionKind::BadMac), 1);
+        assert_eq!(m.stack_frames_in.get(), 0);
+        assert_eq!(
+            node.rb_recv_timeout(Duration::from_millis(100))
+                .unwrap_err(),
+            NodeError::Timeout
+        );
+        node.shutdown();
     }
 
     fn http_get(addr: SocketAddr, path: &str) -> String {

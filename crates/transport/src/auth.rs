@@ -27,11 +27,12 @@
 //! however many RITAS messages TCP had gathered. Here too: a frame is
 //! the 24-byte header followed by *records*, each a big-endian `u32`
 //! length and then one message (the codec's length-prefix convention).
-//! [`Transport::send_batch`] seals its whole batch as one frame — one
-//! ICV, one anti-replay sequence number, one hand-off to the transport
-//! underneath — and splits it only where a frame would pass what the TCP
-//! session layer accepts ([`MAX_FRAME`]); [`Transport::send`] is a batch
-//! of one. An empty message is not carried: nothing above sends one.
+//! [`AuthenticatedTransport::send_batch`] seals its whole batch as one
+//! frame — one ICV, one anti-replay sequence number, one hand-off to the
+//! transport underneath — and splits it only where a frame would pass
+//! what the TCP session layer accepts ([`MAX_FRAME`]); [`Transport::send`]
+//! is a batch of one. An empty message is not carried: nothing above
+//! sends one.
 //!
 //! The receiver verifies a frame once and hands its records up one at a
 //! time from a read cursor; a frame is never split into a queue. A frame
@@ -55,11 +56,12 @@
 //! epoch (its low 16 bits; the header stays 24 bytes, so Table 1's
 //! overhead claim is untouched — the receiver reconstructs the full
 //! epoch windowed around its own, ESN-style, so the tag keeps working
-//! after the counter passes 2^16), and the pairwise key row is re-derived as
-//! `HKDF(master, epoch)` on every [`Transport::set_key_epoch`]. Inbound
-//! frames are accepted under the current epoch, under the immediately
-//! previous epoch for a bounded *grace window* after the switch (in-
-//! flight traffic must not be lost on rotation), and under a *newer*
+//! after the counter passes 2^16), and the pairwise key row is re-derived
+//! as `HKDF(master, epoch)` on every
+//! [`AuthenticatedTransport::set_key_epoch`]. Inbound frames are accepted
+//! under the current epoch, under the immediately previous epoch for a
+//! bounded *grace window* after the switch (in-flight traffic must not
+//! be lost on rotation), and under a *newer*
 //! epoch than ours — which, when the ICV verifies against the derived
 //! keys, fast-forwards the local epoch (this is how a freshly wiped
 //! replica, restarting at epoch 0, self-synchronizes to the cluster's
@@ -182,9 +184,9 @@ impl AuthConfig {
     /// the key table `HKDF(master_seed, epoch)` (epoch 0 is the legacy
     /// dealer table, so existing associations interoperate), tags every
     /// frame with its epoch in the AH reserved field, and honours
-    /// [`Transport::set_key_epoch`] switches. After a switch, frames
-    /// sealed under the immediately previous epoch stay acceptable for
-    /// `grace`; anything older is dropped.
+    /// [`AuthenticatedTransport::set_key_epoch`] switches. After a switch,
+    /// frames sealed under the immediately previous epoch stay acceptable
+    /// for `grace`; anything older is dropped.
     ///
     /// The on-wire tag is the epoch's low 16 bits, which keeps the
     /// header at exactly [`AH_OVERHEAD`] bytes; receivers reconstruct
@@ -258,9 +260,8 @@ impl ReplayState {
 /// a.send(1, Bytes::from_static(b"sealed")).unwrap();
 /// assert_eq!(b.recv().unwrap(), (0, Bytes::from_static(b"sealed")));
 /// ```
-#[derive(Debug)]
-pub struct AuthenticatedTransport<T: Transport> {
-    inner: T,
+pub struct AuthenticatedTransport {
+    inner: Box<dyn Transport + Sync>,
     config: AuthConfig,
     /// Outbound sequence counter per destination.
     tx_seq: Vec<AtomicU64>,
@@ -273,6 +274,14 @@ pub struct AuthenticatedTransport<T: Transport> {
     /// The authenticated frame whose records are being handed up, to
     /// whichever thread receives (the node runtime has one).
     opened: Mutex<Option<Opened>>,
+}
+
+impl core::fmt::Debug for AuthenticatedTransport {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("AuthenticatedTransport")
+            .field("local_id", &self.inner.local_id())
+            .finish_non_exhaustive()
+    }
 }
 
 /// An authenticated frame, read record by record.
@@ -402,13 +411,13 @@ fn reconstruct_epoch(local: u64, tag: u16) -> u64 {
     }
 }
 
-impl<T: Transport> AuthenticatedTransport<T> {
+impl AuthenticatedTransport {
     /// Wraps `inner` with authentication.
     ///
     /// # Panics
     ///
     /// Panics if the key count in `config` does not match the group size.
-    pub fn new(inner: T, config: AuthConfig) -> Self {
+    pub fn new<T: Transport + Sync + 'static>(inner: T, config: AuthConfig) -> Self {
         assert_eq!(
             config.keys.len(),
             inner.group_size(),
@@ -435,7 +444,7 @@ impl<T: Transport> AuthenticatedTransport<T> {
             future_derives: AtomicU64::new(0),
         };
         AuthenticatedTransport {
-            inner,
+            inner: Box::new(inner),
             config,
             tx_seq: (0..n).map(|_| AtomicU64::new(base)).collect(),
             rx_replay: Mutex::new(vec![ReplayState::default(); n]),
@@ -450,9 +459,70 @@ impl<T: Transport> AuthenticatedTransport<T> {
         self.rejected.load(Ordering::Relaxed)
     }
 
-    /// Gives back the wrapped transport.
-    pub fn into_inner(self) -> T {
-        self.inner
+    /// Sends `msgs` to `to`, in order, sealed as one frame: one ICV, one
+    /// anti-replay sequence number, one hand-off to the transport
+    /// underneath. The receiver's [`Transport::recv`] returns them one at
+    /// a time, exactly as if each had been sent on its own. A batch past
+    /// what one frame may carry ([`MAX_FRAME`]) leaves as several frames,
+    /// in order. The node runtime hands each peer everything one pass of
+    /// its protocol thread sent it through one call.
+    ///
+    /// # Errors
+    ///
+    /// As [`Transport::send`]. The first failure ends the batch, so a
+    /// link never carries a message whose predecessor was refused.
+    pub fn send_batch(&self, to: ProcessId, msgs: &[Bytes]) -> Result<(), TransportError> {
+        if to >= self.inner.group_size() {
+            return Err(TransportError::UnknownPeer(to));
+        }
+        let mut rest = msgs;
+        while !rest.is_empty() {
+            // As many messages as fit under the frame cap, at least one.
+            let (mut take, mut records) = (1, record_len(&rest[0]));
+            while let Some(next) = rest.get(take).map(record_len) {
+                if records + next > MAX_RECORDS {
+                    break;
+                }
+                records += next;
+                take += 1;
+            }
+            let (frame, tail) = rest.split_at(take);
+            rest = tail;
+            if records > 0 {
+                self.config.metrics.transport_frames_sent.inc();
+                self.inner.send(to, self.seal(to, frame, records))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Switches to the pairwise key table of `epoch` (proactive key
+    /// rejuvenation — see `ritas_crypto::KeyTable::dealer_for_epoch`):
+    /// later frames are sealed under the new epoch's keys; inbound frames
+    /// from the previous epoch stay acceptable for the grace window.
+    /// Forward-only, and a no-op for a transport built without
+    /// [`AuthConfig::with_epoch_rekey`], which stays at epoch 0.
+    pub fn set_key_epoch(&self, epoch: u64) {
+        let rt = &self.rekey;
+        let Some(master_seed) = rt.master_seed else {
+            return;
+        };
+        let mut g = unpoison(rt.state.lock());
+        if epoch <= g.epoch {
+            return; // epochs only move forward
+        }
+        let row = derive_row(
+            self.inner.group_size(),
+            master_seed,
+            epoch,
+            self.inner.local_id(),
+        );
+        g.advance(epoch, row);
+    }
+
+    /// The key epoch outbound frames are currently sealed under.
+    pub fn key_epoch(&self) -> u64 {
+        unpoison(self.rekey.state.lock()).epoch
     }
 
     /// SPI for the security association `src → dst` (deterministic, both
@@ -657,7 +727,7 @@ impl<T: Transport> AuthenticatedTransport<T> {
     }
 }
 
-impl<T: Transport> Transport for AuthenticatedTransport<T> {
+impl Transport for AuthenticatedTransport {
     fn local_id(&self) -> ProcessId {
         self.inner.local_id()
     }
@@ -668,31 +738,6 @@ impl<T: Transport> Transport for AuthenticatedTransport<T> {
 
     fn send(&self, to: ProcessId, payload: Bytes) -> Result<(), TransportError> {
         self.send_batch(to, std::slice::from_ref(&payload))
-    }
-
-    fn send_batch(&self, to: ProcessId, msgs: &[Bytes]) -> Result<(), TransportError> {
-        if to >= self.inner.group_size() {
-            return Err(TransportError::UnknownPeer(to));
-        }
-        let mut rest = msgs;
-        while !rest.is_empty() {
-            // As many messages as fit under the frame cap, at least one.
-            let (mut take, mut records) = (1, record_len(&rest[0]));
-            while let Some(next) = rest.get(take).map(record_len) {
-                if records + next > MAX_RECORDS {
-                    break;
-                }
-                records += next;
-                take += 1;
-            }
-            let (frame, tail) = rest.split_at(take);
-            rest = tail;
-            if records > 0 {
-                self.config.metrics.transport_frames_sent.inc();
-                self.inner.send(to, self.seal(to, frame, records))?;
-            }
-        }
-        Ok(())
     }
 
     fn recv(&self) -> Result<(ProcessId, Bytes), TransportError> {
@@ -737,28 +782,6 @@ impl<T: Transport> Transport for AuthenticatedTransport<T> {
     fn poll_link_event(&self) -> Option<crate::LinkEvent> {
         self.inner.poll_link_event()
     }
-
-    fn set_key_epoch(&self, epoch: u64) {
-        let rt = &self.rekey;
-        let Some(master_seed) = rt.master_seed else {
-            return;
-        };
-        let mut g = unpoison(rt.state.lock());
-        if epoch <= g.epoch {
-            return; // epochs only move forward
-        }
-        let row = derive_row(
-            self.inner.group_size(),
-            master_seed,
-            epoch,
-            self.inner.local_id(),
-        );
-        g.advance(epoch, row);
-    }
-
-    fn key_epoch(&self) -> u64 {
-        unpoison(self.rekey.state.lock()).epoch
-    }
 }
 
 #[cfg(test)]
@@ -766,10 +789,7 @@ mod tests {
     use super::*;
     use crate::hub::Hub;
 
-    type Pair = (
-        AuthenticatedTransport<crate::MemoryEndpoint>,
-        AuthenticatedTransport<crate::MemoryEndpoint>,
-    );
+    type Pair = (AuthenticatedTransport, AuthenticatedTransport);
 
     fn pair() -> Pair {
         pair_counting(Metrics::new())
@@ -788,7 +808,7 @@ mod tests {
     }
 
     /// The frame `t.send(to, msg)` puts on the wire: one record.
-    fn seal_one<T: Transport>(t: &AuthenticatedTransport<T>, to: ProcessId, msg: &[u8]) -> Bytes {
+    fn seal_one(t: &AuthenticatedTransport, to: ProcessId, msg: &[u8]) -> Bytes {
         t.seal(to, &[Bytes::copy_from_slice(msg)], RECORD_HDR + msg.len())
     }
 
@@ -869,7 +889,7 @@ mod tests {
         let (a, b) = pair();
         let batch = [b"once".as_slice(), b"twice", b"thrice"].map(Bytes::from_static);
         a.send_batch(1, &batch).unwrap();
-        let (_, sealed) = b.inner.try_recv().unwrap();
+        let (_, sealed) = b.inner.recv_timeout(Duration::ZERO).unwrap();
         a.inner.send(1, sealed.clone()).unwrap();
         a.inner.send(1, sealed).unwrap(); // replay
         a.send(1, Bytes::from_static(b"end")).unwrap();
@@ -892,8 +912,11 @@ mod tests {
         let (a, b) = pair_counting(m.clone());
         // Taken off `b`'s queue and put back, to look at it on the way.
         let intercept = || {
-            let (_, frame) = b.inner.try_recv().unwrap();
-            assert!(b.inner.try_recv().is_none(), "one batch, one frame");
+            let (_, frame) = b.inner.recv_timeout(Duration::ZERO).unwrap();
+            assert!(
+                b.inner.recv_timeout(Duration::ZERO).is_err(),
+                "one batch, one frame"
+            );
             a.inner.send(1, frame.clone()).unwrap();
             frame
         };
@@ -1207,7 +1230,7 @@ mod tests {
         let key = KeyTable::dealer_for_epoch(2, 7, 0x1_0203)
             .shared_key(1, 0)
             .unwrap();
-        let spi = AuthenticatedTransport::<crate::MemoryEndpoint>::spi(1, 0);
+        let spi = AuthenticatedTransport::spi(1, 0);
         let body = record(b"golden payload");
         assert_eq!(
             sealed,
@@ -1254,7 +1277,7 @@ mod tests {
                 .shared_key(0, 1)
                 .unwrap()
         };
-        let spi = AuthenticatedTransport::<crate::MemoryEndpoint>::spi(0, 1);
+        let spi = AuthenticatedTransport::spi(0, 1);
         let small = b"vote".to_vec();
         let large: Vec<u8> = (0..4096u32).map(|i| (i * 31) as u8).collect();
         let (a, b) = rekey_pair(Duration::from_secs(60));
@@ -1307,7 +1330,7 @@ mod tests {
         let m = Metrics::new();
         let (a, b) = pair_counting(m.clone());
         let key = KeyTable::dealer(2, 99).shared_key(0, 1).unwrap();
-        let spi = AuthenticatedTransport::<crate::MemoryEndpoint>::spi(0, 1);
+        let spi = AuthenticatedTransport::spi(0, 1);
         let kept = record(b"kept");
         let lost = record(b"lost");
         let hostile = [
@@ -1353,7 +1376,7 @@ mod tests {
     fn empty_messages_are_not_carried() {
         let (a, b) = pair();
         a.send(1, Bytes::new()).unwrap();
-        assert!(b.inner.try_recv().is_none());
+        assert!(b.inner.recv_timeout(Duration::ZERO).is_err());
         let batch = [Bytes::new(), Bytes::from_static(b"x"), Bytes::new()];
         a.send_batch(1, &batch).unwrap();
         assert_eq!(b.recv().unwrap(), (0, Bytes::from_static(b"x")));

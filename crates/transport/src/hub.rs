@@ -363,20 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn send_batch_reaches_everyone_in_order() {
-        let mut hub = Hub::new(4);
-        let eps = hub.take_endpoints();
-        let batch = [bytes("a"), bytes("b")];
-        for to in 0..4 {
-            eps[2].send_batch(to, &batch).unwrap();
-        }
-        for ep in &eps {
-            assert_eq!(ep.recv().unwrap(), (2, bytes("a")));
-            assert_eq!(ep.recv().unwrap(), (2, bytes("b")));
-        }
-    }
-
-    #[test]
     fn unknown_peer_rejected() {
         let mut hub = Hub::new(2);
         let eps = hub.take_endpoints();

@@ -19,7 +19,9 @@
 //!   HMAC-SHA-1-96 and anti-replay, so the +24-byte overhead measured in
 //!   Table 1 is real in this reproduction too; like AH over TCP, one
 //!   header authenticates every message a batch carries
-//!   ([`Transport::send_batch`]);
+//!   ([`AuthenticatedTransport::send_batch`]). The node runtime wraps
+//!   every endpoint in it: integrity, batching and key epochs belong to
+//!   this layer alone, and a bare endpoint offers none of them;
 //! * [`wire`] — the byte-level codec helpers shared by every layer.
 //!
 //! # One thread, two queues: [`Transport::wake`]
@@ -137,7 +139,9 @@ pub struct LinkEvent {
 ///
 /// Implementations must provide per-link FIFO ordering and reliable
 /// delivery between correct processes — the contract the paper obtains
-/// from TCP (§2.1).
+/// from TCP (§2.1). Integrity is not part of this trait: it is
+/// [`AuthenticatedTransport`]'s, which wraps one endpoint and also owns
+/// batching and key epochs.
 pub trait Transport: Send {
     /// This process's identifier.
     fn local_id(&self) -> ProcessId;
@@ -187,22 +191,6 @@ pub trait Transport: Send {
     /// its timeout expires.
     fn wake(&self) {}
 
-    /// Sends `msgs` to `to`, in order: the receiver's [`Transport::recv`]
-    /// returns them one at a time, exactly as if each had been sent on
-    /// its own. The default does that, one [`Transport::send`] per
-    /// message; a transport that frames its own traffic may put them on
-    /// the wire together ([`AuthenticatedTransport`] seals them as one AH
-    /// frame). The node runtime hands each peer everything one pass of
-    /// its protocol thread sent it through one call.
-    ///
-    /// # Errors
-    ///
-    /// As [`Transport::send`]. The first failure ends the batch, so a
-    /// link never carries a message whose predecessor was refused.
-    fn send_batch(&self, to: ProcessId, msgs: &[Bytes]) -> Result<(), TransportError> {
-        msgs.iter().try_for_each(|m| self.send(to, m.clone()))
-    }
-
     /// The current state of the link to `peer`.
     ///
     /// Transports without a failure-prone connection underneath (the
@@ -221,24 +209,6 @@ pub trait Transport: Send {
     /// application instead of eating them.
     fn poll_link_event(&self) -> Option<LinkEvent> {
         None
-    }
-
-    /// Switches the transport to the pairwise key table of `epoch`
-    /// (proactive key rejuvenation — see `ritas_crypto::KeyTable::
-    /// dealer_for_epoch`). Subsequent outbound frames are sealed under
-    /// the new epoch's keys; inbound frames from the previous epoch stay
-    /// acceptable during a bounded grace window.
-    ///
-    /// Transports without keyed authentication underneath (the in-memory
-    /// hub, the simulator) ignore this — the default is a no-op.
-    fn set_key_epoch(&self, epoch: u64) {
-        let _ = epoch;
-    }
-
-    /// The key epoch outbound frames are currently sealed under.
-    /// Unkeyed transports are permanently at epoch 0 (the default).
-    fn key_epoch(&self) -> u64 {
-        0
     }
 }
 

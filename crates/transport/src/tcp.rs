@@ -952,9 +952,7 @@ mod tests {
     fn broadcast_to_full_mesh() {
         let eps = mesh(4);
         for to in 0..4 {
-            eps[2]
-                .send_batch(to, &[Bytes::from_static(b"mesh")])
-                .unwrap();
+            eps[2].send(to, Bytes::from_static(b"mesh")).unwrap();
         }
         for ep in &eps {
             let (from, payload) = ep.recv().unwrap();

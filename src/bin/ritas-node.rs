@@ -2,7 +2,9 @@
 //!
 //! The deployable face of the library: each OS process (or host) runs one
 //! instance; together they form an intrusion-tolerant atomic broadcast
-//! group exactly as the paper's C library would be deployed.
+//! group exactly as the paper's C library would be deployed. Every
+//! frame between processes travels under the AH-style authentication
+//! layer, keyed from the dealt pairwise keys.
 //!
 //! ```text
 //! ritas-node --me <id> --peers <addr0,addr1,...> [options]
@@ -12,7 +14,6 @@
 //!   --seed <n>             key-dealer master seed (default 42; must match
 //!                          across the group — a stand-in for real key
 //!                          distribution)
-//!   --no-auth              disable the AH-style authentication layer
 //!   --burst <k>            non-interactive: a-broadcast k messages, wait
 //!                          for everyone's, print `DELIVER <sender> <rbid>
 //!                          <payload>` lines, then exit
@@ -34,7 +35,6 @@ struct Args {
     me: usize,
     peers: Vec<SocketAddr>,
     seed: u64,
-    auth: bool,
     burst: Option<usize>,
     connect_timeout: Duration,
 }
@@ -43,7 +43,6 @@ fn parse_args() -> Result<Args, String> {
     let mut me: Option<usize> = None;
     let mut peers: Vec<SocketAddr> = Vec::new();
     let mut seed = 42u64;
-    let mut auth = true;
     let mut burst = None;
     let mut connect_timeout = Duration::from_secs(30);
 
@@ -67,7 +66,6 @@ fn parse_args() -> Result<Args, String> {
                     .collect::<Result<_, _>>()?;
             }
             "--seed" => seed = next(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--no-auth" => auth = false,
             "--burst" => burst = Some(next(&mut i)?.parse().map_err(|e| format!("--burst: {e}"))?),
             "--connect-timeout-secs" => {
                 connect_timeout = Duration::from_secs(
@@ -90,7 +88,6 @@ fn parse_args() -> Result<Args, String> {
         me,
         peers,
         seed,
-        auth,
         burst,
         connect_timeout,
     })
@@ -101,7 +98,7 @@ fn main() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("usage: ritas-node --me <id> --peers <a0,a1,...> [--seed n] [--no-auth] [--burst k]");
+            eprintln!("usage: ritas-node --me <id> --peers <a0,a1,...> [--seed n] [--burst k]");
             std::process::exit(2);
         }
     };
@@ -113,12 +110,9 @@ fn main() {
 
 fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
     let n = args.peers.len();
-    let mut config = SessionConfig::new(n)?.with_master_seed(args.seed);
-    if !args.auth {
-        config = config.without_authentication();
-    }
+    let config = SessionConfig::new(n)?.with_master_seed(args.seed);
     // The session-resume handshake is keyed by the same dealt pairwise
-    // keys as the AH layer, with or without it.
+    // keys as the AH layer.
     let session_keys = TcpConfig::from_key_table(&KeyTable::dealer(n, args.seed), args.me);
 
     eprintln!("[p{}] binding {}", args.me, args.peers[args.me]);
@@ -131,7 +125,7 @@ fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         args.connect_timeout,
         session_keys,
     )?;
-    eprintln!("[p{}] mesh up (auth: {})", args.me, args.auth);
+    eprintln!("[p{}] mesh up", args.me);
     let node = Node::new(&config, args.me, endpoint)?;
 
     match args.burst {

@@ -96,24 +96,6 @@ fn consensus_with_divergent_proposals_still_agrees() {
 }
 
 #[test]
-fn unauthenticated_session_parity() {
-    // The "without IPSec" configuration must be functionally identical.
-    let results = with_cluster(
-        SessionConfig::new(4).unwrap().without_authentication(),
-        |node| {
-            let v = node
-                .multi_valued_consensus(1, Bytes::from_static(b"plain"))
-                .unwrap();
-            node.shutdown();
-            v
-        },
-    );
-    for r in results {
-        assert_eq!(r.as_deref(), Some(&b"plain"[..]));
-    }
-}
-
-#[test]
 fn seven_node_cluster() {
     let results = with_cluster(SessionConfig::new(7).unwrap(), |node| {
         let d = node.binary_consensus(1, true).unwrap();
