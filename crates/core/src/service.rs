@@ -19,10 +19,10 @@
 //!   replicated state machine: it discharges exactly-once applies and
 //!   answers retries from cache without re-ordering.
 //! * [`ServiceReplica`] — wraps a [`Node`] into a replica whose apply
-//!   function returns a **reply** per command, records it in the session
-//!   table, wakes request waiters after local apply, and offers the
-//!   optimistic local read the client library's `f+1`-vote read path
-//!   consumes.
+//!   function returns a **reply** per command — the write's, or the
+//!   read-only query's evaluated at the command's position in the total
+//!   order — records it in the session table, and wakes request waiters
+//!   after local apply.
 //!
 //! The network face of this module (framed, HMAC-authenticated client
 //! connections, reply voting, retries) lives in the `ritas-service`
@@ -55,7 +55,7 @@ pub enum CommandKind {
     /// Apply the payload to the replicated state (the write path).
     Apply,
     /// Evaluate the read-only query at the command's position in the
-    /// total order (the linearizable read fallback).
+    /// total order (a read).
     OrderedRead,
 }
 
@@ -437,9 +437,9 @@ type Applier<S> = Box<dyn FnMut(&mut ServiceState<S>, crate::ProcessId, &[u8]) +
 /// A replica of a deterministic request/reply service.
 ///
 /// `apply` runs once per ordered client command at every replica and
-/// returns the reply; `query` evaluates read-only requests (locally for
-/// the optimistic path, at the ordered position for the fallback). Both
-/// must be **deterministic** — replies are vote-compared byte-for-byte
+/// returns the reply; `query` evaluates a read-only request at its
+/// position in the total order, so every read is ordered like a write.
+/// Both must be **deterministic** — replies are vote-compared byte-for-byte
 /// across replicas by the client library, so any divergence (clocks,
 /// randomness, map iteration order) reads as a Byzantine replica.
 ///
@@ -486,12 +486,8 @@ type Applier<S> = Box<dyn FnMut(&mut ServiceState<S>, crate::ProcessId, &[u8]) +
 pub struct ServiceReplica<S: Send + 'static> {
     replica: Replica<ServiceState<S>>,
     waiters: Arc<Mutex<Waiters>>,
-    query: Arc<QueryFn<S>>,
     metrics: Metrics,
 }
-
-/// Shared read-only query closure of a [`ServiceReplica`].
-type QueryFn<S> = dyn Fn(&S, &[u8]) -> Bytes + Send + Sync;
 
 /// Tuning for a [`ServiceReplica`].
 #[derive(Debug, Clone)]
@@ -516,7 +512,7 @@ impl<S: Send + 'static> ServiceReplica<S> {
         initial: S,
         config: ServiceConfig,
         apply: impl FnMut(&mut S, ClientId, &[u8]) -> Bytes + Send + 'static,
-        query: impl Fn(&S, &[u8]) -> Bytes + Send + Sync + 'static,
+        query: impl Fn(&S, &[u8]) -> Bytes + Send + 'static,
     ) -> Self {
         let built = Self::assemble(
             node,
@@ -540,26 +536,19 @@ impl<S: Send + 'static> ServiceReplica<S> {
         initial: S,
         config: &ServiceConfig,
         apply: impl FnMut(&mut S, ClientId, &[u8]) -> Bytes + Send + 'static,
-        query: impl Fn(&S, &[u8]) -> Bytes + Send + Sync + 'static,
+        query: impl Fn(&S, &[u8]) -> Bytes + Send + 'static,
         build: impl FnOnce(Node, ServiceState<S>, Applier<S>) -> Result<Replica<ServiceState<S>>, E>,
     ) -> Result<Self, E> {
         let metrics = node.metrics().clone();
         let waiters = Arc::new(Mutex::new(Waiters::default()));
-        let query: Arc<QueryFn<S>> = Arc::new(query);
         let state = ServiceState {
             app: initial,
             sessions: SessionTable::new(config.session_capacity),
         };
-        let applier = Self::make_apply(
-            metrics.clone(),
-            Arc::clone(&waiters),
-            Arc::clone(&query),
-            apply,
-        );
+        let applier = Self::make_apply(metrics.clone(), Arc::clone(&waiters), apply, query);
         Ok(ServiceReplica {
             replica: build(node, state, Box::new(applier))?,
             waiters,
-            query,
             metrics,
         })
     }
@@ -569,8 +558,8 @@ impl<S: Send + 'static> ServiceReplica<S> {
     fn make_apply(
         m: Metrics,
         w: Arc<Mutex<Waiters>>,
-        q: Arc<QueryFn<S>>,
         mut apply: impl FnMut(&mut S, ClientId, &[u8]) -> Bytes + Send + 'static,
+        query: impl Fn(&S, &[u8]) -> Bytes + Send + 'static,
     ) -> impl FnMut(&mut ServiceState<S>, crate::ProcessId, &[u8]) + Send + 'static {
         move |state, _submitter, cmd| {
             let Ok(c) = ServiceCommand::from_bytes(cmd) else {
@@ -594,7 +583,7 @@ impl<S: Send + 'static> ServiceReplica<S> {
                     CommandKind::Apply => (apply)(&mut state.app, c.client, &c.payload),
                     CommandKind::OrderedRead => {
                         m.service_reads_ordered.inc();
-                        (q)(&state.app, &c.payload)
+                        query(&state.app, &c.payload)
                     }
                 };
                 if let Some(span) = &span {
@@ -780,15 +769,6 @@ impl<S: Send + 'static> ServiceReplica<S> {
         }
     }
 
-    /// Evaluates `query` against the current local state **without
-    /// ordering** — the optimistic read the client library accepts once
-    /// `f+1` replicas answer byte-identically. Sequentially consistent
-    /// (a prefix of the agreed history), not linearizable on its own.
-    pub fn optimistic_read(&self, q: &[u8]) -> Bytes {
-        self.metrics.service_reads_optimistic.inc();
-        self.replica.read(|s| (self.query)(&s.app, q))
-    }
-
     /// Reads the application state under the replica lock (local tests
     /// and the integration suites' exactly-once audits).
     pub fn read_state<R>(&self, f: impl FnOnce(&S) -> R) -> R {
@@ -834,7 +814,7 @@ impl<S: SnapshotState + Send + 'static> ServiceReplica<S> {
         config: ServiceConfig,
         recovery: RecoveryConfig,
         apply: impl FnMut(&mut S, ClientId, &[u8]) -> Bytes + Send + 'static,
-        query: impl Fn(&S, &[u8]) -> Bytes + Send + Sync + 'static,
+        query: impl Fn(&S, &[u8]) -> Bytes + Send + 'static,
     ) -> Result<Self, RecoveryConfigError> {
         Self::assemble(
             node,
@@ -863,7 +843,7 @@ impl<S: SnapshotState + Send + 'static> ServiceReplica<S> {
         recovery: RecoveryConfig,
         stale: Option<Bytes>,
         apply: impl FnMut(&mut S, ClientId, &[u8]) -> Bytes + Send + 'static,
-        query: impl Fn(&S, &[u8]) -> Bytes + Send + Sync + 'static,
+        query: impl Fn(&S, &[u8]) -> Bytes + Send + 'static,
     ) -> Result<Self, RecoveryConfigError> {
         Self::assemble(
             node,

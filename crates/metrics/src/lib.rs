@@ -1176,8 +1176,6 @@ instruments! {
     service_dup_apply_skipped: Counter,
     /// Client commands actually applied to the replicated state.
     service_commands_applied: Counter,
-    /// Optimistic (unordered, locally served) reads.
-    service_reads_optimistic: Counter,
     /// Reads that went through the ordered (atomic-broadcast) path.
     service_reads_ordered: Counter,
     /// Inbound client frames dropped for failing MAC authentication.
@@ -1199,8 +1197,6 @@ instruments! {
     /// Client-side: individual replies discarded by the vote rule
     /// (mismatching the winning value, bad MAC, or wrong status).
     service_client_replies_rejected: Counter,
-    /// Client-side: optimistic reads that fell back to the ordered path.
-    service_client_read_fallbacks: Counter,
     /// Client-side: end-to-end request latency in nanoseconds (send of
     /// first copy → `f+1`-th matching reply).
     service_e2e_latency_ns: Histogram,
@@ -2200,7 +2196,7 @@ mod tests {
 
     #[test]
     fn every_declared_instrument_is_exported_under_its_field_name() {
-        assert_eq!(INSTRUMENTS.len(), 97);
+        assert_eq!(INSTRUMENTS.len(), 95);
         let snap = Metrics::new().snapshot();
         let prom = snap.to_prometheus();
         for &(name, kind) in INSTRUMENTS {

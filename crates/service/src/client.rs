@@ -1,5 +1,5 @@
 //! The intrusion-tolerant client library: fan-out, `f+1`-vote reply
-//! masking, exactly-once retries, and the optimistic/ordered read pair.
+//! masking, exactly-once retries, and ordered reads.
 //!
 //! A [`ServiceClient`] holds one authenticated connection per replica.
 //! Each request is fanned to `2f+1` replicas — `f+1` in *submit* mode
@@ -13,9 +13,10 @@
 //!
 //! Retries reuse the same session sequence number, so a request that was
 //! already ordered is answered from the replicated session table instead
-//! of applying twice (exactly-once semantics end-to-end). Reads go
-//! optimistic first — answered from local state, accepted on `f+1`
-//! agreement — and fall back to an ordered read when replicas diverge.
+//! of applying twice (exactly-once semantics end-to-end). A read takes
+//! the same path as a write: it is evaluated at its position in the total
+//! order, so it reflects every write that completed before it was
+//! invoked.
 
 use crate::wire::{
     connection_key, fresh_nonce, read_frame, read_frame_polling, write_frame, Hello, HelloAck,
@@ -44,9 +45,6 @@ pub struct ClientConfig {
     pub max_attempts: u32,
     /// Backoff between rounds (doubled each retry).
     pub backoff: Duration,
-    /// Deadline for the optimistic read round before the ordered
-    /// fallback.
-    pub optimistic_timeout: Duration,
     /// Connect timeout per replica.
     pub connect_timeout: Duration,
     /// Metrics registry the client reports into (client-side counters
@@ -62,7 +60,6 @@ impl Default for ClientConfig {
             request_timeout: Duration::from_secs(10),
             max_attempts: 4,
             backoff: Duration::from_millis(50),
-            optimistic_timeout: Duration::from_secs(2),
             connect_timeout: Duration::from_secs(2),
             metrics: Metrics::new(),
         }
@@ -172,46 +169,21 @@ impl ServiceClient {
         self.vote_rounds(seq, RequestKind::Apply, command)
     }
 
-    /// Reads via the optimistic path — local answers accepted at `f+1`
-    /// byte-identical — falling back to an ordered read when replicas
-    /// diverge or time out.
+    /// Returns the `f+1`-voted answer to `query`. A read is ordered like
+    /// a write, so it reflects every write that completed before it was
+    /// invoked: the replicas evaluate `query` at its position in the
+    /// total order.
     ///
     /// # Errors
     ///
-    /// Same as [`ServiceClient::invoke`] (via the ordered fallback).
+    /// Same as [`ServiceClient::invoke`].
     pub fn read(&mut self, query: Bytes) -> Result<Bytes, ClientError> {
-        self.next_seq += 1;
-        let seq = self.next_seq;
-        let m = self.config.metrics.clone();
-        m.service_client_requests.inc();
-        let start = Instant::now();
-        let targets: Vec<usize> = self.round_targets(seq, false);
-        let sent = self.fan_out(
-            &targets,
-            &[],
-            seq,
-            RequestKind::OptimisticRead,
-            query.clone(),
-        );
-        let f = self.resilience();
-        if sent > f {
-            if let Some((Status::Ok, payload)) =
-                self.collect_votes(seq, f + 1, self.config.optimistic_timeout)
-            {
-                m.service_e2e_latency_ns
-                    .record(start.elapsed().as_nanos() as u64);
-                return Ok(payload);
-            }
-        }
-        // Divergence or timeout: pay for ordering.
-        m.service_client_read_fallbacks.inc();
         self.next_seq += 1;
         let seq = self.next_seq;
         self.vote_rounds(seq, RequestKind::OrderedRead, query)
     }
 
-    /// The fan-out / vote / retry loop shared by writes and ordered
-    /// reads.
+    /// The fan-out / vote / retry loop shared by writes and reads.
     fn vote_rounds(
         &mut self,
         seq: u64,
@@ -268,7 +240,7 @@ impl ServiceClient {
     }
 
     /// The replicas targeted this round: `f+1` submitters (rotated by
-    /// `seq` for load spreading) or the full `2f+1` read set.
+    /// `seq` for load spreading) or the full `2f+1` vote set.
     fn round_targets(&self, seq: u64, submitters_only: bool) -> Vec<usize> {
         let n = self.conns.len();
         let f = self.resilience();

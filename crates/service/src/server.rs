@@ -261,22 +261,16 @@ fn execute<S: Send + 'static>(
     request: &Request,
     timeout: Duration,
 ) -> (Status, Bytes) {
-    let outcome = match (request.kind, request.mode) {
-        (RequestKind::OptimisticRead, _) => {
-            return (Status::Ok, replica.optimistic_read(&request.payload))
-        }
-        (_, RequestMode::Observe) => replica.await_reply(request.client, request.seq, timeout),
-        (RequestKind::Apply, RequestMode::Submit) => replica.submit(
+    let kind = match request.kind {
+        RequestKind::Apply => CommandKind::Apply,
+        RequestKind::OrderedRead => CommandKind::OrderedRead,
+    };
+    let outcome = match request.mode {
+        RequestMode::Observe => replica.await_reply(request.client, request.seq, timeout),
+        RequestMode::Submit => replica.submit(
             request.client,
             request.seq,
-            CommandKind::Apply,
-            request.payload.clone(),
-            timeout,
-        ),
-        (RequestKind::OrderedRead, RequestMode::Submit) => replica.submit(
-            request.client,
-            request.seq,
-            CommandKind::OrderedRead,
+            kind,
             request.payload.clone(),
             timeout,
         ),

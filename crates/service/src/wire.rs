@@ -66,14 +66,14 @@ impl From<WireError> for FrameError {
     }
 }
 
-/// What a [`Request`] asks the replica to do.
+/// What a [`Request`] asks the replica to do. Both kinds are ordered
+/// through atomic broadcast; tag 2 is unassigned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestKind {
-    /// Order and apply the payload (the write path).
+    /// Order and apply the payload (a write).
     Apply = 1,
-    /// Answer from local state without ordering (optimistic read).
-    OptimisticRead = 2,
-    /// Order a read-only query (the linearizable fallback).
+    /// Order a read-only query and evaluate it at its position in the
+    /// total order (a read).
     OrderedRead = 3,
 }
 
@@ -81,7 +81,6 @@ impl RequestKind {
     fn decode(tag: u8) -> Result<Self, WireError> {
         match tag {
             1 => Ok(RequestKind::Apply),
-            2 => Ok(RequestKind::OptimisticRead),
             3 => Ok(RequestKind::OrderedRead),
             tag => Err(WireError::InvalidTag {
                 what: "req.kind",
@@ -245,7 +244,8 @@ pub struct HelloAck {
 pub struct Request {
     /// The requesting client (must match the connection's [`Hello`]).
     pub client: u64,
-    /// Session sequence number (correlation id for optimistic reads).
+    /// Session sequence number: one per write or read, reused by its
+    /// retries, and the key replies are matched on.
     pub seq: u64,
     /// What to do with the payload.
     pub kind: RequestKind,
@@ -638,6 +638,22 @@ mod tests {
             payload: Bytes::from_static(b"cmd"),
         };
         assert_eq!(Request::open(&rq.seal(&key()), &key()).unwrap(), rq);
+        // Kind byte 2 is unassigned: a well-MAC'd request carrying it is
+        // malformed.
+        let mut w = Writer::new();
+        w.u8(TAG_REQUEST)
+            .u64(3)
+            .u64(9)
+            .u8(2)
+            .u8(RequestMode::Submit as u8)
+            .bytes(b"cmd");
+        assert!(matches!(
+            Request::open(&seal(w, &key()), &key()),
+            Err(FrameError::Wire(WireError::InvalidTag {
+                what: "req.kind",
+                ..
+            }))
+        ));
         let rp = Reply {
             replica: 1,
             client: 3,
@@ -666,7 +682,7 @@ mod tests {
         let rq = Request {
             client: 3,
             seq: 1,
-            kind: RequestKind::OptimisticRead,
+            kind: RequestKind::OrderedRead,
             mode: RequestMode::Observe,
             payload: Bytes::from_static(b"q"),
         };

@@ -53,7 +53,7 @@ fn apply(accounts: &mut Accounts, _client: u64, cmd: &[u8]) -> Bytes {
     ))
 }
 
-/// Answers `balance <acct>` queries (optimistic `f+1`-matching read).
+/// Answers `balance <acct>` queries (an ordered, `f+1`-voted read).
 fn query(accounts: &Accounts, q: &[u8]) -> Bytes {
     let Ok(s) = std::str::from_utf8(q) else {
         return Bytes::from_static(b"ERR utf8");

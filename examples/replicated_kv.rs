@@ -12,8 +12,9 @@
 //! identical everywhere, all replicas end in the same state — without
 //! any leader, lock service or timing assumption, tolerating one
 //! arbitrary (Byzantine) replica out of four. The clients talk the
-//! HMAC-authenticated service protocol: `SET`/`DEL` go through the
-//! ordered write path, `GET` through the optimistic `f+1`-matching read.
+//! HMAC-authenticated service protocol: `SET`/`DEL` are ordered writes,
+//! and `GET` is a read ordered like them, so it sees every completed
+//! `SET`.
 
 use bytes::Bytes;
 use ritas::node::{Node, SessionConfig};
@@ -46,8 +47,7 @@ fn apply(store: &mut Store, _client: u64, cmd: &[u8]) -> Bytes {
     Bytes::from_static(b"ERR parse")
 }
 
-/// Answers a `GET k` query from the current state (optimistic read path;
-/// the client falls back to an ordered read when replicas diverge).
+/// Answers a `GET k` query at the read's position in the total order.
 fn query(store: &Store, q: &[u8]) -> Bytes {
     let Ok(s) = std::str::from_utf8(q) else {
         return Bytes::from_static(b"ERR utf8");

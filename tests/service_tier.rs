@@ -2,7 +2,7 @@
 //! front-end (`ritas-service`) over a real `n = 4, f = 1` replica group
 //! with TCP client connections.
 //!
-//! Five properties from the paper's service model are checked here:
+//! Six properties from the paper's service model are checked here:
 //!
 //! 1. **Exactly-once** — a client retry of an in-flight request is
 //!    answered from the session table, never applied twice, and the
@@ -19,6 +19,9 @@
 //!    nothing but latency.
 //! 5. **A front-end down** — clients keep completing every invoke while
 //!    one of the four front-ends refuses connections.
+//! 6. **Reads are ordered** — a read reflects every write that completed
+//!    before it, even when a lagging replica and a lying one agree on a
+//!    stale answer.
 //!
 //! Timing-dependent (real threads, real sockets at the client edge).
 
@@ -33,6 +36,7 @@ use ritas_crypto::ClientKeyDealer;
 use ritas_metrics::Metrics;
 use ritas_service::client::{ClientConfig, ServiceClient};
 use ritas_service::server::{ServerConfig, ServiceServer};
+use ritas_service::wire::RequestKind;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -515,5 +519,71 @@ fn clients_complete_every_invoke_while_a_front_end_is_gone() {
     let distinct = gone.replica().read_state(|st| st.applied.len());
     assert_eq!(distinct, 3 * 12, "every invoke applied");
     gone.replica().shutdown();
+    shutdown(servers);
+}
+
+/// A read never misses a write that completed before it. Replica 1 lags
+/// (its protocol thread is wedged for 2 s, so it cannot apply the write)
+/// and replica 0's front-end lies on every read with the pre-write total
+/// while answering writes honestly. Client 1's write (seq 1) goes to the
+/// `2f+1` set rotated by `(id + seq) mod n = 2`, i.e. {2, 3, 0}, and
+/// completes at `f+1 = 2` replies without replica 1. Its read (seq 2)
+/// goes to the set rotated by `(1 + 2) mod 4 = 3`, i.e. {3, 0, 1}. The
+/// lagging replica is outside the write's set on purpose: a front-end
+/// serves one connection's requests in order, so a replica still waiting
+/// to apply the write would answer the read only after it. An answer
+/// taken from local state could then be the stale total from both
+/// replica 1 and replica 0. Ordered, the read is evaluated after the
+/// write, and the correct replicas 3 and 1 answer the post-write total.
+#[test]
+fn a_read_never_misses_a_completed_write() {
+    let (servers, key_seed) = cluster(ServiceConfig::default(), Duration::ZERO);
+    servers[0].set_reply_tamper(|req, payload| {
+        if req.kind == RequestKind::Apply {
+            payload
+        } else {
+            Bytes::from(0u64.to_be_bytes().to_vec())
+        }
+    });
+    let lagging = Arc::clone(servers[1].replica());
+    let (wedged, wedged_rx) = std::sync::mpsc::channel();
+    let wedge = std::thread::spawn(move || {
+        lagging.node().with_stack(move |_, _| {
+            let _ = wedged.send(());
+            std::thread::sleep(Duration::from_secs(2));
+        })
+    });
+    wedged_rx
+        .recv()
+        .expect("replica 1's protocol thread is wedged");
+
+    let mut client = ServiceClient::new(
+        1,
+        addrs_of(&servers),
+        ClientConfig {
+            key_seed,
+            ..ClientConfig::default()
+        },
+    );
+    let written = client.invoke(payload(1)).expect("write (seq 1)");
+    assert_eq!(
+        written.as_ref(),
+        1u64.to_be_bytes(),
+        "the write applies once"
+    );
+    let read = client
+        .read(Bytes::from_static(b"total"))
+        .expect("read (seq 2)");
+    assert_eq!(
+        read.as_ref(),
+        1u64.to_be_bytes(),
+        "the read missed the write that completed before it"
+    );
+    client.shutdown();
+    wedge
+        .join()
+        .expect("wedge thread")
+        .expect("replica 1 alive");
+    assert_eq!(duplicate_applies(&replicas_of(&servers)), 0);
     shutdown(servers);
 }
