@@ -18,6 +18,10 @@
 //! lie at exactly the layer they target and re-encode structurally valid
 //! messages that only semantic validation can reject.
 //!
+//! [`rewrite_frame`] applies a strategy for both drivers: the test
+//! cluster's wire, and the worker of a node built by
+//! [`crate::testing::byzantine_cluster_with_hub`], state transfer included.
+//!
 //! The [`explorer`] module sweeps strategies across schedules and seeds,
 //! checking the paper's safety predicates ([`crate::invariants`]) after
 //! every delivery, and renders deterministic replay commands for any
@@ -37,6 +41,7 @@ use crate::codec::{Reader, WireMessage, Writer};
 use crate::eb::EbMessage;
 use crate::mvc::{MvcMessage, VectBody};
 use crate::rb::RbMessage;
+use crate::recovery::XferMessage;
 use crate::stack::InstanceKey;
 use crate::vc::VcMessage;
 use crate::ProcessId;
@@ -59,6 +64,8 @@ pub enum ProtocolMsg {
     Vc(VcMessage),
     /// Atomic broadcast traffic.
     Ab(AbMessage),
+    /// State-transfer traffic.
+    Xfer(XferMessage),
 }
 
 impl ProtocolMsg {
@@ -70,6 +77,7 @@ impl ProtocolMsg {
             ProtocolMsg::Mvc(m) => m.encode(w),
             ProtocolMsg::Vc(m) => m.encode(w),
             ProtocolMsg::Ab(m) => m.encode(w),
+            ProtocolMsg::Xfer(m) => m.encode(w),
         }
     }
 
@@ -96,12 +104,31 @@ pub fn decode_frame(frame: &[u8]) -> Option<(InstanceKey, ProtocolMsg)> {
         InstanceKey::Mvc { .. } => ProtocolMsg::Mvc(MvcMessage::from_bytes(inner).ok()?),
         InstanceKey::Vc { .. } => ProtocolMsg::Vc(VcMessage::from_bytes(inner).ok()?),
         InstanceKey::Ab { .. } => ProtocolMsg::Ab(AbMessage::from_bytes(inner).ok()?),
-        // State-transfer frames are point-to-point and carry their own
-        // integrity (Merkle proofs + f+1 cross-checks); the adversary
-        // framework does not reinterpret them.
-        InstanceKey::Xfer => return None,
+        InstanceKey::Xfer => ProtocolMsg::Xfer(XferMessage::from_bytes(inner).ok()?),
     };
     Some((key, msg))
+}
+
+/// Runs one outbound `frame` of corrupt process `me` (group of `n`)
+/// through `strategy`, once per destination in `dests`, in order, and
+/// returns the `(destination, frame)` pairs that travel instead. The
+/// frame is decoded once; one that does not decode travels unchanged.
+pub fn rewrite_frame(
+    strategy: &mut dyn Strategy,
+    me: ProcessId,
+    n: usize,
+    frame: &Bytes,
+    dests: std::ops::Range<ProcessId>,
+) -> Vec<(ProcessId, Bytes)> {
+    let Some((key, msg)) = decode_frame(frame) else {
+        return dests.map(|to| (to, frame.clone())).collect();
+    };
+    dests
+        .flat_map(|to| {
+            let frames = strategy.rewrite(&SendCtx { me, to, n }, key, msg.clone());
+            frames.into_iter().map(move |frame| (to, frame))
+        })
+        .collect()
 }
 
 /// What the innermost reliable/echo-broadcast payload of a message
@@ -486,6 +513,35 @@ mod tests {
         let (k2, m2) = decode_frame(&frame).expect("decodes");
         assert_eq!(k2, key);
         assert_eq!(m2, msg);
+    }
+
+    #[test]
+    fn xfer_frames_decode_and_pass_every_strategy_but_random_mutation() {
+        let chunk = XferMessage::ChunkResp {
+            seq: 8,
+            idx: 2,
+            data: Bytes::from_static(b"chunk"),
+            proof: vec![[3; 32]],
+        };
+        let frame = crate::stack::encode_xfer(&chunk.to_bytes());
+        assert_eq!(
+            ProtocolMsg::Xfer(chunk.clone()).frame(InstanceKey::Xfer),
+            frame
+        );
+        assert_eq!(
+            decode_frame(&frame),
+            Some((InstanceKey::Xfer, ProtocolMsg::Xfer(chunk)))
+        );
+        for kind in StrategyKind::ALL {
+            if kind == StrategyKind::RandomMutation {
+                continue;
+            }
+            // Three peers: `stale-replay` re-injects on every fourth send.
+            let out = rewrite_frame(kind.build(1).as_mut(), 3, 4, &frame, 0..3);
+            let dests: Vec<ProcessId> = out.iter().map(|(to, _)| *to).collect();
+            assert_eq!(dests, [0, 1, 2], "{kind}");
+            assert!(out.iter().all(|(_, f)| *f == frame), "{kind}");
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! | `ritas_destroy` | [`Node::shutdown`] |
 
 use crate::ab::AbDelivery;
+use crate::adversary::{rewrite_frame, Strategy};
 use crate::bc::Profile;
 use crate::config::{ConfigError, Group};
 use crate::error::ProtocolError;
@@ -337,7 +338,7 @@ impl Node {
     ///
     /// Panics if `me` is out of range for the hub.
     pub fn rejoin(config: &SessionConfig, hub: &Hub, me: ProcessId) -> Result<Node, NodeError> {
-        Node::assemble(config, me, hub.reattach(me), Metrics::new(), true)
+        Node::assemble(config, me, hub.reattach(me), Metrics::new(), true, None)
     }
 
     /// Starts process `me` of the session described by `config` over
@@ -359,18 +360,19 @@ impl Node {
         me: ProcessId,
         transport: T,
     ) -> Result<Node, NodeError> {
-        Node::assemble(config, me, transport, Metrics::new(), false)
+        Node::assemble(config, me, transport, Metrics::new(), false, None)
     }
 
     /// [`Node::new`] with the registry `metrics` (shared with a transport
-    /// that already counts into it) and, when `hold_ab`, the AB session
-    /// held for a rejoin.
-    fn assemble<T: Transport + Sync + 'static>(
+    /// that already counts into it), when `hold_ab`, the AB session held
+    /// for a rejoin, and with a `strategy`, a Byzantine process.
+    pub(crate) fn assemble<T: Transport + Sync + 'static>(
         config: &SessionConfig,
         me: ProcessId,
         transport: T,
         metrics: Metrics,
         hold_ab: bool,
+        strategy: Option<Box<dyn Strategy>>,
     ) -> Result<Node, NodeError> {
         let table = KeyTable::dealer(config.group.n(), config.master_seed);
         let mut stack = Stack::with_config(
@@ -404,7 +406,7 @@ impl Node {
             auth = auth.with_initial_seq(now);
         }
         let transport = AuthenticatedTransport::new(transport, auth);
-        let mut node = Node::spawn(transport, stack, metrics, config.stall_budget);
+        let mut node = Node::spawn(transport, stack, metrics, config.stall_budget, strategy);
         if config.metrics_endpoint {
             node.serve_metrics().map_err(|_| NodeError::Disconnected)?;
         }
@@ -453,7 +455,7 @@ impl Node {
         let mut chaos = Vec::with_capacity(n);
         for ((me, ep), metrics) in endpoints.into_iter().enumerate().zip(metrics) {
             chaos.push(ep.chaos_handle());
-            nodes.push(Node::assemble(&config, me, ep, metrics, false)?);
+            nodes.push(Node::assemble(&config, me, ep, metrics, false, None)?);
         }
         Ok((nodes, chaos))
     }
@@ -465,6 +467,7 @@ impl Node {
         mut stack: Stack,
         metrics: Metrics,
         stall_budget: Option<Duration>,
+        strategy: Option<Box<dyn Strategy>>,
     ) -> Node {
         let id = stack.id();
         let group_size = stack.group().n();
@@ -499,6 +502,7 @@ impl Node {
                     rb_tx,
                     eb_tx,
                     feed_tx,
+                    strategy,
                 };
                 let mut last_state_refresh: u64 = 0;
                 let mut stalled = false;
@@ -1120,6 +1124,8 @@ struct Worker {
     rb_tx: Sender<(ProcessId, Bytes)>,
     eb_tx: Sender<(ProcessId, Bytes)>,
     feed_tx: Sender<Output>,
+    /// A Byzantine node's lie, applied to everything it sends a peer.
+    strategy: Option<Box<dyn Strategy>>,
 }
 
 impl Worker {
@@ -1318,9 +1324,23 @@ impl Worker {
 
     /// Queues `message` for `to` until the pass ends.
     fn queue(&mut self, to: ProcessId, message: Bytes) {
-        // Out of range, the transport would refuse it anyway.
-        if let Some(outbox) = self.outbox.get_mut(to) {
+        if self.strategy.is_some() {
+            self.queue_rewritten(to, message);
+        } else if let Some(outbox) = self.outbox.get_mut(to) {
+            // Out of range, the transport would refuse it anyway.
             outbox.push(message);
+        }
+    }
+
+    /// [`Worker::queue`] on a Byzantine node: what the strategy makes of
+    /// `message` is queued instead. Out of the honest path's way.
+    #[cold]
+    #[inline(never)]
+    fn queue_rewritten(&mut self, to: ProcessId, message: Bytes) {
+        let (me, n) = (self.stack.id(), self.transport.group_size());
+        if let (Some(strategy), Some(outbox)) = (&mut self.strategy, self.outbox.get_mut(to)) {
+            let frames = rewrite_frame(strategy.as_mut(), me, n, &message, to..to + 1);
+            outbox.extend(frames.into_iter().map(|(_, frame)| frame));
         }
     }
 

@@ -393,9 +393,6 @@ struct CoreInner {
 /// read by the digest accessors.
 struct RecoveryCore {
     cfg: RecoveryConfig,
-    /// Fault-injection hook: serve bit-flipped chunk bytes (a Byzantine
-    /// snapshot server). Rejoiners must reject them by Merkle proof.
-    tamper: AtomicBool,
     inner: Mutex<CoreInner>,
 }
 
@@ -403,7 +400,6 @@ impl RecoveryCore {
     fn new(cfg: RecoveryConfig, n: usize) -> Arc<Self> {
         Arc::new(RecoveryCore {
             cfg,
-            tamper: AtomicBool::new(false),
             inner: Mutex::new(CoreInner {
                 applied_seq: 0,
                 applied_next: vec![0; n],
@@ -706,7 +702,7 @@ fn serve_xfer(node: &Node, core: &RecoveryCore, msg: XferMessage) -> Option<Xfer
         }
         XferMessage::ChunkReq { seq, idx } => {
             let inner = unpoison(core.inner.lock());
-            let (mut data, proof) = match inner.snaps.iter().find(|b| b.manifest.seq == seq) {
+            let (data, proof) = match inner.snaps.iter().find(|b| b.manifest.seq == seq) {
                 Some(b) => (
                     Bytes::copy_from_slice(b.chunk(idx, core.cfg.chunk_size)),
                     b.tree.proof(idx),
@@ -714,11 +710,6 @@ fn serve_xfer(node: &Node, core: &RecoveryCore, msg: XferMessage) -> Option<Xfer
                 None => (Bytes::new(), Vec::new()),
             };
             drop(inner);
-            if core.tamper.load(Ordering::SeqCst) && !data.is_empty() {
-                let mut v = data.to_vec();
-                v[0] ^= 0xff;
-                data = v.into();
-            }
             node.metrics().recovery_chunks_served.inc();
             Some(XferMessage::ChunkResp {
                 seq,
@@ -1378,15 +1369,6 @@ impl<S: SnapshotState + Send + 'static> Replica<S> {
         let core = self.recovery.as_ref()?;
         let inner = unpoison(core.inner.lock());
         inner.snaps.last().map(|b| b.bytes.clone())
-    }
-
-    /// Fault-injection hook: when set, this replica serves bit-flipped
-    /// snapshot chunk bytes (a Byzantine snapshot server). Rejoiners
-    /// must detect the corruption by Merkle proof and fetch elsewhere.
-    pub fn set_chunk_tamper(&self, on: bool) {
-        if let Some(core) = &self.recovery {
-            core.tamper.store(on, Ordering::SeqCst);
-        }
     }
 
     /// The replicated rotation-coordinator state as of the last applied

@@ -757,16 +757,10 @@ impl<S: Send + 'static> ServiceReplica<S> {
         (ticket, rx): Ticket,
         timeout: Duration,
     ) -> Result<Bytes, ServiceError> {
-        match rx.recv_timeout(timeout) {
-            Ok(reply) => {
-                self.metrics.service_replies_total.inc();
-                Ok(reply)
-            }
-            Err(_) => {
-                unpoison(self.waiters.lock()).withdraw((client, seq), ticket);
-                Err(ServiceError::Timeout)
-            }
-        }
+        rx.recv_timeout(timeout).map_err(|_| {
+            unpoison(self.waiters.lock()).withdraw((client, seq), ticket);
+            ServiceError::Timeout
+        })
     }
 
     /// Reads the application state under the replica lock (local tests
@@ -869,12 +863,6 @@ impl<S: SnapshotState + Send + 'static> ServiceReplica<S> {
         self.replica.latest_snapshot_bytes()
     }
 
-    /// Fault-injection hook: serve corrupted snapshot chunks (see
-    /// [`Replica::set_chunk_tamper`]).
-    pub fn set_chunk_tamper(&self, on: bool) {
-        self.replica.set_chunk_tamper(on);
-    }
-
     /// Arms the proactive-recovery rotation driver on the underlying
     /// replica (see [`Replica::start_rotation`]): `on_wipe(epoch)` fires
     /// when this replica's ordered wipe slot opens and it is healthy
@@ -973,6 +961,8 @@ mod tests {
         // A second sequence number applies normally.
         let next = r0.submit(5, 2, CommandKind::Apply, incr(), T).unwrap();
         assert_eq!(next.as_ref(), 2u64.to_be_bytes());
+        // The replica layer sends no reply; its front-end counts those.
+        assert_eq!(r0.metrics().service_replies_total.get(), 0);
         for r in &replicas {
             r.shutdown();
         }

@@ -11,16 +11,23 @@
 //! explore different schedules). Timing-aware execution lives in the
 //! `ritas-sim` crate; this harness is for functional tests of the
 //! protocol logic.
+//!
+//! [`byzantine_cluster_with_hub`] puts the same adversary on real
+//! threads: a [`Node`] cluster in which one process lies through a
+//! [`Strategy`], sealing its lies under its own AH keys.
 
-use crate::adversary::{seeded_rng, SendCtx, Strategy};
+use crate::adversary::{rewrite_frame, seeded_rng, Strategy};
 use crate::bc::Profile;
 use crate::config::Group;
 use crate::ctx::Ctx;
+use crate::node::{Node, NodeError, SessionConfig};
 use crate::stack::{Stack, StackConfig};
 use crate::step::{Outgoing, Process, Step, Target};
 use crate::ProcessId;
 use bytes::Bytes;
 use ritas_crypto::{KeyTable, XorShift64};
+use ritas_metrics::Metrics;
+use ritas_transport::Hub;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -386,29 +393,17 @@ where
 /// The [`Cluster`]'s wire: per process, an optional Byzantine rewrite of
 /// everything its stack sends.
 pub struct Byzantine {
-    /// Protocol-aware Byzantine strategies (see [`crate::adversary`]):
-    /// when set for a process, every outbound frame is decoded and run
-    /// through the strategy once per destination before it travels.
+    /// Per process, the strategy its frames go through ([`rewrite_frame`]).
     strategies: Vec<Option<Box<dyn Strategy>>>,
 }
 
 impl Wire<Bytes> for Byzantine {
     fn carry(&mut self, p: ProcessId, n: usize, out: Outgoing<Bytes>) -> Vec<(ProcessId, Bytes)> {
         let dests = destinations(n, out.target);
-        if let Some(strategy) = &mut self.strategies[p] {
-            // An honest stack never emits an undecodable frame; if one
-            // appears (strategy-injected), it passes through below.
-            if let Some((key, msg)) = crate::adversary::decode_frame(&out.message) {
-                return dests
-                    .flat_map(|to| {
-                        let ctx = SendCtx { me: p, to, n };
-                        let frames = strategy.rewrite(&ctx, key, msg.clone());
-                        frames.into_iter().map(move |frame| (to, frame))
-                    })
-                    .collect();
-            }
+        match &mut self.strategies[p] {
+            Some(strategy) => rewrite_frame(strategy.as_mut(), p, n, &out.message, dests),
+            None => dests.map(|to| (to, out.message.clone())).collect(),
         }
-        dests.map(|to| (to, out.message.clone())).collect()
     }
 }
 
@@ -499,6 +494,33 @@ impl Cluster {
     pub fn metrics(&self, p: ProcessId) -> &ritas_metrics::Metrics {
         self.process(p).metrics()
     }
+}
+
+/// [`Node::cluster_with_hub`] with process `p` Byzantine: its protocol
+/// thread runs every message it sends a peer through `strategy` (see
+/// [`rewrite_frame`]), and the AH layer seals what comes out under `p`'s
+/// real keys.
+///
+/// # Errors
+///
+/// As [`Node::cluster_with_hub`].
+pub fn byzantine_cluster_with_hub(
+    config: &SessionConfig,
+    p: ProcessId,
+    strategy: Box<dyn Strategy>,
+) -> Result<(Vec<Node>, Hub), NodeError> {
+    let mut hub = Hub::new(config.group().n());
+    let mut strategy = Some(strategy);
+    let nodes = hub
+        .take_endpoints()
+        .into_iter()
+        .enumerate()
+        .map(|(me, ep)| {
+            let strategy = strategy.take_if(|_| me == p);
+            Node::assemble(config, me, ep, Metrics::new(), false, strategy)
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((nodes, hub))
 }
 
 #[cfg(test)]

@@ -16,10 +16,10 @@ use crate::wire::{
 use bytes::Bytes;
 use ritas::service::{request_span, CommandKind, ServiceError, ServiceReplica};
 use ritas_crypto::ClientKeyDealer;
-use ritas_metrics::{unpoison, Layer};
+use ritas_metrics::Layer;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -42,19 +42,12 @@ impl Default for ServerConfig {
     }
 }
 
-/// A hook rewriting sealed-to-be reply payloads — the conformance
-/// harness's model of a *Byzantine front-end* that lies to its clients
-/// (with a perfectly valid MAC: the liar owns its link keys) rather
-/// than to its peers.
-pub type ReplyTamper = dyn Fn(&Request, Bytes) -> Bytes + Send + Sync;
-
 /// The TCP front-end of one service replica.
 pub struct ServiceServer<S: Send + 'static> {
     replica: Arc<ServiceReplica<S>>,
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    tamper: Arc<Mutex<Option<Arc<ReplyTamper>>>>,
 }
 
 impl<S: Send + 'static> ServiceServer<S> {
@@ -72,11 +65,9 @@ impl<S: Send + 'static> ServiceServer<S> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let tamper: Arc<Mutex<Option<Arc<ReplyTamper>>>> = Arc::new(Mutex::new(None));
         let accept_thread = {
             let replica = Arc::clone(&replica);
             let stop = Arc::clone(&stop);
-            let tamper = Arc::clone(&tamper);
             std::thread::spawn(move || {
                 let mut conn_threads = Vec::new();
                 // Blocks in `accept`, so a client is served the moment it
@@ -88,10 +79,9 @@ impl<S: Send + 'static> ServiceServer<S> {
                     }
                     let replica = Arc::clone(&replica);
                     let stop = Arc::clone(&stop);
-                    let tamper = Arc::clone(&tamper);
                     let config = config.clone();
                     conn_threads.push(std::thread::spawn(move || {
-                        serve_connection(stream, replica, dealer, config, stop, tamper);
+                        serve_connection(stream, replica, dealer, config, stop);
                     }));
                 }
                 for t in conn_threads {
@@ -104,7 +94,6 @@ impl<S: Send + 'static> ServiceServer<S> {
             addr,
             stop,
             accept_thread: Some(accept_thread),
-            tamper,
         })
     }
 
@@ -116,14 +105,6 @@ impl<S: Send + 'static> ServiceServer<S> {
     /// The replica this front-end serves.
     pub fn replica(&self) -> &Arc<ServiceReplica<S>> {
         &self.replica
-    }
-
-    /// Installs a reply-corruption hook (conformance tests only): every
-    /// subsequent `Status::Ok` reply payload is rewritten by `f` before
-    /// sealing, turning this replica into an actively lying Byzantine
-    /// front-end with valid MACs.
-    pub fn set_reply_tamper(&self, f: impl Fn(&Request, Bytes) -> Bytes + Send + Sync + 'static) {
-        *unpoison(self.tamper.lock()) = Some(Arc::new(f));
     }
 
     /// Stops accepting, closes serving threads, and waits for them.
@@ -162,7 +143,6 @@ fn serve_connection<S: Send + 'static>(
     dealer: ClientKeyDealer,
     config: ServerConfig,
     stop: Arc<AtomicBool>,
-    tamper: Arc<Mutex<Option<Arc<ReplyTamper>>>>,
 ) {
     let metrics = replica.metrics().clone();
     let me = replica.id() as u16;
@@ -228,10 +208,6 @@ fn serve_connection<S: Send + 'static>(
             }
         };
         let (status, payload) = execute(&replica, &request, config.request_timeout);
-        let payload = match (&status, unpoison(tamper.lock()).clone()) {
-            (Status::Ok, Some(t)) => t(&request, payload),
-            _ => payload,
-        };
         let span = request_span(&metrics, request.client, request.seq, "/reply");
         if let Some(span) = &span {
             metrics.span_open(span.as_str(), Layer::Service);

@@ -3,8 +3,11 @@
 //! C library (§3).
 
 use bytes::Bytes;
+use ritas::adversary::StrategyKind;
 use ritas::node::{Node, NodeError, SessionConfig};
+use ritas::testing::byzantine_cluster_with_hub;
 use ritas_metrics::FlightKind;
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// Runs `body` on every node of a fresh cluster, in parallel threads.
@@ -348,4 +351,63 @@ fn shutdown_disconnects_pending_receivers() {
         node.atomic_broadcast(Bytes::from_static(b"x")),
         Err(NodeError::Disconnected)
     ));
+}
+
+/// Every built-in adversary strategy on real threads: node 3 runs it
+/// through the node worker's strategy seam while nodes 0–2 each
+/// a-broadcast 10 payloads. Each correct node a-delivers until it holds
+/// all 30; their delivered sequences agree on their common prefix, and
+/// each holds every correct payload exactly once.
+#[test]
+fn every_strategy_on_threads_keeps_the_correct_nodes_in_total_order() {
+    for (i, kind) in StrategyKind::ALL.into_iter().enumerate() {
+        let seed = 0xB12A + i as u64;
+        let config = SessionConfig::new(4).unwrap();
+        let (mut nodes, _hub) = byzantine_cluster_with_hub(&config, 3, kind.build(seed)).unwrap();
+        let byzantine = nodes.pop().expect("node 3");
+        let handles: Vec<_> = nodes
+            .into_iter()
+            .map(|node| {
+                std::thread::spawn(move || {
+                    for k in 0..10u8 {
+                        node.atomic_broadcast(Bytes::from(vec![node.id() as u8, k]))
+                            .unwrap();
+                    }
+                    let mut delivered = Vec::new();
+                    let mut held: HashMap<Bytes, usize> = HashMap::new();
+                    while held.len() < 30 {
+                        let d = node
+                            .atomic_recv_timeout(Duration::from_secs(10))
+                            .unwrap_or_else(|e| {
+                                panic!("{kind} seed {seed}: node {} starved: {e:?}", node.id())
+                            });
+                        if d.payload.len() == 2 && d.payload[0] < 3 && d.payload[1] < 10 {
+                            *held.entry(d.payload.clone()).or_default() += 1;
+                        }
+                        delivered.push((d.id, d.payload));
+                    }
+                    (node, delivered, held)
+                })
+            })
+            .collect();
+        let runs: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let shortest = runs.iter().map(|(_, d, _)| d.len()).min().unwrap();
+        for (node, delivered, held) in &runs {
+            assert_eq!(
+                delivered[..shortest],
+                runs[0].1[..shortest],
+                "{kind} seed {seed}: node {} left the total order",
+                node.id()
+            );
+            assert!(
+                held.values().all(|&count| count == 1),
+                "{kind} seed {seed}: node {} a-delivered a payload twice",
+                node.id()
+            );
+        }
+        for (node, _, _) in runs {
+            node.shutdown();
+        }
+        byzantine.shutdown();
+    }
 }

@@ -27,9 +27,12 @@ mod common;
 
 use bytes::Bytes;
 use common::{audit_apply, audit_query, duplicate_applies, Audit};
+use ritas::adversary::{ProtocolMsg, SendCtx, Strategy};
 use ritas::node::{Node, SessionConfig};
-use ritas::recovery::{milestones, RecoveryConfig};
+use ritas::recovery::{milestones, RecoveryConfig, XferMessage};
 use ritas::service::{ClientId, CommandKind, ServiceConfig, ServiceReplica};
+use ritas::stack::InstanceKey;
+use ritas::testing::byzantine_cluster_with_hub;
 use ritas_metrics::{FlightKind, Metrics, SuspicionKind};
 use std::time::{Duration, Instant};
 
@@ -81,6 +84,28 @@ fn build(node: Node) -> ServiceReplica<Audit> {
 
 const SUBMIT_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// A Byzantine snapshot server: byte 0 of every chunk it serves is
+/// flipped, and everything else it sends travels unchanged.
+#[derive(Debug)]
+struct CorruptChunks;
+
+impl Strategy for CorruptChunks {
+    fn name(&self) -> &'static str {
+        "corrupt-chunks"
+    }
+
+    fn rewrite(&mut self, _ctx: &SendCtx, key: InstanceKey, mut msg: ProtocolMsg) -> Vec<Bytes> {
+        if let ProtocolMsg::Xfer(XferMessage::ChunkResp { data, .. }) = &mut msg {
+            if !data.is_empty() {
+                let mut v = data.to_vec();
+                v[0] ^= 0xff;
+                *data = v.into();
+            }
+        }
+        vec![msg.frame(key)]
+    }
+}
+
 /// Submits `(client, seq)` at `at` and returns the reply.
 fn submit(at: &ServiceReplica<Audit>, client: ClientId, seq: u64) -> Bytes {
     at.submit(
@@ -109,7 +134,12 @@ fn assert_no_duplicate_applies(replicas: &[&ServiceReplica<Audit>], expect_total
 #[test]
 fn rejoin_under_load_with_byzantine_chunk_server() {
     let config = SessionConfig::new(4).unwrap();
-    let (nodes, hub) = Node::cluster_with_hub(&config).unwrap();
+    // Peer 1 is Byzantine on the transfer path only: it serves
+    // bit-flipped snapshot chunks but participates honestly in
+    // ordering (its manifest is honest too, so the rejoiner will list
+    // it as a chunk holder and catch the corruption by Merkle proof).
+    // It serves no chunk before the wipe below.
+    let (nodes, hub) = byzantine_cluster_with_hub(&config, 1, Box::new(CorruptChunks)).unwrap();
     let mut replicas: Vec<_> = nodes.into_iter().map(build).collect();
 
     // Pre-crash load: 30 commands from the load client plus one probe
@@ -121,12 +151,6 @@ fn rejoin_under_load_with_byzantine_chunk_server() {
         submit(&replicas[0], 1, seq);
     }
     let probe_reply = submit(&replicas[1], 7, 5);
-
-    // Peer 1 turns Byzantine on the transfer path only: it serves
-    // bit-flipped snapshot chunks but participates honestly in
-    // ordering (its manifest is honest too, so the rejoiner will list
-    // it as a chunk holder and catch the corruption by Merkle proof).
-    replicas[1].set_chunk_tamper(true);
 
     // Fail-stop and wipe replica 3.
     hub.crash(3);

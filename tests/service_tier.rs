@@ -36,8 +36,11 @@ use ritas_crypto::ClientKeyDealer;
 use ritas_metrics::Metrics;
 use ritas_service::client::{ClientConfig, ServiceClient};
 use ritas_service::server::{ServerConfig, ServiceServer};
-use ritas_service::wire::RequestKind;
-use std::net::{SocketAddr, TcpStream};
+use ritas_service::wire::{
+    connection_key, fresh_nonce, read_frame, write_frame, Hello, HelloAck, Reply, Request,
+    RequestKind, Status,
+};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -104,6 +107,73 @@ fn shutdown(mut servers: Vec<ServiceServer<Audit>>) {
     }
 }
 
+/// A Byzantine front-end of replica `replica`: a proxy that holds the
+/// replica's client link keys, which is what an intruded replica holds.
+/// It answers a client's HELLO as the replica (with its own server
+/// nonce), dials the real front-end at `real` as the same client,
+/// forwards every request, and seals every reply back with `lie` applied
+/// to `Status::Ok` payloads: a lie with a valid MAC, which only the
+/// `f+1` vote can reject. Returns the address clients dial instead.
+fn lying_front_end(
+    real: SocketAddr,
+    replica: u16,
+    key_seed: u64,
+    lie: impl Fn(&Request, Bytes) -> Bytes + Send + Sync + 'static,
+) -> SocketAddr {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind the liar");
+    let addr = listener.local_addr().expect("liar address");
+    let dealer = ClientKeyDealer::new(key_seed);
+    let lie = Arc::new(lie);
+    std::thread::spawn(move || {
+        for down in listener.incoming().flatten() {
+            let lie = Arc::clone(&lie);
+            std::thread::spawn(move || relay(down, real, replica, dealer, &*lie));
+        }
+    });
+    addr
+}
+
+/// Serves one client connection of [`lying_front_end`] until either
+/// side closes it. A front-end serves a connection's requests in order,
+/// so each reply upstream answers the request just forwarded.
+fn relay(
+    mut down: TcpStream,
+    real: SocketAddr,
+    replica: u16,
+    dealer: ClientKeyDealer,
+    lie: &dyn Fn(&Request, Bytes) -> Bytes,
+) -> Option<()> {
+    let hello_frame = read_frame(&mut down).ok()?;
+    let client = Hello::peek_client(&hello_frame).ok()?;
+    let key = dealer.link_key(client, u64::from(replica));
+    let hello = Hello::open(&hello_frame, &key).ok()?;
+    let mut up = TcpStream::connect(real).ok()?;
+    // A frame is two writes (length, body): no Nagle delay on either hop.
+    up.set_nodelay(true).ok()?;
+    down.set_nodelay(true).ok()?;
+    let nonce = fresh_nonce();
+    write_frame(&mut up, &Hello { client, nonce }.seal(&key)).ok()?;
+    let ack = HelloAck::open(&read_frame(&mut up).ok()?, &key).ok()?;
+    let up_key = connection_key(&key, nonce, ack.server_nonce);
+    let server_nonce = fresh_nonce();
+    let ack = HelloAck {
+        nonce: hello.nonce,
+        server_nonce,
+        ..ack
+    };
+    write_frame(&mut down, &ack.seal(&key)).ok()?;
+    let down_key = connection_key(&key, hello.nonce, server_nonce);
+    loop {
+        let request = Request::open(&read_frame(&mut down).ok()?, &down_key).ok()?;
+        write_frame(&mut up, &request.seal(&up_key)).ok()?;
+        let mut reply = Reply::open(&read_frame(&mut up).ok()?, &up_key).ok()?;
+        if reply.status == Status::Ok {
+            reply.payload = lie(&request, reply.payload);
+        }
+        write_frame(&mut down, &reply.seal(&down_key)).ok()?;
+    }
+}
+
 /// Every replica corrupts the *first* reply it sends for any given
 /// `(client, seq)` — so the first vote round can never reach `f+1`
 /// matching votes (all its replies are distinct garbage) and the client
@@ -114,21 +184,23 @@ fn shutdown(mut servers: Vec<ServiceServer<Audit>>) {
 #[test]
 fn client_retry_is_applied_exactly_once() {
     let (servers, key_seed) = cluster(ServiceConfig::default(), Duration::ZERO);
+    let mut addrs = Vec::new();
     for (i, server) in servers.iter().enumerate() {
         let seen = Mutex::new(std::collections::HashSet::new());
-        server.set_reply_tamper(move |req, payload| {
+        let lie = move |req: &Request, payload| {
             if seen.lock().unwrap().insert((req.client, req.seq)) {
                 // First sight: a per-replica lie (valid MAC, wrong bytes).
                 Bytes::from(format!("corrupt-{i}"))
             } else {
                 payload
             }
-        });
+        };
+        addrs.push(lying_front_end(server.addr(), i as u16, key_seed, lie));
     }
     let metrics = Metrics::new();
     let mut client = ServiceClient::new(
         7,
-        addrs_of(&servers),
+        addrs,
         ClientConfig {
             key_seed,
             request_timeout: Duration::from_millis(700),
@@ -177,10 +249,11 @@ fn client_retry_is_applied_exactly_once() {
 fn byzantine_replica_replies_are_outvoted() {
     let (servers, key_seed) = cluster(ServiceConfig::default(), Duration::ZERO);
     let tampered = Arc::new(AtomicU64::new(0));
+    let mut addrs = addrs_of(&servers);
     {
         let mutator = Mutex::new(FrameMutator::new(0xBAD));
         let tampered = Arc::clone(&tampered);
-        servers[0].set_reply_tamper(move |_req, payload| {
+        addrs[0] = lying_front_end(addrs[0], 0, key_seed, move |_req, payload| {
             tampered.fetch_add(1, Ordering::Relaxed);
             mutator.lock().unwrap().flip_bit(payload)
         });
@@ -188,7 +261,7 @@ fn byzantine_replica_replies_are_outvoted() {
 
     let mut client = ServiceClient::new(
         11,
-        addrs_of(&servers),
+        addrs,
         ClientConfig {
             key_seed,
             ..ClientConfig::default()
@@ -538,7 +611,8 @@ fn clients_complete_every_invoke_while_a_front_end_is_gone() {
 #[test]
 fn a_read_never_misses_a_completed_write() {
     let (servers, key_seed) = cluster(ServiceConfig::default(), Duration::ZERO);
-    servers[0].set_reply_tamper(|req, payload| {
+    let mut addrs = addrs_of(&servers);
+    addrs[0] = lying_front_end(addrs[0], 0, key_seed, |req, payload| {
         if req.kind == RequestKind::Apply {
             payload
         } else {
@@ -559,7 +633,7 @@ fn a_read_never_misses_a_completed_write() {
 
     let mut client = ServiceClient::new(
         1,
-        addrs_of(&servers),
+        addrs,
         ClientConfig {
             key_seed,
             ..ClientConfig::default()
