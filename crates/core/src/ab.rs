@@ -1576,8 +1576,14 @@ mod tests {
         net.run();
         for p in 0..4 {
             assert_eq!(net.outputs(p).len(), 40);
-            let ag = net.process(p).stats().agreements;
+            let stats = net.process(p).stats();
+            let ag = stats.agreements;
             assert!(ag <= 10, "too many agreements: {ag}");
+            // One sample per non-⊥ agreement; together they order every batch.
+            let batches = net.process(p).ctx.metrics.ab_batch.snapshot();
+            assert_eq!(batches.count, ag - stats.bottom_agreements);
+            let flushed: u64 = (0..4).map(|q| net.process(q).stats().batches).sum();
+            assert_eq!(batches.sum, flushed);
         }
     }
 

@@ -333,7 +333,6 @@ impl LeanConsensus {
             None
         };
         if let Some(kind) = rejected {
-            self.ctx.metrics.bc_rejected.inc();
             return Step::fault(from, kind);
         }
         let mut out = Step::none();
@@ -353,7 +352,6 @@ impl LeanConsensus {
             }
             LeanKind::Aux => {
                 if !self.round_mut(round).aux(from, value) {
-                    self.ctx.metrics.bc_rejected.inc();
                     out.push_fault(from, FaultKind::Equivocation);
                 }
             }
@@ -368,7 +366,6 @@ impl LeanConsensus {
             None => self.terms[from] = Some((round, value)),
             Some(had) if had == (round, value) => return,
             Some(_) => {
-                self.ctx.metrics.bc_rejected.inc();
                 out.push_fault(from, FaultKind::Equivocation);
                 return;
             }
@@ -379,7 +376,6 @@ impl LeanConsensus {
             let st = self.round_mut(r);
             st.est(from, value);
             if !st.aux(from, value) {
-                self.ctx.metrics.bc_rejected.inc();
                 out.push_fault(from, FaultKind::Equivocation);
             }
             self.update(r, out);

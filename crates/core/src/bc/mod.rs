@@ -471,16 +471,13 @@ impl BinaryConsensus {
     /// Handles a protocol message from `from`.
     pub fn handle_message(&mut self, from: ProcessId, message: BcMessage) -> BcStep {
         if !self.ctx.group.contains(from) || !self.ctx.group.contains(message.origin) {
-            self.ctx.metrics.bc_rejected.inc();
             return Step::fault(from, FaultKind::NotEntitled);
         }
         if message.round == 0 || !(1..=3).contains(&message.step) {
-            self.ctx.metrics.bc_rejected.inc();
             return Step::fault(from, FaultKind::Malformed);
         }
         if message.round > self.round.saturating_add(MAX_ROUND_AHEAD) {
             // Memory-bounding: refuse to buffer absurdly distant rounds.
-            self.ctx.metrics.bc_rejected.inc();
             return Step::fault(from, FaultKind::Unjustified);
         }
         let (round, step, origin) = (message.round, message.step, message.origin);
@@ -493,7 +490,6 @@ impl BinaryConsensus {
             match Self::decode_step_value(&payload, step) {
                 Ok(v) => self.record_pending(round, step, origin, v),
                 Err(_) => {
-                    self.ctx.metrics.bc_rejected.inc();
                     out.push_fault(origin, FaultKind::Malformed);
                 }
             }

@@ -239,10 +239,7 @@ impl EchoBroadcast {
                 self.ctx.metrics.eb_vect_recv.inc();
                 self.on_vect(from, v)
             }
-            EbMessage::Mat(col) => {
-                self.ctx.metrics.eb_mat_recv.inc();
-                self.on_mat(from, col)
-            }
+            EbMessage::Mat(col) => self.on_mat(from, col),
         }
     }
 
@@ -352,7 +349,6 @@ impl EchoBroadcast {
             self.ctx.close();
             Step::output(payload)
         } else {
-            self.ctx.metrics.eb_mac_rejected.inc();
             Step::fault(self.sender, FaultKind::BadAuthenticator)
         }
     }
@@ -468,6 +464,7 @@ mod tests {
         let col = vec![Some(honest(0)), None, Some(honest(2)), Some(honest(3))];
         let step = rx.handle_message(0, EbMessage::Mat(col));
         assert_eq!(step.outputs, vec![payload("m")]);
+        assert_eq!(rx.ctx.metrics.eb_delivered.get(), 1);
     }
 
     #[test]

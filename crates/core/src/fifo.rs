@@ -16,8 +16,13 @@
 //! Holdback is bounded per *correct* sender (gaps fill as agreements
 //! complete). A Byzantine sender that deliberately skips an `rbid`
 //! strands its own later messages in the holdback queue — it can censor
-//! only itself; use [`FifoOrder::held`] to monitor and
-//! [`FifoOrder::evict_sender`] to reclaim the memory.
+//! only itself; [`FifoOrder::held`] monitors that and
+//! [`FifoOrder::evict_sender`] would reclaim the memory. Nothing calls
+//! `evict_sender` yet, so today every correct replica keeps each such
+//! delivery (a view that pins its whole batch buffer) and the atomic
+//! broadcast keeps its rbid in the sparse delivered set, for good: one
+//! entry per command of the gapped sender. ROADMAP item 14 tracks this
+//! as its rbid-gap path.
 
 use crate::ab::AbDelivery;
 use crate::ProcessId;

@@ -567,7 +567,6 @@ impl MultiValuedConsensus {
             value,
         };
         let bytes = payload.to_bytes();
-        self.ctx.metrics.mvc_vect_bytes.record(bytes.len() as u64);
         let me = self.ctx.me;
         let sub = match self.vect_instance(me) {
             VectInstance::Echo(eb) => wrap_vect_echo(me, eb.broadcast(bytes).expect("one vect")),
@@ -877,6 +876,7 @@ mod tests {
         net.run();
         for p in 0..4 {
             assert_eq!(decision(&net, p), Some(None), "process {p}");
+            assert_eq!(net.process(p).ctx.metrics.mvc_decided_bottom.get(), 1);
         }
     }
 

@@ -63,10 +63,6 @@ const TAG_RECOVERY: u8 = 4;
 #[derive(Debug, Default)]
 struct OwnApplied {
     watermark: u64,
-    /// Everything below `base` predates this incarnation (it was covered
-    /// by the snapshot the replica rejoined from, or abandoned with the
-    /// wiped process): there is no local apply event to wait for.
-    base: u64,
     sparse: BTreeSet<u64>,
 }
 
@@ -93,25 +89,8 @@ impl OwnApplied {
         if rbid > self.watermark {
             self.watermark = rbid;
         }
-        if rbid > self.base {
-            self.base = rbid;
-        }
         self.sparse.retain(|&r| r >= rbid);
     }
-}
-
-/// How [`Replica::wait_applied_covered`] observed a command's fate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Applied {
-    /// The command was applied live on this replica.
-    Fresh,
-    /// The rbid predates this incarnation's snapshot watermark: it was
-    /// resolved — applied through the restored snapshot, or lost with
-    /// the wiped process — before this replica rejoined, so its effect
-    /// (if any) is already in the state and there is nothing to wait
-    /// for. Clients should re-read or re-submit idempotently instead of
-    /// treating the gap as an error.
-    CoveredBySnapshot,
 }
 
 struct Shared<S> {
@@ -293,28 +272,6 @@ impl<S: Send + 'static> Replica<S> {
         self.shared.applied_cv.notify_all();
     }
 
-    /// Watermark-aware [`wait_applied`](Replica::submit_sync) variant
-    /// for clients of a rejoined replica: an rbid below the snapshot
-    /// watermark the replica restored from returns
-    /// [`Applied::CoveredBySnapshot`] immediately instead of blocking
-    /// forever (the pre-wipe incarnation's commands have no local apply
-    /// event), while live rbids wait exactly like `submit_sync`.
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError::Disconnected`] if the node has shut down before the
-    /// command applied.
-    pub fn wait_applied_covered(&self, rbid: u64) -> Result<Applied, NodeError> {
-        {
-            let applied = unpoison(self.shared.applied.lock());
-            if rbid < applied.base {
-                return Ok(Applied::CoveredBySnapshot);
-            }
-        }
-        self.wait_applied(rbid)?;
-        Ok(Applied::Fresh)
-    }
-
     fn wait_applied(&self, rbid: u64) -> Result<(), NodeError> {
         let mut applied = unpoison(self.shared.applied.lock());
         while !applied.contains(rbid) {
@@ -481,7 +438,6 @@ impl<S> Recovery<S> {
             let bundle = SnapshotBundle::build(&snap, cfg.chunk_size);
             let m = node.metrics();
             m.recovery_snapshots_total.inc();
-            m.recovery_snapshot_bytes.set(bundle.bytes.len() as u64);
             m.flight_record(
                 FlightKind::Recovery,
                 node.id() as u32,
@@ -1138,7 +1094,6 @@ where
             // Keep the FIFO's view of the sender aligned with what the
             // fill stream applied (fills bypass the FIFO).
             fifo.reset_sender(id.sender, id.rbid + 1);
-            node.metrics().recovery_fills_applied.inc();
             progressed = true;
         }
         fetch_missing_batches(node, &peers, f, live)?;
@@ -1221,7 +1176,6 @@ where
         // transport also fast-forwards on verified inbound traffic, so
         // this is a shortcut, not a correctness requirement.
         node.set_key_epoch(rotation.epoch);
-        m.recovery_snapshot_bytes.set(manifest.len);
     }
     let mut fifo = FifoOrder::from_watermarks(n, &snap_next);
 
@@ -1720,7 +1674,6 @@ mod tests {
         a.insert(5); // sparse
         a.fast_forward(1000);
         // Everything below the rejoin base reads as applied/covered…
-        assert_eq!(a.base, 1000);
         assert_eq!(a.watermark, 1000);
         assert!(a.contains(999));
         assert!(!a.contains(1000));
@@ -1730,36 +1683,7 @@ mod tests {
         assert_eq!(a.watermark, 1001);
         // A stale fast-forward never regresses the watermark.
         a.fast_forward(10);
-        assert_eq!(a.base, 1000);
         assert_eq!(a.watermark, 1001);
-    }
-
-    /// Satellite: `wait_applied_covered` must resolve pre-snapshot rbids
-    /// as `CoveredBySnapshot` immediately (no wait, no error), exactly at
-    /// the base boundary, while live rbids behave like `submit_sync`.
-    #[test]
-    fn wait_applied_covered_boundary() {
-        let nodes = Node::cluster(SessionConfig::new(4).unwrap()).unwrap();
-        let replicas: Vec<_> = nodes
-            .into_iter()
-            .map(|node| Replica::new(node, 0u64, |s, _, _| *s += 1))
-            .collect();
-        // Simulate a rejoin watermark on replica 0.
-        unpoison(replicas[0].shared.applied.lock()).fast_forward(50);
-        assert_eq!(
-            replicas[0].wait_applied_covered(49).unwrap(),
-            Applied::CoveredBySnapshot
-        );
-        // On a replica without a rejoin watermark the call waits for the
-        // real apply and reports it as fresh.
-        let id = replicas[1].submit_sync(Bytes::from_static(b"x")).unwrap();
-        assert_eq!(
-            replicas[1].wait_applied_covered(id.rbid).unwrap(),
-            Applied::Fresh
-        );
-        for r in &replicas {
-            r.shutdown();
-        }
     }
 
     fn small_recovery_cfg() -> RecoveryConfig {
@@ -2253,7 +2177,7 @@ mod tests {
         // A waiter blocked on the recovering replica must surface the
         // shutdown, not hang.
         assert_eq!(
-            rejoined.wait_applied_covered(u64::MAX).unwrap_err(),
+            rejoined.wait_applied(u64::MAX).unwrap_err(),
             NodeError::Disconnected
         );
         drop(rejoined); // joins the applier thread

@@ -963,6 +963,8 @@ mod tests {
         assert_eq!(next.as_ref(), 2u64.to_be_bytes());
         // The replica layer sends no reply; its front-end counts those.
         assert_eq!(r0.metrics().service_replies_total.get(), 0);
+        // One lookup per submit.
+        assert_eq!(r0.metrics().service_requests_total.get(), 3);
         for r in &replicas {
             r.shutdown();
         }

@@ -926,18 +926,13 @@ impl Stack {
         let (opened, parked) = &mut self.ooc_held[from];
         if *parked >= MAX_OOC_FRAMES / n || (opens && *opened >= MAX_OOC_INSTANCES / n) {
             self.ooc_dropped += 1;
-            metrics.stack_ooc_dropped.inc();
             return;
         }
         *opened += usize::from(opens);
         *parked += 1;
         self.ooc.entry(key).or_default().push_back((from, inner));
         self.ooc_buffered += 1;
-        metrics.stack_ooc_parked.inc();
         metrics.stack_ooc_buffered.set(self.ooc_buffered as u64);
-        metrics
-            .stack_ooc_high_water
-            .set_max(self.ooc_buffered as u64);
     }
 
     /// Removes what is parked for `key`, giving each peer its share back.

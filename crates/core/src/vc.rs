@@ -323,8 +323,6 @@ impl VectorConsensus {
                             self.ctx.metrics.vc_decided.inc();
                             // Rounds are 0-based; record how many ran.
                             self.ctx.metrics.vc_rounds.record(u64::from(round) + 1);
-                            let bottoms = v.iter().filter(|e| e.is_none()).count();
-                            self.ctx.metrics.vc_bottom_entries.add(bottoms as u64);
                             self.ctx.close();
                             out.push_output(v);
                             progressed = true;
@@ -445,6 +443,11 @@ mod tests {
             // at least f+1 = 2 entries are present.
             let present = d0.iter().flatten().count();
             assert!(present >= 2, "too few entries: {d0:?}");
+            for p in 0..4 {
+                let vc = net.process(p);
+                let rounds = vc.ctx.metrics.vc_rounds.snapshot();
+                assert_eq!((rounds.count, rounds.sum), (1, u64::from(vc.round) + 1));
+            }
             for (i, e) in d0.iter().enumerate() {
                 if let Some(v) = e {
                     assert_eq!(v.as_ref(), format!("p{i}").as_bytes());

@@ -1061,11 +1061,6 @@ instruments! {
     /// Session-resume handshakes completed after a link outage (epoch
     /// advances past the initial establishment).
     transport_reconnects_total: Counter,
-    /// Unacked frames retransmitted after a session resume.
-    transport_retransmits_total: Counter,
-    /// Inbound frames discarded by receive-side dedup (sequence already
-    /// delivered — the retransmission overlap after a resume).
-    transport_dup_dropped_total: Counter,
     /// Link transitions from `Up` into `Reconnecting`/`Down`.
     transport_link_down_total: Counter,
     /// Sends that hit the bounded retransmission buffer and gave up with
@@ -1095,12 +1090,8 @@ instruments! {
     eb_init_recv: Counter,
     /// Echo-vector messages received.
     eb_vect_recv: Counter,
-    /// Echo-matrix messages received.
-    eb_mat_recv: Counter,
     /// Payloads delivered by echo broadcast instances.
     eb_delivered: Counter,
-    /// Vector/matrix MAC entries that failed verification.
-    eb_mac_rejected: Counter,
 
     // ---- binary consensus (§2.4) ----
     /// Instances that proposed.
@@ -1109,8 +1100,6 @@ instruments! {
     bc_decided: Counter,
     /// Local/shared coin flips performed.
     bc_coin_flips: Counter,
-    /// Messages rejected by Bracha's validation rule.
-    bc_rejected: Counter,
     /// Rounds needed per decided instance.
     bc_rounds: Histogram,
     /// Decided instances woken from their quiet post-decision state: some
@@ -1124,16 +1113,12 @@ instruments! {
     mvc_decided_value: Counter,
     /// Instances that decided ⊥.
     mvc_decided_bottom: Counter,
-    /// Size in bytes of VECT payloads broadcast (value + justification).
-    mvc_vect_bytes: Histogram,
 
     // ---- vector consensus (§2.6) ----
     /// Instances that proposed.
     vc_started: Counter,
     /// Instances that decided.
     vc_decided: Counter,
-    /// ⊥ entries across decided vectors.
-    vc_bottom_entries: Counter,
     /// Agreement rounds needed per decided instance.
     vc_rounds: Histogram,
 
@@ -1144,7 +1129,7 @@ instruments! {
     ab_delivered: Counter,
     /// Agreement instances run (MVC decisions consumed).
     ab_agreements: Counter,
-    /// Messages ordered per non-⊥ agreement (the paper's batching lever).
+    /// Batches ordered per non-⊥ agreement (the paper's batching lever).
     ab_batch: Histogram,
     /// Commands packed per flushed dissemination batch.
     ab_batch_commands: Histogram,
@@ -1164,7 +1149,8 @@ instruments! {
     ab_latency_ns: Histogram,
 
     // ---- service tier (client front-end) ----
-    /// Client requests accepted by the server front-end (post-auth).
+    /// Requests looked up at the replica: one per `submit` or
+    /// `await_reply` call.
     service_requests_total: Counter,
     /// Replies sent back to clients.
     service_replies_total: Counter,
@@ -1194,9 +1180,6 @@ instruments! {
     /// Client-side: reply sets that never reached `f+1` matching votes
     /// within a round (Byzantine or divergent replies observed).
     service_client_vote_failures: Counter,
-    /// Client-side: individual replies discarded by the vote rule
-    /// (mismatching the winning value, bad MAC, or wrong status).
-    service_client_replies_rejected: Counter,
     /// Client-side: end-to-end request latency in nanoseconds (send of
     /// first copy → `f+1`-th matching reply).
     service_e2e_latency_ns: Histogram,
@@ -1219,18 +1202,12 @@ instruments! {
     ab_sent_pending: Gauge,
     /// Frames dispatched through the stack router.
     stack_frames_in: Counter,
-    /// Messages parked in the out-of-context buffer (§3.4).
-    stack_ooc_parked: Counter,
-    /// Out-of-context messages dropped by the buffer caps.
-    stack_ooc_dropped: Counter,
     /// Faults attributed to peers (equivocation, bad MACs, garbage…).
     faults_detected: Counter,
     /// Live protocol instances in the stack.
     stack_instances: Gauge,
     /// Messages currently parked out-of-context.
     stack_ooc_buffered: Gauge,
-    /// High-water mark of the out-of-context buffer.
-    stack_ooc_high_water: Gauge,
 
     // ---- health / forensics ----
     /// Watchdog stall detections: outstanding work made no protocol
@@ -1248,7 +1225,7 @@ instruments! {
     // ---- recovery (snapshots, state transfer, rejoin) ----
     /// Snapshots taken at apply-watermark boundaries.
     recovery_snapshots_total: Counter,
-    /// Snapshot/Merkle-node/chunk/fill requests served to peers.
+    /// Snapshot chunk requests served to rejoining peers.
     recovery_chunks_served: Counter,
     /// Snapshot chunks fetched (and proof-verified) during a rejoin.
     recovery_chunks_fetched: Counter,
@@ -1258,14 +1235,10 @@ instruments! {
     /// Fetched chunks whose Merkle proof failed verification (corrupt
     /// chunk server; also feeds the suspicion table).
     recovery_chunk_proof_rejected: Counter,
-    /// Log entries applied from the peer fill protocol while catching up.
-    recovery_fills_applied: Counter,
     /// Rejoins that reached the `Live` phase.
     recovery_completed_total: Counter,
     /// Current recovery phase (0 live, 1 syncing, 2 catching up).
     recovery_phase: Gauge,
-    /// Encoded size in bytes of the latest local snapshot.
-    recovery_snapshot_bytes: Gauge,
 
     // ---- proactive rotation (scheduler) ----
     /// Rotation slots scheduled through atomic broadcast (`ScheduleWipe`
@@ -2196,7 +2169,7 @@ mod tests {
 
     #[test]
     fn every_declared_instrument_is_exported_under_its_field_name() {
-        assert_eq!(INSTRUMENTS.len(), 95);
+        assert_eq!(INSTRUMENTS.len(), 82);
         let snap = Metrics::new().snapshot();
         let prom = snap.to_prometheus();
         for &(name, kind) in INSTRUMENTS {

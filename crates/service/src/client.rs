@@ -332,11 +332,9 @@ impl ServiceClient {
             return false;
         };
         let Ok(ack) = HelloAck::open(&ack_frame, &key) else {
-            self.config.metrics.service_client_replies_rejected.inc();
             return false;
         };
         if ack.nonce != nonce || ack.replica as usize != i {
-            self.config.metrics.service_client_replies_rejected.inc();
             return false;
         }
         // Request/Reply frames ride the connection key derived from both
@@ -358,7 +356,6 @@ impl ServiceClient {
             conn_key.clone(),
             self.tx.clone(),
             Arc::clone(&self.stop),
-            self.config.metrics.clone(),
         ));
         self.conns[i].stream = Some(stream);
         self.conns[i].key = Some(conn_key);
@@ -441,7 +438,6 @@ fn spawn_reader(
     key: HmacKey<Sha1>,
     tx: Sender<Reply>,
     stop: Arc<AtomicBool>,
-    metrics: Metrics,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
         while let Some(frame) = read_frame_polling(&mut stream, &stop) {
@@ -451,9 +447,7 @@ fn spawn_reader(
                         return;
                     }
                 }
-                Ok(_) | Err(_) => {
-                    metrics.service_client_replies_rejected.inc();
-                }
+                Ok(_) | Err(_) => {}
             }
         }
     })

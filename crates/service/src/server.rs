@@ -69,7 +69,7 @@ impl<S: Send + 'static> ServiceServer<S> {
             let replica = Arc::clone(&replica);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let mut conn_threads = Vec::new();
+                let mut conn_threads: Vec<JoinHandle<()>> = Vec::new();
                 // Blocks in `accept`, so a client is served the moment it
                 // connects; `shutdown` sets `stop` and connects once to
                 // have it looked at.
@@ -77,6 +77,11 @@ impl<S: Send + 'static> ServiceServer<S> {
                     if stop.load(Ordering::SeqCst) {
                         break;
                     }
+                    // A finished thread's handle still holds its stack
+                    // mapping until joined or dropped: drop those now, so
+                    // the address space does not grow with every
+                    // connection ever accepted.
+                    conn_threads.retain(|t| !t.is_finished());
                     let replica = Arc::clone(&replica);
                     let stop = Arc::clone(&stop);
                     let config = config.clone();

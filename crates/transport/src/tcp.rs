@@ -277,7 +277,6 @@ fn install(
 
     // Retransmit everything the peer has not acknowledged, with the
     // current cumulative ack piggybacked.
-    let mut retransmitted = 0u64;
     let mut write_failed = false;
     {
         let mut w = core.writer.as_ref().expect("writer just installed");
@@ -288,13 +287,11 @@ fn install(
                 write_failed = true;
                 break;
             }
-            retransmitted += 1;
         }
     }
     core.last_ack_sent = core.rx_cum;
     if resumed {
         metrics.transport_reconnects_total.inc();
-        metrics.transport_retransmits_total.add(retransmitted);
         if let Some(path) = core.down_span.take() {
             metrics.span_close(&path);
         }
@@ -338,7 +335,6 @@ fn reader_loop(shared: Arc<Shared>, peer: ProcessId, mut stream: TcpStream, gene
         let ack = u64::from_be_bytes(buf[8..16].try_into().expect("8 bytes"));
         let payload = Bytes::from(buf).slice(SESSION_HDR..);
 
-        let metrics = &shared.cfg.metrics;
         let link = shared.link(peer);
         let mut core = unpoison(link.core.lock());
         if core.generation != generation {
@@ -347,10 +343,9 @@ fn reader_loop(shared: Arc<Shared>, peer: ProcessId, mut stream: TcpStream, gene
         if core.buf.ack(ack) > 0 {
             link.cond.notify_all(); // space freed: wake backpressured senders
         }
-        if seq == 0 {
-            // ACK-only control frame
-        } else if seq <= core.rx_cum {
-            metrics.transport_dup_dropped_total.inc(); // retransmission overlap
+        if seq <= core.rx_cum {
+            // An ACK-only control frame (seq 0), or the retransmission
+            // overlap after a resume: already delivered.
         } else if seq == core.rx_cum + 1 {
             core.rx_cum = seq;
             // Deliver while holding the link lock, and *before* any ack
@@ -1202,9 +1197,11 @@ mod tests {
 
     #[test]
     fn backpressure_surfaces_link_down_when_buffer_fills() {
+        let metrics = Metrics::new();
         let eps = mesh_with(2, |cfg| TcpConfig {
             tx_buffer_frames: 8,
             send_block: Duration::from_millis(50),
+            metrics: metrics.clone(),
             ..cfg
         });
         // Sever the peer's acceptor too so the link cannot heal, then
@@ -1217,6 +1214,7 @@ mod tests {
             }
         };
         assert_eq!(err, TransportError::LinkDown { peer: 1 });
+        assert_eq!(metrics.transport_send_backpressure_total.get(), 1);
     }
 
     #[test]

@@ -84,7 +84,14 @@ fn atomic_broadcast_survives_repeated_socket_kills_on_every_link() {
     let reconnects = counter(&body, "ritas_transport_reconnects_total");
     assert!(reconnects > 0, "chaos run reported no reconnects:\n{body}");
     assert!(body.contains("# TYPE ritas_transport_reconnects_total counter"));
-    assert!(body.contains("ritas_transport_links_up"));
+    // Once the last kill has healed, node 0 has all N - 1 links up.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let mut links_up = counter(&body, "ritas_transport_links_up");
+    while links_up != (N - 1) as u64 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+        links_up = counter(&scrape(metrics_addr), "ritas_transport_links_up");
+    }
+    assert_eq!(links_up, (N - 1) as u64);
 
     for node in nodes {
         node.shutdown();

@@ -218,6 +218,12 @@ fn rejoin_under_load_with_byzantine_chunk_server() {
         m.suspicions()
     );
     assert!(m.recovery_chunks_fetched.get() > 0, "no chunks verified");
+    // Every chunk the rejoiner verified was served by a peer.
+    let served: u64 = replicas
+        .iter()
+        .map(|r| r.metrics().recovery_chunks_served.get())
+        .sum();
+    assert!(served >= m.recovery_chunks_fetched.get());
 
     // Exactly-once across the snapshot boundary: the probe command was
     // applied before the wipe; retrying it at the *rejoined* replica

@@ -586,6 +586,9 @@ fn clients_complete_every_invoke_while_a_front_end_is_gone() {
         .copied()
         .unwrap_or(0);
     assert_eq!(retries, 0, "a vote needed a retry");
+    // 3 clients x 12 invokes, each one request that completed.
+    assert_eq!(metrics.service_client_requests.get(), 36);
+    assert_eq!(metrics.service_e2e_latency_ns.snapshot().count, 36);
     let mut replicas = replicas_of(&servers);
     replicas.push(gone.replica());
     assert_eq!(duplicate_applies(&replicas), 0);
