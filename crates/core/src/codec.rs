@@ -302,7 +302,7 @@ mod tests {
                 batch(5, &[b"one"]),
                 batch(u64::MAX - 3, &[b"", b"two", &[0xEE; 200]]),
             ],
-            crate::ab::read_batch,
+            crate::ab::dissemination::read_batch,
         );
         let ids = |ids: &[(u32, u64)]| {
             let mut w = Writer::new();
@@ -318,7 +318,7 @@ mod tests {
                 ids(&[(0, 1)]),
                 ids(&[(0, 1), (3, 0), (2, u64::MAX)]),
             ],
-            crate::ab::read_ids,
+            crate::ab::vector::read_ids,
         );
     }
 

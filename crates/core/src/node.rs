@@ -800,15 +800,6 @@ impl Node {
             .map_err(|_| NodeError::Disconnected)
     }
 
-    /// Like [`Node::eb_recv`] with a timeout.
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError::Timeout`] when nothing arrived in time.
-    pub fn eb_recv_timeout(&self, t: Duration) -> Result<(ProcessId, Bytes), NodeError> {
-        map_timeout(unpoison(self.eb_rx.lock()).recv_timeout(t))
-    }
-
     /// Atomically broadcasts `payload` (`ritas_ab_bcast`); returns the
     /// system-wide unique identifier `(sender, rbid)` assigned to the
     /// message, which deliveries can be correlated against.

@@ -13,7 +13,8 @@
 //!
 //! * **broadcast instances** (`Rb`, `Eb`, `Ab`) auto-create on first
 //!   contact — their designated sender is part of the key, so a receiver
-//!   can always build the control block;
+//!   can always build the control block. Only atomic broadcast session 0
+//!   exists: a frame for any other session is a fault and opens nothing;
 //! * **consensus instances** (`Bc`, `Mvc`, `Vc`) are created by the local
 //!   `propose` call; traffic arriving earlier is parked in the OOC table
 //!   (bounded; see [`Stack::ooc_len`]).
@@ -546,6 +547,7 @@ impl Stack {
     /// Enters atomic broadcast session `key` — resumed at `cursor` first,
     /// on a rejoin (see [`crate::ab::AtomicBroadcast::resume`]).
     fn open_ab(&mut self, key: InstanceKey, cursor: Option<&crate::ab::AbCursor>) -> StackStep {
+        assert_eq!(key, InstanceKey::Ab { session: 0 }, "only session 0 exists");
         let mut ab = match self.instances.remove(&key) {
             Some(Instance::Ab(ab)) => *ab,
             _ => AtomicBroadcast::new(self.ctx_for(key), self.coins(&key), self.config.ab),
@@ -649,6 +651,10 @@ impl Stack {
 
     /// A-broadcasts `payload` on atomic broadcast session `session`
     /// (created on first use).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `session` is not 0, the only session there is.
     pub fn ab_broadcast(&mut self, session: u32, payload: Bytes) -> (MsgId, StackStep) {
         let key = InstanceKey::Ab { session };
         let opened = (!self.instances.contains_key(&key)).then(|| self.open_ab(key, None));
@@ -792,6 +798,10 @@ impl Stack {
     /// Creates atomic-broadcast session `session` at a rejoin cursor,
     /// disarms the hold, and replays every parked frame into it. See
     /// [`crate::ab::AtomicBroadcast::resume`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `session` is not 0, the only session there is.
     pub fn ab_resume(&mut self, session: u32, cursor: &crate::ab::AbCursor) -> StackStep {
         let key = InstanceKey::Ab { session };
         self.ab_hold = false;
@@ -864,6 +874,11 @@ impl Stack {
                 payload: inner,
             });
             return out;
+        }
+        // Only session 0 exists: a session per frame would be state
+        // without bound, walked by every `poll_all`, `tick` and `set_now`.
+        if matches!(key, InstanceKey::Ab { session } if session != 0) {
+            return Step::fault(from, FaultKind::Malformed);
         }
         // Rejoin window: park AB traffic until the session is resumed.
         if self.ab_hold && matches!(key, InstanceKey::Ab { .. }) {
@@ -1016,6 +1031,15 @@ mod tests {
         ] {
             assert_eq!(InstanceKey::from_bytes(&key.to_bytes()).unwrap(), key);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "only session 0 exists")]
+    fn only_ab_session_0_opens() {
+        let mut cluster = Cluster::new(4, 20);
+        let _ = cluster
+            .stack_mut(0)
+            .ab_broadcast(1, Bytes::from_static(b"x"));
     }
 
     #[test]

@@ -259,11 +259,6 @@ pub struct ProcessKeys {
 }
 
 impl ProcessKeys {
-    /// Builds a view directly from dealt keys (production path).
-    pub fn from_keys(me: usize, keys: Vec<SecretKey>, coin: SharedCoinDealer) -> Self {
-        ProcessKeys { me, keys, coin }
-    }
-
     /// The common coin of the consensus instance every process names by
     /// `nonce`: the same bit per round at every holder of this table's
     /// secret.

@@ -3,9 +3,15 @@
 //! faultloads.
 
 use bytes::Bytes;
+use ritas::ab::AbMessage;
+use ritas::adversary::ProtocolMsg;
+use ritas::bc::lean::{LeanKind, LeanMessage};
+use ritas::bc::{BinMessage, Profile};
+use ritas::mvc::MvcMessage;
+use ritas::rb::RbMessage;
 use ritas::stack::{InstanceKey, Output, Stack, StackConfig};
 use ritas::testing::{Cluster, Schedule};
-use ritas::Group;
+use ritas::{FaultKind, Group};
 use ritas_crypto::KeyTable;
 
 fn ab_order(cluster: &Cluster, p: usize) -> Vec<ritas::ab::MsgId> {
@@ -337,5 +343,165 @@ fn ooc_messages_survive_late_joiner() {
             )),
             "process {p}"
         );
+    }
+}
+
+// ---------- guards of the atomic broadcast and the lean BC ----------
+//
+// The tests named for mutants are the tier-1 witnesses of guards in ROADMAP
+// item 25's mutant census: each fails, within seconds, when its guard is
+// weakened.
+
+/// The frame of process `origin`'s `AB_VECT` for `round`, naming `ids`,
+/// as the first message of its reliable broadcast.
+fn vect_init(origin: usize, round: u32, ids: &[ritas::ab::MsgId]) -> Bytes {
+    let mut w = ritas::codec::Writer::new();
+    w.u32(ids.len() as u32);
+    for id in ids {
+        w.u32(id.sender as u32).u64(id.rbid);
+    }
+    let inner = RbMessage::Init(w.freeze());
+    let vect = AbMessage::Vect {
+        origin,
+        round,
+        inner,
+    };
+    ProtocolMsg::Ab(vect).frame(InstanceKey::Ab { session: 0 })
+}
+
+/// Delivers in-flight frames until none is left, at most `bound` of them.
+fn run_bounded(cluster: &mut Cluster, bound: u64) {
+    let mut steps = 0;
+    while cluster.step() {
+        steps += 1;
+        assert!(steps < bound, "still running after {bound} frames");
+    }
+}
+
+/// Mutant G: `AB_VECT` support for an id must come from f + 1 vectors.
+/// Byzantine process 3 names, in the vector of each of the first rounds,
+/// a batch that nobody disseminated. Ordering it would leave every
+/// correct process waiting for its payload forever.
+#[test]
+fn an_id_only_a_byzantine_vector_names_is_never_ordered() {
+    let phantom = ritas::ab::MsgId {
+        sender: 3,
+        rbid: 77,
+    };
+    for (seed, schedule) in Schedule::sweep(0..3) {
+        let mut cluster = Cluster::new(4, 40 + seed);
+        cluster.set_schedule(schedule);
+        cluster.crash(3);
+        for round in 0..4 {
+            let frame = vect_init(3, round, &[phantom]);
+            for to in 0..3 {
+                cluster.inject(3, to, frame.clone());
+            }
+        }
+        for p in 0..3 {
+            let (_, s) = cluster
+                .stack_mut(p)
+                .ab_broadcast(0, Bytes::from(format!("g{p}")));
+            cluster.absorb(p, s);
+        }
+        run_bounded(&mut cluster, 100_000);
+        let order0 = ab_order(&cluster, 0);
+        assert_eq!(order0.len(), 3, "seed {seed} {schedule}: {order0:?}");
+        for p in 1..3 {
+            assert_eq!(ab_order(&cluster, p), order0, "seed {seed} {schedule}");
+        }
+    }
+}
+
+/// Mutant J: agreement frames more than `MAX_ROUND_AHEAD` (64) rounds
+/// ahead are refused and start nothing.
+#[test]
+fn an_agreement_frame_for_round_500_is_unjustified_and_starts_nothing() {
+    let mut cluster = Cluster::new(4, 41);
+    let (_, s) = cluster
+        .stack_mut(0)
+        .ab_broadcast(0, Bytes::from_static(b"j"));
+    assert!(!s.messages.is_empty());
+    let instances = cluster.stack_mut(0).instance_count();
+    let agree = AbMessage::Agree {
+        round: 500,
+        inner: MvcMessage::Init {
+            origin: 1,
+            inner: RbMessage::Init(Bytes::from_static(b"w")),
+        },
+    };
+    let agree = ProtocolMsg::Ab(agree).frame(InstanceKey::Ab { session: 0 });
+    for frame in [vect_init(1, 500, &[]), agree] {
+        let step = cluster.stack_mut(0).handle_frame(1, frame);
+        let faults: Vec<_> = step.faults.iter().map(|f| (f.from, f.kind)).collect();
+        assert_eq!(faults, [(1, FaultKind::Unjustified)]);
+        assert!(step.messages.is_empty() && step.outputs.is_empty());
+    }
+    assert_eq!(cluster.stack_mut(0).instance_count(), instances);
+}
+
+/// A peer's frames open no atomic broadcast session but session 0, the
+/// only one there is (ROADMAP item 14): a frame for any other session is
+/// a fault, parks nothing and opens nothing. A session per frame would be
+/// state without bound, and every `poll_all`, `tick` and `set_now` walks
+/// every session.
+#[test]
+fn frames_for_fresh_ab_sessions_open_no_instance() {
+    let mut cluster = Cluster::new(4, 42);
+    let frames = 2_000u32;
+    let (mut answered, mut faults) = (0, Vec::new());
+    for session in 1..=frames {
+        let id = ritas::ab::MsgId { sender: 1, rbid: 0 };
+        let inner = RbMessage::Init(Bytes::from_static(b"batch"));
+        let frame =
+            ProtocolMsg::Ab(AbMessage::Msg { id, inner }).frame(InstanceKey::Ab { session });
+        let step = cluster.stack_mut(0).handle_frame(1, frame);
+        faults.extend(step.faults.iter().map(|f| (f.from, f.kind)));
+        answered += step.messages.len();
+    }
+    let stack = cluster.stack_mut(0);
+    assert_eq!(stack.instance_count(), 0);
+    assert_eq!(answered, 0, "an unopened session echoed");
+    assert_eq!((stack.ooc_len(), stack.ooc_dropped()), (0, 0));
+    assert_eq!(faults, vec![(1, FaultKind::Malformed); frames as usize]);
+    // Session 0 still opens on a peer's first frame.
+    let (_, s) = cluster
+        .stack_mut(1)
+        .ab_broadcast(0, Bytes::from_static(b"x"));
+    cluster.absorb(1, s);
+    cluster.run();
+    assert_eq!(ab_order(&cluster, 0).len(), 1);
+    assert_eq!(cluster.stack_mut(0).instance_count(), 1);
+}
+
+/// Mutant C: a value enters the lean BC's `bin_values` on 2f + 1 `EST`s,
+/// not f + 1. Hand schedule at n = 4: process 0 proposes 1, processes 1
+/// and 2 propose 0, and Byzantine process 3 sends `EST(1, 1)` to process
+/// 0 alone, first, and then nothing. On f + 1, process 0's `AUX` would
+/// carry 1, which processes 1 and 2 never accept, and they would wait
+/// for a third `AUX(0)` that never comes.
+#[test]
+fn a_byzantine_est_to_one_process_does_not_stall_the_lean_bc() {
+    let mut cluster = Cluster::with_profile(4, 43, Profile::Lean);
+    cluster.set_schedule(Schedule::Fifo);
+    cluster.crash(3);
+    let key = InstanceKey::Bc { tag: 9 };
+    let est = LeanMessage {
+        kind: LeanKind::Est,
+        round: 1,
+        value: true,
+    };
+    cluster.inject(3, 0, ProtocolMsg::Bc(BinMessage::Lean(est)).frame(key));
+    for (p, value) in [(0, true), (1, false), (2, false)] {
+        let s = cluster.stack_mut(p).bc_propose(9, value).unwrap();
+        cluster.absorb(p, s);
+    }
+    run_bounded(&mut cluster, 10_000);
+    for p in 0..3 {
+        let decided = cluster.outputs(p).iter().find_map(|o| match o {
+            Output::BcDecided { decision, .. } => Some(*decision),
+            _ => None,
+        });
+        assert_eq!(decided, Some(false), "process {p}");
     }
 }
