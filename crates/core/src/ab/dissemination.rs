@@ -525,8 +525,9 @@ impl AtomicBroadcast {
     }
 
     /// This session's position in the stream, as advertised to a
-    /// rejoining replica: current round, per-origin delivered batch
-    /// watermarks, and exclusive upper bounds of every batch seq and
+    /// rejoining replica: current round or slot, per-origin delivered
+    /// batch watermarks (under slot ordering, the heads, with the recent
+    /// slot decisions), and exclusive upper bounds of every batch seq and
     /// command rbid ever seen (delivered, pending, or in dissemination).
     pub fn hints(&self) -> PeerHints {
         let diss = &self.diss;
@@ -541,12 +542,17 @@ impl AtomicBroadcast {
         for id in diss.msg_rbc.keys() {
             max_batch[id.sender] = max_batch[id.sender].max(id.rbid + 1);
         }
-        PeerHints {
+        let mut hints = PeerHints {
             round: self.round(),
             batch_w: diss.a_delivered.watermark.clone(),
             max_batch,
             max_rbid,
+            slot_log: Vec::new(),
+        };
+        if let super::Order::Slots(order) = &self.order {
+            order.fill_hints(&mut hints);
         }
+        hints
     }
 
     /// Number of commands received (in RBC-delivered batches) but not

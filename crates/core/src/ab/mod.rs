@@ -24,23 +24,32 @@
 //! paper's experiments an entire 1000-message burst was delivered with
 //! only two agreements (2.4% overhead).
 //!
-//! # Three parts, joined by batch ids
+//! # Parts joined by batch ids
 //!
 //! As in Alea-BFT: `dissemination.rs` is the broadcasting task, batched;
-//! `vector.rs` the agreement task, which never holds a payload; this file
-//! the [`AtomicBroadcast`] shell, which routes each [`AbMessage`] to the
-//! part that owns it, and delivery. Dissemination reports which batch ids
-//! are available, ordering returns the id sets it decided, and the shell
-//! a-delivers a set once its payloads are present. Each part's file also
-//! holds the public accessors of that part's state (an `impl
-//! AtomicBroadcast` block), so the shell reads no part's fields.
+//! an ordering part the agreement task, which never holds a payload; this
+//! file the [`AtomicBroadcast`] shell, which routes each [`AbMessage`] to
+//! the part that owns it, and delivery. Dissemination reports which batch
+//! ids are available, ordering returns the id sets it decided, and the
+//! shell a-delivers each set, in order, once its payloads are present.
+//! Each part's file also holds the public accessors of that part's state
+//! (an `impl AtomicBroadcast` block), so the shell reads no part's fields.
+//!
+//! The ordering part depends on the profile ([`crate::bc::Profile`]):
+//! `paper` runs `vector.rs`, the rounds above, as the paper measured
+//! them; `lean` runs `slots.rs`, Alea's round-robin binary agreement on
+//! one sender's next batch per slot, which costs one reliable broadcast
+//! and `2n²` binary consensus frames per batch where a round costs `n`
+//! more reliable broadcasts and a multi-valued consensus (DESIGN.md §7).
 
 pub(crate) mod dissemination;
+pub(crate) mod slots;
 pub(crate) mod vector;
 
 pub use dissemination::BatchPolicy;
 
-use crate::bc::Coins;
+use crate::bc::lean::LeanMessage;
+use crate::bc::{Coins, Profile};
 use crate::codec::{Reader, WireError, WireMessage, Writer};
 use crate::ctx::Ctx;
 use crate::mvc::{MvcConfig, MvcMessage};
@@ -49,6 +58,8 @@ use crate::step::{FaultKind, Step};
 use crate::ProcessId;
 use bytes::Bytes;
 use dissemination::Dissemination;
+use slots::SlotOrdering;
+use std::collections::VecDeque;
 use vector::VectorOrdering;
 
 /// Unique identifier of an atomically broadcast message: `(sender, rbid)`.
@@ -113,11 +124,19 @@ pub enum AbMessage {
         /// The inner message.
         inner: MvcMessage,
     },
+    /// Binary consensus traffic of an ordering slot (`lean`).
+    Slot {
+        /// The slot.
+        slot: u32,
+        /// The inner message.
+        inner: LeanMessage,
+    },
 }
 
 const TAG_MSG: u8 = 1;
 const TAG_VECT: u8 = 2;
 const TAG_AGREE: u8 = 3;
+const TAG_SLOT: u8 = 4;
 
 impl WireMessage for AbMessage {
     fn encode(&self, w: &mut Writer) {
@@ -139,6 +158,10 @@ impl WireMessage for AbMessage {
                 w.u8(TAG_AGREE).u32(*round);
                 inner.encode(w);
             }
+            AbMessage::Slot { slot, inner } => {
+                w.u8(TAG_SLOT).u32(*slot);
+                inner.encode(w);
+            }
         }
     }
 
@@ -157,6 +180,10 @@ impl WireMessage for AbMessage {
                 round: r.u32("ab.round")?,
                 inner: MvcMessage::decode(r)?,
             }),
+            TAG_SLOT => Ok(AbMessage::Slot {
+                slot: r.u32("ab.slot")?,
+                inner: LeanMessage::decode(r)?,
+            }),
             t => Err(WireError::InvalidTag {
                 what: "ab.tag",
                 tag: t,
@@ -171,7 +198,8 @@ pub type AbStep = Step<AbMessage, AbDelivery>;
 
 /// Where a rejoining replica resumes its atomic-broadcast session
 /// (built by [`crate::recovery::select_cursor`] from `2f+1` peer hints).
-/// `round` is the ordering's; the other fields are dissemination's.
+/// `round` and `replay_to` are the ordering's; the other fields are
+/// dissemination's.
 ///
 /// The cursor is deliberately allowed to be *approximate*: a stale
 /// `a_delivered`/`cmd_delivered` makes the session re-deliver messages
@@ -181,10 +209,20 @@ pub type AbStep = Step<AbMessage, AbDelivery>;
 /// must never undershoot — reusing an own identifier would fork the
 /// sender's id space — which is why cursor selection takes the maximum
 /// observed value plus [`crate::recovery::RESUME_ID_SLACK`].
+///
+/// Slot ordering (`lean`) is the exception: a 1 orders the head of its
+/// leader's queue, so `round` (the slot) and `a_delivered` (the heads)
+/// must be exactly a slot and the heads the group had there, and
+/// `next_batch` must continue the process's own batch sequence without a
+/// gap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbCursor {
-    /// Agreement round to resume at.
+    /// Agreement round (`paper`) or slot (`lean`) to resume at.
     pub round: u32,
+    /// The slot up to which a resumed `lean` session asks its peers for
+    /// every decision: beyond the slots any of them had opened when they
+    /// answered. Unused by `paper`.
+    pub replay_to: u32,
     /// Per-origin a-delivered *batch* watermark.
     pub a_delivered: Vec<u64>,
     /// Per-origin a-delivered *command* watermark.
@@ -234,9 +272,25 @@ pub struct AbStats {
 /// at any time, and deliveries come out in a single total order.
 pub struct AtomicBroadcast {
     diss: Dissemination,
-    order: VectorOrdering,
-    /// A decided set of batch ids whose payloads have not all arrived.
-    awaiting_payloads: Option<Vec<BatchId>>,
+    order: Order,
+    /// Decided sets of batch ids not a-delivered yet, oldest first: each
+    /// waits for its payloads and for the sets before it.
+    awaiting_payloads: VecDeque<Vec<BatchId>>,
+}
+
+/// The ordering part the session's profile runs.
+enum Order {
+    Vector(VectorOrdering),
+    Slots(SlotOrdering),
+}
+
+impl Order {
+    fn stats(&self) -> AbStats {
+        match self {
+            Order::Vector(order) => order.stats(),
+            Order::Slots(order) => order.stats(),
+        }
+    }
 }
 
 impl core::fmt::Debug for AtomicBroadcast {
@@ -253,13 +307,36 @@ impl core::fmt::Debug for AtomicBroadcast {
 impl AtomicBroadcast {
     /// Creates a session.
     ///
-    /// Each agreement round's binary consensus flips its own coins of
-    /// `coins` ([`Coins::round`]).
+    /// Each agreement round's (or slot's) binary consensus flips its own
+    /// coins of `coins` ([`Coins::round`]).
     pub fn new(ctx: Ctx, coins: Coins, config: AbConfig) -> Self {
+        let order = match config.mvc.profile {
+            Profile::Paper => Order::Vector(VectorOrdering::new(ctx.clone(), coins, &config)),
+            Profile::Lean => Order::Slots(SlotOrdering::new(ctx.clone(), coins, &config)),
+        };
         AtomicBroadcast {
-            order: VectorOrdering::new(ctx.clone(), coins, &config),
+            order,
             diss: Dissemination::new(ctx, &config),
-            awaiting_payloads: None,
+            awaiting_payloads: VecDeque::new(),
+        }
+    }
+
+    /// Current agreement round (`paper`) or the oldest slot not concluded
+    /// (`lean`), 0-based.
+    pub fn round(&self) -> u32 {
+        match &self.order {
+            Order::Vector(order) => order.round(),
+            Order::Slots(order) => order.base(),
+        }
+    }
+
+    /// True between [`AtomicBroadcast::resume`] and the first normally
+    /// concluded round (`paper`), or while replaying the slots the group
+    /// ran before the resume (`lean`).
+    pub fn recovering(&self) -> bool {
+        match &self.order {
+            Order::Vector(order) => order.recovering(),
+            Order::Slots(order) => order.replaying(),
         }
     }
 
@@ -290,12 +367,15 @@ impl AtomicBroadcast {
     /// fed to the instance.
     pub fn resume(&mut self, cursor: &AbCursor) {
         self.diss.resume(cursor);
-        self.order.resume(cursor.round);
-        self.awaiting_payloads = None;
+        match &mut self.order {
+            Order::Vector(order) => order.resume(cursor.round),
+            Order::Slots(order) => order.resume(cursor),
+        }
+        self.awaiting_payloads.clear();
     }
 
-    /// Batch ids a concluded round decided to order whose payloads have
-    /// not arrived — empty in normal operation; after a rejoin the RBC
+    /// Batch ids a concluded round or slot decided to order whose payloads
+    /// have not arrived — empty in normal operation; after a rejoin the RBC
     /// instances that disseminated them may have completed before the
     /// wipe, in which case the payloads must be fetched out of band
     /// ([`AtomicBroadcast::retained_batch`] on peers) and fed back via
@@ -335,42 +415,71 @@ impl AtomicBroadcast {
         }
         let mut out = match message {
             AbMessage::Msg { id, inner } => self.diss.on_msg(from, id, inner),
-            AbMessage::Vect {
-                origin,
-                round,
-                inner,
-            } => self.order.on_vect(from, origin, round, inner),
-            AbMessage::Agree { round, inner } => self.order.on_agree(from, round, inner),
+            msg => match (&mut self.order, msg) {
+                (
+                    Order::Vector(order),
+                    AbMessage::Vect {
+                        origin,
+                        round,
+                        inner,
+                    },
+                ) => order.on_vect(from, origin, round, inner),
+                (Order::Vector(order), AbMessage::Agree { round, inner }) => {
+                    order.on_agree(from, round, inner)
+                }
+                (Order::Slots(order), AbMessage::Slot { slot, inner }) => {
+                    order.on_slot(from, slot, inner)
+                }
+                // Ordering traffic of the other profile.
+                _ => Step::fault(from, FaultKind::Malformed),
+            },
         };
         out.extend(self.settle(false));
         out
     }
 
     /// Runs all deferred transitions to a fixpoint, in a fixed order:
-    /// flush, deliver, then — unless a decided set awaits its payloads —
-    /// fast-forward, vect, propose, conclude. Only the vect step waits for
-    /// `start_rounds` ([`AtomicBroadcast::poll`]): dissemination is eager.
+    /// flush, deliver, then the ordering part's steps. Vector ordering
+    /// runs them — fast-forward, vect, propose, conclude — only while no
+    /// decided set awaits its payloads; slot ordering votes regardless and
+    /// concludes while fewer than [`crate::bc::MAX_ROUND_AHEAD`] do, so a
+    /// rejoiner fetches the payloads of many slots at once. Only opening a
+    /// round or a slot waits for `start_rounds` ([`AtomicBroadcast::poll`]):
+    /// dissemination is eager.
     fn settle(&mut self, start_rounds: bool) -> AbStep {
         let mut out = Step::none();
         loop {
             let mut progressed = self.diss.maybe_flush(&mut out);
-            let diss = &self.diss;
-            let present = |ids: &mut Vec<BatchId>| ids.iter().all(|id| diss.has(id));
-            if let Some(ids) = self.awaiting_payloads.take_if(present) {
+            while let Some(ids) = self.awaiting_payloads.front() {
+                if !ids.iter().all(|id| self.diss.has(id)) {
+                    break;
+                }
+                let ids = self.awaiting_payloads.pop_front().expect("front");
                 self.diss.deliver(ids, &mut out);
                 progressed = true;
             }
-            if self.awaiting_payloads.is_none() {
-                let diss = &self.diss;
-                let delivered = |id: &BatchId| diss.is_delivered(id);
-                progressed |= self.order.maybe_fast_forward();
-                progressed |=
-                    start_rounds && self.order.maybe_send_vect(diss.available(), &mut out);
-                progressed |= self.order.maybe_propose(delivered, &mut out);
-                if let Some(decided) = self.order.maybe_conclude(delivered) {
-                    self.awaiting_payloads = decided;
-                    progressed = true;
+            let diss = &self.diss;
+            let delivered = |id: &BatchId| diss.is_delivered(id);
+            let awaiting = self.awaiting_payloads.len();
+            let decided = match &mut self.order {
+                Order::Vector(order) if awaiting == 0 => {
+                    progressed |= order.maybe_fast_forward();
+                    progressed |= start_rounds && order.maybe_send_vect(diss.available(), &mut out);
+                    progressed |= order.maybe_propose(delivered, &mut out);
+                    order.maybe_conclude(delivered)
                 }
+                Order::Vector(_) => None,
+                Order::Slots(order) => {
+                    let has = |id: &BatchId| diss.has(id);
+                    progressed |= order.maybe_vote(start_rounds, has, &mut out);
+                    (awaiting < crate::bc::MAX_ROUND_AHEAD as usize)
+                        .then(|| order.maybe_conclude())
+                        .flatten()
+                }
+            };
+            if let Some(decided) = decided {
+                self.awaiting_payloads.extend(decided);
+                progressed = true;
             }
             if !progressed {
                 break;
@@ -427,6 +536,23 @@ mod tests {
             .broadcast(Bytes::copy_from_slice(payload));
         net.absorb(p, step);
         id
+    }
+
+    /// Runs `net` to quiescence, feeding process `p` the payloads it
+    /// lacks from process 0's retained batches, as state transfer does.
+    pub(super) fn run_fetching(net: &mut AbNet, p: ProcessId) {
+        loop {
+            net.run();
+            let missing = net.process(p).missing_payloads();
+            if missing.is_empty() {
+                break;
+            }
+            for id in missing {
+                let raw = net.process(0).retained_batch(&id).expect("retained");
+                let step = net.process_mut(p).inject_batch(id, raw);
+                net.absorb(p, step);
+            }
+        }
     }
 
     /// The ids process `p` a-delivered, in order.

@@ -4,8 +4,8 @@
 //! it which ids are available and which are a-delivered, and it returns
 //! the ids a round decided.
 
-use super::{AbConfig, AbMessage, AbStats, AbStep, AtomicBroadcast, BatchId, MsgId};
-use crate::bc::Coins;
+use super::{AbConfig, AbMessage, AbStats, AbStep, BatchId, MsgId};
+use crate::bc::{Coins, MAX_ROUND_AHEAD};
 use crate::codec::{Reader, WireError, Writer};
 use crate::ctx::Ctx;
 use crate::mvc::{MultiValuedConsensus, MvcConfig, MvcMessage};
@@ -17,13 +17,6 @@ use bytes::Bytes;
 use ritas_metrics::{FlightKind, Layer, SpanAnnotation};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-
-/// How far ahead of the current agreement round messages are accepted.
-/// It is also how far *behind* round state is worth keeping: a process
-/// further behind than this has already had the group's current-round
-/// frames rejected as unjustified, so no round it is still in helps it
-/// (see [`VectorOrdering::free_finished_rounds`]).
-const MAX_ROUND_AHEAD: u32 = 64;
 
 /// Decoder bound for identifier vectors.
 const MAX_IDS: usize = 1 << 20;
@@ -127,6 +120,14 @@ impl VectorOrdering {
         self.stats
     }
 
+    pub(super) fn round(&self) -> u32 {
+        self.round
+    }
+
+    pub(super) fn recovering(&self) -> bool {
+        self.recovering
+    }
+
     pub(super) fn on_vect(
         &mut self,
         from: ProcessId,
@@ -175,7 +176,11 @@ impl VectorOrdering {
         sub.forward(|inner| AbMessage::Agree { round, inner })
     }
 
-    /// The oldest round whose state is kept.
+    /// The oldest round whose state is kept. Frames are accepted up to
+    /// [`MAX_ROUND_AHEAD`] rounds ahead, so that is also how far *behind*
+    /// round state is worth keeping: a process further behind has had the
+    /// group's current-round frames rejected as unjustified, and no round
+    /// it is still in helps it.
     fn round_floor(&self) -> u32 {
         self.round.saturating_sub(MAX_ROUND_AHEAD + 1)
     }
@@ -391,28 +396,23 @@ impl VectorOrdering {
     }
 }
 
-/// The public view of a session's ordering state.
-impl AtomicBroadcast {
-    /// Current agreement round (0-based).
-    pub fn round(&self) -> u32 {
-        self.order.round
-    }
-
-    /// True between [`AtomicBroadcast::resume`] and the first normally
-    /// concluded round.
-    pub fn recovering(&self) -> bool {
-        self.order.recovering
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ab::dissemination::encode_batch;
     use crate::ab::tests::{ab_insts, ab_net, broadcast, coins, delivered_ids, AbNet};
-    use crate::ab::{AbCursor, AbDelivery};
+    use crate::ab::{AbCursor, AbDelivery, AtomicBroadcast};
     use crate::step::Process;
     use crate::testing::{ctx, Net};
+
+    impl AtomicBroadcast {
+        fn vector(&self) -> &VectorOrdering {
+            match &self.order {
+                crate::ab::Order::Vector(order) => order,
+                crate::ab::Order::Slots(_) => panic!("a paper session orders by vectors"),
+            }
+        }
+    }
 
     #[test]
     fn ids_codec_roundtrip() {
@@ -504,7 +504,7 @@ mod tests {
         }
         for p in 0..3 {
             let injected = (FlightKind::Recovery, 3, milestones::BATCH_INJECTED);
-            let events = net.process(p).order.ctx.metrics.flight().events();
+            let events = net.process(p).vector().ctx.metrics.flight().events();
             let found = events.iter().find(|e| (e.kind, e.peer, e.a) == injected);
             assert_eq!(found.map(|e| e.b), Some(1000 + p as u64), "process {p}");
             let step = net.process_mut(p).poll();
@@ -530,6 +530,7 @@ mod tests {
         let mut ab = AtomicBroadcast::new(ctx(4, 0, 0), coins(1), AbConfig::default());
         ab.resume(&AbCursor {
             round: 2,
+            replay_to: 0,
             a_delivered: vec![0; 4],
             cmd_delivered: vec![0; 4],
             next_rbid: 0,
@@ -553,7 +554,7 @@ mod tests {
             }
             assert_eq!(ab.round(), reached, "after origin {origin}");
         }
-        let recorded: Vec<(u64, u64)> = (ab.order.ctx.metrics.flight().events().iter())
+        let recorded: Vec<(u64, u64)> = (ab.vector().ctx.metrics.flight().events().iter())
             .filter(|e| e.kind == FlightKind::Recovery)
             .map(|e| (e.a, e.b))
             .collect();
@@ -588,11 +589,15 @@ mod tests {
 
     /// Rounds with state in each of the three per-round maps.
     fn rounds_held(ab: &AtomicBroadcast) -> [usize; 3] {
-        let vect_rounds: BTreeSet<u32> =
-            ab.order.vect_rbc.keys().map(|(round, _)| *round).collect();
+        let vect_rounds: BTreeSet<u32> = ab
+            .vector()
+            .vect_rbc
+            .keys()
+            .map(|(round, _)| *round)
+            .collect();
         [
-            ab.order.agreements.len(),
-            ab.order.vects.len(),
+            ab.vector().agreements.len(),
+            ab.vector().vects.len(),
             vect_rounds.len(),
         ]
     }
@@ -621,7 +626,7 @@ mod tests {
     fn frame_for_a_freed_round_creates_no_instance() {
         let mut net = ab_net(4, 22);
         run_rounds(&mut net, 4, 200);
-        let metrics = net.process(0).order.ctx.metrics.clone();
+        let metrics = net.process(0).vector().ctx.metrics.clone();
         assert_eq!(metrics.ab_stale_round_dropped.get(), 0);
         let before = rounds_held(net.process(0));
         let replays = [
@@ -644,8 +649,8 @@ mod tests {
         }
         let ab = net.process(0);
         assert_eq!(rounds_held(ab), before);
-        assert!(!ab.order.agreements.contains_key(&3) && !ab.order.vects.contains_key(&3));
-        assert!(!ab.order.vect_rbc.contains_key(&(3, 1)));
+        assert!(!ab.vector().agreements.contains_key(&3) && !ab.vector().vects.contains_key(&3));
+        assert!(!ab.vector().vect_rbc.contains_key(&(3, 1)));
         assert_eq!(metrics.ab_stale_round_dropped.get(), 2);
     }
 

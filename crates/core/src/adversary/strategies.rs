@@ -11,7 +11,7 @@ use super::{
 };
 use crate::ab::AbMessage;
 use crate::bc::lean::{LeanKind, LeanMessage};
-use crate::bc::{decode_val, encode_val, BinMessage};
+use crate::bc::{decode_val, encode_val, BcMessage, BinMessage};
 use crate::codec::WireMessage;
 use crate::mvc::{MvcMessage, MvcValue, VectPayload};
 use crate::rb::RbMessage;
@@ -148,6 +148,7 @@ impl Strategy for SelectiveSilence {
                 BinMessage::Paper(bc) => bc.step == 3,
                 BinMessage::Lean(lean) => lean.kind == LeanKind::Aux,
             },
+            ProtocolMsg::Ab(AbMessage::Slot { inner, .. }) => inner.kind == LeanKind::Aux,
             _ => false,
         };
         let delivery_leg = closing || is_rb_ready(&mut msg) || is_eb_mat(&mut msg);
@@ -189,7 +190,7 @@ impl Strategy for BiasedCoin {
 
     fn rewrite(&mut self, _ctx: &SendCtx, key: InstanceKey, mut msg: ProtocolMsg) -> Vec<Bytes> {
         // Lean values travel bare, not as a broadcast payload.
-        if let Some(BinMessage::Lean(m)) = bin_of(&mut msg) {
+        if let Some(BinRef::Lean(m)) = bin_of(&mut msg) {
             m.value = false;
         }
         with_innermost_payload(&mut msg, &mut |kind, bytes| {
@@ -331,9 +332,16 @@ impl Strategy for RandomMutation {
     }
 }
 
+/// A binary consensus message of either profile, borrowed where it sits.
+enum BinRef<'a> {
+    Paper(&'a mut BcMessage),
+    Lean(&'a mut LeanMessage),
+}
+
 /// The binary consensus message `msg` is or carries, wherever it sits in
-/// the chain (standalone, under MVC, under VC or AB agreement rounds).
-fn bin_of(msg: &mut ProtocolMsg) -> Option<&mut BinMessage> {
+/// the chain (standalone, under MVC, under VC or AB agreement rounds, in
+/// an AB ordering slot).
+fn bin_of(msg: &mut ProtocolMsg) -> Option<BinRef<'_>> {
     match msg {
         ProtocolMsg::Bc(m)
         | ProtocolMsg::Mvc(MvcMessage::Bin(m))
@@ -344,7 +352,11 @@ fn bin_of(msg: &mut ProtocolMsg) -> Option<&mut BinMessage> {
         | ProtocolMsg::Ab(AbMessage::Agree {
             inner: MvcMessage::Bin(m),
             ..
-        }) => Some(m),
+        }) => Some(match m {
+            BinMessage::Paper(bc) => BinRef::Paper(bc),
+            BinMessage::Lean(lean) => BinRef::Lean(lean),
+        }),
+        ProtocolMsg::Ab(AbMessage::Slot { inner, .. }) => Some(BinRef::Lean(inner)),
         _ => None,
     }
 }
@@ -391,30 +403,30 @@ impl Strategy for RoundAhead {
         };
         if self.never_helps {
             let later = match bin {
-                BinMessage::Paper(bc) => bc.round > 1,
-                BinMessage::Lean(m) => m.round > 1 || m.kind == LeanKind::Term,
+                BinRef::Paper(bc) => bc.round > 1,
+                BinRef::Lean(m) => m.round > 1 || m.kind == LeanKind::Term,
             };
             return if later { Vec::new() } else { vec![honest] };
         }
         // The last leg of a round: the frames whose arrival lets the
         // receiver finish it, so the ask lands around its decision.
-        let closes_round = match bin {
-            BinMessage::Paper(bc) => {
+        let closes_round = match &bin {
+            BinRef::Paper(bc) => {
                 bc.step == 3 && !matches!(bc.inner, RbMessage::Init(_) | RbMessage::Echo(_))
             }
-            BinMessage::Lean(m) => m.kind == LeanKind::Aux,
+            BinRef::Lean(m) => m.kind == LeanKind::Aux,
         };
         if !closes_round || ctx.to >= ctx.n / 2 {
             return vec![honest];
         }
         match bin {
-            BinMessage::Paper(bc) => {
+            BinRef::Paper(bc) => {
                 bc.round += 1;
                 bc.step = 1;
                 bc.origin = ctx.me;
                 bc.inner = RbMessage::Init(Bytes::from_static(&[0]));
             }
-            BinMessage::Lean(m) => {
+            BinRef::Lean(m) => {
                 *m = LeanMessage {
                     kind: LeanKind::Est,
                     round: m.round + 1,
@@ -457,7 +469,7 @@ impl Strategy for BvSplit {
     }
 
     fn rewrite(&mut self, ctx: &SendCtx, key: InstanceKey, mut msg: ProtocolMsg) -> Vec<Bytes> {
-        if let Some(BinMessage::Lean(m)) = bin_of(&mut msg) {
+        if let Some(BinRef::Lean(m)) = bin_of(&mut msg) {
             m.value = match m.kind {
                 LeanKind::Est => ctx.to >= ctx.n / 2,
                 LeanKind::Aux | LeanKind::Term => !m.value,
@@ -535,7 +547,6 @@ impl Strategy for ReadyForge {
 mod tests {
     use super::*;
     use crate::adversary::decode_frame;
-    use crate::bc::BcMessage;
 
     fn ctx(to: crate::ProcessId) -> SendCtx {
         SendCtx { me: 3, to, n: 4 }
@@ -603,6 +614,16 @@ mod tests {
             let out = s.rewrite(&ctx(1), key, msg);
             let zero = ProtocolMsg::Mvc(MvcMessage::Bin(BinMessage::Lean(lean(false))));
             assert_eq!(out, [zero.frame(key)], "{kind:?}");
+            // The same inside an atomic broadcast ordering slot.
+            let key = InstanceKey::Ab { session: 0 };
+            let slot = |value| {
+                ProtocolMsg::Ab(AbMessage::Slot {
+                    slot: 5,
+                    inner: lean(value),
+                })
+            };
+            let out = s.rewrite(&ctx(1), key, slot(true));
+            assert_eq!(out, [slot(false).frame(key)], "{kind:?} in a slot");
         }
     }
 

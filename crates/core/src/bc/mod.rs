@@ -56,7 +56,8 @@ pub type Val = Option<bool>;
 /// How far ahead of our current round we accept (and buffer) messages.
 /// Correct processes are normally within one round of each other; the
 /// bound only limits memory a Byzantine process can make us allocate.
-const MAX_ROUND_AHEAD: u32 = 64;
+/// Atomic broadcast bounds its rounds and slots by the same constant.
+pub(crate) const MAX_ROUND_AHEAD: u32 = 64;
 
 /// Which binary consensus a stack's agreements run — and with it which
 /// coin they flip.

@@ -269,6 +269,14 @@ mod tests {
                 .into_iter()
                 .map(|inner| AbMessage::Agree { round: 5, inner }),
         );
+        ab.extend([LeanKind::Est, LeanKind::Aux, LeanKind::Term].map(|kind| {
+            let inner = LeanMessage {
+                kind,
+                round: 2,
+                value: true,
+            };
+            AbMessage::Slot { slot: 9, inner }
+        }));
         messages_agree(&ab);
         messages_agree(&[
             VectPayload {

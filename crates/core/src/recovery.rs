@@ -35,6 +35,7 @@
 pub mod scheduler;
 
 use crate::ab::AbCursor;
+use crate::bc::{Profile, MAX_ROUND_AHEAD};
 use crate::codec::{Reader, WireError, WireMessage, Writer};
 use bytes::Bytes;
 use ritas_crypto::{Digest, Sha256};
@@ -417,15 +418,39 @@ impl SnapshotBundle {
 /// manifest response so the rejoiner can pick a resume cursor.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PeerHints {
-    /// The peer's current agreement round.
+    /// The peer's current agreement round (`paper`) or oldest slot not
+    /// concluded (`lean`).
     pub round: u32,
     /// Per-sender a-delivered *batch* watermark (batches below are
-    /// delivered contiguously).
+    /// delivered contiguously); under slot ordering, the heads at `round`.
     pub batch_w: Vec<u64>,
     /// Per-sender highest batch seq ever seen (delivered or sparse).
     pub max_batch: Vec<u64>,
     /// Per-sender highest command rbid ever seen.
     pub max_rbid: Vec<u64>,
+    /// The decisions of the slots just below `round`, oldest first (at
+    /// most [`MAX_ROUND_AHEAD`]); empty under `paper`.
+    pub slot_log: Vec<bool>,
+}
+
+impl PeerHints {
+    /// The heads this peer had at slot `slot`: its heads at `round` with
+    /// the logged decisions from `slot` on undone; `None` if `slot` lies
+    /// outside its log.
+    fn heads_at(&self, slot: u32, n: usize) -> Option<Vec<u64>> {
+        let back = self.round.checked_sub(slot)? as usize;
+        let from = self.slot_log.len().checked_sub(back)?;
+        let mut heads: Vec<u64> = (0..n)
+            .map(|o| self.batch_w.get(o).copied().unwrap_or(0))
+            .collect();
+        for (s, ordered) in (slot..).zip(&self.slot_log[from..]) {
+            if *ordered {
+                let head = &mut heads[s as usize % n];
+                *head = head.checked_sub(1)?;
+            }
+        }
+        Some(heads)
+    }
 }
 
 fn encode_vec(w: &mut Writer, v: &[u64]) {
@@ -453,6 +478,10 @@ impl WireMessage for PeerHints {
         encode_vec(w, &self.batch_w);
         encode_vec(w, &self.max_batch);
         encode_vec(w, &self.max_rbid);
+        w.u32(self.slot_log.len() as u32);
+        for ordered in &self.slot_log {
+            w.u8(u8::from(*ordered));
+        }
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -461,6 +490,18 @@ impl WireMessage for PeerHints {
             batch_w: decode_vec(r, "hints.batch_w")?,
             max_batch: decode_vec(r, "hints.max_batch")?,
             max_rbid: decode_vec(r, "hints.max_rbid")?,
+            slot_log: {
+                let len = r.u32("hints.slot_log")? as usize;
+                if len > MAX_ROUND_AHEAD as usize {
+                    let what = "hints.slot_log";
+                    return Err(WireError::FieldTooLong { what, len });
+                }
+                let mut log = Vec::with_capacity(len);
+                for _ in 0..len {
+                    log.push(r.u8("hints.slot_log")? != 0);
+                }
+                log
+            },
         })
     }
 }
@@ -491,12 +532,16 @@ fn kth_smallest(mut values: Vec<u64>, k: usize) -> u64 {
 /// rejoiner itself — claiming more would skip commands peers still
 /// deliver. Residual staleness in either direction is absorbed by the
 /// catch-up alignment rule in [`crate::rsm`].
+///
+/// Slot ordering (`lean`) tolerates no staleness in the ordering half:
+/// see [`slot_cursor`].
 pub fn select_cursor(
     me: usize,
     n: usize,
     f: usize,
     hints: &[PeerHints],
     snapshot_next: &[u64],
+    profile: Profile,
 ) -> AbCursor {
     let k = f + 1;
     let round = kth_smallest(hints.iter().map(|h| u64::from(h.round)).collect(), k) as u32;
@@ -514,13 +559,59 @@ pub fn select_cursor(
         .map(|h| get(&h.max_rbid, me))
         .max()
         .unwrap_or(0);
-    AbCursor {
+    let cursor = AbCursor {
         round,
+        replay_to: 0,
         a_delivered,
         cmd_delivered: (0..n).map(|s| get(snapshot_next, s)).collect(),
         next_batch: max_batch + RESUME_ID_SLACK,
         next_rbid: max_rbid + RESUME_ID_SLACK,
+    };
+    match profile {
+        Profile::Paper => cursor,
+        Profile::Lean => slot_cursor(me, n, f, hints, cursor),
     }
+}
+
+/// The slot ordering half of [`select_cursor`]. A slot's 1 orders its
+/// leader's head, so the cursor is exactly a slot and the heads the group
+/// had there: the highest slot at which `f+1` hints agree on every head,
+/// read back through each hint's decision log (one of them is correct,
+/// and correct peers agree on the heads of a slot). `replay_to` lies past
+/// every slot a hint reports open, so the slots the group ran before the
+/// rejoiner could hear them are replayed. The own batch sequence resumes
+/// after the `(f+1)`-th largest seq reported, without slack: a gap would
+/// be a head no slot ever orders.
+fn slot_cursor(
+    me: usize,
+    n: usize,
+    f: usize,
+    hints: &[PeerHints],
+    mut cursor: AbCursor,
+) -> AbCursor {
+    let mut slots: Vec<u32> = hints.iter().map(|h| h.round).collect();
+    slots.sort_unstable_by(|a, b| b.cmp(a));
+    let agreed = slots.iter().find_map(|&slot| {
+        let views: Vec<Vec<u64>> = hints.iter().filter_map(|h| h.heads_at(slot, n)).collect();
+        let agreed = views
+            .iter()
+            .find(|v| views.iter().filter(|w| w == v).count() > f);
+        agreed.map(|heads| (slot, heads.clone()))
+    });
+    if let Some((slot, heads)) = agreed {
+        let top = slots[0].min(slot.saturating_add(MAX_ROUND_AHEAD));
+        cursor.round = slot;
+        cursor.replay_to = top.saturating_add(n as u32);
+        cursor.a_delivered = heads;
+    }
+    let mut seen: Vec<u64> = hints
+        .iter()
+        .map(|h| h.max_batch.get(me).copied().unwrap_or(0))
+        .collect();
+    seen.sort_unstable_by(|a, b| b.cmp(a));
+    let seen = seen.get(f).or(seen.last()).copied().unwrap_or(0);
+    cursor.next_batch = seen.max(cursor.a_delivered.get(me).copied().unwrap_or(0));
+    cursor
 }
 
 // ---------------------------------------------------------------------------
@@ -1061,6 +1152,7 @@ mod tests {
                     batch_w: vec![1, 2, 3, 4],
                     max_batch: vec![2, 3, 4, 5],
                     max_rbid: vec![10, 0, 0, 7],
+                    slot_log: vec![true, false, true],
                 },
             },
             XferMessage::ManifestResp {
@@ -1182,6 +1274,45 @@ mod tests {
     }
 
     #[test]
+    fn slot_cursor_takes_the_heads_f_plus_1_hints_agree_on() {
+        // n = 4, f = 1. `ahead` concluded slot 8 (sender 0's head ordered)
+        // and slot 9 (a 0) since it stood where `behind` stands.
+        let ahead = PeerHints {
+            round: 10,
+            batch_w: vec![3, 2, 2, 2],
+            max_batch: vec![3, 2, 2, 5],
+            max_rbid: vec![0; 4],
+            slot_log: vec![false, true, false],
+        };
+        let behind = PeerHints {
+            round: 8,
+            batch_w: vec![2, 2, 2, 2],
+            max_batch: vec![3, 2, 2, 4],
+            max_rbid: vec![0; 4],
+            slot_log: vec![false],
+        };
+        let liar = PeerHints {
+            round: 10,
+            batch_w: vec![9; 4],
+            max_batch: vec![0, 0, 0, 99],
+            max_rbid: vec![0; 4],
+            slot_log: vec![true; 64],
+        };
+        assert_eq!(ahead.heads_at(8, 4), Some(vec![2, 2, 2, 2]));
+        assert_eq!(ahead.heads_at(6, 4), None, "beyond its log");
+        let hints = [ahead, liar, behind];
+        let cursor = select_cursor(3, 4, 1, &hints, &[0; 4], Profile::Lean);
+        // No two hints agree at slot 10; `ahead` and `behind` do at 8.
+        assert_eq!((cursor.round, cursor.a_delivered), (8, vec![2; 4]));
+        // Every slot opened at the highest report, 10, is replayed.
+        assert_eq!(cursor.replay_to, 10 + 4);
+        // The own batch sequence: the (f+1)-th largest seq seen, a
+        // correct report, without slack.
+        assert_eq!(cursor.next_batch, 5);
+        assert_eq!(cursor.next_rbid, RESUME_ID_SLACK);
+    }
+
+    #[test]
     fn cursor_selection_is_byzantine_bounded() {
         // n=4, f=1: three responders, one lying wildly in each direction.
         let correct_a = PeerHints {
@@ -1189,20 +1320,24 @@ mod tests {
             batch_w: vec![5, 6, 7, 8],
             max_batch: vec![6, 7, 8, 9],
             max_rbid: vec![50, 60, 70, 80],
+            slot_log: Vec::new(),
         };
         let correct_b = PeerHints {
             round: 11,
             batch_w: vec![5, 7, 7, 8],
             max_batch: vec![6, 7, 8, 9],
             max_rbid: vec![51, 60, 70, 80],
+            slot_log: Vec::new(),
         };
         let liar = PeerHints {
             round: 1_000_000,
             batch_w: vec![u64::MAX; 4],
             max_batch: vec![0; 4],
             max_rbid: vec![0; 4],
+            slot_log: Vec::new(),
         };
-        let cursor = select_cursor(0, 4, 1, &[correct_a, liar, correct_b], &[3, 4, 5, 6]);
+        let hints = [correct_a, liar, correct_b];
+        let cursor = select_cursor(0, 4, 1, &hints, &[3, 4, 5, 6], Profile::Paper);
         // The (f+1)-th smallest is bounded by a correct report.
         assert_eq!(cursor.round, 11);
         assert_eq!(cursor.a_delivered, vec![5, 7, 7, 8]);

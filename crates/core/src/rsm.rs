@@ -1180,7 +1180,10 @@ where
     let mut fifo = FifoOrder::from_watermarks(n, &snap_next);
 
     // --- Resume the atomic-broadcast cursor and catch up ---
-    let cursor = select_cursor(me, n, f, &hints, &snap_next);
+    let profile = node
+        .with_stack(|stack, _| stack.profile())
+        .map_err(|_| Aborted)?;
+    let cursor = select_cursor(me, n, f, &hints, &snap_next, profile);
     {
         let mut applied = unpoison(shared.applied.lock());
         applied.fast_forward(cursor.next_rbid);

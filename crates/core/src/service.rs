@@ -38,7 +38,7 @@ use bytes::Bytes;
 use ritas_metrics::{unpoison, Layer, Metrics};
 use std::collections::HashMap;
 use std::convert::Infallible;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -366,13 +366,16 @@ struct Pending {
 
 /// Every request this replica waits on — the only record of in-flight
 /// requests. An entry lives until its command applies, its submit fails,
-/// or (when not submitted here) its last caller times out.
+/// (when not submitted here) its last caller times out, or the replica
+/// shuts down.
 #[derive(Default)]
 struct Waiters {
     next_ticket: u64,
     /// Entries with `submitted` set.
     submitted: usize,
     by_request: HashMap<(ClientId, u64), Pending>,
+    /// Set at shutdown: every caller was woken, and no caller registers.
+    closed: bool,
 }
 
 impl Waiters {
@@ -732,6 +735,9 @@ impl<S: Send + 'static> ServiceReplica<S> {
                 SessionCheck::New => {}
             }
             let (mut w, key) = (unpoison(self.waiters.lock()), (client, seq));
+            if w.closed {
+                return Err(ServiceError::Node(NodeError::Disconnected));
+            }
             let in_flight = w.by_request.get(&key).is_some_and(|e| e.submitted);
             let needs_submit = submitting && !in_flight;
             if needs_submit && w.submitted >= state.sessions.cap {
@@ -749,7 +755,8 @@ impl<S: Send + 'static> ServiceReplica<S> {
 
     /// Blocks on a registered waiter. A caller whose command does not
     /// apply in time withdraws its waiter: nothing else would ever remove
-    /// it if the command is never submitted anywhere.
+    /// it if the command is never submitted anywhere. One whose waiter
+    /// went at shutdown returns at once.
     fn wait_reply(
         &self,
         client: ClientId,
@@ -757,9 +764,12 @@ impl<S: Send + 'static> ServiceReplica<S> {
         (ticket, rx): Ticket,
         timeout: Duration,
     ) -> Result<Bytes, ServiceError> {
-        rx.recv_timeout(timeout).map_err(|_| {
-            unpoison(self.waiters.lock()).withdraw((client, seq), ticket);
-            ServiceError::Timeout
+        rx.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Disconnected => ServiceError::Node(NodeError::Disconnected),
+            RecvTimeoutError::Timeout => {
+                unpoison(self.waiters.lock()).withdraw((client, seq), ticket);
+                ServiceError::Timeout
+            }
         })
     }
 
@@ -785,8 +795,18 @@ impl<S: Send + 'static> ServiceReplica<S> {
         self.replica.node()
     }
 
-    /// Shuts the underlying node down.
+    /// Shuts the underlying node down, first dropping every registered
+    /// waiter: a caller blocked in [`ServiceReplica::submit`] or
+    /// [`ServiceReplica::await_reply`] returns [`NodeError::Disconnected`]
+    /// at once instead of at its timeout, and later calls return it too.
     pub fn shutdown(&self) {
+        {
+            let mut w = unpoison(self.waiters.lock());
+            w.closed = true;
+            w.by_request.clear();
+            w.submitted = 0;
+            self.metrics.service_inflight.set(0);
+        }
         self.replica.shutdown();
     }
 }
@@ -896,6 +916,7 @@ impl<S: Send + 'static> core::fmt::Debug for ServiceReplica<S> {
 mod tests {
     use super::*;
     use crate::node::SessionConfig;
+    use std::sync::Barrier;
 
     type Counters = Vec<Arc<ServiceReplica<u64>>>;
 
@@ -1027,11 +1048,31 @@ mod tests {
         let replicas = counters(4);
         // The same (client, seq) lands at two different replicas — the
         // retry-after-failover pattern. Both order it; exactly one apply.
+        // Nothing orders until both are in flight: else the second
+        // replica may find the first copy applied and answer from cache.
+        let (held, go) = (Arc::new(Barrier::new(5)), Arc::new(Barrier::new(5)));
+        for r in &replicas {
+            let (r, held, go) = (Arc::clone(r), Arc::clone(&held), Arc::clone(&go));
+            std::thread::spawn(move || {
+                r.node().with_stack(move |_, _| {
+                    held.wait();
+                    go.wait();
+                })
+            });
+        }
+        held.wait();
         let submit = |r: &Arc<ServiceReplica<u64>>| {
             let r = Arc::clone(r);
             std::thread::spawn(move || r.submit(9, 1, CommandKind::Apply, incr(), T))
         };
         let (h0, h1) = (submit(&replicas[0]), submit(&replicas[1]));
+        while replicas[..2]
+            .iter()
+            .any(|r| r.metrics().service_inflight.get() == 0)
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        go.wait();
         let a = h0.join().unwrap().unwrap();
         let b = h1.join().unwrap().unwrap();
         assert_eq!(a.as_ref(), 1u64.to_be_bytes());

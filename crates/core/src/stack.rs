@@ -458,6 +458,12 @@ impl Stack {
         self.ctx.group
     }
 
+    /// The profile every binary consensus of this stack runs, and with it
+    /// how atomic broadcast orders ([`crate::ab`]).
+    pub fn profile(&self) -> crate::bc::Profile {
+        self.config.ab.mvc.profile
+    }
+
     /// Number of live protocol instances.
     pub fn instance_count(&self) -> usize {
         self.instances.len()
@@ -1077,6 +1083,7 @@ mod tests {
         // echo traffic it triggers proves the frame was processed.
         let cursor = crate::ab::AbCursor {
             round: 0,
+            replay_to: 0,
             a_delivered: vec![0; 4],
             cmd_delivered: vec![0; 4],
             next_rbid: 0,

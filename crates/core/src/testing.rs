@@ -214,6 +214,12 @@ impl<P: Process, W: Wire<P::Msg>> Net<P, W> {
         self.crashed[p] = true;
     }
 
+    /// Brings crashed process `p` back, as a replica that rejoins: what
+    /// was sent to or by it while it was down stays lost.
+    pub fn restart(&mut self, p: ProcessId) {
+        self.crashed[p] = false;
+    }
+
     /// Starts withholding all inbound messages for `p` — extreme (but
     /// model-faithful) asynchrony: they are buffered and re-enter the
     /// network when [`Net::release`] is called; nothing is lost.

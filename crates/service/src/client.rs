@@ -220,11 +220,11 @@ impl ServiceClient {
                 (submitters, observers)
             };
             let sent = self.fan_out(&submitters, &observers, seq, kind, payload.clone());
-            if sent <= f {
+            if sent.len() <= f {
                 // Not even f+1 replicas reachable: no quorum can form.
                 continue;
             }
-            match self.collect_votes(seq, f + 1, self.config.request_timeout) {
+            match self.collect_votes(seq, &sent, f + 1, self.config.request_timeout) {
                 Some((Status::Ok, reply)) => {
                     m.service_e2e_latency_ns
                         .record(start.elapsed().as_nanos() as u64);
@@ -250,7 +250,7 @@ impl ServiceClient {
     }
 
     /// Sends the request to each target, reconnecting dead links on the
-    /// way. Returns how many copies went out.
+    /// way. Returns the replicas a copy went out to.
     fn fan_out(
         &mut self,
         submitters: &[usize],
@@ -258,8 +258,8 @@ impl ServiceClient {
         seq: u64,
         kind: RequestKind,
         payload: Bytes,
-    ) -> usize {
-        let mut sent = 0;
+    ) -> Vec<u16> {
+        let mut sent = Vec::new();
         let legs = submitters
             .iter()
             .map(|&i| (i, RequestMode::Submit))
@@ -273,7 +273,7 @@ impl ServiceClient {
                 payload: payload.clone(),
             };
             if self.send_to(i, &request) {
-                sent += 1;
+                sent.push(i as u16);
             }
         }
         sent
@@ -363,23 +363,29 @@ impl ServiceClient {
     }
 
     /// Drains the reply channel until `quorum` replicas agree
-    /// byte-for-byte on `(status, payload)` for `seq`, or the deadline
-    /// passes. Counts a vote failure when replies arrived but never
-    /// agreed.
-    fn collect_votes(&self, seq: u64, quorum: usize, timeout: Duration) -> Option<(Status, Bytes)> {
+    /// byte-for-byte on `(status, payload)` for `seq`, until the replies
+    /// still outstanding from `sent` could not bring any answer to
+    /// `quorum`, or until the deadline passes. Counts a vote failure
+    /// when replies arrived but never agreed.
+    fn collect_votes(
+        &self,
+        seq: u64,
+        sent: &[u16],
+        quorum: usize,
+        timeout: Duration,
+    ) -> Option<(Status, Bytes)> {
         let deadline = Instant::now() + timeout;
         let mut votes: HashMap<(Status, Bytes), HashSet<u16>> = HashMap::new();
-        let mut any = false;
+        let mut replied: HashSet<u16> = HashSet::new();
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                if any {
-                    self.config.metrics.service_client_vote_failures.inc();
-                }
-                return None;
-            }
-            let Ok(reply) = self.rx.recv_timeout(remaining) else {
-                if any {
+            let outstanding = sent.iter().filter(|r| !replied.contains(r)).count();
+            let best = votes.values().map(HashSet::len).max().unwrap_or(0);
+            let reply = (best + outstanding >= quorum && !remaining.is_zero())
+                .then(|| self.rx.recv_timeout(remaining).ok())
+                .flatten();
+            let Some(reply) = reply else {
+                if !replied.is_empty() {
                     self.config.metrics.service_client_vote_failures.inc();
                 }
                 return None;
@@ -387,7 +393,7 @@ impl ServiceClient {
             if reply.client != self.id || reply.seq != seq {
                 continue; // stale round
             }
-            any = true;
+            replied.insert(reply.replica);
             let voters = votes
                 .entry((reply.status, reply.payload.clone()))
                 .or_default();

@@ -38,11 +38,11 @@ use ritas_service::client::{ClientConfig, ServiceClient};
 use ritas_service::server::{ServerConfig, ServiceServer};
 use ritas_service::wire::{
     connection_key, fresh_nonce, read_frame, write_frame, Hello, HelloAck, Reply, Request,
-    RequestKind, Status,
+    RequestKind, RequestMode, Status,
 };
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Spawns a 4-replica group (in-memory replica mesh, TCP client edge)
@@ -83,6 +83,41 @@ fn front_ends(
             ServiceServer::spawn(replica, dealer, ServerConfig::default()).expect("front-end")
         })
         .collect()
+}
+
+/// A gate that threads wait at until it opens.
+#[derive(Clone, Default)]
+struct Gate(Arc<(Mutex<bool>, Condvar)>);
+
+impl Gate {
+    fn open(&self) {
+        *self.0 .0.lock().unwrap() = true;
+        self.0 .1.notify_all();
+    }
+
+    fn pass(&self) {
+        let (open, cv) = &*self.0;
+        let _open = cv.wait_while(open.lock().unwrap(), |open| !*open).unwrap();
+    }
+
+    /// Holds the protocol thread of every replica of `servers` at this
+    /// gate, returning once all of them wait there: nothing orders, so
+    /// every request submitted stays in flight, while admission, which
+    /// runs on the connection threads, keeps answering.
+    fn hold_ordering(&self, servers: &[ServiceServer<Audit>]) {
+        let held = Arc::new(std::sync::Barrier::new(servers.len() + 1));
+        for s in servers {
+            let (gate, held) = (self.clone(), Arc::clone(&held));
+            let replica = Arc::clone(s.replica());
+            std::thread::spawn(move || {
+                let _ = replica.node().with_stack(move |_, _| {
+                    held.wait();
+                    gate.pass();
+                });
+            });
+        }
+        held.wait();
+    }
 }
 
 fn addrs_of(servers: &[ServiceServer<Audit>]) -> Vec<SocketAddr> {
@@ -400,16 +435,19 @@ fn retry_across_batch_boundary_applies_once() {
 /// completes and replies stay correct.
 #[test]
 fn session_bound_sheds_load_without_evicting_in_flight() {
-    // Each apply keeps its request in flight ≥ 25 ms, and a barrier
-    // fires all 12 clients at once — so some replica must see > 4
-    // admission attempts while 4 requests are still in flight, whatever
-    // the build profile's speed.
+    // Nothing orders until the gate opens, and the 12 clients' 24 first
+    // submits land on 4 replicas of 4 slots each: some replica must shed
+    // a fifth while its first four are in flight. The gate opens once
+    // one has. (It holds ordering, not applies: an apply runs under the
+    // state lock that admission takes too.)
     let (servers, key_seed) = cluster(
         ServiceConfig {
             session_capacity: 4,
         },
-        Duration::from_millis(25),
+        Duration::ZERO,
     );
+    let gate = Gate::default();
+    gate.hold_ordering(&servers);
     let addrs = addrs_of(&servers);
     let start = Arc::new(std::sync::Barrier::new(12));
 
@@ -425,6 +463,11 @@ fn session_bound_sheds_load_without_evicting_in_flight() {
                         key_seed,
                         max_attempts: 60,
                         backoff: Duration::from_millis(5),
+                        // Four sessions for twelve clients: an observer
+                        // that asks after its command applied and its
+                        // session was evicted waits for an apply that
+                        // already happened. A round, not 10 s, pays.
+                        request_timeout: Duration::from_millis(500),
                         ..ClientConfig::default()
                     },
                 );
@@ -435,6 +478,16 @@ fn session_bound_sheds_load_without_evicting_in_flight() {
             })
         })
         .collect();
+    let shed = || -> u64 {
+        let metrics = servers.iter().map(|s| s.replica().metrics());
+        metrics.map(|m| m.service_busy_rejected.get()).sum()
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while shed() == 0 {
+        assert!(Instant::now() < deadline, "no replica shed a submit");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    gate.open();
     let mut ok = 0;
     for w in workers {
         if w.join().expect("client thread").is_ok() {
@@ -662,5 +715,45 @@ fn a_read_never_misses_a_completed_write() {
         .expect("wedge thread")
         .expect("replica 1 alive");
     assert_eq!(duplicate_applies(&replicas_of(&servers)), 0);
+    shutdown(servers);
+}
+
+/// A front-end shuts down at once while a connection of it waits for an
+/// apply that never comes: the replica's shutdown drops the waiter,
+/// which wakes the connection thread instead of leaving it blocked until
+/// `ServerConfig::request_timeout` (20 s).
+#[test]
+fn front_end_shutdown_does_not_wait_out_a_blocked_request() {
+    let (mut servers, key_seed) = cluster(ServiceConfig::default(), Duration::ZERO);
+    let mut server = servers.remove(0);
+    let (client, seq) = (77, 1);
+    let key = ClientKeyDealer::new(key_seed).link_key(client, 0);
+    let mut stream = TcpStream::connect(server.addr()).expect("dial the front-end");
+    let nonce = fresh_nonce();
+    write_frame(&mut stream, &Hello { client, nonce }.seal(&key)).expect("HELLO");
+    let ack = HelloAck::open(&read_frame(&mut stream).expect("ACK"), &key).expect("ACK");
+    let conn_key = connection_key(&key, nonce, ack.server_nonce);
+    // An observer of a command nobody submits waits for its apply.
+    let request = Request {
+        client,
+        seq,
+        kind: RequestKind::Apply,
+        mode: RequestMode::Observe,
+        payload: payload(1),
+    };
+    write_frame(&mut stream, &request.seal(&conn_key)).expect("request");
+    let metrics = server.replica().metrics().clone();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while metrics.service_requests_total.get() == 0 {
+        assert!(Instant::now() < deadline, "the request never arrived");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let start = Instant::now();
+    server.replica().shutdown();
+    server.shutdown();
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    let reply = Reply::open(&read_frame(&mut stream).expect("reply"), &conn_key).expect("MAC");
+    assert_eq!((reply.seq, reply.status), (seq, Status::Error));
     shutdown(servers);
 }

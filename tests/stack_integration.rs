@@ -505,3 +505,143 @@ fn a_byzantine_est_to_one_process_does_not_stall_the_lean_bc() {
         assert_eq!(decided, Some(false), "process {p}");
     }
 }
+
+// ---------- slot ordering (`lean` atomic broadcast) ----------
+//
+// Witnesses of the guards of `ab/slots.rs`: each fails, within seconds,
+// when its guard is weakened (CHANGES.md records the mutants).
+
+/// A frame of slot `slot`'s binary consensus.
+fn slot_frame(slot: u32, kind: LeanKind, round: u32, value: bool) -> Bytes {
+    let inner = LeanMessage { kind, round, value };
+    ProtocolMsg::Ab(AbMessage::Slot { slot, inner }).frame(InstanceKey::Ab { session: 0 })
+}
+
+/// Has every process in `ps` a-broadcast `k` commands.
+fn ab_broadcast_each(cluster: &mut Cluster, ps: std::ops::Range<usize>, k: usize) {
+    for p in ps {
+        for i in 0..k {
+            let cmd = Bytes::from(format!("s{p}:{i}"));
+            let (_, s) = cluster.stack_mut(p).ab_broadcast(0, cmd);
+            cluster.absorb(p, s);
+        }
+    }
+}
+
+/// Asserts that processes `ps` a-delivered the same `len` commands in the
+/// same order, each once.
+fn assert_one_order(cluster: &Cluster, ps: std::ops::Range<usize>, len: usize, what: &str) {
+    let order = ab_order(cluster, ps.start);
+    let mut unique = order.clone();
+    unique.sort();
+    unique.dedup();
+    assert_eq!((order.len(), unique.len()), (len, len), "{what}: {order:?}");
+    for p in ps {
+        assert_eq!(ab_order(cluster, p), order, "{what}: process {p}");
+    }
+}
+
+/// Slot agreements: total order, each command once, while the leader of
+/// every `n`-th slot has crashed (its slots must decide 0 to move on).
+#[test]
+fn slots_order_totally_and_once_with_a_crashed_leader() {
+    for n in [4, 7] {
+        for (seed, schedule) in Schedule::sweep(0..3) {
+            let mut cluster = Cluster::with_profile(n, 50 + seed, Profile::Lean);
+            cluster.set_schedule(schedule);
+            cluster.crash(n - 1);
+            ab_broadcast_each(&mut cluster, 0..n - 1, 2);
+            run_bounded(&mut cluster, 200_000);
+            let what = format!("n {n} seed {seed} {schedule}");
+            assert_one_order(&cluster, 0..n - 1, 2 * (n - 1), &what);
+        }
+    }
+}
+
+/// A slot's 1 must mean "the head is here": Byzantine process 3 votes 1
+/// in its own slot for a batch it never disseminated. Ordering it would
+/// leave every correct process waiting for its payload forever, and
+/// every command in a later slot undelivered.
+#[test]
+fn a_slot_vote_for_a_batch_nobody_has_orders_nothing() {
+    for (seed, schedule) in Schedule::sweep(0..3) {
+        let mut cluster = Cluster::with_profile(4, 60 + seed, Profile::Lean);
+        cluster.set_schedule(schedule);
+        cluster.crash(3);
+        for (kind, round) in [(LeanKind::Est, 1), (LeanKind::Aux, 1)] {
+            for to in 0..3 {
+                cluster.inject(3, to, slot_frame(3, kind, round, true));
+            }
+        }
+        ab_broadcast_each(&mut cluster, 0..3, 2);
+        run_bounded(&mut cluster, 100_000);
+        let what = format!("seed {seed} {schedule}");
+        assert_one_order(&cluster, 0..3, 6, &what);
+        let phantom = ab_order(&cluster, 0).into_iter().any(|id| id.sender == 3);
+        assert!(!phantom, "{what}: a batch of process 3 was ordered");
+    }
+}
+
+/// Slot frames more than `MAX_ROUND_AHEAD` (64) slots ahead are refused
+/// and start nothing.
+#[test]
+fn a_slot_frame_a_million_slots_ahead_is_unjustified_and_starts_nothing() {
+    let mut cluster = Cluster::with_profile(4, 61, Profile::Lean);
+    let (_, s) = cluster
+        .stack_mut(0)
+        .ab_broadcast(0, Bytes::from_static(b"c"));
+    assert!(!s.messages.is_empty());
+    let instances = cluster.stack_mut(0).instance_count();
+    let frame = slot_frame(1_000_000, LeanKind::Est, 1, true);
+    let step = cluster.stack_mut(0).handle_frame(1, frame);
+    let faults: Vec<_> = step.faults.iter().map(|f| (f.from, f.kind)).collect();
+    assert_eq!(faults, [(1, FaultKind::Unjustified)]);
+    assert!(step.messages.is_empty() && step.outputs.is_empty());
+    assert_eq!(cluster.stack_mut(0).instance_count(), instances);
+    assert_eq!(cluster.stack_mut(0).metrics().bc_started.get(), 0);
+}
+
+/// Fairness: once every correct process holds a sender's batch, that
+/// sender's next slot decides 1 — here its first, with process 3 voting
+/// 0 in every slot (the §4.2 attacker). Slots before it decide 0.
+#[test]
+fn a_batch_every_correct_process_holds_is_ordered_in_its_senders_next_slot() {
+    for sender in 0..3 {
+        let group = Group::new(4).unwrap();
+        let table = KeyTable::dealer(4, 62);
+        let stacks = (0..4)
+            .map(|me| {
+                let mut config = StackConfig::default().with_profile(Profile::Lean);
+                config.ab.byzantine_bottom = me == 3;
+                Stack::with_config(group, me, table.view_of(me), 62 ^ me as u64, config)
+            })
+            .collect();
+        let mut cluster = Cluster::with_stacks(stacks, 62);
+        cluster.set_schedule(Schedule::Fifo);
+        ab_broadcast_each(&mut cluster, sender..sender + 1, 1);
+        run_bounded(&mut cluster, 10_000);
+        assert_one_order(&cluster, 0..4, 1, &format!("sender {sender}"));
+        for p in 0..3 {
+            let stats = cluster.stack_mut(p).ab(0).unwrap().stats();
+            let slots = (stats.agreements, stats.bottom_agreements);
+            assert_eq!(slots, (sender as u64 + 1, sender as u64), "process {p}");
+        }
+    }
+}
+
+/// A process whose head lost a slot (others lacked the batch) opens no
+/// more slots for it on its own until something changes. Under LIFO
+/// the frames that complete the batch's broadcast at the others come
+/// last, so reopening at once would decide 0 forever and starve them.
+#[test]
+fn a_slot_lost_for_a_head_is_not_reopened_until_something_changes() {
+    for seed in 0..3 {
+        let mut cluster = Cluster::with_profile(4, 63 + seed, Profile::Lean);
+        cluster.set_schedule(Schedule::Lifo);
+        let biased = ritas::adversary::StrategyKind::BiasedCoin;
+        cluster.set_strategy(3, biased.build(seed));
+        ab_broadcast_each(&mut cluster, 0..4, 3);
+        run_bounded(&mut cluster, 100_000);
+        assert_one_order(&cluster, 0..3, 12, &format!("seed {seed}"));
+    }
+}
